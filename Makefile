@@ -41,14 +41,15 @@ vuln:
 		echo "govulncheck not installed; skipping (CI runs it pinned)"; \
 	fi
 
-# race runs the race detector over the concurrent packages — the compiled
-# plan layer, the batch engine and its consumers (pareto sweeps, the
+# race runs the race detector over the concurrent packages — the memo
+# primitive, the compiled plan layer, the batch engine and its consumers
+# (pareto sweeps, the
 # experiment table drivers, the HTTP server, the gateway fan-out, the
 # public SolveBatch API) — plus the solver core, the scenario generator,
 # and the chaos injector, whose package tests exercise them from
 # concurrent batch workers.
 race:
-	$(GO) test -race ./internal/core/ ./internal/gen/ ./internal/plan/ ./internal/batch/ ./internal/pareto/ ./internal/experiments/ ./internal/server/ ./internal/gateway/ ./internal/diffcheck/ ./internal/chaos/ .
+	$(GO) test -race ./internal/core/ ./internal/gen/ ./internal/memo/ ./internal/plan/ ./internal/batch/ ./internal/pareto/ ./internal/experiments/ ./internal/server/ ./internal/gateway/ ./internal/diffcheck/ ./internal/chaos/ .
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
@@ -78,8 +79,7 @@ chaos:
 
 # load runs the service-level load experiment: an in-process pipegateway
 # over three pipeserved replicas under zipf and uniform batch traffic,
-# dueling the three cache policies and regenerating BENCH_service.json
-# (see EXPERIMENTS.md section LOAD).
+# regenerating BENCH_service.json (see EXPERIMENTS.md section LOAD).
 load:
 	$(GO) run ./cmd/pipebench -exp load
 

@@ -135,7 +135,8 @@ type (
 	// SolveCache memoizes solver results across SolveBatch calls.
 	SolveCache = batch.Cache
 	// SolveCacheStats is a snapshot of a SolveCache's counters: entries,
-	// configured cap, hits, misses and evictions.
+	// configured cap, hits, misses and evictions of the memoized results,
+	// and the same counters for the compiled plans in Plans.
 	SolveCacheStats = batch.CacheStats
 )
 
@@ -145,11 +146,11 @@ type (
 func NewSolveCache() *SolveCache { return batch.NewCache() }
 
 // NewSolveCacheCap returns a memoization cache bounded to at most
-// maxEntries memoized keys; beyond the cap the least recently used entries
-// are evicted. A non-positive cap means unbounded. A bounded cache is the
-// right choice for a long-running process (see cmd/pipeserved) where an
-// unbounded memo would grow for the life of the server. Inspect usage via
-// (*SolveCache).Stats.
+// maxEntries memoized results (and as many compiled plans); beyond the cap
+// the least recently used entries are evicted. A non-positive cap means
+// unbounded. A bounded cache is the right choice for a long-running process
+// (see cmd/pipeserved) where an unbounded memo would grow for the life of
+// the server. Inspect usage via (*SolveCache).Stats.
 func NewSolveCacheCap(maxEntries int) *SolveCache { return batch.NewCacheCap(maxEntries) }
 
 // SolveBatch solves every job concurrently on a bounded worker pool,

@@ -19,7 +19,7 @@
 //	                              # re-solve p50/p99, degraded rate, shed rate
 //	pipebench -exp load           # in-process gateway cluster under zipf and
 //	                              # uniform batch traffic: throughput, p50/p99,
-//	                              # cache-policy duel -> BENCH_service.json
+//	                              # hit rates -> BENCH_service.json
 //
 // pipebench exits non-zero if any paper claim failed to reproduce.
 package main
@@ -48,7 +48,7 @@ func run(args []string, stdout io.Writer) error {
 	instances := fs.Int("instances", 0, "scenarios for the differential check (0 = six combination windows)")
 	benchFile := fs.String("bench-file", "BENCH_solver.json", "committed baseline for -exp benchdiff")
 	benchFactor := fs.Float64("bench-factor", 2.0, "per-variant ns/op regression tolerance for -exp benchdiff")
-	loadBatches := fs.Int("load-batches", 0, "batches per (traffic, policy) measurement for -exp load (0 = 100)")
+	loadBatches := fs.Int("load-batches", 0, "batches per traffic measurement for -exp load (0 = 100)")
 	serviceFile := fs.String("service-file", "BENCH_service.json", "output artifact for -exp load")
 	if err := fs.Parse(args); err != nil {
 		return err

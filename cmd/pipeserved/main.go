@@ -17,12 +17,9 @@
 //	-addr       listen address (default :8080)
 //	-workers    solver worker pool per request (0 = GOMAXPROCS)
 //	-cache-cap  entry cap of the shared memo cache (0 = unbounded,
-//	            default 65536); the cache is a sharded LRU that lives for
-//	            the whole process, so repeated and overlapping requests
-//	            are answered from memory
-//	-cache-policy  replacement policy of the bounded cache: adaptive
-//	            (default; set-duels LRU against cost-aware eviction and
-//	            steers follower shards to the winner), lru, or cost
+//	            default 65536); the cache is an LRU that lives for the
+//	            whole process, so repeated and overlapping requests are
+//	            answered from memory
 //	-timeout    per-request wall-clock budget (0 = none, default 30s);
 //	            an expired budget cancels the request's remaining solver
 //	            jobs and reports 504
@@ -70,7 +67,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/server"
 )
 
@@ -86,7 +82,6 @@ func run(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "solver worker pool per request (0 = GOMAXPROCS)")
 	cacheCap := fs.Int("cache-cap", 65536, "memo cache entry cap (0 = unbounded)")
-	cachePolicy := fs.String("cache-policy", "adaptive", "cache replacement policy: adaptive, lru or cost")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request budget (0 = none)")
 	maxBody := fs.Int64("max-body", 0, "request body cap in bytes (0 = 8 MiB default, negative = unlimited)")
 	drain := fs.Duration("drain", 10*time.Second, "shutdown drain budget for in-flight requests")
@@ -98,16 +93,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	policy, err := batch.ParsePolicy(*cachePolicy)
-	if err != nil {
-		return err
-	}
 
 	logger := log.New(os.Stderr, "pipeserved: ", log.LstdFlags)
 	srv := server.New(server.Config{
 		Workers:          *workers,
 		CacheCap:         *cacheCap,
-		CachePolicy:      policy,
 		Timeout:          *timeout,
 		MaxBody:          *maxBody,
 		Logger:           logger,

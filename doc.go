@@ -28,7 +28,8 @@
 // from a bounded memo with near-zero allocations. Pareto sweeps,
 // experiment tables and batches all route through plans; a shared
 // SolveCache additionally memoizes the compiled plans themselves (the
-// plan tier, inspectable via SolveCacheStats).
+// plan tier), and the plans it compiles share one query memo, so each
+// answer is stored once (both inspectable via SolveCacheStats).
 //
 // SolveBatch is the concurrent engine on top of Solve (see
 // internal/batch): it fans a slice of independent jobs across a bounded
@@ -45,7 +46,7 @@
 // in their slot, workers stop picking up new work, and results computed
 // before the cancellation are kept. Pair it with NewSolveCacheCap, which
 // bounds the shared memoization cache to a fixed number of entries
-// (sharded LRU with eviction statistics), so one cache can serve an
+// (LRU with eviction statistics), so one cache can serve an
 // arbitrarily long request stream — cmd/pipeserved runs the solver as an
 // HTTP service exactly this way.
 //

@@ -83,7 +83,7 @@ type Stats struct {
 	// Errors counts jobs whose Err is non-nil.
 	Errors int
 	// PlanCompiles counts compiled plans built fresh for this batch's
-	// result-cache misses; PlanReuses counts misses answered by a plan
+	// distinct jobs; PlanReuses counts distinct jobs answered by a plan
 	// already in the cache's plan tier (possibly compiled by an earlier
 	// batch sharing the Cache). Both are zero with NoDedup, which bypasses
 	// the plan layer entirely.
@@ -172,34 +172,38 @@ func solveOne(inst *pipeline.Instance, req core.Request) (res core.Result, err e
 	return core.Solve(inst, req)
 }
 
-// solvePlanned answers a result-cache miss through the cache's plan tier:
-// it fetches (compiling on first sight) the plan for the job's instance
-// triple and issues the request as an incremental query against it. This is
-// bit-identical to solveOne — Compile performs the same validation
-// core.Solve would, and plan queries dispatch through core.SolvePrepared —
-// and panics are confined the same way (PlanFor and Plan.Solve both publish
-// panics as errors rather than unwinding the worker).
+// solvePlanned answers a job through the cache: it fetches (compiling on
+// first sight) the plan for the job's instance triple and issues the
+// request as a query against it, which the cache's result memo answers
+// when the job was solved before. This is bit-identical to solveOne —
+// Compile performs the same validation core.Solve would, and plan queries
+// dispatch through core.SolvePrepared — and panics are confined the same
+// way (the memos publish panics as errors rather than unwinding the
+// worker). hit reports a memoized answer: the query's, or the plan tier's
+// memoized compilation error.
 //
-// A positive budget arms a per-job deadline: the query runs through
-// plan.SolveCtx, which answers from the degraded path when the deadline
-// fires first (the full solve keeps running in the background and heals
-// the plan's memo).
-func solvePlanned(ctx context.Context, cache *Cache, job Job, budget time.Duration, planCompiles, planReuses *int64) (core.Result, error) {
-	pl, err, hit := cache.PlanFor(job.Inst, job.Req.Rule, job.Req.Model)
-	if hit {
+// A positive budget arms a per-job deadline: the plan answers from the
+// degraded path when the deadline fires first (the full solve keeps
+// running in the background and heals the memo; see plan.SolveCtx).
+func solvePlanned(ctx context.Context, cache *Cache, job Job, budget time.Duration, planCompiles, planReuses *int64) (core.Result, error, bool) {
+	pl, err, planHit := cache.PlanFor(job.Inst, job.Req.Rule, job.Req.Model)
+	if planHit {
 		atomic.AddInt64(planReuses, 1)
 	} else {
 		atomic.AddInt64(planCompiles, 1)
 	}
 	if err != nil {
-		return core.Result{}, err
+		return core.Result{}, err, planHit
 	}
-	if budget <= 0 {
-		return pl.Solve(plan.QueryOf(job.Req))
+	// Without a budget a started solve runs to completion, like solveOne:
+	// the solver is not preemptible, so the query drops ctx's cancellation.
+	qctx := context.WithoutCancel(ctx)
+	if budget > 0 {
+		var cancel context.CancelFunc
+		qctx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
 	}
-	jctx, cancel := context.WithTimeout(ctx, budget)
-	defer cancel()
-	return pl.SolveCtx(jctx, plan.QueryOf(job.Req))
+	return pl.Answer(qctx, plan.QueryOf(job.Req))
 }
 
 // solveAll runs every job individually, no memoization.
@@ -252,11 +256,11 @@ func dispatch(ctx context.Context, n int, ch chan int, skip func(i int)) {
 // ones). The cache still single-flights across concurrent Solve calls that
 // share it.
 //
-// Result-cache misses are answered through the cache's plan tier: the job's
+// Every group is answered through the cache's plan tier: the job's
 // instance is compiled once per distinct (instance, rule, comm) triple and
 // every query against it — this batch's and later ones' — reuses the
-// compiled state. planCompiles/planReuses tally fresh compilations versus
-// plan-tier hits for Stats.
+// compiled state and its memoized answers. planCompiles/planReuses tally
+// fresh compilations versus plan-tier hits for Stats.
 func solveDeduped(ctx context.Context, jobs []Job, workers int, cache *Cache, budget time.Duration, results []JobResult, hits []bool, planCompiles, planReuses *int64) {
 	keyOrder := make([]string, 0, len(jobs))
 	groups := make(map[string][]int, len(jobs))
@@ -289,14 +293,11 @@ func solveDeduped(ctx context.Context, jobs []Job, workers int, cache *Cache, bu
 					}
 					continue
 				}
-				job := jobs[idxs[0]]
-				res, err, hit := cache.do(keyOrder[g], func() (core.Result, error) {
-					return solvePlanned(ctx, cache, job, budget, planCompiles, planReuses)
-				})
+				res, err, hit := solvePlanned(ctx, cache, jobs[idxs[0]], budget, planCompiles, planReuses)
 				for n, i := range idxs {
 					jr := JobResult{Err: err}
 					if err == nil {
-						// cache.do already returned an independent copy;
+						// The plan already returned an independent copy;
 						// the other slots of the group need their own so
 						// mutating one job's mapping never leaks into a
 						// duplicate's.

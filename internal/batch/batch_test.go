@@ -145,24 +145,6 @@ func TestErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestShardSpread checks every cache shard is reachable from hex keys.
-func TestShardSpread(t *testing.T) {
-	const hex = "0123456789abcdef"
-	seen := make(map[int]bool)
-	for _, a := range []byte(hex) {
-		for _, b := range []byte(hex) {
-			sh := shardIndex(string([]byte{a, b}), numShards)
-			if sh < 0 || sh >= numShards {
-				t.Fatalf("shardIndex(%c%c) = %d out of range", a, b, sh)
-			}
-			seen[sh] = true
-		}
-	}
-	if len(seen) != numShards {
-		t.Errorf("only %d of %d shards reachable", len(seen), numShards)
-	}
-}
-
 // TestSharedCacheAcrossBatches reuses one Cache over two Solve calls: the
 // second batch must be answered entirely from the cache.
 func TestSharedCacheAcrossBatches(t *testing.T) {
@@ -297,5 +279,43 @@ func TestConcurrentStress(t *testing.T) {
 		if r.Err != nil && !errors.Is(r.Err, core.ErrInfeasible) {
 			t.Fatalf("job %d: %v", i, r.Err)
 		}
+	}
+}
+
+// BenchmarkCacheHit times a warm 8-job batch, every job a cache hit: the
+// steady-state serving path of a replica (canonical keys, plan-tier hit,
+// memoized query, defensive copies). distinct-instances gives every job its
+// own instance; shared-instance asks 8 queries of one instance.
+func BenchmarkCacheHit(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	cfg := workload.Config{
+		Apps: 2, MinStages: 2, MaxStages: 3, Procs: 6, Modes: 2,
+		Class: pipeline.CommHomogeneous, MaxWork: 8, MaxData: 4, MaxSpeed: 6,
+	}
+	shared := workload.MustInstance(rng, cfg)
+	var distinct, sameInst []Job
+	for x := 0; x < 8; x++ {
+		inst := workload.MustInstance(rng, cfg)
+		distinct = append(distinct, Job{Inst: &inst, Req: core.Request{
+			Rule: mapping.Interval, Model: pipeline.Overlap, Objective: core.Period}})
+		sameInst = append(sameInst, Job{Inst: &shared, Req: core.Request{
+			Rule: mapping.Interval, Model: pipeline.Overlap, Objective: core.Energy,
+			PeriodBounds: core.UniformBounds(&shared, float64(4+x))}})
+	}
+	for _, bc := range []struct {
+		name string
+		jobs []Job
+	}{{"distinct-instances", distinct}, {"shared-instance", sameInst}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cache := NewCacheCap(256)
+			Solve(bc.jobs, Options{Cache: cache, Workers: 1})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, st := Solve(bc.jobs, Options{Cache: cache, Workers: 1}); st.CacheHits != len(bc.jobs) {
+					b.Fatalf("%d hits of %d", st.CacheHits, len(bc.jobs))
+				}
+			}
+		})
 	}
 }

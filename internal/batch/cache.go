@@ -1,595 +1,98 @@
 package batch
 
 import (
-	"container/list"
-	"fmt"
-	"math"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/mapping"
+	"repro/internal/memo"
 	"repro/internal/pipeline"
 	"repro/internal/plan"
 )
 
-// numShards bounds lock contention. Keys are raw canonical byte encodings
-// (see key.go), which are highly structured — nearby jobs share long
-// prefixes — so the shard index comes from an FNV-1a hash of the whole key
-// rather than from any fixed byte positions.
-const numShards = 32
-
-// shardIndex hashes a key onto one of n shards (FNV-1a over the whole
-// canonical encoding).
-func shardIndex(key string, n int) int {
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211 // FNV-1a prime
-	}
-	return int(h % uint64(n))
-}
-
-// Policy selects the replacement policy of a bounded cache.
+// Cache memoizes solver work across Solve calls. It is safe for concurrent
+// use and single-flights every computation: when several workers ask for
+// the same thing at once, exactly one computes it and the others wait for
+// its result. Hand the same Cache to successive batches (via Options.Cache)
+// to reuse results across calls, e.g. between the points of two Pareto
+// sweeps over overlapping candidate sets, or for the whole life of a server
+// process.
 //
-// The cache's shards play the role of the sets in a set-dueling cache
-// (the DRRIP design): under PolicyAdaptive a few leader shards are pinned
-// to LRU, a few to cost-aware replacement, and every other shard follows
-// whichever leader group is currently missing less, steered by a
-// saturating policy-selector counter. Cost-aware replacement evicts the
-// entry that was cheapest to compute — each entry's solve duration is
-// recorded when its result is published — so under pressure the cache
-// prefers to forget results it can recompute quickly and keeps the ones
-// that took real work. PolicyLRU and PolicyCost pin every shard to one
-// policy; they exist mainly so the load benchmark can duel the pinned
-// policies against the adaptive one.
-type Policy uint8
-
-const (
-	// PolicyAdaptive set-duels LRU against cost-aware eviction and steers
-	// follower shards to the current winner. The default.
-	PolicyAdaptive Policy = iota
-	// PolicyLRU evicts the least recently used entry everywhere.
-	PolicyLRU
-	// PolicyCost evicts the cheapest-to-recompute entry everywhere.
-	PolicyCost
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case PolicyAdaptive:
-		return "adaptive"
-	case PolicyLRU:
-		return "lru"
-	case PolicyCost:
-		return "cost"
-	}
-	return fmt.Sprintf("Policy(%d)", int(p))
-}
-
-// ParsePolicy is the inverse of String, shared by the cmd/ tools.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "adaptive", "":
-		return PolicyAdaptive, nil
-	case "lru":
-		return PolicyLRU, nil
-	case "cost":
-		return PolicyCost, nil
-	}
-	return 0, fmt.Errorf("batch: unknown cache policy %q (want adaptive, lru or cost)", s)
-}
-
-// Set-dueling constants: a 10-bit saturating selector (the DRRIP PSEL
-// width) initialized at its midpoint, and one leader shard per four
-// shards on each side of the duel. Hardware DRRIP dedicates ~32 leader
-// sets out of thousands; this cache has only numShards sets total, so a
-// 1-in-8 ratio would leave four sets per monitor — too little traffic
-// for the selector to converge reliably. A 1-in-4 ratio both feeds the
-// selector more signal and bounds the damage of a mis-steered duel: at
-// most half the shards (the followers) can ever run the losing policy,
-// so the adaptive cache stays within a quarter of the policy gap of the
-// winner no matter what the selector does.
-const (
-	pselMax       = 1<<10 - 1
-	pselThreshold = pselMax / 2
-	leaderRatio   = 4
-)
-
-// Shard roles in the duel. Followers consult the selector; leaders are
-// pinned so their miss streams keep feeding it.
-const (
-	roleFollower = iota
-	roleLeaderLRU
-	roleLeaderCost
-)
-
-// Cache memoizes solver results by canonical job key. It is safe for
-// concurrent use and performs single-flight deduplication: when several
-// workers ask for the same key at once, exactly one runs the solver and the
-// others block until its result is published. A Cache can outlive a single
-// Solve call — hand the same Cache to successive batches (via
-// Options.Cache) to reuse results across calls, e.g. between the points of
-// two Pareto sweeps over overlapping candidate sets, or for the whole life
-// of a server process.
+// A Cache has two tiers, both internal/memo memos:
 //
-// A cache built with NewCacheCap is bounded: once the configured entry cap
-// is reached entries are evicted according to the configured Policy, so a
-// shared cache can serve a long-running process without growing without
-// bound. The cap is a hard invariant — the cache never holds more than cap
-// entries, even transiently — which is kept simple by allowing in-flight
-// entries to be evicted too: waiters already hold the entry and still
-// receive its result; only the single-flight dedup for late arrivals on
-// that key is lost. When the cap is smaller than the shard count the cache
-// shrinks its effective shard count to the cap instead of handing some
-// shards a zero quota, so every shard retains at least one entry and small
-// caps keep both memoization and late-arrival single-flight.
+//   - the plan tier maps each canonical (instance, rule, comm) triple to
+//     its compiled plan (internal/plan), so every query on an instance —
+//     a Pareto sweep, an experiment table, a batch with many queries per
+//     instance — reuses one compilation;
+//   - the result memo holds the answered queries of all those plans. Each
+//     plan compiled here answers from it (plan.CompileShared), keyed by the
+//     plan key followed by the query encoding, so a memoized answer is
+//     stored once, and a repeated job is answered by a plan-tier hit plus a
+//     result-memo hit.
 //
-// Beyond final results, a Cache carries a second tier: compiled plans
-// (internal/plan), memoized by the canonical (instance, rule, comm) key.
-// The result tier answers exact repeats; the plan tier makes *related*
-// requests on the same instance cheap — a Pareto sweep, an experiment
-// table, a batch with many queries per instance all compile each distinct
-// instance once and answer every query incrementally against the shared
-// plan. The plan tier is bounded by the same entry cap (plans are far
-// fewer than results: one per distinct instance triple, not per query).
+// A cache built with NewCacheCap is bounded: each tier holds at most the
+// configured number of entries and evicts its least recently used entry
+// beyond it, so a shared cache can serve a long-running process without
+// growing without bound.
 //
-// The zero value is not usable; call NewCache, NewCacheCap or
-// NewCacheCapPolicy.
+// The zero value is not usable; call NewCache or NewCacheCap.
 type Cache struct {
-	shards  [numShards]cacheShard
-	nshards int // effective shard count; < numShards only for small caps
-	cap     int // total entry cap; 0 = unbounded
-	policy  Policy
-	psel    atomic.Int32 // set-dueling selector, 0..pselMax
-	plans   planCache
-}
-
-type cacheShard struct {
-	mu      sync.Mutex
-	bounded bool
-	cap     int // this shard's slice of the total cap, meaningful when bounded
-	role    uint8
-	m       map[string]*list.Element
-	lru     list.List // front = most recently used; values are *cacheEntry
-
-	hits, misses, evictions int64
-}
-
-// cacheEntry is a single-flight slot: ready is closed once res/err are
-// final, so waiters never observe a partially written result. cost is the
-// wall-clock duration of the computation in nanoseconds, published
-// atomically alongside the result; -1 until then ("not yet known"), so
-// cost-aware eviction never victimizes an entry the cache has not finished
-// paying for.
-type cacheEntry struct {
-	key   string
-	ready chan struct{}
-	cost  atomic.Int64
-	res   core.Result
-	err   error
+	results *memo.Memo[core.Result]
+	plans   *memo.Memo[*plan.Plan]
 }
 
 // NewCache returns an empty, unbounded memoization cache.
 func NewCache() *Cache { return NewCacheCap(0) }
 
-// NewCacheCap returns an empty memoization cache holding at most maxEntries
-// keys under the default adaptive replacement policy; a non-positive
-// maxEntries means unbounded.
+// NewCacheCap returns an empty memoization cache whose result memo and plan
+// tier each hold at most maxEntries keys, evicting the least recently used
+// beyond it; a non-positive maxEntries means unbounded.
 func NewCacheCap(maxEntries int) *Cache {
-	return NewCacheCapPolicy(maxEntries, PolicyAdaptive)
-}
-
-// NewCacheCapPolicy returns an empty memoization cache holding at most
-// maxEntries keys under the given replacement policy. A non-positive
-// maxEntries means unbounded. The cap is distributed over the internal
-// shards so their quotas sum exactly to maxEntries; keys hash uniformly
-// across shards, so each shard sees an even share of the traffic. A cap
-// smaller than the shard count shrinks the effective shard count to the
-// cap, flooring every live shard's quota at one entry.
-func NewCacheCapPolicy(maxEntries int, policy Policy) *Cache {
-	if maxEntries < 0 {
-		maxEntries = 0
+	return &Cache{
+		results: memo.New[core.Result](maxEntries),
+		plans:   memo.New[*plan.Plan](maxEntries),
 	}
-	n := numShards
-	if maxEntries > 0 && maxEntries < numShards {
-		n = maxEntries
-	}
-	c := &Cache{cap: maxEntries, nshards: n, policy: policy}
-	c.psel.Store(pselThreshold)
-	c.plans.cap = maxEntries
-	c.plans.m = make(map[string]*list.Element)
-	quota, extra := maxEntries/n, maxEntries%n
-	leaders := 0
-	if policy == PolicyAdaptive && n >= 2 {
-		if leaders = n / leaderRatio; leaders < 1 {
-			leaders = 1
-		}
-	}
-	for i := 0; i < n; i++ {
-		sh := &c.shards[i]
-		sh.m = make(map[string]*list.Element)
-		switch {
-		case i < leaders:
-			sh.role = roleLeaderLRU
-		case i >= n-leaders && leaders > 0:
-			sh.role = roleLeaderCost
-		default:
-			sh.role = roleFollower
-		}
-		if maxEntries > 0 {
-			sh.bounded = true
-			sh.cap = quota
-			if i < extra {
-				sh.cap++
-			}
-		}
-	}
-	return c
-}
-
-// shardFor returns the shard owning key.
-func (c *Cache) shardFor(key string) *cacheShard {
-	return &c.shards[shardIndex(key, c.nshards)]
 }
 
 // Cap returns the configured entry cap (0 = unbounded).
-func (c *Cache) Cap() int { return c.cap }
+func (c *Cache) Cap() int { return c.results.Stats().Cap }
 
-// Policy returns the configured replacement policy.
-func (c *Cache) Policy() Policy { return c.policy }
+// Len returns the number of memoized results (including in-flight ones).
+func (c *Cache) Len() int { return c.results.Len() }
 
-// Len returns the number of memoized keys (including in-flight ones).
-func (c *Cache) Len() int {
-	n := 0
-	for i := 0; i < c.nshards; i++ {
-		c.shards[i].mu.Lock()
-		n += len(c.shards[i].m)
-		c.shards[i].mu.Unlock()
-	}
-	return n
-}
-
-// CacheStats is a point-in-time snapshot of a Cache's counters.
+// CacheStats is a point-in-time snapshot of a Cache's counters. The result
+// memo's counters are embedded (Entries, Cap, Hits, Misses, Evictions,
+// HitRate); Plans holds the plan tier's.
 type CacheStats struct {
-	// Entries is the current number of memoized keys (including in-flight).
-	Entries int
-	// Cap is the configured entry cap; 0 = unbounded.
-	Cap int
-	// Hits counts do calls answered by an existing (possibly in-flight)
-	// entry; Misses counts calls that ran the computation.
-	Hits, Misses int64
-	// Evictions counts entries dropped to keep the cache under its cap.
-	Evictions int64
-
-	// Policy names the configured replacement policy (adaptive, lru,
-	// cost); FollowerPolicy the policy follower shards currently apply —
-	// the duel's live verdict under the adaptive policy, equal to Policy
-	// when pinned.
-	Policy, FollowerPolicy string
-	// PolicySelector is the saturating set-dueling counter (0..1023,
-	// midpoint-initialized): LRU-leader misses push it up, cost-leader
-	// misses push it down, and above the midpoint followers evict by cost.
-	PolicySelector int
-	// Leader and follower traffic split by shard role, so the duel is
-	// observable: each side's leader hit rate estimates how its pinned
-	// policy would fare cache-wide.
-	LeaderLRUHits, LeaderLRUMisses   int64
-	LeaderCostHits, LeaderCostMisses int64
-	FollowerHits, FollowerMisses     int64
-
-	// PlanEntries is the number of memoized compiled plans (including
-	// in-flight compilations); PlanHits and PlanMisses count plan-tier
-	// lookups, PlanEvictions the plans dropped to keep the tier under cap.
-	PlanEntries          int
-	PlanHits, PlanMisses int64
-	PlanEvictions        int64
+	memo.Stats
+	Plans memo.Stats
 }
 
-func rateOf(hits, misses int64) float64 {
-	total := hits + misses
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 { return rateOf(s.Hits, s.Misses) }
-
-// LeaderLRUHitRate returns the hit rate observed by the LRU-pinned leader
-// shards, or 0 before any leader lookup.
-func (s CacheStats) LeaderLRUHitRate() float64 { return rateOf(s.LeaderLRUHits, s.LeaderLRUMisses) }
-
-// LeaderCostHitRate returns the hit rate observed by the cost-pinned
-// leader shards, or 0 before any leader lookup.
-func (s CacheStats) LeaderCostHitRate() float64 { return rateOf(s.LeaderCostHits, s.LeaderCostMisses) }
-
-// FollowerHitRate returns the hit rate observed by the follower shards.
-func (s CacheStats) FollowerHitRate() float64 { return rateOf(s.FollowerHits, s.FollowerMisses) }
-
-// PlanHitRate returns PlanHits / (PlanHits + PlanMisses), or 0 before any
-// plan-tier lookup.
-func (s CacheStats) PlanHitRate() float64 { return rateOf(s.PlanHits, s.PlanMisses) }
-
-// Stats returns a snapshot of the cache counters. The totals are summed
-// shard by shard without a global lock, so under concurrent traffic the
-// snapshot is approximate (each shard's contribution is itself consistent).
+// Stats returns a snapshot of both tiers' counters. The tiers are sampled
+// one after the other, so under concurrent traffic the pair is approximate
+// (each tier's snapshot is itself consistent).
 func (c *Cache) Stats() CacheStats {
-	s := CacheStats{
-		Cap:            c.cap,
-		Policy:         c.policy.String(),
-		FollowerPolicy: c.followerPolicy().String(),
-		PolicySelector: int(c.psel.Load()),
-	}
-	for i := 0; i < c.nshards; i++ {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		s.Entries += len(sh.m)
-		s.Hits += sh.hits
-		s.Misses += sh.misses
-		s.Evictions += sh.evictions
-		switch sh.role {
-		case roleLeaderLRU:
-			s.LeaderLRUHits += sh.hits
-			s.LeaderLRUMisses += sh.misses
-		case roleLeaderCost:
-			s.LeaderCostHits += sh.hits
-			s.LeaderCostMisses += sh.misses
-		default:
-			s.FollowerHits += sh.hits
-			s.FollowerMisses += sh.misses
-		}
-		sh.mu.Unlock()
-	}
-	c.plans.mu.Lock()
-	s.PlanEntries = len(c.plans.m)
-	s.PlanHits = c.plans.hits
-	s.PlanMisses = c.plans.misses
-	s.PlanEvictions = c.plans.evictions
-	c.plans.mu.Unlock()
-	return s
-}
-
-// followerPolicy resolves what the follower shards currently evict by.
-func (c *Cache) followerPolicy() Policy {
-	if c.policy != PolicyAdaptive {
-		return c.policy
-	}
-	if c.psel.Load() > pselThreshold {
-		return PolicyCost
-	}
-	return PolicyLRU
-}
-
-// nudgePSEL moves the set-dueling selector by delta, saturating at
-// [0, pselMax].
-func (c *Cache) nudgePSEL(delta int32) {
-	for {
-		old := c.psel.Load()
-		nv := old + delta
-		if nv < 0 {
-			nv = 0
-		}
-		if nv > pselMax {
-			nv = pselMax
-		}
-		if nv == old || c.psel.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
-// evictPolicy resolves the policy a shard evicts by right now: pinned
-// caches and leader shards are fixed, followers consult the selector.
-func (c *Cache) evictPolicy(sh *cacheShard) Policy {
-	switch c.policy {
-	case PolicyLRU, PolicyCost:
-		return c.policy
-	}
-	switch sh.role {
-	case roleLeaderLRU:
-		return PolicyLRU
-	case roleLeaderCost:
-		return PolicyCost
-	}
-	return c.followerPolicy()
-}
-
-// evictLocked drops entries until the shard respects its quota. Called
-// with sh.mu held, right after an insertion, so at most a few iterations
-// run. Evicting an in-flight entry is safe: its waiters hold the
-// *cacheEntry and are woken by the computing goroutine regardless of map
-// membership.
-func (c *Cache) evictLocked(sh *cacheShard) {
-	for sh.bounded && len(sh.m) > sh.cap {
-		victim := sh.lru.Back()
-		if c.evictPolicy(sh) == PolicyCost {
-			victim = sh.cheapestLocked()
-		}
-		if victim == nil {
-			return
-		}
-		sh.lru.Remove(victim)
-		delete(sh.m, victim.Value.(*cacheEntry).key)
-		sh.evictions++
-	}
-}
-
-// cheapestLocked returns the published entry that was cheapest to compute
-// (the least loss to recompute later). In-flight entries — cost still
-// unknown — are skipped, which also protects the entry whose insertion
-// triggered this eviction; when every entry is in flight it falls back to
-// the LRU victim. The scan is linear in the shard's quota, which the shard
-// count keeps small.
-func (sh *cacheShard) cheapestLocked() *list.Element {
-	var best *list.Element
-	bestCost := int64(math.MaxInt64)
-	for el := sh.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*cacheEntry)
-		if cost := e.cost.Load(); cost >= 0 && cost < bestCost {
-			best, bestCost = el, cost
-		}
-	}
-	if best == nil {
-		return sh.lru.Back()
-	}
-	return best
-}
-
-// do returns the result for key, computing it with compute on first
-// arrival. hit reports whether an existing (possibly still in-flight)
-// computation was reused. The returned Result is an independent deep copy
-// of the stored value — callers may mutate it freely without corrupting
-// the memoized mapping for later hits. Failed computations return the
-// stored Result untouched (the zero value), preserving bit-identity with a
-// direct core.Solve call.
-//
-// do never deadlocks waiters: the entry is published via defer even when
-// compute panics, in which case the panic is re-published as the entry's
-// error (with the stack attached) to the computing caller and every waiter
-// alike. A long-running process thus survives a poisoned request without
-// wedging every future request that hashes to the same key.
-func (c *Cache) do(key string, compute func() (core.Result, error)) (res core.Result, err error, hit bool) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	if el, ok := sh.m[key]; ok {
-		e := el.Value.(*cacheEntry)
-		sh.lru.MoveToFront(el)
-		sh.hits++
-		sh.mu.Unlock()
-		<-e.ready
-		return cloneStored(e.res, e.err), e.err, true
-	}
-	e := &cacheEntry{key: key, ready: make(chan struct{})}
-	e.cost.Store(-1)
-	sh.m[key] = sh.lru.PushFront(e)
-	sh.misses++
-	c.evictLocked(sh)
-	sh.mu.Unlock()
-	if c.policy == PolicyAdaptive {
-		// A leader miss is one vote against its pinned policy: misses in
-		// the LRU leaders push the selector toward cost-aware eviction
-		// and vice versa (the DRRIP set-dueling rule).
-		switch sh.role {
-		case roleLeaderLRU:
-			c.nudgePSEL(+1)
-		case roleLeaderCost:
-			c.nudgePSEL(-1)
-		}
-	}
-
-	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			e.err = fmt.Errorf("batch: memoized computation panicked: %v\n%s", r, debug.Stack())
-		}
-		// The observed solve duration is the entry's recompute cost; it
-		// must land before waiters wake so cost-aware eviction never sees
-		// a published entry without one.
-		e.cost.Store(int64(time.Since(start)))
-		close(e.ready)
-		if e.err == nil && e.res.Preempted {
-			c.forget(key, e)
-		}
-		res, err = cloneStored(e.res, e.err), e.err
-	}()
-	e.res, e.err = compute()
-	return // res, err are assigned by the deferred publisher
-}
-
-// forget removes an entry from its shard if it is still the installed
-// value for key. Preempted (budget-expired) results are published to any
-// waiters already parked on the entry — they shared the same overloaded
-// window — but never retained: whether a wall-clock deadline fired is a
-// property of scheduler timing, not of the key, so caching one would let a
-// transient stall permanently poison budget-free solves of the same
-// problem.
-func (c *Cache) forget(key string, e *cacheEntry) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	if el, ok := sh.m[key]; ok && el.Value.(*cacheEntry) == e {
-		sh.lru.Remove(el)
-		delete(sh.m, key)
-	}
-	sh.mu.Unlock()
-}
-
-// cloneStored hands out an independent copy of a stored success; failures
-// keep the zero Result as-is (cloning would turn its nil mapping slice into
-// an empty one, breaking bit-identity with the sequential call).
-func cloneStored(res core.Result, err error) core.Result {
-	if err != nil {
-		return res
-	}
-	return cloneResult(res)
-}
-
-// planCache is the compiled-plan tier: a single-flight LRU of *plan.Plan
-// keyed by PlanKey. One lock suffices — plan lookups are orders of
-// magnitude rarer than result lookups (one per distinct instance triple per
-// batch, not one per job).
-type planCache struct {
-	mu  sync.Mutex
-	cap int // 0 = unbounded
-	m   map[string]*list.Element
-	lru list.List // front = most recently used; values are *planEntry
-
-	hits, misses, evictions int64
-}
-
-// planEntry is a single-flight compilation slot, published like cacheEntry:
-// ready is closed once pl/err are final.
-type planEntry struct {
-	key   string
-	ready chan struct{}
-	pl    *plan.Plan
-	err   error
+	return CacheStats{Stats: c.results.Stats(), Plans: c.plans.Stats()}
 }
 
 // PlanFor returns the compiled plan for (inst, rule, model), compiling it
 // on first arrival; concurrent requests for the same key wait for the one
 // in-flight compilation. hit reports whether an existing (possibly
 // in-flight) plan was reused. The returned *Plan is shared — plans are
-// immutable and safe for concurrent use, so no copy is needed. A
-// compilation failure (invalid instance) is memoized like a result error
-// and returned to every waiter; the panic-publication discipline of the
-// result tier applies here too.
+// immutable and safe for concurrent use, so no copy is needed — and answers
+// its queries from the cache's result memo. A compilation failure (invalid
+// instance) is memoized like a result and returned to every waiter.
 func (c *Cache) PlanFor(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) (pl *plan.Plan, err error, hit bool) {
-	key := PlanKey(inst, rule, model)
-	pc := &c.plans
-	pc.mu.Lock()
-	if el, ok := pc.m[key]; ok {
-		e := el.Value.(*planEntry)
-		pc.lru.MoveToFront(el)
-		pc.hits++
-		pc.mu.Unlock()
-		<-e.ready
-		//lint:allow memoalias plans are immutable by construction; sharing is the point of the tier
-		return e.pl, e.err, true
+	k := keyPool.Get().(*keyWriter)
+	k.planKey(inst, rule, model)
+	e, hit := c.plans.Get(k.buf)
+	k.release()
+	if !hit {
+		// The plan key doubles as the prefix of the plan's query keys; the
+		// entry's copy of it is shared rather than copied again.
+		e.Fill(func() (*plan.Plan, error) {
+			return plan.CompileShared(inst, rule, model, c.results, e.Key())
+		})
 	}
-	e := &planEntry{key: key, ready: make(chan struct{})}
-	pc.m[key] = pc.lru.PushFront(e)
-	pc.misses++
-	for pc.cap > 0 && len(pc.m) > pc.cap {
-		back := pc.lru.Back()
-		pc.lru.Remove(back)
-		delete(pc.m, back.Value.(*planEntry).key)
-		pc.evictions++
-	}
-	pc.mu.Unlock()
-
-	defer func() {
-		if r := recover(); r != nil {
-			e.err = fmt.Errorf("batch: plan compilation panicked: %v\n%s", r, debug.Stack())
-		}
-		close(e.ready)
-		//lint:allow memoalias plans are immutable by construction; sharing is the point of the tier
-		pl, err = e.pl, e.err
-	}()
-	e.pl, e.err = plan.Compile(inst, rule, model)
-	return // pl, err are assigned by the deferred publisher
+	//lint:allow memoalias plans are immutable by construction; sharing is the point of the tier
+	pl, err = e.Wait()
+	return pl, err, hit
 }

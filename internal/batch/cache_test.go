@@ -2,44 +2,43 @@ package batch
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
 )
 
-// solvedResult is a small distinguishable Result for direct cache tests.
-func solvedResult(v float64) core.Result {
-	return core.Result{
-		Value:   v,
-		Mapping: mapping.Mapping{Apps: []mapping.AppMapping{{Intervals: []mapping.PlacedInterval{{From: 0, To: 1, Proc: int(v), Mode: 0}}}}},
-		Method:  core.MethodExact,
-		Optimal: true,
-	}
+// seedJob is a cheap job on inst whose request seed makes its canonical
+// key distinct; the seed only steers the heuristic, so every seedJob has
+// the same answer.
+func seedJob(inst *pipeline.Instance, n int) Job {
+	return Job{Inst: inst, Req: core.Request{Rule: mapping.Interval, Model: pipeline.Overlap,
+		Objective: core.Period, Seed: int64(n)}}
 }
 
-// hexKey fabricates a distinct cache key from n (keys are arbitrary byte
-// strings; the canonical encoding is opaque to the cache).
-func hexKey(n int) string {
-	return fmt.Sprintf("%064x", n)
+// solveVia solves one job through c and reports whether the cache answered.
+func solveVia(t *testing.T, c *Cache, job Job) (JobResult, bool) {
+	t.Helper()
+	results, stats := Solve([]Job{job}, Options{Cache: c, Workers: 1})
+	return results[0], stats.CacheHits == 1
 }
 
-// TestCacheCapNeverExceeded inserts far more distinct keys than the cap and
-// checks the invariant holds after every insertion, with evictions counted.
+// TestCacheCapNeverExceeded solves far more distinct jobs than the cap and
+// checks the invariant holds after every job, with evictions counted.
 func TestCacheCapNeverExceeded(t *testing.T) {
 	const cap = 50
+	inst := pipeline.MotivatingExample()
 	c := NewCacheCap(cap)
 	for n := 0; n < 10*cap; n++ {
-		c.do(hexKey(n), func() (core.Result, error) { return solvedResult(float64(n)), nil })
+		solveVia(t, c, seedJob(&inst, n))
 		if got := c.Len(); got > cap {
-			t.Fatalf("after %d inserts: Len = %d exceeds cap %d", n+1, got, cap)
+			t.Fatalf("after %d jobs: Len = %d exceeds cap %d", n+1, got, cap)
 		}
 	}
 	s := c.Stats()
@@ -52,226 +51,86 @@ func TestCacheCapNeverExceeded(t *testing.T) {
 	if s.Misses != int64(10*cap) {
 		t.Errorf("Misses = %d, want %d", s.Misses, 10*cap)
 	}
-	if s.Cap != cap {
-		t.Errorf("Stats.Cap = %d, want %d", s.Cap, cap)
-	}
-}
-
-// shardKeys returns a generator of distinct keys all hashing to the given
-// shard of an n-shard cache.
-func shardKeys(shard, n int) func(int) string {
-	return func(k int) string {
-		for i := 0; ; i++ {
-			key := fmt.Sprintf("key-%d-%d", k, i)
-			if shardIndex(key, n) == shard {
-				return key
-			}
-		}
+	if s.Cap != cap || c.Cap() != cap {
+		t.Errorf("Stats.Cap = %d, Cap() = %d, want %d", s.Cap, c.Cap(), cap)
 	}
 }
 
 // TestCacheLRUOrder checks that touching an entry protects it from
-// eviction ahead of colder entries in the same shard. Shard 0 is an LRU
-// leader under the default adaptive policy, so its eviction order is pure
-// LRU regardless of the duel's state.
+// eviction ahead of colder entries.
 func TestCacheLRUOrder(t *testing.T) {
-	shardKey := shardKeys(0, numShards)
-	c := NewCacheCap(numShards * 2) // quota of 2 entries per shard
-	compute := func(v float64) func() (core.Result, error) {
-		return func() (core.Result, error) { return solvedResult(v), nil }
+	inst := pipeline.MotivatingExample()
+	c := NewCacheCap(2)
+	solveVia(t, c, seedJob(&inst, 1))
+	solveVia(t, c, seedJob(&inst, 2))
+	solveVia(t, c, seedJob(&inst, 1)) // touch 1: now 2 is the LRU entry
+	solveVia(t, c, seedJob(&inst, 3)) // evicts 2
+	if _, hit := solveVia(t, c, seedJob(&inst, 1)); !hit {
+		t.Error("recently used job 1 was evicted")
 	}
-	c.do(shardKey(1), compute(1))
-	c.do(shardKey(2), compute(2))
-	c.do(shardKey(1), compute(1)) // touch 1: now 2 is the LRU entry
-	c.do(shardKey(3), compute(3)) // evicts 2
-	if _, _, hit := c.do(shardKey(1), compute(1)); !hit {
-		t.Error("recently used key 1 was evicted")
-	}
-	if _, _, hit := c.do(shardKey(2), compute(2)); hit {
-		t.Error("least recently used key 2 survived past the quota")
+	if _, hit := solveVia(t, c, seedJob(&inst, 2)); hit {
+		t.Error("least recently used job 2 survived past the cap")
 	}
 }
 
-// TestCacheSmallCapKeepsEveryShardUseful is the small-cap satellite
-// regression: NewCacheCap(n) with n below the shard count used to hand
-// most shards a zero quota, so entries landing there were evicted at
-// publish — memoization and late-arrival single-flight silently vanished
-// for most keys. The fix shrinks the effective shard count to the cap, so
-// every live shard retains at least one entry.
+// TestCacheSmallCapKeepsEveryShardUseful is the small-cap regression: a
+// cache capped below its old shard count once handed most shards a zero
+// quota, so most keys were evicted as soon as they were published. The
+// memo is a single LRU now; the test pins that a small cap still retains
+// exactly cap entries and stays within it under churn.
 func TestCacheSmallCapKeepsEveryShardUseful(t *testing.T) {
 	const cap = 5
+	inst := pipeline.MotivatingExample()
 	c := NewCacheCap(cap)
-	// cap distinct keys must all be retained: no shard may evict while the
-	// cache as a whole is under its cap.
 	for n := 0; n < cap; n++ {
-		c.do(hexKey(n), func() (core.Result, error) { return solvedResult(float64(n)), nil })
+		solveVia(t, c, seedJob(&inst, n))
 	}
 	if ev := c.Stats().Evictions; ev != 0 {
 		t.Fatalf("%d evictions while holding %d entries under cap %d", ev, cap, cap)
 	}
 	if got := c.Len(); got != cap {
-		t.Fatalf("Len = %d after %d distinct inserts, want %d", got, cap, cap)
+		t.Fatalf("Len = %d after %d distinct jobs, want %d", got, cap, cap)
 	}
 	for n := 0; n < cap; n++ {
-		if _, _, hit := c.do(hexKey(n), func() (core.Result, error) {
-			t.Errorf("key %d recomputed under cap", n)
-			return core.Result{}, nil
-		}); !hit {
-			t.Errorf("key %d: miss on a retained entry", n)
+		if _, hit := solveVia(t, c, seedJob(&inst, n)); !hit {
+			t.Errorf("job %d: miss on a retained entry", n)
 		}
 	}
-
-	// The hard cap invariant must still hold under churn.
 	for n := 0; n < 50; n++ {
-		c.do(hexKey(100+n), func() (core.Result, error) { return solvedResult(1), nil })
+		solveVia(t, c, seedJob(&inst, 100+n))
 		if got := c.Len(); got > cap {
 			t.Fatalf("Len = %d exceeds small cap %d", got, cap)
 		}
-	}
-
-	// Late-arrival single-flight still works at small caps: a waiter
-	// arriving while a key is in flight must join it, not recompute.
-	c2 := NewCacheCap(3)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c2.do(hexKey(0), func() (core.Result, error) {
-			close(started)
-			<-release
-			return solvedResult(7), nil
-		})
-	}()
-	<-started
-	joined := make(chan bool, 1)
-	go func() {
-		_, _, hit := c2.do(hexKey(0), func() (core.Result, error) {
-			return solvedResult(-1), nil
-		})
-		joined <- hit
-	}()
-	close(release)
-	<-done
-	if !<-joined {
-		t.Error("late arrival at small cap recomputed instead of joining the in-flight entry")
 	}
 }
 
 // TestCacheCapOne pins the degenerate single-entry cache: it must behave
 // as a 1-entry LRU, never exceed its cap, and still answer repeats.
 func TestCacheCapOne(t *testing.T) {
+	inst := pipeline.MotivatingExample()
 	c := NewCacheCap(1)
-	c.do(hexKey(1), func() (core.Result, error) { return solvedResult(1), nil })
-	if _, _, hit := c.do(hexKey(1), func() (core.Result, error) { return core.Result{}, nil }); !hit {
+	solveVia(t, c, seedJob(&inst, 1))
+	if _, hit := solveVia(t, c, seedJob(&inst, 1)); !hit {
 		t.Error("sole entry not retained at cap 1")
 	}
-	c.do(hexKey(2), func() (core.Result, error) { return solvedResult(2), nil })
+	solveVia(t, c, seedJob(&inst, 2))
 	if got := c.Len(); got != 1 {
 		t.Fatalf("Len = %d at cap 1", got)
 	}
-	if _, _, hit := c.do(hexKey(2), func() (core.Result, error) { return core.Result{}, nil }); !hit {
+	if _, hit := solveVia(t, c, seedJob(&inst, 2)); !hit {
 		t.Error("newest entry evicted in favour of the displaced one")
-	}
-}
-
-// TestCacheCostEviction pins cost-aware replacement: under PolicyCost the
-// victim is the cheapest-to-recompute entry, not the least recently used
-// one.
-func TestCacheCostEviction(t *testing.T) {
-	c := NewCacheCapPolicy(numShards*2, PolicyCost) // quota of 2 per shard
-	shardKey := shardKeys(0, numShards)
-	expensive := func() (core.Result, error) {
-		time.Sleep(20 * time.Millisecond)
-		return solvedResult(1), nil
-	}
-	cheap := func() (core.Result, error) { return solvedResult(2), nil }
-
-	c.do(shardKey(1), expensive)
-	c.do(shardKey(2), cheap)
-	// Touch the cheap entry so it is MRU: LRU would evict key 1, cost-aware
-	// must evict key 2 anyway.
-	c.do(shardKey(2), cheap)
-	c.do(shardKey(3), cheap) // forces an eviction in shard 0
-	if _, _, hit := c.do(shardKey(1), func() (core.Result, error) {
-		t.Error("expensive entry recomputed")
-		return core.Result{}, nil
-	}); !hit {
-		t.Error("cost-aware eviction dropped the expensive entry")
-	}
-	if _, _, hit := c.do(shardKey(2), cheap); hit {
-		t.Error("cheap MRU entry survived cost-aware eviction")
-	}
-}
-
-// TestCacheSetDueling pins the adaptive policy's steering: misses
-// concentrated in one leader group must swing the selector so followers
-// adopt the other group's policy.
-func TestCacheSetDueling(t *testing.T) {
-	c := NewCacheCap(numShards * 2)
-	if got := c.Stats().FollowerPolicy; got != "lru" {
-		t.Fatalf("initial FollowerPolicy = %q, want lru (selector at midpoint)", got)
-	}
-	// Shard 0 is an LRU leader, shard numShards-1 a cost leader (one leader
-	// per eight shards on each side, assigned from the ends).
-	lruLeaderKey := shardKeys(0, numShards)
-	costLeaderKey := shardKeys(numShards-1, numShards)
-
-	// Hammer the LRU leader with distinct keys: every miss votes against
-	// LRU, driving the selector past the midpoint.
-	for n := 0; n <= pselThreshold+1; n++ {
-		c.do(lruLeaderKey(1000+n), func() (core.Result, error) { return solvedResult(1), nil })
-	}
-	s := c.Stats()
-	if s.FollowerPolicy != "cost" {
-		t.Fatalf("FollowerPolicy = %q (selector %d) after %d LRU-leader misses, want cost",
-			s.FollowerPolicy, s.PolicySelector, pselThreshold+2)
-	}
-	if s.LeaderLRUMisses == 0 || s.LeaderCostMisses != 0 {
-		t.Errorf("leader traffic split wrong: lru misses %d, cost misses %d",
-			s.LeaderLRUMisses, s.LeaderCostMisses)
-	}
-
-	// Now hammer the cost leader: the duel must swing back.
-	for n := 0; n <= pselMax; n++ {
-		c.do(costLeaderKey(2000+n), func() (core.Result, error) { return solvedResult(1), nil })
-	}
-	if got := c.Stats().FollowerPolicy; got != "lru" {
-		t.Fatalf("FollowerPolicy = %q after cost-leader miss storm, want lru", got)
-	}
-
-	// Pinned policies ignore the duel entirely.
-	for _, p := range []Policy{PolicyLRU, PolicyCost} {
-		cp := NewCacheCapPolicy(8, p)
-		if got := cp.Stats().FollowerPolicy; got != p.String() {
-			t.Errorf("pinned %v: FollowerPolicy = %q", p, got)
-		}
-	}
-}
-
-// TestParsePolicyRoundTrip pins the Policy wire names shared by the cmd/
-// tools.
-func TestParsePolicyRoundTrip(t *testing.T) {
-	for _, p := range []Policy{PolicyAdaptive, PolicyLRU, PolicyCost} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if p, err := ParsePolicy(""); err != nil || p != PolicyAdaptive {
-		t.Errorf("ParsePolicy(\"\") = %v, %v, want adaptive default", p, err)
-	}
-	if _, err := ParsePolicy("mru"); err == nil {
-		t.Error("ParsePolicy accepted garbage")
 	}
 }
 
 // TestCacheUnboundedByDefault pins NewCache's unbounded behaviour.
 func TestCacheUnboundedByDefault(t *testing.T) {
+	inst := pipeline.MotivatingExample()
 	c := NewCache()
+	var jobs []Job
 	for n := 0; n < 500; n++ {
-		c.do(hexKey(n), func() (core.Result, error) { return solvedResult(1), nil })
+		jobs = append(jobs, seedJob(&inst, n))
 	}
+	Solve(jobs, Options{Cache: c})
 	if got := c.Len(); got != 500 {
 		t.Fatalf("Len = %d, want 500", got)
 	}
@@ -280,101 +139,99 @@ func TestCacheUnboundedByDefault(t *testing.T) {
 	}
 }
 
-// TestCachePanicDoesNotDeadlockWaiters is the satellite bugfix regression:
-// a panic inside compute must close the ready channel so every concurrent
-// waiter on the key unblocks with the panic re-published as an error.
+// poisonPlan makes every query on the cached plan for job's instance panic
+// inside the solver, by corrupting the plan's private instance the way no
+// API caller can (a nil speeds slice makes the solver index out of range).
+func poisonPlan(t *testing.T, c *Cache, job Job) {
+	t.Helper()
+	pl, err, _ := c.PlanFor(job.Inst, job.Req.Rule, job.Req.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.Instance().Platform.Processors[0].Speeds = nil
+}
+
+// TestCachePanicDoesNotDeadlockWaiters is the panic-publication
+// regression: a solver panic must publish the memo entry, so every
+// concurrent batch waiting on the key unblocks with the panic as its
+// error instead of hanging.
 func TestCachePanicDoesNotDeadlockWaiters(t *testing.T) {
+	inst := pipeline.MotivatingExample()
 	c := NewCache()
-	key := hexKey(7)
+	job := seedJob(&inst, 7)
+	poisonPlan(t, c, job)
 
-	started := make(chan struct{})
-	release := make(chan struct{})
-	first := make(chan error, 1)
-	go func() {
-		_, err, _ := c.do(key, func() (core.Result, error) {
-			close(started)
-			<-release
-			panic("poisoned request")
-		})
-		first <- err
-	}()
-	<-started
-
-	const waiters = 8
-	errs := make(chan error, waiters)
+	const batches = 8
+	errs := make(chan error, batches)
 	var wg sync.WaitGroup
-	for w := 0; w < waiters; w++ {
+	for b := 0; b < batches; b++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err, hit := c.do(key, func() (core.Result, error) {
-				t.Error("waiter ran compute despite in-flight entry")
-				return core.Result{}, nil
-			})
-			if !hit {
-				t.Error("waiter did not join the in-flight computation")
-			}
-			errs <- err
+			results, _ := Solve([]Job{job}, Options{Cache: c})
+			errs <- results[0].Err
 		}()
 	}
-	close(release)
 	wg.Wait()
 	close(errs)
-
-	if err := <-first; err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Errorf("computing caller error = %v, want re-published panic", err)
-	}
 	for err := range errs {
 		if err == nil || !strings.Contains(err.Error(), "panicked") {
-			t.Errorf("waiter error = %v, want re-published panic", err)
+			t.Errorf("batch error = %v, want the re-published panic", err)
 		}
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Hits != batches-1 {
+		t.Errorf("poisoned key computed %d times (%d hits), want once", s.Misses, s.Hits)
 	}
 }
 
-// TestSolvePanicConfinedToSlot checks a panic inside a memoized
-// computation surfaces as that key's error (with the panic value in the
-// message), while an ordinary batch on the same cache keeps working.
+// TestSolvePanicConfinedToSlot checks a panic inside the solver surfaces as
+// its own job's error (with the panic value in the message) while the
+// other jobs of the batch, and later batches on the same cache, keep
+// working.
 func TestSolvePanicConfinedToSlot(t *testing.T) {
-	cache := NewCache()
-	_, err, _ := cache.do(hexKey(1), func() (core.Result, error) { panic("boom") })
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("cache.do returned %v, want panic error", err)
-	}
 	inst := pipeline.MotivatingExample()
-	good := core.Request{Rule: mapping.Interval, Model: pipeline.Overlap, Objective: core.Period}
-	results, stats := Solve([]Job{{Inst: &inst, Req: good}}, Options{Cache: cache})
-	if results[0].Err != nil || stats.Errors != 0 {
+	other := inst.Clone()
+	other.Apps[0].Weight = 2 // a distinct instance, hence a distinct plan
+	cache := NewCache()
+	bad := seedJob(&inst, 1)
+	poisonPlan(t, cache, bad)
+	good := seedJob(&other, 1)
+	results, stats := Solve([]Job{bad, good}, Options{Cache: cache})
+	if err := results[0].Err; err == nil || !strings.Contains(err.Error(), "index out of range") {
+		t.Fatalf("poisoned slot error = %v, want the solver panic", err)
+	}
+	if results[1].Err != nil || stats.Errors != 1 {
+		t.Fatalf("panic leaked beyond its slot: %v (%d errors)", results[1].Err, stats.Errors)
+	}
+	if results, _ := Solve([]Job{good}, Options{Cache: cache}); results[0].Err != nil {
 		t.Fatalf("batch on a cache with a poisoned key failed: %v", results[0].Err)
 	}
 }
 
-// TestCacheReturnsIndependentCopies is the aliasing satellite regression:
-// mutating a Result returned by the cache must not corrupt the memoized
-// mapping observed by a later hit.
+// TestCacheReturnsIndependentCopies is the aliasing regression: mutating a
+// Result returned through the cache must not corrupt the memoized mapping
+// observed by a later hit.
 func TestCacheReturnsIndependentCopies(t *testing.T) {
-	c := NewCache()
-	key := hexKey(3)
-	first, err, _ := c.do(key, func() (core.Result, error) { return solvedResult(5), nil })
+	inst := pipeline.MotivatingExample()
+	job := seedJob(&inst, 3)
+	want, err := core.Solve(job.Inst, job.Req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := solvedResult(5)
-	first.Mapping.Apps[0].Intervals[0].Proc = 99
-	first.Value = -1
+	c := NewCache()
+	first, _ := solveVia(t, c, job)
+	first.Result.Mapping.Apps[0].Intervals[0].Proc = 99
+	first.Result.Value = -1
 
-	second, err, hit := c.do(key, func() (core.Result, error) {
-		t.Fatal("cache miss after mutation: entry was lost")
-		return core.Result{}, nil
-	})
-	if err != nil || !hit {
-		t.Fatalf("second lookup: err=%v hit=%v", err, hit)
+	second, hit := solveVia(t, c, job)
+	if second.Err != nil || !hit {
+		t.Fatalf("second lookup: err=%v hit=%v", second.Err, hit)
 	}
-	if !reflect.DeepEqual(second, want) {
-		t.Errorf("cache hit corrupted by caller mutation:\ngot  %+v\nwant %+v", second, want)
+	if !reflect.DeepEqual(second.Result, want) {
+		t.Errorf("cache hit corrupted by caller mutation:\ngot  %+v\nwant %+v", second.Result, want)
 	}
-	second.Mapping.Apps[0].Intervals[0].Mode = 42
-	third, _, _ := c.do(key, func() (core.Result, error) { return core.Result{}, nil })
-	if !reflect.DeepEqual(third, want) {
+	second.Result.Mapping.Apps[0].Intervals[0].Mode = 42
+	if third, _ := solveVia(t, c, job); !reflect.DeepEqual(third.Result, want) {
 		t.Error("second mutation leaked into the memoized value")
 	}
 }
@@ -382,9 +239,14 @@ func TestCacheReturnsIndependentCopies(t *testing.T) {
 // TestBoundedCacheConcurrentMixedWorkload hammers a small bounded cache
 // from many goroutines with overlapping key ranges (run with -race). The
 // entry cap must hold at every probe and afterwards, and results must stay
-// consistent per key.
+// consistent per key, errors included.
 func TestBoundedCacheConcurrentMixedWorkload(t *testing.T) {
 	const cap = 64
+	inst := pipeline.MotivatingExample()
+	want, err := core.Solve(&inst, seedJob(&inst, 0).Req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := NewCacheCap(cap)
 	stop := make(chan struct{})
 	var probeWG sync.WaitGroup
@@ -410,20 +272,21 @@ func TestBoundedCacheConcurrentMixedWorkload(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			for n := 0; n < 400; n++ {
+			for n := 0; n < 100; n++ {
 				k := rng.Intn(3 * cap)
-				res, err, _ := c.do(hexKey(k), func() (core.Result, error) {
-					if k%7 == 0 {
-						return core.Result{}, core.ErrInfeasible
-					}
-					return solvedResult(float64(k)), nil
-				})
+				job := seedJob(&inst, k)
 				if k%7 == 0 {
-					if err == nil {
-						t.Errorf("key %d: expected stable error", k)
+					// Energy without period bounds: a stable ErrUnsupported.
+					job.Req.Objective = core.Energy
+				}
+				results, _ := Solve([]Job{job}, Options{Cache: c, Workers: 1})
+				r := results[0]
+				if k%7 == 0 {
+					if !errors.Is(r.Err, core.ErrUnsupported) {
+						t.Errorf("key %d: err = %v, want ErrUnsupported", k, r.Err)
 					}
-				} else if err != nil || res.Value != float64(k) {
-					t.Errorf("key %d: res=%g err=%v", k, res.Value, err)
+				} else if r.Err != nil || r.Result.Value != want.Value {
+					t.Errorf("key %d: value %g err %v, want %g", k, r.Result.Value, r.Err, want.Value)
 				}
 			}
 		}(g)

@@ -65,9 +65,14 @@ func (k *keyWriter) matrix(m [][]float64) {
 // writer to the pool.
 func (k *keyWriter) done() string {
 	s := string(k.buf)
+	k.release()
+	return s
+}
+
+// release returns the writer to the pool; k.buf must not be used after.
+func (k *keyWriter) release() {
 	k.buf = k.buf[:0]
 	keyPool.Put(k)
-	return s
 }
 
 // Key returns a stable canonical key identifying a (instance, request)
@@ -99,10 +104,15 @@ func Key(inst *pipeline.Instance, req core.Request) string {
 // internal/plan); like Key, it is the canonical byte encoding itself.
 func PlanKey(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) string {
 	k := keyPool.Get().(*keyWriter)
+	k.planKey(inst, rule, model)
+	return k.done()
+}
+
+// planKey streams the PlanKey encoding.
+func (k *keyWriter) planKey(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) {
 	k.instance(inst)
 	k.i64(int64(rule))
 	k.i64(int64(model))
-	return k.done()
 }
 
 // instance streams the canonical instance encoding: every field that can

@@ -37,20 +37,20 @@ func TestPlanTierSingleFlight(t *testing.T) {
 			t.Fatalf("goroutine %d received a different plan object", g)
 		}
 	}
-	st := c.Stats()
-	if st.PlanEntries != 1 {
-		t.Errorf("PlanEntries = %d, want 1", st.PlanEntries)
+	st := c.Stats().Plans
+	if st.Entries != 1 {
+		t.Errorf("plan tier Entries = %d, want 1", st.Entries)
 	}
-	if st.PlanMisses != 1 || st.PlanHits != goroutines-1 {
-		t.Errorf("plan tier hits/misses = %d/%d, want %d/1", st.PlanHits, st.PlanMisses, goroutines-1)
+	if st.Misses != 1 || st.Hits != goroutines-1 {
+		t.Errorf("plan tier hits/misses = %d/%d, want %d/1", st.Hits, st.Misses, goroutines-1)
 	}
-	if got := st.PlanHitRate(); got <= 0.9 {
-		t.Errorf("PlanHitRate = %g, want > 0.9", got)
+	if got := st.HitRate(); got <= 0.9 {
+		t.Errorf("plan tier HitRate = %g, want > 0.9", got)
 	}
 }
 
 // TestPlanTierCompileError asserts an invalid instance's compilation error
-// is memoized and returned to every caller, like a result-tier error.
+// is memoized and returned to every caller, like a memoized result error.
 func TestPlanTierCompileError(t *testing.T) {
 	inst := pipeline.MotivatingExample()
 	inst.Apps[0].Stages[0].Work = -1
@@ -78,12 +78,12 @@ func TestPlanTierEviction(t *testing.T) {
 			t.Fatalf("instance %d: %v", i, err)
 		}
 	}
-	st := c.Stats()
-	if st.PlanEntries > cap {
-		t.Errorf("PlanEntries = %d, want <= %d", st.PlanEntries, cap)
+	st := c.Stats().Plans
+	if st.Entries > cap {
+		t.Errorf("plan tier Entries = %d, want <= %d", st.Entries, cap)
 	}
-	if st.PlanEvictions != cap {
-		t.Errorf("PlanEvictions = %d, want %d", st.PlanEvictions, cap)
+	if st.Evictions != cap {
+		t.Errorf("plan tier Evictions = %d, want %d", st.Evictions, cap)
 	}
 }
 
@@ -116,15 +116,21 @@ func TestBatchPlanStats(t *testing.T) {
 		t.Errorf("second batch PlanCompiles/PlanReuses = %d/%d, want 0/1",
 			stats.PlanCompiles, stats.PlanReuses)
 	}
-	// Repeating the whole first batch is answered by the result tier: the
-	// plan tier is not even consulted.
+	// Repeating the whole first batch is answered by the cached plan's
+	// memoized queries: every job reuses the plan and hits the result memo,
+	// and no result is stored twice.
+	entries := c.Len()
 	_, stats = Solve(jobs, Options{Cache: c})
 	if stats.CacheHits != len(jobs) {
 		t.Errorf("repeat batch CacheHits = %d, want %d", stats.CacheHits, len(jobs))
 	}
-	if stats.PlanCompiles != 0 || stats.PlanReuses != 0 {
-		t.Errorf("repeat batch PlanCompiles/PlanReuses = %d/%d, want 0/0",
-			stats.PlanCompiles, stats.PlanReuses)
+	if stats.PlanCompiles != 0 || stats.PlanReuses != len(jobs) {
+		t.Errorf("repeat batch PlanCompiles/PlanReuses = %d/%d, want 0/%d",
+			stats.PlanCompiles, stats.PlanReuses, len(jobs))
+	}
+	if got := c.Len(); got != entries || got != len(jobs)+1 {
+		t.Errorf("result memo holds %d entries (%d before the repeat), want %d: one per distinct job",
+			got, entries, len(jobs)+1)
 	}
 }
 

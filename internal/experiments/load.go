@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/gen"
@@ -24,26 +23,19 @@ import (
 	"repro/internal/server"
 )
 
-// Load-experiment shape. The two traffic patterns are built to separate
-// the cache policies: the zipf corpus holds far more distinct jobs than
+// Load-experiment shape. The zipf corpus holds far more distinct jobs than
 // the cluster's total cache capacity (3 x loadCacheCap), so replacement
-// pressure is constant, and its popularity ranking anti-correlates with
-// recompute cost — the hot head is the loadHotJobs cheapest scenarios
-// (microsecond solves), the cold tail is drawn from the loadExpensivePool
-// most expensive ones (millisecond solves, distinct keys via the request
-// seed). Under that regime cost-aware eviction reliably loses: it hoards
-// expensive cold results and keeps re-evicting the cheap hot set, while
-// LRU keeps the hot set resident, so the duel has a decisive winner for
-// the adaptive tier to find. The uniform working set is small enough
-// that no shard ever exceeds its quota, so every policy scores the
-// identical hit rate and the adaptive tier can only match it, never
-// lose. The gate ("adaptive >= the worse pinned policy on both
-// traffics") therefore has a wide margin under zipf and an exact tie
-// under uniform.
+// pressure is constant; its hot head is the loadHotJobs cheapest scenarios
+// (microsecond solves) and its cold tail is drawn from the
+// loadExpensivePool most expensive ones (millisecond solves, distinct keys
+// via the request seed), so every cold miss costs real solver time. The
+// uniform working set fits every replica's cache, so once warm it must be
+// answered from the cache alone: the gate is a uniform hit rate of exactly
+// 1.
 const (
 	loadReplicas      = 3
 	loadBatchJobs     = 8
-	loadCacheCap      = 64 // per replica; 32 shards x quota 2
+	loadCacheCap      = 64 // entries per replica
 	loadPricedPool    = 600
 	loadHotJobs       = 64
 	loadColdJobs      = 2000
@@ -62,13 +54,12 @@ type loadJob struct {
 	req  jobspec.Request
 }
 
-// loadRun is one (traffic, policy) measurement in BENCH_service.json.
+// loadRun is one traffic pattern's measurement in BENCH_service.json.
 // All numbers cover the measured phase only (the equal-sized warmup that
 // precedes it is excluded; hits/misses/evictions are deltas of the
 // cumulative /stats counters across the phase).
 type loadRun struct {
 	Traffic              string  `json:"traffic"`
-	Policy               string  `json:"policy"`
 	Batches              int     `json:"batches"`
 	Jobs                 int     `json:"jobs"`
 	JobErrors            int     `json:"jobErrors"` // infeasible degenerate draws; sheds fail the run
@@ -79,36 +70,25 @@ type loadRun struct {
 	CacheMisses          int64   `json:"cacheMisses"`
 	Evictions            int64   `json:"evictions"`
 	HitRate              float64 `json:"hitRate"`
-	// FollowerPolicies is each replica's final follower policy (adaptive
-	// runs only): what the set duel converged to.
-	FollowerPolicies []string `json:"followerPolicies,omitempty"`
-}
-
-// loadGate records one traffic's acceptance check: the adaptive policy's
-// hit rate must not fall below the worse of the two pinned policies.
-type loadGate struct {
-	Traffic     string  `json:"traffic"`
-	Adaptive    float64 `json:"adaptive"`
-	WorsePinned float64 `json:"worsePinned"`
-	WorsePolicy string  `json:"worsePolicy"`
-	OK          bool    `json:"ok"`
 }
 
 // loadBench is the BENCH_service.json document.
 type loadBench struct {
-	Schema             string     `json:"schema"`
-	Seed               int64      `json:"seed"`
-	Replicas           int        `json:"replicas"`
-	Batches            int        `json:"batches"`
-	BatchJobs          int        `json:"batchJobs"`
-	CacheCapPerReplica int        `json:"cacheCapPerReplica"`
-	ZipfCorpus         int        `json:"zipfCorpus"`
-	ZipfHotJobs        int        `json:"zipfHotJobs"`
-	ZipfColdJobs       int        `json:"zipfColdJobs"`
-	ZipfS              float64    `json:"zipfS"`
-	UniformCorpus      int        `json:"uniformCorpus"`
-	Runs               []loadRun  `json:"runs"`
-	Gates              []loadGate `json:"gates"`
+	Schema             string    `json:"schema"`
+	Seed               int64     `json:"seed"`
+	Replicas           int       `json:"replicas"`
+	Batches            int       `json:"batches"`
+	BatchJobs          int       `json:"batchJobs"`
+	CacheCapPerReplica int       `json:"cacheCapPerReplica"`
+	ZipfCorpus         int       `json:"zipfCorpus"`
+	ZipfHotJobs        int       `json:"zipfHotJobs"`
+	ZipfColdJobs       int       `json:"zipfColdJobs"`
+	ZipfS              float64   `json:"zipfS"`
+	UniformCorpus      int       `json:"uniformCorpus"`
+	Runs               []loadRun `json:"runs"`
+	// UniformAllHits is the gate: the warm uniform run was answered from
+	// the cache alone.
+	UniformAllHits bool `json:"uniformAllHits"`
 }
 
 // Load runs the service load experiment (experiment LOAD): an in-process
@@ -117,13 +97,11 @@ type loadBench struct {
 // scenario corpus. For each traffic pattern (zipf over a corpus much
 // larger than the cluster's cache capacity; uniform over a working set
 // that fits) it measures throughput, per-batch p50/p99 latency and the
-// cluster-wide cache hit rate under each replacement policy — lru and
-// cost pinned, then the set-dueling adaptive tier — and enforces the
-// acceptance gate: adaptive's hit rate must be at least the worse pinned
-// policy's on both traffics. Each measurement drives an equal-sized
-// unmeasured warmup first, so the reported numbers are steady state.
-// Results are written to outPath (BENCH_service.json). batches <= 0 runs
-// 100 measured batches per (traffic, policy) pair.
+// cluster-wide cache hit rate, and enforces the acceptance gate: the warm
+// uniform run must be all cache hits. Each measurement drives an
+// equal-sized unmeasured warmup first, so the reported numbers are steady
+// state. Results are written to outPath (BENCH_service.json). batches <= 0
+// runs 100 measured batches per traffic pattern.
 func Load(w io.Writer, seed int64, batches int, outPath string) error {
 	if batches <= 0 {
 		batches = 100
@@ -133,8 +111,8 @@ func Load(w io.Writer, seed int64, batches int, outPath string) error {
 		return fmt.Errorf("experiments: building load corpus: %w", err)
 	}
 
-	// Pre-draw both traffic streams once so the three policy runs of a
-	// traffic replay byte-identical request sequences.
+	// Pre-draw both traffic streams from the seed, so a rerun replays
+	// byte-identical request sequences.
 	rng := rand.New(rand.NewSource(seed))
 	zipf := rand.NewZipf(rng, loadZipfS, 1, uint64(len(jobs)-1))
 	zipfStream := make([]int, 2*batches*loadBatchJobs) // warmup half + measured half
@@ -154,10 +132,9 @@ func Load(w io.Writer, seed int64, batches int, outPath string) error {
 		{"zipf", jobs, zipfStream},
 		{"uniform", jobs[:loadUniformCorpus], uniStream},
 	}
-	policies := []batch.Policy{batch.PolicyLRU, batch.PolicyCost, batch.PolicyAdaptive}
 
 	bench := loadBench{
-		Schema:             "pipegateway-load/v1",
+		Schema:             "pipegateway-load/v2",
 		Seed:               seed,
 		Replicas:           loadReplicas,
 		Batches:            batches,
@@ -169,48 +146,29 @@ func Load(w io.Writer, seed int64, batches int, outPath string) error {
 		ZipfS:              loadZipfS,
 		UniformCorpus:      loadUniformCorpus,
 	}
-	rates := make(map[string]map[string]float64) // traffic -> policy -> hit rate
 	for _, tr := range traffics {
-		rates[tr.name] = make(map[string]float64)
-		for _, pol := range policies {
-			run, err := loadRunOne(tr.name, pol, tr.jobs, tr.stream, batches)
-			if err != nil {
-				return fmt.Errorf("experiments: load run %s/%s: %w", tr.name, pol, err)
-			}
-			bench.Runs = append(bench.Runs, run)
-			rates[tr.name][pol.String()] = run.HitRate
+		run, err := loadRunOne(tr.name, tr.jobs, tr.stream, batches)
+		if err != nil {
+			return fmt.Errorf("experiments: load run %s: %w", tr.name, err)
 		}
-	}
-
-	for _, tr := range traffics {
-		r := rates[tr.name]
-		worse, worsePol := r["lru"], "lru"
-		if r["cost"] < worse {
-			worse, worsePol = r["cost"], "cost"
+		bench.Runs = append(bench.Runs, run)
+		if tr.name == "uniform" {
+			bench.UniformAllHits = run.CacheMisses == 0 && run.CacheHits > 0
 		}
-		// A hair of float tolerance: the gate is about policy quality, not
-		// round-off in the hit-rate division.
-		//lint:allow floatcmp the gate compares measured rates with an explicit epsilon
-		ok := r["adaptive"] >= worse-1e-9
-		bench.Gates = append(bench.Gates, loadGate{
-			Traffic: tr.name, Adaptive: r["adaptive"],
-			WorsePinned: worse, WorsePolicy: worsePol, OK: ok,
-		})
 	}
 
 	tb := report.New(fmt.Sprintf("LOAD - %d-replica gateway cluster, %d batches x %d jobs (seed %d)",
 		loadReplicas, batches, loadBatchJobs, seed),
-		"traffic/policy", "jobs/s", "p50 ms", "p99 ms", "hit rate", "evictions", "ok")
+		"traffic", "jobs/s", "p50 ms", "p99 ms", "hit rate", "evictions", "ok")
 	for _, run := range bench.Runs {
-		tb.Addf(run.Traffic+"/"+run.Policy,
+		ok := "-"
+		if run.Traffic == "uniform" {
+			ok = okMark(bench.UniformAllHits)
+		}
+		tb.Addf(run.Traffic,
 			fmt.Sprintf("%.0f", run.ThroughputJobsPerSec),
 			fmt.Sprintf("%.2f", run.P50Ms), fmt.Sprintf("%.2f", run.P99Ms),
-			fmt.Sprintf("%.3f", run.HitRate), run.Evictions, "-")
-	}
-	for _, gt := range bench.Gates {
-		tb.Addf(fmt.Sprintf("gate %s: adaptive >= worse pinned (%s)", gt.Traffic, gt.WorsePolicy),
-			"-", "-", "-",
-			fmt.Sprintf("%.3f >= %.3f", gt.Adaptive, gt.WorsePinned), "-", okMark(gt.OK))
+			fmt.Sprintf("%.3f", run.HitRate), run.Evictions, ok)
 	}
 	tb.Render(w)
 	fmt.Fprintln(w)
@@ -224,11 +182,8 @@ func Load(w io.Writer, seed int64, batches int, outPath string) error {
 	}
 	fmt.Fprintf(w, "load: wrote %s (%d runs)\n", outPath, len(bench.Runs))
 
-	for _, gt := range bench.Gates {
-		if !gt.OK {
-			return fmt.Errorf("experiments: load gate failed on %s traffic: adaptive hit rate %.4f < worse pinned (%s) %.4f",
-				gt.Traffic, gt.Adaptive, gt.WorsePolicy, gt.WorsePinned)
-		}
+	if !bench.UniformAllHits {
+		return fmt.Errorf("experiments: load gate failed: the warm uniform working set missed the cache")
 	}
 	return nil
 }
@@ -244,10 +199,7 @@ func Load(w io.Writer, seed int64, batches int, outPath string) error {
 // and the cold tail is synthesized from the loadExpensivePool most
 // expensive scenarios, each repeated under distinct request seeds — a
 // different seed changes the canonical cache key but not the
-// (millisecond-scale) recompute cost. The resulting ~1000x cost gap
-// between hot and cold entries is far beyond any replica-side timing
-// noise, so cost-aware eviction's ranking of "cheapest to recompute" is
-// unambiguous during the run.
+// (millisecond-scale) recompute cost.
 func loadCorpusJobs(seed int64) ([]loadJob, error) {
 	corpus := gen.DefaultSpace().Corpus(seed, loadPricedPool)
 	priced := make([]loadJob, len(corpus))
@@ -262,8 +214,7 @@ func loadCorpusJobs(seed int64) ([]loadJob, error) {
 		if req.ExactLimit == 0 || req.ExactLimit > loadExactCap {
 			req.ExactLimit = loadExactCap
 		}
-		// One local solve per scenario prices the job the same way a
-		// replica's cache will (solve wall clock at publish). Infeasible
+		// One local solve per scenario prices the job. Infeasible
 		// degenerate draws fail fast and price accordingly.
 		start := time.Now()
 		core.Solve(&sc.Inst, req)
@@ -303,13 +254,6 @@ func (s *loadByCost) Swap(i, j int) {
 // loadStats is the slice of the gateway's /stats document the experiment
 // reads back after a run.
 type loadStats struct {
-	Replicas []struct {
-		Stats *struct {
-			Cache struct {
-				FollowerPolicy string `json:"followerPolicy"`
-			} `json:"cache"`
-		} `json:"stats"`
-	} `json:"replicas"`
 	Merged struct {
 		CacheHits   int64 `json:"cacheHits"`
 		CacheMisses int64 `json:"cacheMisses"`
@@ -318,17 +262,16 @@ type loadStats struct {
 }
 
 // loadRunOne stands up a fresh cluster (loadReplicas pipeserved replicas
-// with the given cache policy behind one gateway), replays the traffic
-// stream as batches through concurrent client workers, and reads the
-// merged /stats. The first half of the stream is warmup — caches fill,
-// the set duel converges — and is excluded: throughput, latency and hit
+// behind one gateway), replays the traffic stream as batches through
+// concurrent client workers, and reads the merged /stats. The first half
+// of the stream is warmup — caches fill — and is excluded: throughput, latency and hit
 // rate are computed over the measured second half (for the hit rate, as
 // the delta of the cumulative /stats counters), so the numbers describe
 // the steady state rather than the cold start. Per-job infeasible errors
 // (degenerate corpus draws) are counted and tolerated; a shed or
 // internal error slot fails the run — with every replica up, the
 // serving path must never drop a job.
-func loadRunOne(traffic string, pol batch.Policy, jobs []loadJob, stream []int, batches int) (loadRun, error) {
+func loadRunOne(traffic string, jobs []loadJob, stream []int, batches int) (loadRun, error) {
 	urls := make([]string, loadReplicas)
 	closers := make([]func(), 0, loadReplicas+1)
 	defer func() {
@@ -337,7 +280,7 @@ func loadRunOne(traffic string, pol batch.Policy, jobs []loadJob, stream []int, 
 		}
 	}()
 	for i := range urls {
-		ts := httptest.NewServer(server.New(server.Config{CacheCap: loadCacheCap, CachePolicy: pol}))
+		ts := httptest.NewServer(server.New(server.Config{CacheCap: loadCacheCap}))
 		closers = append(closers, ts.Close)
 		urls[i] = ts.URL
 	}
@@ -427,7 +370,6 @@ func loadRunOne(traffic string, pol batch.Policy, jobs []loadJob, stream []int, 
 	misses := after.Merged.CacheMisses - before.Merged.CacheMisses
 	run := loadRun{
 		Traffic:              traffic,
-		Policy:               pol.String(),
 		Batches:              batches,
 		Jobs:                 batches * loadBatchJobs,
 		JobErrors:            jobErrors,
@@ -440,13 +382,6 @@ func loadRunOne(traffic string, pol batch.Policy, jobs []loadJob, stream []int, 
 	}
 	if total := hits + misses; total > 0 {
 		run.HitRate = float64(hits) / float64(total)
-	}
-	if pol == batch.PolicyAdaptive {
-		for _, rep := range after.Replicas {
-			if rep.Stats != nil {
-				run.FollowerPolicies = append(run.FollowerPolicies, rep.Stats.Cache.FollowerPolicy)
-			}
-		}
 	}
 	return run, nil
 }

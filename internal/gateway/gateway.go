@@ -627,18 +627,16 @@ type upstreamStats struct {
 	Shed     int64            `json:"shed"`
 	Requests map[string]int64 `json:"requests"`
 	Cache    struct {
-		Entries        int     `json:"entries"`
-		Cap            int     `json:"cap"`
-		Hits           int64   `json:"hits"`
-		Misses         int64   `json:"misses"`
-		Evictions      int64   `json:"evictions"`
-		HitRate        float64 `json:"hitRate"`
-		Policy         string  `json:"policy"`
-		FollowerPolicy string  `json:"followerPolicy"`
-		PolicySelector int     `json:"policySelector"`
-		PlanEntries    int     `json:"planEntries"`
-		PlanHits       int64   `json:"planHits"`
-		PlanMisses     int64   `json:"planMisses"`
+		Entries       int     `json:"entries"`
+		Cap           int     `json:"cap"`
+		Hits          int64   `json:"hits"`
+		Misses        int64   `json:"misses"`
+		Evictions     int64   `json:"evictions"`
+		HitRate       float64 `json:"hitRate"`
+		PlanEntries   int     `json:"planEntries"`
+		PlanHits      int64   `json:"planHits"`
+		PlanMisses    int64   `json:"planMisses"`
+		PlanEvictions int64   `json:"planEvictions"`
 	} `json:"cache"`
 }
 
@@ -657,20 +655,21 @@ type gatewayStatsJSON struct {
 // mergedStatsJSON sums the reachable replicas' counters; rates are
 // recomputed from the summed numerators and denominators, not averaged.
 type mergedStatsJSON struct {
-	Replicas     int              `json:"replicas"`
-	InFlight     int64            `json:"inFlight"`
-	Shed         int64            `json:"shed"`
-	Requests     map[string]int64 `json:"requests"`
-	CacheEntries int              `json:"cacheEntries"`
-	CacheCap     int              `json:"cacheCap"`
-	CacheHits    int64            `json:"cacheHits"`
-	CacheMisses  int64            `json:"cacheMisses"`
-	Evictions    int64            `json:"evictions"`
-	HitRate      float64          `json:"hitRate"`
-	PlanEntries  int              `json:"planEntries"`
-	PlanHits     int64            `json:"planHits"`
-	PlanMisses   int64            `json:"planMisses"`
-	PlanHitRate  float64          `json:"planHitRate"`
+	Replicas      int              `json:"replicas"`
+	InFlight      int64            `json:"inFlight"`
+	Shed          int64            `json:"shed"`
+	Requests      map[string]int64 `json:"requests"`
+	CacheEntries  int              `json:"cacheEntries"`
+	CacheCap      int              `json:"cacheCap"`
+	CacheHits     int64            `json:"cacheHits"`
+	CacheMisses   int64            `json:"cacheMisses"`
+	Evictions     int64            `json:"evictions"`
+	HitRate       float64          `json:"hitRate"`
+	PlanEntries   int              `json:"planEntries"`
+	PlanHits      int64            `json:"planHits"`
+	PlanMisses    int64            `json:"planMisses"`
+	PlanEvictions int64            `json:"planEvictions"`
+	PlanHitRate   float64          `json:"planHitRate"`
 }
 
 // handleStats samples every replica's /stats concurrently and answers the
@@ -726,6 +725,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		merged.PlanEntries += st.Cache.PlanEntries
 		merged.PlanHits += st.Cache.PlanHits
 		merged.PlanMisses += st.Cache.PlanMisses
+		merged.PlanEvictions += st.Cache.PlanEvictions
 	}
 	if total := merged.CacheHits + merged.CacheMisses; total > 0 {
 		merged.HitRate = float64(merged.CacheHits) / float64(total)

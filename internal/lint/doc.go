@@ -9,12 +9,12 @@
 //
 // The analyzers:
 //
-//   - memoalias (internal/lint/memoalias) guards the memo layers
-//     (internal/batch, internal/plan): an aliasable value (slice, map or
-//     pointer-bearing) read out of a single-flight cache entry must pass
-//     through a clone function before it escapes, or every later hit on
-//     that key observes the caller's mutations. This is the bug fixed in
-//     PR 2 (batch cache) and designed against in PR 4 (plan memo).
+//   - memoalias (internal/lint/memoalias) guards the one memo primitive
+//     (internal/memo): an aliasable value (slice, map or pointer-bearing)
+//     read out of it by Entry.Wait must pass straight into a clone
+//     function, or every later hit on that key observes the caller's
+//     mutations. This is the bug once fixed in the batch cache and
+//     designed against in the plan memo.
 //
 //   - ctxflow guards cancellation plumbing everywhere: a context.Context
 //     parameter that the function body never touches cannot cancel

@@ -1,16 +1,16 @@
-// Package memoalias flags memoized values escaping a cache layer without a
+// Package memoalias flags memoized values escaping a memo without a
 // defensive copy — the exact bug class fixed twice already (PR 2: callers
 // could mutate results memoized by the batch cache; the plan layer then
 // re-introduced the same hazard and clones on both hit paths).
 //
-// The invariant: in the memo layers (internal/batch, internal/plan), a
-// single-flight entry — any struct with a `ready chan struct{}` field — is
-// shared by every waiter on its key. Reading an aliasable field (one whose
-// type reaches a slice, map or pointer) out of such an entry and letting it
-// escape raw hands every caller a handle into the memo: one append or
-// element write corrupts the cached value for all later hits. Every such
-// read must pass through a clone function (any callee whose name contains
-// "clone"); deliberate sharing of immutable state is suppressed with
+// The invariant: internal/memo is the repository's one single-flight memo,
+// and the value it hands out — the first result of (*memo.Entry).Wait — is
+// shared by every caller of its key. When that value's type reaches a
+// slice, map or pointer, letting it escape raw hands every caller a handle
+// into the memo: one append or element write corrupts the cached value for
+// all later hits. Every such read must pass straight into a clone function
+// (any callee whose name contains "clone") within the same statement;
+// deliberate sharing of immutable state is suppressed with
 // //lint:allow memoalias <why the shared value cannot be mutated>.
 package memoalias
 
@@ -22,94 +22,60 @@ import (
 	"repro/internal/lint/analysis"
 )
 
+// memoPath is the import path of the memo primitive the pass guards.
+const memoPath = "repro/internal/memo"
+
 // Analyzer is the memoalias pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "memoalias",
-	Doc:  "flags aliasable values read out of single-flight memo entries without passing through a clone function",
+	Doc:  "flags aliasable values read out of internal/memo entries without passing through a clone function",
 	Run:  run,
 }
 
-// inScope limits the pass to the memo layers; fixture packages (no repro/
-// prefix) are always in scope.
-func inScope(path string) bool {
-	if !strings.HasPrefix(path, "repro") {
-		return true
-	}
-	return path == "repro/internal/batch" || path == "repro/internal/plan"
-}
-
 func run(pass *analysis.Pass) error {
-	if !inScope(pass.Pkg.Path()) {
-		return nil
-	}
 	analysis.WalkStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
+		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		xt := pass.TypesInfo.Types[sel.X].Type
-		if xt == nil || !isEntryStruct(xt) {
+		if !memoRead(pass.TypesInfo, call) {
 			return true
 		}
-		if sel.Sel.Name == "ready" {
+		results, ok := pass.TypesInfo.Types[call].Type.(*types.Tuple)
+		if !ok || results.Len() == 0 {
 			return true
 		}
-		// Follow a trailing selector chain: for e.res.Mapping the escape
-		// hazard is decided by the outermost selected value's type.
-		outer := ast.Expr(sel)
-		top := len(stack)
-		for top > 0 {
-			p, ok := stack[top-1].(*ast.SelectorExpr)
-			if !ok || p.X != outer {
-				break
-			}
-			outer = p
-			top--
-		}
-		t := pass.TypesInfo.Types[outer].Type
-		if t == nil || !aliasable(t) {
+		v := results.At(0).Type()
+		if !aliasable(v) || underClone(call, stack) {
 			return true
 		}
-		if writtenTo(outer, stack[:top]) || underClone(outer, stack[:top]) {
-			return true
-		}
-		pass.Reportf(sel.Pos(),
-			"memoized %s escapes the single-flight entry without a clone: callers can mutate the cached value for every later hit; route it through the Clone path (or //lint:allow memoalias <why it is immutable>)",
-			types.ExprString(outer))
+		pass.Reportf(call.Pos(),
+			"memoized %s read by Wait escapes the memo without a clone: callers can mutate the cached value for every later hit; route it through the clone path (or //lint:allow memoalias <why it is immutable>)",
+			types.TypeString(v, nil))
 		return true
 	})
 	return nil
 }
 
-// isEntryStruct reports whether t (or what it points to) is a struct with
-// a `ready chan struct{}` field — the suite's definition of a
-// single-flight memo entry.
-func isEntryStruct(t types.Type) bool {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
+// memoRead reports whether call reads a memoized value: a call of Wait on
+// a type declared in internal/memo.
+func memoRead(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Name() != "ready" {
-			continue
-		}
-		if ch, ok := f.Type().Underlying().(*types.Chan); ok {
-			if st, ok := ch.Elem().Underlying().(*types.Struct); ok && st.NumFields() == 0 {
-				return true
-			}
-		}
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal {
+		return false
 	}
-	return false
+	fn := s.Obj()
+	return fn.Pkg() != nil && fn.Pkg().Path() == memoPath && fn.Name() == "Wait"
 }
 
 // aliasable reports whether a value of type t shares mutable state with
 // its source: it is, or structurally contains, a slice, map or pointer.
 // Interfaces and channels are excluded — error values are memoized by
-// design, and the ready channel is the entry's publication mechanism.
+// design.
 func aliasable(t types.Type) bool {
 	return aliasableSeen(t, map[types.Type]bool{})
 }
@@ -129,24 +95,6 @@ func aliasableSeen(t types.Type, seen map[types.Type]bool) bool {
 			if aliasableSeen(u.Field(i).Type(), seen) {
 				return true
 			}
-		}
-	}
-	return false
-}
-
-// writtenTo reports whether expr is an assignment target (an LHS operand)
-// rather than a read.
-func writtenTo(expr ast.Expr, stack []ast.Node) bool {
-	if len(stack) == 0 {
-		return false
-	}
-	as, ok := stack[len(stack)-1].(*ast.AssignStmt)
-	if !ok {
-		return false
-	}
-	for _, lhs := range as.Lhs {
-		if lhs == expr {
-			return true
 		}
 	}
 	return false

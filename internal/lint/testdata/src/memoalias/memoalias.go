@@ -1,17 +1,12 @@
-// Fixture for the memoalias analyzer: single-flight entries (structs with
-// a `ready chan struct{}` field) must not leak aliasable fields raw.
+// Fixture for the memoalias analyzer: values read out of internal/memo
+// (Entry.Wait) must not escape raw when they can alias.
 package memoalias
+
+import "repro/internal/memo"
 
 type result struct {
 	Mapping []int
 	Value   float64
-}
-
-type entry struct {
-	key   string
-	ready chan struct{}
-	res   result
-	err   error
 }
 
 func cloneResult(r result) result {
@@ -20,58 +15,47 @@ func cloneResult(r result) result {
 	return out
 }
 
-func cloneStored(r result, err error) result {
+func cloneStored(r result, err error) (result, error) {
 	if err != nil {
-		return r
+		return r, err
 	}
-	return cloneResult(r)
+	return cloneResult(r), nil
 }
 
-func badReturn(e *entry) (result, error) {
-	<-e.ready
-	return e.res, e.err // want "memoized e.res escapes"
+func badReturn(e *memo.Entry[result]) (result, error) {
+	return e.Wait() // want "memoized memoalias.result read by Wait escapes"
 }
 
-func badStore(e *entry) []int {
-	m := e.res.Mapping // want "memoized e.res.Mapping escapes"
-	return m
+func badStore(e *memo.Entry[result]) []int {
+	r, _ := e.Wait() // want "memoized memoalias.result read by Wait escapes"
+	return r.Mapping
 }
 
-func goodClone(e *entry) (result, error) {
-	<-e.ready
-	return cloneStored(e.res, e.err), e.err
+func goodClone(e *memo.Entry[result]) (result, error) {
+	return cloneStored(e.Wait())
 }
 
-func goodWrite(e *entry, r result, err error) {
-	e.res, e.err = r, err
+func goodScalar(e *memo.Entry[float64]) float64 {
+	v, _ := e.Wait()
+	return v
 }
 
-func goodScalar(e *entry) float64 {
-	return e.res.Value
+func badShared(e *memo.Entry[*result]) *result {
+	p, _ := e.Wait() // want "memoized \\*memoalias.result read by Wait escapes"
+	return p
 }
 
-func goodKey(e *entry) string {
-	return e.key
-}
-
-type planEntry struct {
-	ready chan struct{}
-	pl    *result
-}
-
-func badShared(e *planEntry) *result {
-	return e.pl // want "memoized e.pl escapes"
-}
-
-func allowShared(e *planEntry) *result {
+func allowShared(e *memo.Entry[*result]) *result {
 	//lint:allow memoalias fixture: the pointee is immutable by construction
-	return e.pl
+	p, _ := e.Wait()
+	return p
 }
 
-type plain struct {
-	res result
-}
+// entry has a Wait method of its own; only the memo package's is guarded.
+type entry struct{ res result }
 
-func notAnEntry(p *plain) result {
-	return p.res
+func (e *entry) Wait() (result, error) { return e.res, nil }
+
+func notTheMemo(e *entry) (result, error) {
+	return e.Wait()
 }

@@ -13,10 +13,11 @@
 //
 //   - validation and platform classification run once at compile time, not
 //     per query (core.SolvePrepared skips both);
-//   - repeated queries are answered from a single-flight LRU memo keyed by
-//     a canonical query encoding, so the steady-state repeat-query path is
-//     a map lookup plus a defensive copy — near-zero allocations and
-//     orders of magnitude faster than a fresh solve;
+//   - repeated queries are answered from a single-flight LRU memo
+//     (internal/memo) keyed by a canonical query encoding, so the
+//     steady-state repeat-query path is a map lookup plus a defensive copy —
+//     near-zero allocations and orders of magnitude faster than a fresh
+//     solve;
 //   - query keys are encoded into pooled scratch buffers (sync.Pool), so
 //     the hot path does not regrow an arena per call.
 //
@@ -24,30 +25,30 @@
 // returned Result is an independent deep copy, so callers can mutate their
 // mappings freely without corrupting the memo (the same aliasing guarantee
 // the batch cache makes). Plans are themselves memoized across requests by
-// the batch engine's plan cache tier (internal/batch.Cache), keyed by the
-// canonical (instance, rule, comm) encoding.
+// the batch engine's plan tier (internal/batch.Cache), keyed by the
+// canonical (instance, rule, comm) encoding; plans compiled there answer
+// from one query memo shared by the whole cache (see CompileShared).
 package plan
 
 import (
-	"container/list"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fmath"
 	"repro/internal/mapping"
+	"repro/internal/memo"
 	"repro/internal/pipeline"
 )
 
-// memoCap bounds each plan's query memo: beyond it the least recently used
-// query results are evicted, so a long-lived cached plan cannot grow
-// without bound under adversarial query streams.
+// memoCap bounds the private query memo of a plan built by Compile: beyond
+// it the least recently used query results are evicted, so a long-lived
+// plan cannot grow without bound under adversarial query streams.
 const memoCap = 4096
 
 // Query is one criterion/bound question against a compiled plan. It is
@@ -85,16 +86,6 @@ func QueryOf(req core.Request) Query {
 	}
 }
 
-// entry is one memoized query: a single-flight slot whose ready channel is
-// closed once res/err are final, so concurrent duplicates block instead of
-// recomputing and never observe a partial write.
-type entry struct {
-	key   string
-	ready chan struct{}
-	res   core.Result
-	err   error
-}
-
 // Plan is an immutable compiled solver state answering many queries for one
 // (instance, rule, communication model) triple. Create with Compile; the
 // zero value is not usable.
@@ -113,11 +104,14 @@ type Plan struct {
 	candsOnce sync.Once
 	cands     []float64
 
-	mu   sync.Mutex
-	memo map[string]*list.Element
-	lru  list.List // front = most recently used; values are *entry
+	// memo holds the answered queries, keyed by keyPrefix followed by the
+	// query's canonical encoding. A plan from Compile owns a private memo
+	// and an empty prefix; CompileShared plans share a caller's memo and
+	// tell their keys apart by the prefix.
+	memo      *memo.Memo[core.Result]
+	keyPrefix string
 
-	queries, hits, evictions, degraded atomic.Int64
+	queries, hits, degraded atomic.Int64
 }
 
 // degradedHeurIters is the reduced annealing budget of a degraded solve
@@ -136,14 +130,25 @@ var keyPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }
 // lower bounds. The same inputs always compile to a plan whose queries are
 // bit-identical to fresh core.Solve calls on the original instance.
 func Compile(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) (*Plan, error) {
+	return CompileShared(inst, rule, model, memo.New[core.Result](memoCap), "")
+}
+
+// CompileShared is Compile with the query memo supplied by the caller, so
+// that many plans can answer from one bounded memo. keyPrefix must tell
+// this plan's queries apart from those of every other plan sharing m: the
+// batch cache passes the canonical (instance, rule, comm) encoding, which
+// is self-delimiting, so prefix plus query encoding is a canonical key of
+// the whole job.
+func CompileShared(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, m *memo.Memo[core.Result], keyPrefix string) (*Plan, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Plan{
-		inst:  inst.Clone(),
-		rule:  rule,
-		model: model,
-		memo:  make(map[string]*list.Element),
+		inst:      inst.Clone(),
+		rule:      rule,
+		model:     model,
+		memo:      m,
+		keyPrefix: keyPrefix,
 	}
 	p.cls = p.inst.Platform.Classify()
 	p.prefixes = make([][]float64, len(p.inst.Apps))
@@ -215,13 +220,8 @@ func (p *Plan) Request(q Query) core.Request {
 // deep copy and the error, value, metrics, method, optimality flag and
 // mapping are bit-identical to core.Solve(instance, plan.Request(q)).
 func (p *Plan) Solve(q Query) (core.Result, error) {
-	e, hit := p.lookup(q)
-	if hit {
-		<-e.ready
-	} else {
-		p.run(e, q)
-	}
-	return cloneStored(e.res, e.err), e.err
+	res, err, _ := p.Answer(context.Background(), q)
+	return res, err
 }
 
 // SolveCtx is Solve under a wall-clock budget: when ctx carries no deadline
@@ -233,16 +233,29 @@ func (p *Plan) Solve(q Query) (core.Result, error) {
 // the budget-free answer. A cancelled (as opposed to expired) context
 // returns ctx.Err(): the caller has gone away and no answer is wanted.
 func (p *Plan) SolveCtx(ctx context.Context, q Query) (core.Result, error) {
-	if ctx.Done() == nil {
-		return p.Solve(q)
-	}
+	res, err, _ := p.Answer(ctx, q)
+	return res, err
+}
+
+// Answer is SolveCtx that also reports whether the memo answered: hit is
+// true when the query key was already memoized or in flight, false when
+// this call ran (or started) the solve or took the degraded path.
+func (p *Plan) Answer(ctx context.Context, q Query) (res core.Result, err error, hit bool) {
 	if err := ctx.Err(); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			return p.degradedSolve(q)
+			res, err = p.degradedSolve(q)
+			return res, err, false
 		}
-		return core.Result{}, err
+		return core.Result{}, err, false
 	}
 	e, hit := p.lookup(q)
+	if ctx.Done() == nil {
+		if !hit {
+			p.run(e, q)
+		}
+		res, err = cloneStored(e.Wait())
+		return res, err, hit
+	}
 	if !hit {
 		// The solver reads the query's bound slices for the whole solve;
 		// clone them so the caller regaining control at deadline expiry
@@ -250,58 +263,40 @@ func (p *Plan) SolveCtx(ctx context.Context, q Query) (core.Result, error) {
 		go p.run(e, cloneQuery(q))
 	}
 	select {
-	case <-e.ready:
-		return cloneStored(e.res, e.err), e.err
+	case <-e.Ready():
+		res, err = cloneStored(e.Wait())
+		return res, err, hit
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return p.degradedSolve(q)
+			res, err = p.degradedSolve(q)
+			return res, err, hit
 		}
-		return core.Result{}, ctx.Err()
+		return core.Result{}, ctx.Err(), hit
 	}
 }
 
 // lookup finds or installs the single-flight memo entry for q. hit reports
-// whether the entry was already present (the caller must then wait on
-// e.ready); on a miss the caller owns running the solve via run.
-func (p *Plan) lookup(q Query) (e *entry, hit bool) {
+// whether the entry was already present (the caller must then wait on it);
+// on a miss the caller owns running the solve via run.
+func (p *Plan) lookup(q Query) (e *memo.Entry[core.Result], hit bool) {
 	p.queries.Add(1)
 	kp := keyPool.Get().(*[]byte)
-	buf := appendQueryKey((*kp)[:0], q)
-
-	p.mu.Lock()
-	if el, ok := p.memo[string(buf)]; ok {
-		e = el.Value.(*entry)
-		p.lru.MoveToFront(el)
-		p.hits.Add(1)
-		p.mu.Unlock()
-		*kp = buf
-		keyPool.Put(kp)
-		return e, true
-	}
-	e = &entry{key: string(buf), ready: make(chan struct{})}
-	p.memo[e.key] = p.lru.PushFront(e)
-	for len(p.memo) > memoCap {
-		back := p.lru.Back()
-		p.lru.Remove(back)
-		delete(p.memo, back.Value.(*entry).key)
-		p.evictions.Add(1)
-	}
-	p.mu.Unlock()
+	buf := appendQueryKey(append((*kp)[:0], p.keyPrefix...), q)
+	e, hit = p.memo.Get(buf)
 	*kp = buf
 	keyPool.Put(kp)
-	return e, false
+	if hit {
+		p.hits.Add(1)
+	}
+	return e, hit
 }
 
 // run executes the solve for a freshly installed entry and publishes the
-// result, converting a panic into an error confined to this key.
-func (p *Plan) run(e *entry, q Query) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.err = fmt.Errorf("plan: query panicked: %v\n%s", r, debug.Stack())
-		}
-		close(e.ready)
-	}()
-	e.res, e.err = core.SolvePrepared(&p.inst, p.cls, p.Request(q))
+// result; the memo confines a panic to this key as its error.
+func (p *Plan) run(e *memo.Entry[core.Result], q Query) {
+	e.Fill(func() (core.Result, error) {
+		return core.SolvePrepared(&p.inst, p.cls, p.Request(q))
+	})
 }
 
 // degradedSolve is the reduced-effort fallback taken when a wall-clock
@@ -345,14 +340,15 @@ func cloneQuery(q Query) Query {
 
 // cloneStored hands out an independent copy of a memoized success; failures
 // keep the zero Result untouched (cloning would turn nil slices into empty
-// ones, breaking bit-identity with a direct core.Solve call). It is the
+// ones, breaking bit-identity with a direct core.Solve call) and pass the
+// error through, so a memo's Wait can feed it directly. It is the
 // steady-state cost of a memo hit, so the copy is packed into three backing
 // allocations (apps, intervals, metric floats) instead of one per slice —
 // nil-ness of every slice is preserved, and full-capacity reslicing keeps
 // the handed-out slices append-safe for callers.
-func cloneStored(res core.Result, err error) core.Result {
+func cloneStored(res core.Result, err error) (core.Result, error) {
 	if err != nil {
-		return res
+		return res, err
 	}
 	c := res
 	if res.Mapping.Apps != nil {
@@ -387,7 +383,7 @@ func cloneStored(res core.Result, err error) core.Result {
 			copy(c.Metrics.AppLatencies, res.Metrics.AppLatencies)
 		}
 	}
-	return c
+	return c, nil
 }
 
 // Stats is a point-in-time snapshot of a plan's query counters.
@@ -396,7 +392,8 @@ type Stats struct {
 	// (including waits on an in-flight duplicate).
 	Queries, Hits int64
 	// Entries is the number of memoized query keys; Evictions how many
-	// were dropped to keep the memo under its cap.
+	// were dropped to keep the memo under its cap. For a plan compiled
+	// into a shared memo (CompileShared) both describe the whole memo.
 	Entries   int
 	Evictions int64
 	// Degraded counts SolveCtx calls whose budget expired before the full
@@ -414,14 +411,12 @@ func (s Stats) HitRate() float64 {
 
 // QueryStats returns a snapshot of the plan's counters.
 func (p *Plan) QueryStats() Stats {
-	p.mu.Lock()
-	n := len(p.memo)
-	p.mu.Unlock()
+	ms := p.memo.Stats()
 	return Stats{
 		Queries:   p.queries.Load(),
 		Hits:      p.hits.Load(),
-		Entries:   n,
-		Evictions: p.evictions.Load(),
+		Entries:   ms.Entries,
+		Evictions: ms.Evictions,
 		Degraded:  p.degraded.Load(),
 	}
 }

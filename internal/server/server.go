@@ -72,11 +72,6 @@ type Config struct {
 	// CacheCap bounds the shared memoization cache (number of entries);
 	// <= 0 means unbounded. A long-running deployment should set a cap.
 	CacheCap int
-	// CachePolicy selects the bounded cache's replacement policy. The zero
-	// value is batch.PolicyAdaptive (set-dueling between LRU and cost-aware
-	// eviction); batch.PolicyLRU and batch.PolicyCost pin one policy, which
-	// the load experiment uses to duel the policies against each other.
-	CachePolicy batch.Policy
 	// Timeout is the per-request wall-clock budget; 0 disables it. When it
 	// expires the request's context is cancelled: queued solver jobs
 	// return the context error and the response reports 504.
@@ -160,7 +155,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:      cfg,
-		cache:    batch.NewCacheCapPolicy(cfg.CacheCap, cfg.CachePolicy),
+		cache:    batch.NewCacheCap(cfg.CacheCap),
 		log:      logger,
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
@@ -619,9 +614,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// cacheStatsJSON is the /stats cache block: the result tier plus the
+// cacheStatsJSON is the /stats cache block: the result memo plus the
 // compiled-plan tier (plans memoized by canonical (instance, rule, comm)
-// key — see internal/plan).
+// key — see batch.Cache).
 type cacheStatsJSON struct {
 	Entries   int     `json:"entries"`
 	Cap       int     `json:"cap"`
@@ -629,16 +624,6 @@ type cacheStatsJSON struct {
 	Misses    int64   `json:"misses"`
 	Evictions int64   `json:"evictions"`
 	HitRate   float64 `json:"hitRate"`
-
-	// The replacement-policy duel (see batch.Policy): the configured
-	// policy, the policy follower shards currently apply, the saturating
-	// selector steering them, and each leader group's observed hit rate.
-	Policy            string  `json:"policy"`
-	FollowerPolicy    string  `json:"followerPolicy"`
-	PolicySelector    int     `json:"policySelector"`
-	LeaderLRUHitRate  float64 `json:"leaderLRUHitRate"`
-	LeaderCostHitRate float64 `json:"leaderCostHitRate"`
-	FollowerHitRate   float64 `json:"followerHitRate"`
 
 	PlanEntries   int     `json:"planEntries"`
 	PlanHits      int64   `json:"planHits"`
@@ -680,18 +665,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Evictions: cs.Evictions,
 			HitRate:   cs.HitRate(),
 
-			Policy:            cs.Policy,
-			FollowerPolicy:    cs.FollowerPolicy,
-			PolicySelector:    cs.PolicySelector,
-			LeaderLRUHitRate:  cs.LeaderLRUHitRate(),
-			LeaderCostHitRate: cs.LeaderCostHitRate(),
-			FollowerHitRate:   cs.FollowerHitRate(),
-
-			PlanEntries:   cs.PlanEntries,
-			PlanHits:      cs.PlanHits,
-			PlanMisses:    cs.PlanMisses,
-			PlanEvictions: cs.PlanEvictions,
-			PlanHitRate:   cs.PlanHitRate(),
+			PlanEntries:   cs.Plans.Entries,
+			PlanHits:      cs.Plans.Hits,
+			PlanMisses:    cs.Plans.Misses,
+			PlanEvictions: cs.Plans.Evictions,
+			PlanHitRate:   cs.Plans.HitRate(),
 		},
 	}
 	if len(s.breakers) > 0 {
