@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet lint vuln race bench bench-corpus bench-diff diff chaos load fuzz-smoke experiments serve gateway clean
+.PHONY: all build test check fmt vet lint vuln race bench bench-corpus bench-diff bench-module diff chaos load fuzz-smoke experiments serve gateway clean
 
 all: check
 
@@ -42,14 +42,14 @@ vuln:
 	fi
 
 # race runs the race detector over the concurrent packages — the memo
-# primitive, the compiled plan layer, the batch engine and its consumers
-# (pareto sweeps, the
-# experiment table drivers, the HTTP server, the gateway fan-out, the
-# public SolveBatch API) — plus the solver core, the scenario generator,
+# primitive, the serving counters (jobspec), the compiled plan layer, the
+# batch engine and its consumers (pareto sweeps, the experiment table
+# drivers, the HTTP server, the gateway fan-out, the public SolveBatch
+# API) — plus the solver core, the scenario generator,
 # and the chaos injector, whose package tests exercise them from
 # concurrent batch workers.
 race:
-	$(GO) test -race ./internal/core/ ./internal/gen/ ./internal/memo/ ./internal/plan/ ./internal/batch/ ./internal/pareto/ ./internal/experiments/ ./internal/server/ ./internal/gateway/ ./internal/diffcheck/ ./internal/chaos/ .
+	$(GO) test -race ./internal/core/ ./internal/gen/ ./internal/memo/ ./internal/jobspec/ ./internal/plan/ ./internal/batch/ ./internal/pareto/ ./internal/experiments/ ./internal/server/ ./internal/gateway/ ./internal/diffcheck/ ./internal/chaos/ .
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
@@ -66,6 +66,13 @@ bench-corpus:
 # CI runs it before regenerating the baseline artifact.
 bench-diff:
 	$(GO) run ./cmd/pipebench -exp benchdiff
+
+# bench-module runs the tests of the benchmark module (bench/, its own
+# go.mod, so `go test ./...` at the root skips it). It compiles against
+# the server, gateway, jobspec and batch APIs, so an API change that
+# breaks the benchmark fails here instead of at the next benchmark run.
+bench-module:
+	cd bench && $(GO) test ./...
 
 # diff runs the differential verification corpus (dispatcher vs brute
 # force vs simulator; see EXPERIMENTS.md section DIFF).

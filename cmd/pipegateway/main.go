@@ -28,7 +28,8 @@
 //	                 slow-but-alive reply gets through while a hung
 //	                 connection cannot stall the gateway forever
 //	-probe-interval  period of the /readyz health sweep over the replicas
-//	-max-body        request body cap in bytes (default 8 MiB)
+//	-max-body        request body cap in bytes (0 = 8 MiB default,
+//	                 negative = unlimited; the same rule as pipeserved)
 //
 // Replicas that fail probes or requests are taken out of the ring and
 // their keys served by the ring successors; probes bring a recovered
@@ -68,7 +69,7 @@ func run(args []string) error {
 	retryBase := fs.Duration("retry-base", gateway.DefaultRetryBase, "base of the jittered retry backoff")
 	httpTimeout := fs.Duration("http-timeout", gateway.DefaultClientTimeout, "per-attempt upstream HTTP timeout")
 	probeInterval := fs.Duration("probe-interval", 2*time.Second, "period of the replica /readyz health sweep")
-	maxBody := fs.Int64("max-body", 0, "request body cap in bytes (0 = 8 MiB default)")
+	maxBody := fs.Int64("max-body", 0, "request body cap in bytes (0 = 8 MiB default, negative = unlimited)")
 	drain := fs.Duration("drain", 10*time.Second, "shutdown drain budget for in-flight requests")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -23,8 +23,9 @@
 //	-timeout    per-request wall-clock budget (0 = none, default 30s);
 //	            an expired budget cancels the request's remaining solver
 //	            jobs and reports 504
-//	-max-body   request body cap in bytes (default 8 MiB); an oversized
-//	            body is rejected with a structured 413 JSON error
+//	-max-body   request body cap in bytes (0 = 8 MiB default, negative =
+//	            unlimited); an oversized body is rejected with a
+//	            structured 413 JSON error
 //
 // Resilience flags (see internal/server):
 //

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -66,8 +67,11 @@ func TestServeSolveAndGracefulShutdown(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve status %d: %s", resp.StatusCode, payload)
 	}
-	if !strings.Contains(string(payload), `"value": 46`) {
-		t.Errorf("solve response missing the paper's 46: %s", payload)
+	var res struct {
+		Value float64 `json:"value"`
+	}
+	if err := json.Unmarshal(payload, &res); err != nil || res.Value != 46 {
+		t.Errorf("solve response missing the paper's 46 (%v): %s", err, payload)
 	}
 
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {

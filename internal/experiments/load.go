@@ -268,9 +268,9 @@ type loadStats struct {
 // rate are computed over the measured second half (for the hit rate, as
 // the delta of the cumulative /stats counters), so the numbers describe
 // the steady state rather than the cold start. Per-job infeasible errors
-// (degenerate corpus draws) are counted and tolerated; a shed or
-// internal error slot fails the run — with every replica up, the
-// serving path must never drop a job.
+// (degenerate corpus draws) are counted and tolerated; an error slot with
+// any other code fails the run — with every replica up, the serving path
+// must never drop or corrupt a job.
 func loadRunOne(traffic string, jobs []loadJob, stream []int, batches int) (loadRun, error) {
 	urls := make([]string, loadReplicas)
 	closers := make([]func(), 0, loadReplicas+1)
@@ -402,8 +402,9 @@ func loadSampleStats(client *http.Client, base string) (loadStats, error) {
 
 // loadPostBatch posts one batch and scans the result slots: infeasible
 // errors are counted (the corpus deliberately contains degenerate,
-// infeasible draws), any shed/timeout/internal slot or non-200 response
-// is a hard failure.
+// infeasible draws); an error slot with any other code — shed, timeout,
+// internal, invalid, or none at all — or a non-200 response is a hard
+// failure.
 func loadPostBatch(client *http.Client, base string, body []byte) (jobErrors int, err error) {
 	resp, err := client.Post(base+"/v1/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -430,12 +431,10 @@ func loadPostBatch(client *http.Client, base string, body []byte) (jobErrors int
 		if r.Error == "" {
 			continue
 		}
-		switch r.Code {
-		case jobspec.CodeShed, jobspec.CodeTimeout, jobspec.CodeInternal:
-			return jobErrors, fmt.Errorf("job %d dropped by the serving path (%s): %s", i, r.Code, r.Error)
-		default:
-			jobErrors++
+		if r.Code != jobspec.CodeInfeasible {
+			return jobErrors, fmt.Errorf("job %d failed with code %q: %s", i, r.Code, r.Error)
 		}
+		jobErrors++
 	}
 	return jobErrors, nil
 }

@@ -56,7 +56,8 @@ type Config struct {
 	// RetryBase is the base of the jittered exponential backoff between
 	// retries (attempt n waits ~RetryBase·2ⁿ); 0 means DefaultRetryBase.
 	RetryBase time.Duration
-	// MaxBody caps request bodies in bytes; 0 means 8 MiB.
+	// MaxBody caps request bodies in bytes; 0 means
+	// jobspec.DefaultMaxBody (8 MiB), negative disables the cap.
 	MaxBody int64
 	// Seed seeds the retry jitter; 0 derives one from the clock.
 	Seed int64
@@ -68,7 +69,6 @@ type Config struct {
 const (
 	DefaultRetries   = 3
 	DefaultRetryBase = 100 * time.Millisecond
-	defaultMaxBody   = 8 << 20
 )
 
 // Gateway fronts a cluster of pipeserved replicas. Create with New; it
@@ -93,8 +93,7 @@ type Gateway struct {
 	retried  atomic.Int64
 	shed     atomic.Int64
 
-	mu       sync.Mutex
-	requests map[string]int64
+	requests jobspec.Counters // per route, see jobspec.RouteKey
 }
 
 // New builds a Gateway over the configured replicas, all initially
@@ -133,10 +132,6 @@ func New(cfg Config) (*Gateway, error) {
 	if retryBase <= 0 {
 		retryBase = DefaultRetryBase
 	}
-	maxBody := cfg.MaxBody
-	if maxBody <= 0 {
-		maxBody = defaultMaxBody
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
@@ -151,13 +146,12 @@ func New(cfg Config) (*Gateway, error) {
 		router:    router,
 		retries:   retries,
 		retryBase: retryBase,
-		maxBody:   maxBody,
+		maxBody:   cfg.MaxBody,
 		log:       logger,
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
 		healthy:   make([]atomic.Bool, len(replicas)),
 		rng:       rand.New(rand.NewSource(seed)),
-		requests:  make(map[string]int64),
 	}
 	for i := range g.healthy {
 		g.healthy[i].Store(true)
@@ -167,7 +161,7 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("POST /v1/pareto", g.handleOpaque)
 	g.mux.HandleFunc("POST /v1/simulate", g.handleOpaque)
 	g.mux.HandleFunc("POST /v1/resolve", g.handleOpaque)
-	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
+	g.mux.HandleFunc("GET /healthz", jobspec.Healthz)
 	g.mux.HandleFunc("GET /readyz", g.handleReadyz)
 	g.mux.HandleFunc("GET /stats", g.handleStats)
 	return g, nil
@@ -175,14 +169,8 @@ func New(cfg Config) (*Gateway, error) {
 
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if _, pattern := g.mux.Handler(r); pattern != "" {
-		g.mu.Lock()
-		g.requests[r.URL.Path]++
-		g.mu.Unlock()
-	}
-	if strings.HasPrefix(r.URL.Path, "/v1/") {
-		r.Body = http.MaxBytesReader(w, r.Body, g.maxBody)
-	}
+	g.requests.Add(jobspec.RouteKey(g.mux, r), 1)
+	jobspec.LimitBody(w, r, g.maxBody)
 	g.mux.ServeHTTP(w, r)
 }
 
@@ -354,20 +342,6 @@ func errorSlot(code string, err error) json.RawMessage {
 	return raw
 }
 
-// mergeStats folds one sub-batch's stats into the running totals.
-func mergeStats(dst *jobspec.Stats, src jobspec.Stats) {
-	dst.Jobs += src.Jobs
-	dst.CacheHits += src.CacheHits
-	dst.Errors += src.Errors
-	dst.PlanCompiles += src.PlanCompiles
-	dst.PlanReuses += src.PlanReuses
-	dst.Degraded += src.Degraded
-	dst.Preempted += src.Preempted
-	for m, n := range src.Methods {
-		dst.Methods[m] += n
-	}
-}
-
 // handleBatch fans a batch out across the ring: every job is keyed by its
 // canonical encoding, grouped by owning replica, and the groups are
 // posted concurrently; the sub-responses' raw result slots are scattered
@@ -379,12 +353,12 @@ func mergeStats(dst *jobspec.Stats, src jobspec.Stats) {
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	doc, err := jobspec.DecodeFile(r.Body)
 	if err != nil {
-		writeError(w, decodeStatus(err), err)
+		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}
 	jobs, err := doc.BatchJobs()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	keys := make([]string, len(jobs))
@@ -404,7 +378,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	g.dispatch(r.Context(), &doc, keys, indices, results, &merged, &mu, 0)
 
 	merged.WallMs = float64(time.Since(startWall).Microseconds()) / 1000
-	writeJSON(w, http.StatusOK, wireOutput{Results: results, Stats: merged})
+	jobspec.WriteJSON(w, http.StatusOK, wireOutput{Results: results, Stats: merged})
 }
 
 // dispatch routes the given job indices under the current health view,
@@ -479,7 +453,7 @@ func (g *Gateway) dispatch(ctx context.Context, doc *jobspec.File, keys []string
 				results[idx] = out.Results[i]
 			}
 			mu.Lock()
-			mergeStats(merged, out.Stats)
+			merged.Merge(out.Stats)
 			mu.Unlock()
 		}(rep, group)
 	}
@@ -516,22 +490,22 @@ func truncate(b []byte, n int) string {
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeError(w, decodeStatus(err), err)
+		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}
 	var job jobspec.Job
 	if err := json.Unmarshal(body, &job); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
+		jobspec.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
 		return
 	}
 	if job.Instance == nil {
-		writeError(w, http.StatusBadRequest, errors.New("solve request has no instance"))
+		jobspec.WriteError(w, http.StatusBadRequest, errors.New("solve request has no instance"))
 		return
 	}
 	file := jobspec.File{Instance: job.Instance, Jobs: []jobspec.Job{{Request: job.Request}}}
 	jobs, err := file.BatchJobs()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	g.forward(w, r, batch.Key(jobs[0].Inst, jobs[0].Req), body)
@@ -544,7 +518,7 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleOpaque(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeError(w, decodeStatus(err), err)
+		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}
 	g.forward(w, r, fmt.Sprintf("opaque:%s:%x", r.URL.Path, fnv1a(string(body))), body)
@@ -559,13 +533,13 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		rep, ok := g.route(key)
 		if !ok {
 			g.shed.Add(1)
-			writeShed(w, fmt.Errorf("no healthy replica for %s", r.URL.Path))
+			jobspec.WriteShed(w, http.StatusServiceUnavailable, time.Second, fmt.Errorf("no healthy replica for %s", r.URL.Path))
 			return
 		}
 		resp, respBody, err := g.post(r.Context(), rep, r.URL.Path, body)
 		if err != nil && resp == nil {
 			if r.Context().Err() != nil {
-				writeError(w, http.StatusGatewayTimeout, r.Context().Err())
+				jobspec.WriteError(w, http.StatusGatewayTimeout, r.Context().Err())
 				return
 			}
 			g.markDown(rep, err)
@@ -573,7 +547,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, bo
 				g.rerouted.Add(1)
 				continue
 			}
-			writeShed(w, err)
+			jobspec.WriteShed(w, http.StatusServiceUnavailable, time.Second, err)
 			return
 		}
 		// Shed responses that survived the retry budget are relayed as-is:
@@ -590,58 +564,34 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, bo
 	}
 }
 
-func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
 // handleReadyz answers ready while at least one replica is believed
 // healthy: a gateway with a partial cluster still serves (degraded), one
 // with no backends should be routed around.
 func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	for i := range g.healthy {
 		if g.healthy[i].Load() {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+			jobspec.WriteProbe(w, true, "ready")
 			return
 		}
 	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy replicas"})
+	jobspec.WriteProbe(w, false, "no healthy replicas")
 }
 
 // replicaStatsJSON is the per-shard block of the gateway's /stats: the
-// replica's identity and health plus the subset of its own /stats the
-// gateway aggregates.
+// replica's identity and health plus the additive part of its own
+// /stats.
 type replicaStatsJSON struct {
 	URL     string `json:"url"`
 	Healthy bool   `json:"healthy"`
 	// Reachable distinguishes "marked healthy but /stats failed" from a
 	// clean sample; the totals only include reachable replicas.
-	Reachable bool           `json:"reachable"`
-	Stats     *upstreamStats `json:"stats,omitempty"`
-}
-
-// upstreamStats mirrors the slice of pipeserved's /stats document the
-// gateway understands; unknown fields are ignored so the two sides can
-// evolve independently.
-type upstreamStats struct {
-	InFlight int64            `json:"inFlight"`
-	Shed     int64            `json:"shed"`
-	Requests map[string]int64 `json:"requests"`
-	Cache    struct {
-		Entries       int     `json:"entries"`
-		Cap           int     `json:"cap"`
-		Hits          int64   `json:"hits"`
-		Misses        int64   `json:"misses"`
-		Evictions     int64   `json:"evictions"`
-		HitRate       float64 `json:"hitRate"`
-		PlanEntries   int     `json:"planEntries"`
-		PlanHits      int64   `json:"planHits"`
-		PlanMisses    int64   `json:"planMisses"`
-		PlanEvictions int64   `json:"planEvictions"`
-	} `json:"cache"`
+	Reachable bool                  `json:"reachable"`
+	Stats     *jobspec.ServiceStats `json:"stats,omitempty"`
 }
 
 // gatewayStatsJSON is the gateway's /stats document: its own counters,
-// the per-replica health and stats, and cluster-wide merged totals.
+// the per-replica health and stats, and cluster-wide merged totals over
+// the reachable replicas (jobspec.ServiceStats.Merge).
 type gatewayStatsJSON struct {
 	UptimeMs float64            `json:"uptimeMs"`
 	Requests map[string]int64   `json:"requests"`
@@ -649,142 +599,59 @@ type gatewayStatsJSON struct {
 	Retried  int64              `json:"retried"`
 	Shed     int64              `json:"shed"`
 	Replicas []replicaStatsJSON `json:"replicas"`
-	Merged   mergedStatsJSON    `json:"merged"`
-}
-
-// mergedStatsJSON sums the reachable replicas' counters; rates are
-// recomputed from the summed numerators and denominators, not averaged.
-type mergedStatsJSON struct {
-	Replicas      int              `json:"replicas"`
-	InFlight      int64            `json:"inFlight"`
-	Shed          int64            `json:"shed"`
-	Requests      map[string]int64 `json:"requests"`
-	CacheEntries  int              `json:"cacheEntries"`
-	CacheCap      int              `json:"cacheCap"`
-	CacheHits     int64            `json:"cacheHits"`
-	CacheMisses   int64            `json:"cacheMisses"`
-	Evictions     int64            `json:"evictions"`
-	HitRate       float64          `json:"hitRate"`
-	PlanEntries   int              `json:"planEntries"`
-	PlanHits      int64            `json:"planHits"`
-	PlanMisses    int64            `json:"planMisses"`
-	PlanEvictions int64            `json:"planEvictions"`
-	PlanHitRate   float64          `json:"planHitRate"`
+	Merged   struct {
+		Replicas int `json:"replicas"`
+		jobspec.ServiceStats
+	} `json:"merged"`
 }
 
 // handleStats samples every replica's /stats concurrently and answers the
 // gateway's own counters, the per-replica breakdown, and the cluster-wide
 // sums.
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	per := make([]replicaStatsJSON, len(g.replicas))
+	resp := gatewayStatsJSON{
+		UptimeMs: float64(time.Since(g.start).Microseconds()) / 1000,
+		Requests: g.requests.Snapshot(),
+		Rerouted: g.rerouted.Load(),
+		Retried:  g.retried.Load(),
+		Shed:     g.shed.Load(),
+		Replicas: make([]replicaStatsJSON, len(g.replicas)),
+	}
 	var wg sync.WaitGroup
 	for i := range g.replicas {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			per[i] = replicaStatsJSON{URL: g.replicas[i], Healthy: g.healthy[i].Load()}
+			resp.Replicas[i] = replicaStatsJSON{URL: g.replicas[i], Healthy: g.healthy[i].Load()}
 			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, g.replicas[i]+"/stats", nil)
 			if err != nil {
 				return
 			}
-			resp, err := g.client.Do(req)
+			res, err := g.client.Do(req)
 			if err != nil {
 				return
 			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
+			body, err := io.ReadAll(res.Body)
+			res.Body.Close()
+			if err != nil || res.StatusCode != http.StatusOK {
 				return
 			}
-			var st upstreamStats
+			var st jobspec.ServiceStats
 			if json.Unmarshal(body, &st) == nil {
-				per[i].Reachable = true
-				per[i].Stats = &st
+				resp.Replicas[i].Reachable = true
+				resp.Replicas[i].Stats = &st
 			}
 		}(i)
 	}
 	wg.Wait()
 
-	merged := mergedStatsJSON{Requests: make(map[string]int64)}
-	for i := range per {
-		st := per[i].Stats
-		if st == nil {
-			continue
+	resp.Merged.Requests = map[string]int64{}
+	resp.Merged.Methods = map[string]int64{}
+	for _, rep := range resp.Replicas {
+		if rep.Stats != nil {
+			resp.Merged.Replicas++
+			resp.Merged.Merge(*rep.Stats)
 		}
-		merged.Replicas++
-		merged.InFlight += st.InFlight
-		merged.Shed += st.Shed
-		for k, v := range st.Requests {
-			merged.Requests[k] += v
-		}
-		merged.CacheEntries += st.Cache.Entries
-		merged.CacheCap += st.Cache.Cap
-		merged.CacheHits += st.Cache.Hits
-		merged.CacheMisses += st.Cache.Misses
-		merged.Evictions += st.Cache.Evictions
-		merged.PlanEntries += st.Cache.PlanEntries
-		merged.PlanHits += st.Cache.PlanHits
-		merged.PlanMisses += st.Cache.PlanMisses
-		merged.PlanEvictions += st.Cache.PlanEvictions
 	}
-	if total := merged.CacheHits + merged.CacheMisses; total > 0 {
-		merged.HitRate = float64(merged.CacheHits) / float64(total)
-	}
-	if total := merged.PlanHits + merged.PlanMisses; total > 0 {
-		merged.PlanHitRate = float64(merged.PlanHits) / float64(total)
-	}
-
-	resp := gatewayStatsJSON{
-		UptimeMs: float64(time.Since(g.start).Microseconds()) / 1000,
-		Requests: make(map[string]int64),
-		Rerouted: g.rerouted.Load(),
-		Retried:  g.retried.Load(),
-		Shed:     g.shed.Load(),
-		Replicas: per,
-		Merged:   merged,
-	}
-	g.mu.Lock()
-	for k, v := range g.requests {
-		resp.Requests[k] = v
-	}
-	g.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// --- response helpers (same documents the server emits) ---
-
-func writeJSON(w http.ResponseWriter, status int, doc any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(doc) // past WriteHeader, an encode error has no channel left
-}
-
-type errorJSON struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	code := jobspec.ErrorCode(err)
-	if code == jobspec.CodeInternal && status >= 400 && status < 500 {
-		code = jobspec.CodeInvalid
-	}
-	writeJSON(w, status, errorJSON{Error: err.Error(), Code: code})
-}
-
-// writeShed answers 503 + Retry-After with code "shed": the cluster has
-// no healthy replica for this request right now.
-func writeShed(w http.ResponseWriter, err error) {
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: err.Error(), Code: jobspec.CodeShed})
-}
-
-func decodeStatus(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
+	jobspec.WriteJSON(w, http.StatusOK, resp)
 }

@@ -6,14 +6,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/jobspec"
-	"repro/internal/pipeline"
 	"repro/internal/server"
+	"repro/internal/servetest"
 )
 
 // --- Router unit tests ---
@@ -102,16 +103,6 @@ func TestParseRetryAfter(t *testing.T) {
 
 // --- integration harness ---
 
-func fig1JSON(t *testing.T) string {
-	t.Helper()
-	inst := pipeline.MotivatingExample()
-	var buf bytes.Buffer
-	if err := pipeline.EncodeJSON(&buf, &inst); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
 // startReplicas spins n in-process pipeserved replicas and returns their
 // base URLs plus the test servers (for targeted shutdowns).
 func startReplicas(t *testing.T, n int, cfg server.Config) ([]string, []*httptest.Server) {
@@ -155,7 +146,7 @@ func batchBody(t *testing.T, n int) string {
 	for i := 0; i < n; i++ {
 		jobs = append(jobs, fmt.Sprintf(`{"request": {"objective": "energy", "periodBound": %g}}`, 2+float64(i)/8))
 	}
-	return `{"instance": ` + fig1JSON(t) + `, "jobs": [` + strings.Join(jobs, ",") + `]}`
+	return `{"instance": ` + servetest.Fig1JSON(t) + `, "jobs": [` + strings.Join(jobs, ",") + `]}`
 }
 
 func postGateway(g *Gateway, path, body string) *httptest.ResponseRecorder {
@@ -259,7 +250,7 @@ func TestGatewayBatchFanOut(t *testing.T) {
 	var misses int64
 	for _, rep := range st.Replicas {
 		if rep.Stats != nil {
-			misses += rep.Stats.Cache.Misses
+			misses += rep.Stats.CacheMisses
 		}
 	}
 	if st.Merged.CacheMisses != misses {
@@ -413,7 +404,7 @@ func TestGatewayAllReplicasDown(t *testing.T) {
 		t.Errorf("readyz = %d with all replicas down, want 503", rec.Code)
 	}
 	solve := postGateway(g, "/v1/solve",
-		`{"instance": `+fig1JSON(t)+`, "request": {"objective": "period"}}`)
+		`{"instance": `+servetest.Fig1JSON(t)+`, "request": {"objective": "period"}}`)
 	if solve.Code != http.StatusServiceUnavailable {
 		t.Errorf("solve status %d, want 503", solve.Code)
 	}
@@ -470,7 +461,7 @@ func TestGatewaySolvePassthrough(t *testing.T) {
 	urls, _ := startReplicas(t, 3, server.Config{})
 	g := newGateway(t, urls, Config{})
 
-	body := `{"instance": ` + fig1JSON(t) + `, "request": {"objective": "energy", "periodBound": 2}}`
+	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"objective": "energy", "periodBound": 2}}`
 	rec := postGateway(g, "/v1/solve", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
@@ -483,7 +474,7 @@ func TestGatewaySolvePassthrough(t *testing.T) {
 
 	// An infeasible request's 422 error document passes through untouched.
 	infeasible := postGateway(g, "/v1/solve",
-		`{"instance": `+fig1JSON(t)+`, "request": {"objective": "energy", "periodBound": 0.01}}`)
+		`{"instance": `+servetest.Fig1JSON(t)+`, "request": {"objective": "energy", "periodBound": 0.01}}`)
 	if infeasible.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("infeasible solve: status %d, want 422: %s", infeasible.Code, infeasible.Body.String())
 	}
@@ -501,5 +492,83 @@ func TestGatewaySolvePassthrough(t *testing.T) {
 	decode(t, getGateway(g, "/stats"), &st)
 	if st.Merged.CacheHits == 0 {
 		t.Error("repeated solve produced no cache hit anywhere; key routing is unstable")
+	}
+}
+
+// TestGatewayPropertyErrorResponsesAreStructuredJSON runs the server's
+// corruption table (see servetest) against the gateway handler: errors
+// the gateway answers itself and errors it relays from a replica must
+// both be structured JSON with a code, and its own body cap answers 413.
+func TestGatewayPropertyErrorResponsesAreStructuredJSON(t *testing.T) {
+	urls, _ := startReplicas(t, 1, server.Config{})
+	servetest.ErrorResponsesAreStructuredJSON(t, newGateway(t, urls, Config{MaxBody: 64 << 10}))
+}
+
+// TestGatewayOversizedBodyAllEndpoints asserts the gateway's body cap
+// protects every POST endpoint with a structured 413 before anything is
+// forwarded, under the same rule as the server's.
+func TestGatewayOversizedBodyAllEndpoints(t *testing.T) {
+	urls, _ := startReplicas(t, 1, server.Config{})
+	servetest.OversizedBodyAllEndpoints(t,
+		newGateway(t, urls, Config{MaxBody: 1024}), newGateway(t, urls, Config{}))
+}
+
+// TestGatewayUnmatchedPathsShareOneCounter keeps the gateway's per-route
+// counter map bounded: arbitrary probed paths must not each earn a map
+// entry, and are counted together instead of dropped.
+func TestGatewayUnmatchedPathsShareOneCounter(t *testing.T) {
+	urls, _ := startReplicas(t, 1, server.Config{})
+	g := newGateway(t, urls, Config{})
+	for _, p := range []string{"/admin", "/.env", "/nope/deeper"} {
+		if rec := getGateway(g, p); rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s status = %d, want 404", p, rec.Code)
+		}
+	}
+	var st gatewayStatsJSON
+	decode(t, getGateway(g, "/stats"), &st)
+	if st.Requests["unmatched"] != 3 {
+		t.Errorf("unmatched = %d, want 3 (map: %v)", st.Requests["unmatched"], st.Requests)
+	}
+	for k := range st.Requests {
+		if strings.HasPrefix(k, "/admin") || strings.HasPrefix(k, "/.env") || strings.HasPrefix(k, "/nope") {
+			t.Errorf("probed path %q earned its own counter entry", k)
+		}
+	}
+}
+
+// TestGatewayMergedStats pins the merged block against the replicas' own
+// documents: every additive field is the sum over the reachable
+// replicas, including the queued and per-method totals.
+func TestGatewayMergedStats(t *testing.T) {
+	urls, _ := startReplicas(t, 3, server.Config{CacheCap: 64})
+	g := newGateway(t, urls, Config{})
+	for range 2 {
+		if rec := postGateway(g, "/v1/batch", batchBody(t, 12)); rec.Code != http.StatusOK {
+			t.Fatalf("batch: status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	var st gatewayStatsJSON
+	decode(t, getGateway(g, "/stats"), &st)
+	var want jobspec.ServiceStats
+	for _, rep := range st.Replicas {
+		if rep.Stats == nil {
+			t.Fatalf("replica %s unreachable", rep.URL)
+		}
+		want.Merge(*rep.Stats)
+	}
+	// The /stats sample itself is in flight on every replica it reaches.
+	if st.Merged.Replicas != 3 || st.Merged.InFlight != 3 {
+		t.Errorf("merged replicas/inFlight = %d/%d, want 3/3", st.Merged.Replicas, st.Merged.InFlight)
+	}
+	if !reflect.DeepEqual(st.Merged.ServiceStats, want) {
+		t.Errorf("merged = %+v\nwant     %+v", st.Merged.ServiceStats, want)
+	}
+	jobs := int64(0)
+	for _, n := range st.Merged.Methods {
+		jobs += n
+	}
+	if jobs != 24 || st.Merged.CacheHits != 12 || st.Merged.CacheCap != 3*64 {
+		t.Errorf("merged methods=%d cacheHits=%d cacheCap=%d, want 24/12/%d",
+			jobs, st.Merged.CacheHits, st.Merged.CacheCap, 3*64)
 	}
 }

@@ -1,0 +1,141 @@
+// The HTTP serving skeleton shared by pipeserved (internal/server) and
+// pipegateway (internal/gateway): the response writers, the error
+// document, the body-cap rule, the per-route request counters and the
+// probe writer. Both front ends answer with exactly these documents, so
+// a client (or the gateway relaying a replica's answer) sees one wire
+// format whichever process it talks to.
+
+package jobspec
+
+import (
+	"encoding/json"
+	"errors"
+	"net/http"
+	"strconv"
+	"strings"
+	"sync"
+	"time"
+)
+
+// DefaultMaxBody is the request body cap, in bytes, of a handler whose
+// configured cap is 0.
+const DefaultMaxBody int64 = 8 << 20
+
+// LimitBody applies the body-cap rule every handler shares: limit 0
+// means DefaultMaxBody, a negative limit disables the cap. Reading past
+// the cap fails with an *http.MaxBytesError, which DecodeStatus maps to
+// 413.
+func LimitBody(w http.ResponseWriter, r *http.Request, limit int64) {
+	if limit == 0 {
+		limit = DefaultMaxBody
+	}
+	if limit > 0 && r.Body != nil {
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
+	}
+}
+
+// WriteJSON emits a response document, compactly encoded.
+func WriteJSON(w http.ResponseWriter, status int, doc any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(doc) // past WriteHeader, an encode error has no channel left
+}
+
+// errorDoc is the body of every error response.
+type errorDoc struct {
+	Error string `json:"error"`
+	// Code is the stable machine-readable classification (Code* consts);
+	// the error text stays free-form.
+	Code string `json:"code,omitempty"`
+}
+
+// WriteError answers a structured error document, classifying err
+// through ErrorCode. A 4xx the classifier cannot name (malformed body,
+// missing field, oversized request) is the client's fault, so it reports
+// "invalid" rather than "internal".
+func WriteError(w http.ResponseWriter, status int, err error) {
+	code := ErrorCode(err)
+	if code == CodeInternal && status >= 400 && status < 500 {
+		code = CodeInvalid
+	}
+	WriteJSON(w, status, errorDoc{Error: err.Error(), Code: code})
+}
+
+// WriteShed answers a load-shedding rejection (admission gate full,
+// circuit open, no healthy replica): code "shed" plus a Retry-After
+// header so well-behaved clients back off instead of hammering. The wait
+// is rendered in whole seconds, rounded up and never below 1 — a zero
+// would invite an immediate retry of a request just shed for overload.
+func WriteShed(w http.ResponseWriter, status int, wait time.Duration, err error) {
+	secs := max(int64((wait+time.Second-1)/time.Second), 1)
+	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	WriteJSON(w, status, errorDoc{Error: err.Error(), Code: CodeShed})
+}
+
+// DecodeStatus maps a body-reading or decoding failure to an HTTP
+// status: an oversized body (see LimitBody) is 413, anything else is a
+// plain bad request.
+func DecodeStatus(err error) int {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// WriteProbe answers a liveness or readiness probe: 200 when ready, 503
+// otherwise, naming the state in a {"status": ...} document.
+func WriteProbe(w http.ResponseWriter, ready bool, status string) {
+	code := http.StatusOK
+	if !ready {
+		code = http.StatusServiceUnavailable
+	}
+	WriteJSON(w, code, map[string]string{"status": status})
+}
+
+// Healthz is the liveness probe: 200 for as long as the process can
+// serve HTTP at all, even while draining — restarting a draining process
+// would kill the in-flight requests the drain exists to protect.
+func Healthz(w http.ResponseWriter, _ *http.Request) { WriteProbe(w, true, "ok") }
+
+// Counters is a set of named counters, safe for concurrent use. The zero
+// value is ready.
+type Counters struct {
+	mu sync.Mutex
+	m  map[string]int64
+}
+
+// Add adds n to the counter named key.
+func (c *Counters) Add(key string, n int64) {
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[string]int64)
+	}
+	c.m[key] += n
+	c.mu.Unlock()
+}
+
+// Snapshot returns a copy of every counter; it is never nil.
+func (c *Counters) Snapshot() map[string]int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]int64, len(c.m))
+	for k, v := range c.m {
+		out[k] = v
+	}
+	return out
+}
+
+// RouteKey names the route r matches on mux by its path ("/v1/solve"),
+// or "unmatched". Per-route counters keyed by it stay bounded for the
+// life of the process no matter what paths clients (or scanners) probe.
+func RouteKey(mux *http.ServeMux, r *http.Request) string {
+	_, pattern := mux.Handler(r)
+	if pattern == "" {
+		return "unmatched"
+	}
+	if i := strings.IndexByte(pattern, ' '); i >= 0 {
+		pattern = pattern[i+1:] // strip the "METHOD " prefix
+	}
+	return pattern
+}

@@ -1,0 +1,156 @@
+package jobspec
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/batch"
+)
+
+// TestLimitBody pins the one body-cap rule: 0 means DefaultMaxBody, a
+// positive limit caps at that many bytes, a negative one disables the
+// cap; an overrun is a 413.
+func TestLimitBody(t *testing.T) {
+	for _, c := range []struct {
+		limit    int64
+		size     int64
+		wantFail bool
+	}{
+		{0, DefaultMaxBody, false},
+		{0, DefaultMaxBody + 1, true},
+		{10, 10, false},
+		{10, 11, true},
+		{-1, DefaultMaxBody + 1, false},
+	} {
+		rec := httptest.NewRecorder()
+		r := httptest.NewRequest("POST", "/v1/batch", strings.NewReader(strings.Repeat(" ", int(c.size))))
+		LimitBody(rec, r, c.limit)
+		_, err := io.Copy(io.Discard, r.Body)
+		if (err != nil) != c.wantFail {
+			t.Errorf("limit %d, body %d: read error %v, want failure %v", c.limit, c.size, err, c.wantFail)
+		}
+		if err != nil && DecodeStatus(err) != http.StatusRequestEntityTooLarge {
+			t.Errorf("limit %d: overrun maps to %d, want 413", c.limit, DecodeStatus(err))
+		}
+	}
+	if DecodeStatus(errors.New("unexpected EOF")) != http.StatusBadRequest {
+		t.Error("a plain decode failure is not a 400")
+	}
+}
+
+// TestWriteErrorAndShed pins the error document: a 4xx the classifier
+// calls internal reports "invalid", a 5xx keeps "internal", and a shed
+// carries code "shed" with Retry-After in whole seconds, rounded up,
+// never below 1.
+func TestWriteErrorAndShed(t *testing.T) {
+	var doc errorDoc
+	for _, c := range []struct {
+		status int
+		want   string
+	}{{http.StatusBadRequest, CodeInvalid}, {http.StatusInternalServerError, CodeInternal}} {
+		rec := httptest.NewRecorder()
+		WriteError(rec, c.status, errors.New("boom"))
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || doc.Code != c.want || doc.Error != "boom" {
+			t.Errorf("status %d: %s (err %v), want code %q", c.status, rec.Body.String(), err, c.want)
+		}
+	}
+	for wait, want := range map[time.Duration]string{0: "1", time.Millisecond: "1", time.Second: "1", 1500 * time.Millisecond: "2", 3 * time.Second: "3"} {
+		rec := httptest.NewRecorder()
+		WriteShed(rec, http.StatusTooManyRequests, wait, errors.New("busy"))
+		if got := rec.Header().Get("Retry-After"); got != want {
+			t.Errorf("wait %v: Retry-After %q, want %q", wait, got, want)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || doc.Code != CodeShed || rec.Code != http.StatusTooManyRequests {
+			t.Errorf("wait %v: %d %s, want 429 with code shed", wait, rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// TestRouteKey names requests by registered route and folds everything
+// else — unknown paths and method mismatches — into "unmatched".
+func TestRouteKey(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/solve", func(http.ResponseWriter, *http.Request) {})
+	mux.HandleFunc("GET /healthz", Healthz)
+	for _, c := range []struct{ method, path, want string }{
+		{"POST", "/v1/solve", "/v1/solve"},
+		{"GET", "/healthz", "/healthz"},
+		{"GET", "/v1/solve", "unmatched"},
+		{"GET", "/.env", "unmatched"},
+	} {
+		if got := RouteKey(mux, httptest.NewRequest(c.method, c.path, nil)); got != c.want {
+			t.Errorf("%s %s: route %q, want %q", c.method, c.path, got, c.want)
+		}
+	}
+}
+
+// TestCountersConcurrent adds to shared counters from many goroutines,
+// as concurrent requests do; run it under the race detector.
+func TestCountersConcurrent(t *testing.T) {
+	var c Counters
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 1000 {
+				c.Add("all", 1)
+				c.Add(fmt.Sprint("g", g%2), 1)
+			}
+			c.Snapshot()
+		}()
+	}
+	wg.Wait()
+	if got := c.Snapshot(); got["all"] != 8000 || got["g0"] != 4000 || got["g1"] != 4000 || len(got) != 3 {
+		t.Errorf("counters = %v, want all=8000 g0=4000 g1=4000", got)
+	}
+}
+
+// discardWriter is a ResponseWriter that only counts the bytes written.
+type discardWriter struct {
+	h http.Header
+	n int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(int)             {}
+func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// BenchmarkEncodeOutput measures writing one 8-job /v1/batch response:
+// encoding the engine results to the wire document and writing it with
+// WriteJSON.
+func BenchmarkEncodeOutput(b *testing.B) {
+	jobs := make([]string, 8)
+	for i := range jobs {
+		jobs[i] = fmt.Sprintf(`{"request": {"objective": "energy", "periodBound": %g}}`, 2+float64(i)/8)
+	}
+	doc := fig1File(b, "["+strings.Join(jobs, ",")+"]")
+	bj, err := doc.BatchJobs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	results, stats := batch.Solve(bj, batch.Options{})
+	w := &discardWriter{h: make(http.Header)}
+	write := func() {
+		out, err := EncodeOutput(results, stats)
+		if err != nil {
+			b.Fatal(err)
+		}
+		WriteJSON(w, http.StatusOK, out)
+	}
+	write()
+	size := w.n
+	b.ReportAllocs()
+	for b.Loop() {
+		write()
+	}
+	b.ReportMetric(float64(size), "bytes/response")
+}

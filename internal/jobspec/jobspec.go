@@ -1,10 +1,13 @@
 // Package jobspec is the JSON wire schema shared by the batch-solving
-// front ends — the pipebatch CLI and the pipeserved HTTP service. It
-// defines the job-file document (a default instance plus a list of
-// requests, each optionally carrying its own instance), translates it into
-// engine jobs, and encodes per-job results and batch statistics back out.
+// front ends — the pipebatch CLI, the pipeserved HTTP service and the
+// pipegateway cluster front. It defines the job-file document (a default
+// instance plus a list of requests, each optionally carrying its own
+// instance), translates it into engine jobs, and encodes per-job results
+// and batch statistics back out. It also holds the one /stats schema
+// (ServiceStats) and the HTTP serving skeleton both services share (see
+// http.go): response and error writers, the body cap, request counters.
 //
-// Keeping the schema in one package guarantees the CLI and the server
+// Keeping the schema in one package guarantees the CLI and the servers
 // accept and emit exactly the same documents: a job file written for
 // `pipebatch -in` can be POSTed verbatim to `/v1/batch`.
 //
@@ -29,6 +32,7 @@ import (
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/mapping"
+	"repro/internal/memo"
 	"repro/internal/pipeline"
 )
 
@@ -284,6 +288,101 @@ type Stats struct {
 	Methods   map[string]int `json:"methods"`
 }
 
+// Merge folds the statistics of a batch answered alongside s (a
+// gateway's concurrent sub-batches) into s: counters and per-method
+// counts add up, and the wall time is the longer of the two.
+func (s *Stats) Merge(o Stats) {
+	s.Jobs += o.Jobs
+	s.CacheHits += o.CacheHits
+	s.Errors += o.Errors
+	s.PlanCompiles += o.PlanCompiles
+	s.PlanReuses += o.PlanReuses
+	s.Degraded += o.Degraded
+	s.Preempted += o.Preempted
+	s.WallMs = max(s.WallMs, o.WallMs)
+	addCounts(&s.Methods, o.Methods)
+}
+
+// ServiceStats is the additive part of a service's /stats document, the
+// one schema pipeserved reports and pipegateway sums across its replicas:
+// request gauges and counters, and the shared cache's result memo and
+// compiled-plan tier (see batch.Cache).
+type ServiceStats struct {
+	InFlight int64            `json:"inFlight"`
+	Queued   int64            `json:"queued"`
+	Shed     int64            `json:"shed"`
+	Requests map[string]int64 `json:"requests"`
+	Methods  map[string]int64 `json:"methods"`
+
+	CacheEntries int     `json:"cacheEntries"`
+	CacheCap     int     `json:"cacheCap"`
+	CacheHits    int64   `json:"cacheHits"`
+	CacheMisses  int64   `json:"cacheMisses"`
+	Evictions    int64   `json:"evictions"`
+	HitRate      float64 `json:"hitRate"`
+
+	PlanEntries   int     `json:"planEntries"`
+	PlanHits      int64   `json:"planHits"`
+	PlanMisses    int64   `json:"planMisses"`
+	PlanEvictions int64   `json:"planEvictions"`
+	PlanHitRate   float64 `json:"planHitRate"`
+}
+
+// NewServiceStats fills the cache fields from a cache snapshot.
+func NewServiceStats(cs batch.CacheStats) ServiceStats {
+	return ServiceStats{
+		CacheEntries:  cs.Entries,
+		CacheCap:      cs.Cap,
+		CacheHits:     cs.Hits,
+		CacheMisses:   cs.Misses,
+		Evictions:     cs.Evictions,
+		HitRate:       cs.HitRate(),
+		PlanEntries:   cs.Plans.Entries,
+		PlanHits:      cs.Plans.Hits,
+		PlanMisses:    cs.Plans.Misses,
+		PlanEvictions: cs.Plans.Evictions,
+		PlanHitRate:   cs.Plans.HitRate(),
+	}
+}
+
+// Merge adds o into s: every counter and gauge is summed, the maps key by
+// key, and both hit rates are recomputed from the summed hits and misses
+// (never averaged).
+func (s *ServiceStats) Merge(o ServiceStats) {
+	s.InFlight += o.InFlight
+	s.Queued += o.Queued
+	s.Shed += o.Shed
+	addCounts(&s.Requests, o.Requests)
+	addCounts(&s.Methods, o.Methods)
+
+	s.CacheEntries += o.CacheEntries
+	s.CacheCap += o.CacheCap
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.Evictions += o.Evictions
+	s.HitRate = hitRate(s.CacheHits, s.CacheMisses)
+
+	s.PlanEntries += o.PlanEntries
+	s.PlanHits += o.PlanHits
+	s.PlanMisses += o.PlanMisses
+	s.PlanEvictions += o.PlanEvictions
+	s.PlanHitRate = hitRate(s.PlanHits, s.PlanMisses)
+}
+
+// addCounts adds src into *dst key by key, allocating *dst if needed.
+func addCounts[V int | int64](dst *map[string]V, src map[string]V) {
+	if *dst == nil {
+		*dst = make(map[string]V, len(src))
+	}
+	for k, v := range src {
+		(*dst)[k] += v
+	}
+}
+
+func hitRate(hits, misses int64) float64 {
+	return memo.Stats{Hits: hits, Misses: misses}.HitRate()
+}
+
 // Output is the batch response document: per-job results in input order
 // plus aggregate statistics.
 type Output struct {
@@ -296,11 +395,11 @@ func EncodeResult(jr batch.JobResult) (Result, error) {
 	if jr.Err != nil {
 		return Result{Error: jr.Err.Error(), Code: ErrorCode(jr.Err)}, nil
 	}
-	var buf bytes.Buffer
-	if err := mapping.EncodeJSON(&buf, &jr.Result.Mapping); err != nil {
+	mj, err := mapping.MarshalJSON(&jr.Result.Mapping)
+	if err != nil {
 		return Result{}, err
 	}
-	raw := json.RawMessage(buf.Bytes())
+	raw := json.RawMessage(mj)
 	out := Result{
 		Value:   Float(jr.Result.Value),
 		Method:  string(jr.Result.Method),

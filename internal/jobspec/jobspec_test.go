@@ -56,7 +56,7 @@ func TestFloatRendersNonFiniteAsNull(t *testing.T) {
 	}
 }
 
-func fig1File(t *testing.T, jobs string) File {
+func fig1File(t testing.TB, jobs string) File {
 	t.Helper()
 	inst := pipeline.MotivatingExample()
 	var buf bytes.Buffer

@@ -24,8 +24,7 @@ type intervalJSON struct {
 	Mode int `json:"mode"`
 }
 
-// EncodeJSON writes m to w.
-func EncodeJSON(w io.Writer, m *Mapping) error {
+func docOf(m *Mapping) mappingJSON {
 	doc := mappingJSON{}
 	for a := range m.Apps {
 		aj := appMappingJSON{}
@@ -34,9 +33,20 @@ func EncodeJSON(w io.Writer, m *Mapping) error {
 		}
 		doc.Apps = append(doc.Apps, aj)
 	}
+	return doc
+}
+
+// EncodeJSON writes m to w, indented for a file a person reads.
+func EncodeJSON(w io.Writer, m *Mapping) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return enc.Encode(docOf(m))
+}
+
+// MarshalJSON returns the compact encoding of m, for embedding in a
+// response document.
+func MarshalJSON(m *Mapping) ([]byte, error) {
+	return json.Marshal(docOf(m))
 }
 
 // DecodeJSON parses a mapping from r. Structural validity against an

@@ -2,107 +2,19 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/servetest"
 )
 
-// checkStructuredError asserts the error-response invariant: every non-2xx
-// response must be a JSON document with a non-empty "error" field — never
-// a 500 with an empty body, whatever the client sent.
-func checkStructuredError(t *testing.T, label string, rec *httptest.ResponseRecorder) {
-	t.Helper()
-	if rec.Code >= 200 && rec.Code < 300 {
-		return
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("%s: status %d with Content-Type %q, want application/json", label, rec.Code, ct)
-	}
-	var doc struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("%s: status %d body is not a JSON error document: %v\nbody: %q",
-			label, rec.Code, err, rec.Body.String())
-	}
-	if doc.Error == "" {
-		t.Errorf("%s: status %d with empty error field\nbody: %q", label, rec.Code, rec.Body.String())
-	}
-}
-
-// TestPropertyErrorResponsesAreStructuredJSON drives /v1/pareto and
-// /v1/batch with seeded random corruptions of valid documents — invalid
-// rule and model strings, invalid platform shapes, truncated and garbled
-// bytes, wrong JSON types, empty and oversized bodies — and asserts the
-// structured-error invariant on every response.
+// TestPropertyErrorResponsesAreStructuredJSON runs the shared
+// corruption table (see servetest) against the server handler.
 func TestPropertyErrorResponsesAreStructuredJSON(t *testing.T) {
-	s := New(Config{MaxBody: 64 << 10})
-	inst := fig1JSON(t)
-	valid := map[string]string{
-		"/v1/pareto": fmt.Sprintf(`{"instance": %s, "rule": "interval", "model": "overlap"}`, inst),
-		"/v1/batch":  fmt.Sprintf(`{"instance": %s, "jobs": [{"request": {"objective": "period"}}]}`, inst),
-	}
-	// Each mutation corrupts a valid document; rng picks among them.
-	mutations := []func(rng *rand.Rand, doc string) (string, string){
-		func(rng *rand.Rand, doc string) (string, string) {
-			return "invalid-rule", strings.Replace(doc, `"interval"`, `"diagonal"`, 1)
-		},
-		func(rng *rand.Rand, doc string) (string, string) {
-			return "invalid-model", strings.Replace(doc, `"overlap"`, `"psychic"`, 1)
-		},
-		func(rng *rand.Rand, doc string) (string, string) {
-			return "invalid-objective", strings.Replace(doc, `"period"`, `"vibes"`, 1)
-		},
-		func(rng *rand.Rand, doc string) (string, string) {
-			// Invalid platform class shape: processors with no speed sets.
-			return "invalid-platform", strings.Replace(doc, `"speeds"`, `"speedz"`, 1)
-		},
-		func(rng *rand.Rand, doc string) (string, string) {
-			return "truncated", doc[:rng.Intn(len(doc))]
-		},
-		func(rng *rand.Rand, doc string) (string, string) {
-			// Flip a handful of bytes anywhere in the document.
-			b := []byte(doc)
-			for k := 0; k < 1+rng.Intn(4); k++ {
-				b[rng.Intn(len(b))] = byte(rng.Intn(256))
-			}
-			return "garbled", string(b)
-		},
-		func(rng *rand.Rand, doc string) (string, string) {
-			return "wrong-type", strings.Replace(doc, `[`, `{`, 1)
-		},
-		func(rng *rand.Rand, doc string) (string, string) {
-			return "unknown-field", strings.Replace(doc, `"instance"`, `"instanze"`, 1)
-		},
-		func(rng *rand.Rand, doc string) (string, string) {
-			return "empty", ""
-		},
-		func(rng *rand.Rand, doc string) (string, string) {
-			return "oversized", doc[:len(doc)-1] + strings.Repeat(" ", 128<<10) + "}"
-		},
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 300; i++ {
-		for path, doc := range valid {
-			name, body := mutations[rng.Intn(len(mutations))](rng, doc)
-			rec := post(s, path, body)
-			checkStructuredError(t, fmt.Sprintf("iter %d %s %s", i, path, name), rec)
-			if name == "oversized" && rec.Code != http.StatusRequestEntityTooLarge {
-				t.Errorf("iter %d %s oversized body answered %d, want 413", i, path, rec.Code)
-			}
-		}
-	}
-	// The untouched documents must still succeed: the server state cannot
-	// have been wedged by any corruption above.
-	for path, doc := range valid {
-		if rec := post(s, path, doc); rec.Code != http.StatusOK {
-			t.Errorf("%s: valid document answers %d after the corruption sweep\n%s", path, rec.Code, rec.Body.String())
-		}
-	}
+	servetest.ErrorResponsesAreStructuredJSON(t, New(Config{MaxBody: 64 << 10}))
 }
 
 // TestPropertyCancelledContext asserts a request whose context is already
@@ -110,7 +22,7 @@ func TestPropertyErrorResponsesAreStructuredJSON(t *testing.T) {
 // batch and the pareto paths.
 func TestPropertyCancelledContext(t *testing.T) {
 	s := New(Config{})
-	inst := fig1JSON(t)
+	inst := servetest.Fig1JSON(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for path, body := range map[string]string{
@@ -120,7 +32,7 @@ func TestPropertyCancelledContext(t *testing.T) {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest("POST", path, strings.NewReader(body)).WithContext(ctx)
 		s.ServeHTTP(rec, req)
-		checkStructuredError(t, path, rec)
+		servetest.CheckStructuredError(t, path, rec)
 		if rec.Code != http.StatusServiceUnavailable {
 			t.Errorf("%s with cancelled context answered %d, want 503\n%s", path, rec.Code, rec.Body.String())
 		}
@@ -130,20 +42,5 @@ func TestPropertyCancelledContext(t *testing.T) {
 // TestPropertyOversizedBodyAllEndpoints asserts the body cap protects
 // every POST endpoint with a structured 413.
 func TestPropertyOversizedBodyAllEndpoints(t *testing.T) {
-	s := New(Config{MaxBody: 1024})
-	huge := `{"pad": "` + strings.Repeat("x", 4096) + `"}`
-	for _, path := range []string{"/v1/solve", "/v1/batch", "/v1/pareto", "/v1/simulate"} {
-		rec := post(s, path, huge)
-		checkStructuredError(t, path, rec)
-		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s oversized body answered %d, want 413\n%s", path, rec.Code, rec.Body.String())
-		}
-	}
-	// Within the cap, the default-config server must keep accepting the
-	// Section 2 document (the cap must not break normal requests).
-	def := New(Config{})
-	body := fmt.Sprintf(`{"instance": %s, "jobs": [{"request": {"objective": "period"}}]}`, fig1JSON(t))
-	if rec := post(def, "/v1/batch", body); rec.Code != http.StatusOK {
-		t.Errorf("default cap rejected a normal document: %d\n%s", rec.Code, rec.Body.String())
-	}
+	servetest.OversizedBodyAllEndpoints(t, New(Config{MaxBody: 1024}), New(Config{}))
 }

@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -142,17 +141,6 @@ func (sr *statusRecorder) WriteHeader(status int) {
 	sr.ResponseWriter.WriteHeader(status)
 }
 
-// retryAfterSeconds renders a wait as a Retry-After value: whole
-// seconds, rounded up, never below 1 (a zero would invite an immediate
-// retry of a request just shed for overload).
-func retryAfterSeconds(wait time.Duration) string {
-	secs := int64((wait + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
-}
-
 // resolveRequest is the /v1/resolve document: the pre-fault problem
 // (instance + request, exactly the /v1/solve schema) plus the fault
 // event to absorb.
@@ -203,28 +191,28 @@ type resolveResponse struct {
 func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	var body resolveRequest
 	if err := decodeBody(r, &body); err != nil {
-		writeError(w, decodeStatus(err), err)
+		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}
 	if body.Instance == nil {
-		writeError(w, http.StatusBadRequest, errors.New("resolve request has no instance"))
+		jobspec.WriteError(w, http.StatusBadRequest, errors.New("resolve request has no instance"))
 		return
 	}
 	kind, err := chaos.ParseKind(body.Event.Kind)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	file := jobspec.File{Instance: body.Instance, Jobs: []jobspec.Job{{Request: body.Request}}}
 	jobs, err := file.BatchJobs()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	job := jobs[0]
 	pl, err, _ := s.cache.PlanFor(job.Inst, job.Req.Rule, job.Req.Model)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	ev := chaos.Event{Kind: kind, Proc: body.Event.Proc, App: body.Event.App,
@@ -243,20 +231,20 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		if chaos.IsInapplicable(err) {
 			status = http.StatusUnprocessableEntity
 		}
-		writeError(w, status, err)
+		jobspec.WriteError(w, status, err)
 		return
 	}
 	before, err := jobspec.EncodeResult(batch.JobResult{Result: res.Before})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		jobspec.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	after, err := jobspec.EncodeResult(batch.JobResult{Result: res.After})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		jobspec.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resolveResponse{
+	jobspec.WriteJSON(w, http.StatusOK, resolveResponse{
 		Event:  body.Event,
 		Before: before,
 		After:  after,

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/servetest"
 )
 
 type errorBody struct {
@@ -22,7 +24,7 @@ func TestShedUnderSaturation(t *testing.T) {
 	// Hold the only admission slot so the next request queues and the one
 	// after that overflows — deterministic saturation, no timing games.
 	s.sem <- struct{}{}
-	body := `{"instance": ` + fig1JSON(t) + `, "request": {"objective": "latency"}}`
+	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"objective": "latency"}}`
 
 	queuedDone := make(chan int, 1)
 	go func() {
@@ -71,7 +73,7 @@ func TestShedConcurrentLoad(t *testing.T) {
 	s := New(Config{MaxInFlight: 2, MaxQueue: 2})
 	s.sem <- struct{}{}
 	s.sem <- struct{}{} // gate fully held: all admitted requests queue
-	body := `{"instance": ` + fig1JSON(t) + `, "request": {"objective": "latency"}}`
+	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"objective": "latency"}}`
 
 	const burst = 16
 	codes := make([]int, burst)
@@ -115,7 +117,7 @@ func TestBreakerTripsAndCoolsDown(t *testing.T) {
 		BreakerThreshold: 2,
 		BreakerCooldown:  100 * time.Millisecond,
 	})
-	body := `{"instance": ` + fig1JSON(t) + `, "request": {"objective": "latency"}}`
+	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"objective": "latency"}}`
 
 	for i := 0; i < 2; i++ {
 		if rec := post(s, "/v1/solve", body); rec.Code != http.StatusGatewayTimeout {
@@ -137,7 +139,7 @@ func TestBreakerTripsAndCoolsDown(t *testing.T) {
 
 	// The breaker is per endpoint: /v1/batch is unaffected by /v1/solve's
 	// open circuit (it overruns on its own, but it is admitted).
-	if rec := post(s, "/v1/batch", `{"instance": `+fig1JSON(t)+`,
+	if rec := post(s, "/v1/batch", `{"instance": `+servetest.Fig1JSON(t)+`,
 		"jobs": [{"request": {"objective": "latency"}}]}`); rec.Code == http.StatusServiceUnavailable {
 		t.Fatalf("/v1/batch was shed by /v1/solve's breaker: %s", rec.Body.String())
 	}
@@ -281,7 +283,7 @@ func TestDrain(t *testing.T) {
 	// Occupy the gate so a request is genuinely in flight (queued on the
 	// semaphore) while we flip draining.
 	s.sem <- struct{}{}
-	body := `{"instance": ` + fig1JSON(t) + `, "request": {"objective": "period"}}`
+	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"objective": "period"}}`
 	inFlight := make(chan int, 1)
 	go func() {
 		inFlight <- post(s, "/v1/solve", body).Code
@@ -325,7 +327,7 @@ func TestDrain(t *testing.T) {
 // that retires the failed processor.
 func TestResolveEndpoint(t *testing.T) {
 	s := New(Config{})
-	rec := post(s, "/v1/resolve", `{"instance": `+fig1JSON(t)+`,
+	rec := post(s, "/v1/resolve", `{"instance": `+servetest.Fig1JSON(t)+`,
 		"request": {"objective": "period"},
 		"event": {"kind": "proc-fail", "proc": 0}}`)
 	if rec.Code != http.StatusOK {
@@ -382,9 +384,9 @@ func TestResolveErrors(t *testing.T) {
 	}{
 		{"no instance", `{"request": {}, "event": {"kind": "proc-fail"}}`,
 			http.StatusBadRequest, "invalid"},
-		{"bad kind", `{"instance": ` + fig1JSON(t) + `, "request": {}, "event": {"kind": "meteor"}}`,
+		{"bad kind", `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {}, "event": {"kind": "meteor"}}`,
 			http.StatusBadRequest, "invalid"},
-		{"out of range", `{"instance": ` + fig1JSON(t) + `, "request": {}, "event": {"kind": "proc-fail", "proc": 99}}`,
+		{"out of range", `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {}, "event": {"kind": "proc-fail", "proc": 99}}`,
 			http.StatusUnprocessableEntity, "invalid"},
 	}
 	for _, tc := range cases {
@@ -411,7 +413,7 @@ func TestErrorCodes(t *testing.T) {
 		code             string
 	}{
 		{"malformed body", "/v1/solve", `{"instance": 12`, http.StatusBadRequest, "invalid"},
-		{"infeasible", "/v1/solve", `{"instance": ` + fig1JSON(t) + `,
+		{"infeasible", "/v1/solve", `{"instance": ` + servetest.Fig1JSON(t) + `,
 			"request": {"objective": "energy", "periodBound": 0.0001}}`,
 			http.StatusUnprocessableEntity, "infeasible"},
 	}
@@ -433,7 +435,7 @@ func TestErrorCodes(t *testing.T) {
 // degraded with a lower bound, not a 504.
 func TestSolveBudgetDegradedResponse(t *testing.T) {
 	s := New(Config{SolveBudget: time.Nanosecond})
-	rec := post(s, "/v1/solve", `{"instance": `+fig1JSON(t)+`,
+	rec := post(s, "/v1/solve", `{"instance": `+servetest.Fig1JSON(t)+`,
 		"request": {"objective": "period"}}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("budgeted solve: status %d, want 200: %s", rec.Code, rec.Body.String())

@@ -13,15 +13,17 @@
 //
 // All document schemas are shared with the CLI front ends via
 // internal/jobspec, so a job file written for `pipebatch -in` can be
-// POSTed verbatim to /v1/batch.
+// POSTed verbatim to /v1/batch. So are the response writers, the body
+// cap and the /stats schema (jobspec.ServiceStats), which pipegateway
+// sums across its replicas.
 //
 // The server is built for a process that stays up: every request runs
 // under a per-request timeout enforced through context cancellation (the
 // batch engine stops picking up jobs once the context is done), request
-// bodies are capped (http.MaxBytesReader, configurable, structured 413 on
-// overflow), the memo cache is bounded (sharded LRU, configurable entry
-// cap) so it can be shared across all requests for the life of the
-// process, and a panic in a handler or inside a memoized computation is
+// bodies are capped (jobspec.LimitBody, configurable, structured 413 on
+// overflow), the memo cache is bounded (LRU, configurable entry cap) so
+// it can be shared across all requests for the life of the process, and
+// a panic in a handler or inside a memoized computation is
 // recovered into an error response without wedging concurrent waiters on
 // the same cache key. Every error path answers a structured JSON document
 // {"error": "...", "code": "..."} — never an empty body (see
@@ -51,7 +53,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,9 +77,10 @@ type Config struct {
 	// expires the request's context is cancelled: queued solver jobs
 	// return the context error and the response reports 504.
 	Timeout time.Duration
-	// MaxBody caps the request body size in bytes; 0 means the default of
-	// 8 MiB, negative disables the cap. An oversized body is rejected with
-	// a structured 413 JSON error instead of an unbounded read.
+	// MaxBody caps the request body size in bytes; 0 means
+	// jobspec.DefaultMaxBody (8 MiB), negative disables the cap. An
+	// oversized body is rejected with a structured 413 JSON error instead
+	// of an unbounded read.
 	MaxBody int64
 	// Logger receives panic reports and lifecycle messages; nil discards.
 	Logger *log.Logger
@@ -109,16 +111,6 @@ type Config struct {
 // DefaultBreakerCooldown applies when Config.BreakerCooldown is 0.
 const DefaultBreakerCooldown = 5 * time.Second
 
-// DefaultMaxBody is the request body cap applied when Config.MaxBody is 0.
-const DefaultMaxBody int64 = 8 << 20
-
-func (c Config) maxBody() int64 {
-	if c.MaxBody == 0 {
-		return DefaultMaxBody
-	}
-	return c.MaxBody
-}
-
 // Server is the HTTP solver service. Create with New; it implements
 // http.Handler and is safe for concurrent use.
 type Server struct {
@@ -142,9 +134,8 @@ type Server struct {
 	// afterwards, so lookups need no lock.
 	breakers map[string]*breaker
 
-	mu       sync.Mutex
-	requests map[string]int64
-	methods  map[string]int64
+	requests jobspec.Counters // per route, see jobspec.RouteKey
+	methods  jobspec.Counters // solved jobs per solver method
 }
 
 // New builds a Server with a fresh bounded cache.
@@ -154,20 +145,18 @@ func New(cfg Config) *Server {
 		logger = log.New(io.Discard, "", 0)
 	}
 	s := &Server{
-		cfg:      cfg,
-		cache:    batch.NewCacheCap(cfg.CacheCap),
-		log:      logger,
-		mux:      http.NewServeMux(),
-		start:    time.Now(),
-		requests: make(map[string]int64),
-		methods:  make(map[string]int64),
+		cfg:   cfg,
+		cache: batch.NewCacheCap(cfg.CacheCap),
+		log:   logger,
+		mux:   http.NewServeMux(),
+		start: time.Now(),
 	}
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/pareto", s.handlePareto)
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	s.mux.HandleFunc("POST /v1/resolve", s.handleResolve)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /healthz", jobspec.Healthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	if cfg.MaxInFlight > 0 {
@@ -201,50 +190,36 @@ func (s *Server) Cache() *batch.Cache { return s.cache }
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
-	// Count by registered route, not by raw URL path: the counter map must
-	// stay bounded for the life of the process no matter what paths
-	// clients (or scanners) probe, so everything unrouted shares a bucket.
-	_, pattern := s.mux.Handler(r)
-	key := "unmatched"
-	if pattern != "" {
-		key = pattern
-		if i := strings.IndexByte(key, ' '); i >= 0 {
-			key = key[i+1:] // strip the "METHOD " prefix
-		}
-	}
-	s.mu.Lock()
-	s.requests[key]++
-	s.mu.Unlock()
+	route := jobspec.RouteKey(s.mux, r)
+	s.requests.Add(route, 1)
 
 	if s.cfg.Timeout > 0 {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 		defer cancel()
 		r = r.WithContext(ctx)
 	}
-	if limit := s.cfg.maxBody(); limit > 0 && r.Body != nil {
-		r.Body = http.MaxBytesReader(w, r.Body, limit)
-	}
+	jobspec.LimitBody(w, r, s.cfg.MaxBody)
 
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.log.Printf("server: panic serving %s: %v\n%s", r.URL.Path, rec, debug.Stack())
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("internal error: %v", rec))
+			jobspec.WriteError(w, http.StatusInternalServerError, fmt.Errorf("internal error: %v", rec))
 		}
 	}()
 
 	// Solver endpoints pass the resilience gauntlet: circuit breaker
 	// first (cheap, sheds while a route is known-overrun), then the
 	// admission gate. Probes and stats always go straight through.
-	if !strings.HasPrefix(pattern, "POST /v1/") {
+	if !strings.HasPrefix(route, "/v1/") {
 		s.mux.ServeHTTP(w, r)
 		return
 	}
-	if br := s.breakers[key]; br != nil {
+	if br := s.breakers[route]; br != nil {
 		ok, probe, wait := br.allow(time.Now())
 		if !ok {
 			s.shed.Add(1)
-			writeShed(w, http.StatusServiceUnavailable, wait,
-				fmt.Errorf("circuit open for %s after repeated deadline overruns; retry after %v", key, wait.Round(time.Millisecond)))
+			jobspec.WriteShed(w, http.StatusServiceUnavailable, wait,
+				fmt.Errorf("circuit open for %s after repeated deadline overruns; retry after %v", route, wait.Round(time.Millisecond)))
 			return
 		}
 		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
@@ -254,12 +229,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	release, ok, err := s.admit(r)
 	if err != nil {
 		// The request's own deadline fired while it queued for a slot.
-		writeError(w, solveStatus(err), fmt.Errorf("request expired waiting for admission: %w", err))
+		jobspec.WriteError(w, solveStatus(err), fmt.Errorf("request expired waiting for admission: %w", err))
 		return
 	}
 	if !ok {
 		s.shed.Add(1)
-		writeShed(w, http.StatusTooManyRequests, time.Second,
+		jobspec.WriteShed(w, http.StatusTooManyRequests, time.Second,
 			fmt.Errorf("server saturated: %d requests in flight and %d queued; retry later",
 				s.cfg.MaxInFlight, s.cfg.MaxQueue))
 		return
@@ -276,52 +251,9 @@ func (s *Server) batchOptions() batch.Options {
 
 // countMethods folds a batch's per-method counts into the server totals.
 func (s *Server) countMethods(stats batch.Stats) {
-	s.mu.Lock()
 	for m, n := range stats.Methods {
-		s.methods[string(m)] += int64(n)
+		s.methods.Add(string(m), int64(n))
 	}
-	s.mu.Unlock()
-}
-
-// writeJSON emits a 200 response document.
-func writeJSON(w http.ResponseWriter, status int, doc any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(doc) // past WriteHeader, an encode error has no channel left
-}
-
-type errorJSON struct {
-	Error string `json:"error"`
-	// Code is the stable machine-readable classification from
-	// internal/jobspec (infeasible, timeout, degraded, shed, invalid,
-	// internal); the error text stays free-form.
-	Code string `json:"code,omitempty"`
-}
-
-// writeError classifies err through jobspec.ErrorCode; a 4xx the
-// classifier cannot name (malformed body, missing field, oversized
-// request) is the client's fault, so it reports "invalid" rather than
-// "internal".
-func writeError(w http.ResponseWriter, status int, err error) {
-	code := jobspec.ErrorCode(err)
-	if code == jobspec.CodeInternal && status >= 400 && status < 500 {
-		code = jobspec.CodeInvalid
-	}
-	writeErrorCode(w, status, code, err)
-}
-
-func writeErrorCode(w http.ResponseWriter, status int, code string, err error) {
-	writeJSON(w, status, errorJSON{Error: err.Error(), Code: code})
-}
-
-// writeShed answers a load-shedding rejection (admission gate full or
-// circuit open): structured JSON with code "shed" plus a Retry-After
-// header so well-behaved clients back off instead of hammering.
-func writeShed(w http.ResponseWriter, status int, wait time.Duration, err error) {
-	w.Header().Set("Retry-After", retryAfterSeconds(wait))
-	writeErrorCode(w, status, jobspec.CodeShed, err)
 }
 
 // solveStatus maps a solver error to an HTTP status: client-shaped
@@ -350,48 +282,37 @@ func decodeBody(r *http.Request, dst any) error {
 	return nil
 }
 
-// decodeStatus maps a body-decoding failure to an HTTP status: an
-// oversized body (http.MaxBytesReader) is 413, anything else is a plain
-// bad request.
-func decodeStatus(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
 // handleSolve runs one request through the engine (sharing the cache and
 // worker pool with every other endpoint) and returns the jobspec result
 // document. Results are bit-identical to calling repro.Solve directly.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var body jobspec.Job
 	if err := decodeBody(r, &body); err != nil {
-		writeError(w, decodeStatus(err), err)
+		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}
 	if body.Instance == nil {
-		writeError(w, http.StatusBadRequest, errors.New("solve request has no instance"))
+		jobspec.WriteError(w, http.StatusBadRequest, errors.New("solve request has no instance"))
 		return
 	}
 	file := jobspec.File{Instance: body.Instance, Jobs: []jobspec.Job{{Request: body.Request}}}
 	jobs, err := file.BatchJobs()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	results, stats := batch.SolveCtx(r.Context(), jobs, s.batchOptions())
 	s.countMethods(stats)
 	if err := results[0].Err; err != nil {
-		writeError(w, solveStatus(err), err)
+		jobspec.WriteError(w, solveStatus(err), err)
 		return
 	}
 	doc, err := jobspec.EncodeResult(results[0])
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		jobspec.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
+	jobspec.WriteJSON(w, http.StatusOK, doc)
 }
 
 // handleBatch accepts a pipebatch job file and responds with the pipebatch
@@ -401,12 +322,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	doc, err := jobspec.DecodeFile(r.Body)
 	if err != nil {
-		writeError(w, decodeStatus(err), err)
+		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}
 	jobs, err := doc.BatchJobs()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	results, stats := batch.SolveCtx(r.Context(), jobs, s.batchOptions())
@@ -423,16 +344,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if cancelled > 0 {
-		writeError(w, solveStatus(ctxErr), fmt.Errorf("batch aborted with %d of %d jobs cancelled: %w",
+		jobspec.WriteError(w, solveStatus(ctxErr), fmt.Errorf("batch aborted with %d of %d jobs cancelled: %w",
 			cancelled, stats.Jobs, ctxErr))
 		return
 	}
 	out, err := jobspec.EncodeOutput(results, stats)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		jobspec.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	jobspec.WriteJSON(w, http.StatusOK, out)
 }
 
 // paretoRequest is the /v1/pareto document.
@@ -470,43 +391,43 @@ type paretoResponse struct {
 func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 	var body paretoRequest
 	if err := decodeBody(r, &body); err != nil {
-		writeError(w, decodeStatus(err), err)
+		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}
 	if body.Instance == nil {
-		writeError(w, http.StatusBadRequest, errors.New("pareto request has no instance"))
+		jobspec.WriteError(w, http.StatusBadRequest, errors.New("pareto request has no instance"))
 		return
 	}
 	inst, err := pipeline.DecodeJSON(bytes.NewReader(body.Instance))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	rule, err := jobspec.ParseRuleDefault(body.Rule)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	model, err := jobspec.ParseModelDefault(body.Model)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	front, err := pareto.PeriodEnergyCtx(r.Context(), &inst, rule, model, s.batchOptions())
 	if err != nil {
-		writeError(w, solveStatus(err), err)
+		jobspec.WriteError(w, solveStatus(err), err)
 		return
 	}
 	resp := paretoResponse{Points: make([]paretoPointJSON, 0, len(front))}
 	for i := range front {
 		pt := paretoPointJSON{Period: jobspec.Float(front[i].Period), Energy: jobspec.Float(front[i].Energy)}
 		if body.IncludeMappings {
-			var buf bytes.Buffer
-			if err := mapping.EncodeJSON(&buf, &front[i].Mapping); err != nil {
-				writeError(w, http.StatusInternalServerError, err)
+			mj, err := mapping.MarshalJSON(&front[i].Mapping)
+			if err != nil {
+				jobspec.WriteError(w, http.StatusInternalServerError, err)
 				return
 			}
-			raw := json.RawMessage(buf.Bytes())
+			raw := json.RawMessage(mj)
 			pt.Mapping = &raw
 		}
 		resp.Points = append(resp.Points, pt)
@@ -519,7 +440,7 @@ func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 		v := jobspec.Float(pareto.MinPeriodUnderEnergy(front, *body.EnergyBudget))
 		resp.MinPeriodUnderEnergy = &v
 	}
-	writeJSON(w, http.StatusOK, resp)
+	jobspec.WriteJSON(w, http.StatusOK, resp)
 }
 
 // simulateRequest is the /v1/simulate document.
@@ -548,35 +469,35 @@ type simulateResponse struct {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var body simulateRequest
 	if err := decodeBody(r, &body); err != nil {
-		writeError(w, decodeStatus(err), err)
+		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}
 	if body.Instance == nil || body.Mapping == nil {
-		writeError(w, http.StatusBadRequest, errors.New("simulate request needs instance and mapping"))
+		jobspec.WriteError(w, http.StatusBadRequest, errors.New("simulate request needs instance and mapping"))
 		return
 	}
 	inst, err := pipeline.DecodeJSON(bytes.NewReader(body.Instance))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	m, err := mapping.DecodeJSON(bytes.NewReader(body.Mapping))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := m.Validate(&inst, mapping.Interval); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
+		jobspec.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	model, err := jobspec.ParseModelDefault(body.Model)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	results, err := sim.Simulate(&inst, &m, model, sim.Options{Datasets: body.Datasets})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		jobspec.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	resp := simulateResponse{Results: make([]simAppJSON, 0, len(results))}
@@ -593,85 +514,43 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			AnalyticLatency: jobspec.Float(mapping.AppLatency(&inst, &m, a)),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleHealthz is liveness: it answers 200 for as long as the process
-// can serve HTTP at all, even while draining — restarting a draining
-// process would kill the in-flight requests the drain exists to protect.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	jobspec.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleReadyz is readiness: 503 while the server drains for shutdown so
-// load balancers route new work elsewhere, 200 otherwise. Liveness and
-// readiness are deliberately separate probes.
+// load balancers route new work elsewhere, 200 otherwise. Liveness
+// (jobspec.Healthz) and readiness are deliberately separate probes.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		jobspec.WriteProbe(w, false, "draining")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	jobspec.WriteProbe(w, true, "ready")
 }
 
-// cacheStatsJSON is the /stats cache block: the result memo plus the
-// compiled-plan tier (plans memoized by canonical (instance, rule, comm)
-// key — see batch.Cache).
-type cacheStatsJSON struct {
-	Entries   int     `json:"entries"`
-	Cap       int     `json:"cap"`
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Evictions int64   `json:"evictions"`
-	HitRate   float64 `json:"hitRate"`
-
-	PlanEntries   int     `json:"planEntries"`
-	PlanHits      int64   `json:"planHits"`
-	PlanMisses    int64   `json:"planMisses"`
-	PlanEvictions int64   `json:"planEvictions"`
-	PlanHitRate   float64 `json:"planHitRate"`
-}
-
+// statsResponse is the /stats document: the additive schema the gateway
+// merges across replicas, plus this process's own non-additive fields.
 type statsResponse struct {
+	jobspec.ServiceStats
 	UptimeMs float64           `json:"uptimeMs"`
-	InFlight int64             `json:"inFlight"`
-	Queued   int64             `json:"queued"`
-	Shed     int64             `json:"shed"`
 	Draining bool              `json:"draining"`
-	Requests map[string]int64  `json:"requests"`
-	Methods  map[string]int64  `json:"methods"`
 	Breakers map[string]string `json:"breakers,omitempty"`
-	Cache    cacheStatsJSON    `json:"cache"`
 }
 
-// handleStats reports the operational counters: in-flight requests,
-// per-endpoint and per-method totals, and the shared cache's size, cap,
-// hit rate and eviction count.
+// handleStats reports the operational counters: in-flight, queued and
+// shed requests, per-route and per-method totals, and both cache tiers'
+// size, cap, hit rate and eviction count.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	cs := s.cache.Stats()
 	resp := statsResponse{
-		UptimeMs: float64(time.Since(s.start).Microseconds()) / 1000,
-		InFlight: s.inFlight.Load(),
-		Queued:   s.queued.Load(),
-		Shed:     s.shed.Load(),
-		Draining: s.draining.Load(),
-		Requests: make(map[string]int64),
-		Methods:  make(map[string]int64),
-		Cache: cacheStatsJSON{
-			Entries:   cs.Entries,
-			Cap:       cs.Cap,
-			Hits:      cs.Hits,
-			Misses:    cs.Misses,
-			Evictions: cs.Evictions,
-			HitRate:   cs.HitRate(),
-
-			PlanEntries:   cs.Plans.Entries,
-			PlanHits:      cs.Plans.Hits,
-			PlanMisses:    cs.Plans.Misses,
-			PlanEvictions: cs.Plans.Evictions,
-			PlanHitRate:   cs.Plans.HitRate(),
-		},
+		ServiceStats: jobspec.NewServiceStats(s.cache.Stats()),
+		UptimeMs:     float64(time.Since(s.start).Microseconds()) / 1000,
+		Draining:     s.draining.Load(),
 	}
+	resp.InFlight = s.inFlight.Load()
+	resp.Queued = s.queued.Load()
+	resp.Shed = s.shed.Load()
+	resp.Requests = s.requests.Snapshot()
+	resp.Methods = s.methods.Snapshot()
 	if len(s.breakers) > 0 {
 		resp.Breakers = make(map[string]string, len(s.breakers))
 		now := time.Now()
@@ -679,13 +558,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			resp.Breakers[route] = br.state(now)
 		}
 	}
-	s.mu.Lock()
-	for k, v := range s.requests {
-		resp.Requests[k] = v
-	}
-	for k, v := range s.methods {
-		resp.Methods[k] = v
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	jobspec.WriteJSON(w, http.StatusOK, resp)
 }

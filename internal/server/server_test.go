@@ -15,17 +15,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
+	"repro/internal/servetest"
 )
-
-func fig1JSON(t *testing.T) string {
-	t.Helper()
-	inst := pipeline.MotivatingExample()
-	var buf bytes.Buffer
-	if err := pipeline.EncodeJSON(&buf, &inst); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
 
 // post runs one request through the full handler stack (middleware
 // included) and returns the recorder.
@@ -61,7 +52,7 @@ func TestSolveBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := post(s, "/v1/solve", `{"instance": `+fig1JSON(t)+`,
+	rec := post(s, "/v1/solve", `{"instance": `+servetest.Fig1JSON(t)+`,
 		"request": {"objective": "energy", "periodBound": 2}}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
@@ -97,7 +88,7 @@ func TestSolveBitIdentical(t *testing.T) {
 // cache outlives a request).
 func TestBatchMatchesEngine(t *testing.T) {
 	s := New(Config{})
-	body := `{"instance": ` + fig1JSON(t) + `, "jobs": [
+	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "jobs": [
 		{"request": {"objective": "period"}},
 		{"request": {"objective": "energy", "periodBound": 2}},
 		{"request": {"objective": "energy"}},
@@ -148,7 +139,7 @@ func TestBatchMatchesEngine(t *testing.T) {
 func TestConcurrentSolveAndBatch(t *testing.T) {
 	const cacheCap = 24
 	s := New(Config{CacheCap: cacheCap})
-	inst := fig1JSON(t)
+	inst := servetest.Fig1JSON(t)
 
 	stop := make(chan struct{})
 	var probe sync.WaitGroup
@@ -230,7 +221,7 @@ func TestPanicRecovery(t *testing.T) {
 		t.Errorf("panic error = %q", e.Error)
 	}
 	// The server (and its cache) keeps working.
-	rec = post(s, "/v1/solve", `{"instance": `+fig1JSON(t)+`, "request": {"objective": "period"}}`)
+	rec = post(s, "/v1/solve", `{"instance": `+servetest.Fig1JSON(t)+`, "request": {"objective": "period"}}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-panic solve status = %d", rec.Code)
 	}
@@ -243,7 +234,7 @@ func TestPanicRecovery(t *testing.T) {
 // solver work and reports 504.
 func TestRequestTimeout(t *testing.T) {
 	s := New(Config{Timeout: time.Nanosecond})
-	rec := post(s, "/v1/solve", `{"instance": `+fig1JSON(t)+`, "request": {"objective": "period"}}`)
+	rec := post(s, "/v1/solve", `{"instance": `+servetest.Fig1JSON(t)+`, "request": {"objective": "period"}}`)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504: %s", rec.Code, rec.Body.String())
 	}
@@ -256,7 +247,7 @@ func TestRequestTimeout(t *testing.T) {
 	}
 
 	// Batch: the aborted request reports 504 too.
-	rec = post(s, "/v1/batch", `{"instance": `+fig1JSON(t)+`, "jobs": [{"request": {"objective": "period"}}]}`)
+	rec = post(s, "/v1/batch", `{"instance": `+servetest.Fig1JSON(t)+`, "jobs": [{"request": {"objective": "period"}}]}`)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("batch status = %d, want 504", rec.Code)
 	}
@@ -267,7 +258,7 @@ func TestRequestTimeout(t *testing.T) {
 // error (+Inf has no JSON form).
 func TestParetoEndpoint(t *testing.T) {
 	s := New(Config{})
-	rec := post(s, "/v1/pareto", `{"instance": `+fig1JSON(t)+`,
+	rec := post(s, "/v1/pareto", `{"instance": `+servetest.Fig1JSON(t)+`,
 		"rule": "interval", "periodTarget": 2, "energyBudget": 10}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
@@ -296,7 +287,7 @@ func TestParetoEndpoint(t *testing.T) {
 	}
 
 	// Degenerate: period target below anything achievable -> null answer.
-	rec = post(s, "/v1/pareto", `{"instance": `+fig1JSON(t)+`, "periodTarget": 0.0001}`)
+	rec = post(s, "/v1/pareto", `{"instance": `+servetest.Fig1JSON(t)+`, "periodTarget": 0.0001}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("degenerate status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -307,7 +298,7 @@ func TestParetoEndpoint(t *testing.T) {
 	}
 
 	// includeMappings attaches witnesses.
-	rec = post(s, "/v1/pareto", `{"instance": `+fig1JSON(t)+`, "includeMappings": true}`)
+	rec = post(s, "/v1/pareto", `{"instance": `+servetest.Fig1JSON(t)+`, "includeMappings": true}`)
 	decode(t, rec, &resp)
 	if len(resp.Points) == 0 || resp.Points[0].Mapping == nil {
 		t.Error("includeMappings did not attach mappings")
@@ -327,7 +318,7 @@ func TestSimulateEndpoint(t *testing.T) {
 	if err := mapping.EncodeJSON(&mbuf, &res.Mapping); err != nil {
 		t.Fatal(err)
 	}
-	rec := post(s, "/v1/simulate", `{"instance": `+fig1JSON(t)+`, "mapping": `+mbuf.String()+`}`)
+	rec := post(s, "/v1/simulate", `{"instance": `+servetest.Fig1JSON(t)+`, "mapping": `+mbuf.String()+`}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -360,49 +351,44 @@ func TestHealthzAndStats(t *testing.T) {
 	if rec := get(s, "/healthz"); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "ok") {
 		t.Fatalf("healthz: %d %s", rec.Code, rec.Body.String())
 	}
-	post(s, "/v1/solve", `{"instance": `+fig1JSON(t)+`, "request": {"objective": "period"}}`)
-	post(s, "/v1/solve", `{"instance": `+fig1JSON(t)+`, "request": {"objective": "period"}}`)
+	post(s, "/v1/solve", `{"instance": `+servetest.Fig1JSON(t)+`, "request": {"objective": "period"}}`)
+	post(s, "/v1/solve", `{"instance": `+servetest.Fig1JSON(t)+`, "request": {"objective": "period"}}`)
 
 	rec := get(s, "/stats")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats status %d", rec.Code)
 	}
+	// The flat wire names are pinned here: the gateway's merged block and
+	// the benchmark module read the same names.
 	var resp struct {
-		InFlight int64            `json:"inFlight"`
-		Requests map[string]int64 `json:"requests"`
-		Methods  map[string]int64 `json:"methods"`
-		Cache    struct {
-			Entries   int     `json:"entries"`
-			Cap       int     `json:"cap"`
-			Hits      int64   `json:"hits"`
-			Misses    int64   `json:"misses"`
-			Evictions int64   `json:"evictions"`
-			HitRate   float64 `json:"hitRate"`
-
-			PlanEntries   int     `json:"planEntries"`
-			PlanHits      int64   `json:"planHits"`
-			PlanMisses    int64   `json:"planMisses"`
-			PlanEvictions int64   `json:"planEvictions"`
-			PlanHitRate   float64 `json:"planHitRate"`
-		} `json:"cache"`
+		InFlight     int64            `json:"inFlight"`
+		Requests     map[string]int64 `json:"requests"`
+		Methods      map[string]int64 `json:"methods"`
+		CacheEntries int              `json:"cacheEntries"`
+		CacheCap     int              `json:"cacheCap"`
+		CacheHits    int64            `json:"cacheHits"`
+		HitRate      float64          `json:"hitRate"`
+		PlanEntries  int              `json:"planEntries"`
+		PlanHits     int64            `json:"planHits"`
+		PlanMisses   int64            `json:"planMisses"`
 	}
 	decode(t, rec, &resp)
 	if resp.Requests["/v1/solve"] != 2 {
 		t.Errorf("solve count = %d, want 2", resp.Requests["/v1/solve"])
 	}
-	if resp.Cache.Cap != 128 || resp.Cache.Entries == 0 {
-		t.Errorf("cache block = %+v", resp.Cache)
+	if resp.CacheCap != 128 || resp.CacheEntries == 0 {
+		t.Errorf("cache entries/cap = %d/%d, want >0/128", resp.CacheEntries, resp.CacheCap)
 	}
-	if resp.Cache.Hits < 1 {
-		t.Errorf("cache hits = %d, want >= 1 (duplicate solve)", resp.Cache.Hits)
+	if resp.CacheHits < 1 {
+		t.Errorf("cache hits = %d, want >= 1 (duplicate solve)", resp.CacheHits)
 	}
-	if resp.Cache.HitRate <= 0 || resp.Cache.HitRate >= 1 {
-		t.Errorf("hitRate = %g", resp.Cache.HitRate)
+	if resp.HitRate <= 0 || resp.HitRate >= 1 {
+		t.Errorf("hitRate = %g", resp.HitRate)
 	}
 	// The first solve compiled the instance's plan (a plan-tier miss); the
-	// duplicate was answered by the result tier without consulting it.
-	if resp.Cache.PlanEntries != 1 || resp.Cache.PlanMisses != 1 {
-		t.Errorf("plan tier block = %+v, want 1 entry from 1 miss", resp.Cache)
+	// duplicate reused that plan (a plan-tier hit) and its memo answered.
+	if resp.PlanEntries != 1 || resp.PlanMisses != 1 || resp.PlanHits != 1 {
+		t.Errorf("plan tier entries/misses/hits = %d/%d/%d, want 1/1/1", resp.PlanEntries, resp.PlanMisses, resp.PlanHits)
 	}
 	if len(resp.Methods) == 0 {
 		t.Error("no per-method counts")
@@ -447,15 +433,15 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"/v1/solve", `not json`, http.StatusBadRequest},
 		{"/v1/solve", `{"request": {"objective": "period"}}`, http.StatusBadRequest}, // no instance
-		{"/v1/solve", `{"instance": ` + fig1JSON(t) + `, "request": {"rule": "bogus"}}`, http.StatusBadRequest},
+		{"/v1/solve", `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"rule": "bogus"}}`, http.StatusBadRequest},
 		{"/v1/batch", `{"jobs": []}`, http.StatusBadRequest},
-		{"/v1/pareto", `{"rule": "interval"}`, http.StatusBadRequest},                // no instance
-		{"/v1/simulate", `{"instance": ` + fig1JSON(t) + `}`, http.StatusBadRequest}, // no mapping
+		{"/v1/pareto", `{"rule": "interval"}`, http.StatusBadRequest},                          // no instance
+		{"/v1/simulate", `{"instance": ` + servetest.Fig1JSON(t) + `}`, http.StatusBadRequest}, // no mapping
 		// Infeasible bounds are a well-formed query with an unsatisfiable
 		// answer: 422.
-		{"/v1/solve", `{"instance": ` + fig1JSON(t) + `, "request": {"objective": "energy", "periodBound": 0.01}}`, http.StatusUnprocessableEntity},
+		{"/v1/solve", `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"objective": "energy", "periodBound": 0.01}}`, http.StatusUnprocessableEntity},
 		// Energy without a period bound is the paper's unsupported combination.
-		{"/v1/solve", `{"instance": ` + fig1JSON(t) + `, "request": {"objective": "energy"}}`, http.StatusUnprocessableEntity},
+		{"/v1/solve", `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"objective": "energy"}}`, http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		rec := post(s, c.path, c.body)
