@@ -3,18 +3,74 @@ package heur
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
 )
 
-// anneal improves m in place by simulated annealing over the interval
-// mapping neighbourhood, returning the final objective value. Infeasible
+// workspace holds the buffers one anneal call reuses on every iteration:
+// the incumbent, the candidate, the best mapping seen, and the scratch of
+// freeProcs. Each call builds its own, so concurrent searches share
+// nothing.
+type workspace struct {
+	cur, cand, best mapping.Mapping
+	used            []bool
+	free            []int
+}
+
+// newWorkspace copies m into the incumbent and best buffers. Every buffer
+// holds as many intervals per application as it has stages, the most any
+// valid mapping needs, so the moves never grow them.
+func newWorkspace(inst *pipeline.Instance, m *mapping.Mapping) *workspace {
+	p := inst.Platform.NumProcessors()
+	ws := &workspace{
+		cur:  newBuffer(inst),
+		cand: newBuffer(inst),
+		best: newBuffer(inst),
+		used: make([]bool, p),
+		free: make([]int, 0, p),
+	}
+	ws.cur.CopyFrom(m)
+	ws.best.CopyFrom(m)
+	return ws
+}
+
+// newBuffer returns an empty mapping of inst whose applications' interval
+// slices are capped windows of one shared array.
+func newBuffer(inst *pipeline.Instance) mapping.Mapping {
+	ivs := make([]mapping.PlacedInterval, inst.TotalStages())
+	m := mapping.Mapping{Apps: make([]mapping.AppMapping, len(inst.Apps))}
+	off := 0
+	for a := range m.Apps {
+		n := inst.Apps[a].NumStages()
+		m.Apps[a].Intervals = ivs[off : off : off+n]
+		off += n
+	}
+	return m
+}
+
+// propose copies the incumbent into the candidate and applies one random
+// move to the candidate, reporting whether the move applied.
+func (ws *workspace) propose(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule) bool {
+	ws.cand.CopyFrom(&ws.cur)
+	return mutate(rng, inst, ws, rule)
+}
+
+// accept makes the candidate the incumbent by swapping their buffers.
+func (ws *workspace) accept() { ws.cur, ws.cand = ws.cand, ws.cur }
+
+// keepBest records the incumbent as the best mapping seen.
+func (ws *workspace) keepBest() { ws.best.CopyFrom(&ws.cur) }
+
+// anneal improves m by simulated annealing over the interval mapping
+// neighbourhood, returning the final objective value. Infeasible
 // neighbours (objective +Inf) are always rejected; the best mapping ever
-// seen is restored at the end.
+// seen is restored at the end. On return m holds one of the workspace's
+// buffers, not its own.
 func anneal(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, obj Objective, opt Options) float64 {
-	cur := obj(m)
-	best := m.Clone()
+	ws := newWorkspace(inst, m)
+	cur := obj(&ws.cur)
 	bestV := cur
 	scale := math.Abs(cur)
 	if math.IsInf(scale, 1) || scale == 0 {
@@ -25,12 +81,11 @@ func anneal(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, obj Obj
 	cool := math.Pow(t1/t0, 1/math.Max(1, float64(opt.Iters-1)))
 	temp := t0
 	for i := 0; i < opt.Iters; i++ {
-		cand := m.Clone()
-		if !mutate(rng, inst, &cand, opt.Rule) {
+		if !ws.propose(rng, inst, opt.Rule) {
 			temp *= cool
 			continue
 		}
-		v := obj(&cand)
+		v := obj(&ws.cand)
 		accept := false
 		switch {
 		case math.IsInf(v, 1):
@@ -44,32 +99,42 @@ func anneal(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, obj Obj
 			accept = true // escape from an infeasible start
 		}
 		if accept {
-			*m = cand
+			ws.accept()
 			cur = v
 			if v < bestV {
-				best = cand.Clone()
+				ws.keepBest()
 				bestV = v
 			}
 		}
 		temp *= cool
 	}
 	if bestV < cur {
-		*m = best
+		*m = ws.best
+	} else {
+		*m = ws.cur
 	}
 	return bestV
 }
 
-// mutate applies one random neighbourhood move in place. It reports false
-// when the drawn move was inapplicable (the caller just retries next
-// iteration). All moves preserve mapping validity.
-func mutate(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, rule mapping.Rule) bool {
-	moves := []func(*rand.Rand, *pipeline.Instance, *mapping.Mapping) bool{
-		moveMode, moveRelocate, moveSwap,
-	}
+// move is one neighbourhood move: it changes m in place and reports false
+// when it was inapplicable. ws supplies freeProcs' scratch.
+type move func(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, ws *workspace) bool
+
+// The move tables are read-only and shared by concurrent searches.
+var (
+	oneToOneMoves = []move{moveMode, moveRelocate, moveSwap}
+	intervalMoves = []move{moveMode, moveRelocate, moveSwap, moveBoundary, moveSplit, moveMerge}
+)
+
+// mutate applies one random neighbourhood move to ws.cand in place. It
+// reports false when the drawn move was inapplicable (the caller just
+// retries next iteration). All moves preserve mapping validity.
+func mutate(rng *rand.Rand, inst *pipeline.Instance, ws *workspace, rule mapping.Rule) bool {
+	moves := oneToOneMoves
 	if rule == mapping.Interval {
-		moves = append(moves, moveBoundary, moveSplit, moveMerge)
+		moves = intervalMoves
 	}
-	return moves[rng.Intn(len(moves))](rng, inst, m)
+	return moves[rng.Intn(len(moves))](rng, inst, &ws.cand, ws)
 }
 
 // pick returns a random (app, interval index) pair.
@@ -85,25 +150,26 @@ func pick(rng *rand.Rand, m *mapping.Mapping) (int, int) {
 	panic("unreachable")
 }
 
-// freeProcs lists processors not used by m.
-func freeProcs(inst *pipeline.Instance, m *mapping.Mapping) []int {
-	used := make([]bool, inst.Platform.NumProcessors())
+// freeProcs lists, in increasing order, the processors not used by m. The
+// result is ws's scratch, valid until the next call.
+func (ws *workspace) freeProcs(m *mapping.Mapping) []int {
+	clear(ws.used)
 	for a := range m.Apps {
 		for _, iv := range m.Apps[a].Intervals {
-			used[iv.Proc] = true
+			ws.used[iv.Proc] = true
 		}
 	}
-	var free []int
-	for u, b := range used {
+	ws.free = ws.free[:0]
+	for u, b := range ws.used {
 		if !b {
-			free = append(free, u)
+			ws.free = append(ws.free, u)
 		}
 	}
-	return free
+	return ws.free
 }
 
 // moveMode steps one interval's mode up or down.
-func moveMode(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) bool {
+func moveMode(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, _ *workspace) bool {
 	a, j := pick(rng, m)
 	iv := &m.Apps[a].Intervals[j]
 	modes := inst.Platform.Processors[iv.Proc].NumModes()
@@ -126,8 +192,8 @@ func moveMode(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) bool 
 }
 
 // moveRelocate moves one interval to a free processor at a random mode.
-func moveRelocate(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) bool {
-	free := freeProcs(inst, m)
+func moveRelocate(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, ws *workspace) bool {
+	free := ws.freeProcs(m)
 	if len(free) == 0 {
 		return false
 	}
@@ -140,7 +206,7 @@ func moveRelocate(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) b
 }
 
 // moveSwap exchanges the processors (and modes) of two intervals.
-func moveSwap(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) bool {
+func moveSwap(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, _ *workspace) bool {
 	if m.NumIntervals() < 2 {
 		return false
 	}
@@ -167,7 +233,7 @@ func clampMode(inst *pipeline.Instance, iv *mapping.PlacedInterval) {
 
 // moveBoundary shifts the boundary between two adjacent intervals of one
 // application by one stage.
-func moveBoundary(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) bool {
+func moveBoundary(rng *rand.Rand, _ *pipeline.Instance, m *mapping.Mapping, _ *workspace) bool {
 	a, j := pick(rng, m)
 	ivs := m.Apps[a].Intervals
 	if len(ivs) < 2 {
@@ -195,8 +261,8 @@ func moveBoundary(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) b
 }
 
 // moveSplit splits one interval of length >= 2 onto a free processor.
-func moveSplit(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) bool {
-	free := freeProcs(inst, m)
+func moveSplit(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, ws *workspace) bool {
+	free := ws.freeProcs(m)
 	if len(free) == 0 {
 		return false
 	}
@@ -210,13 +276,13 @@ func moveSplit(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) bool
 	u := free[rng.Intn(len(free))]
 	right := mapping.PlacedInterval{From: cut + 1, To: iv.To, Proc: u, Mode: rng.Intn(inst.Platform.Processors[u].NumModes())}
 	ivs[j].To = cut
-	m.Apps[a].Intervals = append(ivs[:j+1], append([]mapping.PlacedInterval{right}, ivs[j+1:]...)...)
+	m.Apps[a].Intervals = slices.Insert(ivs, j+1, right)
 	return true
 }
 
 // moveMerge merges two adjacent intervals of one application onto one of
 // their two processors, freeing the other.
-func moveMerge(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) bool {
+func moveMerge(rng *rand.Rand, _ *pipeline.Instance, m *mapping.Mapping, _ *workspace) bool {
 	a, j := pick(rng, m)
 	ivs := m.Apps[a].Intervals
 	if len(ivs) < 2 {
@@ -231,7 +297,8 @@ func moveMerge(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) bool
 	}
 	keep.From = ivs[j].From
 	keep.To = ivs[j+1].To
-	m.Apps[a].Intervals = append(ivs[:j], append([]mapping.PlacedInterval{keep}, ivs[j+2:]...)...)
+	ivs[j] = keep
+	m.Apps[a].Intervals = slices.Delete(ivs, j+1, j+2)
 	return true
 }
 

@@ -102,11 +102,12 @@ func MinEnergyGivenPeriodLatency(rng *rand.Rand, inst *pipeline.Instance, rule m
 		}
 		return true
 	}
+	power := mapping.NewPowerTable(inst)
 	obj := func(m *mapping.Mapping) float64 {
 		if !feasible(m) {
 			return math.Inf(1)
 		}
-		return mapping.Energy(inst, m)
+		return power.Energy(m)
 	}
 	best, bestV, err := search(rng, inst, rule, obj, opt)
 	if err != nil {
@@ -262,10 +263,8 @@ func proportionalCounts(inst *pipeline.Instance, p int, rng *rand.Rand, round in
 	nApps := len(inst.Apps)
 	counts := make([]int, nApps)
 	works := make([]float64, nApps)
-	var total float64
 	for a := range inst.Apps {
 		works[a] = inst.Apps[a].EffectiveWeight() * inst.Apps[a].TotalWork()
-		total += works[a]
 	}
 	left := p
 	for a := range counts {
@@ -293,6 +292,5 @@ func proportionalCounts(inst *pipeline.Instance, p int, rng *rand.Rand, round in
 		counts[best]++
 		left--
 	}
-	_ = total
 	return counts
 }

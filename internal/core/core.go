@@ -479,6 +479,7 @@ func withinExactLimit(inst *pipeline.Instance, req Request) bool {
 func heuristicSolve(inst *pipeline.Instance, req Request) (Result, error) {
 	rng := rand.New(rand.NewSource(req.Seed + 1))
 	opt := heur.Options{Iters: req.HeurIters, Restarts: req.HeurRestarts}
+	power := mapping.NewPowerTable(inst)
 	obj := func(m *mapping.Mapping) float64 {
 		for a := range m.Apps {
 			if req.PeriodBounds != nil && !fmath.LE(mapping.AppPeriod(inst, m, a, req.Model), req.PeriodBounds[a]) {
@@ -488,7 +489,7 @@ func heuristicSolve(inst *pipeline.Instance, req Request) (Result, error) {
 				return math.Inf(1)
 			}
 		}
-		if req.EnergyBudget > 0 && !fmath.LE(mapping.Energy(inst, m), req.EnergyBudget) {
+		if req.EnergyBudget > 0 && !fmath.LE(power.Energy(m), req.EnergyBudget) {
 			return math.Inf(1)
 		}
 		switch req.Objective {
@@ -497,7 +498,7 @@ func heuristicSolve(inst *pipeline.Instance, req Request) (Result, error) {
 		case Latency:
 			return mapping.Latency(inst, m)
 		default:
-			return mapping.Energy(inst, m)
+			return power.Energy(m)
 		}
 	}
 	m, v, err := heur.Minimize(rng, inst, req.Rule, obj, opt)

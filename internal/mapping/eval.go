@@ -106,6 +106,36 @@ func Energy(inst *pipeline.Instance, m *Mapping) float64 {
 	return e
 }
 
+// PowerTable holds inst.Energy.Power(speed) for every (processor, mode):
+// entry [u][k] is the power of processor u in mode k. Build it once per
+// solve to take math.Pow out of a search's objective.
+type PowerTable [][]float64
+
+// NewPowerTable tabulates the power of every (processor, mode) of inst.
+func NewPowerTable(inst *pipeline.Instance) PowerTable {
+	pt := make(PowerTable, len(inst.Platform.Processors))
+	for u := range pt {
+		speeds := inst.Platform.Processors[u].Speeds
+		pt[u] = make([]float64, len(speeds))
+		for k, s := range speeds {
+			pt[u][k] = inst.Energy.Power(s)
+		}
+	}
+	return pt
+}
+
+// Energy is Energy(inst, m) read from the table: the same values summed in
+// the same order, so the result is bit-identical.
+func (pt PowerTable) Energy(m *Mapping) float64 {
+	var e float64
+	for a := range m.Apps {
+		for _, iv := range m.Apps[a].Intervals {
+			e += pt[iv.Proc][iv.Mode]
+		}
+	}
+	return e
+}
+
 // Metrics bundles all three criteria of a mapping.
 type Metrics struct {
 	// Period is the weighted global period max_a W_a*T_a.

@@ -75,11 +75,23 @@ type Mapping struct {
 
 // Clone returns a deep copy.
 func (m *Mapping) Clone() Mapping {
-	c := Mapping{Apps: make([]AppMapping, len(m.Apps))}
-	for i := range m.Apps {
-		c.Apps[i].Intervals = append([]PlacedInterval(nil), m.Apps[i].Intervals...)
-	}
+	var c Mapping
+	c.CopyFrom(m)
 	return c
+}
+
+// CopyFrom overwrites m with a deep copy of src, reusing m's buffers where
+// their capacity allows, so a caller that copies into the same mapping
+// repeatedly stops allocating once the buffers have grown. m and src must
+// not share interval buffers.
+func (m *Mapping) CopyFrom(src *Mapping) {
+	if cap(m.Apps) < len(src.Apps) {
+		m.Apps = make([]AppMapping, len(src.Apps))
+	}
+	m.Apps = m.Apps[:len(src.Apps)]
+	for i := range src.Apps {
+		m.Apps[i].Intervals = append(m.Apps[i].Intervals[:0], src.Apps[i].Intervals...)
+	}
 }
 
 // UsedProcessors returns the sorted list of enrolled processor indices.

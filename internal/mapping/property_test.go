@@ -139,3 +139,54 @@ func TestSimulatorAgreesWithEvalQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPowerTableEnergyBitIdentical: the tabulated energy equals Energy bit
+// for bit on random mappings under several energy models, so a search can
+// swap one for the other without changing any answer.
+func TestPowerTableEnergyBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(123))
+	models := []pipeline.EnergyModel{pipeline.DefaultEnergy, {Static: 0.5, Alpha: 3}, {Static: 2, Alpha: 2.5}}
+	for trial := 0; trial < 60; trial++ {
+		cfg := workload.DefaultConfig()
+		cfg.Class = pipeline.FullyHeterogeneous
+		cfg.Energy = models[trial%len(models)]
+		inst := workload.MustInstance(rng, cfg)
+		pt := mapping.NewPowerTable(&inst)
+		for k := 0; k < 5; k++ {
+			m, err := workload.RandomMapping(rng, &inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			//lint:allow floatcmp the table must reproduce Energy bit for bit
+			if got, want := pt.Energy(&m), mapping.Energy(&inst, &m); got != want {
+				t.Fatalf("trial %d: table energy %v, Energy %v", trial, got, want)
+			}
+		}
+	}
+}
+
+// TestCopyFromReusesBuffers: CopyFrom makes a deep copy, and copying a
+// mapping of the same shape again allocates nothing.
+func TestCopyFromReusesBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(124))
+	inst := workload.MustInstance(rng, workload.DefaultConfig())
+	src, err := workload.RandomMapping(rng, &inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dst mapping.Mapping
+	dst.CopyFrom(&src)
+	if dst.String() != src.String() {
+		t.Fatalf("copy %v differs from source %v", dst.String(), src.String())
+	}
+	dst.Apps[0].Intervals[0].Mode++
+	if dst.String() == src.String() {
+		t.Fatal("copy shares interval buffers with its source")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { dst.CopyFrom(&src) }); allocs != 0 {
+		t.Errorf("repeat CopyFrom allocated %v times, want 0", allocs)
+	}
+	if dst.String() != src.String() {
+		t.Fatalf("recopy %v differs from source %v", dst.String(), src.String())
+	}
+}
