@@ -73,32 +73,9 @@ func maxProcsPerApp(inst *pipeline.Instance) int {
 // via the single-application dynamic program and Algorithm 2. Processors
 // run at their fastest mode (energy is not a criterion).
 func MinPeriodFullyHom(inst *pipeline.Instance, model pipeline.CommModel) (mapping.Mapping, float64, error) {
-	speeds, b, err := homSetup(inst)
-	if err != nil {
-		return mapping.Mapping{}, 0, err
-	}
-	mx := maxProcsPerApp(inst)
-	curves := make([][]float64, len(inst.Apps))
-	parts := make([][][]Choice, len(inst.Apps))
-	for a := range inst.Apps {
-		dp := NewSingleDP(&inst.Apps[a], speeds, b, model)
-		curve, ps := dp.MinPeriod(mx)
-		w := inst.Apps[a].EffectiveWeight()
-		for i := range curve {
-			curve[i] *= w
-		}
-		curves[a], parts[a] = curve, ps
-	}
-	counts, value := Allocate(curves, inst.Platform.NumProcessors())
-	chosen := make([][]Choice, len(inst.Apps))
-	for a := range chosen {
-		chosen[a] = parts[a][counts[a]-1]
-	}
-	m, err := assemble(inst, chosen)
-	if err != nil {
-		return mapping.Mapping{}, 0, err
-	}
-	return m, value, nil
+	return allocByCurve(inst, func(dp *SingleDP, _, mx int) ([]float64, [][]Choice) {
+		return dp.MinPeriod(mx)
+	}, model)
 }
 
 // MinLatencyGivenPeriodFullyHom implements the latency half of Theorem 16:
@@ -106,8 +83,8 @@ func MinPeriodFullyHom(inst *pipeline.Instance, model pipeline.CommModel) (mappi
 // bound periodBounds[a] (on the unweighted T_a), on a fully homogeneous
 // platform.
 func MinLatencyGivenPeriodFullyHom(inst *pipeline.Instance, model pipeline.CommModel, periodBounds []float64) (mapping.Mapping, float64, error) {
-	return allocByCurve(inst, func(dp *SingleDP, a, q int) (float64, []Choice, bool) {
-		return dp.MinLatencyGivenPeriod(q, periodBounds[a])
+	return allocByCurve(inst, func(dp *SingleDP, a, mx int) ([]float64, [][]Choice) {
+		return dp.LatencyCurve(mx, periodBounds[a])
 	}, model)
 }
 
@@ -115,14 +92,15 @@ func MinLatencyGivenPeriodFullyHom(inst *pipeline.Instance, model pipeline.CommM
 // minimize the weighted global period subject to a per-application latency
 // bound latencyBounds[a] (on the unweighted L_a).
 func MinPeriodGivenLatencyFullyHom(inst *pipeline.Instance, model pipeline.CommModel, latencyBounds []float64) (mapping.Mapping, float64, error) {
-	return allocByCurve(inst, func(dp *SingleDP, a, q int) (float64, []Choice, bool) {
-		return dp.MinPeriodGivenLatency(q, latencyBounds[a])
+	return allocByCurve(inst, func(dp *SingleDP, a, mx int) ([]float64, [][]Choice) {
+		return dp.PeriodCurve(mx, latencyBounds[a])
 	}, model)
 }
 
-// allocByCurve runs Algorithm 2 on per-application curves produced by a
-// bounded single-application solver.
-func allocByCurve(inst *pipeline.Instance, solve func(dp *SingleDP, a, q int) (float64, []Choice, bool), model pipeline.CommModel) (mapping.Mapping, float64, error) {
+// allocByCurve runs Algorithm 2 on per-application curves: curveOf(dp, a,
+// mx) returns application a's unweighted best value for every processor
+// count 1..mx (+Inf where infeasible) and the matching partitions.
+func allocByCurve(inst *pipeline.Instance, curveOf func(dp *SingleDP, a, mx int) ([]float64, [][]Choice), model pipeline.CommModel) (mapping.Mapping, float64, error) {
 	speeds, b, err := homSetup(inst)
 	if err != nil {
 		return mapping.Mapping{}, 0, err
@@ -133,16 +111,11 @@ func allocByCurve(inst *pipeline.Instance, solve func(dp *SingleDP, a, q int) (f
 	for a := range inst.Apps {
 		dp := NewSingleDP(&inst.Apps[a], speeds, b, model)
 		w := inst.Apps[a].EffectiveWeight()
-		curves[a] = make([]float64, mx)
-		parts[a] = make([][]Choice, mx)
-		for q := 1; q <= mx; q++ {
-			v, part, ok := solve(dp, a, q)
-			if !ok {
-				curves[a][q-1] = math.Inf(1)
-				continue
+		curves[a], parts[a] = curveOf(dp, a, mx)
+		for q, v := range curves[a] {
+			if !math.IsInf(v, 1) {
+				curves[a][q] = w * v
 			}
-			curves[a][q-1] = w * v
-			parts[a][q-1] = part
 		}
 		if math.IsInf(curves[a][mx-1], 1) {
 			return mapping.Mapping{}, 0, fmt.Errorf("%w: application %d", ErrInfeasible, a)
@@ -256,14 +229,13 @@ func MinEnergyGivenPeriodLatencyUniModal(inst *pipeline.Instance, model pipeline
 	total := 0.0
 	used := 0
 	for a := range inst.Apps {
-		dp := NewSingleDP(&inst.Apps[a], speeds, b, model)
+		curve, parts := NewSingleDP(&inst.Apps[a], speeds, b, model).LatencyCurve(mx, periodBounds[a])
 		found := false
-		for q := 1; q <= mx; q++ {
-			l, part, ok := dp.MinLatencyGivenPeriod(q, periodBounds[a])
-			if ok && fmath.LE(l, latencyBounds[a]) {
-				chosen = append(chosen, part)
-				total += float64(len(part)) * perProc
-				used += len(part)
+		for q, l := range curve {
+			if !math.IsInf(l, 1) && fmath.LE(l, latencyBounds[a]) {
+				chosen = append(chosen, parts[q])
+				total += float64(len(parts[q])) * perProc
+				used += len(parts[q])
 				found = true
 				break
 			}

@@ -42,36 +42,50 @@ func Assign(cost [][]float64) (asg []int, total float64, ok bool) {
 	if n > m {
 		return nil, 0, false
 	}
-	at := func(i, j int) float64 {
-		c := cost[i][j]
-		if math.IsInf(c, 1) || c >= forbidden {
-			return forbidden
+	c := make([]float64, n*m)
+	for i, row := range cost {
+		for j, x := range row[:m] {
+			c[i*m+j] = clamp(x)
 		}
-		return c
 	}
+	return assign(c, n, m)
+}
+
+// clamp maps inadmissible weights (+Inf or >= forbidden) to forbidden.
+func clamp(c float64) float64 {
+	if math.IsInf(c, 1) || c >= forbidden {
+		return forbidden
+	}
+	return c
+}
+
+// assign is Assign on a clamped row-major n x m matrix, n <= m.
+func assign(c []float64, n, m int) (asg []int, total float64, ok bool) {
 	// 1-based Jonker-Volgenant shortest augmenting paths.
 	u := make([]float64, n+1)
 	v := make([]float64, m+1)
+	minv := make([]float64, m+1)
 	rowOf := make([]int, m+1) // rowOf[j]: row matched to column j, 0 if free
 	way := make([]int, m+1)
+	used := make([]bool, m+1)
 	for i := 1; i <= n; i++ {
 		rowOf[0] = i
 		j0 := 0
-		minv := make([]float64, m+1)
-		used := make([]bool, m+1)
 		for j := range minv {
 			minv[j] = math.Inf(1)
+			used[j] = false
 		}
 		for {
 			used[j0] = true
 			i0 := rowOf[j0]
+			row := c[(i0-1)*m : i0*m]
 			delta := math.Inf(1)
 			j1 := -1
 			for j := 1; j <= m; j++ {
 				if used[j] {
 					continue
 				}
-				cur := at(i0-1, j-1) - u[i0] - v[j]
+				cur := row[j-1] - u[i0] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
@@ -108,11 +122,11 @@ func Assign(cost [][]float64) (asg []int, total float64, ok bool) {
 	}
 	total = 0
 	for i := range asg {
-		c := at(i, asg[i])
-		if c >= forbidden/2 {
+		x := c[i*m+asg[i]]
+		if x >= forbidden/2 {
 			return nil, 0, false
 		}
-		total += c
+		total += x
 	}
 	return asg, total, true
 }
@@ -142,27 +156,43 @@ func MinEnergyGivenPeriodCommHom(inst *pipeline.Instance, model pipeline.CommMod
 	}
 	b, _ := inst.Platform.HomogeneousLinks()
 
-	cost := make([][]float64, len(stages))
-	modeChoice := make([][]int, len(stages))
+	// power[off_u+mode] is Power of processor u's mode, where off_u counts
+	// the modes of processors 0..u-1.
+	nModes := 0
+	for u := range inst.Platform.Processors {
+		nModes += inst.Platform.Processors[u].NumModes()
+	}
+	power := make([]float64, nModes)
+	off := 0
+	for u := range inst.Platform.Processors {
+		for mode, s := range inst.Platform.Processors[u].Speeds {
+			power[off+mode] = inst.Energy.Power(s)
+		}
+		off += inst.Platform.Processors[u].NumModes()
+	}
+	// cost[i*p+u] is the clamped weight of stage i on processor u and
+	// modeChoice[i*p+u] the mode achieving it (-1 if none meets the bound).
+	cost := make([]float64, len(stages)*p)
+	modeChoice := make([]int, len(stages)*p)
 	for i, r := range stages {
-		cost[i] = make([]float64, p)
-		modeChoice[i] = make([]int, p)
 		app := &inst.Apps[r.app]
 		in, out := commCost(app.InputSize(r.k), b), commCost(app.OutputSize(r.k), b)
+		off := 0
 		for u := 0; u < p; u++ {
-			cost[i][u] = math.Inf(1)
-			modeChoice[i][u] = -1
+			cost[i*p+u] = forbidden
+			modeChoice[i*p+u] = -1
 			for mode, s := range inst.Platform.Processors[u].Speeds {
 				cyc := mapping.IntervalCost(model, in, app.Stages[r.k].Work/s, out)
 				if fmath.LE(cyc, periodBounds[r.app]) {
-					cost[i][u] = inst.Energy.Power(s)
-					modeChoice[i][u] = mode
+					cost[i*p+u] = clamp(power[off+mode])
+					modeChoice[i*p+u] = mode
 					break
 				}
 			}
+			off += inst.Platform.Processors[u].NumModes()
 		}
 	}
-	asg, total, ok := Assign(cost)
+	asg, total, ok := assign(cost, len(stages), p)
 	if !ok {
 		return mapping.Mapping{}, 0, ErrInfeasible
 	}
@@ -170,7 +200,7 @@ func MinEnergyGivenPeriodCommHom(inst *pipeline.Instance, model pipeline.CommMod
 	for i, r := range stages {
 		u := asg[i]
 		m.Apps[r.app].Intervals = append(m.Apps[r.app].Intervals, mapping.PlacedInterval{
-			From: r.k, To: r.k, Proc: u, Mode: modeChoice[i][u],
+			From: r.k, To: r.k, Proc: u, Mode: modeChoice[i*p+u],
 		})
 	}
 	if err := m.Validate(inst, mapping.OneToOne); err != nil {
