@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet lint vuln race bench bench-corpus bench-diff bench-module diff chaos load fuzz-smoke experiments serve gateway clean
+.PHONY: all build test check fmt vet lint vuln race bench bench-corpus bench-diff bench-module microbench diff chaos load fuzz-smoke experiments serve gateway clean
 
 all: check
 
@@ -54,6 +54,12 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+
+# microbench runs each solver microbenchmark once (BenchmarkAnneal and
+# BenchmarkHeuristicSolve), so they keep compiling and running. Time them
+# with -benchtime 1s -count 5 before and after a solver change.
+microbench:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/algo/heur ./internal/core
 
 # bench-corpus regenerates the committed solver baseline BENCH_solver.json
 # (per-variant one-shot and plan-reuse ns/op + allocs + cache hit rate over

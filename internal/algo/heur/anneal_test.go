@@ -44,8 +44,9 @@ func sameMapping(x, y *mapping.Mapping) bool {
 
 // TestMovesKeepValidityAndBuffersApart drives the workspace the way anneal
 // does, accepting and recording moves at random. Every applied move must
-// leave a valid candidate, and mutating the candidate must never change
-// the incumbent or the best mapping: the three reused buffers never alias.
+// leave a valid candidate, mutating the candidate must never change the
+// incumbent or the best mapping (the three reused buffers never alias),
+// and settling must leave the candidate equal to the incumbent.
 func TestMovesKeepValidityAndBuffersApart(t *testing.T) {
 	rng := rand.New(rand.NewSource(1402))
 	for trial := 0; trial < 40; trial++ {
@@ -57,11 +58,11 @@ func TestMovesKeepValidityAndBuffersApart(t *testing.T) {
 		inst := workload.MustInstance(rng, cfg)
 		for _, rule := range []mapping.Rule{mapping.OneToOne, mapping.Interval} {
 			start := randomMapping(t, rng, &inst, rule)
-			ws := newWorkspace(&inst, &start)
+			ws := newWorkspace(newEvaluator(&inst, Goal{}), &start)
 			applied := 0
 			for i := 0; i < 400; i++ {
 				cur, best := ws.cur.Clone(), ws.best.Clone()
-				if !ws.propose(rng, &inst, rule) {
+				if _, ok := ws.propose(rng, rule); !ok {
 					continue
 				}
 				applied++
@@ -73,10 +74,15 @@ func TestMovesKeepValidityAndBuffersApart(t *testing.T) {
 				}
 				switch rng.Intn(3) {
 				case 0:
-					ws.accept()
+					ws.settle(true)
 				case 1:
-					ws.accept()
+					ws.settle(true)
 					ws.keepBest()
+				default:
+					ws.settle(false)
+				}
+				if !sameMapping(&ws.cand, &ws.cur) {
+					t.Fatalf("trial %d %v move %d: settle left the candidate %v unequal to the incumbent %v", trial, rule, i, ws.cand.String(), ws.cur.String())
 				}
 			}
 			if applied == 0 {
@@ -86,41 +92,63 @@ func TestMovesKeepValidityAndBuffersApart(t *testing.T) {
 	}
 }
 
-// annealStart returns a fixed instance, objective and greedy start for
+// annealCase is one anneal workload: apps applications, minimizing the
+// period, or the energy under period bounds 1.3 times the greedy start's.
+type annealCase struct {
+	name   string
+	apps   int
+	energy bool
+}
+
+var annealCases = []annealCase{
+	{"period-2apps", 2, false},
+	{"energy-3apps", 3, true},
+}
+
+// annealStart returns a fixed instance, evaluator and greedy start for
 // the allocation guard and the benchmark.
-func annealStart(tb testing.TB, rule mapping.Rule) (*pipeline.Instance, Objective, mapping.Mapping) {
+func annealStart(tb testing.TB, c annealCase, rule mapping.Rule) (*evaluator, mapping.Mapping) {
 	rng := rand.New(rand.NewSource(1403))
 	cfg := workload.Config{
-		Apps: 2, MinStages: 4, MaxStages: 5, Procs: 12, Modes: 3,
+		Apps: c.apps, MinStages: 4, MaxStages: 5, Procs: 12 + 4*(c.apps-2), Modes: 3,
 		Class: pipeline.FullyHeterogeneous, MaxWork: 10, MaxData: 5, MaxSpeed: 8, MaxBandwidth: 4,
 	}
 	inst := workload.MustInstance(rng, cfg)
-	obj := func(m *mapping.Mapping) float64 { return mapping.Period(&inst, m, pipeline.Overlap) }
 	start, err := initial(rng, &inst, rule, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &inst, obj, start
+	goal := Goal{Objective: Period, Model: pipeline.Overlap}
+	if c.energy {
+		mt := mapping.Evaluate(&inst, &start, pipeline.Overlap)
+		goal = Goal{Objective: Energy, Model: pipeline.Overlap, PeriodBounds: make([]float64, len(inst.Apps))}
+		for a := range inst.Apps {
+			goal.PeriodBounds[a] = 1.3 * mt.AppPeriods[a]
+		}
+	}
+	return newEvaluator(&inst, goal), start
 }
 
 // TestAnnealAllocsDoNotGrowWithIters: one anneal allocates its workspace
 // and nothing per iteration, so ten times the iterations cost the same
 // number of allocations.
 func TestAnnealAllocsDoNotGrowWithIters(t *testing.T) {
-	for _, rule := range []mapping.Rule{mapping.OneToOne, mapping.Interval} {
-		inst, obj, start := annealStart(t, rule)
-		rng := rand.New(rand.NewSource(1))
-		allocs := func(iters int) float64 {
-			opt := Options{Iters: iters, Rule: rule}.withDefaults()
-			return testing.AllocsPerRun(5, func() {
-				rng.Seed(1)
-				m := start
-				anneal(rng, inst, &m, obj, opt)
-			})
-		}
-		short, long := allocs(400), allocs(4000)
-		if short != long {
-			t.Errorf("%v: anneal allocates %v times at 400 iterations and %v at 4000", rule, short, long)
+	for _, c := range annealCases {
+		for _, rule := range []mapping.Rule{mapping.OneToOne, mapping.Interval} {
+			ev, start := annealStart(t, c, rule)
+			rng := rand.New(rand.NewSource(1))
+			allocs := func(iters int) float64 {
+				opt := Options{Iters: iters, Rule: rule}.withDefaults()
+				return testing.AllocsPerRun(5, func() {
+					rng.Seed(1)
+					m := start
+					anneal(rng, ev, &m, opt)
+				})
+			}
+			short, long := allocs(400), allocs(4000)
+			if short != long {
+				t.Errorf("%s %v: anneal allocates %v times at 400 iterations and %v at 4000", c.name, rule, short, long)
+			}
 		}
 	}
 }
@@ -130,10 +158,10 @@ func TestAnnealAllocsDoNotGrowWithIters(t *testing.T) {
 // so nothing the searches share (the move tables) is written.
 func TestMinimizeConcurrentMatchesSerial(t *testing.T) {
 	inst := workload.StreamingCenter(16)
-	obj := func(m *mapping.Mapping) float64 { return mapping.Period(&inst, m, pipeline.Overlap) }
+	goal := Goal{Objective: Period, Model: pipeline.Overlap}
 	for _, rule := range []mapping.Rule{mapping.OneToOne, mapping.Interval} {
 		run := func() (string, float64, error) {
-			m, v, err := Minimize(rand.New(rand.NewSource(7)), &inst, rule, obj, Options{Iters: 1500, Restarts: 2})
+			m, v, err := Minimize(rand.New(rand.NewSource(7)), &inst, rule, goal, Options{Iters: 1500, Restarts: 2})
 			return m.String(), v, err
 		}
 		want, wantV, err := run()
@@ -166,19 +194,21 @@ func TestMinimizeConcurrentMatchesSerial(t *testing.T) {
 // BenchmarkAnneal times one anneal from a greedy start; allocs/op must not
 // change with the iteration count.
 func BenchmarkAnneal(b *testing.B) {
-	for _, rule := range []mapping.Rule{mapping.OneToOne, mapping.Interval} {
-		inst, obj, start := annealStart(b, rule)
-		for _, iters := range []int{400, 4000} {
-			b.Run(fmt.Sprintf("%v/iters=%d", rule, iters), func(b *testing.B) {
-				opt := Options{Iters: iters, Rule: rule}.withDefaults()
-				rng := rand.New(rand.NewSource(1))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rng.Seed(int64(i))
-					m := start
-					anneal(rng, inst, &m, obj, opt)
-				}
-			})
+	for _, c := range annealCases {
+		for _, rule := range []mapping.Rule{mapping.OneToOne, mapping.Interval} {
+			ev, start := annealStart(b, c, rule)
+			for _, iters := range []int{400, 4000} {
+				b.Run(fmt.Sprintf("%s/%v/iters=%d", c.name, rule, iters), func(b *testing.B) {
+					opt := Options{Iters: iters, Rule: rule}.withDefaults()
+					rng := rand.New(rand.NewSource(1))
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						rng.Seed(int64(i))
+						m := start
+						anneal(rng, ev, &m, opt)
+					}
+				})
+			}
 		}
 	}
 }

@@ -6,6 +6,17 @@
 // them: greedy constructive mappings, a mode "speed-down" pass, and a
 // simulated-annealing local search over the interval-mapping neighbourhood.
 //
+// Every search minimizes a Goal: one criterion, penalized to +Inf outside
+// optional per-application period and latency bounds and an energy
+// budget. One evaluator scores the mappings a search visits. It caches
+// each application's T_a and L_a and the running PowerTable energy sum at
+// each application's start; a move reports the one or two applications it
+// changed, and only those are recomputed, in one pass over their
+// intervals that feeds both the bound checks and the objective. The
+// scores are bit-identical to mapping.Evaluate and PowerTable.Energy: the
+// weighted maximum is exact in any order, and the energy sum resumes at
+// the first changed application in the original addition order.
+//
 // All heuristics are deterministic given the caller's *rand.Rand seed, and
 // the test suite measures their optimality gap against the exact solvers.
 package heur
@@ -17,7 +28,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/fmath"
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
 )
@@ -25,10 +35,6 @@ import (
 // ErrNoMapping is returned when not even an initial feasible mapping could
 // be constructed (for example, more applications than processors).
 var ErrNoMapping = errors.New("heur: unable to construct an initial mapping")
-
-// Objective scores a mapping; lower is better. Infeasible mappings must
-// return +Inf.
-type Objective func(m *mapping.Mapping) float64
 
 // Options tunes the local search.
 type Options struct {
@@ -61,27 +67,22 @@ func (o Options) withDefaults() Options {
 }
 
 // Minimize runs the full heuristic pipeline (greedy construction, simulated
-// annealing, speed-down polish) on an arbitrary objective. Infeasible
-// mappings must score +Inf; the returned value is the best score reached,
-// possibly +Inf when no feasible mapping was found.
-func Minimize(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, obj Objective, opt Options) (mapping.Mapping, float64, error) {
+// annealing, speed-down polish) on goal. The returned value is the best
+// score reached, possibly +Inf when no mapping met the goal's bounds.
+func Minimize(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, goal Goal, opt Options) (mapping.Mapping, float64, error) {
 	opt.Rule = rule
-	return search(rng, inst, rule, obj, opt)
+	return search(rng, newEvaluator(inst, goal), rule, opt)
 }
 
 // MinPeriod heuristically minimizes the weighted global period on an
 // arbitrary platform under either mapping rule.
 func MinPeriod(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, opt Options) (mapping.Mapping, float64, error) {
-	opt.Rule = rule
-	obj := func(m *mapping.Mapping) float64 { return mapping.Period(inst, m, model) }
-	return search(rng, inst, rule, obj, opt)
+	return Minimize(rng, inst, rule, Goal{Objective: Period, Model: model}, opt)
 }
 
 // MinLatency heuristically minimizes the weighted global latency.
 func MinLatency(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, opt Options) (mapping.Mapping, float64, error) {
-	opt.Rule = rule
-	obj := func(m *mapping.Mapping) float64 { return mapping.Latency(inst, m) }
-	return search(rng, inst, rule, obj, opt)
+	return Minimize(rng, inst, rule, Goal{Objective: Latency}, opt)
 }
 
 // MinEnergyGivenPeriodLatency heuristically solves the NP-hard tri-criteria
@@ -91,25 +92,8 @@ func MinLatency(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, opt 
 // interval merge) with the best energy saving that keeps all bounds.
 func MinEnergyGivenPeriodLatency(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, periodBounds, latencyBounds []float64, opt Options) (mapping.Mapping, float64, error) {
 	opt.Rule = rule
-	feasible := func(m *mapping.Mapping) bool {
-		for a := range m.Apps {
-			if !fmath.LE(mapping.AppPeriod(inst, m, a, model), periodBounds[a]) {
-				return false
-			}
-			if !fmath.LE(mapping.AppLatency(inst, m, a), latencyBounds[a]) {
-				return false
-			}
-		}
-		return true
-	}
-	power := mapping.NewPowerTable(inst)
-	obj := func(m *mapping.Mapping) float64 {
-		if !feasible(m) {
-			return math.Inf(1)
-		}
-		return power.Energy(m)
-	}
-	best, bestV, err := search(rng, inst, rule, obj, opt)
+	ev := newEvaluator(inst, Goal{Objective: Energy, Model: model, PeriodBounds: periodBounds, LatencyBounds: latencyBounds})
+	best, bestV, err := search(rng, ev, rule, opt)
 	if err != nil {
 		return mapping.Mapping{}, 0, err
 	}
@@ -117,25 +101,24 @@ func MinEnergyGivenPeriodLatency(rng *rand.Rand, inst *pipeline.Instance, rule m
 		return mapping.Mapping{}, 0, fmt.Errorf("heur: no feasible mapping found within the search budget")
 	}
 	// Final deterministic polish.
-	speedDown(inst, &best, obj)
-	return best, obj(&best), nil
+	return best, speedDown(ev, &best), nil
 }
 
-// search runs restarts of (greedy init + speed-down + annealing).
-func search(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, obj Objective, opt Options) (mapping.Mapping, float64, error) {
+// search runs restarts of (greedy init + speed-up + annealing +
+// speed-down).
+func search(rng *rand.Rand, ev *evaluator, rule mapping.Rule, opt Options) (mapping.Mapping, float64, error) {
 	opt = opt.withDefaults()
 	var best mapping.Mapping
 	bestV := math.Inf(1)
 	haveBest := false
 	for r := 0; r < opt.Restarts; r++ {
-		m, err := initial(rng, inst, rule, r)
+		m, err := initial(rng, ev.inst, rule, r)
 		if err != nil {
 			return mapping.Mapping{}, 0, err
 		}
-		speedUpIfHelpful(inst, &m, obj)
-		v := anneal(rng, inst, &m, obj, opt)
-		speedDown(inst, &m, obj)
-		v = obj(&m)
+		speedUpIfHelpful(ev, &m)
+		anneal(rng, ev, &m, opt)
+		v := speedDown(ev, &m)
 		if !haveBest || v < bestV {
 			best, bestV, haveBest = m.Clone(), v, true
 		}

@@ -474,34 +474,19 @@ func withinExactLimit(inst *pipeline.Instance, req Request) bool {
 	return err == nil
 }
 
-// heuristicSolve builds the penalized objective for the request and runs
-// the heuristic search.
+// heuristicSolve runs the heuristic search on the request's goal: its
+// objective, penalized to +Inf outside its bounds and budget.
 func heuristicSolve(inst *pipeline.Instance, req Request) (Result, error) {
 	rng := rand.New(rand.NewSource(req.Seed + 1))
 	opt := heur.Options{Iters: req.HeurIters, Restarts: req.HeurRestarts}
-	power := mapping.NewPowerTable(inst)
-	obj := func(m *mapping.Mapping) float64 {
-		for a := range m.Apps {
-			if req.PeriodBounds != nil && !fmath.LE(mapping.AppPeriod(inst, m, a, req.Model), req.PeriodBounds[a]) {
-				return math.Inf(1)
-			}
-			if req.LatencyBounds != nil && !fmath.LE(mapping.AppLatency(inst, m, a), req.LatencyBounds[a]) {
-				return math.Inf(1)
-			}
-		}
-		if req.EnergyBudget > 0 && !fmath.LE(power.Energy(m), req.EnergyBudget) {
-			return math.Inf(1)
-		}
-		switch req.Objective {
-		case Period:
-			return mapping.Period(inst, m, req.Model)
-		case Latency:
-			return mapping.Latency(inst, m)
-		default:
-			return power.Energy(m)
-		}
+	goal := heur.Goal{
+		Objective:     heurCriterion[req.Objective],
+		Model:         req.Model,
+		PeriodBounds:  req.PeriodBounds,
+		LatencyBounds: req.LatencyBounds,
+		EnergyBudget:  req.EnergyBudget,
 	}
-	m, v, err := heur.Minimize(rng, inst, req.Rule, obj, opt)
+	m, v, err := heur.Minimize(rng, inst, req.Rule, goal, opt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -510,6 +495,9 @@ func heuristicSolve(inst *pipeline.Instance, req Request) (Result, error) {
 	}
 	return wrap(inst, req, m, v, MethodHeuristic, false, nil)
 }
+
+// heurCriterion maps each criterion to the heuristic's.
+var heurCriterion = [...]heur.Criterion{Period: heur.Period, Latency: heur.Latency, Energy: heur.Energy}
 
 func wrap(inst *pipeline.Instance, req Request, m mapping.Mapping, v float64, method Method, optimal bool, err error) (Result, error) {
 	if err != nil {

@@ -12,6 +12,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Stage is one stage S^k of a linear chain application: it reads the output
@@ -94,28 +95,35 @@ func (a *Application) EffectiveWeight() float64 {
 	return a.Weight
 }
 
-// Validate checks structural invariants: at least one stage, strictly
-// positive works, non-negative data sizes and a non-negative weight.
+// Validate checks structural invariants: at least one stage, finite and
+// strictly positive works, finite non-negative data sizes and a finite
+// non-negative weight.
 func (a *Application) Validate() error {
 	if len(a.Stages) == 0 {
 		return fmt.Errorf("pipeline: application %q has no stages", a.Name)
 	}
-	if a.In < 0 {
-		return fmt.Errorf("pipeline: application %q has negative input size", a.Name)
+	if !nonNegative(a.In) {
+		return fmt.Errorf("pipeline: application %q has input size %g, want finite and non-negative", a.Name, a.In)
 	}
-	if a.Weight < 0 {
-		return fmt.Errorf("pipeline: application %q has negative weight", a.Name)
+	if !nonNegative(a.Weight) {
+		return fmt.Errorf("pipeline: application %q has weight %g, want finite and non-negative", a.Name, a.Weight)
 	}
 	for k, st := range a.Stages {
-		if st.Work <= 0 {
-			return fmt.Errorf("pipeline: application %q stage %d has non-positive work %g", a.Name, k, st.Work)
+		if !positive(st.Work) {
+			return fmt.Errorf("pipeline: application %q stage %d has work %g, want finite and positive", a.Name, k, st.Work)
 		}
-		if st.Out < 0 {
-			return fmt.Errorf("pipeline: application %q stage %d has negative output size", a.Name, k)
+		if !nonNegative(st.Out) {
+			return fmt.Errorf("pipeline: application %q stage %d has output size %g, want finite and non-negative", a.Name, k, st.Out)
 		}
 	}
 	return nil
 }
+
+// positive and nonNegative report whether x is finite and > 0 (>= 0).
+// NaN fails every comparison and +Inf exceeds MaxFloat64, so neither
+// passes.
+func positive(x float64) bool    { return x > 0 && x <= math.MaxFloat64 }
+func nonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // Clone returns a deep copy of the application.
 func (a *Application) Clone() Application {

@@ -31,14 +31,14 @@ func (e EnergyModel) alpha() float64 {
 	return e.Alpha
 }
 
-// Validate checks alpha > 1 (or the 0 sentinel meaning "default 2") and a
-// non-negative static part.
+// Validate checks a finite alpha > 1 (or the 0 sentinel meaning "default
+// 2") and a finite non-negative static part.
 func (e EnergyModel) Validate() error {
-	if e.Alpha != 0 && e.Alpha <= 1 {
-		return fmt.Errorf("pipeline: energy exponent alpha = %g must exceed 1", e.Alpha)
+	if e.Alpha != 0 && !(e.Alpha > 1 && e.Alpha <= math.MaxFloat64) {
+		return fmt.Errorf("pipeline: energy exponent alpha = %g must be finite and exceed 1", e.Alpha)
 	}
-	if e.Static < 0 {
-		return fmt.Errorf("pipeline: negative static energy %g", e.Static)
+	if !nonNegative(e.Static) {
+		return fmt.Errorf("pipeline: static energy %g must be finite and non-negative", e.Static)
 	}
 	return nil
 }

@@ -165,6 +165,50 @@ func TestPlatformValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: NaN and the infinities pass every "< 0"
+// and "<= 0" test, so each numeric field needs its own finiteness check.
+// One case per field; the error must name the field.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		field string
+		set   func(in *Instance, x float64)
+	}{
+		{"input size", func(in *Instance, x float64) { in.Apps[0].In = x }},
+		{"weight", func(in *Instance, x float64) { in.Apps[0].Weight = x }},
+		{"work", func(in *Instance, x float64) { in.Apps[0].Stages[1].Work = x }},
+		{"output size", func(in *Instance, x float64) { in.Apps[0].Stages[1].Out = x }},
+		{"speed", func(in *Instance, x float64) {
+			sp := in.Platform.Processors[1].Speeds
+			sp[len(sp)-1] = x
+		}},
+		{"bandwidth[0][1]", func(in *Instance, x float64) {
+			in.Platform.Bandwidth[0][1], in.Platform.Bandwidth[1][0] = x, x
+		}},
+		{"in bandwidth", func(in *Instance, x float64) { in.Platform.InBandwidth[1][0] = x }},
+		{"out bandwidth", func(in *Instance, x float64) { in.Platform.OutBandwidth[0][1] = x }},
+		{"alpha", func(in *Instance, x float64) { in.Energy.Alpha = x }},
+		{"static energy", func(in *Instance, x float64) { in.Energy.Static = x }},
+	}
+	base := MotivatingExample()
+	if err := base.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			inst := base.Clone()
+			c.set(&inst, x)
+			err := inst.Validate()
+			if err == nil {
+				t.Errorf("%s = %g accepted", c.field, x)
+				continue
+			}
+			if !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s = %g: error %q does not name the field", c.field, x, err)
+			}
+		}
+	}
+}
+
 func TestUniModal(t *testing.T) {
 	uni := NewHomogeneousPlatform(2, []float64{3}, 1, 1)
 	if !uni.UniModal() {

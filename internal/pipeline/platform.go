@@ -168,8 +168,8 @@ func (pl *Platform) Classify() Class {
 }
 
 // Validate checks structural invariants: at least one processor, sorted
-// positive speed sets, and symmetric positive bandwidth matrices of
-// consistent dimensions.
+// finite positive speed sets, and symmetric finite positive bandwidth
+// matrices of consistent dimensions.
 func (pl *Platform) Validate() error {
 	p := len(pl.Processors)
 	if p == 0 {
@@ -180,8 +180,8 @@ func (pl *Platform) Validate() error {
 			return fmt.Errorf("pipeline: processor %d has no speeds", u)
 		}
 		for i, s := range proc.Speeds {
-			if s <= 0 {
-				return fmt.Errorf("pipeline: processor %d has non-positive speed %g", u, s)
+			if !positive(s) {
+				return fmt.Errorf("pipeline: processor %d speed %d is %g, want finite and positive", u, i, s)
 			}
 			if i > 0 && s < proc.Speeds[i-1] {
 				return fmt.Errorf("pipeline: processor %d speeds not sorted ascending", u)
@@ -199,8 +199,8 @@ func (pl *Platform) Validate() error {
 			if u == v {
 				continue
 			}
-			if pl.Bandwidth[u][v] <= 0 {
-				return fmt.Errorf("pipeline: bandwidth[%d][%d] = %g must be positive", u, v, pl.Bandwidth[u][v])
+			if b := pl.Bandwidth[u][v]; !positive(b) {
+				return fmt.Errorf("pipeline: bandwidth[%d][%d] = %g must be finite and positive", u, v, b)
 			}
 			if !fmath.EQ(pl.Bandwidth[u][v], pl.Bandwidth[v][u]) {
 				return fmt.Errorf("pipeline: bandwidth matrix not symmetric at (%d,%d)", u, v)
@@ -215,8 +215,11 @@ func (pl *Platform) Validate() error {
 			return fmt.Errorf("pipeline: in/out bandwidth row %d has wrong width", a)
 		}
 		for u := 0; u < p; u++ {
-			if pl.InBandwidth[a][u] <= 0 || pl.OutBandwidth[a][u] <= 0 {
-				return fmt.Errorf("pipeline: in/out bandwidth for app %d proc %d must be positive", a, u)
+			if b := pl.InBandwidth[a][u]; !positive(b) {
+				return fmt.Errorf("pipeline: in bandwidth[%d][%d] = %g must be finite and positive", a, u, b)
+			}
+			if b := pl.OutBandwidth[a][u]; !positive(b) {
+				return fmt.Errorf("pipeline: out bandwidth[%d][%d] = %g must be finite and positive", a, u, b)
 			}
 		}
 	}
