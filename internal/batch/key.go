@@ -17,9 +17,12 @@ import (
 // payloads are preserved), slices are length-prefixed, and nil slices are
 // distinguished from empty ones because the nil-ness of Request bounds is
 // semantically meaningful to the solver ("unconstrained" versus
-// "constrained"). The encoding itself is the map key — exact by
-// construction, no hashing cost, and the string(buf) conversion is the only
-// allocation per lookup.
+// "constrained"). Bandwidth matrices are run-length coded at block level:
+// a matrix or row whose entries all carry the same bits is written as a
+// tag, its dimensions and the one value, so a communication-homogeneous
+// platform costs O(1) key bytes instead of O(p²). The encoding itself is
+// the map key — exact by construction, no hashing cost, and the
+// string(buf) conversion is the only allocation per lookup.
 type keyWriter struct {
 	buf []byte
 }
@@ -54,11 +57,88 @@ func (k *keyWriter) floats(xs []float64) {
 	}
 }
 
+// Block tags of the bandwidth encoding. A constant block is one whose
+// entries all have the same bits; the tags keep the two forms of a matrix
+// and the three forms of a row apart, so the encoding stays
+// self-delimiting and two matrices encode alike exactly when they have
+// the same row count, row nil-ness, row lengths and entry bits.
+const (
+	nilRow uint64 = iota
+	fullRow
+	constRow
+	fullMatrix
+	constMatrix
+)
+
+// matrix writes a bandwidth matrix: a non-empty rectangular matrix of
+// one value as constMatrix, rows, columns and the value; anything else as
+// fullMatrix, the row count and every row.
 func (k *keyWriter) matrix(m [][]float64) {
+	if v, ok := constant(m); ok {
+		k.u64(constMatrix)
+		k.u64(uint64(len(m)))
+		k.u64(uint64(len(m[0])))
+		k.u64(v)
+		return
+	}
+	k.u64(fullMatrix)
 	k.u64(uint64(len(m)))
 	for _, row := range m {
-		k.floats(row)
+		k.row(row)
 	}
+}
+
+// row writes one matrix row: nilRow, constRow with the length and the
+// value, or fullRow with the length and every entry.
+func (k *keyWriter) row(xs []float64) {
+	switch v, ok := constantRow(xs); {
+	case xs == nil:
+		k.u64(nilRow)
+	case ok:
+		k.u64(constRow)
+		k.u64(uint64(len(xs)))
+		k.u64(v)
+	default:
+		k.u64(fullRow)
+		k.u64(uint64(len(xs)))
+		for _, x := range xs {
+			k.f64(x)
+		}
+	}
+}
+
+// constantRow reports whether xs is non-empty with every entry of the
+// same bits, and returns those bits.
+func constantRow(xs []float64) (uint64, bool) {
+	if len(xs) == 0 {
+		return 0, false
+	}
+	v := math.Float64bits(xs[0])
+	for _, x := range xs[1:] {
+		if math.Float64bits(x) != v {
+			return 0, false
+		}
+	}
+	return v, true
+}
+
+// constant reports whether m has at least one row, every row of the same
+// non-zero length and every entry of the same bits, and returns those
+// bits.
+func constant(m [][]float64) (uint64, bool) {
+	if len(m) == 0 {
+		return 0, false
+	}
+	v, ok := constantRow(m[0])
+	if !ok {
+		return 0, false
+	}
+	for _, row := range m[1:] {
+		if w, ok := constantRow(row); !ok || w != v || len(row) != len(m[0]) {
+			return 0, false
+		}
+	}
+	return v, true
 }
 
 // done snapshots the encoding into an immutable string key and returns the

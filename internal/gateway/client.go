@@ -6,7 +6,6 @@
 package gateway
 
 import (
-	"math/rand"
 	"net/http"
 	"strconv"
 	"time"
@@ -54,21 +53,23 @@ func ParseRetryAfter(v string, now time.Time) time.Duration {
 // uniform in [base·2ⁿ/2, base·2ⁿ], capped at 10s. The jitter decorrelates
 // clients that shed at the same instant — a deterministic schedule would
 // march them back in lockstep and reproduce the overload.
-func backoffDelay(base time.Duration, attempt int, rng *rand.Rand) time.Duration {
+//
+// jitter(n) draws uniformly from [0, n).
+func backoffDelay(base time.Duration, attempt int, jitter func(n int64) int64) time.Duration {
 	d := base << attempt
 	if max := 10 * time.Second; d > max {
 		d = max
 	}
 	half := d / 2
-	return half + time.Duration(rng.Int63n(int64(half)+1))
+	return half + time.Duration(jitter(int64(half)+1))
 }
 
 // retryWait picks the wait before retrying a shed attempt: the server's
 // Retry-After when it sent one (it knows its own cooldown), otherwise the
 // jittered backoff schedule.
-func retryWait(retryAfter string, base time.Duration, attempt int, rng *rand.Rand, now time.Time) time.Duration {
+func retryWait(retryAfter string, base time.Duration, attempt int, jitter func(n int64) int64, now time.Time) time.Duration {
 	if wait := ParseRetryAfter(retryAfter, now); wait > 0 {
 		return wait
 	}
-	return backoffDelay(base, attempt, rng)
+	return backoffDelay(base, attempt, jitter)
 }

@@ -1,15 +1,18 @@
 // Package gateway is the horizontal scale-out front for the pipeserved
-// solver service: it computes each job's canonical key (the exact
-// encoding the batch engine memoizes by), routes keys over a
-// consistent-hash ring of replicas so every replica's memo and plan
-// caches stay hot for a stable slice of the key space, fans /v1/batch
-// sub-batches out concurrently, and reassembles the per-job results in
-// input order.
+// solver service: it cuts each job out of the request bytes, routes it by
+// a hash of its instance and request bytes over a consistent-hash ring of
+// replicas so every replica's memo and plan caches stay hot for a stable
+// slice of the jobs, fans /v1/batch sub-batches out concurrently, and
+// reassembles the per-job results in input order.
 //
-// Results pass through as raw JSON: the gateway never decodes a result
-// slot it merely forwards, so a batch answered through N replicas is
-// bit-identical to the same batch answered by one (non-finite values
-// rendered as null survive; re-encoding would corrupt them).
+// The gateway never decodes an instance or a result slot: a /v1/solve
+// body is forwarded verbatim, a sub-batch is spliced from the jobs' bytes
+// as sent, and result slots pass through as raw JSON, so a batch answered
+// through N replicas is bit-identical to the same batch answered by one
+// (non-finite values rendered as null survive; re-encoding would corrupt
+// them). The replicas validate; when one rejects a sub-batch as invalid,
+// the gateway checks the whole document itself and answers the error a
+// single replica would have given for it.
 //
 // The gateway degrades rather than fails: replicas are health-checked
 // via their /readyz probes, shed sub-requests (429/503) are retried with
@@ -33,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/jobspec"
 )
 
@@ -46,7 +48,7 @@ type Config struct {
 	// NewClient(0) (a timed client — the default http.Client's missing
 	// timeout is exactly the bug this package exists to not repeat).
 	Client *http.Client
-	// Router maps canonical keys onto replica indices; nil means a
+	// Router maps route keys onto replica indices; nil means a
 	// consistent-hash Ring with DefaultVirtualNodes points per replica.
 	Router Router
 	// Retries is the number of additional attempts per upstream request
@@ -302,7 +304,7 @@ func (g *Gateway) post(ctx context.Context, replica int, path string, body []byt
 		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
 			lastErr = fmt.Errorf("%w: %s answered %d", errShed, url, resp.StatusCode)
 			if attempt < g.retries {
-				wait := retryWait(resp.Header.Get("Retry-After"), g.retryBase, attempt, g.jitterRNG(), time.Now())
+				wait := retryWait(resp.Header.Get("Retry-After"), g.retryBase, attempt, g.jitter, time.Now())
 				if sleepCtx(ctx, wait) {
 					continue
 				}
@@ -315,16 +317,16 @@ func (g *Gateway) post(ctx context.Context, replica int, path string, body []byt
 }
 
 func (g *Gateway) backoff(attempt int) time.Duration {
-	return backoffDelay(g.retryBase, attempt, g.jitterRNG())
+	return backoffDelay(g.retryBase, attempt, g.jitter)
 }
 
-// jitterRNG draws from the shared jitter source under its lock.
-// math/rand.Rand is not safe for concurrent use, and the fan-out calls
-// this from many goroutines.
-func (g *Gateway) jitterRNG() *rand.Rand {
+// jitter draws uniformly from [0, n) from the shared jitter source under
+// its lock: math/rand.Rand is not safe for concurrent use, and the
+// fan-out calls this from many goroutines.
+func (g *Gateway) jitter(n int64) int64 {
 	g.rngMu.Lock()
 	defer g.rngMu.Unlock()
-	return rand.New(rand.NewSource(g.rng.Int63()))
+	return g.rng.Int63n(n)
 }
 
 // wireOutput is the /v1/batch response with the result slots kept as raw
@@ -342,65 +344,78 @@ func errorSlot(code string, err error) json.RawMessage {
 	return raw
 }
 
-// handleBatch fans a batch out across the ring: every job is keyed by its
-// canonical encoding, grouped by owning replica, and the groups are
-// posted concurrently; the sub-responses' raw result slots are scattered
-// back into input order and the sub-batch stats are merged. A group whose
-// replica fails (transport error or shed past the retry budget) marks the
+// handleBatch fans a batch out across the ring: the document is cut
+// into its jobs' bytes, every job is routed by its route key, and the
+// groups are posted concurrently as sub-batches spliced from those
+// bytes; the sub-responses' raw result slots are scattered back into
+// input order and the sub-batch stats are merged. A group whose replica
+// fails (transport error or shed past the retry budget) marks the
 // replica down and reroutes to the ring successors; jobs with no healthy
 // replica left answer structured shed errors in their slots rather than
-// failing the whole batch.
+// failing the whole batch. A document the gateway cannot cut, or one a
+// replica rejects as invalid, is checked whole (jobspec.DecodeFile, then
+// BatchJobs) and answered with that check's error.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	doc, err := jobspec.DecodeFile(r.Body)
+	body, readErr := io.ReadAll(r.Body)
+	doc, status, err := splitBatch(body, readErr)
 	if err != nil {
-		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
+		jobspec.WriteError(w, status, err)
 		return
-	}
-	jobs, err := doc.BatchJobs()
-	if err != nil {
-		jobspec.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	keys := make([]string, len(jobs))
-	for i := range jobs {
-		keys[i] = batch.Key(jobs[i].Inst, jobs[i].Req)
 	}
 
 	startWall := time.Now()
-	results := make([]json.RawMessage, len(jobs))
-	merged := jobspec.Stats{Methods: make(map[string]int)}
-	var mu sync.Mutex // guards merged (results slots are disjoint per group)
-
-	indices := make([]int, len(jobs))
+	fo := &fanout{
+		doc:     &doc,
+		keys:    doc.routeKeys(),
+		results: make([]json.RawMessage, len(doc.Jobs)),
+		merged:  jobspec.Stats{Methods: make(map[string]int)},
+	}
+	indices := make([]int, len(doc.Jobs))
 	for i := range indices {
 		indices[i] = i
 	}
-	g.dispatch(r.Context(), &doc, keys, indices, results, &merged, &mu, 0)
+	g.dispatch(r.Context(), fo, indices, 0)
 
-	merged.WallMs = float64(time.Since(startWall).Microseconds()) / 1000
-	jobspec.WriteJSON(w, http.StatusOK, wireOutput{Results: results, Stats: merged})
+	if fo.rejected {
+		if _, status, invalid := checkBatch(body, readErr); invalid != nil {
+			jobspec.WriteError(w, status, invalid)
+			return
+		}
+	}
+	fo.merged.WallMs = float64(time.Since(startWall).Microseconds()) / 1000
+	jobspec.WriteJSON(w, http.StatusOK, wireOutput{Results: fo.results, Stats: fo.merged})
+}
+
+// fanout is one /v1/batch request in flight: the cut document, the jobs'
+// route keys, and the result slots and merged stats the sub-batches fill
+// (the slots are disjoint per group; mu guards the rest).
+type fanout struct {
+	doc     *batchDoc
+	keys    []string
+	results []json.RawMessage
+
+	mu       sync.Mutex
+	merged   jobspec.Stats
+	rejected bool // a replica answered 400 to a sub-batch
 }
 
 // dispatch routes the given job indices under the current health view,
 // posts one sub-batch per owning replica concurrently, and recurses for
 // groups whose replica turned out to be down (depth bounds the recursion:
 // each level retires at least one replica).
-func (g *Gateway) dispatch(ctx context.Context, doc *jobspec.File, keys []string,
-	indices []int, results []json.RawMessage, merged *jobspec.Stats, mu *sync.Mutex, depth int) {
-
+func (g *Gateway) dispatch(ctx context.Context, fo *fanout, indices []int, depth int) {
 	groups := make(map[int][]int)
+	var unroutable []int
 	for _, idx := range indices {
-		rep, ok := g.route(keys[idx])
+		rep, ok := g.route(fo.keys[idx])
 		if !ok {
-			g.shed.Add(1)
-			mu.Lock()
-			merged.Jobs++
-			merged.Errors++
-			mu.Unlock()
-			results[idx] = errorSlot(jobspec.CodeShed, errors.New("no healthy replica for job"))
+			unroutable = append(unroutable, idx)
 			continue
 		}
 		groups[rep] = append(groups[rep], idx)
+	}
+	if len(unroutable) > 0 {
+		g.failSlots(fo, unroutable, jobspec.CodeShed, errors.New("no healthy replica for job"))
 	}
 
 	var wg sync.WaitGroup
@@ -408,20 +423,7 @@ func (g *Gateway) dispatch(ctx context.Context, doc *jobspec.File, keys []string
 		wg.Add(1)
 		go func(rep int, group []int) {
 			defer wg.Done()
-			sub := jobspec.File{Instance: doc.Instance, Jobs: make([]jobspec.Job, len(group))}
-			for i, idx := range group {
-				sub.Jobs[i] = doc.Jobs[idx]
-			}
-			body, err := json.Marshal(sub)
-			if err != nil {
-				g.failSlots(group, results, merged, mu, jobspec.CodeInternal, err)
-				return
-			}
-			resp, respBody, err := g.post(ctx, rep, "/v1/batch", body)
-			if err == nil && resp.StatusCode != http.StatusOK {
-				err = fmt.Errorf("replica %s answered %d to a sub-batch: %s",
-					g.replicas[rep], resp.StatusCode, truncate(respBody, 200))
-			}
+			resp, respBody, err := g.post(ctx, rep, "/v1/batch", fo.doc.splice(group))
 			if err != nil {
 				// The replica is gone or persistently shedding: take it
 				// out of the ring and let the group's keys find their
@@ -429,16 +431,24 @@ func (g *Gateway) dispatch(ctx context.Context, doc *jobspec.File, keys []string
 				// replica down, and route() answers ok=false once none
 				// are left.
 				if ctx.Err() != nil {
-					g.failSlots(group, results, merged, mu, jobspec.CodeTimeout, ctx.Err())
+					g.failSlots(fo, group, jobspec.CodeTimeout, ctx.Err())
 					return
 				}
 				g.markDown(rep, err)
 				if depth < len(g.replicas) {
 					g.rerouted.Add(int64(len(group)))
-					g.dispatch(ctx, doc, keys, group, results, merged, mu, depth+1)
+					g.dispatch(ctx, fo, group, depth+1)
 					return
 				}
-				g.failSlots(group, results, merged, mu, jobspec.CodeShed, err)
+				g.failSlots(fo, group, jobspec.CodeShed, err)
+				return
+			}
+			if resp.StatusCode != http.StatusOK {
+				// The replica is up and answered for the sub-batch
+				// itself: its budget expired (504), it found the jobs
+				// invalid (400), or it failed on them. The slots carry
+				// its answer; a 400 also has the whole document checked.
+				g.upstreamError(fo, group, rep, resp.StatusCode, respBody)
 				return
 			}
 			var out wireOutput
@@ -446,35 +456,58 @@ func (g *Gateway) dispatch(ctx context.Context, doc *jobspec.File, keys []string
 				if err == nil {
 					err = fmt.Errorf("sub-batch answered %d results for %d jobs", len(out.Results), len(group))
 				}
-				g.failSlots(group, results, merged, mu, jobspec.CodeInternal, err)
+				g.failSlots(fo, group, jobspec.CodeInternal, err)
 				return
 			}
 			for i, idx := range group {
-				results[idx] = out.Results[i]
+				fo.results[idx] = out.Results[i]
 			}
-			mu.Lock()
-			merged.Merge(out.Stats)
-			mu.Unlock()
+			fo.mu.Lock()
+			fo.merged.Merge(out.Stats)
+			fo.mu.Unlock()
 		}(rep, group)
 	}
 	wg.Wait()
 }
 
+// upstreamError fills a group's slots from a replica's non-200 answer to
+// its sub-batch: the code of the replica's error document, or, for an
+// answer that is none, timeout for a 504 and internal otherwise. A 400
+// marks the batch rejected.
+func (g *Gateway) upstreamError(fo *fanout, group []int, rep, status int, body []byte) {
+	var doc jobspec.Result
+	if json.Unmarshal(body, &doc) != nil || doc.Error == "" {
+		doc.Error = truncate(body, 200)
+	}
+	if doc.Code == "" {
+		doc.Code = jobspec.CodeInternal
+		if status == http.StatusGatewayTimeout {
+			doc.Code = jobspec.CodeTimeout
+		}
+	}
+	g.failSlots(fo, group, doc.Code, fmt.Errorf("replica %s answered %d to a sub-batch: %s",
+		g.replicas[rep], status, doc.Error))
+	if status == http.StatusBadRequest {
+		fo.mu.Lock()
+		fo.rejected = true
+		fo.mu.Unlock()
+	}
+}
+
 // failSlots fills a group's result slots with one structured error each
 // and counts them in the merged stats.
-func (g *Gateway) failSlots(group []int, results []json.RawMessage, merged *jobspec.Stats,
-	mu *sync.Mutex, code string, err error) {
+func (g *Gateway) failSlots(fo *fanout, group []int, code string, err error) {
 	if code == jobspec.CodeShed {
 		g.shed.Add(int64(len(group)))
 	}
 	slot := errorSlot(code, err)
 	for _, idx := range group {
-		results[idx] = slot
+		fo.results[idx] = slot
 	}
-	mu.Lock()
-	merged.Jobs += len(group)
-	merged.Errors += len(group)
-	mu.Unlock()
+	fo.mu.Lock()
+	fo.merged.Jobs += len(group)
+	fo.merged.Errors += len(group)
+	fo.mu.Unlock()
 }
 
 func truncate(b []byte, n int) string {
@@ -484,50 +517,47 @@ func truncate(b []byte, n int) string {
 	return string(b[:n]) + "..."
 }
 
-// handleSolve routes a single solve by its canonical key — the same key
-// its job would use inside a batch, so a /v1/solve repeat always lands on
-// the replica whose cache holds it — and forwards the request verbatim.
+// handleSolve routes a single solve by the route key of its instance and
+// request bytes — the key the same job gets inside a batch, so a
+// /v1/solve repeat lands on the replica whose cache holds it — and
+// forwards the body verbatim. A body the gateway cannot cut, or one the
+// replica rejects as invalid, is checked whole and answered with that
+// check's error.
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}
-	var job jobspec.Job
-	if err := json.Unmarshal(body, &job); err != nil {
-		jobspec.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
-		return
-	}
-	if job.Instance == nil {
-		jobspec.WriteError(w, http.StatusBadRequest, errors.New("solve request has no instance"))
-		return
-	}
-	file := jobspec.File{Instance: job.Instance, Jobs: []jobspec.Job{{Request: job.Request}}}
-	jobs, err := file.BatchJobs()
+	key, err := solveKey(body)
 	if err != nil {
 		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	g.forward(w, r, batch.Key(jobs[0].Inst, jobs[0].Req), body)
+	g.forward(w, r, key, body, func() error {
+		_, err := checkSolve(body)
+		return err
+	})
 }
 
 // handleOpaque routes an endpoint the gateway does not interpret
-// (pareto, simulate, resolve) by a hash of the request body: identical
-// documents land on the same replica, so their compiled plans are warm,
-// without the gateway needing each endpoint's schema.
+// (pareto, simulate, resolve) by a hash of the path and the request
+// body: identical documents land on the same replica, so their compiled
+// plans are warm, without the gateway needing each endpoint's schema.
 func (g *Gateway) handleOpaque(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}
-	g.forward(w, r, fmt.Sprintf("opaque:%s:%x", r.URL.Path, fnv1a(string(body))), body)
+	g.forward(w, r, hexKey(fnv1a(fnv1a(fnvOffset, r.URL.Path), body)), body, nil)
 }
 
 // forward proxies one request to the replica owning key, rerouting to
 // ring successors while replicas fail, and relays the upstream response
-// (status, error documents included) verbatim.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) {
+// (status, error documents included) verbatim — except that a 400 is
+// replaced by invalid's error when invalid is set and reports one.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, body []byte, invalid func() error) {
 	tried := 0
 	for {
 		rep, ok := g.route(key)
@@ -549,6 +579,12 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, bo
 			}
 			jobspec.WriteShed(w, http.StatusServiceUnavailable, time.Second, err)
 			return
+		}
+		if resp.StatusCode == http.StatusBadRequest && invalid != nil {
+			if err := invalid(); err != nil {
+				jobspec.WriteError(w, http.StatusBadRequest, err)
+				return
+			}
 		}
 		// Shed responses that survived the retry budget are relayed as-is:
 		// the client sees the upstream's Retry-After and error document.

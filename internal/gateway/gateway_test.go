@@ -72,6 +72,36 @@ func TestRingRouting(t *testing.T) {
 	}
 }
 
+// TestRingRouteAllocatesNothing pins the walk's seen-set to the stack:
+// routing, with and without a partial outage, allocates nothing.
+func TestRingRouteAllocatesNothing(t *testing.T) {
+	r := NewRing(5, 0)
+	healthy := func(i int) bool { return i%2 == 0 }
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Route("0123456789abcdef", nil)
+		r.Route("fedcba9876543210", healthy)
+		r.Route("any", func(int) bool { return false })
+	})
+	if allocs != 0 {
+		t.Errorf("Route allocates %.1f times per call", allocs)
+	}
+}
+
+// TestRingRouteManyReplicas routes on a ring larger than the walk's
+// stack bitset: every replica but one down still finds the survivor.
+func TestRingRouteManyReplicas(t *testing.T) {
+	r := NewRing(300, 4)
+	for _, survivor := range []int{0, 63, 64, 255, 256, 299} {
+		rep, ok := r.Route("key", func(i int) bool { return i == survivor })
+		if !ok || rep != survivor {
+			t.Errorf("routed to %d (ok=%v), want the only healthy replica %d", rep, ok, survivor)
+		}
+	}
+	if _, ok := r.Route("key", func(int) bool { return false }); ok {
+		t.Error("fully unhealthy 300-replica ring still routed a key")
+	}
+}
+
 // --- Retry-After parsing (bugfix satellite) ---
 
 // TestParseRetryAfter is the Retry-After satellite regression: RFC 7231
@@ -370,6 +400,40 @@ func TestGatewayRetriesShedUpstream(t *testing.T) {
 	decode(t, getGateway(g, "/stats"), &st)
 	if st.Retried == 0 {
 		t.Error("no retries recorded despite the shedding upstream")
+	}
+}
+
+// TestGatewaySubBatchTimeoutKeepsReplicas sends a batch to replicas
+// whose request budget is too small for it: each answers 504 to its
+// sub-batch. That is the batch's failure, not the replica's: the slots
+// answer timeout, every replica stays in the ring and nothing reroutes.
+func TestGatewaySubBatchTimeoutKeepsReplicas(t *testing.T) {
+	urls, _ := startReplicas(t, 3, server.Config{Timeout: time.Microsecond})
+	g := newGateway(t, urls, Config{})
+	rec := postGateway(g, "/v1/batch", batchBody(t, 12))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200 with per-job errors: %s", rec.Code, rec.Body.String())
+	}
+	var out rawOutput
+	decode(t, rec, &out)
+	for i, slot := range out.Results {
+		var res jobspec.Result
+		if err := json.Unmarshal(slot, &res); err != nil || res.Code != jobspec.CodeTimeout {
+			t.Errorf("slot %d: %s, want code timeout", i, slot)
+		}
+	}
+	if out.Stats.Errors != 12 {
+		t.Errorf("errors = %d, want 12", out.Stats.Errors)
+	}
+	for i := range urls {
+		if !g.Healthy(i) {
+			t.Errorf("replica %d marked down by its own 504", i)
+		}
+	}
+	var st gatewayStatsJSON
+	decode(t, getGateway(g, "/stats"), &st)
+	if st.Rerouted != 0 {
+		t.Errorf("rerouted = %d, want 0", st.Rerouted)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Consistent-hash routing for the gateway. The Router abstraction is
-// deliberately narrow — given a job's canonical key and the current
+// deliberately narrow — given a job's route key and the current
 // per-replica health, name the replica — so richer topologies (the
 // Benes-style control-optimal networks of the related work) can back a
 // future tier without touching the fan-out machinery.
@@ -11,10 +11,13 @@ import (
 	"sort"
 )
 
-// Router maps canonical job keys onto replica indices. Implementations
-// must be safe for concurrent use and stateless with respect to health:
-// the gateway passes the current health view on every call, so a router
-// never caches liveness.
+// Router maps route keys onto replica indices. A route key is a short
+// fixed-width digest of a job's instance and request bytes (see jobKey),
+// or of an opaque request's path and body; equal keys must route alike,
+// and any two jobs may share a replica. Implementations must be safe for
+// concurrent use and stateless with respect to health: the gateway
+// passes the current health view on every call, so a router never caches
+// liveness.
 type Router interface {
 	// Replicas returns the number of replica slots the router was built
 	// for.
@@ -24,17 +27,6 @@ type Router interface {
 	// replica exists. Routing must be deterministic: the same key against
 	// the same health view always names the same replica.
 	Route(key string, healthy func(int) bool) (replica int, ok bool)
-}
-
-// fnv1a hashes a string with 64-bit FNV-1a — the same hash family the
-// batch cache shards by, cheap and dependency-free.
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // Ring is a consistent-hash ring over replica indices. Each replica owns
@@ -73,7 +65,7 @@ func NewRing(n, vnodes int) *Ring {
 	for rep := 0; rep < n; rep++ {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
-				hash:    fnv1a(fmt.Sprintf("replica-%d/vnode-%d", rep, v)),
+				hash:    fnv1a(fnvOffset, fmt.Sprintf("replica-%d/vnode-%d", rep, v)),
 				replica: rep,
 			})
 		}
@@ -87,22 +79,29 @@ func (r *Ring) Replicas() int { return r.replicas }
 
 // Route implements Router: binary-search the first virtual point at or
 // clockwise past the key's hash, then walk the ring until a healthy
-// replica owns a point. The walk visits each replica at most once, so a
-// fully unhealthy cluster answers ok=false instead of spinning.
+// replica owns a point. The walk asks about each replica at most once,
+// so a fully unhealthy cluster answers ok=false instead of spinning. It
+// allocates nothing for rings of up to 256 replicas.
 func (r *Ring) Route(key string, healthy func(int) bool) (int, bool) {
-	h := fnv1a(key)
+	h := fnv1a(fnvOffset, key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	seen := make(map[int]bool, r.replicas)
+	var small [4]uint64
+	seen := small[:]
+	if words := (r.replicas + 63) / 64; words > len(small) {
+		seen = make([]uint64, words)
+	}
+	unhealthy := 0
 	for i := 0; i < len(r.points); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if seen[p.replica] {
+		rep := r.points[(start+i)%len(r.points)].replica
+		word, bit := rep/64, uint64(1)<<(rep%64)
+		if seen[word]&bit != 0 {
 			continue
 		}
-		if healthy == nil || healthy(p.replica) {
-			return p.replica, true
+		if healthy == nil || healthy(rep) {
+			return rep, true
 		}
-		seen[p.replica] = true
-		if len(seen) == r.replicas {
+		seen[word] |= bit
+		if unhealthy++; unhealthy == r.replicas {
 			break
 		}
 	}
