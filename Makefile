@@ -55,11 +55,14 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# microbench runs each solver microbenchmark once (BenchmarkAnneal and
-# BenchmarkHeuristicSolve), so they keep compiling and running. Time them
-# with -benchtime 1s -count 5 before and after a solver change.
+# microbench runs each microbenchmark once — the solver's (BenchmarkAnneal,
+# BenchmarkHeuristicSolve), the canonical keys' (BenchmarkKey,
+# BenchmarkPlanKey, BenchmarkCacheHit) and the gateway's (BenchmarkRingRoute,
+# BenchmarkGatewaySolveRoute, BenchmarkGatewayBatchSplit) — so they keep
+# compiling and running. Time them with -benchtime 1s -count 5 before and
+# after a change to their package.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/algo/heur ./internal/core
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/algo/heur ./internal/core ./internal/batch ./internal/gateway
 
 # bench-corpus regenerates the committed solver baseline BENCH_solver.json
 # (per-variant one-shot and plan-reuse ns/op + allocs + cache hit rate over
@@ -97,10 +100,12 @@ chaos:
 load:
 	$(GO) run ./cmd/pipebench -exp load
 
-# fuzz-smoke runs each jobspec fuzz target briefly, as CI does.
+# fuzz-smoke runs each fuzz target briefly, as CI does: the jobspec
+# schema's and the gateway's cut of batch documents.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzFileRoundTrip$$ -fuzztime=30s ./internal/jobspec/
 	$(GO) test -run=^$$ -fuzz=^FuzzFloatJSON$$ -fuzztime=30s ./internal/jobspec/
+	$(GO) test -run=^$$ -fuzz=^FuzzGatewaySplit$$ -fuzztime=30s ./internal/gateway/
 
 # experiments regenerates the paper-versus-measured record (EXPERIMENTS.md).
 experiments:

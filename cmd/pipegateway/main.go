@@ -1,14 +1,14 @@
 // Command pipegateway fronts a cluster of pipeserved replicas (see
-// internal/gateway): it computes each job's canonical key, routes keys
-// over a consistent-hash ring so every replica's memo and plan caches
-// stay hot for a stable slice of the key space, fans /v1/batch
+// internal/gateway): it routes each job by a hash of its instance and
+// request bytes over a consistent-hash ring so every replica's memo and
+// plan caches stay hot for a stable slice of the jobs, fans /v1/batch
 // sub-batches out concurrently, and reassembles the results in input
 // order — bit-identical to a single replica answering the whole batch.
 //
 //	pipegateway -replicas http://10.0.0.1:8080,http://10.0.0.2:8080
 //
 //	POST /v1/batch     fan out sub-batches, reassemble in input order
-//	POST /v1/solve     route by the job's canonical key
+//	POST /v1/solve     route by the job's bytes, forward verbatim
 //	POST /v1/pareto    route by document hash (plans stay warm per replica)
 //	POST /v1/simulate  route by document hash
 //	POST /v1/resolve   route by document hash

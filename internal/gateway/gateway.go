@@ -5,13 +5,14 @@
 // slice of the jobs, fans /v1/batch sub-batches out concurrently, and
 // reassembles the per-job results in input order.
 //
-// The gateway never decodes an instance or a result slot: a /v1/solve
-// body is forwarded verbatim, a sub-batch is spliced from the jobs' bytes
-// as sent, and result slots pass through as raw JSON, so a batch answered
-// through N replicas is bit-identical to the same batch answered by one
-// (non-finite values rendered as null survive; re-encoding would corrupt
-// them). The replicas validate; when one rejects a sub-batch as invalid,
-// the gateway checks the whole document itself and answers the error a
+// On the common path the gateway decodes no instance, and it never
+// decodes a result slot: a /v1/solve body is forwarded verbatim, a
+// sub-batch is spliced from the jobs' bytes as sent, and result slots
+// pass through as raw JSON, so a batch answered through N replicas is
+// bit-identical to the same batch answered by one (non-finite values
+// rendered as null survive; re-encoding would corrupt them). The
+// replicas validate; when one rejects a sub-batch as invalid, the
+// gateway checks the whole document itself and answers the error a
 // single replica would have given for it.
 //
 // The gateway degrades rather than fails: replicas are health-checked

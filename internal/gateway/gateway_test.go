@@ -72,8 +72,8 @@ func TestRingRouting(t *testing.T) {
 	}
 }
 
-// TestRingRouteAllocatesNothing pins the walk's seen-set to the stack:
-// routing, with and without a partial outage, allocates nothing.
+// TestRingRouteAllocatesNothing pins that routing, with and without a
+// partial or full outage, allocates nothing.
 func TestRingRouteAllocatesNothing(t *testing.T) {
 	r := NewRing(5, 0)
 	healthy := func(i int) bool { return i%2 == 0 }
@@ -84,21 +84,6 @@ func TestRingRouteAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Route allocates %.1f times per call", allocs)
-	}
-}
-
-// TestRingRouteManyReplicas routes on a ring larger than the walk's
-// stack bitset: every replica but one down still finds the survivor.
-func TestRingRouteManyReplicas(t *testing.T) {
-	r := NewRing(300, 4)
-	for _, survivor := range []int{0, 63, 64, 255, 256, 299} {
-		rep, ok := r.Route("key", func(i int) bool { return i == survivor })
-		if !ok || rep != survivor {
-			t.Errorf("routed to %d (ok=%v), want the only healthy replica %d", rep, ok, survivor)
-		}
-	}
-	if _, ok := r.Route("key", func(int) bool { return false }); ok {
-		t.Error("fully unhealthy 300-replica ring still routed a key")
 	}
 }
 
@@ -285,6 +270,31 @@ func TestGatewayBatchFanOut(t *testing.T) {
 	}
 	if st.Merged.CacheMisses != misses {
 		t.Errorf("merged cache misses = %d, per-replica sum = %d", st.Merged.CacheMisses, misses)
+	}
+}
+
+// TestGatewayForwardsJobBytes pins that a job reaches its replica as the
+// client wrote it: an explicitly empty bound list (which the solver
+// rejects, unlike an absent one) must not be re-encoded away, so the
+// gateway answers exactly what one replica answers.
+func TestGatewayForwardsJobBytes(t *testing.T) {
+	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "jobs": [
+		{"request": {"objective": "period", "periodBounds": []}},
+		{"request": {"objective": "period"}}]}`
+	direct := httptest.NewRecorder()
+	server.New(server.Config{}).ServeHTTP(direct,
+		httptest.NewRequest("POST", "/v1/batch", strings.NewReader(body)))
+	var want, got rawOutput
+	decode(t, direct, &want)
+	urls, _ := startReplicas(t, 3, server.Config{})
+	decode(t, postGateway(newGateway(t, urls, Config{}), "/v1/batch", body), &got)
+	if len(got.Results) != len(want.Results) {
+		t.Fatalf("%d results, want %d", len(got.Results), len(want.Results))
+	}
+	for i := range want.Results {
+		if !bytes.Equal(compactJSON(t, got.Results[i]), compactJSON(t, want.Results[i])) {
+			t.Errorf("slot %d through the gateway:\ngot  %s\nwant %s", i, got.Results[i], want.Results[i])
+		}
 	}
 }
 

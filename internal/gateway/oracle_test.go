@@ -95,6 +95,7 @@ func invalidDocuments(t *testing.T) []oracleCase {
 		{"trailing-garbage", solveOf(fig1, `{}`) + ` x`},
 		{"unknown-top-level-field", `{"instance": ` + fig1 + `, "request": {}, "priority": 1}`},
 		{"unknown-request-field", solveOf(fig1, `{"objectve": "period"}`)},
+		{"unknown-request-field-before-wrong-type", solveOf(fig1, `{"objectve": 1, "seed": "x"}`)},
 		{"request-wrong-type", solveOf(fig1, `5`)},
 		{"unknown-field-before-wrong-type", `{"priority": 1, "request": 5, "instance": ` + fig1 + `}`},
 		{"instance-wrong-type", solveOf(`5`, `{}`)},

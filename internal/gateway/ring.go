@@ -79,30 +79,16 @@ func (r *Ring) Replicas() int { return r.replicas }
 
 // Route implements Router: binary-search the first virtual point at or
 // clockwise past the key's hash, then walk the ring until a healthy
-// replica owns a point. The walk asks about each replica at most once,
-// so a fully unhealthy cluster answers ok=false instead of spinning. It
-// allocates nothing for rings of up to 256 replicas.
+// replica owns a point. The walk stops after one lap, so a fully
+// unhealthy cluster answers ok=false instead of spinning, and it
+// allocates nothing.
 func (r *Ring) Route(key string, healthy func(int) bool) (int, bool) {
 	h := fnv1a(fnvOffset, key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	var small [4]uint64
-	seen := small[:]
-	if words := (r.replicas + 63) / 64; words > len(small) {
-		seen = make([]uint64, words)
-	}
-	unhealthy := 0
 	for i := 0; i < len(r.points); i++ {
 		rep := r.points[(start+i)%len(r.points)].replica
-		word, bit := rep/64, uint64(1)<<(rep%64)
-		if seen[word]&bit != 0 {
-			continue
-		}
 		if healthy == nil || healthy(rep) {
 			return rep, true
-		}
-		seen[word] |= bit
-		if unhealthy++; unhealthy == r.replicas {
-			break
 		}
 	}
 	return 0, false

@@ -1,7 +1,9 @@
-// Routing on bytes: the gateway never decodes an instance. A /v1/solve
-// body and each job of a /v1/batch document are cut into their raw
-// instance and request bytes, the route key is a hash of those bytes, and
-// sub-batches are spliced from the jobs' bytes as the client sent them.
+// Routing on bytes. A /v1/solve body and each job of a /v1/batch
+// document are cut into their raw instance and request bytes, the route
+// key is a hash of those bytes, and sub-batches are spliced from the
+// jobs' bytes as the client sent them. Only a document the fast cut
+// (walk.go) does not take is decoded here, by the checks the gateway has
+// always run, which also answer every invalid document.
 
 package gateway
 
@@ -35,7 +37,7 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 
 // fnv1aCompact folds the JSON value raw into h as json.Compact would
 // print it: whitespace outside strings is skipped. raw must be valid
-// JSON (the decoder that cut it out has checked it).
+// JSON; every cut that hands one out has checked it.
 func fnv1aCompact(h uint64, raw []byte) uint64 {
 	inString, escaped := false, false
 	for _, c := range raw {

@@ -264,6 +264,11 @@ func FuzzGatewaySplit(f *testing.F) {
 		`{"JOBS": [{"Request": {"periodBounds": []}}], "Instance": null} trailing`,
 		`{"jobs": [{"request": {"energyBudget": -0}}]}`,
 		`{"jobs": [7]}`,
+		`{"jobs": [{"request": {"objectve": "period"}}]}`,
+		`{"jobs": [{"request": {"seed": "x"}}]}`,
+		`{"jobs": [{"request": 5}]}`,
+		`{"jobz": [{"request": {}}]}`,
+		`{"jobs": [{"requesx": {}, "instancf": {}}]}`,
 		`{"\u006aobs": [{"request": {}}]}`,
 		`{"Jobs": [{"REQUEST": {"Rule": "interval"}}], "INSTANCE": {"apps": []}}`,
 		`{"jobs": [{"request": {}}],}`,
