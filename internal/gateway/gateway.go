@@ -368,10 +368,10 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	fo := &fanout{
 		doc:     &doc,
 		keys:    doc.routeKeys(),
-		results: make([]json.RawMessage, len(doc.Jobs)),
+		results: make([]json.RawMessage, len(doc.jobs)),
 		merged:  jobspec.Stats{Methods: make(map[string]int)},
 	}
-	indices := make([]int, len(doc.Jobs))
+	indices := make([]int, len(doc.jobs))
 	for i := range indices {
 		indices[i] = i
 	}

@@ -107,8 +107,8 @@ func solveKey(body []byte) (string, error) {
 // batchDoc is a /v1/batch document cut into raw parts: the file-level
 // instance (nil when absent) and every job.
 type batchDoc struct {
-	Instance json.RawMessage
-	Jobs     []rawJob
+	instance json.RawMessage
+	jobs     []rawJob
 }
 
 // rawJob is one job of a batch: its bytes as sent, for splicing, and its
@@ -132,12 +132,12 @@ func splitBatch(body []byte, readErr error) (doc batchDoc, status int, err error
 	if err != nil {
 		return batchDoc{}, status, err
 	}
-	doc = batchDoc{Instance: f.Instance, Jobs: make([]rawJob, len(f.Jobs))}
+	doc = batchDoc{instance: f.Instance, jobs: make([]rawJob, len(f.Jobs))}
 	for i, job := range f.Jobs {
 		// Neither encoding can fail: every part was just decoded.
 		raw, _ := json.Marshal(job)
 		request, _ := json.Marshal(job.Request)
-		doc.Jobs[i] = rawJob{raw: raw, instance: job.Instance, request: request}
+		doc.jobs[i] = rawJob{raw: raw, instance: job.Instance, request: request}
 	}
 	return doc, 0, nil
 }
@@ -145,15 +145,15 @@ func splitBatch(body []byte, readErr error) (doc batchDoc, status int, err error
 // splice builds the sub-batch of the given jobs: the file-level instance
 // and the jobs' bytes, as sent.
 func (d *batchDoc) splice(jobs []int) []byte {
-	n := len(`{"instance":,"jobs":[]}`) + len(d.Instance) + len(jobs)
+	n := len(`{"instance":,"jobs":[]}`) + len(d.instance) + len(jobs)
 	for _, idx := range jobs {
-		n += len(d.Jobs[idx].raw)
+		n += len(d.jobs[idx].raw)
 	}
 	b := make([]byte, 0, n)
 	b = append(b, '{')
-	if d.Instance != nil {
+	if d.instance != nil {
 		b = append(b, `"instance":`...)
-		b = append(b, d.Instance...)
+		b = append(b, d.instance...)
 		b = append(b, ',')
 	}
 	b = append(b, `"jobs":[`...)
@@ -161,7 +161,7 @@ func (d *batchDoc) splice(jobs []int) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, d.Jobs[idx].raw...)
+		b = append(b, d.jobs[idx].raw...)
 	}
 	return append(b, "]}"...)
 }
@@ -169,9 +169,9 @@ func (d *batchDoc) splice(jobs []int) []byte {
 // routeKeys returns every job's route key. The file-level instance is
 // hashed once.
 func (d *batchDoc) routeKeys() []string {
-	keys := make([]string, len(d.Jobs))
-	shared := instanceHash(d.Instance)
-	for i, job := range d.Jobs {
+	keys := make([]string, len(d.jobs))
+	shared := instanceHash(d.instance)
+	for i, job := range d.jobs {
 		h := shared
 		if job.instance != nil {
 			h = instanceHash(job.instance)

@@ -305,10 +305,10 @@ func FuzzGatewaySplit(f *testing.F) {
 		if decodeErr != nil {
 			t.Fatalf("fast path takes what DecodeFile rejects (%v)", decodeErr)
 		}
-		if len(doc.Jobs) != len(file.Jobs) || !bytes.Equal(doc.Instance, file.Instance) {
-			t.Fatalf("fast path cuts %d jobs, DecodeFile %d", len(doc.Jobs), len(file.Jobs))
+		if len(doc.jobs) != len(file.Jobs) || !bytes.Equal(doc.instance, file.Instance) {
+			t.Fatalf("fast path cuts %d jobs, DecodeFile %d", len(doc.jobs), len(file.Jobs))
 		}
-		for i := range doc.Jobs {
+		for i := range doc.jobs {
 			sub, err := jobspec.DecodeFile(bytes.NewReader(doc.splice([]int{i})))
 			if err != nil {
 				t.Fatalf("job %d: spliced sub-batch rejected: %v", i, err)

@@ -200,8 +200,8 @@ func cutBatch(body []byte) (batchDoc, bool) {
 	start := skipSpace(body, 0)
 	end, ok := walkObject(body, start, func(key, value []byte) bool {
 		switch {
-		case isKey(key, "instance") && doc.Instance == nil:
-			doc.Instance = value
+		case isKey(key, "instance") && doc.instance == nil:
+			doc.instance = value
 		case isKey(key, "jobs") && jobs == nil:
 			jobs = value
 		default:
@@ -229,10 +229,10 @@ func cutBatch(body []byte) (batchDoc, bool) {
 			}
 			return true
 		})
-		doc.Jobs = append(doc.Jobs, job)
+		doc.jobs = append(doc.jobs, job)
 		return ok
 	})
-	if !ok || len(doc.Jobs) == 0 {
+	if !ok || len(doc.jobs) == 0 {
 		return batchDoc{}, false
 	}
 	return doc, true
