@@ -353,9 +353,11 @@ func errorSlot(code string, err error) json.RawMessage {
 // fails (transport error or shed past the retry budget) marks the
 // replica down and reroutes to the ring successors; jobs with no healthy
 // replica left answer structured shed errors in their slots rather than
-// failing the whole batch. A document the gateway cannot cut, or one a
-// replica rejects as invalid, is checked whole (jobspec.DecodeFile, then
-// BatchJobs) and answered with that check's error.
+// failing the whole batch. A document the gateway cannot cut, and one
+// with a slot the gateway filled itself (a replica rejected its
+// sub-batch, or none could take it), is checked whole
+// (jobspec.DecodeFile, then BatchJobs); an invalid one is answered with
+// that check's error.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, readErr := io.ReadAll(r.Body)
 	doc, status, err := splitBatch(body, readErr)
@@ -368,17 +370,17 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	fo := &fanout{
 		doc:     &doc,
 		keys:    doc.routeKeys(),
-		results: make([]json.RawMessage, len(doc.jobs)),
+		results: make([]json.RawMessage, len(doc.Jobs)),
 		merged:  jobspec.Stats{Methods: make(map[string]int)},
 	}
-	indices := make([]int, len(doc.jobs))
+	indices := make([]int, len(doc.Jobs))
 	for i := range indices {
 		indices[i] = i
 	}
 	g.dispatch(r.Context(), fo, indices, 0)
 
-	if fo.rejected {
-		if _, status, invalid := checkBatch(body, readErr); invalid != nil {
+	if fo.unanswered {
+		if status, invalid := checkBatch(body, readErr); invalid != nil {
 			jobspec.WriteError(w, status, invalid)
 			return
 		}
@@ -395,9 +397,9 @@ type fanout struct {
 	keys    []string
 	results []json.RawMessage
 
-	mu       sync.Mutex
-	merged   jobspec.Stats
-	rejected bool // a replica answered 400 to a sub-batch
+	mu         sync.Mutex
+	merged     jobspec.Stats
+	unanswered bool // the gateway filled some slots with its own error
 }
 
 // dispatch routes the given job indices under the current health view,
@@ -473,8 +475,7 @@ func (g *Gateway) dispatch(ctx context.Context, fo *fanout, indices []int, depth
 
 // upstreamError fills a group's slots from a replica's non-200 answer to
 // its sub-batch: the code of the replica's error document, or, for an
-// answer that is none, timeout for a 504 and internal otherwise. A 400
-// marks the batch rejected.
+// answer that is none, timeout for a 504 and internal otherwise.
 func (g *Gateway) upstreamError(fo *fanout, group []int, rep, status int, body []byte) {
 	var doc jobspec.Result
 	if json.Unmarshal(body, &doc) != nil || doc.Error == "" {
@@ -488,15 +489,12 @@ func (g *Gateway) upstreamError(fo *fanout, group []int, rep, status int, body [
 	}
 	g.failSlots(fo, group, doc.Code, fmt.Errorf("replica %s answered %d to a sub-batch: %s",
 		g.replicas[rep], status, doc.Error))
-	if status == http.StatusBadRequest {
-		fo.mu.Lock()
-		fo.rejected = true
-		fo.mu.Unlock()
-	}
 }
 
 // failSlots fills a group's result slots with one structured error each
-// and counts them in the merged stats.
+// and counts them in the merged stats. Such a batch is checked whole
+// before it is answered: a replica may have rejected it as invalid, or an
+// invalid job may have found no replica to reject it.
 func (g *Gateway) failSlots(fo *fanout, group []int, code string, err error) {
 	if code == jobspec.CodeShed {
 		g.shed.Add(int64(len(group)))
@@ -508,6 +506,7 @@ func (g *Gateway) failSlots(fo *fanout, group []int, code string, err error) {
 	fo.mu.Lock()
 	fo.merged.Jobs += len(group)
 	fo.merged.Errors += len(group)
+	fo.unanswered = true
 	fo.mu.Unlock()
 }
 
@@ -535,10 +534,7 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	g.forward(w, r, key, body, func() error {
-		_, err := checkSolve(body)
-		return err
-	})
+	g.forward(w, r, key, body, func() error { return checkSolve(body) })
 }
 
 // handleOpaque routes an endpoint the gateway does not interpret

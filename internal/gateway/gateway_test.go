@@ -276,24 +276,40 @@ func TestGatewayBatchFanOut(t *testing.T) {
 // TestGatewayForwardsJobBytes pins that a job reaches its replica as the
 // client wrote it: an explicitly empty bound list (which the solver
 // rejects, unlike an absent one) must not be re-encoded away, so the
-// gateway answers exactly what one replica answers.
+// gateway answers exactly what one replica answers — also for documents
+// spelled unusually: escaped and case-folded keys, a repeated instance
+// key, and a repeated "jobs" key whose arrays a replica merges slot by
+// slot.
 func TestGatewayForwardsJobBytes(t *testing.T) {
-	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "jobs": [
-		{"request": {"objective": "period", "periodBounds": []}},
-		{"request": {"objective": "period"}}]}`
-	direct := httptest.NewRecorder()
-	server.New(server.Config{}).ServeHTTP(direct,
-		httptest.NewRequest("POST", "/v1/batch", strings.NewReader(body)))
-	var want, got rawOutput
-	decode(t, direct, &want)
-	urls, _ := startReplicas(t, 3, server.Config{})
-	decode(t, postGateway(newGateway(t, urls, Config{}), "/v1/batch", body), &got)
-	if len(got.Results) != len(want.Results) {
-		t.Fatalf("%d results, want %d", len(got.Results), len(want.Results))
+	fig1 := servetest.Fig1JSON(t)
+	bodies := []string{
+		`{"instance": ` + fig1 + `, "jobs": [
+			{"request": {"objective": "period", "periodBounds": []}},
+			{"request": {"objective": "period"}}]}`,
+		`{"\u0069nstance": {}, "Instance": ` + fig1 + `, "\u006aobs": [
+			{"REQUEST": {"objective": "period", "periodBounds": []}},
+			{"req\u0075est": {"objective": "period"}}]}`,
+		`{"instance": ` + fig1 + `, "jobs": [
+			{"request": {"objective": "energy"}},
+			{"request": {"objective": "period"}}], "jobs": [
+			{"request": {"periodBounds": []}}, null]}`,
 	}
-	for i := range want.Results {
-		if !bytes.Equal(compactJSON(t, got.Results[i]), compactJSON(t, want.Results[i])) {
-			t.Errorf("slot %d through the gateway:\ngot  %s\nwant %s", i, got.Results[i], want.Results[i])
+	urls, _ := startReplicas(t, 3, server.Config{})
+	g := newGateway(t, urls, Config{})
+	for n, body := range bodies {
+		direct := httptest.NewRecorder()
+		server.New(server.Config{}).ServeHTTP(direct,
+			httptest.NewRequest("POST", "/v1/batch", strings.NewReader(body)))
+		var want, got rawOutput
+		decode(t, direct, &want)
+		decode(t, postGateway(g, "/v1/batch", body), &got)
+		if len(got.Results) != len(want.Results) {
+			t.Fatalf("document %d: %d results, want %d", n, len(got.Results), len(want.Results))
+		}
+		for i := range want.Results {
+			if !bytes.Equal(compactJSON(t, got.Results[i]), compactJSON(t, want.Results[i])) {
+				t.Errorf("document %d, slot %d through the gateway:\ngot  %s\nwant %s", n, i, got.Results[i], want.Results[i])
+			}
 		}
 	}
 }
@@ -449,8 +465,8 @@ func TestGatewaySubBatchTimeoutKeepsReplicas(t *testing.T) {
 
 // TestGatewayAllReplicasDown pins the endgame: with no healthy replica,
 // batch slots answer structured shed errors (the batch itself is not an
-// HTTP failure), /readyz goes 503, and single solves shed with
-// Retry-After.
+// HTTP failure) while an invalid batch still answers its 400, /readyz
+// goes 503, and single solves shed with Retry-After.
 func TestGatewayAllReplicasDown(t *testing.T) {
 	urls, servers := startReplicas(t, 2, server.Config{})
 	g := newGateway(t, urls, Config{Retries: -1})
@@ -472,6 +488,17 @@ func TestGatewayAllReplicasDown(t *testing.T) {
 		if err := json.Unmarshal(slot, &res); err != nil || res.Code != jobspec.CodeShed {
 			t.Errorf("slot %d: %s, want code shed", i, slot)
 		}
+	}
+
+	// No replica can reject an invalid batch now; the gateway's own check
+	// must still answer what a replica would.
+	invalid := `{"instance": ` + servetest.Fig1JSON(t) + `, "jobs": [
+		{"request": {"objective": "period"}}, {"request": {"rule": "bogus"}}]}`
+	direct := httptest.NewRecorder()
+	server.New(server.Config{}).ServeHTTP(direct,
+		httptest.NewRequest("POST", "/v1/batch", strings.NewReader(invalid)))
+	if rec := postGateway(g, "/v1/batch", invalid); rec.Code != direct.Code || rec.Body.String() != direct.Body.String() {
+		t.Errorf("invalid batch: %d %s, a replica answers %d %s", rec.Code, rec.Body.String(), direct.Code, direct.Body.String())
 	}
 
 	if rec := getGateway(g, "/readyz"); rec.Code != http.StatusServiceUnavailable {

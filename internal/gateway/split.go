@@ -1,9 +1,11 @@
 // Routing on bytes. A /v1/solve body and each job of a /v1/batch
 // document are cut into their raw instance and request bytes, the route
 // key is a hash of those bytes, and sub-batches are spliced from the
-// jobs' bytes as the client sent them. Only a document the fast cut
-// (walk.go) does not take is decoded here, by the checks the gateway has
-// always run, which also answer every invalid document.
+// jobs' bytes as the client sent them. The cuts decode with encoding/json
+// into json.RawMessage fields, so they read a document as the checks the
+// gateway has always run read it — key case folding, escapes, repeated
+// keys, null jobs, trailing bytes — without decoding an instance. Those
+// checks answer every document the cuts refuse.
 
 package gateway
 
@@ -37,7 +39,7 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 
 // fnv1aCompact folds the JSON value raw into h as json.Compact would
 // print it: whitespace outside strings is skipped. raw must be valid
-// JSON; every cut that hands one out has checked it.
+// JSON; every cut that hands one out has decoded it.
 func fnv1aCompact(h uint64, raw []byte) uint64 {
 	inString, escaped := false, false
 	for _, c := range raw {
@@ -88,72 +90,112 @@ func hexKey(h uint64) string {
 	return string(b[:])
 }
 
-// solveKey returns the route key of a /v1/solve body: that of its raw
-// instance and request bytes when cutSolve takes the body; otherwise,
-// when the checks the gateway has always run pass, that of its instance
-// and re-encoded request. A body failing them gets their error instead.
+// jobParts is a job's instance and request as sent.
+type jobParts struct {
+	Instance json.RawMessage `json:"instance"`
+	Request  json.RawMessage `json:"request"`
+}
+
+// solveKey returns the route key of a /v1/solve body, read as checkSolve
+// reads it, or, for a body without an instance or that is not JSON,
+// checkSolve's error.
 func solveKey(body []byte) (string, error) {
-	if instance, request, ok := cutSolve(body); ok {
-		return jobKey(instanceHash(instance), request), nil
+	var job jobParts
+	cutErr := json.Unmarshal(body, &job)
+	if cutErr == nil && job.Instance != nil {
+		return jobKey(instanceHash(job.Instance), job.Request), nil
 	}
-	job, err := checkSolve(body)
-	if err != nil {
+	if err := checkSolve(body); err != nil {
 		return "", err
 	}
-	request, _ := json.Marshal(job.Request) // cannot fail: it was just decoded
-	return jobKey(instanceHash(job.Instance), request), nil
+	return "", fmt.Errorf("cutting request body: %w", cutErr) // not reached: the cut reads every body checkSolve reads
 }
 
-// batchDoc is a /v1/batch document cut into raw parts: the file-level
-// instance (nil when absent) and every job.
+// batchDoc is a /v1/batch document cut into its file-level instance (nil
+// when absent) and its jobs.
 type batchDoc struct {
-	instance json.RawMessage
-	jobs     []rawJob
+	Instance json.RawMessage `json:"instance"`
+	Jobs     []rawJob        `json:"jobs"`
 }
 
-// rawJob is one job of a batch: its bytes as sent, for splicing, and its
-// own instance (nil when absent) and request bytes, for routing.
+// rawJob is one job slot of a batch document: its bytes, for splicing,
+// and its own instance (nil when absent) and request, for routing.
 type rawJob struct {
-	raw, instance, request json.RawMessage
+	raw, instance, request []byte
+}
+
+// UnmarshalJSON reads a job as jobspec.DecodeFile reads one into a
+// jobspec.Job: null changes nothing, an object sets the fields it names
+// and must name no others. The decoder hands a slot a second object when
+// a document repeats its "jobs" key; the slot's bytes then carry the
+// members of both, in order, which a Job decodes as it decodes the two
+// objects one after the other.
+func (j *rawJob) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	var parts jobParts
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&parts); err != nil {
+		return err
+	}
+	if parts.Instance != nil {
+		j.instance = parts.Instance
+	}
+	if parts.Request != nil {
+		j.request = parts.Request
+	}
+	j.raw = appendMembers(j.raw, data)
+	return nil
+}
+
+// appendMembers returns the object raw (nil: none yet) extended by the
+// members of the object data.
+func appendMembers(raw, data []byte) []byte {
+	if raw == nil {
+		return append([]byte(nil), data...)
+	}
+	members := bytes.TrimSpace(data[1 : len(data)-1])
+	if len(members) == 0 {
+		return raw
+	}
+	raw = raw[:len(raw)-1]
+	if len(bytes.TrimSpace(raw[1:])) > 0 {
+		raw = append(raw, ',')
+	}
+	return append(append(raw, members...), '}')
 }
 
 // splitBatch cuts a /v1/batch document the handler read (readErr is the
-// error the read ended with). cutBatch takes the common document;
-// anything else gets the checks the gateway has always run, which answer
-// an invalid document's error, and a valid one is cut from its decoded
-// form, each job re-encoded as the gateway once encoded every sub-batch.
+// error the read ended with) with the decoder jobspec.DecodeFile uses. A
+// document the cut refuses gets the checks the gateway has always run,
+// which answer its error.
 func splitBatch(body []byte, readErr error) (doc batchDoc, status int, err error) {
-	if readErr == nil {
-		if doc, ok := cutBatch(body); ok {
-			return doc, 0, nil
-		}
+	dec := json.NewDecoder(replay(body, readErr))
+	dec.DisallowUnknownFields()
+	cutErr := dec.Decode(&doc)
+	if cutErr == nil && len(doc.Jobs) > 0 {
+		return doc, 0, nil
 	}
-	f, status, err := checkBatch(body, readErr)
-	if err != nil {
+	if status, err := checkBatch(body, readErr); err != nil {
 		return batchDoc{}, status, err
 	}
-	doc = batchDoc{instance: f.Instance, jobs: make([]rawJob, len(f.Jobs))}
-	for i, job := range f.Jobs {
-		// Neither encoding can fail: every part was just decoded.
-		raw, _ := json.Marshal(job)
-		request, _ := json.Marshal(job.Request)
-		doc.jobs[i] = rawJob{raw: raw, instance: job.Instance, request: request}
-	}
-	return doc, 0, nil
+	return batchDoc{}, http.StatusBadRequest, fmt.Errorf("jobspec: cutting job file: %w", cutErr) // not reached: the cut reads every document DecodeFile reads
 }
 
 // splice builds the sub-batch of the given jobs: the file-level instance
 // and the jobs' bytes, as sent.
 func (d *batchDoc) splice(jobs []int) []byte {
-	n := len(`{"instance":,"jobs":[]}`) + len(d.instance) + len(jobs)
+	n := len(`{"instance":,"jobs":[]}`) + len(d.Instance) + len(jobs)
 	for _, idx := range jobs {
-		n += len(d.jobs[idx].raw)
+		n += len(d.Jobs[idx].raw)
 	}
 	b := make([]byte, 0, n)
 	b = append(b, '{')
-	if d.instance != nil {
+	if d.Instance != nil {
 		b = append(b, `"instance":`...)
-		b = append(b, d.instance...)
+		b = append(b, d.Instance...)
 		b = append(b, ',')
 	}
 	b = append(b, `"jobs":[`...)
@@ -161,7 +203,11 @@ func (d *batchDoc) splice(jobs []int) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, d.jobs[idx].raw...)
+		if raw := d.Jobs[idx].raw; raw != nil {
+			b = append(b, raw...)
+		} else {
+			b = append(b, "null"...)
+		}
 	}
 	return append(b, "]}"...)
 }
@@ -169,9 +215,9 @@ func (d *batchDoc) splice(jobs []int) []byte {
 // routeKeys returns every job's route key. The file-level instance is
 // hashed once.
 func (d *batchDoc) routeKeys() []string {
-	keys := make([]string, len(d.jobs))
-	shared := instanceHash(d.instance)
-	for i, job := range d.jobs {
+	keys := make([]string, len(d.Jobs))
+	shared := instanceHash(d.Instance)
+	for i, job := range d.Jobs {
 		h := shared
 		if job.instance != nil {
 			h = instanceHash(job.instance)
@@ -196,30 +242,30 @@ type errReader struct{ err error }
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // checkBatch runs the checks the gateway has always run on a /v1/batch
-// document — jobspec.DecodeFile, then BatchJobs — and returns the decoded
-// document, or the error to answer with its status.
-func checkBatch(body []byte, readErr error) (f jobspec.File, status int, err error) {
-	if f, err = jobspec.DecodeFile(replay(body, readErr)); err != nil {
-		return f, jobspec.DecodeStatus(err), err
+// document — jobspec.DecodeFile, then BatchJobs — and returns the error
+// to answer with its status, or nil.
+func checkBatch(body []byte, readErr error) (status int, err error) {
+	f, err := jobspec.DecodeFile(replay(body, readErr))
+	if err != nil {
+		return jobspec.DecodeStatus(err), err
 	}
 	if _, err := f.BatchJobs(); err != nil {
-		return f, http.StatusBadRequest, err
+		return http.StatusBadRequest, err
 	}
-	return f, 0, nil
+	return 0, nil
 }
 
 // checkSolve runs the checks the gateway has always run on a /v1/solve
-// body and returns the decoded body, or the error to answer with status
-// 400.
-func checkSolve(body []byte) (jobspec.Job, error) {
+// body and returns the error to answer with status 400, or nil.
+func checkSolve(body []byte) error {
 	var job jobspec.Job
 	if err := json.Unmarshal(body, &job); err != nil {
-		return job, fmt.Errorf("decoding request body: %w", err)
+		return fmt.Errorf("decoding request body: %w", err)
 	}
 	if job.Instance == nil {
-		return job, errors.New("solve request has no instance")
+		return errors.New("solve request has no instance")
 	}
 	file := jobspec.File{Instance: job.Instance, Jobs: []jobspec.Job{{Request: job.Request}}}
 	_, err := file.BatchJobs()
-	return job, err
+	return err
 }

@@ -135,9 +135,9 @@ func TestSpliceFidelity(t *testing.T) {
 	for n := 0; n < 150; n++ {
 		body := corpusDocument(t, rng, corpus)
 		want := decodedKeys(t, []byte(body))
-		doc, ok := cutBatch([]byte(body))
-		if !ok {
-			t.Fatalf("the fast path refuses a plain document\n%s", body)
+		doc, _, err := splitBatch([]byte(body), nil)
+		if err != nil {
+			t.Fatalf("the cut refuses a valid document: %v\n%s", err, body)
 		}
 		keys := doc.routeKeys()
 		groups := make(map[int][]int)
@@ -246,11 +246,14 @@ func TestSolveAndBatchShareRouteKeys(t *testing.T) {
 	}
 }
 
-// FuzzGatewaySplit checks the gateway's cut of a /v1/batch document
-// against jobspec.DecodeFile on any input: the fast path takes only
-// documents DecodeFile accepts, and cuts each job so that its sub-batch
-// decodes to the job's slot; every other document goes to the local
-// fallback, which answers DecodeFile's error for those it rejects.
+// FuzzGatewaySplit checks the gateway's cuts against the checks the
+// gateway has always run, on any input. Every /v1/batch document
+// jobspec.DecodeFile accepts is cut, and each job's sub-batch decodes to
+// the job's slot. A document DecodeFile rejects is either refused with
+// DecodeFile's error or cut so that some job's sub-batch is rejected too,
+// which makes a replica answer 400 and the gateway check it whole. As a
+// /v1/solve body, every input checkSolve accepts gets a route key, and one
+// refused gets checkSolve's error.
 func FuzzGatewaySplit(f *testing.F) {
 	corpus := gen.DefaultSpace().Corpus(4, 16)
 	rng := rand.New(rand.NewSource(1))
@@ -261,6 +264,8 @@ func FuzzGatewaySplit(f *testing.F) {
 		`{"jobs": [null, {"request": null}, {}]}`,
 		`{"jobs": [{"request": {"rule": "a"}, "request": {"seed": 1}}]}`,
 		`{"jobs": [{"instance": 1, "request": {}}], "jobs": [{"request": {}}]}`,
+		`{"jobs": [{"instance": {"a": 1}, "request": {"seed": 1}}, {"request": {"seed": 2}}], "jobs": [{ }], "jobs": [null, {"Request": {"rule": "x"}}]}`,
+		`{"jobs": [{"request": {"seed": 1}}, {}], "jobs": null, "jobs": [{"request": {"seed": 2}}]}`,
 		`{"JOBS": [{"Request": {"periodBounds": []}}], "Instance": null} trailing`,
 		`{"jobs": [{"request": {"energyBudget": -0}}]}`,
 		`{"jobs": [7]}`,
@@ -269,52 +274,50 @@ func FuzzGatewaySplit(f *testing.F) {
 		`{"jobs": [{"request": 5}]}`,
 		`{"jobz": [{"request": {}}]}`,
 		`{"jobs": [{"requesx": {}, "instancf": {}}]}`,
-		`{"\u006aobs": [{"request": {}}]}`,
+		`{"\u006aobs": [{"request": {"periodBounds": []}}], "instance": {}, "instance": null}`,
 		`{"Jobs": [{"REQUEST": {"Rule": "interval"}}], "INSTANCE": {"apps": []}}`,
 		`{"jobs": [{"request": {}}],}`,
 		`{"jobs": [{"request": {}}]} {"jobs": []}`,
 		`{"instance": "x\"}", "jobs": [{"instance": [1, {"a": "]"}], "request": {"seed": 1}}]}`,
 		`{"jobs": []}`,
+		`{"instance": {"apps": []}, "request": {"seed": 1}, "x": 1}`,
 		`not json`,
 	} {
 		f.Add([]byte(doc))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// As a /v1/solve body, the fast path cuts what json.Unmarshal
-		// reads.
-		if instance, request, ok := cutSolve(data); ok {
-			var job struct {
-				Instance json.RawMessage `json:"instance"`
-				Request  json.RawMessage `json:"request"`
-			}
-			if err := json.Unmarshal(data, &job); err != nil ||
-				!bytes.Equal(instance, job.Instance) || !bytes.Equal(request, job.Request) {
-				t.Fatalf("fast path cuts %q %q, json.Unmarshal reads %q %q (%v)", instance, request, job.Instance, job.Request, err)
+		if _, err := solveKey(data); err != nil {
+			if checkErr := checkSolve(data); checkErr == nil || err.Error() != checkErr.Error() {
+				t.Fatalf("solve cut answers %v, checkSolve %v", err, checkErr)
 			}
 		}
+
 		file, decodeErr := jobspec.DecodeFile(bytes.NewReader(data))
-		doc, ok := cutBatch(data)
-		if !ok {
-			if decodeErr != nil {
-				if _, _, err := splitBatch(data, nil); err == nil || err.Error() != decodeErr.Error() {
-					t.Fatalf("fallback answers %v, DecodeFile %v", err, decodeErr)
+		doc, _, err := splitBatch(data, nil)
+		switch {
+		case err != nil:
+			if decodeErr == nil || err.Error() != decodeErr.Error() {
+				t.Fatalf("cut answers %v, DecodeFile %v", err, decodeErr)
+			}
+		case decodeErr != nil:
+			for i := range doc.Jobs {
+				if _, err := jobspec.DecodeFile(bytes.NewReader(doc.splice([]int{i}))); err != nil {
+					return
 				}
 			}
-			return
-		}
-		if decodeErr != nil {
-			t.Fatalf("fast path takes what DecodeFile rejects (%v)", decodeErr)
-		}
-		if len(doc.jobs) != len(file.Jobs) || !bytes.Equal(doc.instance, file.Instance) {
-			t.Fatalf("fast path cuts %d jobs, DecodeFile %d", len(doc.jobs), len(file.Jobs))
-		}
-		for i := range doc.jobs {
-			sub, err := jobspec.DecodeFile(bytes.NewReader(doc.splice([]int{i})))
-			if err != nil {
-				t.Fatalf("job %d: spliced sub-batch rejected: %v", i, err)
+			t.Fatalf("cut takes what DecodeFile rejects (%v), and every job's sub-batch decodes", decodeErr)
+		default:
+			if len(doc.Jobs) != len(file.Jobs) || !bytes.Equal(doc.Instance, file.Instance) {
+				t.Fatalf("cut reads %d jobs and instance %q, DecodeFile %d and %q", len(doc.Jobs), doc.Instance, len(file.Jobs), file.Instance)
 			}
-			if !reflect.DeepEqual(sub.Jobs[0], file.Jobs[i]) || !bytes.Equal(sub.Instance, file.Instance) {
-				t.Fatalf("job %d decodes to %+v in its sub-batch, %+v in the document", i, sub.Jobs[0], file.Jobs[i])
+			for i := range doc.Jobs {
+				sub, err := jobspec.DecodeFile(bytes.NewReader(doc.splice([]int{i})))
+				if err != nil {
+					t.Fatalf("job %d: spliced sub-batch rejected: %v", i, err)
+				}
+				if !reflect.DeepEqual(sub.Jobs[0], file.Jobs[i]) || !bytes.Equal(sub.Instance, file.Instance) {
+					t.Fatalf("job %d decodes to %+v in its sub-batch, %+v in the document", i, sub.Jobs[0], file.Jobs[i])
+				}
 			}
 		}
 	})
