@@ -5,15 +5,17 @@
 // slice of the jobs, fans /v1/batch sub-batches out concurrently, and
 // reassembles the per-job results in input order.
 //
-// On the common path the gateway decodes no instance, and it never
+// The gateway decodes no instance of a document it routes, and it never
 // decodes a result slot: a /v1/solve body is forwarded verbatim, a
-// sub-batch is spliced from the jobs' bytes as sent, and result slots
-// pass through as raw JSON, so a batch answered through N replicas is
-// bit-identical to the same batch answered by one (non-finite values
-// rendered as null survive; re-encoding would corrupt them). The
-// replicas validate; when one rejects a sub-batch as invalid, the
-// gateway checks the whole document itself and answers the error a
-// single replica would have given for it.
+// sub-batch is spliced from the jobs' instance and request bytes as
+// sent, and result slots pass through as raw JSON, so a batch answered
+// through N replicas is bit-identical to the same batch answered by one
+// (non-finite values rendered as null survive; re-encoding would corrupt
+// them). The
+// replicas validate; when one rejects a sub-batch as invalid, or no
+// replica answers for some jobs, the gateway checks the whole document
+// itself and answers the error a single replica would have given for an
+// invalid one.
 //
 // The gateway degrades rather than fails: replicas are health-checked
 // via their /readyz probes, shed sub-requests (429/503) are retried with

@@ -1,7 +1,7 @@
 // Routing on bytes. A /v1/solve body and each job of a /v1/batch
 // document are cut into their raw instance and request bytes, the route
 // key is a hash of those bytes, and sub-batches are spliced from the
-// jobs' bytes as the client sent them. The cuts decode with encoding/json
+// parts as the client sent them. The cuts decode with encoding/json
 // into json.RawMessage fields, so they read a document as the checks the
 // gateway has always run read it — key case folding, escapes, repeated
 // keys, null jobs, trailing bytes — without decoding an instance. Those
@@ -90,17 +90,48 @@ func hexKey(h uint64) string {
 	return string(b[:])
 }
 
-// jobParts is a job's instance and request as sent.
+// jobParts is a batch job's instance and requests as sent. A Job decodes
+// every "request" member of a job in turn into the same Request, so a job
+// naming it more than once — or a slot that a repeated "jobs" key fills
+// twice — keeps all of them, in order.
 type jobParts struct {
 	Instance json.RawMessage `json:"instance"`
-	Request  json.RawMessage `json:"request"`
+	Requests requests        `json:"request"`
+}
+
+type requests []json.RawMessage
+
+// UnmarshalJSON keeps a request that jobspec.DecodeFile accepts. Checking
+// each one here, where the decoder meets it, also catches an invalid
+// request in a "jobs" array that a later one replaces: DecodeFile rejects
+// that document, though no replica would see the request.
+func (r *requests) UnmarshalJSON(data []byte) error {
+	var req jobspec.Request
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return err
+	}
+	*r = append(*r, append(json.RawMessage(nil), data...))
+	return nil
+}
+
+// request returns the last request, which a route key hashes (nil: none).
+func (j *jobParts) request() []byte {
+	if len(j.Requests) == 0 {
+		return nil
+	}
+	return j.Requests[len(j.Requests)-1]
 }
 
 // solveKey returns the route key of a /v1/solve body, read as checkSolve
 // reads it, or, for a body without an instance or that is not JSON,
 // checkSolve's error.
 func solveKey(body []byte) (string, error) {
-	var job jobParts
+	var job struct {
+		Instance json.RawMessage `json:"instance"`
+		Request  json.RawMessage `json:"request"`
+	}
 	cutErr := json.Unmarshal(body, &job)
 	if cutErr == nil && job.Instance != nil {
 		return jobKey(instanceHash(job.Instance), job.Request), nil
@@ -115,56 +146,7 @@ func solveKey(body []byte) (string, error) {
 // when absent) and its jobs.
 type batchDoc struct {
 	Instance json.RawMessage `json:"instance"`
-	Jobs     []rawJob        `json:"jobs"`
-}
-
-// rawJob is one job slot of a batch document: its bytes, for splicing,
-// and its own instance (nil when absent) and request, for routing.
-type rawJob struct {
-	raw, instance, request []byte
-}
-
-// UnmarshalJSON reads a job as jobspec.DecodeFile reads one into a
-// jobspec.Job: null changes nothing, an object sets the fields it names
-// and must name no others. The decoder hands a slot a second object when
-// a document repeats its "jobs" key; the slot's bytes then carry the
-// members of both, in order, which a Job decodes as it decodes the two
-// objects one after the other.
-func (j *rawJob) UnmarshalJSON(data []byte) error {
-	if string(data) == "null" {
-		return nil
-	}
-	var parts jobParts
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&parts); err != nil {
-		return err
-	}
-	if parts.Instance != nil {
-		j.instance = parts.Instance
-	}
-	if parts.Request != nil {
-		j.request = parts.Request
-	}
-	j.raw = appendMembers(j.raw, data)
-	return nil
-}
-
-// appendMembers returns the object raw (nil: none yet) extended by the
-// members of the object data.
-func appendMembers(raw, data []byte) []byte {
-	if raw == nil {
-		return append([]byte(nil), data...)
-	}
-	members := bytes.TrimSpace(data[1 : len(data)-1])
-	if len(members) == 0 {
-		return raw
-	}
-	raw = raw[:len(raw)-1]
-	if len(bytes.TrimSpace(raw[1:])) > 0 {
-		raw = append(raw, ',')
-	}
-	return append(append(raw, members...), '}')
+	Jobs     []jobParts      `json:"jobs"`
 }
 
 // splitBatch cuts a /v1/batch document the handler read (readErr is the
@@ -184,12 +166,16 @@ func splitBatch(body []byte, readErr error) (doc batchDoc, status int, err error
 	return batchDoc{}, http.StatusBadRequest, fmt.Errorf("jobspec: cutting job file: %w", cutErr) // not reached: the cut reads every document DecodeFile reads
 }
 
-// splice builds the sub-batch of the given jobs: the file-level instance
-// and the jobs' bytes, as sent.
+// splice builds the sub-batch of the given jobs from the parts as sent:
+// the file-level instance, and each job's instance and requests.
 func (d *batchDoc) splice(jobs []int) []byte {
-	n := len(`{"instance":,"jobs":[]}`) + len(d.Instance) + len(jobs)
+	n := len(`{"instance":,"jobs":[]}`) + len(d.Instance)
 	for _, idx := range jobs {
-		n += len(d.Jobs[idx].raw)
+		job := &d.Jobs[idx]
+		n += len(`{"instance":},`) + len(job.Instance)
+		for _, req := range job.Requests {
+			n += len(`,"request":`) + len(req)
+		}
 	}
 	b := make([]byte, 0, n)
 	b = append(b, '{')
@@ -203,11 +189,20 @@ func (d *batchDoc) splice(jobs []int) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		if raw := d.Jobs[idx].raw; raw != nil {
-			b = append(b, raw...)
-		} else {
-			b = append(b, "null"...)
+		job := &d.Jobs[idx]
+		b = append(b, '{')
+		if job.Instance != nil {
+			b = append(b, `"instance":`...)
+			b = append(b, job.Instance...)
 		}
+		for k, req := range job.Requests {
+			if k > 0 || job.Instance != nil {
+				b = append(b, ',')
+			}
+			b = append(b, `"request":`...)
+			b = append(b, req...)
+		}
+		b = append(b, '}')
 	}
 	return append(b, "]}"...)
 }
@@ -217,12 +212,13 @@ func (d *batchDoc) splice(jobs []int) []byte {
 func (d *batchDoc) routeKeys() []string {
 	keys := make([]string, len(d.Jobs))
 	shared := instanceHash(d.Instance)
-	for i, job := range d.Jobs {
+	for i := range d.Jobs {
+		job := &d.Jobs[i]
 		h := shared
-		if job.instance != nil {
-			h = instanceHash(job.instance)
+		if job.Instance != nil {
+			h = instanceHash(job.Instance)
 		}
-		keys[i] = jobKey(h, job.request)
+		keys[i] = jobKey(h, job.request())
 	}
 	return keys
 }

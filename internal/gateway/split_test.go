@@ -247,13 +247,11 @@ func TestSolveAndBatchShareRouteKeys(t *testing.T) {
 }
 
 // FuzzGatewaySplit checks the gateway's cuts against the checks the
-// gateway has always run, on any input. Every /v1/batch document
-// jobspec.DecodeFile accepts is cut, and each job's sub-batch decodes to
-// the job's slot. A document DecodeFile rejects is either refused with
-// DecodeFile's error or cut so that some job's sub-batch is rejected too,
-// which makes a replica answer 400 and the gateway check it whole. As a
-// /v1/solve body, every input checkSolve accepts gets a route key, and one
-// refused gets checkSolve's error.
+// gateway has always run, on any input. As a /v1/batch document, the cut
+// takes exactly what jobspec.DecodeFile accepts, and each job's sub-batch
+// decodes to the job's slot; any other input gets DecodeFile's error. As
+// a /v1/solve body, every input checkSolve accepts gets a route key, and
+// one refused gets checkSolve's error.
 func FuzzGatewaySplit(f *testing.F) {
 	corpus := gen.DefaultSpace().Corpus(4, 16)
 	rng := rand.New(rand.NewSource(1))
@@ -266,6 +264,7 @@ func FuzzGatewaySplit(f *testing.F) {
 		`{"jobs": [{"instance": 1, "request": {}}], "jobs": [{"request": {}}]}`,
 		`{"jobs": [{"instance": {"a": 1}, "request": {"seed": 1}}, {"request": {"seed": 2}}], "jobs": [{ }], "jobs": [null, {"Request": {"rule": "x"}}]}`,
 		`{"jobs": [{"request": {"seed": 1}}, {}], "jobs": null, "jobs": [{"request": {"seed": 2}}]}`,
+		`{"joBs": [{"request": {"": 0}}], "joBs": null, "joBs": [{}]}`,
 		`{"JOBS": [{"Request": {"periodBounds": []}}], "Instance": null} trailing`,
 		`{"jobs": [{"request": {"energyBudget": -0}}]}`,
 		`{"jobs": [7]}`,
@@ -300,12 +299,7 @@ func FuzzGatewaySplit(f *testing.F) {
 				t.Fatalf("cut answers %v, DecodeFile %v", err, decodeErr)
 			}
 		case decodeErr != nil:
-			for i := range doc.Jobs {
-				if _, err := jobspec.DecodeFile(bytes.NewReader(doc.splice([]int{i}))); err != nil {
-					return
-				}
-			}
-			t.Fatalf("cut takes what DecodeFile rejects (%v), and every job's sub-batch decodes", decodeErr)
+			t.Fatalf("cut takes what DecodeFile rejects (%v)", decodeErr)
 		default:
 			if len(doc.Jobs) != len(file.Jobs) || !bytes.Equal(doc.Instance, file.Instance) {
 				t.Fatalf("cut reads %d jobs and instance %q, DecodeFile %d and %q", len(doc.Jobs), doc.Instance, len(file.Jobs), file.Instance)
