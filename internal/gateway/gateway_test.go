@@ -290,9 +290,9 @@ func TestGatewayForwardsJobBytes(t *testing.T) {
 			{"REQUEST": {"objective": "period", "periodBounds": []}},
 			{"req\u0075est": {"objective": "period"}}]}`,
 		`{"instance": ` + fig1 + `, "jobs": [
-			{"request": {"objective": "energy"}},
+			{"request": {"objective": "energy", "periodBound": 2}},
 			{"request": {"objective": "period"}}], "jobs": [
-			{"request": {"periodBounds": []}}, null]}`,
+			{"request": {"seed": 1}}, null]}`,
 	}
 	urls, _ := startReplicas(t, 3, server.Config{})
 	g := newGateway(t, urls, Config{})
