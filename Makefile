@@ -57,12 +57,14 @@ bench:
 
 # microbench runs each microbenchmark once — the solver's (BenchmarkAnneal,
 # BenchmarkHeuristicSolve), the canonical keys' (BenchmarkKey,
-# BenchmarkPlanKey, BenchmarkCacheHit) and the gateway's (BenchmarkRingRoute,
+# BenchmarkPlanKey, BenchmarkCacheHit), the wire schema's
+# (BenchmarkBatchJobs, BenchmarkEncodeOutput), the server's
+# (BenchmarkServerSolveHit) and the gateway's (BenchmarkRingRoute,
 # BenchmarkGatewaySolveRoute, BenchmarkGatewayBatchSplit) — so they keep
 # compiling and running. Time them with -benchtime 1s -count 5 before and
 # after a change to their package.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/algo/heur ./internal/core ./internal/batch ./internal/gateway
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/algo/heur ./internal/core ./internal/batch ./internal/jobspec ./internal/server ./internal/gateway
 
 # bench-corpus regenerates the committed solver baseline BENCH_solver.json
 # (per-variant one-shot and plan-reuse ns/op + allocs + cache hit rate over

@@ -1,7 +1,6 @@
 package batch
 
 import (
-	"repro/internal/core"
 	"repro/internal/mapping"
 	"repro/internal/memo"
 	"repro/internal/pipeline"
@@ -23,10 +22,15 @@ import (
 //     a Pareto sweep, an experiment table, a batch with many queries per
 //     instance — reuses one compilation;
 //   - the result memo holds the answered queries of all those plans. Each
-//     plan compiled here answers from it (plan.CompileShared), keyed by the
-//     plan key followed by the query encoding, so a memoized answer is
-//     stored once, and a repeated job is answered by a plan-tier hit plus a
-//     result-memo hit.
+//     plan compiled here answers from it (plan.CompileShared), keyed by a
+//     fixed-width digest of the plan key followed by the query encoding,
+//     so a memoized answer is stored once and its key stays small however
+//     large the instance. Each answer carries the plan key string of the
+//     plan-tier entry that compiled its plan (shared, not copied), and a
+//     hit counts only when that key equals the asking plan's: a plan whose
+//     digest collides with another's solves without the memo, so no
+//     answer rests on the digest alone. A repeated job is answered by a
+//     plan-tier hit plus a result-memo hit.
 //
 // A cache built with NewCacheCap is bounded: each tier holds at most the
 // configured number of entries and evicts its least recently used entry
@@ -35,7 +39,7 @@ import (
 //
 // The zero value is not usable; call NewCache or NewCacheCap.
 type Cache struct {
-	results *memo.Memo[core.Result]
+	results *memo.Memo[plan.Stored]
 	plans   *memo.Memo[*plan.Plan]
 }
 
@@ -47,7 +51,7 @@ func NewCache() *Cache { return NewCacheCap(0) }
 // beyond it; a non-positive maxEntries means unbounded.
 func NewCacheCap(maxEntries int) *Cache {
 	return &Cache{
-		results: memo.New[core.Result](maxEntries),
+		results: memo.New[plan.Stored](maxEntries),
 		plans:   memo.New[*plan.Plan](maxEntries),
 	}
 }
@@ -86,8 +90,8 @@ func (c *Cache) PlanFor(inst *pipeline.Instance, rule mapping.Rule, model pipeli
 	e, hit := c.plans.Get(k.buf)
 	k.release()
 	if !hit {
-		// The plan key doubles as the prefix of the plan's query keys; the
-		// entry's copy of it is shared rather than copied again.
+		// The plan's stored answers carry the plan key; the entry's copy of
+		// it is shared rather than copied again.
 		e.Fill(func() (*plan.Plan, error) {
 			return plan.CompileShared(inst, rule, model, c.results, e.Key())
 		})

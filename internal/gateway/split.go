@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/jobspec"
@@ -154,7 +153,7 @@ type batchDoc struct {
 // document the cut refuses gets the checks the gateway has always run,
 // which answer its error.
 func splitBatch(body []byte, readErr error) (doc batchDoc, status int, err error) {
-	dec := json.NewDecoder(replay(body, readErr))
+	dec := json.NewDecoder(jobspec.Replay(body, readErr))
 	dec.DisallowUnknownFields()
 	cutErr := dec.Decode(&doc)
 	if cutErr == nil && len(doc.Jobs) > 0 {
@@ -223,25 +222,11 @@ func (d *batchDoc) routeKeys() []string {
 	return keys
 }
 
-// replay returns a reader that yields body and then the error the read
-// of body ended with (nil: io.EOF), so a decoder sees exactly the stream
-// the handler read.
-func replay(body []byte, readErr error) io.Reader {
-	if readErr == nil {
-		return bytes.NewReader(body)
-	}
-	return io.MultiReader(bytes.NewReader(body), errReader{readErr})
-}
-
-type errReader struct{ err error }
-
-func (e errReader) Read([]byte) (int, error) { return 0, e.err }
-
 // checkBatch runs the checks the gateway has always run on a /v1/batch
 // document — jobspec.DecodeFile, then BatchJobs — and returns the error
 // to answer with its status, or nil.
 func checkBatch(body []byte, readErr error) (status int, err error) {
-	f, err := jobspec.DecodeFile(replay(body, readErr))
+	f, err := jobspec.DecodeFile(jobspec.Replay(body, readErr))
 	if err != nil {
 		return jobspec.DecodeStatus(err), err
 	}

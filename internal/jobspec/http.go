@@ -8,8 +8,10 @@
 package jobspec
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -40,6 +42,38 @@ func WriteJSON(w http.ResponseWriter, status int, doc any) {
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(doc) // past WriteHeader, an encode error has no channel left
 }
+
+// MarshalJSON returns the body WriteJSON writes for doc: its compact
+// encoding (json.Marshal and json.Encoder share it) and a newline.
+func MarshalJSON(doc any) ([]byte, error) {
+	body, err := json.Marshal(doc)
+	if err != nil {
+		return nil, err
+	}
+	return append(body, '\n'), nil
+}
+
+// WriteRaw answers a document already encoded by MarshalJSON, with the
+// headers WriteJSON sets.
+func WriteRaw(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// Replay returns a reader that yields body and then the error the read of
+// body ended with (nil: io.EOF), so a decoder run on a body read whole
+// sees exactly the stream a decoder reading the request would have seen.
+func Replay(body []byte, readErr error) io.Reader {
+	if readErr == nil {
+		return bytes.NewReader(body)
+	}
+	return io.MultiReader(bytes.NewReader(body), errReader{readErr})
+}
+
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // errorDoc is the body of every error response.
 type errorDoc struct {

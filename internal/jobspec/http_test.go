@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -43,6 +44,56 @@ func TestLimitBody(t *testing.T) {
 	}
 	if DecodeStatus(errors.New("unexpected EOF")) != http.StatusBadRequest {
 		t.Error("a plain decode failure is not a 400")
+	}
+}
+
+// TestMarshalJSONMatchesWriteJSON pins that MarshalJSON returns the very
+// body WriteJSON writes, newline and HTML escaping included, so a stored
+// answer replays byte for byte.
+func TestMarshalJSONMatchesWriteJSON(t *testing.T) {
+	doc := fig1File(t, `[{"request": {"objective": "energy", "periodBound": 2}}, {"request": {"objective": "energy", "periodBound": 0.01}}]`)
+	bj, err := doc.BatchJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, stats := batch.Solve(bj, batch.Options{})
+	ok, err := EncodeResult(results[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := EncodeOutput(results, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []any{ok, out, errorDoc{Error: "<a & b>", Code: CodeInvalid}, map[string]Float{"inf": Float(math.Inf(1))}} {
+		rec := httptest.NewRecorder()
+		WriteJSON(rec, http.StatusOK, doc)
+		body, err := MarshalJSON(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != rec.Body.String() {
+			t.Errorf("MarshalJSON = %q, WriteJSON wrote %q", body, rec.Body.String())
+		}
+		rec = httptest.NewRecorder()
+		WriteRaw(rec, http.StatusOK, body)
+		if got := rec.Header().Get("Content-Type"); got != "application/json" {
+			t.Errorf("WriteRaw Content-Type = %q", got)
+		}
+	}
+}
+
+// TestReplay checks a replayed body ends with the read's own error, and
+// with io.EOF after a clean read.
+func TestReplay(t *testing.T) {
+	got, err := io.ReadAll(Replay([]byte("abc"), nil))
+	if string(got) != "abc" || err != nil {
+		t.Errorf("clean replay = %q, %v", got, err)
+	}
+	cut := errors.New("cut")
+	got, err = io.ReadAll(Replay([]byte("abc"), cut))
+	if string(got) != "abc" || err != cut {
+		t.Errorf("failed replay = %q, %v, want abc, cut", got, err)
 	}
 }
 
@@ -153,4 +204,21 @@ func BenchmarkEncodeOutput(b *testing.B) {
 		write()
 	}
 	b.ReportMetric(float64(size), "bytes/response")
+}
+
+// BenchmarkBatchJobs measures building the engine jobs of an 8-job batch
+// document over one instance: request parsing and bounds, and the
+// instance decode and validation, which the jobs share.
+func BenchmarkBatchJobs(b *testing.B) {
+	jobs := make([]string, 8)
+	for i := range jobs {
+		jobs[i] = fmt.Sprintf(`{"request": {"objective": "energy", "periodBound": %g}}`, 2+float64(i)/8)
+	}
+	doc := fig1File(b, "["+strings.Join(jobs, ",")+"]")
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := doc.BatchJobs(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -305,8 +305,11 @@ func (s *Stats) Merge(o Stats) {
 
 // ServiceStats is the additive part of a service's /stats document, the
 // one schema pipeserved reports and pipegateway sums across its replicas:
-// request gauges and counters, and the shared cache's result memo and
-// compiled-plan tier (see batch.Cache).
+// request gauges and counters, the shared cache's result memo and
+// compiled-plan tier (see batch.Cache), and the front tier that answers
+// repeated /v1/solve bodies. A job answered from cache counts in
+// CacheHits whichever tier answered it: the front tier's hits are added
+// to the result memo's there, and also reported on their own.
 type ServiceStats struct {
 	InFlight int64            `json:"inFlight"`
 	Queued   int64            `json:"queued"`
@@ -326,22 +329,33 @@ type ServiceStats struct {
 	PlanMisses    int64   `json:"planMisses"`
 	PlanEvictions int64   `json:"planEvictions"`
 	PlanHitRate   float64 `json:"planHitRate"`
+
+	FrontEntries   int   `json:"frontEntries"`
+	FrontHits      int64 `json:"frontHits"`
+	FrontMisses    int64 `json:"frontMisses"`
+	FrontEvictions int64 `json:"frontEvictions"`
 }
 
-// NewServiceStats fills the cache fields from a cache snapshot.
-func NewServiceStats(cs batch.CacheStats) ServiceStats {
+// NewServiceStats fills the cache fields from a cache snapshot and the
+// front tier's counters.
+func NewServiceStats(cs batch.CacheStats, front memo.Stats) ServiceStats {
+	hits := cs.Hits + front.Hits
 	return ServiceStats{
-		CacheEntries:  cs.Entries,
-		CacheCap:      cs.Cap,
-		CacheHits:     cs.Hits,
-		CacheMisses:   cs.Misses,
-		Evictions:     cs.Evictions,
-		HitRate:       cs.HitRate(),
-		PlanEntries:   cs.Plans.Entries,
-		PlanHits:      cs.Plans.Hits,
-		PlanMisses:    cs.Plans.Misses,
-		PlanEvictions: cs.Plans.Evictions,
-		PlanHitRate:   cs.Plans.HitRate(),
+		CacheEntries:   cs.Entries,
+		CacheCap:       cs.Cap,
+		CacheHits:      hits,
+		CacheMisses:    cs.Misses,
+		Evictions:      cs.Evictions,
+		HitRate:        hitRate(hits, cs.Misses),
+		PlanEntries:    cs.Plans.Entries,
+		PlanHits:       cs.Plans.Hits,
+		PlanMisses:     cs.Plans.Misses,
+		PlanEvictions:  cs.Plans.Evictions,
+		PlanHitRate:    cs.Plans.HitRate(),
+		FrontEntries:   front.Entries,
+		FrontHits:      front.Hits,
+		FrontMisses:    front.Misses,
+		FrontEvictions: front.Evictions,
 	}
 }
 
@@ -367,6 +381,11 @@ func (s *ServiceStats) Merge(o ServiceStats) {
 	s.PlanMisses += o.PlanMisses
 	s.PlanEvictions += o.PlanEvictions
 	s.PlanHitRate = hitRate(s.PlanHits, s.PlanMisses)
+
+	s.FrontEntries += o.FrontEntries
+	s.FrontHits += o.FrontHits
+	s.FrontMisses += o.FrontMisses
+	s.FrontEvictions += o.FrontEvictions
 }
 
 // addCounts adds src into *dst key by key, allocating *dst if needed.

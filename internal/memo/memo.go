@@ -1,7 +1,8 @@
 // Package memo is the repository's one memoization primitive: a
 // single-flight, optionally bounded LRU map from canonical byte keys to
-// computed values. The batch engine's plan tier and every compiled plan's
-// query memo (internal/batch, internal/plan) are built on it.
+// computed values. The batch engine's plan tier, every compiled plan's
+// query memo and the server's /v1/solve front tier (internal/batch,
+// internal/plan, internal/server) are built on it.
 //
 // Single flight: the first caller to ask for a key installs an in-flight
 // entry and computes the value; every concurrent or later caller for the
@@ -79,6 +80,21 @@ func (m *Memo[V]) Get(key []byte) (e *Entry[V], hit bool) {
 		m.evictions++
 	}
 	return e, false
+}
+
+// Forget drops e from the memo if it is still the entry installed for its
+// key, so the next Get of that key misses and computes afresh. Waiters that
+// already hold e still receive its value. A stale Forget — e was evicted,
+// and its key perhaps installed again — is a no-op. Forget is for values a
+// caller decides, once published, not to keep (an answer that depended on
+// its own request's deadline); it is not counted as an eviction.
+func (m *Memo[V]) Forget(e *Entry[V]) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.m[e.key]; ok && el.Value.(*Entry[V]) == e {
+		m.lru.Remove(el)
+		delete(m.m, e.key)
+	}
 }
 
 // Fill runs compute and publishes its result to every waiter on e. A panic

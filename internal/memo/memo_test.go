@@ -213,6 +213,54 @@ func TestEvictedInFlightEntryStillPublishes(t *testing.T) {
 	}
 }
 
+// TestForget checks a dropped entry still publishes to the callers that
+// hold it, while the next Get of its key misses and computes afresh.
+func TestForget(t *testing.T) {
+	m := New[int](0)
+	e, _ := m.Get(key(1))
+	waiter, hit := m.Get(key(1))
+	if !hit || waiter != e {
+		t.Fatal("second Get did not join the in-flight entry")
+	}
+	done := make(chan int)
+	go func() {
+		v, _ := waiter.Wait()
+		done <- v
+	}()
+	e.Fill(value(7))
+	m.Forget(e)
+	if v := <-done; v != 7 {
+		t.Errorf("waiter on the dropped entry got %d, want 7", v)
+	}
+	if v, _ := e.Wait(); v != 7 {
+		t.Errorf("the dropped entry holds %d, want 7", v)
+	}
+	if v, _, hit := m.Do(key(1), value(8)); hit || v != 8 {
+		t.Errorf("Get after Forget = (%d, hit %v), want a miss computing 8", v, hit)
+	}
+	if s := m.Stats(); s.Entries != 1 || s.Evictions != 0 {
+		t.Errorf("entries/evictions = %d/%d, want 1/0", s.Entries, s.Evictions)
+	}
+}
+
+// TestForgetStaleIsNoOp checks a Forget of an entry the cap already
+// evicted leaves alone the entry installed for its key since.
+func TestForgetStaleIsNoOp(t *testing.T) {
+	m := New[int](1)
+	stale, _ := m.Get(key(1))
+	stale.Fill(value(1))
+	m.Do(key(2), value(2)) // evicts key 1
+	m.Do(key(1), value(3)) // installs key 1 again, evicting key 2
+	m.Forget(stale)
+	if v, _, hit := m.Do(key(1), value(4)); !hit || v != 3 {
+		t.Errorf("key 1 after a stale Forget = (%d, hit %v), want the re-inserted 3", v, hit)
+	}
+	m.Forget(stale) // twice is still a no-op
+	if n := m.Len(); n != 1 {
+		t.Errorf("len = %d, want 1", n)
+	}
+}
+
 // TestConcurrentMixedWorkload hammers a small memo from many goroutines
 // with overlapping key ranges (run with -race): the cap holds at every
 // probe and every key keeps answering its own value.

@@ -14,7 +14,8 @@
 //   - validation and platform classification run once at compile time, not
 //     per query (core.SolvePrepared skips both);
 //   - repeated queries are answered from a single-flight LRU memo
-//     (internal/memo) keyed by a canonical query encoding, so the
+//     (internal/memo) keyed by a canonical query encoding (after a
+//     fixed-width digest of the plan's key; see Stored), so the
 //     steady-state repeat-query path is a map lookup plus a defensive copy —
 //     near-zero allocations and orders of magnitude faster than a fresh
 //     solve;
@@ -32,10 +33,12 @@ package plan
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -104,12 +107,14 @@ type Plan struct {
 	candsOnce sync.Once
 	cands     []float64
 
-	// memo holds the answered queries, keyed by keyPrefix followed by the
+	// memo holds the answered queries, keyed by digest followed by the
 	// query's canonical encoding. A plan from Compile owns a private memo
-	// and an empty prefix; CompileShared plans share a caller's memo and
-	// tell their keys apart by the prefix.
-	memo      *memo.Memo[core.Result]
-	keyPrefix string
+	// and an empty planKey; CompileShared plans share a caller's memo, and
+	// each answer they store carries their planKey, which a hit must
+	// match (see Stored).
+	memo    *memo.Memo[Stored]
+	planKey string
+	digest  [digestLen]byte
 
 	queries, hits, degraded atomic.Int64
 }
@@ -124,31 +129,56 @@ const degradedHeurIters = 800
 // per-query arena of the package docs).
 var keyPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
+// Stored is one answer in a query memo: a query's result, and the key of
+// the plan that asked it. Plans sharing a memo key their answers by a
+// fixed-width digest of their plan key, so an answer counts as a hit only
+// for the plan whose key it carries; a plan whose digest collides with
+// another's solves without the memo. No answer rests on a digest alone.
+type Stored struct {
+	planKey string
+	res     core.Result
+}
+
+// digestLen is the width of a plan key's digest in query keys.
+const digestLen = 16
+
+// digestKey maps a plan key to the digest its query keys start with.
+// Tests replace it to force collisions.
+var digestKey = func(planKey string) (d [digestLen]byte) {
+	sum := sha256.Sum256([]byte(planKey))
+	copy(d[:], sum[:])
+	return d
+}
+
 // Compile validates the instance once, clones it (the plan owns its copy:
 // later caller mutations of inst cannot corrupt compiled state), classifies
 // the platform and precomputes the per-application prefix sums and period
 // lower bounds. The same inputs always compile to a plan whose queries are
 // bit-identical to fresh core.Solve calls on the original instance.
 func Compile(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) (*Plan, error) {
-	return CompileShared(inst, rule, model, memo.New[core.Result](memoCap), "")
+	return CompileShared(inst, rule, model, memo.New[Stored](memoCap), "")
 }
 
 // CompileShared is Compile with the query memo supplied by the caller, so
-// that many plans can answer from one bounded memo. keyPrefix must tell
-// this plan's queries apart from those of every other plan sharing m: the
-// batch cache passes the canonical (instance, rule, comm) encoding, which
-// is self-delimiting, so prefix plus query encoding is a canonical key of
-// the whole job.
-func CompileShared(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, m *memo.Memo[core.Result], keyPrefix string) (*Plan, error) {
+// that many plans can answer from one bounded memo. planKey must tell this
+// plan apart from every other plan sharing m: the batch cache passes the
+// canonical (instance, rule, comm) encoding. The plan keys its queries by
+// a fixed-width digest of planKey followed by the query encoding, so a
+// stored query key stays small however large the instance, and stores
+// planKey itself (shared, not copied) with each answer: a memo hit is
+// taken only when the stored key equals planKey, and a plan whose digest
+// collides with another's answers that query without the memo.
+func CompileShared(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, m *memo.Memo[Stored], planKey string) (*Plan, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Plan{
-		inst:      inst.Clone(),
-		rule:      rule,
-		model:     model,
-		memo:      m,
-		keyPrefix: keyPrefix,
+		inst:    inst.Clone(),
+		rule:    rule,
+		model:   model,
+		memo:    m,
+		planKey: planKey,
+		digest:  digestKey(planKey),
 	}
 	p.cls = p.inst.Platform.Classify()
 	p.prefixes = make([][]float64, len(p.inst.Apps))
@@ -248,13 +278,32 @@ func (p *Plan) Answer(ctx context.Context, q Query) (res core.Result, err error,
 		}
 		return core.Result{}, err, false
 	}
+	p.queries.Add(1)
 	e, hit := p.lookup(q)
+	res, err, own := p.await(ctx, e, q, hit)
+	if !own {
+		// The entry holds another plan's answer under a colliding digest:
+		// solve in a private one-entry memo, which keeps the budget and
+		// panic handling of the shared path.
+		e, _ = memo.New[Stored](1).Get(nil)
+		res, err, _ = p.await(ctx, e, q, false)
+		return res, err, false
+	}
+	if hit {
+		p.hits.Add(1)
+	}
+	return res, err, hit
+}
+
+// await answers q from its memo entry e, running the solve first when this
+// call installed e (hit false). own is false when e, once published, holds
+// another plan's answer; res and err are then meaningless.
+func (p *Plan) await(ctx context.Context, e *memo.Entry[Stored], q Query, hit bool) (res core.Result, err error, own bool) {
 	if ctx.Done() == nil {
 		if !hit {
 			p.run(e, q)
 		}
-		res, err = cloneStored(e.Wait())
-		return res, err, hit
+		return p.cloneOwn(e.Wait())
 	}
 	if !hit {
 		// The solver reads the query's bound slices for the whole solve;
@@ -264,39 +313,53 @@ func (p *Plan) Answer(ctx context.Context, q Query) (res core.Result, err error,
 	}
 	select {
 	case <-e.Ready():
-		res, err = cloneStored(e.Wait())
-		return res, err, hit
+		return p.cloneOwn(e.Wait())
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			res, err = p.degradedSolve(q)
-			return res, err, hit
+			return res, err, true
 		}
-		return core.Result{}, ctx.Err(), hit
+		return core.Result{}, ctx.Err(), true
 	}
 }
 
 // lookup finds or installs the single-flight memo entry for q. hit reports
 // whether the entry was already present (the caller must then wait on it);
 // on a miss the caller owns running the solve via run.
-func (p *Plan) lookup(q Query) (e *memo.Entry[core.Result], hit bool) {
-	p.queries.Add(1)
+func (p *Plan) lookup(q Query) (e *memo.Entry[Stored], hit bool) {
 	kp := keyPool.Get().(*[]byte)
-	buf := appendQueryKey(append((*kp)[:0], p.keyPrefix...), q)
+	buf := appendQueryKey(append((*kp)[:0], p.digest[:]...), q)
 	e, hit = p.memo.Get(buf)
 	*kp = buf
 	keyPool.Put(kp)
-	if hit {
-		p.hits.Add(1)
-	}
 	return e, hit
 }
 
 // run executes the solve for a freshly installed entry and publishes the
-// result; the memo confines a panic to this key as its error.
-func (p *Plan) run(e *memo.Entry[core.Result], q Query) {
-	e.Fill(func() (core.Result, error) {
-		return core.SolvePrepared(&p.inst, p.cls, p.Request(q))
+// result under the plan's key. A panic in the solver is published as the
+// entry's error, still under the plan's key, so it stays confined to this
+// plan's query.
+func (p *Plan) run(e *memo.Entry[Stored], q Query) {
+	e.Fill(func() (s Stored, err error) {
+		s.planKey = p.planKey
+		defer func() {
+			if r := recover(); r != nil {
+				s.res, err = core.Result{}, fmt.Errorf("plan: solve panicked: %v\n%s", r, debug.Stack())
+			}
+		}()
+		s.res, err = core.SolvePrepared(&p.inst, p.cls, p.Request(q))
+		return s, err
 	})
+}
+
+// cloneOwn is cloneStored for an answer read from the memo: own reports
+// whether the answer is this plan's, and only then is it copied.
+func (p *Plan) cloneOwn(s Stored, err error) (res core.Result, _ error, own bool) {
+	if s.planKey != p.planKey {
+		return core.Result{}, nil, false
+	}
+	res, err = cloneStored(s.res, err)
+	return res, err, true
 }
 
 // degradedSolve is the reduced-effort fallback taken when a wall-clock

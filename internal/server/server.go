@@ -31,6 +31,22 @@
 // vocabulary of internal/jobspec (infeasible, timeout, degraded, shed,
 // invalid, internal).
 //
+// In front of that path, /v1/solve has a front tier: a memo (internal/memo)
+// keyed by the exact request body, whose value is the finished response —
+// the bytes jobspec.WriteJSON wrote for it and the solver method. The
+// mapping questions have deterministic answers, so a repeated body is
+// answered by writing the stored bytes, skipping the decode, validation,
+// canonical keys, both cache tiers and the encode; what it writes is
+// exactly what the full path would (TestSolveRepeatIdentity). The tier
+// keeps only 200 answers whose result was not preempted by the solve
+// budget, and only bodies read whole of at most frontMaxBody (16 KiB). It
+// holds at most Config.CacheCap entries, so it is bounded at CacheCap x
+// (16 KiB + one response) bytes. Concurrent identical bodies wait for the
+// first one's answer; when that answer is not kept (an error, a timeout,
+// a preempted result), each of them runs the full path itself, so no
+// request ever receives another request's timeout. /v1/batch has no front
+// tier.
+//
 // On top of the per-request defenses sits a resilience layer for overload
 // and churn (see resilience.go): solver endpoints pass admission control
 // (a bounded concurrency gate plus a bounded wait queue; beyond both the
@@ -60,6 +76,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/jobspec"
 	"repro/internal/mapping"
+	"repro/internal/memo"
 	"repro/internal/pareto"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
@@ -70,8 +87,9 @@ type Config struct {
 	// Workers bounds the solver worker pool per request; <= 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// CacheCap bounds the shared memoization cache (number of entries);
-	// <= 0 means unbounded. A long-running deployment should set a cap.
+	// CacheCap bounds the shared memoization cache (number of entries)
+	// and, separately, the /v1/solve front tier; <= 0 means unbounded. A
+	// long-running deployment should set a cap.
 	CacheCap int
 	// Timeout is the per-request wall-clock budget; 0 disables it. When it
 	// expires the request's context is cancelled: queued solver jobs
@@ -116,6 +134,7 @@ const DefaultBreakerCooldown = 5 * time.Second
 type Server struct {
 	cfg   Config
 	cache *batch.Cache
+	front *memo.Memo[frontAnswer]
 	log   *log.Logger
 	mux   *http.ServeMux
 	start time.Time
@@ -147,6 +166,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		cache: batch.NewCacheCap(cfg.CacheCap),
+		front: memo.New[frontAnswer](cfg.CacheCap),
 		log:   logger,
 		mux:   http.NewServeMux(),
 		start: time.Now(),
@@ -273,8 +293,8 @@ func solveStatus(err error) int {
 }
 
 // decodeBody decodes a request body into dst, rejecting unknown fields.
-func decodeBody(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
+func decodeBody(body io.Reader, dst any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("decoding request body: %w", err)
@@ -282,37 +302,110 @@ func decodeBody(r *http.Request, dst any) error {
 	return nil
 }
 
-// handleSolve runs one request through the engine (sharing the cache and
-// worker pool with every other endpoint) and returns the jobspec result
-// document. Results are bit-identical to calling repro.Solve directly.
+// frontMaxBody is the largest /v1/solve body the front tier keeps. It
+// bounds the tier's memory at CacheCap x (frontMaxBody + one response)
+// instead of CacheCap x MaxBody.
+const frontMaxBody = 16 << 10
+
+// frontAnswer is a /v1/solve answer as the front tier keeps it: the
+// status, the body jobspec.WriteJSON writes (trailing newline included)
+// and the result's solver method, counted again on every hit. Status 0
+// marks an answer the tier does not keep.
+type frontAnswer struct {
+	status int
+	body   []byte
+	method core.Method
+}
+
+// handleSolve answers one request. A body read whole and small enough goes
+// through the front tier: a repeated body is answered with the stored
+// bytes of its first answer, and a new one runs the full path (solve) as
+// the leader for its body. Everything else runs the full path directly,
+// on the bytes read and the error the read ended with.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var body jobspec.Job
-	if err := decodeBody(r, &body); err != nil {
+	ctx := r.Context()
+	body, readErr := io.ReadAll(r.Body)
+	if readErr != nil || len(body) > frontMaxBody {
+		s.solve(ctx, w, jobspec.Replay(body, readErr))
+		return
+	}
+	e, hit := s.front.Get(body)
+	if !hit {
+		s.lead(ctx, w, e, body)
+		return
+	}
+	select {
+	case <-e.Ready():
+		//lint:allow memoalias the stored response body is only ever written out, never modified
+		if a, _ := e.Wait(); a.status != 0 && ctx.Err() == nil {
+			s.methods.Add(string(a.method), 1)
+			jobspec.WriteRaw(w, a.status, a.body)
+			return
+		}
+	case <-ctx.Done():
+	}
+	// The first request's answer is not kept, or this request's own
+	// deadline came first: answer as the full path would.
+	s.solve(ctx, w, bytes.NewReader(body))
+}
+
+// lead runs the full path for a body the front tier has not seen, then
+// publishes the answer to the requests waiting on e and keeps it only if
+// solve says it may be kept. A panic publishes an answer not kept, so the
+// waiters run the full path themselves.
+func (s *Server) lead(ctx context.Context, w http.ResponseWriter, e *memo.Entry[frontAnswer], body []byte) {
+	var a frontAnswer
+	defer func() {
+		e.Fill(func() (frontAnswer, error) { return a, nil })
+		if a.status == 0 {
+			s.front.Forget(e)
+		}
+	}()
+	a = s.solve(ctx, w, bytes.NewReader(body))
+}
+
+// solve runs one request through the engine (sharing the cache and worker
+// pool with every other endpoint) and writes the jobspec result document.
+// Results are bit-identical to calling repro.Solve directly. It returns
+// the answer when the front tier may keep it — a 200 whose result was not
+// preempted by the solve budget — and the zero frontAnswer otherwise.
+func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body io.Reader) frontAnswer {
+	var job jobspec.Job
+	if err := decodeBody(body, &job); err != nil {
 		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
-		return
+		return frontAnswer{}
 	}
-	if body.Instance == nil {
+	if job.Instance == nil {
 		jobspec.WriteError(w, http.StatusBadRequest, errors.New("solve request has no instance"))
-		return
+		return frontAnswer{}
 	}
-	file := jobspec.File{Instance: body.Instance, Jobs: []jobspec.Job{{Request: body.Request}}}
+	file := jobspec.File{Instance: job.Instance, Jobs: []jobspec.Job{{Request: job.Request}}}
 	jobs, err := file.BatchJobs()
 	if err != nil {
 		jobspec.WriteError(w, http.StatusBadRequest, err)
-		return
+		return frontAnswer{}
 	}
-	results, stats := batch.SolveCtx(r.Context(), jobs, s.batchOptions())
+	results, stats := batch.SolveCtx(ctx, jobs, s.batchOptions())
 	s.countMethods(stats)
 	if err := results[0].Err; err != nil {
 		jobspec.WriteError(w, solveStatus(err), err)
-		return
+		return frontAnswer{}
 	}
 	doc, err := jobspec.EncodeResult(results[0])
 	if err != nil {
 		jobspec.WriteError(w, http.StatusInternalServerError, err)
-		return
+		return frontAnswer{}
 	}
-	jobspec.WriteJSON(w, http.StatusOK, doc)
+	out, err := jobspec.MarshalJSON(doc)
+	if err != nil {
+		jobspec.WriteError(w, http.StatusInternalServerError, err)
+		return frontAnswer{}
+	}
+	jobspec.WriteRaw(w, http.StatusOK, out)
+	if results[0].Result.Preempted {
+		return frontAnswer{}
+	}
+	return frontAnswer{status: http.StatusOK, body: out, method: results[0].Result.Method}
 }
 
 // handleBatch accepts a pipebatch job file and responds with the pipebatch
@@ -390,7 +483,7 @@ type paretoResponse struct {
 // empty frontier with a query answers null (the +Inf degenerate case).
 func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 	var body paretoRequest
-	if err := decodeBody(r, &body); err != nil {
+	if err := decodeBody(r.Body, &body); err != nil {
 		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}
@@ -468,7 +561,7 @@ type simulateResponse struct {
 // application (the same numbers pipesim prints as a table).
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var body simulateRequest
-	if err := decodeBody(r, &body); err != nil {
+	if err := decodeBody(r.Body, &body); err != nil {
 		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}
@@ -538,11 +631,11 @@ type statsResponse struct {
 }
 
 // handleStats reports the operational counters: in-flight, queued and
-// shed requests, per-route and per-method totals, and both cache tiers'
-// size, cap, hit rate and eviction count.
+// shed requests, per-route and per-method totals, both cache tiers' size,
+// cap, hit rate and eviction count, and the /v1/solve front tier's.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{
-		ServiceStats: jobspec.NewServiceStats(s.cache.Stats()),
+		ServiceStats: jobspec.NewServiceStats(s.cache.Stats(), s.front.Stats()),
 		UptimeMs:     float64(time.Since(s.start).Microseconds()) / 1000,
 		Draining:     s.draining.Load(),
 	}

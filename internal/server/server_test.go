@@ -371,6 +371,9 @@ func TestHealthzAndStats(t *testing.T) {
 		PlanEntries  int              `json:"planEntries"`
 		PlanHits     int64            `json:"planHits"`
 		PlanMisses   int64            `json:"planMisses"`
+		FrontEntries int              `json:"frontEntries"`
+		FrontHits    int64            `json:"frontHits"`
+		FrontMisses  int64            `json:"frontMisses"`
 	}
 	decode(t, rec, &resp)
 	if resp.Requests["/v1/solve"] != 2 {
@@ -386,9 +389,13 @@ func TestHealthzAndStats(t *testing.T) {
 		t.Errorf("hitRate = %g", resp.HitRate)
 	}
 	// The first solve compiled the instance's plan (a plan-tier miss); the
-	// duplicate reused that plan (a plan-tier hit) and its memo answered.
-	if resp.PlanEntries != 1 || resp.PlanMisses != 1 || resp.PlanHits != 1 {
-		t.Errorf("plan tier entries/misses/hits = %d/%d/%d, want 1/1/1", resp.PlanEntries, resp.PlanMisses, resp.PlanHits)
+	// duplicate body was answered by the front tier (a front hit, counted
+	// in cacheHits) and never reached the plan tier.
+	if resp.FrontEntries != 1 || resp.FrontMisses != 1 || resp.FrontHits != 1 {
+		t.Errorf("front tier entries/misses/hits = %d/%d/%d, want 1/1/1", resp.FrontEntries, resp.FrontMisses, resp.FrontHits)
+	}
+	if resp.PlanEntries != 1 || resp.PlanMisses != 1 || resp.PlanHits != 0 {
+		t.Errorf("plan tier entries/misses/hits = %d/%d/%d, want 1/1/0", resp.PlanEntries, resp.PlanMisses, resp.PlanHits)
 	}
 	if len(resp.Methods) == 0 {
 		t.Error("no per-method counts")
