@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet lint vuln race bench bench-corpus bench-diff bench-module microbench diff chaos load fuzz-smoke experiments serve gateway clean
+.PHONY: all build test check fmt vet lint vuln race bench bench-corpus bench-diff bench-module microbench diff chaos fuzz-smoke experiments serve gateway clean
 
 all: check
 
@@ -95,12 +95,6 @@ diff:
 # latency, degraded rate, shed burst; see EXPERIMENTS.md section CHAOS).
 chaos:
 	$(GO) run ./cmd/pipebench -exp chaos -instances 36
-
-# load runs the service-level load experiment: an in-process pipegateway
-# over three pipeserved replicas under zipf and uniform batch traffic,
-# regenerating BENCH_service.json (see EXPERIMENTS.md section LOAD).
-load:
-	$(GO) run ./cmd/pipebench -exp load
 
 # fuzz-smoke runs each fuzz target briefly, as CI does: the jobspec
 # schema's and the gateway's cut of batch documents.

@@ -17,9 +17,6 @@
 //	pipebench -exp chaos -instances 36
 //	                              # fault-injection chains over the corpus:
 //	                              # re-solve p50/p99, degraded rate, shed rate
-//	pipebench -exp load           # in-process gateway cluster under zipf and
-//	                              # uniform batch traffic: throughput, p50/p99,
-//	                              # hit rates -> BENCH_service.json
 //
 // pipebench exits non-zero if any paper claim failed to reproduce.
 package main
@@ -42,14 +39,12 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pipebench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: all | fig1 | table1 | table2 | sim | pareto | npc | extensions | scaling | diff | benchdiff | chaos | load")
+	exp := fs.String("exp", "all", "experiment: all | fig1 | table1 | table2 | sim | pareto | npc | extensions | scaling | diff | benchdiff | chaos")
 	seed := fs.Int64("seed", 1, "seed for the randomized validations")
 	trials := fs.Int("trials", 60, "trials for the simulator validation")
 	instances := fs.Int("instances", 0, "scenarios for the differential check (0 = six combination windows)")
 	benchFile := fs.String("bench-file", "BENCH_solver.json", "committed baseline for -exp benchdiff")
 	benchFactor := fs.Float64("bench-factor", 2.0, "per-variant ns/op regression tolerance for -exp benchdiff")
-	loadBatches := fs.Int("load-batches", 0, "batches per traffic measurement for -exp load (0 = 100)")
-	serviceFile := fs.String("service-file", "BENCH_service.json", "output artifact for -exp load")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -78,8 +73,6 @@ func run(args []string, stdout io.Writer) error {
 		return experiments.BenchDiff(stdout, *benchFile, *benchFactor)
 	case "chaos":
 		return experiments.Chaos(stdout, *seed, *instances)
-	case "load":
-		return experiments.Load(stdout, *seed, *loadBatches, *serviceFile)
 	default:
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"bytes"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -111,33 +109,6 @@ func TestExtensionsExperiment(t *testing.T) {
 	for _, want := range []string{"12/12", "processor sharing strictly helps"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("output missing %q", want)
-		}
-	}
-}
-
-// TestLoadPostBatchToleratesOnlyInfeasible pins the LOAD gate: a batch
-// whose error slots are all infeasible passes and is counted, while a
-// slot with any other code — invalid, internal, or none — fails it.
-func TestLoadPostBatchToleratesOnlyInfeasible(t *testing.T) {
-	for _, c := range []struct {
-		slot     string
-		wantErrs int
-		wantFail bool
-	}{
-		{`{"value": 1}`, 0, false},
-		{`{"error": "no mapping", "code": "infeasible"}`, 1, false},
-		{`{"error": "bad request", "code": "invalid"}`, 0, true},
-		{`{"error": "bug", "code": "internal"}`, 0, true},
-		{`{"error": "unclassified"}`, 0, true},
-	} {
-		gw := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			io.WriteString(w, `{"results": [{"value": 2}, `+c.slot+`], "stats": {}}`)
-		}))
-		errs, err := loadPostBatch(gw.Client(), gw.URL, []byte(`{}`))
-		gw.Close()
-		if errs != c.wantErrs || (err != nil) != c.wantFail {
-			t.Errorf("slot %s: %d tolerated errors, err %v; want %d, failure %v",
-				c.slot, errs, err, c.wantErrs, c.wantFail)
 		}
 	}
 }

@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gen"
 	"repro/internal/jobspec"
+	"repro/internal/pipeline"
 	"repro/internal/server"
 	"repro/internal/servetest"
 )
@@ -671,5 +673,119 @@ func TestGatewayMergedStats(t *testing.T) {
 	if jobs != 24 || st.Merged.CacheHits != 12 || st.Merged.CacheCap != 3*64 {
 		t.Errorf("merged methods=%d cacheHits=%d cacheCap=%d, want 24/12/%d",
 			jobs, st.Merged.CacheHits, st.Merged.CacheCap, 3*64)
+	}
+}
+
+// TestGatewayWarmWorkingSetHits is the warm-cache gate: the mapping
+// questions have deterministic answers, so a working set that fits every
+// replica's cache is, once warm, answered from cache alone. Sixteen
+// generator scenarios (infeasible draws included) go through a 3-replica
+// cluster as one /v1/batch document and as 16 /v1/solve bodies, twice.
+// Over the second pass no job misses the result memo or the plan tier,
+// every job counts one cache hit, and the front counters name the tier
+// that answered each solve: the front tier for every 200, the result
+// memo for every error answer (the front tier keeps only 200s).
+func TestGatewayWarmWorkingSetHits(t *testing.T) {
+	const jobs, exactCap = 16, 500 // exactCap: branch-and-bound node budget
+	var (
+		file   jobspec.File
+		solves []string
+	)
+	for _, sc := range gen.DefaultSpace().Corpus(1, 60) {
+		if sc.Degenerate == gen.DegenProcStarved {
+			continue // infeasible by construction; proving it takes seconds
+		}
+		req := sc.Req
+		if req.ExactLimit == 0 || req.ExactLimit > exactCap {
+			req.ExactLimit = exactCap
+		}
+		var inst bytes.Buffer
+		if err := pipeline.EncodeJSON(&inst, &sc.Inst); err != nil {
+			t.Fatal(err)
+		}
+		job := jobspec.Job{Instance: inst.Bytes(), Request: jobspec.RequestOf(req)}
+		body, err := json.Marshal(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file.Jobs = append(file.Jobs, job)
+		solves = append(solves, string(body))
+		if len(file.Jobs) == jobs {
+			break
+		}
+	}
+	if len(file.Jobs) != jobs {
+		t.Fatalf("corpus yielded %d usable scenarios, want %d", len(file.Jobs), jobs)
+	}
+	doc, err := json.Marshal(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	urls, _ := startReplicas(t, 3, server.Config{CacheCap: 64})
+	g := newGateway(t, urls, Config{})
+	// pass sends the working set once each way and counts the solve
+	// answers by status. An error answer may only be an infeasible draw.
+	pass := func() (ok, failed int64) {
+		rec := postGateway(g, "/v1/batch", string(doc))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("batch: status %d: %s", rec.Code, rec.Body.String())
+		}
+		var out struct {
+			Results []struct{ Error, Code string } `json:"results"`
+		}
+		decode(t, rec, &out)
+		if len(out.Results) != jobs {
+			t.Fatalf("batch answered %d slots, want %d", len(out.Results), jobs)
+		}
+		for i, r := range out.Results {
+			if r.Error != "" && r.Code != jobspec.CodeInfeasible {
+				t.Errorf("batch job %d failed with code %q: %s", i, r.Code, r.Error)
+			}
+		}
+		for i, body := range solves {
+			rec := postGateway(g, "/v1/solve", body)
+			if rec.Code == http.StatusOK {
+				ok++
+				continue
+			}
+			failed++
+			var e struct{ Code string }
+			decode(t, rec, &e)
+			if rec.Code != http.StatusUnprocessableEntity || e.Code != jobspec.CodeInfeasible {
+				t.Errorf("solve %d: status %d code %q: %s", i, rec.Code, e.Code, rec.Body.String())
+			}
+		}
+		return ok, failed
+	}
+	merged := func() jobspec.ServiceStats {
+		var st gatewayStatsJSON
+		decode(t, getGateway(g, "/stats"), &st)
+		if st.Merged.Replicas != 3 {
+			t.Fatalf("/stats reached %d replicas, want 3", st.Merged.Replicas)
+		}
+		return st.Merged.ServiceStats
+	}
+
+	pass()
+	before := merged()
+	ok, failed := pass()
+	after := merged()
+	if ok == 0 || failed == 0 {
+		t.Fatalf("second pass: %d 200 and %d error solves; the set must exercise both tiers", ok, failed)
+	}
+	for _, d := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"cacheMisses", after.CacheMisses - before.CacheMisses, 0},
+		{"planMisses", after.PlanMisses - before.PlanMisses, 0},
+		{"cacheHits", after.CacheHits - before.CacheHits, 2 * jobs},
+		{"frontHits", after.FrontHits - before.FrontHits, ok},
+		{"frontMisses", after.FrontMisses - before.FrontMisses, failed},
+	} {
+		if d.got != d.want {
+			t.Errorf("warm pass moved %s by %d, want %d", d.name, d.got, d.want)
+		}
 	}
 }

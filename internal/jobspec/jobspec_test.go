@@ -145,8 +145,8 @@ func TestBuildRequestDefaultsAndBounds(t *testing.T) {
 // TestRequestOfRoundTrip pins RequestOf as BuildRequest's inverse over
 // the seeded scenario corpus: shipping a generated request through the
 // wire form must reproduce the exact engine request, canonical key
-// included — the gateway's routing and the load experiment both depend
-// on it.
+// included — the benchmark and the gateway's warm-cache test both ship
+// generated requests this way.
 func TestRequestOfRoundTrip(t *testing.T) {
 	space := gen.DefaultSpace()
 	for i := 0; i < 60; i++ {
