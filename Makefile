@@ -59,12 +59,14 @@ bench:
 # BenchmarkHeuristicSolve), the canonical keys' (BenchmarkKey,
 # BenchmarkPlanKey, BenchmarkCacheHit), the wire schema's
 # (BenchmarkBatchJobs, BenchmarkEncodeOutput), the server's
-# (BenchmarkServerSolveHit) and the gateway's (BenchmarkRingRoute,
-# BenchmarkGatewaySolveRoute, BenchmarkGatewayBatchSplit) — so they keep
-# compiling and running. Time them with -benchtime 1s -count 5 before and
-# after a change to their package.
+# (BenchmarkServerSolveHit), the gateway's (BenchmarkRingRoute,
+# BenchmarkGatewaySolveRoute, BenchmarkGatewayBatchSplit) and the
+# simulator's, plain and replicated (the root BenchmarkSimulatorValidation)
+# — so they keep compiling and running. Time them with -benchtime 1s
+# -count 5 before and after a change to their package.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/algo/heur ./internal/core ./internal/batch ./internal/jobspec ./internal/server ./internal/gateway
+	$(GO) test -run '^$$' -bench SimulatorValidation -benchtime 1x .
 
 # bench-corpus regenerates the committed solver baseline BENCH_solver.json
 # (per-variant one-shot and plan-reuse ns/op + allocs + cache hit rate over

@@ -337,7 +337,7 @@ func BenchmarkTable2TriCriteriaMultiModal(b *testing.B) {
 
 // BenchmarkSimulatorValidation measures the discrete-event substrate
 // (experiment SIM): pushing data sets through a mapped instance under both
-// communication models.
+// communication models, as a plain mapping and as a replicated one.
 func BenchmarkSimulatorValidation(b *testing.B) {
 	rng := rand.New(rand.NewSource(99))
 	inst := workload.StreamingCenter(10)
@@ -345,11 +345,26 @@ func BenchmarkSimulatorValidation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	rm, err := workload.RandomReplicated(rng, &inst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := sim.Options{Datasets: 1000}
 	for _, model := range []pipeline.CommModel{pipeline.Overlap, pipeline.NoOverlap} {
 		b.Run(model.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.Simulate(&inst, &m, model, sim.Options{Datasets: 1000}); err != nil {
+				if _, err := sim.Simulate(&inst, &m, model, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, model := range []pipeline.CommModel{pipeline.Overlap, pipeline.NoOverlap} {
+		b.Run("replicated/"+model.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.SimulateReplicated(&inst, &rm, model, opt); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -51,10 +51,11 @@
 // With -server, pipebatch does exactly that instead of solving locally:
 // it POSTs the job file to <server>/v1/batch and prints the response.
 // A shed response (429 or 503, the service's admission control or an
-// open circuit breaker) is retried with jittered exponential backoff —
-// honoring the server's Retry-After header (both RFC 7231 forms,
-// delta-seconds and HTTP-date) when it asks for a longer wait — up to
-// -retries times before giving up; any other non-200 is a hard error.
+// open circuit breaker) is retried up to -retries times before giving up,
+// on the gateway's schedule: the wait is the server's Retry-After header
+// (both RFC 7231 forms, delta-seconds and HTTP-date) when it sent one,
+// and a jittered exponential backoff otherwise; any other non-200 is a
+// hard error.
 // Transport failures, including a hung connection hitting the
 // -http-timeout per-attempt deadline, retry on the same schedule: each
 // attempt is bounded, so a wedged server can never stall the retry loop
@@ -66,8 +67,8 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -139,86 +140,30 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 }
 
 // runRemote POSTs the raw job file to <base>/v1/batch and streams the
-// response document to stdout. Shed responses (429/503) and transport
-// failures — including attempts cut off by the client's own timeout —
-// are retried with jittered exponential backoff; a Retry-After header
-// stretches the wait when the server asks for more. The client comes
-// from the shared gateway plumbing, so every attempt has a deadline.
+// response document to stdout, on the gateway's retry schedule
+// (gateway.Retrier): shed responses (429/503) and transport failures —
+// including attempts cut off by the client's own timeout — are retried,
+// each after the server's Retry-After when it sent one and a jittered
+// exponential backoff otherwise. The client comes from the shared gateway
+// plumbing, so every attempt has a deadline.
 func runRemote(stdout io.Writer, base string, body []byte, retries int, retryBase time.Duration, client *http.Client) error {
-	url := strings.TrimSuffix(base, "/") + "/v1/batch"
 	// The jitter decorrelates clients retrying after a shared shed; it
 	// has no bearing on solver results, which the server computes.
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		retryAfter, err := postBatch(stdout, client, url, body)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !isRetryable(err) {
-			return err
-		}
-		if attempt >= retries {
-			return fmt.Errorf("giving up after %d attempts: %w", attempt+1, lastErr)
-		}
-		delay := backoffDelay(retryBase, attempt, rng)
-		if retryAfter > delay {
-			delay = retryAfter
-		}
-		fmt.Fprintf(os.Stderr, "pipebatch: attempt %d: %v; retrying in %v\n", attempt+1, err, delay.Round(time.Millisecond))
-		time.Sleep(delay)
+	r := gateway.Retrier{Client: client, Retries: retries, Base: retryBase, Jitter: rng.Int63n,
+		OnRetry: func(attempt int, err error, wait time.Duration) {
+			fmt.Fprintf(os.Stderr, "pipebatch: attempt %d: %v; retrying in %v\n", attempt+1, err, wait.Round(time.Millisecond))
+		}}
+	resp, out, err := r.Post(context.Background(), strings.TrimSuffix(base, "/")+"/v1/batch", body)
+	switch {
+	case err != nil && resp != nil:
+		return fmt.Errorf("giving up after %d attempts: server shed the batch: %s: %s",
+			max(retries, 0)+1, resp.Status, strings.TrimSpace(string(out)))
+	case err != nil:
+		return fmt.Errorf("posting batch: %w", err)
+	case resp.StatusCode != http.StatusOK:
+		return fmt.Errorf("server answered %s: %s", resp.Status, strings.TrimSpace(string(out)))
 	}
-}
-
-// shedError marks a retryable failure: the server shed the request (429
-// admission overflow or 503 open circuit) or the transport failed.
-type shedError struct{ err error }
-
-func (e *shedError) Error() string { return e.err.Error() }
-func (e *shedError) Unwrap() error { return e.err }
-
-func isRetryable(err error) bool {
-	var se *shedError
-	return errors.As(err, &se)
-}
-
-// postBatch performs one POST on the timed client. On a shed it returns
-// the server's Retry-After — either RFC 7231 form, parsed by the shared
-// gateway helper — as a duration (zero when absent or malformed)
-// alongside the retryable error; on any other failure retryAfter is zero.
-func postBatch(stdout io.Writer, client *http.Client, url string, body []byte) (retryAfter time.Duration, err error) {
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		// Transport failure or the per-attempt timeout: both retryable —
-		// the server may be restarting, or this attempt raced a stall.
-		return 0, &shedError{fmt.Errorf("posting batch: %w", err)}
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, &shedError{fmt.Errorf("reading response: %w", err)}
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		_, err := stdout.Write(out)
-		return 0, err
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		retryAfter = gateway.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
-		return retryAfter, &shedError{fmt.Errorf("server shed the batch: %s: %s", resp.Status, strings.TrimSpace(string(out)))}
-	default:
-		return 0, fmt.Errorf("server answered %s: %s", resp.Status, strings.TrimSpace(string(out)))
-	}
-}
-
-// backoffDelay is the jittered exponential schedule: the nth retry waits
-// a uniformly random duration in [base·2ⁿ/2, base·2ⁿ], capped at 10s.
-func backoffDelay(base time.Duration, attempt int, rng *rand.Rand) time.Duration {
-	d := base << uint(attempt)
-	const maxDelay = 10 * time.Second
-	if d > maxDelay || d <= 0 {
-		d = maxDelay
-	}
-	half := d / 2
-	return half + time.Duration(rng.Int63n(int64(half)+1))
+	_, err = stdout.Write(out)
+	return err
 }

@@ -25,7 +25,6 @@
 package gateway
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -79,15 +78,14 @@ const (
 // Gateway fronts a cluster of pipeserved replicas. Create with New; it
 // implements http.Handler and is safe for concurrent use.
 type Gateway struct {
-	replicas  []string
-	client    *http.Client
-	router    Router
-	retries   int
-	retryBase time.Duration
-	maxBody   int64
-	log       *log.Logger
-	mux       *http.ServeMux
-	start     time.Time
+	replicas []string
+	client   *http.Client
+	router   Router
+	retry    Retrier
+	maxBody  int64
+	log      *log.Logger
+	mux      *http.ServeMux
+	start    time.Time
 
 	healthy []atomic.Bool
 
@@ -146,18 +144,18 @@ func New(cfg Config) (*Gateway, error) {
 		seed = time.Now().UnixNano()
 	}
 	g := &Gateway{
-		replicas:  replicas,
-		client:    client,
-		router:    router,
-		retries:   retries,
-		retryBase: retryBase,
-		maxBody:   cfg.MaxBody,
-		log:       logger,
-		mux:       http.NewServeMux(),
-		start:     time.Now(),
-		healthy:   make([]atomic.Bool, len(replicas)),
-		rng:       rand.New(rand.NewSource(seed)),
+		replicas: replicas,
+		client:   client,
+		router:   router,
+		maxBody:  cfg.MaxBody,
+		log:      logger,
+		mux:      http.NewServeMux(),
+		start:    time.Now(),
+		healthy:  make([]atomic.Bool, len(replicas)),
+		rng:      rand.New(rand.NewSource(seed)),
 	}
+	g.retry = Retrier{Client: client, Retries: retries, Base: retryBase, Jitter: g.jitter,
+		OnRetry: func(int, error, time.Duration) { g.retried.Add(1) }}
 	for i := range g.healthy {
 		g.healthy[i].Store(true)
 	}
@@ -248,79 +246,10 @@ func (g *Gateway) route(key string) (int, bool) {
 	return g.router.Route(key, func(i int) bool { return g.healthy[i].Load() })
 }
 
-// sleepCtx waits d or until ctx is done; it reports whether the full wait
-// elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// errShed marks an upstream rejection that exhausted its retries.
-var errShed = errors.New("gateway: upstream shed the request")
-
-// post sends body to one replica with the retry schedule: transport
-// failures (including client timeouts) and shed responses (429/503,
-// honoring Retry-After) are retried up to the configured budget; any
-// other response is returned to the caller. On success the full response
-// body is read and returned with the response.
+// post sends body to one replica on the gateway's retry schedule
+// (Retrier.Post).
 func (g *Gateway) post(ctx context.Context, replica int, path string, body []byte) (*http.Response, []byte, error) {
-	url := g.replicas[replica] + path
-	var lastErr error
-	for attempt := 0; attempt <= g.retries; attempt++ {
-		if attempt > 0 {
-			g.retried.Add(1)
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return nil, nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := g.client.Do(req)
-		if err != nil {
-			// Transport failure: connection refused, reset, or the
-			// client's per-attempt timeout — all retryable, the request
-			// may simply have raced a restart.
-			lastErr = err
-			if ctx.Err() != nil {
-				return nil, nil, ctx.Err()
-			}
-			if attempt < g.retries && sleepCtx(ctx, g.backoff(attempt)) {
-				continue
-			}
-			return nil, nil, lastErr
-		}
-		respBody, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			if attempt < g.retries && sleepCtx(ctx, g.backoff(attempt)) {
-				continue
-			}
-			return nil, nil, lastErr
-		}
-		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-			lastErr = fmt.Errorf("%w: %s answered %d", errShed, url, resp.StatusCode)
-			if attempt < g.retries {
-				wait := retryWait(resp.Header.Get("Retry-After"), g.retryBase, attempt, g.jitter, time.Now())
-				if sleepCtx(ctx, wait) {
-					continue
-				}
-			}
-			return resp, respBody, lastErr
-		}
-		return resp, respBody, nil
-	}
-	return nil, nil, lastErr
-}
-
-func (g *Gateway) backoff(attempt int) time.Duration {
-	return backoffDelay(g.retryBase, attempt, g.jitter)
+	return g.retry.Post(ctx, g.replicas[replica]+path, body)
 }
 
 // jitter draws uniformly from [0, n) from the shared jitter source under

@@ -82,6 +82,28 @@ func (m *Memo[V]) Get(key []byte) (e *Entry[V], hit bool) {
 	return e, false
 }
 
+// Published returns the entry for key when one is installed and already
+// published, without installing one. A found entry counts as a hit and
+// becomes the most recently used, like a Get hit; otherwise nothing is
+// counted. It is for callers that cannot afford to wait or compute.
+func (m *Memo[V]) Published(key []byte) (e *Entry[V], ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.m[string(key)]
+	if !ok {
+		return nil, false
+	}
+	e = el.Value.(*Entry[V])
+	select {
+	case <-e.ready:
+	default:
+		return nil, false
+	}
+	m.lru.MoveToFront(el)
+	m.hits++
+	return e, true
+}
+
 // Forget drops e from the memo if it is still the entry installed for its
 // key, so the next Get of that key misses and computes afresh. Waiters that
 // already hold e still receive its value. A stale Forget — e was evicted,

@@ -243,6 +243,30 @@ func TestForget(t *testing.T) {
 	}
 }
 
+// TestPublished checks Published finds only published entries, installs
+// nothing, and counts a hit only when it finds one.
+func TestPublished(t *testing.T) {
+	m := New[int](0)
+	if _, ok := m.Published(key(1)); ok {
+		t.Fatal("Published found an absent key")
+	}
+	e, _ := m.Get(key(1))
+	if _, ok := m.Published(key(1)); ok {
+		t.Fatal("Published found an in-flight entry")
+	}
+	e.Fill(value(5))
+	got, ok := m.Published(key(1))
+	if !ok || got != e {
+		t.Fatal("Published missed the published entry")
+	}
+	if v, _ := got.Wait(); v != 5 {
+		t.Errorf("published value %d, want 5", v)
+	}
+	if s := m.Stats(); s.Entries != 1 || s.Hits != 1 || s.Misses != 1 {
+		t.Errorf("entries/hits/misses = %d/%d/%d, want 1/1/1", s.Entries, s.Hits, s.Misses)
+	}
+}
+
 // TestForgetStaleIsNoOp checks a Forget of an entry the cap already
 // evicted leaves alone the entry installed for its key since.
 func TestForgetStaleIsNoOp(t *testing.T) {

@@ -69,6 +69,35 @@ func TestSolveCtxExpiredDeadlineDegrades(t *testing.T) {
 	}
 }
 
+// TestAnswerExpiredDeadlineReturnsPublished: once a query's clean answer
+// is published, an already-expired deadline answers from it — a memo hit,
+// bit-identical to Solve, not preempted — and the degraded path is not
+// taken.
+func TestAnswerExpiredDeadlineReturnsPublished(t *testing.T) {
+	mi := pipeline.MotivatingExample()
+	p, err := Compile(&mi, mapping.Interval, pipeline.Overlap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Objective: core.Period, Seed: 3}
+	clean, err := p.Solve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	res, err, hit := p.Answer(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit || res.Preempted || !reflect.DeepEqual(res, clean) {
+		t.Fatalf("expired deadline over a published answer: hit %v, %+v, want a hit on %+v", hit, res, clean)
+	}
+	if st := p.QueryStats(); st.Degraded != 0 || st.Queries != 2 || st.Hits != 1 {
+		t.Fatalf("stats %+v, want 2 queries, 1 hit, 0 degraded", st)
+	}
+}
+
 // TestSolveCtxCancelledReturnsCtxErr pins that cancellation (the caller is
 // gone) is not degraded-solved: no answer is wanted.
 func TestSolveCtxCancelledReturnsCtxErr(t *testing.T) {

@@ -269,17 +269,26 @@ func (p *Plan) SolveCtx(ctx context.Context, q Query) (core.Result, error) {
 
 // Answer is SolveCtx that also reports whether the memo answered: hit is
 // true when the query key was already memoized or in flight, false when
-// this call ran (or started) the solve or took the degraded path.
+// this call ran (or started) the solve or took the degraded path. A call
+// whose deadline has already expired returns the plan's published answer
+// when there is one, and otherwise degrades without installing an entry.
 func (p *Plan) Answer(ctx context.Context, q Query) (res core.Result, err error, hit bool) {
 	if err := ctx.Err(); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			res, err = p.degradedSolve(q)
-			return res, err, false
+		if !errors.Is(err, context.DeadlineExceeded) {
+			return core.Result{}, err, false
 		}
-		return core.Result{}, err, false
+		if e, ok := p.lookup(q, false); ok {
+			if res, err, own := p.cloneOwn(e.Wait()); own {
+				p.queries.Add(1)
+				p.hits.Add(1)
+				return res, err, true
+			}
+		}
+		res, err = p.degradedSolve(q)
+		return res, err, false
 	}
 	p.queries.Add(1)
-	e, hit := p.lookup(q)
+	e, hit := p.lookup(q, true)
 	res, err, own := p.await(ctx, e, q, hit)
 	if !own {
 		// The entry holds another plan's answer under a colliding digest:
@@ -315,6 +324,11 @@ func (p *Plan) await(ctx context.Context, e *memo.Entry[Stored], q Query, hit bo
 	case <-e.Ready():
 		return p.cloneOwn(e.Wait())
 	case <-ctx.Done():
+		select {
+		case <-e.Ready(): // published as the deadline fired: the answer wins
+			return p.cloneOwn(e.Wait())
+		default:
+		}
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			res, err = p.degradedSolve(q)
 			return res, err, true
@@ -323,13 +337,18 @@ func (p *Plan) await(ctx context.Context, e *memo.Entry[Stored], q Query, hit bo
 	}
 }
 
-// lookup finds or installs the single-flight memo entry for q. hit reports
-// whether the entry was already present (the caller must then wait on it);
-// on a miss the caller owns running the solve via run.
-func (p *Plan) lookup(q Query) (e *memo.Entry[Stored], hit bool) {
+// lookup finds or, with install, installs the single-flight memo entry for
+// q. hit reports whether the entry was already present (the caller must
+// then wait on it); on a miss the caller owns running the solve via run.
+// Without install, only a published entry is found.
+func (p *Plan) lookup(q Query, install bool) (e *memo.Entry[Stored], hit bool) {
 	kp := keyPool.Get().(*[]byte)
 	buf := appendQueryKey(append((*kp)[:0], p.digest[:]...), q)
-	e, hit = p.memo.Get(buf)
+	if install {
+		e, hit = p.memo.Get(buf)
+	} else {
+		e, hit = p.memo.Published(buf)
+	}
 	*kp = buf
 	keyPool.Put(kp)
 	return e, hit

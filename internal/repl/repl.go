@@ -240,17 +240,15 @@ func AppLatency(inst *pipeline.Instance, rm *Mapping, a int) float64 {
 	app := &inst.Apps[a]
 	ivs := rm.Apps[a].Intervals
 	comm := 0.0 // communication part, identical on every path
-	cycle := 1
 	for j := range ivs {
 		in, out := IntervalComm(inst, rm, a, j)
 		if j == 0 {
 			comm += in
 		}
 		comm += out
-		cycle = lcmInt(cycle, len(ivs[j].Replicas))
 	}
 	worst := 0.0
-	for t := 0; t < cycle; t++ {
+	for t, cycle := 0, rm.Apps[a].Cycle(); t < cycle; t++ {
 		path := 0.0
 		for _, iv := range ivs {
 			r := iv.Replicas[t%len(iv.Replicas)]
@@ -262,13 +260,33 @@ func AppLatency(inst *pipeline.Instance, rm *Mapping, a int) float64 {
 	return comm + worst
 }
 
-func lcmInt(a, b int) int { return a / gcdInt(a, b) * b }
-
-func gcdInt(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
+// Cycle returns the lcm of the application's replica counts: data sets t
+// and t+Cycle() are served by the same replica in every interval.
+func (am *AppMapping) Cycle() int {
+	c := 1
+	for _, iv := range am.Intervals {
+		c = lcm(c, len(iv.Replicas))
 	}
-	return a
+	return c
+}
+
+// Cycle returns the lcm of every application's Cycle: after that many
+// data sets, every application has run through each of its replica
+// combinations.
+func (rm *Mapping) Cycle() int {
+	c := 1
+	for a := range rm.Apps {
+		c = lcm(c, rm.Apps[a].Cycle())
+	}
+	return c
+}
+
+func lcm(a, b int) int {
+	g, r := a, b
+	for r != 0 {
+		g, r = r, g%r
+	}
+	return a / g * b
 }
 
 // Period returns the weighted global period max_a W_a*T_a.

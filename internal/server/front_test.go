@@ -20,9 +20,8 @@ import (
 	"repro/internal/servetest"
 )
 
-// canonicalAnswer is the body the full path writes for a solve body that
-// succeeds: jobspec.EncodeResult of core.Solve on the decoded job.
-func canonicalAnswer(t *testing.T, body string) []byte {
+// solveJob decodes a /v1/solve body into the batch job the server solves.
+func solveJob(t *testing.T, body string) batch.Job {
 	t.Helper()
 	var job jobspec.Job
 	if err := json.NewDecoder(strings.NewReader(body)).Decode(&job); err != nil {
@@ -33,7 +32,15 @@ func canonicalAnswer(t *testing.T, body string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Solve(jobs[0].Inst, jobs[0].Req)
+	return jobs[0]
+}
+
+// canonicalAnswer is the body the full path writes for a solve body that
+// succeeds: jobspec.EncodeResult of core.Solve on the decoded job.
+func canonicalAnswer(t *testing.T, body string) []byte {
+	t.Helper()
+	job := solveJob(t, body)
+	res, err := core.Solve(job.Inst, job.Req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +129,10 @@ func TestSolveRepeatIdentity(t *testing.T) {
 }
 
 // TestSolveBudgetPreemptedNeverReplayed arms a solve budget no exact solve
-// meets: a preempted answer must never be kept, and once the background
-// solve heals the result memo, a repeat returns the clean answer, which
-// the front tier then keeps.
+// meets: a preempted answer must never be kept, and once a budget-free
+// solve heals the result memo, a repeat returns the clean answer (even
+// when its own budget expired before the plan looked), which the front
+// tier then keeps.
 func TestSolveBudgetPreemptedNeverReplayed(t *testing.T) {
 	s := New(Config{SolveBudget: time.Microsecond})
 	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"objective": "period"}}`
@@ -136,15 +144,14 @@ func TestSolveBudgetPreemptedNeverReplayed(t *testing.T) {
 	if rec.Code != http.StatusOK || !res.Preempted {
 		t.Fatalf("1us budget: status %d, preempted %v, want a preempted 200", rec.Code, res.Preempted)
 	}
-	for res.Preempted {
-		if n := s.front.Len(); n != 0 {
-			t.Fatalf("front tier kept %d preempted answers", n)
-		}
-		time.Sleep(time.Millisecond)
-		rec = post(s, "/v1/solve", body)
-		res.Preempted = false
-		decode(t, rec, &res)
+	if n := s.front.Len(); n != 0 {
+		t.Fatalf("front tier kept %d preempted answers", n)
 	}
+	healed, _ := batch.Solve([]batch.Job{solveJob(t, body)}, batch.Options{Cache: s.Cache()})
+	if healed[0].Err != nil || healed[0].Result.Preempted {
+		t.Fatalf("budget-free heal: %+v", healed[0])
+	}
+	rec = post(s, "/v1/solve", body)
 	want := canonicalAnswer(t, body)
 	if rec.Code != http.StatusOK || rec.Body.String() != string(want) {
 		t.Fatalf("healed answer %d %q, want %q", rec.Code, rec.Body.String(), want)

@@ -23,167 +23,7 @@ func SimulateReplicated(inst *pipeline.Instance, rm *repl.Mapping, model pipelin
 	if err := rm.Validate(inst); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	out := make([]Result, len(inst.Apps))
-	for a := range inst.Apps {
-		out[a] = simulateReplApp(inst, rm, a, model, opt)
-	}
-	return out, nil
-}
-
-// replGroup precomputes one replicated interval's timing parameters.
-type replGroup struct {
-	inTime  float64   // worst-case input transfer time
-	outTime float64   // worst-case output transfer time
-	comp    []float64 // per-replica computation time
-}
-
-func replGroups(inst *pipeline.Instance, rm *repl.Mapping, a int) []replGroup {
-	app := &inst.Apps[a]
-	ivs := rm.Apps[a].Intervals
-	groups := make([]replGroup, len(ivs))
-	for j, iv := range ivs {
-		in, out := repl.IntervalComm(inst, rm, a, j)
-		groups[j].inTime = in
-		groups[j].outTime = out
-		work := app.IntervalWork(iv.From, iv.To)
-		for _, r := range iv.Replicas {
-			s := inst.Platform.Processors[r.Proc].Speeds[r.Mode]
-			groups[j].comp = append(groups[j].comp, work/s)
-		}
-	}
-	return groups
-}
-
-func simulateReplApp(inst *pipeline.Instance, rm *repl.Mapping, a int, model pipeline.CommModel, opt Options) Result {
-	groups := replGroups(inst, rm, a)
-	// Enough data sets for every replica combination to appear several
-	// times after the transient.
-	cycle := 1
-	for _, g := range groups {
-		cycle = lcm(cycle, len(g.comp))
-	}
-	k := opt.Datasets
-	if k <= 0 {
-		k = (10*(len(groups)+2) + 50) * cycle
-	}
-	departures := make([]float64, k)
-	switch model {
-	case pipeline.Overlap:
-		simulateReplOverlap(groups, departures, opt.ReleaseInterval)
-	default:
-		simulateReplNoOverlap(groups, departures, opt.ReleaseInterval)
-	}
-	res := Result{Departures: departures, FirstLatency: departures[0]}
-	for t, d := range departures {
-		res.MaxLatency = math.Max(res.MaxLatency, d-float64(t)*opt.ReleaseInterval)
-	}
-	if k >= 2 {
-		half := k / 2
-		res.SteadyPeriod = (departures[k-1] - departures[half-1]) / float64(k-half)
-	}
-	return res
-}
-
-// simulateReplOverlap: per replica, an input port, a CPU and an output
-// port; a transfer jointly occupies the sender's output port and the
-// receiver's input port (the virtual input/output processors are always
-// ready).
-func simulateReplOverlap(groups []replGroup, departures []float64, release float64) {
-	nn := len(groups)
-	inPort := make([][]float64, nn)
-	cpu := make([][]float64, nn)
-	outPort := make([][]float64, nn)
-	for j, g := range groups {
-		inPort[j] = make([]float64, len(g.comp))
-		cpu[j] = make([]float64, len(g.comp))
-		outPort[j] = make([]float64, len(g.comp))
-	}
-	for t := range departures {
-		ready := float64(t) * release
-		prevRep := -1
-		for j := 0; j < nn; j++ {
-			r := t % len(groups[j].comp)
-			// Input transfer: joint with the upstream replica's out port.
-			start := math.Max(ready, inPort[j][r])
-			if j > 0 {
-				start = math.Max(start, outPort[j-1][prevRep])
-			}
-			end := start + groups[j].inTime
-			inPort[j][r] = end
-			if j > 0 {
-				outPort[j-1][prevRep] = end
-			}
-			// Computation.
-			cstart := math.Max(end, cpu[j][r])
-			cend := cstart + groups[j].comp[r]
-			cpu[j][r] = cend
-			ready = cend
-			prevRep = r
-		}
-		// Final transfer to the virtual output processor.
-		last := nn - 1
-		start := math.Max(ready, outPort[last][prevRep])
-		end := start + groups[last].outTime
-		outPort[last][prevRep] = end
-		// In-order delivery: the output consumer accepts results in data
-		// set order, which is what gates a round-robin group by its
-		// slowest replica (faster replicas cannot overtake the stream).
-		if t > 0 {
-			end = math.Max(end, departures[t-1])
-		}
-		departures[t] = end
-	}
-}
-
-// simulateReplNoOverlap: each replica's processor serializes receive,
-// compute, send in program order; transfers are rendezvous between the two
-// endpoint replicas.
-func simulateReplNoOverlap(groups []replGroup, departures []float64, release float64) {
-	nn := len(groups)
-	free := make([][]float64, nn)
-	for j, g := range groups {
-		free[j] = make([]float64, len(g.comp))
-	}
-	for t := range departures {
-		avail := float64(t) * release
-		prevRep := -1
-		for j := 0; j < nn; j++ {
-			r := t % len(groups[j].comp)
-			start := math.Max(free[j][r], avail)
-			if j > 0 {
-				start = math.Max(start, free[j-1][prevRep])
-			}
-			end := start + groups[j].inTime
-			if j > 0 {
-				free[j-1][prevRep] = end
-			}
-			end += groups[j].comp[r]
-			free[j][r] = end
-			avail = end
-			prevRep = r
-		}
-		last := nn - 1
-		end := free[last][prevRep] + groups[last].outTime
-		free[last][prevRep] = end
-		// In-order delivery at the output, as in the overlap engine. The
-		// replica itself is released at the raw completion time; only the
-		// visible departure is ordered.
-		if t > 0 {
-			end = math.Max(end, departures[t-1])
-		}
-		departures[t] = end
-	}
-}
-
-func lcm(a, b int) int {
-	return a / gcd(a, b) * b
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
+	return simulate(inst, rm, model, opt), nil
 }
 
 // VerifyReplicated simulates rm and checks the measured steady-state
@@ -210,7 +50,7 @@ func VerifyReplicated(inst *pipeline.Instance, rm *repl.Mapping, model pipeline.
 	for a := range rm.Apps {
 		spacing += repl.AppLatency(inst, rm, a)
 	}
-	spaced, err := SimulateReplicated(inst, rm, model, Options{ReleaseInterval: spacing, Datasets: latencyProbeCount(rm)})
+	spaced, err := SimulateReplicated(inst, rm, model, Options{ReleaseInterval: spacing, Datasets: rm.Cycle()})
 	if err != nil {
 		return err
 	}
@@ -221,16 +61,4 @@ func VerifyReplicated(inst *pipeline.Instance, rm *repl.Mapping, model pipeline.
 		}
 	}
 	return nil
-}
-
-// latencyProbeCount returns enough data sets to cover every replica
-// combination at least once.
-func latencyProbeCount(rm *repl.Mapping) int {
-	c := 1
-	for a := range rm.Apps {
-		for _, iv := range rm.Apps[a].Intervals {
-			c = lcm(c, len(iv.Replicas))
-		}
-	}
-	return c
 }

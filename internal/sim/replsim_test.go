@@ -39,7 +39,7 @@ func TestReplicatedSimMatchesAnalyticRandom(t *testing.T) {
 }
 
 // TestReplicatedSimSingleReplicaEqualsPlain: a lifted plain mapping must
-// behave identically in both simulators.
+// behave identically, bit for bit, in both entry points.
 func TestReplicatedSimSingleReplicaEqualsPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for trial := 0; trial < 40; trial++ {
@@ -59,10 +59,16 @@ func TestReplicatedSimSingleReplicaEqualsPlain(t *testing.T) {
 				t.Fatal(err)
 			}
 			for a := range plain {
-				for i := range plain[a].Departures {
-					if math.Abs(plain[a].Departures[i]-lifted[a].Departures[i]) > 1e-9 {
+				p, l := plain[a], lifted[a]
+				for i := range p.Departures {
+					if math.Float64bits(p.Departures[i]) != math.Float64bits(l.Departures[i]) {
 						t.Fatalf("trial %d app %d dataset %d: plain %g vs lifted %g (%v)",
-							trial, a, i, plain[a].Departures[i], lifted[a].Departures[i], model)
+							trial, a, i, p.Departures[i], l.Departures[i], model)
+					}
+				}
+				for _, f := range [][2]float64{{p.FirstLatency, l.FirstLatency}, {p.SteadyPeriod, l.SteadyPeriod}, {p.MaxLatency, l.MaxLatency}} {
+					if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+						t.Fatalf("trial %d app %d: plain summary %g vs lifted %g (%v)", trial, a, f[0], f[1], model)
 					}
 				}
 			}

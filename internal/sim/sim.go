@@ -6,33 +6,50 @@
 //
 // # Execution model
 //
-// Every placed interval is a node. For dataset t, node j must
+// Every placed interval is a replica group: the processors serving it,
+// which take data sets round-robin (data set t goes to replica t mod k).
+// A plain interval mapping is the one-replica case; a replicated mapping
+// (package repl, the Section 6 extension) has groups of any size. For
+// dataset t, the chosen replica of group j must
 //
-//  1. receive its input from node j-1 (or from the application's virtual
-//     input processor for j = 0),
+//  1. receive its input from the replica of group j-1 that served t (or
+//     from the application's virtual input processor for j = 0),
 //  2. compute for (sum of stage works)/speed time units,
-//  3. send its output to node j+1 (or to the virtual output processor).
+//  3. send its output on to group j+1 (or to the virtual output
+//     processor).
 //
-// Under the overlap model the three operations of a node proceed in
+// Transfers between two groups are charged at the worst-case bandwidth
+// over their replica pairs, as in the repl formulas; for one replica per
+// group that is the plain link bandwidth.
+//
+// Under the overlap model the three operations of a replica proceed in
 // parallel across datasets, constrained by one incoming transfer, one
 // computation and one outgoing transfer at a time (the one-port model of
-// Section 3.2). A transfer occupies the link between the two nodes, so the
-// "out" resource of node j and the "in" resource of node j+1 are one and
-// the same edge; each edge and each CPU is therefore a unit-capacity
-// resource used once per dataset.
+// Section 3.2): each replica has an input port, a CPU and an output port,
+// each a unit-capacity resource, and a transfer holds the sender's output
+// port and the receiver's input port together. With one replica per group
+// those two ports are always released together, so they are one resource:
+// the edge between the two nodes.
 //
-// Under the no-overlap model a node's processor serializes receive, compute
-// and send of each dataset in program order, and a transfer is a rendezvous
-// that occupies the sending and the receiving processor simultaneously for
-// volume/bandwidth time units. This is exactly the single-threaded
-// semantics behind Equation 4: every transfer is counted in the cycle time
-// of both endpoints but takes wall-clock time once, which also keeps the
-// latency (Equation 5) identical across the two models.
+// Under the no-overlap model a replica's processor serializes receive,
+// compute and send of each dataset in program order, and a transfer is a
+// rendezvous that occupies the sending and the receiving processor
+// simultaneously for volume/bandwidth time units. This is exactly the
+// single-threaded semantics behind Equation 4: every transfer is counted
+// in the cycle time of both endpoints but takes wall-clock time once,
+// which also keeps the latency (Equation 5) identical across the two
+// models.
 //
-// Because the execution graph of an interval mapping is a linear chain and
-// operations are issued in dataset order, the ASAP schedule is computed by
-// a direct recurrence over (dataset, node) rather than a general event
-// queue; this is exact and O(datasets x nodes).
+// Results leave in data set order: the virtual output accepts data set t
+// only after data set t-1, which is what gates a round-robin group by its
+// slowest replica. With one replica per group results cannot overtake
+// each other, so the rule never binds.
+//
+// Because the execution graph is a chain of groups and operations are
+// issued in dataset order, the ASAP schedule is computed by a direct
+// recurrence over (dataset, group), one loop per communication model,
+// rather than a general event queue; this is exact and O(datasets x
+// groups). TraceRun is the same recurrence with a recorder attached.
 package sim
 
 import (
@@ -41,6 +58,7 @@ import (
 
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
+	"repro/internal/repl"
 )
 
 // Result reports the measured behaviour of one application.
@@ -64,7 +82,8 @@ type Result struct {
 type Options struct {
 	// Datasets is the number of data sets pushed through each
 	// application. Defaults to 10*(nodes+2)+50, enough for the ASAP
-	// schedule to reach its steady state.
+	// schedule to reach its steady state, times the application's replica
+	// cycle (repl.AppMapping.Cycle, 1 for a plain mapping).
 	Datasets int
 	// ReleaseInterval spaces out arrivals: data set t becomes available at
 	// the virtual input processor at time t * ReleaseInterval. The default
@@ -82,140 +101,191 @@ func Simulate(inst *pipeline.Instance, m *mapping.Mapping, model pipeline.CommMo
 	if err := m.Validate(inst, mapping.Interval); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
+	rm := repl.Lift(m)
+	return simulate(inst, &rm, model, opt), nil
+}
+
+// simulate runs every application of a validated replicated mapping.
+func simulate(inst *pipeline.Instance, rm *repl.Mapping, model pipeline.CommModel, opt Options) []Result {
 	out := make([]Result, len(inst.Apps))
 	for a := range inst.Apps {
-		out[a] = simulateApp(inst, m, a, model, opt)
+		c := newChain(inst, rm, a)
+		k := opt.Datasets
+		if k <= 0 {
+			// Enough data sets for the schedule to reach its steady
+			// state, and for every replica combination to appear
+			// several times after the transient.
+			k = (10*(len(c.groups)+2) + 50) * rm.Apps[a].Cycle()
+		}
+		departures := make([]float64, k)
+		c.run(model, departures, opt.ReleaseInterval, nil)
+		r := Result{Departures: departures, FirstLatency: departures[0]}
+		for t, d := range departures {
+			r.MaxLatency = max(r.MaxLatency, d-float64(t)*opt.ReleaseInterval)
+		}
+		if k >= 2 {
+			half := k / 2
+			r.SteadyPeriod = (departures[k-1] - departures[half-1]) / float64(k-half)
+		}
+		out[a] = r
 	}
-	return out, nil
+	return out
 }
 
-// nodeParams precomputes, for each node of one application's chain, its
-// compute time and the transfer times of its input and output edges.
-type nodeParams struct {
-	inTime   float64 // duration of the transfer on the node's input edge
-	compTime float64
-	outTime  float64 // duration of the transfer on the node's output edge
+// chain is one application's execution graph: group j serves interval j
+// with replicas reps[first:first+size].
+type chain struct {
+	groups []group
+	reps   []replica
 }
 
-func appNodes(inst *pipeline.Instance, m *mapping.Mapping, a int) []nodeParams {
+type group struct {
+	in, out     float64 // worst-case input and output transfer times
+	first, size int
+	next        int // round-robin cursor: the replica serving the next data set
+}
+
+type replica struct {
+	comp float64 // computation time of the group's interval
+	// Times at which the replica's input port, CPU and output port are
+	// next free. Under the no-overlap model the processor is one
+	// resource, tracked in cpu.
+	in, cpu, out float64
+}
+
+func newChain(inst *pipeline.Instance, rm *repl.Mapping, a int) chain {
 	app := &inst.Apps[a]
-	ivs := m.Apps[a].Intervals
-	nodes := make([]nodeParams, len(ivs))
+	ivs := rm.Apps[a].Intervals
+	n := 0
+	for _, iv := range ivs {
+		n += len(iv.Replicas)
+	}
+	c := chain{groups: make([]group, len(ivs)), reps: make([]replica, 0, n)}
 	for j, iv := range ivs {
-		speed := inst.Platform.Processors[iv.Proc].Speeds[iv.Mode]
-		nodes[j].compTime = app.IntervalWork(iv.From, iv.To) / speed
-		inVol := app.InputSize(iv.From)
-		if j == 0 {
-			nodes[j].inTime = div(inVol, inst.Platform.InLink(a, iv.Proc))
-		} else {
-			nodes[j].inTime = div(inVol, inst.Platform.Link(ivs[j-1].Proc, iv.Proc))
-		}
-		outVol := app.OutputSize(iv.To)
-		if j == len(ivs)-1 {
-			nodes[j].outTime = div(outVol, inst.Platform.OutLink(a, iv.Proc))
-		} else {
-			nodes[j].outTime = div(outVol, inst.Platform.Link(iv.Proc, ivs[j+1].Proc))
+		in, out := repl.IntervalComm(inst, rm, a, j)
+		c.groups[j] = group{in: in, out: out, first: len(c.reps), size: len(iv.Replicas)}
+		work := app.IntervalWork(iv.From, iv.To)
+		for _, r := range iv.Replicas {
+			c.reps = append(c.reps, replica{comp: work / inst.Platform.Processors[r.Proc].Speeds[r.Mode]})
 		}
 	}
-	return nodes
+	return c
 }
 
-func div(vol, bw float64) float64 {
-	if vol == 0 {
-		return 0
+// take returns the replica of group g serving the next data set.
+func (c *chain) take(g *group) *replica {
+	r := &c.reps[g.first+g.next]
+	if g.next++; g.next == g.size {
+		g.next = 0
 	}
-	return vol / bw
+	return r
 }
 
-func simulateApp(inst *pipeline.Instance, m *mapping.Mapping, a int, model pipeline.CommModel, opt Options) Result {
-	nodes := appNodes(inst, m, a)
-	nn := len(nodes)
-	k := opt.Datasets
-	if k <= 0 {
-		k = 10*(nn+2) + 50
+// recorder receives every operation of a run, in issue order. The node of
+// a transfer is the receiving group; node len(groups) is the virtual
+// output.
+type recorder func(kind OpKind, node, dataset int, start, end float64)
+
+// run computes the ASAP schedule of len(departures) data sets, data set t
+// released at t*release, writing each one's delivery time. rec may be nil.
+func (c *chain) run(model pipeline.CommModel, departures []float64, release float64, rec recorder) {
+	if model == pipeline.Overlap {
+		c.overlap(departures, release, rec)
+	} else {
+		c.noOverlap(departures, release, rec)
 	}
-	departures := make([]float64, k)
-	switch model {
-	case pipeline.Overlap:
-		simulateOverlap(nodes, departures, opt.ReleaseInterval)
-	default:
-		simulateNoOverlap(nodes, departures, opt.ReleaseInterval)
-	}
-	res := Result{Departures: departures, FirstLatency: departures[0]}
-	for t, d := range departures {
-		res.MaxLatency = math.Max(res.MaxLatency, d-float64(t)*opt.ReleaseInterval)
-	}
-	if k >= 2 {
-		half := k / 2
-		res.SteadyPeriod = (departures[k-1] - departures[half-1]) / float64(k-half)
-	}
-	return res
 }
 
-// simulateOverlap computes the ASAP schedule under the overlap model.
-// Resources: edge j (input of node j; edge nn is the final output edge) and
-// cpu j, each a unit-capacity FIFO resource.
-func simulateOverlap(nodes []nodeParams, departures []float64, release float64) {
-	nn := len(nodes)
-	edgeFree := make([]float64, nn+1) // edge j feeds node j; edge nn feeds P_out
-	cpuFree := make([]float64, nn)
+// overlap is the ASAP recurrence of the overlap model: per replica an
+// input port, a CPU and an output port, a transfer holding the sender's
+// output port and the receiver's input port together. The virtual input
+// and output processors are always ready.
+func (c *chain) overlap(departures []float64, release float64, rec recorder) {
+	nn := len(c.groups)
 	for t := range departures {
-		// Dataset t is available at the virtual input processor at
-		// t * release (0 under saturation).
 		ready := float64(t) * release
-		for j := 0; j < nn; j++ {
-			// Input transfer on edge j.
-			start := math.Max(ready, edgeFree[j])
-			end := start + nodes[j].inTime
-			edgeFree[j] = end
-			// Computation.
-			cstart := math.Max(end, cpuFree[j])
-			cend := cstart + nodes[j].compTime
-			cpuFree[j] = cend
+		var prev *replica
+		for j := range c.groups {
+			g := &c.groups[j]
+			r := c.take(g)
+			start := max(ready, r.in)
+			if prev != nil {
+				start = max(start, prev.out)
+			}
+			end := start + g.in
+			r.in = end
+			if prev != nil {
+				prev.out = end
+			}
+			cstart := max(end, r.cpu)
+			cend := cstart + r.comp
+			if rec != nil {
+				rec(OpTransfer, j, t, start, end)
+				rec(OpCompute, j, t, cstart, cend)
+			}
+			r.cpu = cend
 			ready = cend
+			prev = r
 		}
 		// Final transfer to the virtual output processor.
-		start := math.Max(ready, edgeFree[nn])
-		end := start + nodes[nn-1].outTime
-		edgeFree[nn] = end
+		start := max(ready, prev.out)
+		end := start + c.groups[nn-1].out
+		prev.out = end
+		if rec != nil {
+			rec(OpTransfer, nn, t, start, end)
+		}
+		if t > 0 { // results leave in data set order
+			end = max(end, departures[t-1])
+		}
 		departures[t] = end
 	}
 }
 
-// simulateNoOverlap computes the ASAP schedule under the no-overlap model:
-// each node's processor executes receive(t), compute(t), send(t) in program
-// order, and each inter-node transfer is a rendezvous holding both endpoint
-// processors. The virtual input/output processors are always ready, so the
-// first receive and the last send only hold the real endpoint.
+// noOverlap is the ASAP recurrence of the no-overlap model: each
+// replica's processor executes receive(t), compute(t), send(t) in program
+// order, and each inter-group transfer is a rendezvous holding both
+// endpoint processors. The virtual input and output processors are always
+// ready, so the first receive and the last send only hold the real
+// endpoint.
 //
-// The sequential scan below is the exact ASAP schedule: datasets are
-// processed in order and, within a dataset, operations in chain order,
-// which is precisely each processor's program order.
-func simulateNoOverlap(nodes []nodeParams, departures []float64, release float64) {
-	nn := len(nodes)
-	free := make([]float64, nn)
+// The sequential scan is the exact ASAP schedule: datasets are processed
+// in order and, within a dataset, operations in chain order, which is
+// precisely each processor's program order. The sender of a receive has
+// just finished computing the same data set, so its processor is free
+// exactly when the data is ready.
+func (c *chain) noOverlap(departures []float64, release float64, rec recorder) {
+	nn := len(c.groups)
 	for t := range departures {
-		for j := 0; j < nn; j++ {
-			// Receive: joint with node j-1 (its send of dataset t), or
-			// with the virtual input (which holds data set t from
-			// t * release on) for j = 0.
-			start := free[j]
-			if j == 0 {
-				start = math.Max(start, float64(t)*release)
-			} else {
-				start = math.Max(start, free[j-1])
+		ready := float64(t) * release
+		var prev *replica
+		for j := range c.groups {
+			g := &c.groups[j]
+			r := c.take(g)
+			start := max(r.cpu, ready)
+			end := start + g.in
+			if prev != nil {
+				prev.cpu = end
 			}
-			end := start + nodes[j].inTime
-			if j > 0 {
-				free[j-1] = end
+			cend := end + r.comp
+			if rec != nil {
+				rec(OpTransfer, j, t, start, end)
+				rec(OpCompute, j, t, end, cend)
 			}
-			// Compute.
-			end += nodes[j].compTime
-			free[j] = end
+			r.cpu = cend
+			ready = cend
+			prev = r
 		}
-		// Send of the last node to the always-ready virtual output.
-		departures[t] = free[nn-1] + nodes[nn-1].outTime
-		free[nn-1] = departures[t]
+		// Send of the last group to the always-ready virtual output.
+		start := prev.cpu
+		end := start + c.groups[nn-1].out
+		prev.cpu = end
+		if rec != nil {
+			rec(OpTransfer, nn, t, start, end)
+		}
+		if t > 0 { // results leave in data set order
+			end = max(end, departures[t-1])
+		}
+		departures[t] = end
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
+	"repro/internal/repl"
 )
 
 // OpKind classifies a scheduled operation.
@@ -51,71 +52,44 @@ type Trace struct {
 	Ops []Op
 }
 
-// TraceRun simulates mapping m recording every operation. It is the
-// explicit-schedule counterpart of Simulate, used to audit the ASAP
-// execution (no resource conflicts, correct precedences).
+// TraceRun simulates application a of mapping m, recording every
+// operation of its first datasets (20 when datasets <= 0), all released
+// at time 0. It is Simulate's recurrence with a recorder attached, used to
+// audit the ASAP execution (no resource conflicts, correct precedences).
 func TraceRun(inst *pipeline.Instance, m *mapping.Mapping, a int, model pipeline.CommModel, datasets int) (Trace, error) {
 	if err := m.Validate(inst, mapping.Interval); err != nil {
 		return Trace{}, fmt.Errorf("sim: %w", err)
 	}
-	nodes := appNodes(inst, m, a)
-	nn := len(nodes)
 	if datasets <= 0 {
 		datasets = 20
 	}
+	rm := repl.Lift(m)
+	c := newChain(inst, &rm, a)
+	nn := len(c.groups)
 	var tr Trace
-	if model == pipeline.Overlap {
-		edgeFree := make([]float64, nn+1)
-		cpuFree := make([]float64, nn)
-		for t := 0; t < datasets; t++ {
-			ready := 0.0
-			for j := 0; j < nn; j++ {
-				start := math.Max(ready, edgeFree[j])
-				end := start + nodes[j].inTime
-				edgeFree[j] = end
-				tr.Ops = append(tr.Ops, Op{Kind: OpTransfer, Node: j, Dataset: t,
-					Resources: []string{fmt.Sprintf("edge:%d", j)}, Start: start, End: end})
-				cstart := math.Max(end, cpuFree[j])
-				cend := cstart + nodes[j].compTime
-				cpuFree[j] = cend
-				tr.Ops = append(tr.Ops, Op{Kind: OpCompute, Node: j, Dataset: t,
-					Resources: []string{fmt.Sprintf("cpu:%d", j)}, Start: cstart, End: cend})
-				ready = cend
-			}
-			start := math.Max(ready, edgeFree[nn])
-			end := start + nodes[nn-1].outTime
-			edgeFree[nn] = end
-			tr.Ops = append(tr.Ops, Op{Kind: OpTransfer, Node: nn, Dataset: t,
-				Resources: []string{fmt.Sprintf("edge:%d", nn)}, Start: start, End: end})
-		}
-		return tr, nil
-	}
-	free := make([]float64, nn)
-	for t := 0; t < datasets; t++ {
-		for j := 0; j < nn; j++ {
-			start := free[j]
-			res := []string{fmt.Sprintf("proc:%d", j)}
-			if j > 0 {
-				start = math.Max(start, free[j-1])
-				res = append(res, fmt.Sprintf("proc:%d", j-1))
-			}
-			end := start + nodes[j].inTime
-			if j > 0 {
-				free[j-1] = end
-			}
-			tr.Ops = append(tr.Ops, Op{Kind: OpTransfer, Node: j, Dataset: t, Resources: res, Start: start, End: end})
-			cend := end + nodes[j].compTime
-			free[j] = cend
-			tr.Ops = append(tr.Ops, Op{Kind: OpCompute, Node: j, Dataset: t,
-				Resources: []string{fmt.Sprintf("proc:%d", j)}, Start: end, End: cend})
-		}
-		start := free[nn-1]
-		end := start + nodes[nn-1].outTime
-		free[nn-1] = end
-		tr.Ops = append(tr.Ops, Op{Kind: OpTransfer, Node: nn, Dataset: t,
-			Resources: []string{fmt.Sprintf("proc:%d", nn-1)}, Start: start, End: end})
-	}
+	c.run(model, make([]float64, datasets), 0, func(kind OpKind, node, dataset int, start, end float64) {
+		tr.Ops = append(tr.Ops, Op{Kind: kind, Node: node, Dataset: dataset,
+			Resources: resources(model, kind, node, nn), Start: start, End: end})
+	})
 	return tr, nil
+}
+
+// resources names what an operation of node j holds in a chain of nn
+// nodes: its edge or CPU under the overlap model, its processor (and, for
+// a transfer between two nodes, the sender's too) under the no-overlap
+// model.
+func resources(model pipeline.CommModel, kind OpKind, j, nn int) []string {
+	switch {
+	case model == pipeline.Overlap && kind == OpTransfer:
+		return []string{fmt.Sprintf("edge:%d", j)}
+	case model == pipeline.Overlap:
+		return []string{fmt.Sprintf("cpu:%d", j)}
+	case kind == OpCompute || j == 0:
+		return []string{fmt.Sprintf("proc:%d", j)}
+	case j == nn:
+		return []string{fmt.Sprintf("proc:%d", j-1)}
+	}
+	return []string{fmt.Sprintf("proc:%d", j), fmt.Sprintf("proc:%d", j-1)}
 }
 
 // CheckConsistency audits a trace: no two operations overlap on any
