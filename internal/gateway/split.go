@@ -106,9 +106,7 @@ type requests []json.RawMessage
 // that document, though no replica would see the request.
 func (r *requests) UnmarshalJSON(data []byte) error {
 	var req jobspec.Request
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := jobspec.DecodeStrict(bytes.NewReader(data), &req); err != nil {
 		return err
 	}
 	*r = append(*r, append(json.RawMessage(nil), data...))
@@ -149,13 +147,11 @@ type batchDoc struct {
 }
 
 // splitBatch cuts a /v1/batch document the handler read (readErr is the
-// error the read ended with) with the decoder jobspec.DecodeFile uses. A
+// error the read ended with) as jobspec.DecodeFile reads it. A
 // document the cut refuses gets the checks the gateway has always run,
 // which answer its error.
 func splitBatch(body []byte, readErr error) (doc batchDoc, status int, err error) {
-	dec := json.NewDecoder(jobspec.Replay(body, readErr))
-	dec.DisallowUnknownFields()
-	cutErr := dec.Decode(&doc)
+	cutErr := jobspec.DecodeStrict(jobspec.Replay(body, readErr), &doc)
 	if cutErr == nil && len(doc.Jobs) > 0 {
 		return doc, 0, nil
 	}

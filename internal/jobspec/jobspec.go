@@ -124,20 +124,48 @@ type File struct {
 	Jobs     []Job           `json:"jobs"`
 }
 
-// DecodeFile parses a batch document, rejecting unknown fields. It
-// validates only the document structure; instance decoding happens in
-// BatchJobs so per-job errors carry the job index.
+// DecodeFile parses a batch document with DecodeStrict. It validates
+// only the document structure; instance decoding happens in BatchJobs so
+// per-job errors carry the job index.
 func DecodeFile(r io.Reader) (File, error) {
 	var doc File
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
+	if err := DecodeStrict(r, &doc); err != nil {
 		return File{}, fmt.Errorf("jobspec: decoding job file: %w", err)
 	}
 	if len(doc.Jobs) == 0 {
 		return File{}, fmt.Errorf("jobspec: job file has no jobs")
 	}
 	return doc, nil
+}
+
+// DecodeStrict decodes the one JSON document r holds into dst. It
+// rejects unknown fields, and anything but whitespace after the document
+// with the error json.Unmarshal gives for it. Bytes that r does not
+// deliver, because a read fails after the document (a body cap, say),
+// are not inspected. Job files, the servers' request bodies and the
+// gateway's cut are all read this way.
+func DecodeStrict(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	rest := io.MultiReader(dec.Buffered(), r)
+	var buf [512]byte
+	for {
+		n, err := rest.Read(buf[:])
+		for _, c := range buf[:n] {
+			switch c {
+			case ' ', '\t', '\n', '\r':
+				continue
+			}
+			// c follows a complete value, as it does after "null".
+			return json.Unmarshal([]byte{'n', 'u', 'l', 'l', c}, new(any))
+		}
+		if err != nil {
+			return nil
+		}
+	}
 }
 
 // BatchJobs translates the document into engine jobs: every instance is

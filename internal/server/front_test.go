@@ -215,6 +215,7 @@ func TestSolveBodyOverCap(t *testing.T) {
 		`"mapping":{"apps":[{"intervals":[{"from":0,"to":2,"proc":0,"mode":1}]},` +
 		`{"intervals":[{"from":0,"to":1,"proc":1,"mode":1},{"from":2,"to":3,"proc":2,"mode":1}]}]}}` + "\n"
 	const tooLarge = `{"error":"decoding request body: http: request body too large","code":"invalid"}` + "\n"
+	const trailing = `{"error":"decoding request body: invalid character 'x' after top-level value","code":"invalid"}` + "\n"
 	const limit = 4096
 	s := New(Config{MaxBody: limit})
 	first := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"objective": "period"}}`
@@ -225,7 +226,7 @@ func TestSolveBodyOverCap(t *testing.T) {
 		answer     string
 	}{
 		{"trailing-space", first + pad, http.StatusOK, answer},
-		{"trailing-garbage", first + " x" + pad, http.StatusOK, answer},
+		{"trailing-garbage", first + " x" + pad, http.StatusBadRequest, trailing},
 		{"value-over-cap", first[:len(first)-1] + pad + "}", http.StatusRequestEntityTooLarge, tooLarge},
 	} {
 		for rep := 0; rep < 2; rep++ {

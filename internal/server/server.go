@@ -292,11 +292,10 @@ func solveStatus(err error) int {
 	}
 }
 
-// decodeBody decodes a request body into dst, rejecting unknown fields.
+// decodeBody decodes a request body into dst with jobspec.DecodeStrict:
+// unknown fields and bytes after the document are rejected.
 func decodeBody(body io.Reader, dst any) error {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	if err := jobspec.DecodeStrict(body, dst); err != nil {
 		return fmt.Errorf("decoding request body: %w", err)
 	}
 	return nil
