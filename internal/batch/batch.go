@@ -39,9 +39,17 @@ import (
 // Job is one solver invocation: an instance and the request to solve on
 // it. The instance is read, never written; many jobs may share one
 // *Instance.
+//
+// A job may carry its compiled plan, resolved by the caller through the
+// Cache the batch runs with (Cache.PlanForJSON); Inst is then the plan's
+// Instance. Such a job skips the plan-tier lookup and the canonical keys:
+// it is deduplicated by plan identity and request. Compiled reports that
+// resolving Plan compiled it, so that Stats counts the compilation once.
 type Job struct {
-	Inst *pipeline.Instance
-	Req  core.Request
+	Inst     *pipeline.Instance
+	Req      core.Request
+	Plan     *plan.Plan
+	Compiled bool
 }
 
 // Options configures a Solve call.
@@ -172,8 +180,9 @@ func solveOne(inst *pipeline.Instance, req core.Request) (res core.Result, err e
 	return core.Solve(inst, req)
 }
 
-// solvePlanned answers a job through the cache: it fetches (compiling on
-// first sight) the plan for the job's instance triple and issues the
+// solvePlanned answers a group of identical jobs through the cache: it
+// takes the group's plan — the one the jobs carry, or else the plan tier's
+// for their instance triple, compiled on first sight — and issues the
 // request as a query against it, which the cache's result memo answers
 // when the job was solved before. This is bit-identical to solveOne —
 // Compile performs the same validation core.Solve would, and plan queries
@@ -185,8 +194,16 @@ func solveOne(inst *pipeline.Instance, req core.Request) (res core.Result, err e
 // A positive budget arms a per-job deadline: the plan answers from the
 // degraded path when the deadline fires first (the full solve keeps
 // running in the background and heals the memo; see plan.SolveCtx).
-func solvePlanned(ctx context.Context, cache *Cache, job Job, budget time.Duration, planCompiles, planReuses *int64) (core.Result, error, bool) {
-	pl, err, planHit := cache.PlanFor(job.Inst, job.Req.Rule, job.Req.Model)
+func solvePlanned(ctx context.Context, cache *Cache, jobs []Job, group []int, budget time.Duration, planCompiles, planReuses *int64) (core.Result, error, bool) {
+	job := &jobs[group[0]]
+	pl, planHit := job.Plan, true
+	var err error
+	if pl == nil {
+		pl, err, planHit = cache.PlanFor(job.Inst, job.Req.Rule, job.Req.Model)
+	}
+	for _, i := range group {
+		planHit = planHit && !jobs[i].Compiled
+	}
 	if planHit {
 		atomic.AddInt64(planReuses, 1)
 	} else {
@@ -249,7 +266,21 @@ func dispatch(ctx context.Context, n int, ch chan int, skip func(i int)) {
 	}
 }
 
-// solveDeduped groups duplicate jobs by canonical key before dispatch, so
+// groupKey identifies the jobs one computation answers: a job carrying
+// its plan by the plan and its request, any other by its canonical Key.
+type groupKey struct {
+	plan *plan.Plan
+	key  string
+}
+
+func groupOf(job *Job) groupKey {
+	if job.Plan != nil {
+		return groupKey{job.Plan, requestKey(job.Req)}
+	}
+	return groupKey{key: Key(job.Inst, job.Req)}
+}
+
+// solveDeduped groups duplicate jobs (see groupKey) before dispatch, so
 // one work item per distinct subproblem reaches the pool and a duplicate
 // never parks a worker behind its group's in-flight computation (no
 // head-of-line blocking when duplicated slow jobs mix with unique fast
@@ -260,12 +291,14 @@ func dispatch(ctx context.Context, n int, ch chan int, skip func(i int)) {
 // instance is compiled once per distinct (instance, rule, comm) triple and
 // every query against it — this batch's and later ones' — reuses the
 // compiled state and its memoized answers. planCompiles/planReuses tally
-// fresh compilations versus plan-tier hits for Stats.
+// fresh compilations versus plan-tier hits for Stats, one per group: a
+// group of jobs that carry their plan counts a compilation when one of
+// its jobs compiled the plan.
 func solveDeduped(ctx context.Context, jobs []Job, workers int, cache *Cache, budget time.Duration, results []JobResult, hits []bool, planCompiles, planReuses *int64) {
-	keyOrder := make([]string, 0, len(jobs))
-	groups := make(map[string][]int, len(jobs))
+	keyOrder := make([]groupKey, 0, len(jobs))
+	groups := make(map[groupKey][]int, len(jobs))
 	for i := range jobs {
-		k := Key(jobs[i].Inst, jobs[i].Req)
+		k := groupOf(&jobs[i])
 		if _, ok := groups[k]; !ok {
 			keyOrder = append(keyOrder, k)
 		}
@@ -293,7 +326,7 @@ func solveDeduped(ctx context.Context, jobs []Job, workers int, cache *Cache, bu
 					}
 					continue
 				}
-				res, err, hit := solvePlanned(ctx, cache, jobs[idxs[0]], budget, planCompiles, planReuses)
+				res, err, hit := solvePlanned(ctx, cache, jobs, idxs, budget, planCompiles, planReuses)
 				for n, i := range idxs {
 					jr := JobResult{Err: err}
 					if err == nil {

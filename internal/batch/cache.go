@@ -1,6 +1,8 @@
 package batch
 
 import (
+	"bytes"
+
 	"repro/internal/mapping"
 	"repro/internal/memo"
 	"repro/internal/pipeline"
@@ -17,10 +19,19 @@ import (
 //
 // A Cache has two tiers, both internal/memo memos:
 //
-//   - the plan tier maps each canonical (instance, rule, comm) triple to
-//     its compiled plan (internal/plan), so every query on an instance —
-//     a Pareto sweep, an experiment table, a batch with many queries per
-//     instance — reuses one compilation;
+//   - the plan tier maps each (instance, rule, comm) triple to its
+//     compiled plan (internal/plan), so every query on an instance — a
+//     Pareto sweep, an experiment table, a batch with many queries per
+//     instance — reuses one compilation. It holds two kinds of key, set
+//     apart by a tag byte. Library callers (PlanFor, and Solve on jobs
+//     without a plan) key a decoded instance by its canonical encoding
+//     (PlanKey). Wire callers (PlanForJSON) key an instance document by
+//     its compact bytes as sent, so a hit skips the decode, the
+//     validation and the canonical key. The two kinds never share an
+//     entry: an instance asked for both ways is compiled twice, its
+//     answers are memoized twice, and two documents of one instance that
+//     differ in more than whitespace (key order, number spelling) are
+//     two plans;
 //   - the result memo holds the answered queries of all those plans. Each
 //     plan compiled here answers from it (plan.CompileShared), keyed by a
 //     fixed-width digest of the plan key followed by the query encoding,
@@ -87,16 +98,45 @@ func (c *Cache) Stats() CacheStats {
 func (c *Cache) PlanFor(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) (pl *plan.Plan, err error, hit bool) {
 	k := keyPool.Get().(*keyWriter)
 	k.planKey(inst, rule, model)
+	pl, err, hit = c.plan(k, func(planKey string) (*plan.Plan, error) {
+		return plan.CompileShared(inst, rule, model, c.results, planKey)
+	}, true)
+	return pl, err, hit
+}
+
+// PlanForJSON is PlanFor for an instance document as sent (doc must be a
+// valid JSON value, as a decoder hands out a json.RawMessage). It keys
+// the plan tier by the document's compact bytes, and decodes and
+// validates the document (pipeline.DecodeJSON) only on a miss. The plan's
+// Instance is the decoded instance. A document that does not decode to a
+// valid instance is not kept: its error goes to the callers waiting at
+// the time, and the next one decodes it again.
+func (c *Cache) PlanForJSON(doc []byte, rule mapping.Rule, model pipeline.CommModel) (pl *plan.Plan, err error, hit bool) {
+	k := keyPool.Get().(*keyWriter)
+	k.wirePlanKey(doc, rule, model)
+	return c.plan(k, func(planKey string) (*plan.Plan, error) {
+		inst, err := pipeline.DecodeJSON(bytes.NewReader(doc))
+		if err != nil {
+			return nil, err
+		}
+		return plan.CompileShared(&inst, rule, model, c.results, planKey)
+	}, false)
+}
+
+// plan returns the plan-tier entry for the key k holds, releasing k, and
+// compiles it on first arrival; the plan's stored answers carry the
+// entry's copy of the key, shared rather than copied again. A failed
+// compilation stays in the tier only with keepErr.
+func (c *Cache) plan(k *keyWriter, compile func(planKey string) (*plan.Plan, error), keepErr bool) (pl *plan.Plan, err error, hit bool) {
 	e, hit := c.plans.Get(k.buf)
 	k.release()
 	if !hit {
-		// The plan's stored answers carry the plan key; the entry's copy of
-		// it is shared rather than copied again.
-		e.Fill(func() (*plan.Plan, error) {
-			return plan.CompileShared(inst, rule, model, c.results, e.Key())
-		})
+		e.Fill(func() (*plan.Plan, error) { return compile(e.Key()) })
 	}
 	//lint:allow memoalias plans are immutable by construction; sharing is the point of the tier
 	pl, err = e.Wait()
+	if err != nil && !hit && !keepErr {
+		c.plans.Forget(e)
+	}
 	return pl, err, hit
 }

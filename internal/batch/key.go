@@ -163,7 +163,20 @@ func (k *keyWriter) release() {
 func Key(inst *pipeline.Instance, req core.Request) string {
 	k := keyPool.Get().(*keyWriter)
 	k.instance(inst)
+	k.request(req)
+	return k.done()
+}
 
+// requestKey is the request part of Key: jobs that share a compiled plan
+// are told apart by it alone.
+func requestKey(req core.Request) string {
+	k := keyPool.Get().(*keyWriter)
+	k.request(req)
+	return k.done()
+}
+
+// request streams every field of req.
+func (k *keyWriter) request(req core.Request) {
 	k.i64(int64(req.Rule))
 	k.i64(int64(req.Model))
 	k.i64(int64(req.Objective))
@@ -174,14 +187,20 @@ func Key(inst *pipeline.Instance, req core.Request) string {
 	k.i64(req.Seed)
 	k.i64(int64(req.HeurIters))
 	k.i64(int64(req.HeurRestarts))
-
-	return k.done()
 }
+
+// The two kinds of plan-tier key start with different tag bytes, so a
+// canonical key never equals a wire key.
+const (
+	canonicalPlan byte = iota
+	wirePlan
+)
 
 // PlanKey returns the canonical key of a compiled plan's inputs: the
 // instance plus the rule and communication model fixed at compile time.
 // Jobs sharing a PlanKey can be answered by one compiled plan (see
-// internal/plan); like Key, it is the canonical byte encoding itself.
+// internal/plan); like Key, it is the canonical byte encoding itself,
+// after a tag byte that sets it apart from the plan tier's wire keys.
 func PlanKey(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) string {
 	k := keyPool.Get().(*keyWriter)
 	k.planKey(inst, rule, model)
@@ -190,9 +209,48 @@ func PlanKey(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommMode
 
 // planKey streams the PlanKey encoding.
 func (k *keyWriter) planKey(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) {
+	k.buf = append(k.buf, canonicalPlan)
 	k.instance(inst)
 	k.i64(int64(rule))
 	k.i64(int64(model))
+}
+
+// wirePlanKey streams the plan tier's key for an instance document as
+// sent: a tag byte, the rule, the model and the document's compact
+// bytes. Documents that differ only in whitespace outside strings share
+// the key; any other difference, even one the decoded instances would not
+// show, keeps them apart.
+func (k *keyWriter) wirePlanKey(doc []byte, rule mapping.Rule, model pipeline.CommModel) {
+	k.buf = append(k.buf, wirePlan)
+	k.i64(int64(rule))
+	k.i64(int64(model))
+	k.compact(doc)
+}
+
+// compact appends the JSON value doc as json.Compact prints it: the
+// whitespace outside strings is dropped. doc must be valid JSON.
+func (k *keyWriter) compact(doc []byte) {
+	inString, escaped := false, false
+	from := 0
+	for i, c := range doc {
+		switch {
+		case inString:
+			switch {
+			case escaped:
+				escaped = false
+			case c == '\\':
+				escaped = true
+			case c == '"':
+				inString = false
+			}
+		case c == '"':
+			inString = true
+		case c == ' ', c == '\t', c == '\n', c == '\r':
+			k.buf = append(k.buf, doc[from:i]...)
+			from = i + 1
+		}
+	}
+	k.buf = append(k.buf, doc[from:]...)
 }
 
 // instance streams the canonical instance encoding: every field that can

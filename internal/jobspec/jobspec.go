@@ -34,6 +34,7 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/memo"
 	"repro/internal/pipeline"
+	"repro/internal/plan"
 )
 
 // Stable machine-readable error codes carried in Result.Code and in error
@@ -171,35 +172,143 @@ func DecodeStrict(r io.Reader, dst any) error {
 // BatchJobs translates the document into engine jobs: every instance is
 // decoded and validated once (jobs without their own instance share the
 // decoded default), and every request is parsed against its instance.
-func (f *File) BatchJobs() ([]batch.Job, error) {
-	var defaultInst *pipeline.Instance
+// It is Resolve without a cache.
+func (f *File) BatchJobs() ([]batch.Job, error) { return f.Resolve(nil) }
+
+// Resolve translates the document into engine jobs that carry their
+// compiled plans: each job's instance is resolved through c's plan tier
+// (batch.Cache.PlanForJSON) under the job's rule and model, so a
+// repeated instance is neither decoded nor validated again, and the
+// request is parsed against the plan's instance. The default instance is
+// resolved once per rule and model. With a nil c, Resolve decodes every
+// instance instead and the jobs carry no plan.
+//
+// Errors come in a fixed order: the default instance's first, whether or
+// not a job uses it; then, job by job, the job's instance before its
+// request; a job with no instance and no default fails in its turn.
+func (f *File) Resolve(c *batch.Cache) ([]batch.Job, error) {
+	r := resolver{cache: c, doc: f.Instance, defaults: make(map[planOf]resolved)}
 	if f.Instance != nil {
-		inst, err := pipeline.DecodeJSON(bytes.NewReader(f.Instance))
+		var err error
+		if p, ok := firstDefaultUse(f.Jobs); ok {
+			r.defaults[r.slot(p)], err = r.resolve(f.Instance, p, true)
+		} else {
+			_, err = r.resolve(f.Instance, p, false)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("jobspec: default instance: %w", err)
 		}
-		defaultInst = &inst
 	}
 	jobs := make([]batch.Job, len(f.Jobs))
-	for i, jj := range f.Jobs {
-		inst := defaultInst
-		if jj.Instance != nil {
-			dec, err := pipeline.DecodeJSON(bytes.NewReader(jj.Instance))
-			if err != nil {
+	for i := range f.Jobs {
+		jj := &f.Jobs[i]
+		p, ok := planOfRequest(jj.Request)
+		var res resolved
+		switch {
+		case jj.Instance != nil:
+			var err error
+			if res, err = r.resolve(jj.Instance, p, ok); err != nil {
 				return nil, fmt.Errorf("jobspec: job %d instance: %w", i, err)
 			}
-			inst = &dec
-		}
-		if inst == nil {
+		case f.Instance == nil:
 			return nil, fmt.Errorf("jobspec: job %d has no instance and no default is set", i)
+		case ok:
+			var err error
+			if res, err = r.defaultFor(p); err != nil {
+				return nil, fmt.Errorf("jobspec: default instance: %w", err)
+			}
 		}
-		req, err := BuildRequest(inst, jj.Request)
+		req, err := BuildRequest(res.inst, jj.Request)
 		if err != nil {
 			return nil, fmt.Errorf("jobspec: job %d: %w", i, err)
 		}
-		jobs[i] = batch.Job{Inst: inst, Req: req}
+		jobs[i] = batch.Job{Inst: res.inst, Req: req, Plan: res.plan, Compiled: res.compiled}
 	}
 	return jobs, nil
+}
+
+// planOf is the part of a request fixed at plan compile time.
+type planOf struct {
+	rule  mapping.Rule
+	model pipeline.CommModel
+}
+
+// planOfRequest parses a request's rule and model; ok is false when
+// either does not parse (BuildRequest then reports which).
+func planOfRequest(rj Request) (p planOf, ok bool) {
+	rule, rerr := ParseRuleDefault(rj.Rule)
+	model, merr := ParseModelDefault(rj.Model)
+	return planOf{rule, model}, rerr == nil && merr == nil
+}
+
+// firstDefaultUse returns the rule and model of the first job that uses
+// the default instance and whose rule and model parse.
+func firstDefaultUse(jobs []Job) (planOf, bool) {
+	for i := range jobs {
+		if jobs[i].Instance == nil {
+			if p, ok := planOfRequest(jobs[i].Request); ok {
+				return p, true
+			}
+		}
+	}
+	return planOf{}, false
+}
+
+// resolved is an instance ready for a job: decoded, and with a cache,
+// compiled. compiled reports that resolving it compiled the plan.
+type resolved struct {
+	inst     *pipeline.Instance
+	plan     *plan.Plan
+	compiled bool
+}
+
+// resolver resolves one document's instances.
+type resolver struct {
+	cache    *batch.Cache
+	doc      json.RawMessage // the default instance
+	defaults map[planOf]resolved
+}
+
+// resolve resolves the instance document raw for plan p: through the
+// plan tier when there is a cache and planned is set (p parsed), by
+// decoding it otherwise.
+func (r *resolver) resolve(raw json.RawMessage, p planOf, planned bool) (resolved, error) {
+	if r.cache == nil || !planned {
+		inst, err := pipeline.DecodeJSON(bytes.NewReader(raw))
+		if err != nil {
+			return resolved{}, err
+		}
+		return resolved{inst: &inst}, nil
+	}
+	pl, err, hit := r.cache.PlanForJSON(raw, p.rule, p.model)
+	if err != nil {
+		return resolved{}, err
+	}
+	return resolved{inst: pl.Instance(), plan: pl, compiled: !hit}, nil
+}
+
+// slot is where the default's resolution for p is kept: per plan with a
+// cache, one decoded instance for every plan without.
+func (r *resolver) slot(p planOf) planOf {
+	if r.cache == nil {
+		return planOf{}
+	}
+	return p
+}
+
+// defaultFor returns the default instance resolved for p. The jobs using
+// it share the resolution; only the first of them reports the compile.
+func (r *resolver) defaultFor(p planOf) (resolved, error) {
+	k := r.slot(p)
+	res, ok := r.defaults[k]
+	if !ok {
+		var err error
+		if res, err = r.resolve(r.doc, p, true); err != nil {
+			return resolved{}, err
+		}
+	}
+	r.defaults[k] = resolved{inst: res.inst, plan: res.plan}
+	return res, nil
 }
 
 // BuildRequest translates the JSON request into a core.Request, expanding

@@ -20,15 +20,17 @@ import (
 	"repro/internal/servetest"
 )
 
-// solveJob decodes a /v1/solve body into the batch job the server solves.
-func solveJob(t *testing.T, body string) batch.Job {
+// solveJob decodes a /v1/solve body into the batch job the server solves,
+// resolving its instance through c's plan tier as the server does (a nil
+// c decodes it and the job carries no plan).
+func solveJob(t *testing.T, body string, c *batch.Cache) batch.Job {
 	t.Helper()
 	var job jobspec.Job
 	if err := json.NewDecoder(strings.NewReader(body)).Decode(&job); err != nil {
 		t.Fatal(err)
 	}
 	file := jobspec.File{Instance: job.Instance, Jobs: []jobspec.Job{{Request: job.Request}}}
-	jobs, err := file.BatchJobs()
+	jobs, err := file.Resolve(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func solveJob(t *testing.T, body string) batch.Job {
 // succeeds: jobspec.EncodeResult of core.Solve on the decoded job.
 func canonicalAnswer(t *testing.T, body string) []byte {
 	t.Helper()
-	job := solveJob(t, body)
+	job := solveJob(t, body, nil)
 	res, err := core.Solve(job.Inst, job.Req)
 	if err != nil {
 		t.Fatal(err)
@@ -130,11 +132,16 @@ func TestSolveRepeatIdentity(t *testing.T) {
 
 // TestSolveBudgetPreemptedNeverReplayed arms a solve budget no exact solve
 // meets: a preempted answer must never be kept, and once a budget-free
-// solve heals the result memo, a repeat returns the clean answer (even
+// solve of the job the server resolves (its plan from the server's plan
+// tier) heals the result memo, a repeat returns the clean answer (even
 // when its own budget expired before the plan looked), which the front
 // tier then keeps.
+//
+// The budget is 1 ns, so it has expired when the solve starts: the first
+// answer is preempted by construction. (With 1 us it raced fig1's 5 us
+// solve against the timer, and the solve sometimes won.)
 func TestSolveBudgetPreemptedNeverReplayed(t *testing.T) {
-	s := New(Config{SolveBudget: time.Microsecond})
+	s := New(Config{SolveBudget: time.Nanosecond})
 	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"objective": "period"}}`
 	var res struct {
 		Preempted bool `json:"preempted"`
@@ -142,12 +149,12 @@ func TestSolveBudgetPreemptedNeverReplayed(t *testing.T) {
 	rec := post(s, "/v1/solve", body)
 	decode(t, rec, &res)
 	if rec.Code != http.StatusOK || !res.Preempted {
-		t.Fatalf("1us budget: status %d, preempted %v, want a preempted 200", rec.Code, res.Preempted)
+		t.Fatalf("1ns budget: status %d, preempted %v, want a preempted 200", rec.Code, res.Preempted)
 	}
 	if n := s.front.Len(); n != 0 {
 		t.Fatalf("front tier kept %d preempted answers", n)
 	}
-	healed, _ := batch.Solve([]batch.Job{solveJob(t, body)}, batch.Options{Cache: s.Cache()})
+	healed, _ := batch.Solve([]batch.Job{solveJob(t, body, s.Cache())}, batch.Options{Cache: s.Cache()})
 	if healed[0].Err != nil || healed[0].Result.Preempted {
 		t.Fatalf("budget-free heal: %+v", healed[0])
 	}

@@ -379,7 +379,7 @@ func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body io.Reade
 		return frontAnswer{}
 	}
 	file := jobspec.File{Instance: job.Instance, Jobs: []jobspec.Job{{Request: job.Request}}}
-	jobs, err := file.BatchJobs()
+	jobs, err := file.Resolve(s.cache)
 	if err != nil {
 		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return frontAnswer{}
@@ -417,7 +417,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}
-	jobs, err := doc.BatchJobs()
+	jobs, err := doc.Resolve(s.cache)
 	if err != nil {
 		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
