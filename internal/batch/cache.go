@@ -97,46 +97,50 @@ func (c *Cache) Stats() CacheStats {
 // instance) is memoized like a result and returned to every waiter.
 func (c *Cache) PlanFor(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) (pl *plan.Plan, err error, hit bool) {
 	k := keyPool.Get().(*keyWriter)
+	defer k.release()
 	k.planKey(inst, rule, model)
-	pl, err, hit = c.plan(k, func(planKey string) (*plan.Plan, error) {
-		return plan.CompileShared(inst, rule, model, c.results, planKey)
-	}, true)
-	return pl, err, hit
+	return c.plan(k.buf, inst, rule, model)
 }
 
 // PlanForJSON is PlanFor for an instance document as sent (doc must be a
 // valid JSON value, as a decoder hands out a json.RawMessage). It keys
-// the plan tier by the document's compact bytes, and decodes and
-// validates the document (pipeline.DecodeJSON) only on a miss. The plan's
-// Instance is the decoded instance. A document that does not decode to a
-// valid instance is not kept: its error goes to the callers waiting at
-// the time, and the next one decodes it again.
+// the plan tier by the document's compact bytes, so a published plan is
+// returned without decoding anything. Otherwise it decodes and validates
+// the document (pipeline.DecodeJSON) before it looks again, installing
+// the plan: a document that is not a valid instance returns DecodeJSON's
+// error and leaves the tier untouched — no entry, no eviction, no count.
+// The plan's Instance is the decoded instance.
 func (c *Cache) PlanForJSON(doc []byte, rule mapping.Rule, model pipeline.CommModel) (pl *plan.Plan, err error, hit bool) {
 	k := keyPool.Get().(*keyWriter)
+	defer k.release()
 	k.wirePlanKey(doc, rule, model)
-	return c.plan(k, func(planKey string) (*plan.Plan, error) {
-		inst, err := pipeline.DecodeJSON(bytes.NewReader(doc))
-		if err != nil {
-			return nil, err
-		}
-		return plan.CompileShared(&inst, rule, model, c.results, planKey)
-	}, false)
+	if e, ok := c.plans.Published(k.buf); ok {
+		pl, err = wait(e)
+		return pl, err, true
+	}
+	inst, err := pipeline.DecodeJSON(bytes.NewReader(doc))
+	if err != nil {
+		return nil, err, false
+	}
+	return c.plan(k.buf, &inst, rule, model)
 }
 
-// plan returns the plan-tier entry for the key k holds, releasing k, and
-// compiles it on first arrival; the plan's stored answers carry the
-// entry's copy of the key, shared rather than copied again. A failed
-// compilation stays in the tier only with keepErr.
-func (c *Cache) plan(k *keyWriter, compile func(planKey string) (*plan.Plan, error), keepErr bool) (pl *plan.Plan, err error, hit bool) {
-	e, hit := c.plans.Get(k.buf)
-	k.release()
+// plan returns the plan-tier entry for key, compiling (inst, rule, model)
+// into it on first arrival. The plan's stored answers carry the entry's
+// copy of the key, shared rather than copied again.
+func (c *Cache) plan(key []byte, inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) (pl *plan.Plan, err error, hit bool) {
+	e, hit := c.plans.Get(key)
 	if !hit {
-		e.Fill(func() (*plan.Plan, error) { return compile(e.Key()) })
+		e.Fill(func() (*plan.Plan, error) {
+			return plan.CompileShared(inst, rule, model, c.results, e.Key())
+		})
 	}
-	//lint:allow memoalias plans are immutable by construction; sharing is the point of the tier
-	pl, err = e.Wait()
-	if err != nil && !hit && !keepErr {
-		c.plans.Forget(e)
-	}
+	pl, err = wait(e)
 	return pl, err, hit
+}
+
+// wait returns the plan an entry of the plan tier publishes.
+func wait(e *memo.Entry[*plan.Plan]) (*plan.Plan, error) {
+	//lint:allow memoalias plans are immutable by construction; sharing is the point of the tier
+	return e.Wait()
 }

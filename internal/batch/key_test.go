@@ -1,7 +1,9 @@
 package batch
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -289,4 +291,27 @@ func keyShapes() []struct {
 		name string
 		inst pipeline.Instance
 	}{{"comm-homogeneous-47", planSweepShape()}, {"heterogeneous-47", hetero}}
+}
+
+// TestCompactMatchesJSONCompact checks the wire key's compaction against
+// json.Compact on documents with whitespace inside strings, escapes,
+// nesting and every whitespace byte JSON allows.
+func TestCompactMatchesJSONCompact(t *testing.T) {
+	for _, doc := range []string{
+		`{}`,
+		` { "a" : [ 1 , 2.5e3 , -0 ] ,"b":{ }} `,
+		"{\n\t\"name\": \"a b\\t\\\" c \\\\\",\r\n \"x\": [ \"]\" , \"\\\\\" ]\n}",
+		`"  spaced string  "`,
+		`[ null , true , false , " " ]`,
+	} {
+		var want bytes.Buffer
+		if err := json.Compact(&want, []byte(doc)); err != nil {
+			t.Fatalf("%q: %v", doc, err)
+		}
+		var k keyWriter
+		k.compact([]byte(doc))
+		if string(k.buf) != want.String() {
+			t.Errorf("compact(%q) = %q, json.Compact %q", doc, k.buf, want.String())
+		}
+	}
 }

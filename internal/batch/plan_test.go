@@ -1,6 +1,9 @@
 package batch
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -150,5 +153,99 @@ func TestBatchPlanValidationError(t *testing.T) {
 	}
 	if !strings.Contains(results[0].Err.Error(), want.Error()) {
 		t.Errorf("batch error %q does not carry the validation error %q", results[0].Err, want)
+	}
+}
+
+// fig1Doc is the Section 2 instance as an indented JSON document.
+func fig1Doc(t *testing.T) []byte {
+	t.Helper()
+	inst := pipeline.MotivatingExample()
+	var buf bytes.Buffer
+	if err := pipeline.EncodeJSON(&buf, &inst); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPlanForJSONKeys pins the wire keys of the plan tier: documents that
+// differ only in whitespace share one plan, a different rule, model or
+// byte does not, and a wire key never shares an entry with the canonical
+// key of the same instance.
+func TestPlanForJSONKeys(t *testing.T) {
+	doc := fig1Doc(t)
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, doc); err != nil {
+		t.Fatal(err)
+	}
+	spaced := bytes.ReplaceAll(compact.Bytes(), []byte(","), []byte(" ,\n\t"))
+	c := NewCache()
+	first, err, hit := c.PlanForJSON(doc, mapping.Interval, pipeline.Overlap)
+	if err != nil || hit {
+		t.Fatalf("first lookup: hit %v, err %v", hit, err)
+	}
+	want := pipeline.MotivatingExample()
+	if !reflect.DeepEqual(*first.Instance(), want) {
+		t.Errorf("plan instance %+v, want %+v", *first.Instance(), want)
+	}
+	for _, variant := range [][]byte{compact.Bytes(), spaced, doc} {
+		pl, err, hit := c.PlanForJSON(variant, mapping.Interval, pipeline.Overlap)
+		if err != nil || !hit || pl != first {
+			t.Errorf("whitespace variant %.40q: hit %v, same plan %v, err %v", variant, hit, pl == first, err)
+		}
+	}
+	// 1.0 decodes as 1 does, but the bytes differ.
+	respelled := bytes.Replace(compact.Bytes(), []byte(`"weight":1,`), []byte(`"weight":1.0,`), 1)
+	if bytes.Equal(respelled, compact.Bytes()) {
+		t.Fatal("no weight to respell")
+	}
+	for _, k := range []struct {
+		doc   []byte
+		rule  mapping.Rule
+		model pipeline.CommModel
+	}{
+		{doc, mapping.OneToOne, pipeline.Overlap},
+		{doc, mapping.Interval, pipeline.NoOverlap},
+		{respelled, mapping.Interval, pipeline.Overlap},
+	} {
+		if _, err, hit := c.PlanForJSON(k.doc, k.rule, k.model); err != nil || hit {
+			t.Errorf("%v/%v %.40q: hit %v, err %v; want a new plan", k.rule, k.model, k.doc, hit, err)
+		}
+	}
+	pl, err, hit := c.PlanFor(&want, mapping.Interval, pipeline.Overlap)
+	if err != nil || hit || pl == first {
+		t.Errorf("canonical lookup of the same instance: hit %v, same plan %v, err %v; want its own entry", hit, pl == first, err)
+	}
+	if got := c.Stats().Plans.Entries; got != 5 {
+		t.Errorf("plan tier holds %d entries, want 5", got)
+	}
+}
+
+// TestPlanForJSONInvalidNotKept asserts a document that does not decode to
+// a valid instance returns DecodeJSON's error and leaves a full plan tier
+// as it was — no entry, no eviction, no count — so the next lookup
+// decodes it again.
+func TestPlanForJSONInvalidNotKept(t *testing.T) {
+	c := NewCacheCap(2)
+	for _, model := range []pipeline.CommModel{pipeline.Overlap, pipeline.NoOverlap} {
+		if _, err, _ := c.PlanForJSON(fig1Doc(t), mapping.Interval, model); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.Stats().Plans
+	for _, doc := range []string{
+		`{"apps": [{"in": 1, "stages": [{"work": -1, "out": 1}]}], "platform": {"processors": [{"speeds": [1]}]}}`,
+		`5`,
+		`{"apps": [], "extra": 1}`,
+	} {
+		_, want := pipeline.DecodeJSON(strings.NewReader(doc))
+		for i := 0; i < 2; i++ {
+			pl, err, hit := c.PlanForJSON([]byte(doc), mapping.Interval, pipeline.Overlap)
+			if pl != nil || err == nil || err.Error() != want.Error() || hit {
+				t.Errorf("%s (call %d): plan %v, hit %v, err %v; want DecodeJSON's error %v", doc, i, pl, hit, err, want)
+			}
+		}
+	}
+	if after := c.Stats().Plans; after != before {
+		t.Errorf("invalid documents moved the plan tier's stats from %+v to %+v", before, after)
 	}
 }
