@@ -1,11 +1,13 @@
 package jobspec
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +16,9 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/gen"
+	"repro/internal/pipeline"
+	"repro/internal/workload"
 )
 
 // TestLimitBody pins the one body-cap rule: 0 means DefaultMaxBody, a
@@ -206,19 +211,73 @@ func BenchmarkEncodeOutput(b *testing.B) {
 	b.ReportMetric(float64(size), "bytes/response")
 }
 
-// BenchmarkBatchJobs measures building the engine jobs of an 8-job batch
-// document over one instance: request parsing and bounds, and the
-// instance decode and validation, which the jobs share.
-func BenchmarkBatchJobs(b *testing.B) {
-	jobs := make([]string, 8)
-	for i := range jobs {
-		jobs[i] = fmt.Sprintf(`{"request": {"objective": "energy", "periodBound": %g}}`, 2+float64(i)/8)
-	}
-	doc := fig1File(b, "["+strings.Join(jobs, ",")+"]")
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := doc.BatchJobs(); err != nil {
-			b.Fatal(err)
+// benchDocuments are BenchmarkBatchJobs' 8-job batch documents: zipf-batch
+// has a generated instance per job (up to 10 stages and 10 processors, as
+// in the benchmark's zipf-batch workload), plan-sweep one large
+// file-level instance (2 applications of 12 stages on 6 processors with
+// 3 modes, fully homogeneous) shared by 8 bounded queries.
+func benchDocuments(b *testing.B) map[string]File {
+	sp := gen.DefaultSpace()
+	sp.MaxStagesPerApp, sp.MaxTotalStages, sp.MaxProcs = 8, 10, 10
+	var zipf File
+	for i := 0; len(zipf.Jobs) < 8; i++ {
+		sc := sp.Sample(7, i)
+		if sc.Degenerate == gen.DegenProcStarved {
+			continue
 		}
+		zipf.Jobs = append(zipf.Jobs, Job{Instance: compactInstance(b, &sc.Inst), Request: RequestOf(sc.Req)})
+	}
+	inst := workload.MustInstance(rand.New(rand.NewSource(7)), workload.Config{
+		Apps: 2, MinStages: 12, MaxStages: 12, Modes: 3, Procs: 6, Class: pipeline.FullyHomogeneous,
+		MaxWork: 9, MaxData: 5, MaxSpeed: 8, MaxBandwidth: 4,
+	})
+	sweep := File{Instance: compactInstance(b, &inst)}
+	for i := 0; i < 8; i++ {
+		sweep.Jobs = append(sweep.Jobs, Job{Request: Request{
+			Objective: []string{"period", "latency", "energy"}[i%3], Model: []string{"overlap", "no-overlap"}[i%2],
+			PeriodBound: 40 + float64(i), LatencyBound: 400 + float64(i),
+		}})
+	}
+	return map[string]File{"zipf-batch": zipf, "plan-sweep": sweep}
+}
+
+func compactInstance(b *testing.B, inst *pipeline.Instance) json.RawMessage {
+	var buf, compact bytes.Buffer
+	if err := pipeline.EncodeJSON(&buf, inst); err != nil {
+		b.Fatal(err)
+	}
+	if err := json.Compact(&compact, buf.Bytes()); err != nil {
+		b.Fatal(err)
+	}
+	return compact.Bytes()
+}
+
+// BenchmarkBatchJobs measures building the engine jobs of an 8-job batch
+// document (see benchDocuments) through a plan tier: cold resolves
+// through an empty cache, so it decodes, validates and compiles every
+// instance; warm through a cache that holds the plans already, so it
+// decodes only the requests.
+func BenchmarkBatchJobs(b *testing.B) {
+	for name, doc := range benchDocuments(b) {
+		b.Run(name+"/cold", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := doc.Resolve(batch.NewCache()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/warm", func(b *testing.B) {
+			c := batch.NewCache()
+			if _, err := doc.Resolve(c); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := doc.Resolve(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
