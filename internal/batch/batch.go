@@ -1,14 +1,14 @@
 // Package batch is the concurrent batch-solving engine on top of
 // core.Solve: it fans a slice of independent (instance, request) jobs
 // across a bounded pool of worker goroutines, deduplicates identical jobs
-// through a canonical-key memoization cache (see Key and Cache), and
-// returns per-job results in input order together with aggregate
-// statistics.
+// through a memoization cache (see Key and Cache), and returns per-job
+// results in input order together with aggregate statistics.
 //
 // Solve never reorders: results[i] always answers jobs[i], and a job that
 // fails only poisons its own slot — the error is recorded per job and the
-// remaining jobs still run. Identical jobs (same canonical key) are solved
-// once no matter how they interleave across workers, which makes batch
+// remaining jobs still run. Identical jobs (same canonical key, or same
+// plan and request; see Job) are solved once no matter how they
+// interleave across workers, which makes batch
 // sweeps with repeated subproblems — Pareto frontier builds, experiment
 // tables, parameter grids — cheap and, because core.Solve is deterministic
 // per request, bit-identical to solving each job sequentially.
