@@ -27,19 +27,21 @@ import (
 //     without a plan) key a decoded instance by its canonical encoding
 //     (PlanKey). Wire callers (PlanForJSON) key an instance document by
 //     its compact bytes as sent, so a hit skips the decode, the
-//     validation and the canonical key. The two kinds never share an
-//     entry: an instance asked for both ways is compiled twice, its
+//     validation and the canonical key. Either key is the bytes
+//     themselves, not a digest, so keys never collide, and it is the
+//     plan key the plan's answers carry. The two kinds never share an
+//     entry: an instance asked for both ways is compiled twice and its
 //     answers are memoized twice, and two documents of one instance that
-//     differ in more than whitespace (key order, number spelling) are
-//     two plans;
+//     differ in more than whitespace (key order, number spelling) are two
+//     plans;
 //   - the result memo holds the answered queries of all those plans. Each
 //     plan compiled here answers from it (plan.CompileShared), keyed by a
 //     fixed-width digest of the plan key followed by the query encoding,
-//     so a memoized answer is stored once and its key stays small however
-//     large the instance. Each answer carries the plan key string of the
-//     plan-tier entry that compiled its plan (shared, not copied), and a
-//     hit counts only when that key equals the asking plan's: a plan whose
-//     digest collides with another's solves without the memo, so no
+//     so a plan's memoized answer is stored once and its key stays small
+//     however large the instance. Each answer carries the plan key string
+//     of the plan-tier entry that compiled its plan (shared, not copied),
+//     and a hit counts only when that key equals the asking plan's: a plan
+//     whose digest collides with another's solves without the memo, so no
 //     answer rests on the digest alone. A repeated job is answered by a
 //     plan-tier hit plus a result-memo hit.
 //

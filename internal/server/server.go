@@ -47,6 +47,17 @@
 // request ever receives another request's timeout. /v1/batch has no front
 // tier.
 //
+// On the full path, /v1/solve and /v1/batch resolve each job's compiled
+// plan by the bytes of its instance (jobspec.File.Resolve): the shared
+// cache's plan tier is keyed by the job's rule, model and compact
+// instance document, so a repeated instance skips the instance decode,
+// the validation and the canonical keys, and only the request is decoded,
+// against the plan's instance. The other endpoints decode their instance
+// and key the plan tier canonically; the two kinds of key share no entry
+// (see batch.Cache). Every request body is decoded with
+// jobspec.DecodeStrict, which rejects unknown fields and any bytes after
+// the document but whitespace.
+//
 // On top of the per-request defenses sits a resilience layer for overload
 // and churn (see resilience.go): solver endpoints pass admission control
 // (a bounded concurrency gate plus a bounded wait queue; beyond both the
