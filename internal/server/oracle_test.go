@@ -44,16 +44,8 @@ var wallMs = regexp.MustCompile(`"wallMs":[-+.eE0-9]+`)
 // instance, a batch repeating a solve — and documents with bytes after
 // the JSON value.
 func replicaDocuments(t *testing.T) []replicaCase {
-	raw, err := os.ReadFile(filepath.Join("..", "gateway", "testdata", "wire_oracle.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gateway []struct{ Name, Path, Body string }
-	if err := json.Unmarshal(raw, &gateway); err != nil {
-		t.Fatal(err)
-	}
 	var cases []replicaCase
-	for _, c := range gateway {
+	for _, c := range readOracle[gatewayCase](t, filepath.Join("..", "gateway", "testdata", "wire_oracle.json")) {
 		cases = append(cases, replicaCase{Name: "gateway/" + c.Name, Path: c.Path, Body: c.Body})
 	}
 
@@ -128,6 +120,28 @@ func replicaDocuments(t *testing.T) []replicaCase {
 	return cases
 }
 
+// gatewayCase is one document of the gateway's wire oracle and the
+// answer the gateway gave it.
+type gatewayCase struct {
+	Name, Path, Body string
+	Status           int
+	Answer           string
+}
+
+// readOracle reads a recorded wire oracle.
+func readOracle[C any](t *testing.T, path string) []C {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []C
+	if err := json.Unmarshal(raw, &cases); err != nil {
+		t.Fatal(err)
+	}
+	return cases
+}
+
 // compactJSON returns doc with the whitespace outside strings removed.
 func compactJSON(t *testing.T, doc string) string {
 	var v json.RawMessage
@@ -183,14 +197,7 @@ func TestReplicaWireOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []replicaCase
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := readOracle[replicaCase](t, path)
 	if len(want) != len(cases) {
 		t.Fatalf("oracle has %d cases, the table %d", len(want), len(cases))
 	}
@@ -204,6 +211,28 @@ func TestReplicaWireOracle(t *testing.T) {
 		}
 		if got.Warm != w.Warm {
 			t.Errorf("%s (warm): answered %d %q\nrecorded %d %q", got.Name, got.Warm.Status, got.Warm.Body, w.Warm.Status, w.Warm.Body)
+		}
+	}
+}
+
+// TestWireOraclesAgree asserts a document answered through the gateway
+// gets one replica's answer: for every document of the gateway's wire
+// oracle, the gateway's recorded status and body equal the replica
+// oracle's recorded cold answer.
+func TestWireOraclesAgree(t *testing.T) {
+	gateway := readOracle[gatewayCase](t, filepath.Join("..", "gateway", "testdata", "wire_oracle.json"))
+	replica := make(map[string]wireAnswer)
+	for _, c := range readOracle[replicaCase](t, filepath.Join("testdata", "wire_oracle.json")) {
+		replica[c.Path+" "+c.Body] = c.Cold
+	}
+	for _, c := range gateway {
+		want, ok := replica[c.Path+" "+c.Body]
+		if !ok {
+			t.Errorf("%s: not in the replica oracle", c.Name)
+			continue
+		}
+		if c.Status != want.Status || c.Answer != want.Body {
+			t.Errorf("%s: the gateway answered %d %q\na replica %d %q", c.Name, c.Status, c.Answer, want.Status, want.Body)
 		}
 	}
 }
