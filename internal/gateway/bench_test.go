@@ -65,7 +65,7 @@ func BenchmarkGatewaySolveRoute(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		key, err := solveKey(solves[i%len(solves)])
+		key, _, err := solveKey(solves[i%len(solves)], nil)
 		if err != nil {
 			b.Fatal(err)
 		}

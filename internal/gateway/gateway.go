@@ -6,16 +6,18 @@
 // reassembles the per-job results in input order.
 //
 // The gateway decodes no instance of a document it routes, and it never
-// decodes a result slot: a /v1/solve body is forwarded verbatim, a
-// sub-batch is spliced from the jobs' instance and request bytes as
-// sent, and result slots pass through as raw JSON, so a batch answered
-// through N replicas is bit-identical to the same batch answered by one
-// (non-finite values rendered as null survive; re-encoding would corrupt
-// them). The
-// replicas validate; when one rejects a sub-batch as invalid, or no
-// replica answers for some jobs, the gateway checks the whole document
-// itself and answers the error a single replica would have given for an
-// invalid one.
+// decodes a result slot: a /v1/solve body is forwarded verbatim and the
+// replica's answer relayed as it came, a sub-batch is spliced from the
+// jobs' instance and request bytes as sent, and result slots pass
+// through as raw JSON, so a batch answered through N replicas is
+// bit-identical to the same batch answered by one (non-finite values
+// rendered as null survive; re-encoding would corrupt them). The gateway
+// keeps no copy of the wire rules: the replicas validate, and where the
+// gateway answers for itself — a body it cannot route, a batch whose
+// sub-batch a replica rejected or that no replica could take — it checks
+// the whole document with the replicas' own decoders,
+// jobspec.DecodeSolve and jobspec.DecodeBatch, and answers an invalid
+// one with their error.
 //
 // The gateway degrades rather than fails: replicas are health-checked
 // via their /readyz probes, shed sub-requests (429/503) are retried with
@@ -286,9 +288,8 @@ func errorSlot(code string, err error) json.RawMessage {
 // replica left answer structured shed errors in their slots rather than
 // failing the whole batch. A document the gateway cannot cut, and one
 // with a slot the gateway filled itself (a replica rejected its
-// sub-batch, or none could take it), is checked whole
-// (jobspec.DecodeFile, then BatchJobs); an invalid one is answered with
-// that check's error.
+// sub-batch, or none could take it), is checked whole with
+// jobspec.DecodeBatch; an invalid one is answered with its error.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, readErr := io.ReadAll(r.Body)
 	doc, status, err := splitBatch(body, readErr)
@@ -311,8 +312,8 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	g.dispatch(r.Context(), fo, indices, 0)
 
 	if fo.unanswered {
-		if status, invalid := checkBatch(body, readErr); invalid != nil {
-			jobspec.WriteError(w, status, invalid)
+		if _, status, err := jobspec.DecodeBatch(jobspec.Replay(body, readErr), nil); err != nil {
+			jobspec.WriteError(w, status, err)
 			return
 		}
 	}
@@ -450,22 +451,17 @@ func truncate(b []byte, n int) string {
 
 // handleSolve routes a single solve by the route key of its instance and
 // request bytes — the key the same job gets inside a batch, so a
-// /v1/solve repeat lands on the replica whose cache holds it — and
-// forwards the body verbatim. A body the gateway cannot cut, or one the
-// replica rejects as invalid, is checked whole and answered with that
-// check's error.
+// /v1/solve repeat lands on the replica whose cache holds it — forwards
+// the body verbatim and relays the replica's answer. A body without a
+// route key is answered with jobspec.DecodeSolve's error (solveKey).
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	body, readErr := io.ReadAll(r.Body)
+	key, status, err := solveKey(body, readErr)
 	if err != nil {
-		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
+		jobspec.WriteError(w, status, err)
 		return
 	}
-	key, err := solveKey(body)
-	if err != nil {
-		jobspec.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	g.forward(w, r, key, body, func() error { return checkSolve(body) })
+	g.forward(w, r, key, body)
 }
 
 // handleOpaque routes an endpoint the gateway does not interpret
@@ -478,14 +474,13 @@ func (g *Gateway) handleOpaque(w http.ResponseWriter, r *http.Request) {
 		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}
-	g.forward(w, r, hexKey(fnv1a(fnv1a(fnvOffset, r.URL.Path), body)), body, nil)
+	g.forward(w, r, hexKey(fnv1a(fnv1a(fnvOffset, r.URL.Path), body)), body)
 }
 
 // forward proxies one request to the replica owning key, rerouting to
 // ring successors while replicas fail, and relays the upstream response
-// (status, error documents included) verbatim — except that a 400 is
-// replaced by invalid's error when invalid is set and reports one.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, body []byte, invalid func() error) {
+// (status, error documents included) verbatim.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) {
 	tried := 0
 	for {
 		rep, ok := g.route(key)
@@ -507,12 +502,6 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, bo
 			}
 			jobspec.WriteShed(w, http.StatusServiceUnavailable, time.Second, err)
 			return
-		}
-		if resp.StatusCode == http.StatusBadRequest && invalid != nil {
-			if err := invalid(); err != nil {
-				jobspec.WriteError(w, http.StatusBadRequest, err)
-				return
-			}
 		}
 		// Shed responses that survived the retry budget are relayed as-is:
 		// the client sees the upstream's Retry-After and error document.

@@ -1,11 +1,15 @@
 // Routing on bytes. A /v1/solve body and each job of a /v1/batch
 // document are cut into their raw instance and request bytes, the route
-// key is a hash of those bytes, and sub-batches are spliced from the
-// parts as the client sent them. The cuts decode with encoding/json
-// into json.RawMessage fields, so they read a document as the checks the
-// gateway has always run read it — key case folding, escapes, repeated
-// keys, null jobs, trailing bytes — without decoding an instance. Those
-// checks answer every document the cuts refuse.
+// key is a hash of those bytes' compact form, and
+// sub-batches are spliced from the parts as the client sent them. The
+// cuts decode with encoding/json into json.RawMessage fields and decode
+// no instance. The batch cut reads a document as jobspec.DecodeFile
+// reads it — key case folding, escapes, repeated keys, null jobs,
+// trailing bytes. The solve cut is lenient: it takes any JSON object with
+// an instance, since the replica it forwards the body to answers it. A
+// document a cut refuses is answered with the error of
+// jobspec.DecodeSolve or jobspec.DecodeBatch, the decoders the replicas
+// answer with.
 
 package gateway
 
@@ -121,22 +125,23 @@ func (j *jobParts) request() []byte {
 	return j.Requests[len(j.Requests)-1]
 }
 
-// solveKey returns the route key of a /v1/solve body, read as checkSolve
-// reads it, or, for a body without an instance or that is not JSON,
-// checkSolve's error.
-func solveKey(body []byte) (string, error) {
+// solveKey returns the route key of a /v1/solve body the handler read
+// (readErr is the error the read ended with). A body the cut refuses —
+// not JSON, not an object, no instance, a failed read — has no route key
+// and gets jobspec.DecodeSolve's error and status, which refuses every
+// such body.
+func solveKey(body []byte, readErr error) (key string, status int, err error) {
 	var job struct {
 		Instance json.RawMessage `json:"instance"`
 		Request  json.RawMessage `json:"request"`
 	}
-	cutErr := json.Unmarshal(body, &job)
-	if cutErr == nil && job.Instance != nil {
-		return jobKey(instanceHash(job.Instance), job.Request), nil
+	if json.Unmarshal(body, &job) == nil && job.Instance != nil {
+		return jobKey(instanceHash(job.Instance), job.Request), 0, nil
 	}
-	if err := checkSolve(body); err != nil {
-		return "", err
+	if _, status, err := jobspec.DecodeSolve(jobspec.Replay(body, readErr), nil); err != nil {
+		return "", status, err
 	}
-	return "", fmt.Errorf("cutting request body: %w", cutErr) // not reached: the cut reads every body checkSolve reads
+	return "", http.StatusBadRequest, errors.New("gateway: solve request has no route key") // not reached: FuzzGatewaySplit
 }
 
 // batchDoc is a /v1/batch document cut into its file-level instance (nil
@@ -147,15 +152,14 @@ type batchDoc struct {
 }
 
 // splitBatch cuts a /v1/batch document the handler read (readErr is the
-// error the read ended with) as jobspec.DecodeFile reads it. A
-// document the cut refuses gets the checks the gateway has always run,
-// which answer its error.
+// error the read ended with) as jobspec.DecodeFile reads it. A document
+// the cut refuses gets jobspec.DecodeBatch's error and status.
 func splitBatch(body []byte, readErr error) (doc batchDoc, status int, err error) {
 	cutErr := jobspec.DecodeStrict(jobspec.Replay(body, readErr), &doc)
 	if cutErr == nil && len(doc.Jobs) > 0 {
 		return doc, 0, nil
 	}
-	if status, err := checkBatch(body, readErr); err != nil {
+	if _, status, err := jobspec.DecodeBatch(jobspec.Replay(body, readErr), nil); err != nil {
 		return batchDoc{}, status, err
 	}
 	return batchDoc{}, http.StatusBadRequest, fmt.Errorf("jobspec: cutting job file: %w", cutErr) // not reached: the cut reads every document DecodeFile reads
@@ -216,33 +220,4 @@ func (d *batchDoc) routeKeys() []string {
 		keys[i] = jobKey(h, job.request())
 	}
 	return keys
-}
-
-// checkBatch runs the checks the gateway has always run on a /v1/batch
-// document — jobspec.DecodeFile, then BatchJobs — and returns the error
-// to answer with its status, or nil.
-func checkBatch(body []byte, readErr error) (status int, err error) {
-	f, err := jobspec.DecodeFile(jobspec.Replay(body, readErr))
-	if err != nil {
-		return jobspec.DecodeStatus(err), err
-	}
-	if _, err := f.BatchJobs(); err != nil {
-		return http.StatusBadRequest, err
-	}
-	return 0, nil
-}
-
-// checkSolve runs the checks the gateway has always run on a /v1/solve
-// body and returns the error to answer with status 400, or nil.
-func checkSolve(body []byte) error {
-	var job jobspec.Job
-	if err := json.Unmarshal(body, &job); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
-	}
-	if job.Instance == nil {
-		return errors.New("solve request has no instance")
-	}
-	file := jobspec.File{Instance: job.Instance, Jobs: []jobspec.Job{{Request: job.Request}}}
-	_, err := file.BatchJobs()
-	return err
 }

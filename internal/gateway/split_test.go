@@ -246,12 +246,12 @@ func TestSolveAndBatchShareRouteKeys(t *testing.T) {
 	}
 }
 
-// FuzzGatewaySplit checks the gateway's cuts against the checks the
-// gateway has always run, on any input. As a /v1/batch document, the cut
+// FuzzGatewaySplit checks the gateway's cuts against the decoders the
+// replicas answer with, on any input. As a /v1/batch document, the cut
 // takes exactly what jobspec.DecodeFile accepts, and each job's sub-batch
 // decodes to the job's slot; any other input gets DecodeFile's error. As
-// a /v1/solve body, every input checkSolve accepts gets a route key, and
-// one refused gets checkSolve's error.
+// a /v1/solve body, the cut refuses only inputs jobspec.DecodeSolve
+// refuses, and answers them with DecodeSolve's error and status.
 func FuzzGatewaySplit(f *testing.F) {
 	corpus := gen.DefaultSpace().Corpus(4, 16)
 	rng := rand.New(rand.NewSource(1))
@@ -281,13 +281,18 @@ func FuzzGatewaySplit(f *testing.F) {
 		`{"jobs": []}`,
 		`{"instance": {"apps": []}, "request": {"seed": 1}, "x": 1}`,
 		`not json`,
+		``,
+		`{"instance": {"apps": []}, "request": {"objectve": 1, "seed": "x"}}`,
+		`{"priority": 1, "request": 5, "instance": {"apps": []}}`,
+		`{"instance": {"apps": [{"in": 1, "stages": [{"work": 1, "out": 1}]}]}, "request": {"objec`,
 	} {
 		f.Add([]byte(doc))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := solveKey(data); err != nil {
-			if checkErr := checkSolve(data); checkErr == nil || err.Error() != checkErr.Error() {
-				t.Fatalf("solve cut answers %v, checkSolve %v", err, checkErr)
+		if _, status, err := solveKey(data, nil); err != nil {
+			_, decodeStatus, decodeErr := jobspec.DecodeSolve(bytes.NewReader(data), nil)
+			if decodeErr == nil || err.Error() != decodeErr.Error() || status != decodeStatus {
+				t.Fatalf("solve cut answers %d %v, DecodeSolve %d %v", status, err, decodeStatus, decodeErr)
 			}
 		}
 

@@ -1,9 +1,10 @@
 // The HTTP serving skeleton shared by pipeserved (internal/server) and
 // pipegateway (internal/gateway): the response writers, the error
-// document, the body-cap rule, the per-route request counters and the
-// probe writer. Both front ends answer with exactly these documents, so
-// a client (or the gateway relaying a replica's answer) sees one wire
-// format whichever process it talks to.
+// document, the body-cap rule, the decoders of /v1/solve and /v1/batch
+// documents, the per-route request counters and the probe writer. Both
+// front ends answer with exactly these documents, so a client (or the
+// gateway relaying a replica's answer) sees one wire format whichever
+// process it talks to.
 
 package jobspec
 
@@ -11,12 +12,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/batch"
 )
 
 // DefaultMaxBody is the request body cap, in bytes, of a handler whose
@@ -74,6 +78,53 @@ func Replay(body []byte, readErr error) io.Reader {
 type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// DecodeBody decodes a request body into dst with DecodeStrict; its
+// errors read "decoding request body: ...".
+func DecodeBody(r io.Reader, dst any) error {
+	if err := DecodeStrict(r, dst); err != nil {
+		return fmt.Errorf("decoding request body: %w", err)
+	}
+	return nil
+}
+
+// DecodeSolve reads a /v1/solve body, one Job whose instance is
+// required, and resolves it through c (File.Resolve; a nil c decodes the
+// instance). It returns the one engine job, or the error to answer with
+// its HTTP status. pipeserved answers every /v1/solve body with it, and
+// pipegateway every body it cannot route.
+func DecodeSolve(r io.Reader, c *batch.Cache) ([]batch.Job, int, error) {
+	var job Job
+	if err := DecodeBody(r, &job); err != nil {
+		return nil, DecodeStatus(err), err
+	}
+	if job.Instance == nil {
+		return nil, http.StatusBadRequest, errors.New("solve request has no instance")
+	}
+	f := File{Instance: job.Instance, Jobs: []Job{{Request: job.Request}}}
+	return resolveStatus(f.Resolve(c))
+}
+
+// DecodeBatch reads a /v1/batch job file (DecodeFile) and resolves it
+// through c (File.Resolve; a nil c decodes every instance). It returns
+// the engine jobs, or the error to answer with its HTTP status.
+// pipeserved answers every /v1/batch document with it, and pipegateway
+// every document it cannot cut or did not have answered whole.
+func DecodeBatch(r io.Reader, c *batch.Cache) ([]batch.Job, int, error) {
+	f, err := DecodeFile(r)
+	if err != nil {
+		return nil, DecodeStatus(err), err
+	}
+	return resolveStatus(f.Resolve(c))
+}
+
+// resolveStatus gives a resolve error its status, 400.
+func resolveStatus(jobs []batch.Job, err error) ([]batch.Job, int, error) {
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	return jobs, 0, nil
+}
 
 // errorDoc is the body of every error response.
 type errorDoc struct {

@@ -190,7 +190,7 @@ type resolveResponse struct {
 // with code "infeasible".
 func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	var body resolveRequest
-	if err := decodeBody(r.Body, &body); err != nil {
+	if err := jobspec.DecodeBody(r.Body, &body); err != nil {
 		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}

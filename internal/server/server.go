@@ -47,16 +47,19 @@
 // request ever receives another request's timeout. /v1/batch has no front
 // tier.
 //
-// On the full path, /v1/solve and /v1/batch resolve each job's compiled
-// plan by the bytes of its instance (jobspec.File.Resolve): the shared
-// cache's plan tier is keyed by the job's rule, model and compact
-// instance document, so a repeated instance skips the instance decode,
-// the validation and the canonical keys, and only the request is decoded,
-// against the plan's instance. The other endpoints decode their instance
-// and key the plan tier canonically; the two kinds of key share no entry
-// (see batch.Cache). Every request body is decoded with
-// jobspec.DecodeStrict, which rejects unknown fields and any bytes after
-// the document but whitespace.
+// On the full path, /v1/solve and /v1/batch bodies are read by
+// jobspec.DecodeSolve and jobspec.DecodeBatch, the decoders pipegateway
+// answers invalid documents with, and they, like /v1/resolve, resolve
+// each job's compiled plan by the bytes of its instance
+// (jobspec.File.Resolve): the shared cache's plan tier is keyed by the
+// job's rule, model and compact instance document, so a repeated
+// instance skips the instance decode, the validation and the canonical
+// keys, and only the request is decoded, against the plan's instance.
+// /v1/pareto and /v1/simulate decode their instance, and /v1/pareto keys
+// the plan tier canonically; the two kinds of key share no entry (see
+// batch.Cache). Every request body is decoded with jobspec.DecodeStrict,
+// which rejects unknown fields and any bytes after the document but
+// whitespace.
 //
 // On top of the per-request defenses sits a resilience layer for overload
 // and churn (see resilience.go): solver endpoints pass admission control
@@ -303,15 +306,6 @@ func solveStatus(err error) int {
 	}
 }
 
-// decodeBody decodes a request body into dst with jobspec.DecodeStrict:
-// unknown fields and bytes after the document are rejected.
-func decodeBody(body io.Reader, dst any) error {
-	if err := jobspec.DecodeStrict(body, dst); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
-	}
-	return nil
-}
-
 // frontMaxBody is the largest /v1/solve body the front tier keeps. It
 // bounds the tier's memory at CacheCap x (frontMaxBody + one response)
 // instead of CacheCap x MaxBody.
@@ -380,19 +374,9 @@ func (s *Server) lead(ctx context.Context, w http.ResponseWriter, e *memo.Entry[
 // the answer when the front tier may keep it — a 200 whose result was not
 // preempted by the solve budget — and the zero frontAnswer otherwise.
 func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body io.Reader) frontAnswer {
-	var job jobspec.Job
-	if err := decodeBody(body, &job); err != nil {
-		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
-		return frontAnswer{}
-	}
-	if job.Instance == nil {
-		jobspec.WriteError(w, http.StatusBadRequest, errors.New("solve request has no instance"))
-		return frontAnswer{}
-	}
-	file := jobspec.File{Instance: job.Instance, Jobs: []jobspec.Job{{Request: job.Request}}}
-	jobs, err := file.Resolve(s.cache)
+	jobs, status, err := jobspec.DecodeSolve(body, s.cache)
 	if err != nil {
-		jobspec.WriteError(w, http.StatusBadRequest, err)
+		jobspec.WriteError(w, status, err)
 		return frontAnswer{}
 	}
 	results, stats := batch.SolveCtx(ctx, jobs, s.batchOptions())
@@ -423,14 +407,9 @@ func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body io.Reade
 // do not fail the request; an expired request budget does (504), since the
 // remaining slots only carry the context error.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	doc, err := jobspec.DecodeFile(r.Body)
+	jobs, status, err := jobspec.DecodeBatch(r.Body, s.cache)
 	if err != nil {
-		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
-		return
-	}
-	jobs, err := doc.Resolve(s.cache)
-	if err != nil {
-		jobspec.WriteError(w, http.StatusBadRequest, err)
+		jobspec.WriteError(w, status, err)
 		return
 	}
 	results, stats := batch.SolveCtx(r.Context(), jobs, s.batchOptions())
@@ -493,7 +472,7 @@ type paretoResponse struct {
 // empty frontier with a query answers null (the +Inf degenerate case).
 func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 	var body paretoRequest
-	if err := decodeBody(r.Body, &body); err != nil {
+	if err := jobspec.DecodeBody(r.Body, &body); err != nil {
 		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}
@@ -571,7 +550,7 @@ type simulateResponse struct {
 // application (the same numbers pipesim prints as a table).
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var body simulateRequest
-	if err := decodeBody(r.Body, &body); err != nil {
+	if err := jobspec.DecodeBody(r.Body, &body); err != nil {
 		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
 		return
 	}

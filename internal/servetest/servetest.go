@@ -131,14 +131,16 @@ func ErrorResponsesAreStructuredJSON(t *testing.T, h http.Handler) {
 	}
 }
 
+// OversizedBody is a document over a 1 KiB body cap.
+var OversizedBody = `{"pad": "` + strings.Repeat("x", 4096) + `"}`
+
 // OversizedBodyAllEndpoints asserts the body cap protects every POST
 // endpoint of capped (which must cap bodies at 1 KiB) with a structured
 // 413, and that defaultCap (configured with MaxBody 0) still accepts the
 // Section 2 batch document.
 func OversizedBodyAllEndpoints(t *testing.T, capped, defaultCap http.Handler) {
-	huge := `{"pad": "` + strings.Repeat("x", 4096) + `"}`
 	for _, path := range []string{"/v1/solve", "/v1/batch", "/v1/pareto", "/v1/simulate", "/v1/resolve"} {
-		rec := post(capped, path, huge)
+		rec := post(capped, path, OversizedBody)
 		CheckStructuredError(t, path, rec)
 		if rec.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s oversized body answered %d, want 413\n%s", path, rec.Code, rec.Body.String())
