@@ -230,6 +230,15 @@ func (k *keyWriter) wirePlanKey(doc []byte, rule mapping.Rule, model pipeline.Co
 // compact appends the JSON value doc as json.Compact prints it: the
 // whitespace outside strings is dropped. doc must be valid JSON.
 func (k *keyWriter) compact(doc []byte) {
+	CompactRuns(doc, func(run []byte) { k.buf = append(k.buf, run...) })
+}
+
+// CompactRuns is the one definition of a JSON value's compact bytes, the
+// bytes json.Compact prints: it calls yield, in order, with each maximal
+// non-empty run of doc between whitespace outside strings. doc must be
+// valid JSON. It allocates nothing, so the plan tier's wire keys and the
+// gateway's route keys read compact bytes without copying them.
+func CompactRuns(doc []byte, yield func(run []byte)) {
 	inString, escaped := false, false
 	from := 0
 	for i, c := range doc {
@@ -246,11 +255,15 @@ func (k *keyWriter) compact(doc []byte) {
 		case c == '"':
 			inString = true
 		case c == ' ', c == '\t', c == '\n', c == '\r':
-			k.buf = append(k.buf, doc[from:i]...)
+			if from < i {
+				yield(doc[from:i])
+			}
 			from = i + 1
 		}
 	}
-	k.buf = append(k.buf, doc[from:]...)
+	if from < len(doc) {
+		yield(doc[from:])
+	}
 }
 
 // instance streams the canonical instance encoding: every field that can

@@ -315,3 +315,22 @@ func TestCompactMatchesJSONCompact(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactRunsAllocatesNothing asserts the compact-bytes scanner that
+// every wire plan key and gateway route key runs allocates nothing, and
+// yields only non-empty runs.
+func TestCompactRunsAllocatesNothing(t *testing.T) {
+	doc := []byte("{\n\t\"name\": \"a b\",\r\n \"x\": [ 1 , 2 ]\n}")
+	var n, empty int
+	allocs := testing.AllocsPerRun(100, func() {
+		CompactRuns(doc, func(run []byte) {
+			n += len(run)
+			if len(run) == 0 {
+				empty++
+			}
+		})
+	})
+	if allocs != 0 || empty != 0 || n == 0 {
+		t.Errorf("CompactRuns: %v allocs per run, %d empty runs", allocs, empty)
+	}
+}

@@ -1,6 +1,6 @@
 // Routing on bytes. A /v1/solve body and each job of a /v1/batch
 // document are cut into their raw instance and request bytes, the route
-// key is a hash of those bytes' compact form, and
+// key is a hash of those bytes' compact form (batch.CompactRuns), and
 // sub-batches are spliced from the parts as the client sent them. The
 // cuts decode with encoding/json into json.RawMessage fields and decode
 // no instance. The batch cut reads a document as jobspec.DecodeFile
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/batch"
 	"repro/internal/jobspec"
 )
 
@@ -41,29 +42,10 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 }
 
 // fnv1aCompact folds the JSON value raw into h as json.Compact would
-// print it: whitespace outside strings is skipped. raw must be valid
-// JSON; every cut that hands one out has decoded it.
+// print it (batch.CompactRuns). raw must be valid JSON; every cut that
+// hands one out has decoded it.
 func fnv1aCompact(h uint64, raw []byte) uint64 {
-	inString, escaped := false, false
-	for _, c := range raw {
-		switch {
-		case inString:
-			switch {
-			case escaped:
-				escaped = false
-			case c == '\\':
-				escaped = true
-			case c == '"':
-				inString = false
-			}
-		case c == '"':
-			inString = true
-		case c == ' ', c == '\t', c == '\n', c == '\r':
-			continue
-		}
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
+	batch.CompactRuns(raw, func(run []byte) { h = fnv1a(h, run) })
 	return h
 }
 
