@@ -96,6 +96,25 @@ func TestBatchJobAfterSolveHitsResultMemo(t *testing.T) {
 	}
 }
 
+// TestResolveSharesSolvePlan asserts /v1/resolve resolves its plan by
+// the instance bytes, as /v1/solve does: a resolve after a solve on the
+// same instance, rule and model is a plan-tier hit and compiles nothing.
+func TestResolveSharesSolvePlan(t *testing.T) {
+	s := New(Config{})
+	fig1 := servetest.Fig1JSON(t)
+	if rec := post(s, "/v1/solve", `{"instance": `+fig1+`, "request": {"objective": "period"}}`); rec.Code != http.StatusOK {
+		t.Fatalf("solve: %d %s", rec.Code, rec.Body.String())
+	}
+	before := s.Cache().Stats().Plans
+	rec := post(s, "/v1/resolve", `{"instance": `+fig1+`, "request": {"objective": "period"}, "event": {"kind": "proc-fail", "proc": 0}}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("resolve: %d %s", rec.Code, rec.Body.String())
+	}
+	if after := s.Cache().Stats().Plans; after.Entries != 1 || after.Misses != before.Misses || after.Hits != before.Hits+1 {
+		t.Errorf("plan tier %+v -> %+v, want one entry and one more hit", before, after)
+	}
+}
+
 // TestWhitespaceVariantsShareOnePlan asserts instance documents that
 // differ only in whitespace compile one plan, whichever endpoint sends
 // them.

@@ -183,8 +183,9 @@ type resolveResponse struct {
 // handleResolve exposes the failure re-solve (internal/chaos): solve the
 // pre-fault problem, apply the fault event, re-solve on the mutated
 // instance, and answer both results plus the structured migration diff.
-// The compiled plan for the pre-fault instance is shared with every
-// other endpoint through the cache's plan tier. A fault the instance
+// The compiled plan for the pre-fault instance is resolved by its
+// instance bytes (jobspec.File.Resolve), so it is the plan /v1/solve and
+// /v1/batch resolve the same instance to. A fault the instance
 // cannot absorb (last processor failing, event out of range) is a 422
 // with code "invalid"; an instance the fault leaves infeasible is a 422
 // with code "infeasible".
@@ -204,17 +205,12 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	file := jobspec.File{Instance: body.Instance, Jobs: []jobspec.Job{{Request: body.Request}}}
-	jobs, err := file.BatchJobs()
+	jobs, err := file.Resolve(s.cache)
 	if err != nil {
 		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	job := jobs[0]
-	pl, err, _ := s.cache.PlanFor(job.Inst, job.Req.Rule, job.Req.Model)
-	if err != nil {
-		jobspec.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
 	ev := chaos.Event{Kind: kind, Proc: body.Event.Proc, App: body.Event.App,
 		Stage: body.Event.Stage, Factor: body.Event.Factor}
 	ctx := r.Context()
@@ -225,7 +221,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, 2*b)
 		defer cancel()
 	}
-	res, err := chaos.ResolveCtx(ctx, pl, plan.QueryOf(job.Req), ev)
+	res, err := chaos.ResolveCtx(ctx, job.Plan, plan.QueryOf(job.Req), ev)
 	if err != nil {
 		status := solveStatus(err)
 		if chaos.IsInapplicable(err) {
