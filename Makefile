@@ -99,7 +99,8 @@ chaos:
 	$(GO) run ./cmd/pipebench -exp chaos -instances 36
 
 # fuzz-smoke runs each fuzz target briefly, as CI does: the jobspec
-# schema's and the gateway's cut of batch documents.
+# schema's, and the gateway's cuts of /v1/solve bodies and /v1/batch
+# documents against the replicas' decoders.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzFileRoundTrip$$ -fuzztime=30s ./internal/jobspec/
 	$(GO) test -run=^$$ -fuzz=^FuzzFloatJSON$$ -fuzztime=30s ./internal/jobspec/
