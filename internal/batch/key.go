@@ -239,22 +239,20 @@ func (k *keyWriter) compact(doc []byte) {
 // valid JSON. It allocates nothing, so the plan tier's wire keys and the
 // gateway's route keys read compact bytes without copying them.
 func CompactRuns(doc []byte, yield func(run []byte)) {
-	inString, escaped := false, false
+	inString := false
 	from := 0
-	for i, c := range doc {
-		switch {
-		case inString:
-			switch {
-			case escaped:
-				escaped = false
-			case c == '\\':
-				escaped = true
-			case c == '"':
-				inString = false
-			}
+	for i := 0; i < len(doc); i++ {
+		switch c := doc[i]; {
+		case c > '"' && c != '\\':
+			// Most bytes: none of them opens, closes or escapes in a
+			// string, or is whitespace.
 		case c == '"':
-			inString = true
-		case c == ' ', c == '\t', c == '\n', c == '\r':
+			inString = !inString
+		case c == '\\':
+			i++ // valid JSON has backslashes only in strings; skip the escaped byte
+		case !inString:
+			// Valid JSON has no byte below '"' outside strings but
+			// whitespace.
 			if from < i {
 				yield(doc[from:i])
 			}

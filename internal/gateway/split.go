@@ -123,7 +123,7 @@ func solveKey(body []byte, readErr error) (key string, status int, err error) {
 	if _, status, err := jobspec.DecodeSolve(jobspec.Replay(body, readErr), nil); err != nil {
 		return "", status, err
 	}
-	return "", http.StatusBadRequest, errors.New("gateway: solve request has no route key") // not reached: FuzzGatewaySplit
+	return "", http.StatusBadRequest, errors.New("gateway: solve request has no route key") // not reached: DecodeSolve refuses every body the cut refuses (FuzzGatewaySplit)
 }
 
 // batchDoc is a /v1/batch document cut into its file-level instance (nil
