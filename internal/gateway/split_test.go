@@ -18,6 +18,7 @@ import (
 	"repro/internal/jobspec"
 	"repro/internal/pipeline"
 	"repro/internal/server"
+	"repro/internal/servetest"
 )
 
 // docWriter renders generator scenarios as wire documents in the shapes
@@ -258,6 +259,7 @@ func FuzzGatewaySplit(f *testing.F) {
 	for i := 0; i < 8; i++ {
 		f.Add([]byte(corpusDocument(f, rng, corpus)))
 	}
+	fig1 := servetest.Fig1JSON(f)
 	for _, doc := range []string{
 		`{"jobs": [null, {"request": null}, {}]}`,
 		`{"jobs": [{"request": {"rule": "a"}, "request": {"seed": 1}}]}`,
@@ -281,10 +283,12 @@ func FuzzGatewaySplit(f *testing.F) {
 		`{"jobs": []}`,
 		`{"instance": {"apps": []}, "request": {"seed": 1}, "x": 1}`,
 		`not json`,
+		// The /v1/solve documents of the wire oracle on which the gateway
+		// once answered from its own decode.
+		(`{"instance": ` + fig1 + `, "request": {}}`)[:200],
 		``,
-		`{"instance": {"apps": []}, "request": {"objectve": 1, "seed": "x"}}`,
-		`{"priority": 1, "request": 5, "instance": {"apps": []}}`,
-		`{"instance": {"apps": [{"in": 1, "stages": [{"work": 1, "out": 1}]}]}, "request": {"objec`,
+		`{"instance": ` + fig1 + `, "request": {"objectve": 1, "seed": "x"}}`,
+		`{"priority": 1, "request": 5, "instance": ` + fig1 + `}`,
 	} {
 		f.Add([]byte(doc))
 	}
