@@ -48,18 +48,17 @@
 // tier.
 //
 // On the full path, /v1/solve and /v1/batch bodies are read by
-// jobspec.DecodeSolve and jobspec.DecodeBatch, the decoders pipegateway
-// answers invalid documents with, and they, like /v1/resolve, resolve
-// each job's compiled plan by the bytes of its instance
+// jobspec.DecodeSolve and jobspec.DecodeBatch, which pipegateway also
+// answers invalid documents with. Those two and /v1/resolve resolve each
+// job's compiled plan by the bytes of its instance
 // (jobspec.File.Resolve): the shared cache's plan tier is keyed by the
 // job's rule, model and compact instance document, so a repeated
 // instance skips the instance decode, the validation and the canonical
 // keys, and only the request is decoded, against the plan's instance.
-// /v1/pareto and /v1/simulate decode their instance, and /v1/pareto keys
-// the plan tier canonically; the two kinds of key share no entry (see
-// batch.Cache). Every request body is decoded with jobspec.DecodeStrict,
-// which rejects unknown fields and any bytes after the document but
-// whitespace.
+// /v1/pareto decodes its instance and keys the plan tier canonically;
+// the two kinds of key share no entry (see batch.Cache). Every request
+// body is decoded with jobspec.DecodeStrict, which rejects unknown
+// fields and any bytes after the document but whitespace.
 //
 // On top of the per-request defenses sits a resilience layer for overload
 // and churn (see resilience.go): solver endpoints pass admission control
