@@ -61,49 +61,54 @@ func clamp(c float64) float64 {
 
 // assign is Assign on a clamped row-major n x m matrix, n <= m.
 func assign(c []float64, n, m int) (asg []int, total float64, ok bool) {
-	// 1-based Jonker-Volgenant shortest augmenting paths.
-	u := make([]float64, n+1)
-	v := make([]float64, m+1)
-	minv := make([]float64, m+1)
-	rowOf := make([]int, m+1) // rowOf[j]: row matched to column j, 0 if free
-	way := make([]int, m+1)
-	used := make([]bool, m+1)
+	// 1-based Jonker-Volgenant shortest augmenting paths. Each row's search
+	// scans only its free columns, in ascending order, and subtracts the
+	// previous step's delta from a free column's minv as it reads it; only
+	// the columns on the search path get their duals updated.
+	floats := make([]float64, n+1+2*(m+1))
+	u, v, minv := floats[:n+1], floats[n+1:n+m+2], floats[n+m+2:]
+	ints := make([]int, 4*m+3)
+	rowOf := ints[:m+1] // rowOf[j]: row matched to column j, 0 if free
+	way := ints[m+1 : 2*m+2]
+	free := ints[2*m+2 : 3*m+2]         // columns not on the search path, ascending
+	path := ints[3*m+2 : 3*m+2 : 4*m+3] // columns on the search path, 0 first
 	for i := 1; i <= n; i++ {
 		rowOf[0] = i
 		j0 := 0
 		for j := range minv {
 			minv[j] = math.Inf(1)
-			used[j] = false
 		}
+		free = free[:m]
+		for k := range free {
+			free[k] = k + 1
+		}
+		path = append(path[:0], 0)
+		delta := 0.0 // the step's delta, owed by every free column's minv
 		for {
-			used[j0] = true
 			i0 := rowOf[j0]
 			row := c[(i0-1)*m : i0*m]
-			delta := math.Inf(1)
-			j1 := -1
-			for j := 1; j <= m; j++ {
-				if used[j] {
-					continue
-				}
-				cur := row[j-1] - u[i0] - v[j]
-				if cur < minv[j] {
-					minv[j] = cur
+			ui, owed := u[i0], delta
+			delta = math.Inf(1)
+			k1 := -1
+			for k, j := range free {
+				mv := minv[j] - owed
+				if cur := row[j-1] - ui - v[j]; cur < mv {
+					mv = cur
 					way[j] = j0
 				}
-				if minv[j] < delta {
-					delta = minv[j]
-					j1 = j
+				minv[j] = mv
+				if mv < delta {
+					delta = mv
+					k1 = k
 				}
 			}
-			for j := 0; j <= m; j++ {
-				if used[j] {
-					u[rowOf[j]] += delta
-					v[j] -= delta
-				} else {
-					minv[j] -= delta
-				}
+			for _, j := range path {
+				u[rowOf[j]] += delta
+				v[j] -= delta
 			}
-			j0 = j1
+			j0 = free[k1]
+			free = append(free[:k1], free[k1+1:]...)
+			path = append(path, j0)
 			if rowOf[j0] == 0 {
 				break
 			}
