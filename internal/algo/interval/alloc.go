@@ -39,6 +39,29 @@ func homSetup(inst *pipeline.Instance) (speeds []float64, b float64, err error) 
 	return inst.Platform.Processors[0].Speeds, b, nil
 }
 
+// CycleTimes returns, per application, every cycle time
+// MinLatencyGivenPeriodFullyHom and MinEnergyGivenPeriodFullyHom compare
+// with that application's period bound: each interval of its stages at
+// every common speed, as SingleDP.cost computes it, unsorted and with
+// duplicates kept.
+func CycleTimes(inst *pipeline.Instance, model pipeline.CommModel) [][]float64 {
+	speeds := inst.Platform.Processors[0].Speeds
+	b, _ := inst.Platform.HomogeneousLinks()
+	times := make([][]float64, len(inst.Apps))
+	for a := range inst.Apps {
+		d := NewSingleDP(&inst.Apps[a], speeds, b, model)
+		times[a] = make([]float64, 0, len(speeds)*d.n*(d.n+1)/2)
+		for _, s := range speeds {
+			for f := 0; f < d.n; f++ {
+				for t := f; t < d.n; t++ {
+					times[a] = append(times[a], d.cost(f, t, s))
+				}
+			}
+		}
+	}
+	return times
+}
+
 // assemble turns per-application partitions into a Mapping by handing out
 // processor indices sequentially (processors are identical, so identity
 // does not matter).

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/fmath"
 	"repro/internal/mapping"
@@ -180,15 +181,13 @@ func MinEnergyGivenPeriodCommHom(inst *pipeline.Instance, model pipeline.CommMod
 	cost := make([]float64, len(stages)*p)
 	modeChoice := make([]int, len(stages)*p)
 	for i, r := range stages {
-		app := &inst.Apps[r.app]
-		in, out := commCost(app.InputSize(r.k), b), commCost(app.OutputSize(r.k), b)
+		st := newStageCycle(&inst.Apps[r.app], r.k, b, model)
 		off := 0
 		for u := 0; u < p; u++ {
 			cost[i*p+u] = forbidden
 			modeChoice[i*p+u] = -1
 			for mode, s := range inst.Platform.Processors[u].Speeds {
-				cyc := mapping.IntervalCost(model, in, app.Stages[r.k].Work/s, out)
-				if fmath.LE(cyc, periodBounds[r.app]) {
+				if fmath.LE(st.at(s), periodBounds[r.app]) {
 					cost[i*p+u] = clamp(power[off+mode])
 					modeChoice[i*p+u] = mode
 					break
@@ -212,6 +211,49 @@ func MinEnergyGivenPeriodCommHom(inst *pipeline.Instance, model pipeline.CommMod
 		return mapping.Mapping{}, 0, err
 	}
 	return m, total, nil
+}
+
+// CycleTimes returns, per application, every cycle time
+// MinEnergyGivenPeriodCommHom compares with that application's period
+// bound: each of its stages at every processor speed. Speeds shared by
+// several modes are enumerated once (their cycle times are equal bit for
+// bit); the values are unsorted.
+func CycleTimes(inst *pipeline.Instance, model pipeline.CommModel) [][]float64 {
+	var speeds []float64
+	for u := range inst.Platform.Processors {
+		speeds = append(speeds, inst.Platform.Processors[u].Speeds...)
+	}
+	slices.Sort(speeds)
+	speeds = slices.Compact(speeds)
+	b, _ := inst.Platform.HomogeneousLinks()
+	times := make([][]float64, len(inst.Apps))
+	for a := range inst.Apps {
+		app := &inst.Apps[a]
+		times[a] = make([]float64, 0, len(app.Stages)*len(speeds))
+		for k := range app.Stages {
+			st := newStageCycle(app, k, b, model)
+			for _, s := range speeds {
+				times[a] = append(times[a], st.at(s))
+			}
+		}
+	}
+	return times
+}
+
+// stageCycle is one stage's cycle time on a communication homogeneous
+// platform as a function of the processor speed.
+type stageCycle struct {
+	model         pipeline.CommModel
+	in, work, out float64
+}
+
+func newStageCycle(app *pipeline.Application, k int, b float64, model pipeline.CommModel) stageCycle {
+	return stageCycle{model: model, in: commCost(app.InputSize(k), b), work: app.Stages[k].Work, out: commCost(app.OutputSize(k), b)}
+}
+
+// at returns the stage's cycle time at speed s.
+func (st stageCycle) at(s float64) float64 {
+	return mapping.IntervalCost(st.model, st.in, st.work/s, st.out)
 }
 
 func commCost(vol, b float64) float64 {

@@ -1,10 +1,9 @@
 // Package plan is the compiled-plan layer of the solver: Compile
 // preprocesses one (instance, rule, communication model) triple once into
 // an immutable Plan — validated and privately cloned instance, platform
-// class, per-application work prefix sums, advisory per-application period
-// lower bounds, and (lazily) the exact Pareto candidate-period set — that
-// can then answer many criterion/bound queries without re-deriving any of
-// that state.
+// class, and (lazily) the per-application cycle times and the exact Pareto
+// candidate-period set — that can then answer many criterion/bound
+// queries without re-deriving any of that state.
 //
 // Plan.Solve is bit-identical to core.Solve on the same problem (the
 // differential harness in internal/diffcheck replays every corpus scenario
@@ -21,6 +20,35 @@
 //     solve;
 //   - query keys are encoded into pooled scratch buffers (sync.Pool), so
 //     the hot path does not regrow an arena per call.
+//
+// # Bound classes
+//
+// Three cells key a query by the class of its period bounds instead of
+// their raw floats, so every bound of one class costs one solve:
+//
+//   - energy under period bounds, one-to-one rule, platform not fully
+//     heterogeneous (Theorem 19, matching.MinEnergyGivenPeriodCommHom);
+//   - energy under period bounds, interval rule, fully homogeneous
+//     platform (Theorems 18 and 21, interval.MinEnergyGivenPeriodFullyHom);
+//   - latency under period bounds with no energy budget, interval rule,
+//     fully homogeneous platform (Theorem 16,
+//     interval.MinLatencyGivenPeriodFullyHom).
+//
+// Each needs PeriodBounds of length len(Apps) and nil LatencyBounds; every
+// other query, including the one-to-one cells of fully homogeneous
+// platforms (their check reads Evaluate's periods) and every exact or
+// heuristic fallback, keeps its raw key. The algorithms of these cells
+// read application a's period bound B in one way only: fmath.LE(x, B) for
+// cycle times x that matching.CycleTimes or interval.CycleTimes enumerate
+// from the same expressions. For x >= 0, LE(x, B) is monotone in x, so the
+// cycle times B admits are a prefix of a's sorted set (NaNs, which LE
+// never admits, left out) and their count fixes the outcome of every
+// comparison; two bounds with equal counts for every application therefore
+// get the same answer bit for bit. The class key is a tag no raw key
+// starts with, the objective, one count per application and the remaining
+// query fields. A set may drop exact duplicates but never merges values
+// within fmath.Eps: two cycle times the algorithm tells apart must count
+// separately.
 //
 // A Plan is safe for concurrent use by any number of goroutines; every
 // returned Result is an independent deep copy, so callers can mutate their
@@ -39,9 +67,12 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"sort"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/algo/interval"
+	"repro/internal/algo/matching"
 	"repro/internal/core"
 	"repro/internal/fmath"
 	"repro/internal/mapping"
@@ -98,11 +129,11 @@ type Plan struct {
 	model pipeline.CommModel
 	cls   pipeline.Class
 
-	// prefixes[a] is Apps[a].WorkPrefix(), computed once.
-	prefixes [][]float64
-	// periodLB[a] is an advisory lower bound on application a's unweighted
-	// period under any mapping (see PeriodLowerBounds).
-	periodLB []float64
+	// cycles[a] holds every cycle time of application a the rule's
+	// polynomial algorithms compare with a period bound, sorted ascending;
+	// built on first use (see cycleTimes).
+	cyclesOnce sync.Once
+	cycles     [][]float64
 
 	candsOnce sync.Once
 	cands     []float64
@@ -181,24 +212,6 @@ func CompileShared(inst *pipeline.Instance, rule mapping.Rule, model pipeline.Co
 		digest:  digestKey(planKey),
 	}
 	p.cls = p.inst.Platform.Classify()
-	p.prefixes = make([][]float64, len(p.inst.Apps))
-	p.periodLB = make([]float64, len(p.inst.Apps))
-	maxSpeed := 0.0
-	for u := range p.inst.Platform.Processors {
-		maxSpeed = math.Max(maxSpeed, p.inst.Platform.Processors[u].MaxSpeed())
-	}
-	for a := range p.inst.Apps {
-		app := &p.inst.Apps[a]
-		p.prefixes[a] = app.WorkPrefix()
-		// Any interval containing stage k computes at least work_k at some
-		// speed <= maxSpeed, and the interval's cycle time is at least its
-		// computation time under both communication models.
-		lb := 0.0
-		for k := range app.Stages {
-			lb = math.Max(lb, app.Stages[k].Work/maxSpeed)
-		}
-		p.periodLB[a] = lb
-	}
 	return p, nil
 }
 
@@ -214,18 +227,6 @@ func (p *Plan) Model() pipeline.CommModel { return p.model }
 
 // Class returns the platform class computed at compile time.
 func (p *Plan) Class() pipeline.Class { return p.cls }
-
-// WorkPrefix returns application a's precomputed work prefix sums (shared,
-// read-only).
-func (p *Plan) WorkPrefix(a int) []float64 { return p.prefixes[a] }
-
-// PeriodLowerBounds returns an advisory per-application lower bound on the
-// unweighted period achievable by any mapping under any rule: no interval's
-// cycle time can undercut its largest stage at the platform's fastest
-// speed. The slice is shared, read-only. It is advisory — admission control
-// can reject hopeless period bounds early — and is never used to shortcut
-// Solve, which must stay bit-identical to core.Solve.
-func (p *Plan) PeriodLowerBounds() []float64 { return p.periodLB }
 
 // Request materializes the full core.Request a query stands for.
 func (p *Plan) Request(q Query) core.Request {
@@ -343,7 +344,12 @@ func (p *Plan) await(ctx context.Context, e *memo.Entry[Stored], q Query, hit bo
 // Without install, only a published entry is found.
 func (p *Plan) lookup(q Query, install bool) (e *memo.Entry[Stored], hit bool) {
 	kp := keyPool.Get().(*[]byte)
-	buf := appendQueryKey(append((*kp)[:0], p.digest[:]...), q)
+	buf := append((*kp)[:0], p.digest[:]...)
+	if p.boundClassed(q) {
+		buf = p.appendClassKey(buf, q)
+	} else {
+		buf = appendQueryKey(buf, q)
+	}
 	if install {
 		e, hit = p.memo.Get(buf)
 	} else {
@@ -505,87 +511,106 @@ func (p *Plan) QueryStats() Stats {
 
 // ParetoCandidates returns the exact candidate set of achievable weighted
 // global period values for the plan's rule, computed once per plan and
-// shared thereafter (read-only). It is meaningful on the platform classes
+// shared thereafter (read-only): every W_a times one of application a's
+// cycle times (see cycleTimes). It is meaningful on the platform classes
 // where the paper's bi-criteria sweeps are polynomial: interval mappings on
-// fully homogeneous platforms (every W_a times the cycle time of any stage
-// interval at any common speed) and one-to-one mappings on communication
-// homogeneous platforms (every W_a times any single stage's cycle time at
-// any processor mode).
+// fully homogeneous platforms and one-to-one mappings on communication
+// homogeneous platforms.
 func (p *Plan) ParetoCandidates() []float64 {
 	p.candsOnce.Do(func() {
-		if p.rule == mapping.Interval {
-			p.cands = p.intervalCandidates()
-		} else {
-			p.cands = p.oneToOneCandidates()
+		var cands []float64
+		for a, times := range p.cycleTimes() {
+			w := p.inst.Apps[a].EffectiveWeight()
+			for _, x := range times {
+				cands = append(cands, w*x)
+			}
 		}
+		p.cands = fmath.SortedUnique(cands)
 	})
 	return p.cands
 }
 
-// intervalCandidates enumerates W_a * cycle time of every stage interval at
-// every common speed (fully homogeneous platforms).
-func (p *Plan) intervalCandidates() []float64 {
-	speeds := p.inst.Platform.Processors[0].Speeds
-	b, _ := p.inst.Platform.HomogeneousLinks()
-	var cands []float64
-	for a := range p.inst.Apps {
-		w := p.inst.Apps[a].EffectiveWeight()
-		app := &p.inst.Apps[a]
-		pre := p.prefixes[a]
-		n := app.NumStages()
-		for _, s := range speeds {
-			for f := 0; f < n; f++ {
-				for t := f; t < n; t++ {
-					in, out := 0.0, 0.0
-					if v := app.InputSize(f); v > 0 {
-						in = v / b
-					}
-					if v := app.OutputSize(t); v > 0 {
-						out = v / b
-					}
-					cands = append(cands, w*mapping.IntervalCost(p.model, in, (pre[t+1]-pre[f])/s, out))
-				}
-			}
+// cycleTimes returns, per application, every cycle time the plan rule's
+// polynomial algorithms compare with that application's period bound:
+// every stage interval at every common speed for interval mappings
+// (interval.CycleTimes), every stage at every processor speed for
+// one-to-one mappings (matching.CycleTimes). Each set is sorted ascending
+// without its NaNs; nothing is merged within fmath.Eps.
+func (p *Plan) cycleTimes() [][]float64 {
+	p.cyclesOnce.Do(func() {
+		if p.rule == mapping.Interval {
+			p.cycles = interval.CycleTimes(&p.inst, p.model)
+		} else {
+			p.cycles = matching.CycleTimes(&p.inst, p.model)
 		}
-	}
-	return fmath.SortedUnique(cands)
+		for a, times := range p.cycles {
+			sort.Float64s(times)
+			// NaNs (intervals over work sums that overflow) sort first;
+			// LE admits them under no bound, so no count includes them.
+			p.cycles[a] = times[sort.Search(len(times), func(i int) bool { return !math.IsNaN(times[i]) }):]
+		}
+	})
+	return p.cycles
 }
 
-// oneToOneCandidates enumerates W_a * any single stage's cycle time at any
-// processor mode (communication homogeneous platforms).
-func (p *Plan) oneToOneCandidates() []float64 {
-	b, _ := p.inst.Platform.HomogeneousLinks()
-	var cands []float64
-	for a := range p.inst.Apps {
-		app := &p.inst.Apps[a]
-		w := app.EffectiveWeight()
-		for k := range app.Stages {
-			in, out := 0.0, 0.0
-			if v := app.InputSize(k); v > 0 {
-				in = v / b
-			}
-			if v := app.OutputSize(k); v > 0 {
-				out = v / b
-			}
-			for u := range p.inst.Platform.Processors {
-				for _, s := range p.inst.Platform.Processors[u].Speeds {
-					cands = append(cands, w*mapping.IntervalCost(p.model, in, app.Stages[k].Work/s, out))
-				}
-			}
-		}
+// boundClassed reports whether q is keyed by bound class: it is in one of
+// the cells whose algorithm reads each period bound only through
+// fmath.LE(cycle time, bound), for cycle times that cycleTimes enumerates
+// (see the package docs).
+func (p *Plan) boundClassed(q Query) bool {
+	if q.PeriodBounds == nil || len(q.PeriodBounds) != len(p.inst.Apps) || q.LatencyBounds != nil {
+		return false
 	}
-	return fmath.SortedUnique(cands)
+	switch {
+	case q.Objective == core.Energy && p.rule == mapping.OneToOne:
+		return p.cls != pipeline.FullyHeterogeneous // Theorem 19
+	case q.Objective == core.Energy && p.rule == mapping.Interval, // Theorems 18, 21
+		q.Objective == core.Latency && q.EnergyBudget <= 0 && p.rule == mapping.Interval: // Theorem 16
+		return p.cls == pipeline.FullyHomogeneous
+	}
+	return false
 }
 
-// appendQueryKey appends a canonical binary encoding of the query to dst:
-// every field is written with an explicit presence/length tag so no two
+// Query key tags: the first byte after the plan digest tells a raw key
+// from a bound-class key, so no two keys of different kinds are equal.
+const (
+	rawKey   byte = 0
+	classKey byte = 1
+)
+
+// appendClassKey appends q's bound-class key: the objective, then for each
+// application the number of its cycle times its period bound admits, then
+// the remaining query fields as appendQueryKey writes them. LE(x, bound)
+// is monotone in x, so the admitted cycle times are a prefix of the sorted
+// set and the count fixes every comparison the algorithm makes.
+func (p *Plan) appendClassKey(dst []byte, q Query) []byte {
+	dst = append(dst, classKey)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(q.Objective))
+	for a, times := range p.cycleTimes() {
+		bound := q.PeriodBounds[a]
+		n := sort.Search(len(times), func(i int) bool { return !fmath.LE(times[i], bound) })
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(n))
+	}
+	return appendTuning(dst, q)
+}
+
+// appendQueryKey appends the query's raw key to dst: the rawKey tag, then
+// a canonical binary encoding of the query, in which every field is
+// written with an explicit presence/length tag so no two
 // distinct queries share an encoding (floats as IEEE-754 bit patterns, nil
 // slices distinguished from empty ones — "unconstrained" differs from
 // "constrained by an empty array" to the solver's bound checks).
 func appendQueryKey(dst []byte, q Query) []byte {
+	dst = append(dst, rawKey)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(q.Objective))
 	dst = appendFloats(dst, q.PeriodBounds)
 	dst = appendFloats(dst, q.LatencyBounds)
+	return appendTuning(dst, q)
+}
+
+// appendTuning appends the query fields after its bounds: the energy
+// budget and the fallbacks' tuning.
+func appendTuning(dst []byte, q Query) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(q.EnergyBudget))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(q.ExactLimit))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(q.Seed))

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
 
 	"repro/internal/jobspec"
+	"repro/internal/pipeline"
 	"repro/internal/servetest"
 )
 
@@ -163,5 +165,47 @@ func TestInvalidInstanceLeavesPlanTier(t *testing.T) {
 	}
 	if after := s.Cache().Stats().Plans; after.Entries != before.Entries || after.Evictions != before.Evictions || after.Misses != before.Misses {
 		t.Errorf("invalid instances moved the plan tier from %+v to %+v", before, after)
+	}
+}
+
+// TestBatchBoundClassHitsResultMemo sends two /v1/batch documents on one
+// fully homogeneous instance that ask for energy under period bounds of
+// 2.5 and 2.6: the bounds differ but admit the same cycle times (no
+// interval of works 3, 1, 4, 1, 5 at speed 1, 2 or 4 takes longer than 2.5
+// and at most 2.6), so the second job is a result-memo hit. Each slot is
+// jobspec.EncodeResult of core.Solve on its own document's bounds.
+func TestBatchBoundClassHitsResultMemo(t *testing.T) {
+	app := pipeline.NewUniformApplication("chain", 5, 1)
+	for k, w := range []float64{3, 1, 4, 1, 5} {
+		app.Stages[k].Work, app.Stages[k].Out = w, 0
+	}
+	app.In = 0
+	inst := pipeline.Instance{
+		Apps:     []pipeline.Application{app},
+		Platform: pipeline.NewHomogeneousPlatform(4, []float64{1, 2, 4}, 1, 1),
+		Energy:   pipeline.DefaultEnergy,
+	}
+	var doc bytes.Buffer
+	if err := pipeline.EncodeJSON(&doc, &inst); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	for i, bound := range []string{"2.5", "2.6"} {
+		req := `{"rule": "interval", "objective": "energy", "periodBounds": [` + bound + `]}`
+		hits := s.Cache().Stats().Hits
+		rec := post(s, "/v1/batch", `{"instance": `+doc.String()+`, "jobs": [{"request": `+req+`}]}`)
+		var out struct {
+			Results []json.RawMessage `json:"results"`
+			Stats   jobspec.Stats     `json:"stats"`
+		}
+		decode(t, rec, &out)
+		if want := hits + int64(i); s.Cache().Stats().Hits != want || out.Stats.CacheHits != i {
+			t.Errorf("bound %s: result memo hits %d -> %d, batch cacheHits %d; want %d more",
+				bound, hits, s.Cache().Stats().Hits, out.Stats.CacheHits, i)
+		}
+		want := canonicalAnswer(t, `{"instance": `+doc.String()+`, "request": `+req+`}`)
+		if slot := string(out.Results[0]) + "\n"; slot != string(want) {
+			t.Errorf("bound %s: slot %q, core.Solve encodes %q", bound, slot, want)
+		}
 	}
 }
