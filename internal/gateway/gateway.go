@@ -471,7 +471,7 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleOpaque(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		jobspec.WriteError(w, jobspec.DecodeStatus(err), err)
+		jobspec.WriteError(w, jobspec.DecodeStatus(err), jobspec.BodyError(err))
 		return
 	}
 	g.forward(w, r, hexKey(fnv1a(fnv1a(fnvOffset, r.URL.Path), body)), body)

@@ -610,14 +610,14 @@ func TestGatewayPropertyErrorResponsesAreStructuredJSON(t *testing.T) {
 // TestGatewayOversizedBodyAllEndpoints asserts the gateway's body cap
 // protects every POST endpoint with a structured 413 before anything is
 // forwarded, under the same rule as the server's, and that an oversized
-// /v1/solve or /v1/batch document gets the answer of a replica with the
+// document to any POST endpoint gets the answer of a replica with the
 // same cap.
 func TestGatewayOversizedBodyAllEndpoints(t *testing.T) {
 	urls, _ := startReplicas(t, 1, server.Config{})
 	capped := newGateway(t, urls, Config{MaxBody: 1024})
 	servetest.OversizedBodyAllEndpoints(t, capped, newGateway(t, urls, Config{}))
 	replica := server.New(server.Config{MaxBody: 1024})
-	for _, path := range []string{"/v1/solve", "/v1/batch"} {
+	for _, path := range []string{"/v1/solve", "/v1/batch", "/v1/pareto", "/v1/simulate", "/v1/resolve"} {
 		direct := httptest.NewRecorder()
 		replica.ServeHTTP(direct, httptest.NewRequest("POST", path, strings.NewReader(servetest.OversizedBody)))
 		if rec := postGateway(capped, path, servetest.OversizedBody); rec.Code != direct.Code || rec.Body.String() != direct.Body.String() {

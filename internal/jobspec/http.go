@@ -80,13 +80,17 @@ type errReader struct{ err error }
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // DecodeBody decodes a request body into dst with DecodeStrict; its
-// errors read "decoding request body: ...".
+// errors are BodyError's.
 func DecodeBody(r io.Reader, dst any) error {
 	if err := DecodeStrict(r, dst); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
+		return BodyError(err)
 	}
 	return nil
 }
+
+// BodyError is how every handler reports a request body it could not
+// read or decode: "decoding request body: " and the failure.
+func BodyError(err error) error { return fmt.Errorf("decoding request body: %w", err) }
 
 // DecodeSolve reads a /v1/solve body, one Job whose instance is
 // required, and resolves it through c (File.Resolve; a nil c decodes the
