@@ -56,7 +56,8 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # microbench runs each microbenchmark once — the solver's (BenchmarkAnneal,
-# BenchmarkHeuristicSolve), the canonical keys' (BenchmarkKey,
+# BenchmarkHeuristicSolve, BenchmarkAssign), the plan tier's
+# (BenchmarkPlanBoundClass), the canonical keys' (BenchmarkKey,
 # BenchmarkPlanKey, BenchmarkCacheHit), the wire schema's
 # (BenchmarkBatchJobs, BenchmarkEncodeOutput), the server's
 # (BenchmarkServerSolveHit), the gateway's (BenchmarkRingRoute,
@@ -65,7 +66,7 @@ bench:
 # — so they keep compiling and running. Time them with -benchtime 1s
 # -count 5 before and after a change to their package.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/algo/heur ./internal/core ./internal/batch ./internal/jobspec ./internal/server ./internal/gateway
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/algo/heur ./internal/algo/matching ./internal/core ./internal/plan ./internal/batch ./internal/jobspec ./internal/server ./internal/gateway
 	$(GO) test -run '^$$' -bench SimulatorValidation -benchtime 1x .
 
 # bench-corpus regenerates the committed solver baseline BENCH_solver.json
