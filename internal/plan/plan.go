@@ -596,9 +596,9 @@ func (p *Plan) appendClassKey(dst []byte, q Query) []byte {
 
 // appendQueryKey appends the query's raw key to dst: the rawKey tag, then
 // a canonical binary encoding of the query, in which every field is
-// written with an explicit presence/length tag so no two
-// distinct queries share an encoding (floats as IEEE-754 bit patterns, nil
-// slices distinguished from empty ones — "unconstrained" differs from
+// written with an explicit presence/length tag so no two distinct queries
+// share an encoding (floats as IEEE-754 bit patterns, nil slices
+// distinguished from empty ones — "unconstrained" differs from
 // "constrained by an empty array" to the solver's bound checks).
 func appendQueryKey(dst []byte, q Query) []byte {
 	dst = append(dst, rawKey)
