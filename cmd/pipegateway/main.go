@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"repro/internal/gateway"
+	"repro/internal/jobspec"
 )
 
 func main() {
@@ -103,27 +104,7 @@ func run(args []string) error {
 	gw.StartProbes(ctx, *probeInterval)
 
 	httpSrv := &http.Server{Addr: *addr, Handler: gw}
-	errc := make(chan error, 1)
-	go func() {
-		logger.Printf("listening on %s, routing %d replicas (vnodes=%d retries=%d http-timeout=%v)",
-			*addr, len(urls), *vnodes, *retries, *httpTimeout)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errc:
-		return err // listener failed before any signal
-	case <-ctx.Done():
-	}
-	logger.Printf("shutting down, draining in-flight requests (budget %v)", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	logger.Printf("bye")
-	return nil
+	logger.Printf("listening on %s, routing %d replicas (vnodes=%d retries=%d http-timeout=%v)",
+		*addr, len(urls), *vnodes, *retries, *httpTimeout)
+	return jobspec.Serve(ctx, httpSrv, *drain, logger, nil)
 }

@@ -58,7 +58,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -68,6 +67,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/jobspec"
 	"repro/internal/server"
 )
 
@@ -113,28 +113,8 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	errc := make(chan error, 1)
-	go func() {
-		logger.Printf("listening on %s (workers=%d cache-cap=%d timeout=%v)",
-			*addr, *workers, *cacheCap, *timeout)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errc:
-		return err // listener failed before any signal
-	case <-ctx.Done():
-	}
-	logger.Printf("shutting down, draining in-flight requests (budget %v)", *drain)
-	srv.SetDraining(true) // /readyz answers 503 from here on; /healthz stays up
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	logger.Printf("bye")
-	return nil
+	logger.Printf("listening on %s (workers=%d cache-cap=%d timeout=%v)",
+		*addr, *workers, *cacheCap, *timeout)
+	// /readyz answers 503 once draining starts; /healthz stays up.
+	return jobspec.Serve(ctx, httpSrv, *drain, logger, func() { srv.SetDraining(true) })
 }

@@ -337,7 +337,7 @@ func solveDeduped(ctx context.Context, jobs []Job, workers int, cache *Cache, bu
 						if n == 0 {
 							jr.Result = res
 						} else {
-							jr.Result = cloneResult(res)
+							jr.Result = res.Clone()
 						}
 					}
 					results[i] = jr
@@ -348,18 +348,4 @@ func solveDeduped(ctx context.Context, jobs []Job, workers int, cache *Cache, bu
 	}
 	dispatch(ctx, len(keyOrder), tasks, skipGroup)
 	wg.Wait()
-}
-
-// cloneResult deep-copies the slice-bearing parts of a Result so cached
-// values stay immutable no matter what callers do with their copies.
-func cloneResult(r core.Result) core.Result {
-	c := r
-	c.Mapping = r.Mapping.Clone()
-	if r.Metrics.AppPeriods != nil {
-		c.Metrics.AppPeriods = append([]float64(nil), r.Metrics.AppPeriods...)
-	}
-	if r.Metrics.AppLatencies != nil {
-		c.Metrics.AppLatencies = append([]float64(nil), r.Metrics.AppLatencies...)
-	}
-	return c
 }

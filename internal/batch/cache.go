@@ -3,6 +3,7 @@ package batch
 import (
 	"bytes"
 
+	"repro/internal/core"
 	"repro/internal/mapping"
 	"repro/internal/memo"
 	"repro/internal/pipeline"
@@ -28,22 +29,19 @@ import (
 //     (PlanKey). Wire callers (PlanForJSON) key an instance document by
 //     its compact bytes as sent, so a hit skips the decode, the
 //     validation and the canonical key. Either key is the bytes
-//     themselves, not a digest, so keys never collide, and it is the
-//     plan key the plan's answers carry. The two kinds never share an
-//     entry: an instance asked for both ways is compiled twice and its
-//     answers are memoized twice, and two documents of one instance that
-//     differ in more than whitespace (key order, number spelling) are two
-//     plans;
+//     themselves, not a digest, so keys never collide. The two kinds never
+//     share an entry: an instance asked for both ways is compiled twice
+//     and its answers are memoized twice, and two documents of one
+//     instance that differ in more than whitespace (key order, number
+//     spelling) are two plans;
 //   - the result memo holds the answered queries of all those plans. Each
-//     plan compiled here answers from it (plan.CompileShared), keyed by a
-//     fixed-width digest of the plan key followed by the query encoding,
-//     so a plan's memoized answer is stored once and its key stays small
-//     however large the instance. Each answer carries the plan key string
-//     of the plan-tier entry that compiled its plan (shared, not copied),
-//     and a hit counts only when that key equals the asking plan's: a plan
-//     whose digest collides with another's solves without the memo, so no
-//     answer rests on the digest alone. A repeated job is answered by a
-//     plan-tier hit plus a result-memo hit.
+//     plan compiled here answers from it (plan.CompileShared), keyed by
+//     the plan's process-unique id followed by the query encoding, so a
+//     plan's answers are its own and a key stays small however large the
+//     instance. A repeated job is answered by a plan-tier hit plus a
+//     result-memo hit. A plan evicted from the plan tier and compiled
+//     again is a new plan with a new id: its predecessor's answers are no
+//     longer reached and age out of the result memo.
 //
 // A cache built with NewCacheCap is bounded: each tier holds at most the
 // configured number of entries and evicts its least recently used entry
@@ -52,7 +50,7 @@ import (
 //
 // The zero value is not usable; call NewCache or NewCacheCap.
 type Cache struct {
-	results *memo.Memo[plan.Stored]
+	results *memo.Memo[core.Result]
 	plans   *memo.Memo[*plan.Plan]
 }
 
@@ -64,7 +62,7 @@ func NewCache() *Cache { return NewCacheCap(0) }
 // beyond it; a non-positive maxEntries means unbounded.
 func NewCacheCap(maxEntries int) *Cache {
 	return &Cache{
-		results: memo.New[plan.Stored](maxEntries),
+		results: memo.New[core.Result](maxEntries),
 		plans:   memo.New[*plan.Plan](maxEntries),
 	}
 }
@@ -128,13 +126,12 @@ func (c *Cache) PlanForJSON(doc []byte, rule mapping.Rule, model pipeline.CommMo
 }
 
 // plan returns the plan-tier entry for key, compiling (inst, rule, model)
-// into it on first arrival. The plan's stored answers carry the entry's
-// copy of the key, shared rather than copied again.
+// into it on first arrival.
 func (c *Cache) plan(key []byte, inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) (pl *plan.Plan, err error, hit bool) {
 	e, hit := c.plans.Get(key)
 	if !hit {
 		e.Fill(func() (*plan.Plan, error) {
-			return plan.CompileShared(inst, rule, model, c.results, e.Key())
+			return plan.CompileShared(inst, rule, model, c.results)
 		})
 	}
 	pl, err = wait(e)

@@ -210,7 +210,7 @@ func TestSolvePanicConfinedToSlot(t *testing.T) {
 
 // TestCacheReturnsIndependentCopies is the aliasing regression: mutating a
 // Result returned through the cache must not corrupt the memoized mapping
-// observed by a later hit.
+// observed by a later hit, nor a duplicate's slot in the same batch.
 func TestCacheReturnsIndependentCopies(t *testing.T) {
 	inst := pipeline.MotivatingExample()
 	job := seedJob(&inst, 3)
@@ -233,6 +233,60 @@ func TestCacheReturnsIndependentCopies(t *testing.T) {
 	second.Result.Mapping.Apps[0].Intervals[0].Mode = 42
 	if third, _ := solveVia(t, c, job); !reflect.DeepEqual(third.Result, want) {
 		t.Error("second mutation leaked into the memoized value")
+	}
+
+	// Two slots of one batch answered by one solve.
+	dup := seedJob(&inst, 4)
+	results, _ := Solve([]Job{dup, dup}, Options{Cache: NewCache(), Workers: 1})
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("duplicate slot %d: %v", i, r.Err)
+		}
+	}
+	results[0].Result.Mapping.Apps[0].Intervals[0].Proc = 99
+	results[0].Result.Metrics.AppPeriods[0] = -1
+	results[0].Result.Metrics.AppLatencies[0] = -1
+	if want, _ := core.Solve(dup.Inst, dup.Req); !reflect.DeepEqual(results[1].Result, want) {
+		t.Errorf("mutating slot 0 leaked into its duplicate:\ngot  %+v\nwant %+v", results[1].Result, want)
+	}
+}
+
+// TestRecompiledPlanMissesOldAnswers pins the identity rule of the result
+// memo: a plan evicted from the plan tier and compiled again is a new plan,
+// so it does not read the answers its predecessor left in the result memo.
+func TestRecompiledPlanMissesOldAnswers(t *testing.T) {
+	inst := func(w float64) *pipeline.Instance {
+		in := pipeline.MotivatingExample()
+		in.Apps[0].Weight = w // distinct plan keys
+		return &in
+	}
+	a, b, cc := inst(1), inst(2), inst(3)
+	c := NewCacheCap(2)
+	job := seedJob(a, 3)
+	want, err := core.Solve(job.Inst, job.Req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, hit := solveVia(t, c, job); hit {
+		t.Fatal("first ask of plan A hit")
+	}
+	for _, in := range []*pipeline.Instance{b, cc} {
+		if _, err, _ := c.PlanFor(in, mapping.Interval, pipeline.Overlap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Plans.Evictions != 1 || st.Entries != 1 {
+		t.Fatalf("after compiling B and C: %d plan evictions, %d memoized answers, want 1 and 1", st.Plans.Evictions, st.Entries)
+	}
+	res, hit := solveVia(t, c, job)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if hit {
+		t.Error("recompiled plan A hit its predecessor's answer")
+	}
+	if !reflect.DeepEqual(res.Result, want) {
+		t.Errorf("recompiled plan A answered %+v, want %+v", res.Result, want)
 	}
 }
 

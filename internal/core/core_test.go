@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/algo/exact"
@@ -276,5 +277,47 @@ func TestSolveLatencyWithPeriodAndEnergy(t *testing.T) {
 func TestCriterionStrings(t *testing.T) {
 	if Period.String() != "period" || Latency.String() != "latency" || Energy.String() != "energy" {
 		t.Error("unexpected criterion strings")
+	}
+}
+
+// TestResultClone pins Result.Clone: the copy is DeepEqual to the original,
+// nil and empty slices included, and shares no backing array with it.
+func TestResultClone(t *testing.T) {
+	for _, r := range []Result{
+		{},
+		{Value: 2, Mapping: mapping.Mapping{Apps: []mapping.AppMapping{}}, Metrics: mapping.Metrics{AppPeriods: []float64{}}},
+		{
+			Value: 3,
+			Mapping: mapping.Mapping{Apps: []mapping.AppMapping{
+				{Intervals: []mapping.PlacedInterval{{From: 0, To: 1, Proc: 2, Mode: 1}, {From: 2, To: 3, Proc: 0}}},
+				{},
+				{Intervals: []mapping.PlacedInterval{}},
+				{Intervals: []mapping.PlacedInterval{{Proc: 1}}},
+			}},
+			Metrics: mapping.Metrics{AppPeriods: []float64{1, 2, 3, 4}, AppLatencies: []float64{5, 6, 7, 8}},
+		},
+	} {
+		c := r.Clone()
+		if !reflect.DeepEqual(c, r) {
+			t.Fatalf("clone %+v differs from %+v", c, r)
+		}
+		if r.Value != 3 {
+			continue
+		}
+		// Appending to one copied slice must not spill into its neighbour
+		// in the shared backing array.
+		c.Mapping.Apps[0].Intervals = append(c.Mapping.Apps[0].Intervals, mapping.PlacedInterval{Proc: -2})
+		c.Metrics.AppPeriods = append(c.Metrics.AppPeriods, -2)
+		if c.Mapping.Apps[3].Intervals[0].Proc != 1 || c.Metrics.AppLatencies[0] != 5 {
+			t.Fatalf("append to a cloned slice spilled into its neighbour: %+v", c)
+		}
+		c.Mapping.Apps[0].Intervals[1].Proc = -1
+		c.Mapping.Apps[3].Intervals[0].Proc = -1
+		c.Metrics.AppPeriods[3] = -1
+		c.Metrics.AppLatencies[0] = -1
+		if r.Mapping.Apps[0].Intervals[1].Proc != 0 || r.Mapping.Apps[3].Intervals[0].Proc != 1 ||
+			r.Metrics.AppPeriods[3] != 4 || r.Metrics.AppLatencies[0] != 5 {
+			t.Fatalf("mutating the clone changed the original: %+v", r)
+		}
 	}
 }

@@ -1,19 +1,21 @@
 // The HTTP serving skeleton shared by pipeserved (internal/server) and
 // pipegateway (internal/gateway): the response writers, the error
 // document, the body-cap rule, the decoders of /v1/solve and /v1/batch
-// documents, the per-route request counters and the probe writer. Both
-// front ends answer with exactly these documents, so a client (or the
-// gateway relaying a replica's answer) sees one wire format whichever
-// process it talks to.
+// documents, the per-route request counters, the probe writer and the
+// listen-and-drain loop. Both front ends answer with exactly these
+// documents, so a client (or the gateway relaying a replica's answer)
+// sees one wire format whichever process it talks to.
 
 package jobspec
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"strconv"
 	"strings"
@@ -22,6 +24,36 @@ import (
 
 	"repro/internal/batch"
 )
+
+// Serve runs srv until ctx is done (the caller's signal context), then
+// shuts it down gracefully: it calls onDrain, if not nil, as draining
+// starts, closes the listener and gives in-flight requests the drain
+// budget to finish. A listener that fails before ctx is done returns its
+// error.
+func Serve(ctx context.Context, srv *http.Server, drain time.Duration, logger *log.Logger, onDrain func()) error {
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	select {
+	case err := <-errc:
+		return err // listener failed before any signal
+	case <-ctx.Done():
+	}
+	logger.Printf("shutting down, draining in-flight requests (budget %v)", drain)
+	if onDrain != nil {
+		onDrain()
+	}
+	// ctx is done by now: the drain budget keeps its values, not its end.
+	shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drain)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	logger.Printf("bye")
+	return nil
+}
 
 // DefaultMaxBody is the request body cap, in bytes, of a handler whose
 // configured cap is 0.

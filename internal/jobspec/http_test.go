@@ -2,12 +2,15 @@ package jobspec
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -279,5 +282,53 @@ func BenchmarkBatchJobs(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestServe drives the listen-and-drain loop: a listener that cannot bind
+// returns its error before any signal; a served listener drains on the
+// signal context, calling the hook once, and returns nil.
+func TestServe(t *testing.T) {
+	logger := log.New(io.Discard, "", 0)
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	busy := &http.Server{Addr: taken.Addr().String(), Handler: http.NotFoundHandler()}
+	if err := Serve(context.Background(), busy, time.Second, logger, nil); err == nil {
+		t.Fatal("Serve on a taken address returned nil")
+	}
+
+	free, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := free.Addr().String()
+	free.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	srv := &http.Server{Addr: addr, Handler: http.HandlerFunc(Healthz)}
+	drained := 0
+	done := make(chan error, 1)
+	go func() { done <- Serve(ctx, srv, time.Second, logger, func() { drained++ }) }()
+	for i := 0; ; i++ {
+		resp, err := http.Get("http://" + addr + "/")
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		if i == 100 {
+			t.Fatalf("server did not come up: %v", err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil || drained != 1 {
+			t.Fatalf("Serve returned %v with %d drain calls, want nil and 1", err, drained)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after its context was done")
 	}
 }

@@ -133,10 +133,6 @@ func (e *Entry[V]) Fill(compute func() (V, error)) {
 	e.val, e.err = compute()
 }
 
-// Key returns the memo's own copy of e's key, which a computation may keep
-// without copying it again.
-func (e *Entry[V]) Key() string { return e.key }
-
 // Ready is closed once e is published.
 func (e *Entry[V]) Ready() <-chan struct{} { return e.ready }
 

@@ -34,7 +34,8 @@ func TestSolveCtxBackgroundIsSolve(t *testing.T) {
 
 // TestSolveCtxExpiredDeadlineDegrades pins the graceful-degradation
 // contract: an already-expired deadline answers from the reduced-effort
-// path, tagged Preempted, without touching the memo.
+// path, tagged Preempted, without touching the memo, and counts as one
+// query.
 func TestSolveCtxExpiredDeadlineDegrades(t *testing.T) {
 	mi := pipeline.MotivatingExample()
 	p, err := Compile(&mi, mapping.Interval, pipeline.Overlap)
@@ -52,8 +53,8 @@ func TestSolveCtxExpiredDeadlineDegrades(t *testing.T) {
 		t.Fatalf("expired-deadline result not tagged Preempted: %+v", res)
 	}
 	st := p.QueryStats()
-	if st.Degraded != 1 {
-		t.Fatalf("Degraded counter = %d, want 1", st.Degraded)
+	if st.Degraded != 1 || st.Queries != 1 {
+		t.Fatalf("Degraded, Queries = %d, %d, want 1, 1", st.Degraded, st.Queries)
 	}
 	if st.Entries != 0 {
 		t.Fatalf("degraded result was memoized: %d entries", st.Entries)

@@ -13,11 +13,10 @@
 //   - validation and platform classification run once at compile time, not
 //     per query (core.SolvePrepared skips both);
 //   - repeated queries are answered from a single-flight LRU memo
-//     (internal/memo) keyed by a canonical query encoding (after a
-//     fixed-width digest of the plan's key; see Stored), so the
-//     steady-state repeat-query path is a map lookup plus a defensive copy —
-//     near-zero allocations and orders of magnitude faster than a fresh
-//     solve;
+//     (internal/memo) keyed by the plan's id followed by a canonical query
+//     encoding, so the steady-state repeat-query path is a map lookup plus
+//     a defensive copy — near-zero allocations and orders of magnitude
+//     faster than a fresh solve;
 //   - query keys are encoded into pooled scratch buffers (sync.Pool), so
 //     the hot path does not regrow an arena per call.
 //
@@ -54,14 +53,12 @@
 // returned Result is an independent deep copy, so callers can mutate their
 // mappings freely without corrupting the memo (the same aliasing guarantee
 // the batch cache makes). Plans are themselves memoized across requests by
-// the batch engine's plan tier (internal/batch.Cache), keyed by the
-// canonical (instance, rule, comm) encoding; plans compiled there answer
-// from one query memo shared by the whole cache (see CompileShared).
+// the batch engine's plan tier (internal/batch.Cache); plans compiled there
+// answer from one query memo shared by the whole cache (see CompileShared).
 package plan
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -138,14 +135,11 @@ type Plan struct {
 	candsOnce sync.Once
 	cands     []float64
 
-	// memo holds the answered queries, keyed by digest followed by the
-	// query's canonical encoding. A plan from Compile owns a private memo
-	// and an empty planKey; CompileShared plans share a caller's memo, and
-	// each answer they store carries their planKey, which a hit must
-	// match (see Stored).
-	memo    *memo.Memo[Stored]
-	planKey string
-	digest  [digestLen]byte
+	// memo holds the answered queries, keyed by id followed by the
+	// query's canonical encoding. A plan from Compile owns a private memo;
+	// CompileShared plans share a caller's.
+	memo *memo.Memo[core.Result]
+	id   uint64
 
 	queries, hits, degraded atomic.Int64
 }
@@ -160,56 +154,36 @@ const degradedHeurIters = 800
 // per-query arena of the package docs).
 var keyPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
-// Stored is one answer in a query memo: a query's result, and the key of
-// the plan that asked it. Plans sharing a memo key their answers by a
-// fixed-width digest of their plan key, so an answer counts as a hit only
-// for the plan whose key it carries; a plan whose digest collides with
-// another's solves without the memo. No answer rests on a digest alone.
-type Stored struct {
-	planKey string
-	res     core.Result
-}
-
-// digestLen is the width of a plan key's digest in query keys.
-const digestLen = 16
-
-// digestKey maps a plan key to the digest its query keys start with.
-// Tests replace it to force collisions.
-var digestKey = func(planKey string) (d [digestLen]byte) {
-	sum := sha256.Sum256([]byte(planKey))
-	copy(d[:], sum[:])
-	return d
-}
+// lastID numbers the plans CompileShared builds. An id is never reused
+// within a process, so no two plans ever share a query key.
+var lastID atomic.Uint64
 
 // Compile validates the instance once, clones it (the plan owns its copy:
-// later caller mutations of inst cannot corrupt compiled state), classifies
-// the platform and precomputes the per-application prefix sums and period
-// lower bounds. The same inputs always compile to a plan whose queries are
-// bit-identical to fresh core.Solve calls on the original instance.
+// later caller mutations of inst cannot corrupt compiled state) and
+// classifies the platform. The same inputs always compile to a plan whose
+// queries are bit-identical to fresh core.Solve calls on the original
+// instance.
 func Compile(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) (*Plan, error) {
-	return CompileShared(inst, rule, model, memo.New[Stored](memoCap), "")
+	return CompileShared(inst, rule, model, memo.New[core.Result](memoCap))
 }
 
 // CompileShared is Compile with the query memo supplied by the caller, so
-// that many plans can answer from one bounded memo. planKey must tell this
-// plan apart from every other plan sharing m: the batch cache passes the
-// canonical (instance, rule, comm) encoding. The plan keys its queries by
-// a fixed-width digest of planKey followed by the query encoding, so a
-// stored query key stays small however large the instance, and stores
-// planKey itself (shared, not copied) with each answer: a memo hit is
-// taken only when the stored key equals planKey, and a plan whose digest
-// collides with another's answers that query without the memo.
-func CompileShared(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, m *memo.Memo[Stored], planKey string) (*Plan, error) {
+// that many plans can answer from one bounded memo. Each plan gets an id
+// of its own, unique within the process, and keys its queries by those 8
+// bytes followed by the query encoding: plans sharing m never read each
+// other's answers, and a stored query key stays small however large the
+// instance. Compiling the same inputs again gives a new plan with a new
+// id, which does not see the answers of its predecessor.
+func CompileShared(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, m *memo.Memo[core.Result]) (*Plan, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Plan{
-		inst:    inst.Clone(),
-		rule:    rule,
-		model:   model,
-		memo:    m,
-		planKey: planKey,
-		digest:  digestKey(planKey),
+		inst:  inst.Clone(),
+		rule:  rule,
+		model: model,
+		memo:  m,
+		id:    lastID.Add(1),
 	}
 	p.cls = p.inst.Platform.Classify()
 	return p, nil
@@ -278,42 +252,32 @@ func (p *Plan) Answer(ctx context.Context, q Query) (res core.Result, err error,
 		if !errors.Is(err, context.DeadlineExceeded) {
 			return core.Result{}, err, false
 		}
+		p.queries.Add(1)
 		if e, ok := p.lookup(q, false); ok {
-			if res, err, own := p.cloneOwn(e.Wait()); own {
-				p.queries.Add(1)
-				p.hits.Add(1)
-				return res, err, true
-			}
+			p.hits.Add(1)
+			res, err = cloneStored(e.Wait())
+			return res, err, true
 		}
 		res, err = p.degradedSolve(q)
 		return res, err, false
 	}
 	p.queries.Add(1)
 	e, hit := p.lookup(q, true)
-	res, err, own := p.await(ctx, e, q, hit)
-	if !own {
-		// The entry holds another plan's answer under a colliding digest:
-		// solve in a private one-entry memo, which keeps the budget and
-		// panic handling of the shared path.
-		e, _ = memo.New[Stored](1).Get(nil)
-		res, err, _ = p.await(ctx, e, q, false)
-		return res, err, false
-	}
 	if hit {
 		p.hits.Add(1)
 	}
+	res, err = p.await(ctx, e, q, hit)
 	return res, err, hit
 }
 
 // await answers q from its memo entry e, running the solve first when this
-// call installed e (hit false). own is false when e, once published, holds
-// another plan's answer; res and err are then meaningless.
-func (p *Plan) await(ctx context.Context, e *memo.Entry[Stored], q Query, hit bool) (res core.Result, err error, own bool) {
+// call installed e (hit false).
+func (p *Plan) await(ctx context.Context, e *memo.Entry[core.Result], q Query, hit bool) (core.Result, error) {
 	if ctx.Done() == nil {
 		if !hit {
 			p.run(e, q)
 		}
-		return p.cloneOwn(e.Wait())
+		return cloneStored(e.Wait())
 	}
 	if !hit {
 		// The solver reads the query's bound slices for the whole solve;
@@ -323,18 +287,17 @@ func (p *Plan) await(ctx context.Context, e *memo.Entry[Stored], q Query, hit bo
 	}
 	select {
 	case <-e.Ready():
-		return p.cloneOwn(e.Wait())
+		return cloneStored(e.Wait())
 	case <-ctx.Done():
 		select {
 		case <-e.Ready(): // published as the deadline fired: the answer wins
-			return p.cloneOwn(e.Wait())
+			return cloneStored(e.Wait())
 		default:
 		}
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			res, err = p.degradedSolve(q)
-			return res, err, true
+			return p.degradedSolve(q)
 		}
-		return core.Result{}, ctx.Err(), true
+		return core.Result{}, ctx.Err()
 	}
 }
 
@@ -342,9 +305,9 @@ func (p *Plan) await(ctx context.Context, e *memo.Entry[Stored], q Query, hit bo
 // q. hit reports whether the entry was already present (the caller must
 // then wait on it); on a miss the caller owns running the solve via run.
 // Without install, only a published entry is found.
-func (p *Plan) lookup(q Query, install bool) (e *memo.Entry[Stored], hit bool) {
+func (p *Plan) lookup(q Query, install bool) (e *memo.Entry[core.Result], hit bool) {
 	kp := keyPool.Get().(*[]byte)
-	buf := append((*kp)[:0], p.digest[:]...)
+	buf := binary.LittleEndian.AppendUint64((*kp)[:0], p.id)
 	if p.boundClassed(q) {
 		buf = p.appendClassKey(buf, q)
 	} else {
@@ -361,30 +324,17 @@ func (p *Plan) lookup(q Query, install bool) (e *memo.Entry[Stored], hit bool) {
 }
 
 // run executes the solve for a freshly installed entry and publishes the
-// result under the plan's key. A panic in the solver is published as the
-// entry's error, still under the plan's key, so it stays confined to this
-// plan's query.
-func (p *Plan) run(e *memo.Entry[Stored], q Query) {
-	e.Fill(func() (s Stored, err error) {
-		s.planKey = p.planKey
+// result. A panic in the solver is published as the entry's error, so it
+// stays confined to this plan's query.
+func (p *Plan) run(e *memo.Entry[core.Result], q Query) {
+	e.Fill(func() (res core.Result, err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				s.res, err = core.Result{}, fmt.Errorf("plan: solve panicked: %v\n%s", r, debug.Stack())
+				res, err = core.Result{}, fmt.Errorf("plan: solve panicked: %v\n%s", r, debug.Stack())
 			}
 		}()
-		s.res, err = core.SolvePrepared(&p.inst, p.cls, p.Request(q))
-		return s, err
+		return core.SolvePrepared(&p.inst, p.cls, p.Request(q))
 	})
-}
-
-// cloneOwn is cloneStored for an answer read from the memo: own reports
-// whether the answer is this plan's, and only then is it copied.
-func (p *Plan) cloneOwn(s Stored, err error) (res core.Result, _ error, own bool) {
-	if s.planKey != p.planKey {
-		return core.Result{}, nil, false
-	}
-	res, err = cloneStored(s.res, err)
-	return res, err, true
 }
 
 // degradedSolve is the reduced-effort fallback taken when a wall-clock
@@ -426,52 +376,14 @@ func cloneQuery(q Query) Query {
 	return q
 }
 
-// cloneStored hands out an independent copy of a memoized success; failures
-// keep the zero Result untouched (cloning would turn nil slices into empty
-// ones, breaking bit-identity with a direct core.Solve call) and pass the
-// error through, so a memo's Wait can feed it directly. It is the
-// steady-state cost of a memo hit, so the copy is packed into three backing
-// allocations (apps, intervals, metric floats) instead of one per slice —
-// nil-ness of every slice is preserved, and full-capacity reslicing keeps
-// the handed-out slices append-safe for callers.
+// cloneStored hands out an independent copy (core.Result.Clone) of a
+// memoized success; a failure's Result and error pass through untouched,
+// so a memo's Wait can feed it directly.
 func cloneStored(res core.Result, err error) (core.Result, error) {
 	if err != nil {
 		return res, err
 	}
-	c := res
-	if res.Mapping.Apps != nil {
-		apps := make([]mapping.AppMapping, len(res.Mapping.Apps))
-		total := 0
-		for i := range res.Mapping.Apps {
-			total += len(res.Mapping.Apps[i].Intervals)
-		}
-		backing := make([]mapping.PlacedInterval, total)
-		off := 0
-		for i := range res.Mapping.Apps {
-			src := res.Mapping.Apps[i].Intervals
-			if src == nil {
-				continue
-			}
-			dst := backing[off : off+len(src) : off+len(src)]
-			copy(dst, src)
-			apps[i].Intervals = dst
-			off += len(src)
-		}
-		c.Mapping.Apps = apps
-	}
-	np, nl := len(res.Metrics.AppPeriods), len(res.Metrics.AppLatencies)
-	if res.Metrics.AppPeriods != nil || res.Metrics.AppLatencies != nil {
-		floats := make([]float64, np+nl)
-		if res.Metrics.AppPeriods != nil {
-			c.Metrics.AppPeriods = floats[0:np:np]
-			copy(c.Metrics.AppPeriods, res.Metrics.AppPeriods)
-		}
-		if res.Metrics.AppLatencies != nil {
-			c.Metrics.AppLatencies = floats[np : np+nl : np+nl]
-			copy(c.Metrics.AppLatencies, res.Metrics.AppLatencies)
-		}
-	}
-	return c, nil
+	return res.Clone(), nil
 }
 
 // Stats is a point-in-time snapshot of a plan's query counters.
@@ -571,7 +483,7 @@ func (p *Plan) boundClassed(q Query) bool {
 	return false
 }
 
-// Query key tags: the first byte after the plan digest tells a raw key
+// Query key tags: the first byte after the plan id tells a raw key
 // from a bound-class key, so no two keys of different kinds are equal.
 const (
 	rawKey   byte = 0

@@ -12,25 +12,21 @@ import (
 	"repro/internal/pipeline"
 )
 
-// TestDigestCollisionStaysExact forces every plan key onto one digest, so
-// two plans sharing a memo ask for the same query keys: each plan must
-// still answer bit-identically to core.Solve on its own instance, with
-// and without a budget, on first asks and repeats alike, and only a plan
-// whose own answer is stored may count a hit.
-func TestDigestCollisionStaysExact(t *testing.T) {
-	saved := digestKey
-	digestKey = func(string) (d [digestLen]byte) { return d }
-	defer func() { digestKey = saved }()
-
+// TestSharedMemoKeepsPlansApart compiles two plans over different
+// instances into one memo and asks both the same queries, with and without
+// a budget, on first asks and repeats alike: each plan must answer
+// bit-identically to core.Solve on its own instance and count hits only on
+// its own entries, and the memo must hold both plans' answers.
+func TestSharedMemoKeepsPlansApart(t *testing.T) {
 	a := pipeline.MotivatingExample()
 	b := a.Clone()
 	b.Apps[0].Stages[0].Work *= 3 // a different instance, hence different answers
-	shared := memo.New[Stored](0)
-	plA, err := CompileShared(&a, mapping.Interval, pipeline.Overlap, shared, "plan-a")
+	shared := memo.New[core.Result](0)
+	plA, err := CompileShared(&a, mapping.Interval, pipeline.Overlap, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plB, err := CompileShared(&b, mapping.Interval, pipeline.Overlap, shared, "plan-b")
+	plB, err := CompileShared(&b, mapping.Interval, pipeline.Overlap, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +62,14 @@ func TestDigestCollisionStaysExact(t *testing.T) {
 			}
 		}
 	}
-	// Plan a installed every entry and answers its repeats from them; plan
-	// b's asks all collide with plan a's answers and never count a hit.
-	if st := plA.QueryStats(); st.Hits != st.Queries-int64(len(queries)) {
-		t.Errorf("plan a: %d hits of %d queries, want all but the %d first asks", st.Hits, st.Queries, len(queries))
+	// Each plan installed one entry per query on its first ask and answered
+	// every later ask from it, never from the other plan's entries.
+	for name, pl := range map[string]*Plan{"a": plA, "b": plB} {
+		if st := pl.QueryStats(); st.Queries != int64(4*len(queries)) || st.Hits != st.Queries-int64(len(queries)) {
+			t.Errorf("plan %s: %d hits of %d queries, want %d of %d", name, st.Hits, st.Queries, 3*len(queries), 4*len(queries))
+		}
 	}
-	if st := plB.QueryStats(); st.Hits != 0 {
-		t.Errorf("plan b: %d hits on colliding entries, want 0", st.Hits)
-	}
-	if n := shared.Len(); n != len(queries) {
-		t.Errorf("shared memo holds %d entries, want %d (plan a's)", n, len(queries))
+	if n := shared.Len(); n != 2*len(queries) {
+		t.Errorf("shared memo holds %d entries, want %d (both plans')", n, 2*len(queries))
 	}
 }
