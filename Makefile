@@ -61,7 +61,8 @@ bench:
 # BenchmarkPlanKey, BenchmarkCacheHit), the wire schema's
 # (BenchmarkBatchJobs, BenchmarkEncodeOutput), the server's
 # (BenchmarkServerSolveHit), the gateway's (BenchmarkRingRoute,
-# BenchmarkGatewaySolveRoute, BenchmarkGatewayBatchSplit) and the
+# BenchmarkGatewaySolveRoute, and BenchmarkGatewayBatchSplit on per-job
+# instances and on one file-level instance, the plan-sweep shape) and the
 # simulator's, plain and replicated (the root BenchmarkSimulatorValidation)
 # — so they keep compiling and running. Time them with -benchtime 1s
 # -count 5 before and after a change to their package.

@@ -1,17 +1,19 @@
 // Command pipegateway fronts a cluster of pipeserved replicas (see
-// internal/gateway): it routes each job by a hash of its instance and
-// request bytes over a consistent-hash ring so every replica's memo and
-// plan caches stay hot for a stable slice of the jobs, fans /v1/batch
-// sub-batches out concurrently, and reassembles the results in input
-// order — bit-identical to a single replica answering the whole batch.
+// internal/gateway): it routes each job by a hash of its instance bytes
+// over a consistent-hash ring, fans /v1/batch sub-batches out
+// concurrently, and reassembles the results in input order —
+// bit-identical to a single replica answering the whole batch. All jobs
+// on one instance go to one replica, which compiles the instance's plan
+// once; distinct instances spread over the ring.
 //
 //	pipegateway -replicas http://10.0.0.1:8080,http://10.0.0.2:8080
 //
-//	POST /v1/batch     fan out sub-batches, reassemble in input order
-//	POST /v1/solve     route by the job's bytes, forward verbatim
-//	POST /v1/pareto    route by document hash (plans stay warm per replica)
-//	POST /v1/simulate  route by document hash
-//	POST /v1/resolve   route by document hash
+//	POST /v1/batch     route each job by its instance, fan out one
+//	                   sub-batch per replica, reassemble in input order
+//	POST /v1/solve     route by the instance, forward verbatim
+//	POST /v1/pareto    route by the instance, forward verbatim
+//	POST /v1/simulate  route by the instance, forward verbatim
+//	POST /v1/resolve   route by the instance (meets /v1/solve's plan)
 //	GET  /healthz      gateway liveness
 //	GET  /readyz       200 while >= 1 replica is healthy
 //	GET  /stats        gateway counters + per-replica and merged stats

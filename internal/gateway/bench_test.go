@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/jobspec"
 	"repro/internal/pipeline"
+	"repro/internal/workload"
 )
 
 // BenchmarkRingRoute times one routing decision on the default 3-replica
@@ -57,6 +59,30 @@ func benchJobs(b *testing.B) (solves [][]byte, doc []byte) {
 	return solves, doc
 }
 
+// sharedInstanceDoc renders a plan-sweep-shaped /v1/batch document: one
+// file-level instance (two fully homogeneous applications of 12 stages,
+// 6 processors of 3 modes) and 8 energy queries with distinct period
+// bounds.
+func sharedInstanceDoc(b *testing.B) []byte {
+	inst := workload.MustInstance(rand.New(rand.NewSource(1)), workload.Config{
+		Apps: 2, MinStages: 12, MaxStages: 12, Procs: 6, Modes: 3, Class: pipeline.FullyHomogeneous,
+		MaxWork: 9, MaxData: 5, MaxSpeed: 8, MaxBandwidth: 4,
+	})
+	var buf bytes.Buffer
+	if err := pipeline.EncodeJSON(&buf, &inst); err != nil {
+		b.Fatal(err)
+	}
+	f := jobspec.File{Instance: buf.Bytes()}
+	for i := 0; i < 8; i++ {
+		f.Jobs = append(f.Jobs, jobspec.Job{Request: jobspec.Request{Objective: "energy", PeriodBound: 20 + float64(i)}})
+	}
+	doc, err := json.Marshal(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return doc
+}
+
 // BenchmarkGatewaySolveRoute times the gateway's own work on a /v1/solve
 // body: cutting it, keying it and routing it.
 func BenchmarkGatewaySolveRoute(b *testing.B) {
@@ -74,26 +100,33 @@ func BenchmarkGatewaySolveRoute(b *testing.B) {
 }
 
 // BenchmarkGatewayBatchSplit times the gateway's own work on an 8-job
-// /v1/batch document with per-job instances: cutting it, keying and
-// routing every job, and building the sub-batches.
+// /v1/batch document — cutting it, keying and routing every job, and
+// building the sub-batches — with a per-job instance each and with one
+// file-level instance (the plan-sweep shape).
 func BenchmarkGatewayBatchSplit(b *testing.B) {
-	_, body := benchJobs(b)
+	_, perJob := benchJobs(b)
 	r := NewRing(3, 0)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(body)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		doc, _, err := splitBatch(body, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		groups := make(map[int][]int)
-		for idx, key := range doc.routeKeys() {
-			rep, _ := r.Route(key, nil)
-			groups[rep] = append(groups[rep], idx)
-		}
-		for _, group := range groups {
-			doc.splice(group)
-		}
+	for _, bc := range []struct {
+		name string
+		body []byte
+	}{{"per-job-instances", perJob}, {"file-instance", sharedInstanceDoc(b)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(bc.body)))
+			for i := 0; i < b.N; i++ {
+				doc, _, err := splitBatch(bc.body, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				groups := make(map[int][]int)
+				for idx, key := range doc.routeKeys() {
+					rep, _ := r.Route(key, nil)
+					groups[rep] = append(groups[rep], idx)
+				}
+				for _, group := range groups {
+					doc.splice(group)
+				}
+			}
+		})
 	}
 }

@@ -1,9 +1,11 @@
 // Package gateway is the horizontal scale-out front for the pipeserved
 // solver service: it cuts each job out of the request bytes, routes it by
-// a hash of its instance and request bytes over a consistent-hash ring of
-// replicas so every replica's memo and plan caches stay hot for a stable
-// slice of the jobs, fans /v1/batch sub-batches out concurrently, and
-// reassembles the per-job results in input order.
+// a hash of its instance bytes over a consistent-hash ring of replicas,
+// fans /v1/batch sub-batches out concurrently, and reassembles the
+// per-job results in input order. Every job on one instance goes to one
+// replica, which compiles the instance's plan once and memoizes its
+// answers; that replica's worker pool still runs a batch's jobs in
+// parallel, and distinct instances spread over the ring.
 //
 // The gateway decodes no instance of a document it routes, and it never
 // decodes a result slot: a /v1/solve body is forwarded verbatim and the
@@ -449,9 +451,9 @@ func truncate(b []byte, n int) string {
 	return string(b[:n]) + "..."
 }
 
-// handleSolve routes a single solve by the route key of its instance and
-// request bytes — the key the same job gets inside a batch, so a
-// /v1/solve repeat lands on the replica whose cache holds it — forwards
+// handleSolve routes a single solve by the route key of its instance —
+// the key every job on that instance gets inside a batch, so a /v1/solve
+// lands on the replica whose caches hold the instance's plan — forwards
 // the body verbatim and relays the replica's answer. A body without a
 // route key is answered with jobspec.DecodeSolve's error (solveKey).
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -464,17 +466,23 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	g.forward(w, r, key, body)
 }
 
-// handleOpaque routes an endpoint the gateway does not interpret
-// (pareto, simulate, resolve) by a hash of the path and the request
-// body: identical documents land on the same replica, so their compiled
-// plans are warm, without the gateway needing each endpoint's schema.
+// handleOpaque routes an endpoint whose answer the gateway does not
+// interpret (pareto, simulate, resolve) by the route key of its instance,
+// as /v1/solve is routed, so a /v1/resolve lands on the replica that
+// holds the instance's plan. A body the instance cut refuses is routed by
+// a hash of the path and the body, and the replica answers it with its
+// error.
 func (g *Gateway) handleOpaque(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		jobspec.WriteError(w, jobspec.DecodeStatus(err), jobspec.BodyError(err))
 		return
 	}
-	g.forward(w, r, hexKey(fnv1a(fnv1a(fnvOffset, r.URL.Path), body)), body)
+	key, ok := instanceCut(body)
+	if !ok {
+		key = hexKey(fnv1a(fnv1a(fnvOffset, r.URL.Path), body))
+	}
+	g.forward(w, r, key, body)
 }
 
 // forward proxies one request to the replica owning key, rerouting to

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -89,6 +91,23 @@ func TestRingRouteAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRingBalance pins the ring's dispersion: with the default virtual
+// nodes, 30 000 random route keys split over 3 replicas with a max/min
+// load ratio of at most 1.3. Unmixed FNV-1a points clumped, so one
+// replica took twice the keys of another whatever the vnode count.
+func TestRingBalance(t *testing.T) {
+	r := NewRing(3, 0)
+	rng := rand.New(rand.NewSource(1))
+	owned := make([]int, 3)
+	for i := 0; i < 30000; i++ {
+		rep, _ := r.Route(hexKey(rng.Uint64()), nil)
+		owned[rep]++
+	}
+	if lo, hi := slices.Min(owned), slices.Max(owned); float64(hi) > 1.3*float64(lo) {
+		t.Errorf("keys split %v: max/min %.2f, want <= 1.3", owned, float64(hi)/float64(lo))
+	}
+}
+
 // --- Retry-After parsing (bugfix satellite) ---
 
 // TestParseRetryAfter is the Retry-After satellite regression: RFC 7231
@@ -155,8 +174,8 @@ func newGateway(t *testing.T, urls []string, cfg Config) *Gateway {
 }
 
 // batchBody builds a /v1/batch document over the Figure 1 instance with n
-// distinct energy-under-period-bound jobs (each bound is a distinct
-// canonical key, so the jobs spread over the ring).
+// distinct energy-under-period-bound jobs. They share the instance, so
+// they route to one replica as one sub-batch.
 func batchBody(t *testing.T, n int) string {
 	t.Helper()
 	var jobs []string
@@ -164,6 +183,46 @@ func batchBody(t *testing.T, n int) string {
 		jobs = append(jobs, fmt.Sprintf(`{"request": {"objective": "energy", "periodBound": %g}}`, 2+float64(i)/8))
 	}
 	return `{"instance": ` + servetest.Fig1JSON(t) + `, "jobs": [` + strings.Join(jobs, ",") + `]}`
+}
+
+// corpusJobs draws n generator scenarios as jobs, each with its own
+// instance. Branch-and-bound is capped at exactCap nodes, and
+// processor-starved draws, infeasible by construction and slow to prove
+// so, are skipped; other infeasible draws stay in.
+func corpusJobs(t *testing.T, n int) []jobspec.Job {
+	t.Helper()
+	const exactCap = 500
+	var jobs []jobspec.Job
+	for _, sc := range gen.DefaultSpace().Corpus(1, 60) {
+		if sc.Degenerate == gen.DegenProcStarved {
+			continue
+		}
+		req := sc.Req
+		if req.ExactLimit == 0 || req.ExactLimit > exactCap {
+			req.ExactLimit = exactCap
+		}
+		var inst bytes.Buffer
+		if err := pipeline.EncodeJSON(&inst, &sc.Inst); err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, jobspec.Job{Instance: inst.Bytes(), Request: jobspec.RequestOf(req)})
+		if len(jobs) == n {
+			return jobs
+		}
+	}
+	t.Fatalf("corpus yielded %d usable scenarios, want %d", len(jobs), n)
+	return nil
+}
+
+// corpusBatchBody builds a /v1/batch document of n corpusJobs, so the
+// jobs spread over the ring.
+func corpusBatchBody(t *testing.T, n int) string {
+	t.Helper()
+	doc, err := json.Marshal(jobspec.File{Jobs: corpusJobs(t, n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(doc)
 }
 
 func postGateway(g *Gateway, path, body string) *httptest.ResponseRecorder {
@@ -192,14 +251,10 @@ type rawOutput struct {
 	Stats   jobspec.Stats     `json:"stats"`
 }
 
-// TestGatewayBatchFanOut is the core integration test: a batch through a
-// 3-replica gateway must answer every job in input order with the same
-// bits a single replica produces, and the merged stats must add up.
-func TestGatewayBatchFanOut(t *testing.T) {
-	const jobs = 24
-	body := batchBody(t, jobs)
-
-	// Ground truth: the same document answered by one replica directly.
+// directBatch answers a /v1/batch document by one replica, directly:
+// the ground truth a batch through the gateway must equal.
+func directBatch(t *testing.T, body string) rawOutput {
+	t.Helper()
 	direct := httptest.NewRecorder()
 	server.New(server.Config{}).ServeHTTP(direct,
 		httptest.NewRequest("POST", "/v1/batch", strings.NewReader(body)))
@@ -208,45 +263,78 @@ func TestGatewayBatchFanOut(t *testing.T) {
 	}
 	var want rawOutput
 	decode(t, direct, &want)
+	return want
+}
 
-	urls, _ := startReplicas(t, 3, server.Config{})
-	g := newGateway(t, urls, Config{})
+// postBatch sends a /v1/batch document through the gateway and decodes
+// its 200 answer.
+func postBatch(t *testing.T, g *Gateway, body string) rawOutput {
+	t.Helper()
 	rec := postGateway(g, "/v1/batch", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("gateway batch: status %d: %s", rec.Code, rec.Body.String())
 	}
 	var got rawOutput
 	decode(t, rec, &got)
+	return got
+}
 
-	if len(got.Results) != jobs {
-		t.Fatalf("%d results for %d jobs", len(got.Results), jobs)
+// sameSlots checks order preservation and the determinism pin in one
+// stroke: slot i of got is byte-identical, compacted, to slot i of want.
+func sameSlots(t *testing.T, name string, got, want rawOutput) {
+	t.Helper()
+	if len(got.Results) != len(want.Results) {
+		t.Fatalf("%s: %d results, want %d", name, len(got.Results), len(want.Results))
 	}
-	// Order preservation and the determinism pin in one stroke: slot i
-	// through the sharded cluster is byte-identical to slot i from a
-	// single replica.
-	for i := range got.Results {
+	for i := range want.Results {
 		if !bytes.Equal(compactJSON(t, got.Results[i]), compactJSON(t, want.Results[i])) {
-			t.Errorf("slot %d differs through the gateway:\ngot  %s\nwant %s",
-				i, got.Results[i], want.Results[i])
+			t.Errorf("%s, slot %d differs through the gateway:\ngot  %s\nwant %s",
+				name, i, got.Results[i], want.Results[i])
 		}
 	}
-	if got.Stats.Jobs != jobs || got.Stats.Errors != 0 {
-		t.Errorf("merged stats: jobs=%d errors=%d, want %d/0", got.Stats.Jobs, got.Stats.Errors, jobs)
+}
+
+// batchRequests returns how many /v1/batch requests each replica has
+// counted.
+func batchRequests(t *testing.T, g *Gateway) []int64 {
+	t.Helper()
+	var st gatewayStatsJSON
+	decode(t, getGateway(g, "/stats"), &st)
+	counts := make([]int64, len(st.Replicas))
+	for i, rep := range st.Replicas {
+		if rep.Stats == nil {
+			t.Fatalf("replica %s unreachable", rep.URL)
+		}
+		counts[i] = rep.Stats.Requests["/v1/batch"]
 	}
-	methods := 0
-	for _, n := range got.Stats.Methods {
-		methods += n
+	return counts
+}
+
+// TestGatewayBatchFanOut is the core integration test: a batch of jobs on
+// distinct instances through a 3-replica gateway must answer every job in
+// input order with the same bits a single replica produces, spread over
+// more than one replica, and the merged stats must add up.
+func TestGatewayBatchFanOut(t *testing.T) {
+	const jobs = 24
+	body := corpusBatchBody(t, jobs)
+	want := directBatch(t, body)
+
+	urls, _ := startReplicas(t, 3, server.Config{})
+	g := newGateway(t, urls, Config{})
+	got := postBatch(t, g, body)
+	sameSlots(t, "batch", got, want)
+	if got.Stats.Jobs != jobs || got.Stats.Errors != want.Stats.Errors {
+		t.Errorf("merged stats: jobs=%d errors=%d, want %d/%d", got.Stats.Jobs, got.Stats.Errors, jobs, want.Stats.Errors)
 	}
-	if methods != jobs {
-		t.Errorf("merged method counts sum to %d, want %d", methods, jobs)
+	if !reflect.DeepEqual(got.Stats.Methods, want.Stats.Methods) {
+		t.Errorf("merged method counts %v, one replica counts %v", got.Stats.Methods, want.Stats.Methods)
 	}
 
 	// The fan-out genuinely sharded: more than one replica saw traffic.
-	var st gatewayStatsJSON
-	decode(t, getGateway(g, "/stats"), &st)
+	counts := batchRequests(t, g)
 	replicasHit := 0
-	for _, rep := range st.Replicas {
-		if rep.Stats != nil && rep.Stats.Requests["/v1/batch"] > 0 {
+	for _, n := range counts {
+		if n > 0 {
 			replicasHit++
 		}
 	}
@@ -255,14 +343,10 @@ func TestGatewayBatchFanOut(t *testing.T) {
 	}
 	// Merged stats arithmetic: the cluster-wide request count is the sum
 	// of the per-replica counts.
-	var sum int64
-	for _, rep := range st.Replicas {
-		if rep.Stats != nil {
-			sum += rep.Stats.Requests["/v1/batch"]
-		}
-	}
-	if st.Merged.Requests["/v1/batch"] != sum || sum == 0 {
-		t.Errorf("merged /v1/batch = %d, per-replica sum = %d", st.Merged.Requests["/v1/batch"], sum)
+	var st gatewayStatsJSON
+	decode(t, getGateway(g, "/stats"), &st)
+	if st.Merged.Requests["/v1/batch"] != sum(counts) {
+		t.Errorf("merged /v1/batch = %d, per-replica counts %v", st.Merged.Requests["/v1/batch"], counts)
 	}
 	var misses int64
 	for _, rep := range st.Replicas {
@@ -273,6 +357,45 @@ func TestGatewayBatchFanOut(t *testing.T) {
 	if st.Merged.CacheMisses != misses {
 		t.Errorf("merged cache misses = %d, per-replica sum = %d", st.Merged.CacheMisses, misses)
 	}
+}
+
+// TestGatewayBatchOneInstanceOneReplica pins the routing policy: the
+// jobs of a batch on one instance go to one replica as one sub-batch,
+// however many distinct requests they carry, and answer the bits a
+// single replica answers. A batch over two instances makes at most two
+// sub-batches.
+func TestGatewayBatchOneInstanceOneReplica(t *testing.T) {
+	urls, _ := startReplicas(t, 3, server.Config{})
+	g := newGateway(t, urls, Config{})
+	body := batchBody(t, 24)
+	sameSlots(t, "one instance", postBatch(t, g, body), directBatch(t, body))
+	counts := batchRequests(t, g)
+	if slices.Max(counts) != 1 || sum(counts) != 1 {
+		t.Errorf("replicas counted %v /v1/batch requests, want one sub-batch on one replica", counts)
+	}
+
+	// Figure 1 at file level, and every other job on a generator
+	// instance of its own.
+	own, err := json.Marshal(corpusJobs(t, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []string
+	for i := 0; i < 12; i++ {
+		jobs = append(jobs, fmt.Sprintf(`{"request": {"objective": "energy", "periodBound": %g}}`, 2+float64(i)/8), string(own))
+	}
+	two := `{"instance": ` + servetest.Fig1JSON(t) + `, "jobs": [` + strings.Join(jobs, ",") + `]}`
+	sameSlots(t, "two instances", postBatch(t, g, two), directBatch(t, two))
+	if n := sum(batchRequests(t, g)) - sum(counts); n < 1 || n > 2 {
+		t.Errorf("a batch over two instances made %d sub-batches, want 1 or 2", n)
+	}
+}
+
+func sum(counts []int64) (n int64) {
+	for _, c := range counts {
+		n += c
+	}
+	return n
 }
 
 // TestGatewayForwardsJobBytes pins that a job reaches its replica as the
@@ -299,20 +422,7 @@ func TestGatewayForwardsJobBytes(t *testing.T) {
 	urls, _ := startReplicas(t, 3, server.Config{})
 	g := newGateway(t, urls, Config{})
 	for n, body := range bodies {
-		direct := httptest.NewRecorder()
-		server.New(server.Config{}).ServeHTTP(direct,
-			httptest.NewRequest("POST", "/v1/batch", strings.NewReader(body)))
-		var want, got rawOutput
-		decode(t, direct, &want)
-		decode(t, postGateway(g, "/v1/batch", body), &got)
-		if len(got.Results) != len(want.Results) {
-			t.Fatalf("document %d: %d results, want %d", n, len(got.Results), len(want.Results))
-		}
-		for i := range want.Results {
-			if !bytes.Equal(compactJSON(t, got.Results[i]), compactJSON(t, want.Results[i])) {
-				t.Errorf("document %d, slot %d through the gateway:\ngot  %s\nwant %s", n, i, got.Results[i], want.Results[i])
-			}
-		}
+		sameSlots(t, fmt.Sprintf("document %d", n), postBatch(t, g, body), directBatch(t, body))
 	}
 }
 
@@ -327,53 +437,30 @@ func compactJSON(t *testing.T, raw json.RawMessage) []byte {
 
 // TestGatewayDeterminismAcrossClusterSizes pins the bit-identity claim
 // directly: the same batch through a 1-replica and a 4-replica gateway
-// yields byte-identical result arrays.
+// yields byte-identical result arrays, for jobs on one instance and for
+// jobs spread over many.
 func TestGatewayDeterminismAcrossClusterSizes(t *testing.T) {
-	body := batchBody(t, 16)
-	var outputs []rawOutput
-	for _, n := range []int{1, 4} {
-		urls, _ := startReplicas(t, n, server.Config{})
-		g := newGateway(t, urls, Config{})
-		rec := postGateway(g, "/v1/batch", body)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%d replicas: status %d: %s", n, rec.Code, rec.Body.String())
+	for _, body := range []string{batchBody(t, 16), corpusBatchBody(t, 16)} {
+		var outputs []rawOutput
+		for _, n := range []int{1, 4} {
+			urls, _ := startReplicas(t, n, server.Config{})
+			outputs = append(outputs, postBatch(t, newGateway(t, urls, Config{}), body))
 		}
-		var out rawOutput
-		decode(t, rec, &out)
-		outputs = append(outputs, out)
-	}
-	for i := range outputs[0].Results {
-		a, b := compactJSON(t, outputs[0].Results[i]), compactJSON(t, outputs[1].Results[i])
-		if !bytes.Equal(a, b) {
-			t.Errorf("slot %d: 1-replica %s != 4-replica %s", i, a, b)
-		}
+		sameSlots(t, "4 replicas against 1", outputs[1], outputs[0])
 	}
 }
 
 // TestGatewayReroutesDownShard kills one replica mid-flight: the batch
-// must still answer every job (the dead replica's keys walk to their ring
-// successors), the gateway must record the reroute, and a probe must mark
-// the replica down.
+// must still answer every job with a single replica's bits (the dead
+// replica's keys walk to their ring successors), the gateway must record
+// the reroute, and a probe must mark the replica down.
 func TestGatewayReroutesDownShard(t *testing.T) {
 	urls, servers := startReplicas(t, 3, server.Config{})
 	g := newGateway(t, urls, Config{Retries: -1}) // no retries: fail over immediately
 	servers[1].Close()
 
-	rec := postGateway(g, "/v1/batch", batchBody(t, 24))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	var out rawOutput
-	decode(t, rec, &out)
-	if out.Stats.Errors != 0 {
-		t.Fatalf("batch with a dead replica: %d errors: %s", out.Stats.Errors, rec.Body.String())
-	}
-	for i, slot := range out.Results {
-		var res jobspec.Result
-		if err := json.Unmarshal(slot, &res); err != nil || res.Error != "" {
-			t.Errorf("slot %d failed after reroute: %s", i, slot)
-		}
-	}
+	body := corpusBatchBody(t, 24)
+	sameSlots(t, "batch with a dead replica", postBatch(t, g, body), directBatch(t, body))
 	if g.Healthy(1) {
 		t.Error("dead replica still marked healthy after a failed sub-batch")
 	}
@@ -386,9 +473,7 @@ func TestGatewayReroutesDownShard(t *testing.T) {
 	// The same document again: everything routes around the dead replica
 	// with no further reroutes needed (its keys' successors are now home).
 	rerouted := st.Rerouted
-	if rec := postGateway(g, "/v1/batch", batchBody(t, 24)); rec.Code != http.StatusOK {
-		t.Fatalf("second batch: status %d", rec.Code)
-	}
+	postBatch(t, g, body)
 	decode(t, getGateway(g, "/stats"), &st)
 	if st.Rerouted != rerouted {
 		t.Errorf("second batch rerouted again (%d -> %d); health view not applied at routing time",
@@ -598,6 +683,65 @@ func TestGatewaySolvePassthrough(t *testing.T) {
 	}
 }
 
+// TestGatewayResolveMeetsSolvePlan sends a /v1/solve and then a
+// /v1/resolve on one instance through 3 replicas, for Figure 1 and
+// generator instances. Both route by the instance, so the resolve's plan
+// lookup hits on the replica that looked the plan up for the solve, and
+// no other replica looks one up.
+func TestGatewayResolveMeetsSolvePlan(t *testing.T) {
+	urls, _ := startReplicas(t, 3, server.Config{})
+	g := newGateway(t, urls, Config{})
+	type planStats struct{ hits, misses int64 }
+	plans := func() []planStats {
+		var st gatewayStatsJSON
+		decode(t, getGateway(g, "/stats"), &st)
+		var out []planStats
+		for _, rep := range st.Replicas {
+			if rep.Stats == nil {
+				t.Fatalf("replica %s unreachable", rep.URL)
+			}
+			out = append(out, planStats{rep.Stats.PlanHits, rep.Stats.PlanMisses})
+		}
+		return out
+	}
+
+	jobs := append([]jobspec.Job{{Instance: json.RawMessage(servetest.Fig1JSON(t))}}, corpusJobs(t, 8)...)
+	for n, job := range jobs {
+		solve, err := json.Marshal(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The solve body with an event member put in front.
+		resolve := `{"event": {"kind": "proc-fail", "proc": 0}, ` + string(solve[1:])
+		var seen [3][]planStats
+		seen[0] = plans()
+		for i, req := range []struct{ path, body string }{{"/v1/solve", string(solve)}, {"/v1/resolve", resolve}} {
+			// A generator job may be infeasible (422); its plan is looked
+			// up all the same.
+			if rec := postGateway(g, req.path, req.body); rec.Code != http.StatusOK && rec.Code != http.StatusUnprocessableEntity {
+				t.Fatalf("job %d: %s: status %d: %s", n, req.path, rec.Code, rec.Body.String())
+			}
+			seen[i+1] = plans()
+		}
+		owner := -1
+		for rep := range seen[0] {
+			if seen[1][rep] != seen[0][rep] {
+				owner = rep
+			}
+		}
+		for rep := range seen[1] {
+			want := seen[1][rep]
+			if rep == owner {
+				want.hits++
+			}
+			if seen[2][rep] != want {
+				t.Errorf("job %d: the resolve moved replica %d's plan stats from %+v to %+v; the solve looked its plan up on replica %d",
+					n, rep, seen[1][rep], seen[2][rep], owner)
+			}
+		}
+	}
+}
+
 // TestGatewayPropertyErrorResponsesAreStructuredJSON runs the server's
 // corruption table (see servetest) against the gateway handler: errors
 // the gateway answers itself and errors it relays from a replica must
@@ -696,36 +840,15 @@ func TestGatewayMergedStats(t *testing.T) {
 // that answered each solve: the front tier for every 200, the result
 // memo for every error answer (the front tier keeps only 200s).
 func TestGatewayWarmWorkingSetHits(t *testing.T) {
-	const jobs, exactCap = 16, 500 // exactCap: branch-and-bound node budget
-	var (
-		file   jobspec.File
-		solves []string
-	)
-	for _, sc := range gen.DefaultSpace().Corpus(1, 60) {
-		if sc.Degenerate == gen.DegenProcStarved {
-			continue // infeasible by construction; proving it takes seconds
-		}
-		req := sc.Req
-		if req.ExactLimit == 0 || req.ExactLimit > exactCap {
-			req.ExactLimit = exactCap
-		}
-		var inst bytes.Buffer
-		if err := pipeline.EncodeJSON(&inst, &sc.Inst); err != nil {
-			t.Fatal(err)
-		}
-		job := jobspec.Job{Instance: inst.Bytes(), Request: jobspec.RequestOf(req)}
+	const jobs = 16
+	file := jobspec.File{Jobs: corpusJobs(t, jobs)}
+	var solves []string
+	for _, job := range file.Jobs {
 		body, err := json.Marshal(job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		file.Jobs = append(file.Jobs, job)
 		solves = append(solves, string(body))
-		if len(file.Jobs) == jobs {
-			break
-		}
-	}
-	if len(file.Jobs) != jobs {
-		t.Fatalf("corpus yielded %d usable scenarios, want %d", len(file.Jobs), jobs)
 	}
 	doc, err := json.Marshal(file)
 	if err != nil {

@@ -34,8 +34,9 @@ func invalidDocuments(t *testing.T) []oracleCase {
 	fig1 := servetest.Fig1JSON(t)
 	badWork := `{"apps": [{"in": 1, "stages": [{"work": -1, "out": 1}]}], "platform": {"processors": [{"speeds": [1]}]}}`
 	badLinks := `{"apps": [{"in": 1, "stages": [{"work": 1, "out": 1}]}], "platform": {"processors": [{"speeds": [1]}], "bandwidth": [[1, 1]]}}`
-	// spread is n valid jobs on distinct keys, so a batch of them fans
-	// out over every replica of the oracle's cluster.
+	// spread is n valid jobs with distinct requests. On one instance
+	// they share a route key and make one sub-batch; a bad job with an
+	// instance of its own may route to another replica.
 	spread := func(n int) []string {
 		var jobs []string
 		for i := 0; i < n; i++ {
@@ -50,7 +51,8 @@ func invalidDocuments(t *testing.T) []oracleCase {
 		}
 		return doc
 	}
-	// spreadThen is a fanned-out batch over fig1 whose last job is bad.
+	// spreadThen is a batch of 11 valid jobs over fig1 whose last job is
+	// bad.
 	spreadThen := func(bad string) string { return batchOf(fig1, append(spread(11), bad)...) }
 	solveOf := func(inst, req string) string {
 		return `{"instance": ` + inst + `, "request": ` + req + `}`

@@ -12,12 +12,12 @@ import (
 )
 
 // Router maps route keys onto replica indices. A route key is a short
-// fixed-width digest of a job's instance and request bytes (see jobKey),
-// or of an opaque request's path and body; equal keys must route alike,
-// and any two jobs may share a replica. Implementations must be safe for
-// concurrent use and stateless with respect to health: the gateway
-// passes the current health view on every call, so a router never caches
-// liveness.
+// fixed-width digest of a job's instance bytes (see instanceKey), or of
+// the path and body of a request without an instance; equal keys must
+// route alike, and any two jobs may share a replica. Implementations
+// must be safe for concurrent use and stateless with respect to health:
+// the gateway passes the current health view on every call, so a router
+// never caches liveness.
 type Router interface {
 	// Replicas returns the number of replica slots the router was built
 	// for.
@@ -46,9 +46,25 @@ type ringPoint struct {
 }
 
 // DefaultVirtualNodes is the per-replica virtual point count used by
-// NewRing when vnodes <= 0; 64 keeps the max/min load ratio within a few
-// percent for small clusters.
+// NewRing when vnodes <= 0. With 3 replicas they own 33.9%, 32.2% and
+// 33.9% of the hash space, and 30 000 random keys split 10255 / 9669 /
+// 10076 (max/min 1.06; TestRingBalance). The spread grows with the
+// cluster: 1.40 with 5 replicas, 1.77 with 8.
 const DefaultVirtualNodes = 64
+
+// mix is MurmurHash3's 64-bit finalizer (fmix64). FNV-1a's last input
+// bytes move only the low-order bits of its state, so the points of
+// consecutive virtual nodes, and keys that differ only at the end, would
+// clump on the ring; mixing spreads every input bit over the whole
+// hash. NewRing and Route both pass their hashes through it.
+func mix(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb93fe53ec3b5
+	h ^= h >> 33
+	return h
+}
 
 // NewRing builds a consistent-hash ring over replicas indices 0..n-1 with
 // the given number of virtual points per replica (vnodes <= 0 means
@@ -65,7 +81,7 @@ func NewRing(n, vnodes int) *Ring {
 	for rep := 0; rep < n; rep++ {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
-				hash:    fnv1a(fnvOffset, fmt.Sprintf("replica-%d/vnode-%d", rep, v)),
+				hash:    mix(fnv1a(fnvOffset, fmt.Sprintf("replica-%d/vnode-%d", rep, v))),
 				replica: rep,
 			})
 		}
@@ -83,7 +99,7 @@ func (r *Ring) Replicas() int { return r.replicas }
 // unhealthy cluster answers ok=false instead of spinning, and it
 // allocates nothing.
 func (r *Ring) Route(key string, healthy func(int) bool) (int, bool) {
-	h := fnv1a(fnvOffset, key)
+	h := mix(fnv1a(fnvOffset, key))
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	for i := 0; i < len(r.points); i++ {
 		rep := r.points[(start+i)%len(r.points)].replica

@@ -1,15 +1,18 @@
-// Routing on bytes. A /v1/solve body and each job of a /v1/batch
-// document are cut into their raw instance and request bytes, the route
-// key is a hash of those bytes' compact form (batch.CompactRuns), and
-// sub-batches are spliced from the parts as the client sent them. The
-// cuts decode with encoding/json into json.RawMessage fields and decode
-// no instance. The batch cut reads a document as jobspec.DecodeFile
-// reads it — key case folding, escapes, repeated keys, null jobs,
-// trailing bytes. The solve cut is lenient: it takes any JSON object with
-// an instance, since the replica it forwards the body to answers it. A
-// document a cut refuses is answered with the error of
-// jobspec.DecodeSolve or jobspec.DecodeBatch, the decoders the replicas
-// answer with.
+// Routing on bytes. A job's route key is a hash of its instance bytes
+// alone, in their compact form (batch.CompactRuns): the job's own
+// instance if it has one, and the file-level instance otherwise. So
+// every job on one instance — a /v1/solve body, any job of a /v1/batch
+// document, a /v1/resolve, /v1/pareto or /v1/simulate body — routes to
+// the replica that holds that instance's compiled plan, and a batch of
+// jobs on one instance is one sub-batch. Sub-batches are spliced from
+// the parts as the client sent them. The cuts decode with encoding/json
+// into json.RawMessage fields and decode no instance. The batch cut
+// reads a document as jobspec.DecodeFile reads it — key case folding,
+// escapes, repeated keys, null jobs, trailing bytes. The instance cut is
+// lenient: it takes any JSON object with an instance, since the replica
+// it forwards the body to answers it. A document a cut refuses is
+// answered with the error of jobspec.DecodeSolve or jobspec.DecodeBatch,
+// the decoders the replicas answer with.
 
 package gateway
 
@@ -49,19 +52,13 @@ func fnv1aCompact(h uint64, raw []byte) uint64 {
 	return h
 }
 
-// instanceHash is the route hash state after a job's instance: FNV-1a
-// over the instance's compact bytes and a zero byte, which compact JSON
-// never contains. Jobs sharing a file-level instance share this state.
-func instanceHash(instance []byte) uint64 {
-	return fnv1a(fnv1aCompact(fnvOffset, instance), "\x00")
-}
-
-// jobKey is a job's route key: the hash of its instance and request
-// bytes, compacted, as a fixed-width hex string. Equal compact bytes
-// route alike whether they come as a /v1/solve body or as a job of a
-// /v1/batch document.
-func jobKey(instHash uint64, request []byte) string {
-	return hexKey(fnv1aCompact(instHash, request))
+// instanceKey is the route key of every job on an instance: FNV-1a over
+// the instance's compact bytes and a zero byte, which compact JSON never
+// contains, as a fixed-width hex string. Equal compact bytes route alike
+// whether they come in a /v1/solve body, as a batch's file-level
+// instance or as a job's own.
+func instanceKey(instance []byte) string {
+	return hexKey(fnv1a(fnv1aCompact(fnvOffset, instance), "\x00"))
 }
 
 // hexKey renders a hash as 16 lower-case hex digits.
@@ -99,26 +96,28 @@ func (r *requests) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// request returns the last request, which a route key hashes (nil: none).
-func (j *jobParts) request() []byte {
-	if len(j.Requests) == 0 {
-		return nil
+// instanceCut returns the route key of a request body that carries its
+// instance in a top-level "instance" member: /v1/solve, /v1/resolve,
+// /v1/pareto and /v1/simulate. ok is false for a body that is not a JSON
+// object with an instance.
+func instanceCut(body []byte) (key string, ok bool) {
+	var doc struct {
+		Instance json.RawMessage `json:"instance"`
 	}
-	return j.Requests[len(j.Requests)-1]
+	if json.Unmarshal(body, &doc) != nil || doc.Instance == nil {
+		return "", false
+	}
+	return instanceKey(doc.Instance), true
 }
 
 // solveKey returns the route key of a /v1/solve body the handler read
-// (readErr is the error the read ended with). A body the cut refuses —
-// not JSON, not an object, no instance, a failed read — has no route key
-// and gets jobspec.DecodeSolve's error and status, which refuses every
-// such body.
+// (readErr is the error the read ended with). A body the instance cut
+// refuses — not JSON, not an object, no instance, a failed read — has no
+// route key and gets jobspec.DecodeSolve's error and status, which
+// refuses every such body.
 func solveKey(body []byte, readErr error) (key string, status int, err error) {
-	var job struct {
-		Instance json.RawMessage `json:"instance"`
-		Request  json.RawMessage `json:"request"`
-	}
-	if json.Unmarshal(body, &job) == nil && job.Instance != nil {
-		return jobKey(instanceHash(job.Instance), job.Request), 0, nil
+	if key, ok := instanceCut(body); ok {
+		return key, 0, nil
 	}
 	if _, status, err := jobspec.DecodeSolve(jobspec.Replay(body, readErr), nil); err != nil {
 		return "", status, err
@@ -189,17 +188,19 @@ func (d *batchDoc) splice(jobs []int) []byte {
 }
 
 // routeKeys returns every job's route key. The file-level instance is
-// hashed once.
+// hashed once, and its key is shared by every job without its own.
 func (d *batchDoc) routeKeys() []string {
 	keys := make([]string, len(d.Jobs))
-	shared := instanceHash(d.Instance)
+	var shared string
 	for i := range d.Jobs {
-		job := &d.Jobs[i]
-		h := shared
-		if job.Instance != nil {
-			h = instanceHash(job.Instance)
+		if inst := d.Jobs[i].Instance; inst != nil {
+			keys[i] = instanceKey(inst)
+			continue
 		}
-		keys[i] = jobKey(h, job.request())
+		if shared == "" {
+			shared = instanceKey(d.Instance)
+		}
+		keys[i] = shared
 	}
 	return keys
 }

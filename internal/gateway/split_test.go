@@ -162,28 +162,38 @@ func TestSpliceFidelity(t *testing.T) {
 }
 
 // TestRouteKeyIsCompactHash pins the route key's definition: FNV-1a
-// (hash/fnv's New64a) over the json.Compact bytes of the instance, a
-// zero byte, and the json.Compact bytes of the request.
+// (hash/fnv's New64a) over the json.Compact bytes of the instance and a
+// zero byte. The request takes no part, so a /v1/solve body keys alike
+// whatever its request and however its instance is indented.
 func TestRouteKeyIsCompactHash(t *testing.T) {
 	corpus := gen.DefaultSpace().Corpus(3, 32)
 	rng := rand.New(rand.NewSource(9))
 	d := docWriter{rng: rng}
 	for i := range corpus {
-		inst, req := d.instance(t, &corpus[i].Inst), d.request(t, &corpus[i])
+		inst := d.instance(t, &corpus[i].Inst)
 		inst = `{"apps": [{"name": "a \" \\ \t b", "in": 1, "stages": [{"work": 1, "out": 0}]}], "x": ` + inst + "}"
-		var ci, cr bytes.Buffer
+		var ci bytes.Buffer
 		if err := json.Compact(&ci, []byte(inst)); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Compact(&cr, []byte(req)); err != nil {
 			t.Fatal(err)
 		}
 		h := fnv.New64a()
 		h.Write(ci.Bytes())
 		h.Write([]byte{0})
-		h.Write(cr.Bytes())
-		if got, want := jobKey(instanceHash([]byte(inst)), []byte(req)), fmt.Sprintf("%016x", h.Sum64()); got != want {
-			t.Fatalf("route key %s, want %s for\n%s\n%s", got, want, inst, req)
+		want := fmt.Sprintf("%016x", h.Sum64())
+		if got := instanceKey([]byte(inst)); got != want {
+			t.Fatalf("route key %s, want %s for\n%s", got, want, inst)
+		}
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, ci.Bytes(), "", "\t"); err != nil {
+			t.Fatal(err)
+		}
+		for _, body := range []string{
+			`{"instance": ` + inst + `, "request": ` + d.request(t, &corpus[i]) + `}`,
+			`{"request": ` + d.request(t, &corpus[(i+1)%len(corpus)]) + `, "instance": ` + indented.String() + `}`,
+		} {
+			if got, _, err := solveKey([]byte(body), nil); err != nil || got != want {
+				t.Fatalf("solve body keys %s (%v), want %s:\n%s", got, err, want, body)
+			}
 		}
 	}
 }
@@ -210,10 +220,10 @@ func (r *recordingRouter) take() []string {
 	return keys
 }
 
-// TestSolveAndBatchShareRouteKeys sends the same job as a /v1/solve body
-// and inside /v1/batch documents — as the file-level instance and as the
-// job's own, differently padded — and checks that every request routes
-// it by the same key.
+// TestSolveAndBatchShareRouteKeys sends the same job as a /v1/solve body,
+// inside /v1/batch documents — as the file-level instance and as the
+// job's own, differently padded — and as a /v1/resolve body, and checks
+// that every request routes it by the same key.
 func TestSolveAndBatchShareRouteKeys(t *testing.T) {
 	urls, _ := startReplicas(t, 3, server.Config{})
 	rr := &recordingRouter{Router: NewRing(3, 0)}
@@ -226,6 +236,7 @@ func TestSolveAndBatchShareRouteKeys(t *testing.T) {
 			"/v1/solve":        `{"request": ` + req + `, "instance": ` + inst + `}`,
 			"/v1/batch shared": `{"instance":` + inst + `, "jobs": [{"request": ` + req + `}]}`,
 			"/v1/batch own":    "{\"jobs\": [ {\n\"instance\": " + inst + ",\t\"request\": " + req + "} ]}",
+			"/v1/resolve":      `{"event": {"kind": "proc-fail", "proc": 0}, "instance": ` + inst + `, "request": ` + req + `}`,
 		}
 		keys := map[string]string{}
 		for name, body := range bodies {
