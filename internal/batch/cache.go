@@ -38,7 +38,8 @@ import (
 //     plan compiled here answers from it (plan.CompileShared), keyed by
 //     the plan's process-unique id followed by the query encoding, so a
 //     plan's answers are its own and a key stays small however large the
-//     instance. A repeated job is answered by a plan-tier hit plus a
+//     instance. It keeps each answer packed (core.Packed), a fraction of
+//     the Result's size, so a full memo costs little. A repeated job is answered by a plan-tier hit plus a
 //     result-memo hit. A plan evicted from the plan tier and compiled
 //     again is a new plan with a new id: its predecessor's answers are no
 //     longer reached and age out of the result memo.
@@ -50,7 +51,7 @@ import (
 //
 // The zero value is not usable; call NewCache or NewCacheCap.
 type Cache struct {
-	results *memo.Memo[core.Result]
+	results *memo.Memo[core.Packed]
 	plans   *memo.Memo[*plan.Plan]
 }
 
@@ -62,7 +63,7 @@ func NewCache() *Cache { return NewCacheCap(0) }
 // beyond it; a non-positive maxEntries means unbounded.
 func NewCacheCap(maxEntries int) *Cache {
 	return &Cache{
-		results: memo.New[core.Result](maxEntries),
+		results: memo.New[core.Packed](maxEntries),
 		plans:   memo.New[*plan.Plan](maxEntries),
 	}
 }

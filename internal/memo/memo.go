@@ -24,7 +24,6 @@
 package memo
 
 import (
-	"container/list"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -35,26 +34,57 @@ import (
 type Memo[V any] struct {
 	mu  sync.Mutex
 	cap int // 0 = unbounded
-	m   map[string]*list.Element
-	lru list.List // front = most recently used; values are *Entry[V]
+	m   map[string]*Entry[V]
+	// lru is the sentinel of a circular list threaded through the
+	// entries: lru.next is the most recently used, lru.prev the least.
+	lru Entry[V]
 
 	hits, misses, evictions int64
 }
 
-// Entry is one memoized key: a single-flight slot whose ready channel is
-// closed once val and err are final, so waiters never observe a partial
-// write.
+// Entry is one memoized key: a single-flight slot that is published once
+// val and err are final, so waiters never observe a partial write. An
+// entry carries its own LRU links, and its ready channel is made only for
+// a caller that waits before publication and dropped once published: a
+// memo holds many published entries, and each costs what it stores.
 type Entry[V any] struct {
-	key   string
+	key        string
+	prev, next *Entry[V] // LRU links, guarded by the memo's mutex
+
+	// ready is nil until a caller waits on the entry in flight, and the
+	// shared closed channel once the entry is published.
+	mu    sync.Mutex
 	ready chan struct{}
 	val   V
 	err   error
 }
 
+// closed is the ready channel of every published entry.
+var closed = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // New returns an empty memo holding at most maxEntries keys; a
 // non-positive maxEntries means unbounded.
 func New[V any](maxEntries int) *Memo[V] {
-	return &Memo[V]{cap: max(maxEntries, 0), m: make(map[string]*list.Element)}
+	m := &Memo[V]{cap: max(maxEntries, 0), m: make(map[string]*Entry[V])}
+	m.lru.prev, m.lru.next = &m.lru, &m.lru
+	return m
+}
+
+// unlink removes e from the LRU list.
+func (m *Memo[V]) unlink(e *Entry[V]) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// pushFront makes e the most recently used entry.
+func (m *Memo[V]) pushFront(e *Entry[V]) {
+	e.prev, e.next = &m.lru, m.lru.next
+	e.next.prev = e
+	m.lru.next = e
 }
 
 // Get returns the entry for key, installing an empty in-flight one on first
@@ -65,18 +95,20 @@ func New[V any](maxEntries int) *Memo[V] {
 func (m *Memo[V]) Get(key []byte) (e *Entry[V], hit bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if el, ok := m.m[string(key)]; ok {
-		m.lru.MoveToFront(el)
+	if e, ok := m.m[string(key)]; ok {
+		m.unlink(e)
+		m.pushFront(e)
 		m.hits++
-		return el.Value.(*Entry[V]), true
+		return e, true
 	}
-	e = &Entry[V]{key: string(key), ready: make(chan struct{})}
-	m.m[e.key] = m.lru.PushFront(e)
+	e = &Entry[V]{key: string(key)}
+	m.m[e.key] = e
+	m.pushFront(e)
 	m.misses++
 	for m.cap > 0 && len(m.m) > m.cap {
-		back := m.lru.Back()
-		m.lru.Remove(back)
-		delete(m.m, back.Value.(*Entry[V]).key)
+		back := m.lru.prev
+		m.unlink(back)
+		delete(m.m, back.key)
 		m.evictions++
 	}
 	return e, false
@@ -89,17 +121,12 @@ func (m *Memo[V]) Get(key []byte) (e *Entry[V], hit bool) {
 func (m *Memo[V]) Published(key []byte) (e *Entry[V], ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	el, ok := m.m[string(key)]
-	if !ok {
+	e, ok = m.m[string(key)]
+	if !ok || !e.published() {
 		return nil, false
 	}
-	e = el.Value.(*Entry[V])
-	select {
-	case <-e.ready:
-	default:
-		return nil, false
-	}
-	m.lru.MoveToFront(el)
+	m.unlink(e)
+	m.pushFront(e)
 	m.hits++
 	return e, true
 }
@@ -113,8 +140,8 @@ func (m *Memo[V]) Published(key []byte) (e *Entry[V], ok bool) {
 func (m *Memo[V]) Forget(e *Entry[V]) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if el, ok := m.m[e.key]; ok && el.Value.(*Entry[V]) == e {
-		m.lru.Remove(el)
+	if cur, ok := m.m[e.key]; ok && cur == e {
+		m.unlink(e)
 		delete(m.m, e.key)
 	}
 }
@@ -128,19 +155,38 @@ func (e *Entry[V]) Fill(compute func() (V, error)) {
 			var zero V
 			e.val, e.err = zero, fmt.Errorf("memo: computation panicked: %v\n%s", r, debug.Stack())
 		}
-		close(e.ready)
+		e.mu.Lock()
+		if e.ready != nil {
+			close(e.ready)
+		}
+		e.ready = closed
+		e.mu.Unlock()
 	}()
 	e.val, e.err = compute()
 }
 
+// published reports whether e is published.
+func (e *Entry[V]) published() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.ready == closed
+}
+
 // Ready is closed once e is published.
-func (e *Entry[V]) Ready() <-chan struct{} { return e.ready }
+func (e *Entry[V]) Ready() <-chan struct{} {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.ready == nil {
+		e.ready = make(chan struct{})
+	}
+	return e.ready
+}
 
 // Wait blocks until e is published and returns its value and error. The
 // value is the stored one, shared with every other caller (see the package
 // documentation on aliasing).
 func (e *Entry[V]) Wait() (V, error) {
-	<-e.ready
+	<-e.Ready()
 	return e.val, e.err
 }
 

@@ -13,10 +13,11 @@
 //   - validation and platform classification run once at compile time, not
 //     per query (core.SolvePrepared skips both);
 //   - repeated queries are answered from a single-flight LRU memo
-//     (internal/memo) keyed by the plan's id followed by a canonical query
-//     encoding, so the steady-state repeat-query path is a map lookup plus
-//     a defensive copy — near-zero allocations and orders of magnitude
-//     faster than a fresh solve;
+//     (internal/memo) keyed by the plan's id followed by a compact
+//     canonical query encoding, so the steady-state repeat-query path is a
+//     map lookup plus unpacking the stored answer (core.Packed) into a
+//     fresh Result — near-zero allocations and orders of magnitude faster
+//     than a fresh solve;
 //   - query keys are encoded into pooled scratch buffers (sync.Pool), so
 //     the hot path does not regrow an arena per call.
 //
@@ -138,7 +139,7 @@ type Plan struct {
 	// memo holds the answered queries, keyed by id followed by the
 	// query's canonical encoding. A plan from Compile owns a private memo;
 	// CompileShared plans share a caller's.
-	memo *memo.Memo[core.Result]
+	memo *memo.Memo[core.Packed]
 	id   uint64
 
 	queries, hits, degraded atomic.Int64
@@ -164,7 +165,7 @@ var lastID atomic.Uint64
 // queries are bit-identical to fresh core.Solve calls on the original
 // instance.
 func Compile(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) (*Plan, error) {
-	return CompileShared(inst, rule, model, memo.New[core.Result](memoCap))
+	return CompileShared(inst, rule, model, memo.New[core.Packed](memoCap))
 }
 
 // CompileShared is Compile with the query memo supplied by the caller, so
@@ -174,7 +175,7 @@ func Compile(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommMode
 // other's answers, and a stored query key stays small however large the
 // instance. Compiling the same inputs again gives a new plan with a new
 // id, which does not see the answers of its predecessor.
-func CompileShared(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, m *memo.Memo[core.Result]) (*Plan, error) {
+func CompileShared(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, m *memo.Memo[core.Packed]) (*Plan, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
@@ -272,7 +273,7 @@ func (p *Plan) Answer(ctx context.Context, q Query) (res core.Result, err error,
 
 // await answers q from its memo entry e, running the solve first when this
 // call installed e (hit false).
-func (p *Plan) await(ctx context.Context, e *memo.Entry[core.Result], q Query, hit bool) (core.Result, error) {
+func (p *Plan) await(ctx context.Context, e *memo.Entry[core.Packed], q Query, hit bool) (core.Result, error) {
 	if ctx.Done() == nil {
 		if !hit {
 			p.run(e, q)
@@ -305,7 +306,7 @@ func (p *Plan) await(ctx context.Context, e *memo.Entry[core.Result], q Query, h
 // q. hit reports whether the entry was already present (the caller must
 // then wait on it); on a miss the caller owns running the solve via run.
 // Without install, only a published entry is found.
-func (p *Plan) lookup(q Query, install bool) (e *memo.Entry[core.Result], hit bool) {
+func (p *Plan) lookup(q Query, install bool) (e *memo.Entry[core.Packed], hit bool) {
 	kp := keyPool.Get().(*[]byte)
 	buf := binary.LittleEndian.AppendUint64((*kp)[:0], p.id)
 	if p.boundClassed(q) {
@@ -326,14 +327,15 @@ func (p *Plan) lookup(q Query, install bool) (e *memo.Entry[core.Result], hit bo
 // run executes the solve for a freshly installed entry and publishes the
 // result. A panic in the solver is published as the entry's error, so it
 // stays confined to this plan's query.
-func (p *Plan) run(e *memo.Entry[core.Result], q Query) {
-	e.Fill(func() (res core.Result, err error) {
+func (p *Plan) run(e *memo.Entry[core.Packed], q Query) {
+	e.Fill(func() (packed core.Packed, err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				res, err = core.Result{}, fmt.Errorf("plan: solve panicked: %v\n%s", r, debug.Stack())
+				packed, err = core.Packed{}, fmt.Errorf("plan: solve panicked: %v\n%s", r, debug.Stack())
 			}
 		}()
-		return core.SolvePrepared(&p.inst, p.cls, p.Request(q))
+		res, err := core.SolvePrepared(&p.inst, p.cls, p.Request(q))
+		return res.Pack(), err
 	})
 }
 
@@ -376,14 +378,11 @@ func cloneQuery(q Query) Query {
 	return q
 }
 
-// cloneStored hands out an independent copy (core.Result.Clone) of a
-// memoized success; a failure's Result and error pass through untouched,
-// so a memo's Wait can feed it directly.
-func cloneStored(res core.Result, err error) (core.Result, error) {
-	if err != nil {
-		return res, err
-	}
-	return res.Clone(), nil
+// cloneStored hands out an independent copy of a memoized answer: the
+// Result its packed form stands for (core.Packed.Unpack) and its error, so
+// a memo's Wait can feed it directly.
+func cloneStored(p core.Packed, err error) (core.Result, error) {
+	return p.Unpack(), err
 }
 
 // Stats is a point-in-time snapshot of a plan's query counters.
@@ -497,11 +496,11 @@ const (
 // set and the count fixes every comparison the algorithm makes.
 func (p *Plan) appendClassKey(dst []byte, q Query) []byte {
 	dst = append(dst, classKey)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(q.Objective))
+	dst = binary.AppendVarint(dst, int64(q.Objective))
 	for a, times := range p.cycleTimes() {
 		bound := q.PeriodBounds[a]
 		n := sort.Search(len(times), func(i int) bool { return !fmath.LE(times[i], bound) })
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(n))
+		dst = binary.AppendUvarint(dst, uint64(n))
 	}
 	return appendTuning(dst, q)
 }
@@ -509,12 +508,14 @@ func (p *Plan) appendClassKey(dst []byte, q Query) []byte {
 // appendQueryKey appends the query's raw key to dst: the rawKey tag, then
 // a canonical binary encoding of the query, in which every field is
 // written with an explicit presence/length tag so no two distinct queries
-// share an encoding (floats as IEEE-754 bit patterns, nil slices
-// distinguished from empty ones — "unconstrained" differs from
-// "constrained by an empty array" to the solver's bound checks).
+// share an encoding (floats as IEEE-754 bit patterns, integers as varints,
+// which delimit themselves, nil slices distinguished from empty ones —
+// "unconstrained" differs from "constrained by an empty array" to the
+// solver's bound checks). A memo keeps every key it holds, so the
+// encoding is kept short.
 func appendQueryKey(dst []byte, q Query) []byte {
 	dst = append(dst, rawKey)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(q.Objective))
+	dst = binary.AppendVarint(dst, int64(q.Objective))
 	dst = appendFloats(dst, q.PeriodBounds)
 	dst = appendFloats(dst, q.LatencyBounds)
 	return appendTuning(dst, q)
@@ -524,10 +525,10 @@ func appendQueryKey(dst []byte, q Query) []byte {
 // budget and the fallbacks' tuning.
 func appendTuning(dst []byte, q Query) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(q.EnergyBudget))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(q.ExactLimit))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(q.Seed))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(q.HeurIters))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(q.HeurRestarts))
+	dst = binary.AppendVarint(dst, q.ExactLimit)
+	dst = binary.AppendVarint(dst, q.Seed)
+	dst = binary.AppendVarint(dst, int64(q.HeurIters))
+	dst = binary.AppendVarint(dst, int64(q.HeurRestarts))
 	return dst
 }
 
@@ -536,7 +537,7 @@ func appendFloats(dst []byte, xs []float64) []byte {
 		return append(dst, 0)
 	}
 	dst = append(dst, 1)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(xs)))
+	dst = binary.AppendUvarint(dst, uint64(len(xs)))
 	for _, x := range xs {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 	}

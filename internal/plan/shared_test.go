@@ -21,7 +21,7 @@ func TestSharedMemoKeepsPlansApart(t *testing.T) {
 	a := pipeline.MotivatingExample()
 	b := a.Clone()
 	b.Apps[0].Stages[0].Work *= 3 // a different instance, hence different answers
-	shared := memo.New[core.Result](0)
+	shared := memo.New[core.Packed](0)
 	plA, err := CompileShared(&a, mapping.Interval, pipeline.Overlap, shared)
 	if err != nil {
 		t.Fatal(err)
