@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	pipebatch -in jobs.json [-workers 8] [-no-dedup]
+//	pipebatch -in jobs.json [-workers 8]
 //	pipebatch -in jobs.json -server http://host:8080 [-retries 5] [-retry-base 200ms] [-http-timeout 60s]
 //
 // The job file holds an optional default instance plus a list of jobs;
@@ -94,7 +94,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pipebatch", flag.ContinueOnError)
 	in := fs.String("in", "", "job file JSON (default: stdin)")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	noDedup := fs.Bool("no-dedup", false, "disable duplicate-job memoization")
 	serverURL := fs.String("server", "", "POST the job file to this pipeserved base URL instead of solving locally")
 	retries := fs.Int("retries", 5, "retries after a shed (429/503) or transport failure in -server mode")
 	retryBase := fs.Duration("retry-base", 200*time.Millisecond, "base delay of the jittered exponential backoff")
@@ -129,7 +128,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 
-	results, stats := batch.Solve(jobs, batch.Options{Workers: *workers, NoDedup: *noDedup})
+	results, stats := batch.Solve(jobs, batch.Options{Workers: *workers})
 	out, err := jobspec.EncodeOutput(results, stats)
 	if err != nil {
 		return err

@@ -110,7 +110,8 @@ func TestPipebatchPerJobErrors(t *testing.T) {
 	}
 }
 
-// TestPipebatchStdinAndFlags exercises stdin input, -workers and -no-dedup.
+// TestPipebatchStdinAndFlags exercises stdin input and -workers; the
+// duplicate job is answered from the first one's solve.
 func TestPipebatchStdinAndFlags(t *testing.T) {
 	path := writeJobFile(t, `[
 		{"request": {"objective": "period"}},
@@ -121,12 +122,12 @@ func TestPipebatchStdinAndFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run([]string{"-workers", "2", "-no-dedup"}, bytes.NewReader(data), &out); err != nil {
+	if err := run([]string{"-workers", "2"}, bytes.NewReader(data), &out); err != nil {
 		t.Fatal(err)
 	}
 	doc := decodeOutput(t, &out)
-	if hits := doc["stats"].(map[string]any)["cacheHits"].(float64); hits != 0 {
-		t.Errorf("cacheHits = %g with -no-dedup", hits)
+	if hits := doc["stats"].(map[string]any)["cacheHits"].(float64); hits != 1 {
+		t.Errorf("cacheHits = %g, want 1", hits)
 	}
 }
 

@@ -24,9 +24,7 @@ package batch
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,15 +59,11 @@ type Options struct {
 	// Solve uses a private cache scoped to the call (still deduplicating
 	// identical jobs within the batch).
 	Cache *Cache
-	// NoDedup disables memoization entirely: every job runs the solver,
-	// even exact duplicates. Useful for benchmarking the raw pool.
-	NoDedup bool
 	// SolveBudget, if positive, is a per-job wall-clock budget: a job
 	// whose solve outlives it degrades to the plan layer's reduced-effort
 	// fallback (plan.SolveCtx — heuristic on NP-hard cells, tagged
 	// Preempted) instead of blowing the whole batch's deadline. Preempted
 	// results are never retained by the cache. Zero means no budget.
-	// Ignored with NoDedup, which bypasses the plan layer.
 	SolveBudget time.Duration
 }
 
@@ -93,8 +87,7 @@ type Stats struct {
 	// PlanCompiles counts compiled plans built fresh for this batch's
 	// distinct jobs; PlanReuses counts distinct jobs answered by a plan
 	// already in the cache's plan tier (possibly compiled by an earlier
-	// batch sharing the Cache). Both are zero with NoDedup, which bypasses
-	// the plan layer entirely.
+	// batch sharing the Cache).
 	PlanCompiles, PlanReuses int
 	// Degraded counts successful jobs whose result came from the heuristic
 	// because the exact path was abandoned (Result.Degraded); Preempted is
@@ -132,15 +125,11 @@ func SolveCtx(ctx context.Context, jobs []Job, opts Options) ([]JobResult, Stats
 	}
 
 	var planCompiles, planReuses int64
-	if opts.NoDedup {
-		solveAll(ctx, jobs, workers, results)
-	} else {
-		cache := opts.Cache
-		if cache == nil {
-			cache = NewCache()
-		}
-		solveDeduped(ctx, jobs, workers, cache, opts.SolveBudget, results, hits, &planCompiles, &planReuses)
+	cache := opts.Cache
+	if cache == nil {
+		cache = NewCache()
 	}
+	solveDeduped(ctx, jobs, workers, cache, opts.SolveBudget, results, hits, &planCompiles, &planReuses)
 
 	stats := Stats{
 		Jobs:         len(jobs),
@@ -168,26 +157,14 @@ func SolveCtx(ctx context.Context, jobs []Job, opts Options) ([]JobResult, Stats
 	return results, stats
 }
 
-// solveOne runs core.Solve, converting a panic into a per-job error so one
-// poisoned request cannot take down a long-running process.
-func solveOne(inst *pipeline.Instance, req core.Request) (res core.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = core.Result{}
-			err = fmt.Errorf("batch: solve panicked: %v\n%s", r, debug.Stack())
-		}
-	}()
-	return core.Solve(inst, req)
-}
-
 // solvePlanned answers a group of identical jobs through the cache: it
 // takes the group's plan — the one the jobs carry, or else the plan tier's
 // for their instance triple, compiled on first sight — and issues the
 // request as a query against it, which the cache's result memo answers
-// when the job was solved before. This is bit-identical to solveOne —
+// when the job was solved before. This is bit-identical to core.Solve —
 // Compile performs the same validation core.Solve would, and plan queries
-// dispatch through core.SolvePrepared — and panics are confined the same
-// way (the memos publish panics as errors rather than unwinding the
+// dispatch through core.SolvePrepared — and a panic is confined to the
+// job's slot (the memos publish panics as errors rather than unwinding the
 // worker). hit reports a memoized answer: the query's, or the plan tier's
 // memoized compilation error.
 //
@@ -212,8 +189,8 @@ func solvePlanned(ctx context.Context, cache *Cache, jobs []Job, group []int, bu
 	if err != nil {
 		return core.Result{}, err, planHit
 	}
-	// Without a budget a started solve runs to completion, like solveOne:
-	// the solver is not preemptible, so the query drops ctx's cancellation.
+	// Without a budget a started solve runs to completion: the solver is
+	// not preemptible, so the query drops ctx's cancellation.
 	qctx := context.WithoutCancel(ctx)
 	if budget > 0 {
 		var cancel context.CancelFunc
@@ -221,31 +198,6 @@ func solvePlanned(ctx context.Context, cache *Cache, jobs []Job, group []int, bu
 		defer cancel()
 	}
 	return pl.Answer(qctx, plan.QueryOf(job.Req))
-}
-
-// solveAll runs every job individually, no memoization.
-func solveAll(ctx context.Context, jobs []Job, workers int, results []JobResult) {
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					results[i] = JobResult{Err: err}
-					continue
-				}
-				res, err := solveOne(jobs[i].Inst, jobs[i].Req)
-				results[i] = JobResult{Result: res, Err: err}
-			}
-		}()
-	}
-	dispatch(ctx, len(jobs), idx, func(i int) { results[i] = JobResult{Err: ctx.Err()} })
-	wg.Wait()
 }
 
 // dispatch feeds item indices 0..n-1 into ch, stopping early when ctx is

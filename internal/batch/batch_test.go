@@ -169,19 +169,6 @@ func TestSharedCacheAcrossBatches(t *testing.T) {
 	}
 }
 
-// TestNoDedup checks the cache can be switched off.
-func TestNoDedup(t *testing.T) {
-	inst := pipeline.MotivatingExample()
-	jobs := fig1Jobs(&inst)
-	results, stats := Solve(jobs, Options{NoDedup: true, Workers: 4})
-	if stats.CacheHits != 0 {
-		t.Errorf("CacheHits = %d with NoDedup", stats.CacheHits)
-	}
-	if !reflect.DeepEqual(results[0].Result, results[3].Result) {
-		t.Error("duplicate jobs disagree without dedup")
-	}
-}
-
 // TestDedupGroupsBeforeDispatch checks duplicates are collapsed before
 // they reach the pool: a batch of N identical jobs on a single worker
 // performs exactly one computation, so no worker ever parks behind an

@@ -363,18 +363,16 @@ func TestSolveCtxPreCancelled(t *testing.T) {
 	jobs := fig1Jobs(&inst)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, noDedup := range []bool{false, true} {
-		results, stats := SolveCtx(ctx, jobs, Options{Workers: 2, NoDedup: noDedup})
-		if stats.Errors != len(jobs) {
-			t.Errorf("noDedup=%v: Errors = %d, want %d", noDedup, stats.Errors, len(jobs))
+	results, stats := SolveCtx(ctx, jobs, Options{Workers: 2})
+	if stats.Errors != len(jobs) {
+		t.Errorf("Errors = %d, want %d", stats.Errors, len(jobs))
+	}
+	for i, r := range results {
+		if r.Err != context.Canceled {
+			t.Errorf("job %d: Err = %v, want context.Canceled", i, r.Err)
 		}
-		for i, r := range results {
-			if r.Err != context.Canceled {
-				t.Errorf("noDedup=%v job %d: Err = %v, want context.Canceled", noDedup, i, r.Err)
-			}
-			if !reflect.DeepEqual(r.Result, core.Result{}) {
-				t.Errorf("noDedup=%v job %d: cancelled slot carries a result", noDedup, i)
-			}
+		if !reflect.DeepEqual(r.Result, core.Result{}) {
+			t.Errorf("job %d: cancelled slot carries a result", i)
 		}
 	}
 }
