@@ -4,6 +4,12 @@
 // through a memoization cache (see Key and Cache), and returns per-job
 // results in input order together with aggregate statistics.
 //
+// The pool is Each, the one worker pool of the module: it runs fn(i) for
+// every index of a work list on a bounded number of goroutines, hands
+// indices out in order, and sends the indices not yet started when the
+// context is done to a skip function. Pareto sweeps, the differential
+// oracle, the experiment drivers and the gateway's fan-outs run on it too.
+//
 // Solve never reorders: results[i] always answers jobs[i], and a job that
 // fails only poisons its own slot — the error is recorded per job and the
 // remaining jobs still run. Identical jobs (same canonical key, or same
@@ -15,17 +21,15 @@
 //
 // SolveCtx is the context-aware form for long-running processes: when the
 // context is cancelled mid-batch, jobs not yet solved return ctx.Err() in
-// their slot, workers stop picking up new jobs, and the call returns
-// promptly (jobs already inside the solver run to completion — the solver
-// itself is not preemptible). A panic inside the solver is confined to the
+// their slot (Each's skip), and the call returns promptly (jobs already
+// inside the solver run to completion — the solver itself is not
+// preemptible). A panic inside the solver is confined to the
 // offending job's slot as an error rather than crashing the process, so a
 // server can keep a shared cache alive across poisoned requests.
 package batch
 
 import (
 	"context"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -119,17 +123,12 @@ func SolveCtx(ctx context.Context, jobs []Job, opts Options) ([]JobResult, Stats
 	results := make([]JobResult, len(jobs))
 	hits := make([]bool, len(jobs))
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	var planCompiles, planReuses int64
 	cache := opts.Cache
 	if cache == nil {
 		cache = NewCache()
 	}
-	solveDeduped(ctx, jobs, workers, cache, opts.SolveBudget, results, hits, &planCompiles, &planReuses)
+	solveDeduped(ctx, jobs, opts.Workers, cache, opts.SolveBudget, results, hits, &planCompiles, &planReuses)
 
 	stats := Stats{
 		Jobs:         len(jobs),
@@ -200,24 +199,6 @@ func solvePlanned(ctx context.Context, cache *Cache, jobs []Job, group []int, bu
 	return pl.Answer(qctx, plan.QueryOf(job.Req))
 }
 
-// dispatch feeds item indices 0..n-1 into ch, stopping early when ctx is
-// cancelled; undelivered items are handed to skip on the caller's
-// goroutine (no worker ever received them, so writing their slots here is
-// race-free). ch is closed on return.
-func dispatch(ctx context.Context, n int, ch chan int, skip func(i int)) {
-	defer close(ch)
-	for i := 0; i < n; i++ {
-		select {
-		case <-ctx.Done():
-			for j := i; j < n; j++ {
-				skip(j)
-			}
-			return
-		case ch <- i:
-		}
-	}
-}
-
 // groupKey identifies the jobs one computation answers: a job carrying
 // its plan by the plan and its request, any other by its canonical Key.
 type groupKey struct {
@@ -247,57 +228,42 @@ func groupOf(job *Job) groupKey {
 // group of jobs that carry their plan counts a compilation when one of
 // its jobs compiled the plan.
 func solveDeduped(ctx context.Context, jobs []Job, workers int, cache *Cache, budget time.Duration, results []JobResult, hits []bool, planCompiles, planReuses *int64) {
-	keyOrder := make([]groupKey, 0, len(jobs))
-	groups := make(map[groupKey][]int, len(jobs))
+	// A group starts as a full-capacity window of one element of self, so
+	// the common singleton group allocates nothing; a duplicate's append
+	// copies the group out.
+	self := make([]int, len(jobs))
+	groups := make([][]int, 0, len(jobs))
+	at := make(map[groupKey]int, len(jobs))
 	for i := range jobs {
 		k := groupOf(&jobs[i])
-		if _, ok := groups[k]; !ok {
-			keyOrder = append(keyOrder, k)
+		if g, ok := at[k]; ok {
+			groups[g] = append(groups[g], i)
+			continue
 		}
-		groups[k] = append(groups[k], i)
+		self[i] = i
+		at[k] = len(groups)
+		groups = append(groups, self[i:i+1:i+1])
 	}
-	if workers > len(keyOrder) {
-		workers = len(keyOrder)
-	}
-	skipGroup := func(g int) {
-		for _, i := range groups[keyOrder[g]] {
-			results[i] = JobResult{Err: ctx.Err()}
-		}
-	}
-	var wg sync.WaitGroup
-	tasks := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range tasks {
-				idxs := groups[keyOrder[g]]
-				if ctx.Err() != nil {
-					for _, i := range idxs {
-						results[i] = JobResult{Err: ctx.Err()}
-					}
-					continue
-				}
-				res, err, hit := solvePlanned(ctx, cache, jobs, idxs, budget, planCompiles, planReuses)
-				for n, i := range idxs {
-					jr := JobResult{Err: err}
-					if err == nil {
-						// The plan already returned an independent copy;
-						// the other slots of the group need their own so
-						// mutating one job's mapping never leaks into a
-						// duplicate's.
-						if n == 0 {
-							jr.Result = res
-						} else {
-							jr.Result = res.Clone()
-						}
-					}
-					results[i] = jr
-					hits[i] = hit || n > 0
+	Each(ctx, len(groups), workers, func(g int) {
+		res, err, hit := solvePlanned(ctx, cache, jobs, groups[g], budget, planCompiles, planReuses)
+		for n, i := range groups[g] {
+			jr := JobResult{Err: err}
+			if err == nil {
+				// The plan already returned an independent copy; the
+				// other slots of the group need their own so mutating
+				// one job's mapping never leaks into a duplicate's.
+				if n == 0 {
+					jr.Result = res
+				} else {
+					jr.Result = res.Clone()
 				}
 			}
-		}()
-	}
-	dispatch(ctx, len(keyOrder), tasks, skipGroup)
-	wg.Wait()
+			results[i] = jr
+			hits[i] = hit || n > 0
+		}
+	}, func(g int) {
+		for _, i := range groups[g] {
+			results[i] = JobResult{Err: ctx.Err()}
+		}
+	})
 }

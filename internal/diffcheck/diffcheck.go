@@ -46,15 +46,15 @@
 package diffcheck
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/algo/exact"
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/fmath"
 	"repro/internal/gen"
@@ -79,7 +79,7 @@ type Options struct {
 	// 300 and 1: enough to find a feasible point on oracle-sized
 	// instances while keeping a large corpus fast).
 	HeurIters, HeurRestarts int
-	// Workers bounds Run's parallelism; 0 means GOMAXPROCS.
+	// Workers bounds Run's parallelism; <= 0 means GOMAXPROCS.
 	Workers int
 }
 
@@ -116,13 +116,6 @@ func (o Options) heurRestarts() int {
 		return 1
 	}
 	return o.HeurRestarts
-}
-
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
 }
 
 // Outcome reports one scenario's differential check.
@@ -546,19 +539,10 @@ func Run(space gen.Space, seed int64, n int, opt Options) (Summary, error) {
 	}
 	outcomes := make([]Outcome, n)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opt.workers())
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			sc := space.Sample(seed, i)
-			outcomes[i], errs[i] = Check(&sc, opt)
-		}(i)
-	}
-	wg.Wait()
+	batch.Each(context.Background(), n, opt.Workers, func(i int) {
+		sc := space.Sample(seed, i)
+		outcomes[i], errs[i] = Check(&sc, opt)
+	}, nil)
 
 	sum := Summary{Combos: make(map[string]int), Methods: make(map[core.Method]int)}
 	var reported []error

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -9,9 +10,9 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -197,25 +198,19 @@ func chaosShedBurst() (rate float64, okCount, shedCount int, err error) {
 	const burst = 32
 	codes := make([]int, burst)
 	retryAfter := make([]bool, burst)
-	var wg sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Distinct seeds defeat the memo cache and a forced-heuristic
-			// budget keeps each solve slow enough that the burst overlaps.
-			body := fmt.Sprintf(`{"instance": %s, "request": {"objective": "period",
-				"exactLimit": 1, "heurIters": 100000, "heurRestarts": 1, "seed": %d}}`, instJSON.String(), i+1)
-			resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			codes[i] = resp.StatusCode
-			retryAfter[i] = resp.Header.Get("Retry-After") != ""
-		}(i)
-	}
-	wg.Wait()
+	batch.Each(context.Background(), burst, burst, func(i int) {
+		// Distinct seeds defeat the memo cache and a forced-heuristic
+		// budget keeps each solve slow enough that the burst overlaps.
+		body := fmt.Sprintf(`{"instance": %s, "request": {"objective": "period",
+			"exactLimit": 1, "heurIters": 100000, "heurRestarts": 1, "seed": %d}}`, instJSON.String(), i+1)
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
+		if err != nil {
+			return
+		}
+		defer resp.Body.Close()
+		codes[i] = resp.StatusCode
+		retryAfter[i] = resp.Header.Get("Retry-After") != ""
+	}, nil)
 
 	for i, c := range codes {
 		switch c {

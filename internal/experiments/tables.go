@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/algo/exact"
 	"repro/internal/batch"
@@ -68,22 +66,14 @@ func (c *cellCheck) run(ctx context.Context, rng *rand.Rand) (cellResult, error)
 	}
 	oracles := make([]oracleOut, trialsPerCell)
 	if c.oracle != nil {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for t := 0; t < trialsPerCell; t++ {
-			if solved[t].Err != nil {
-				continue
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(t int) {
-				defer wg.Done()
-				defer func() { <-sem }()
+		// Every solved trial gets its oracle, cancelled or not, so none
+		// is compared against a missing optimum.
+		batch.Each(context.WithoutCancel(ctx), trialsPerCell, 0, func(t int) {
+			if solved[t].Err == nil {
 				v, err := c.oracle(&insts[t], reqs[t])
 				oracles[t] = oracleOut{val: v, err: err}
-			}(t)
-		}
-		wg.Wait()
+			}
+		}, nil)
 	}
 
 	matches, trials := 0, 0

@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/jobspec"
 )
 
@@ -196,32 +197,28 @@ func (g *Gateway) markDown(i int, reason error) {
 // A replica answers ready with 200; anything else — including a refused
 // connection — marks it down. Probes use the shared timed client.
 func (g *Gateway) Probe(ctx context.Context) {
-	var wg sync.WaitGroup
-	for i := range g.replicas {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, g.replicas[i]+"/readyz", nil)
-			if err != nil {
-				return
+	// Every replica is probed even under a done ctx, whose failed request
+	// marks it down.
+	batch.Each(context.WithoutCancel(ctx), len(g.replicas), len(g.replicas), func(i int) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, g.replicas[i]+"/readyz", nil)
+		if err != nil {
+			return
+		}
+		resp, err := g.client.Do(req)
+		if err != nil {
+			g.markDown(i, err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			if g.healthy[i].CompareAndSwap(false, true) {
+				g.log.Printf("gateway: replica %d (%s) back up", i, g.replicas[i])
 			}
-			resp, err := g.client.Do(req)
-			if err != nil {
-				g.markDown(i, err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				if g.healthy[i].CompareAndSwap(false, true) {
-					g.log.Printf("gateway: replica %d (%s) back up", i, g.replicas[i])
-				}
-			} else {
-				g.markDown(i, fmt.Errorf("readyz status %d", resp.StatusCode))
-			}
-		}(i)
-	}
-	wg.Wait()
+		} else {
+			g.markDown(i, fmt.Errorf("readyz status %d", resp.StatusCode))
+		}
+	}, nil)
 }
 
 // StartProbes probes every replica now and then every interval
@@ -341,7 +338,7 @@ type fanout struct {
 // groups whose replica turned out to be down (depth bounds the recursion:
 // each level retires at least one replica).
 func (g *Gateway) dispatch(ctx context.Context, fo *fanout, indices []int, depth int) {
-	groups := make(map[int][]int)
+	groups := make([][]int, len(g.replicas)) // job indices by replica
 	var unroutable []int
 	for _, idx := range indices {
 		rep, ok := g.route(fo.keys[idx])
@@ -355,56 +352,56 @@ func (g *Gateway) dispatch(ctx context.Context, fo *fanout, indices []int, depth
 		g.failSlots(fo, unroutable, jobspec.CodeShed, errors.New("no healthy replica for job"))
 	}
 
-	var wg sync.WaitGroup
-	for rep, group := range groups {
-		wg.Add(1)
-		go func(rep int, group []int) {
-			defer wg.Done()
-			resp, respBody, err := g.post(ctx, rep, "/v1/batch", fo.doc.splice(group))
-			if err != nil {
-				// The replica is gone or persistently shedding: take it
-				// out of the ring and let the group's keys find their
-				// successors. Recursion is bounded — every level marks a
-				// replica down, and route() answers ok=false once none
-				// are left.
-				if ctx.Err() != nil {
-					g.failSlots(fo, group, jobspec.CodeTimeout, ctx.Err())
-					return
-				}
-				g.markDown(rep, err)
-				if depth < len(g.replicas) {
-					g.rerouted.Add(int64(len(group)))
-					g.dispatch(ctx, fo, group, depth+1)
-					return
-				}
-				g.failSlots(fo, group, jobspec.CodeShed, err)
+	// Every group is posted even under a done ctx: the failed post fills
+	// its slots with a timeout.
+	batch.Each(context.WithoutCancel(ctx), len(groups), len(groups), func(rep int) {
+		group := groups[rep]
+		if len(group) == 0 {
+			return
+		}
+		resp, respBody, err := g.post(ctx, rep, "/v1/batch", fo.doc.splice(group))
+		if err != nil {
+			// The replica is gone or persistently shedding: take it
+			// out of the ring and let the group's keys find their
+			// successors. Recursion is bounded — every level marks a
+			// replica down, and route() answers ok=false once none
+			// are left.
+			if ctx.Err() != nil {
+				g.failSlots(fo, group, jobspec.CodeTimeout, ctx.Err())
 				return
 			}
-			if resp.StatusCode != http.StatusOK {
-				// The replica is up and answered for the sub-batch
-				// itself: its budget expired (504), it found the jobs
-				// invalid (400), or it failed on them. The slots carry
-				// its answer; a 400 also has the whole document checked.
-				g.upstreamError(fo, group, rep, resp.StatusCode, respBody)
+			g.markDown(rep, err)
+			if depth < len(g.replicas) {
+				g.rerouted.Add(int64(len(group)))
+				g.dispatch(ctx, fo, group, depth+1)
 				return
 			}
-			var out wireOutput
-			if err := json.Unmarshal(respBody, &out); err != nil || len(out.Results) != len(group) {
-				if err == nil {
-					err = fmt.Errorf("sub-batch answered %d results for %d jobs", len(out.Results), len(group))
-				}
-				g.failSlots(fo, group, jobspec.CodeInternal, err)
-				return
+			g.failSlots(fo, group, jobspec.CodeShed, err)
+			return
+		}
+		if resp.StatusCode != http.StatusOK {
+			// The replica is up and answered for the sub-batch
+			// itself: its budget expired (504), it found the jobs
+			// invalid (400), or it failed on them. The slots carry
+			// its answer; a 400 also has the whole document checked.
+			g.upstreamError(fo, group, rep, resp.StatusCode, respBody)
+			return
+		}
+		var out wireOutput
+		if err := json.Unmarshal(respBody, &out); err != nil || len(out.Results) != len(group) {
+			if err == nil {
+				err = fmt.Errorf("sub-batch answered %d results for %d jobs", len(out.Results), len(group))
 			}
-			for i, idx := range group {
-				fo.results[idx] = out.Results[i]
-			}
-			fo.mu.Lock()
-			fo.merged.Merge(out.Stats)
-			fo.mu.Unlock()
-		}(rep, group)
-	}
-	wg.Wait()
+			g.failSlots(fo, group, jobspec.CodeInternal, err)
+			return
+		}
+		for i, idx := range group {
+			fo.results[idx] = out.Results[i]
+		}
+		fo.mu.Lock()
+		fo.merged.Merge(out.Stats)
+		fo.mu.Unlock()
+	}, nil)
 }
 
 // upstreamError fills a group's slots from a replica's non-200 answer to
@@ -578,33 +575,28 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shed:     g.shed.Load(),
 		Replicas: make([]replicaStatsJSON, len(g.replicas)),
 	}
-	var wg sync.WaitGroup
-	for i := range g.replicas {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp.Replicas[i] = replicaStatsJSON{URL: g.replicas[i], Healthy: g.healthy[i].Load()}
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, g.replicas[i]+"/stats", nil)
-			if err != nil {
-				return
-			}
-			res, err := g.client.Do(req)
-			if err != nil {
-				return
-			}
-			body, err := io.ReadAll(res.Body)
-			res.Body.Close()
-			if err != nil || res.StatusCode != http.StatusOK {
-				return
-			}
-			var st jobspec.ServiceStats
-			if json.Unmarshal(body, &st) == nil {
-				resp.Replicas[i].Reachable = true
-				resp.Replicas[i].Stats = &st
-			}
-		}(i)
-	}
-	wg.Wait()
+	// Every replica gets its block even when the request is gone.
+	batch.Each(context.WithoutCancel(r.Context()), len(g.replicas), len(g.replicas), func(i int) {
+		resp.Replicas[i] = replicaStatsJSON{URL: g.replicas[i], Healthy: g.healthy[i].Load()}
+		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, g.replicas[i]+"/stats", nil)
+		if err != nil {
+			return
+		}
+		res, err := g.client.Do(req)
+		if err != nil {
+			return
+		}
+		body, err := io.ReadAll(res.Body)
+		res.Body.Close()
+		if err != nil || res.StatusCode != http.StatusOK {
+			return
+		}
+		var st jobspec.ServiceStats
+		if json.Unmarshal(body, &st) == nil {
+			resp.Replicas[i].Reachable = true
+			resp.Replicas[i].Stats = &st
+		}
+	}, nil)
 
 	resp.Merged.Requests = map[string]int64{}
 	resp.Merged.Methods = map[string]int64{}

@@ -22,8 +22,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/algo/exact"
 	"repro/internal/batch"
@@ -95,46 +93,12 @@ func sweepFrontier(ctx context.Context, pl *plan.Plan, cands []float64, opts bat
 		res core.Result
 		err error
 	}, len(cands))
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					results[i].err = err
-					continue
-				}
-				results[i].res, results[i].err = pl.Solve(plan.Query{
-					Objective:    core.Energy,
-					PeriodBounds: core.UniformBounds(pl.Instance(), cands[i]),
-				})
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < len(cands); i++ {
-		select {
-		case <-ctx.Done():
-			// Undelivered candidates never reached a worker, so writing
-			// their slots here is race-free.
-			for j := i; j < len(cands); j++ {
-				results[j].err = ctx.Err()
-			}
-			break dispatch
-		case idx <- i:
-		}
-	}
-	close(idx)
-	wg.Wait()
+	batch.Each(ctx, len(cands), opts.Workers, func(i int) {
+		results[i].res, results[i].err = pl.Solve(plan.Query{
+			Objective:    core.Energy,
+			PeriodBounds: core.UniformBounds(pl.Instance(), cands[i]),
+		})
+	}, func(i int) { results[i].err = ctx.Err() })
 	var points []Point
 	for i := range results {
 		if results[i].err != nil {
