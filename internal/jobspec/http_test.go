@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
@@ -130,6 +131,30 @@ func TestWriteErrorAndShed(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || doc.Code != CodeShed || rec.Code != http.StatusTooManyRequests {
 			t.Errorf("wait %v: %d %s, want 429 with code shed", wait, rec.Code, rec.Body.String())
 		}
+	}
+}
+
+// TestErrorClasses pins each engine error class to its wire code and
+// HTTP status, wrapped as the solver wraps it.
+func TestErrorClasses(t *testing.T) {
+	for _, c := range []struct {
+		err    error
+		code   string
+		status int
+	}{
+		{core.ErrInfeasible, CodeInfeasible, http.StatusUnprocessableEntity},
+		{core.ErrUnsupported, CodeInvalid, http.StatusUnprocessableEntity},
+		{context.DeadlineExceeded, CodeTimeout, http.StatusGatewayTimeout},
+		{context.Canceled, CodeTimeout, http.StatusServiceUnavailable},
+		{errors.New("boom"), CodeInternal, http.StatusInternalServerError},
+	} {
+		err := fmt.Errorf("solve: %w", c.err)
+		if code, status := ErrorCode(err), ErrorStatus(err); code != c.code || status != c.status {
+			t.Errorf("%v: code %q status %d, want %q %d", err, code, status, c.code, c.status)
+		}
+	}
+	if code := ErrorCode(nil); code != "" {
+		t.Errorf("nil error has code %q", code)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 
 	"repro/internal/batch"
 	"repro/internal/core"
@@ -62,20 +63,46 @@ const (
 	CodeInternal = "internal"
 )
 
-// ErrorCode classifies an engine error into a stable wire code.
-func ErrorCode(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, core.ErrInfeasible):
-		return CodeInfeasible
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return CodeTimeout
-	case errors.Is(err, core.ErrUnsupported):
-		return CodeInvalid
-	default:
-		return CodeInternal
+// errorClasses gives each engine error class its wire code and HTTP
+// status, matched in order with errors.Is. Client-shaped failures
+// (infeasible bounds, unsupported criteria) are 422, an expired request
+// budget is 504 and a cancelled one 503; an error of no class is
+// internal, 500.
+var errorClasses = []struct {
+	err    error
+	code   string
+	status int
+}{
+	{core.ErrInfeasible, CodeInfeasible, http.StatusUnprocessableEntity},
+	{core.ErrUnsupported, CodeInvalid, http.StatusUnprocessableEntity},
+	{context.DeadlineExceeded, CodeTimeout, http.StatusGatewayTimeout},
+	{context.Canceled, CodeTimeout, http.StatusServiceUnavailable},
+}
+
+// errorClass looks err up in errorClasses.
+func errorClass(err error) (code string, status int) {
+	for _, c := range errorClasses {
+		if errors.Is(err, c.err) {
+			return c.code, c.status
+		}
 	}
+	return CodeInternal, http.StatusInternalServerError
+}
+
+// ErrorCode classifies an engine error into a stable wire code; nil has
+// none.
+func ErrorCode(err error) string {
+	if err == nil {
+		return ""
+	}
+	code, _ := errorClass(err)
+	return code
+}
+
+// ErrorStatus maps an engine error to the HTTP status of its class.
+func ErrorStatus(err error) int {
+	_, status := errorClass(err)
+	return status
 }
 
 // Float marshals like float64 except that NaN and ±Inf become JSON null

@@ -23,10 +23,10 @@
 //     scope silently detaches the work below it.
 //
 //   - errclass guards the error-classification contract between the
-//     solver and the HTTP layer: internal/server maps core.ErrInfeasible,
-//     core.ErrUnsupported and context errors to status codes via
-//     errors.Is, which direct `err == ErrX` comparisons and fmt.Errorf
-//     calls that format a cause without %w both break.
+//     solver and the HTTP layer: internal/jobspec maps core.ErrInfeasible,
+//     core.ErrUnsupported and context errors to wire codes and status
+//     codes via errors.Is, which direct `err == ErrX` comparisons and
+//     fmt.Errorf calls that format a cause without %w both break.
 //
 //   - floatcmp guards tolerant comparison: ==, !=, <= and >= between two
 //     computed floats outside internal/fmath (which owns EQ/LE/GE) flip

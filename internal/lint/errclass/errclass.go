@@ -1,6 +1,6 @@
 // Package errclass flags error-handling patterns that defeat the error
-// classifier: the HTTP layer (internal/server) routes status codes by
-// probing errors with errors.Is (core.ErrInfeasible, core.ErrUnsupported,
+// classifier: the HTTP layer (internal/jobspec's error-class table) picks
+// wire codes and status codes by probing errors with errors.Is (core.ErrInfeasible, core.ErrUnsupported,
 // context deadline/cancellation), and the solver wraps classified causes
 // into enriched messages (e.g. core.wrap's "%w: %v" around ErrInfeasible).
 // Both halves of that contract break mechanically:

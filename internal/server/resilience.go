@@ -223,7 +223,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := chaos.ResolveCtx(ctx, job.Plan, plan.QueryOf(job.Req), ev)
 	if err != nil {
-		status := solveStatus(err)
+		status := jobspec.ErrorStatus(err)
 		if chaos.IsInapplicable(err) {
 			status = http.StatusUnprocessableEntity
 		}

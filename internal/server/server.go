@@ -262,7 +262,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	release, ok, err := s.admit(r)
 	if err != nil {
 		// The request's own deadline fired while it queued for a slot.
-		jobspec.WriteError(w, solveStatus(err), fmt.Errorf("request expired waiting for admission: %w", err))
+		jobspec.WriteError(w, jobspec.ErrorStatus(err), fmt.Errorf("request expired waiting for admission: %w", err))
 		return
 	}
 	if !ok {
@@ -286,22 +286,6 @@ func (s *Server) batchOptions() batch.Options {
 func (s *Server) countMethods(stats batch.Stats) {
 	for m, n := range stats.Methods {
 		s.methods.Add(string(m), int64(n))
-	}
-}
-
-// solveStatus maps a solver error to an HTTP status: client-shaped
-// failures (infeasible bounds, unsupported criteria) are 422, an expired
-// request budget is 504, anything else is 500.
-func solveStatus(err error) int {
-	switch {
-	case errors.Is(err, core.ErrInfeasible), errors.Is(err, core.ErrUnsupported):
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
 	}
 }
 
@@ -381,7 +365,7 @@ func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body io.Reade
 	results, stats := batch.SolveCtx(ctx, jobs, s.batchOptions())
 	s.countMethods(stats)
 	if err := results[0].Err; err != nil {
-		jobspec.WriteError(w, solveStatus(err), err)
+		jobspec.WriteError(w, jobspec.ErrorStatus(err), err)
 		return frontAnswer{}
 	}
 	doc, err := jobspec.EncodeResult(results[0])
@@ -425,7 +409,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if cancelled > 0 {
-		jobspec.WriteError(w, solveStatus(ctxErr), fmt.Errorf("batch aborted with %d of %d jobs cancelled: %w",
+		jobspec.WriteError(w, jobspec.ErrorStatus(ctxErr), fmt.Errorf("batch aborted with %d of %d jobs cancelled: %w",
 			cancelled, stats.Jobs, ctxErr))
 		return
 	}
@@ -496,7 +480,7 @@ func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 	}
 	front, err := pareto.PeriodEnergyCtx(r.Context(), &inst, rule, model, s.batchOptions())
 	if err != nil {
-		jobspec.WriteError(w, solveStatus(err), err)
+		jobspec.WriteError(w, jobspec.ErrorStatus(err), err)
 		return
 	}
 	resp := paretoResponse{Points: make([]paretoPointJSON, 0, len(front))}
