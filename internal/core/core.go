@@ -144,46 +144,11 @@ type Result struct {
 	Preempted bool
 }
 
-// Clone returns an independent deep copy of r. The nil-ness of every
-// slice is preserved, so a clone is reflect.DeepEqual to r. The copy is
-// packed into three backing allocations (apps, intervals, metric floats)
-// instead of one per slice, since it is the steady-state cost of a memo
-// hit; full-capacity reslicing keeps the copied slices append-safe.
+// Clone returns an independent deep copy of r, reflect.DeepEqual to r
+// and laid out as Packed.Unpack lays out a result: one backing array for
+// the intervals and one for the metric floats.
 func (r Result) Clone() Result {
-	c := r
-	if r.Mapping.Apps != nil {
-		apps := make([]mapping.AppMapping, len(r.Mapping.Apps))
-		total := 0
-		for i := range r.Mapping.Apps {
-			total += len(r.Mapping.Apps[i].Intervals)
-		}
-		backing := make([]mapping.PlacedInterval, total)
-		off := 0
-		for i := range r.Mapping.Apps {
-			src := r.Mapping.Apps[i].Intervals
-			if src == nil {
-				continue
-			}
-			dst := backing[off : off+len(src) : off+len(src)]
-			copy(dst, src)
-			apps[i].Intervals = dst
-			off += len(src)
-		}
-		c.Mapping.Apps = apps
-	}
-	np, nl := len(r.Metrics.AppPeriods), len(r.Metrics.AppLatencies)
-	if r.Metrics.AppPeriods != nil || r.Metrics.AppLatencies != nil {
-		floats := make([]float64, np+nl)
-		if r.Metrics.AppPeriods != nil {
-			c.Metrics.AppPeriods = floats[0:np:np]
-			copy(c.Metrics.AppPeriods, r.Metrics.AppPeriods)
-		}
-		if r.Metrics.AppLatencies != nil {
-			c.Metrics.AppLatencies = floats[np : np+nl : np+nl]
-			copy(c.Metrics.AppLatencies, r.Metrics.AppLatencies)
-		}
-	}
-	return c
+	return r.Pack().Unpack()
 }
 
 // ErrInfeasible is returned when no mapping satisfies the bounds.

@@ -97,10 +97,9 @@ func zigzag(v int) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(z uint64) int { return int(z>>1) ^ -int(z&1) }
 
-// Unpack returns the Result p stands for, as an independent value laid out
-// as Clone lays out a copy: one backing array for the intervals and one
-// for the metric floats, resliced to full capacity so appends to one slice
-// never reach its neighbour.
+// Unpack returns the Result p stands for, as an independent value: one
+// backing array for the intervals and one for the metric floats, resliced
+// to full capacity so appends to one slice never reach its neighbour.
 func (p Packed) Unpack() Result {
 	if p.data == nil {
 		return Result{Method: p.method}
