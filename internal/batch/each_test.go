@@ -76,14 +76,19 @@ func TestEach(t *testing.T) {
 				t.Run("pre-cancelled", func(t *testing.T) {
 					ctx, cancel := context.WithCancel(context.Background())
 					cancel()
-					p := newEachProbe(n)
-					Each(ctx, n, workers, func(i int) { p.run(i, func(int32) {}) },
-						func(i int) { p.skip[i].Add(1) })
-					if skipped := p.check(t); skipped != n {
-						t.Errorf("%d of %d indices skipped", skipped, n)
-					}
-					if calls := p.calls.Load(); calls != 0 {
-						t.Errorf("%d fn calls under a cancelled context", calls)
+					// A worker receives an index only when it is already
+					// waiting as the feed loop first selects, which is
+					// rare; repeat so the worker's own check is reached.
+					for range 100 {
+						p := newEachProbe(n)
+						Each(ctx, n, workers, func(i int) { p.run(i, func(int32) {}) },
+							func(i int) { p.skip[i].Add(1) })
+						if skipped := p.check(t); skipped != n {
+							t.Fatalf("%d of %d indices skipped", skipped, n)
+						}
+						if calls := p.calls.Load(); calls != 0 {
+							t.Fatalf("%d fn calls under a cancelled context", calls)
+						}
 					}
 				})
 
