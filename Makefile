@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet lint vuln race bench bench-corpus bench-diff bench-module microbench diff chaos fuzz-smoke experiments serve gateway clean
+.PHONY: all build test check fmt vet lint vuln race bench bench-corpus bench-diff bench-module microbench diff diff-beyond chaos fuzz-smoke experiments serve gateway clean
 
 all: check
 
@@ -94,6 +94,12 @@ bench-module:
 # force vs simulator; see EXPERIMENTS.md section DIFF).
 diff:
 	$(GO) run ./cmd/pipebench -exp diff -instances 1080
+
+# diff-beyond runs the oracle past the exact limit: 3000 draws at the
+# benchmark's generator sizes, every "infeasible" answer checked against a
+# branch-and-bound search and every degraded value against its optimum.
+diff-beyond:
+	$(GO) test -count=1 -run '^TestBeyondExactLimit$$' -v ./internal/diffcheck
 
 # chaos runs the fault-tolerance experiment (seeded fault chains, re-solve
 # latency, degraded rate, shed burst; see EXPERIMENTS.md section CHAOS).

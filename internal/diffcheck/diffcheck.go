@@ -393,26 +393,8 @@ func planEquivalence(sc *gen.Scenario) (int, error) {
 // (skipped) when either side overruns the limit: the NoPrune walk visits
 // the whole space, so it hits the cap long before the pruned search does.
 func pruneEquivalence(sc *gen.Scenario, limit int64) (bool, error) {
-	req := sc.Req
-	modes := exact.FastestOnly
-	if req.Objective == core.Energy || req.EnergyBudget > 0 {
-		modes = exact.AllModes
-	}
-	obj := exact.ObjPeriod
-	switch req.Objective {
-	case core.Latency:
-		obj = exact.ObjLatency
-	case core.Energy:
-		obj = exact.ObjEnergy
-	}
-	spec := exact.Spec{
-		Objective:     obj,
-		Model:         req.Model,
-		PeriodBounds:  req.PeriodBounds,
-		LatencyBounds: req.LatencyBounds,
-		EnergyBudget:  req.EnergyBudget,
-	}
-	opt := exact.Options{Rule: req.Rule, Modes: modes, Limit: limit}
+	opt, spec := exactProblem(sc.Req)
+	opt.Limit = limit
 	pruned, perr := exact.Minimize(&sc.Inst, opt, spec)
 	opt.NoPrune = true
 	ref, rerr := exact.Minimize(&sc.Inst, opt, spec)
@@ -432,6 +414,30 @@ func pruneEquivalence(sc *gen.Scenario, limit int64) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// exactProblem states req as a branch-and-bound problem: its rule, every
+// mode when energy is a criterion and only the fastest otherwise, and its
+// objective and bounds.
+func exactProblem(req core.Request) (exact.Options, exact.Spec) {
+	modes := exact.FastestOnly
+	if req.Objective == core.Energy || req.EnergyBudget > 0 {
+		modes = exact.AllModes
+	}
+	obj := exact.ObjPeriod
+	switch req.Objective {
+	case core.Latency:
+		obj = exact.ObjLatency
+	case core.Energy:
+		obj = exact.ObjEnergy
+	}
+	return exact.Options{Rule: req.Rule, Modes: modes}, exact.Spec{
+		Objective:     obj,
+		Model:         req.Model,
+		PeriodBounds:  req.PeriodBounds,
+		LatencyBounds: req.LatencyBounds,
+		EnergyBudget:  req.EnergyBudget,
+	}
 }
 
 // bruteForce enumerates every valid mapping under the request's rule and

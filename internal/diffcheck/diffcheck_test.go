@@ -159,3 +159,23 @@ func TestRunDeterministic(t *testing.T) {
 		t.Errorf("summaries differ:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestBeyondExactLimit is the oracle past the exact limit: 3000 draws of
+// LargeSpace, where some NP-hard problems are too large for brute force.
+// Every "infeasible" answer must survive a branch-and-bound search with
+// no leaf limit, and every degraded value must be no better than the
+// branch-and-bound optimum. With -short it checks the first 600 draws.
+func TestBeyondExactLimit(t *testing.T) {
+	n := 3000
+	if testing.Short() {
+		n = 600
+	}
+	sum, err := Beyond(LargeSpace(), 11, n, Options{})
+	if err != nil {
+		t.Fatalf("oracle past the exact limit: %d failures:\n%v", sum.Failures, err)
+	}
+	if sum.Infeasible == 0 || sum.DegradedChecked == 0 {
+		t.Errorf("corpus must exercise infeasible and degraded answers: %+v", sum)
+	}
+	t.Logf("%+v", sum)
+}
