@@ -60,6 +60,9 @@ type SearchStats struct {
 	// Classes is the number of processor equivalence classes (p when the
 	// platform has no interchangeable processors).
 	Classes int
+	// Tried counts (interval, processor, mode) placements tried, before
+	// the admissibility test: the work Options.Budget bounds.
+	Tried int64
 }
 
 // searcher is the reusable branch-and-bound arena. All slices are resized in
@@ -103,6 +106,7 @@ type searcher struct {
 	bestVal float64
 	found   bool
 	left    int64
+	budget  int64 // the most placements to try (Options.Budget, or unbounded)
 	stats   SearchStats
 }
 
@@ -124,6 +128,11 @@ var searchPool = sync.Pool{New: func() any { return new(searcher) }}
 // Options.Limit bounds the number of complete mappings visited (leaves
 // reached); the pruned search reaches far fewer leaves than Enumerate, so it
 // may succeed where the blind enumeration would overrun the same limit.
+// Options.Budget bounds the placements tried, which is what the search's
+// time follows: most of the work is in interior nodes, not at leaves.
+// Past either, Minimize returns ErrSearchSpace together with the best
+// mapping found so far, if any (Solution.Mapping is then non-empty and
+// Value its objective, an upper bound on the optimum).
 func Minimize(inst *pipeline.Instance, opt Options, spec Spec) (Solution, error) {
 	s := searchPool.Get().(*searcher)
 	sol, err := s.run(inst, opt, spec)
@@ -134,13 +143,14 @@ func Minimize(inst *pipeline.Instance, opt Options, spec Spec) (Solution, error)
 
 func (s *searcher) run(inst *pipeline.Instance, opt Options, spec Spec) (Solution, error) {
 	s.init(inst, opt, spec)
-	if err := s.app(0, 0); err != nil {
-		return Solution{}, err
-	}
+	err := s.app(0, 0)
 	if !s.found {
-		return Solution{Stats: s.stats}, ErrInfeasible
+		if err == nil {
+			err = ErrInfeasible
+		}
+		return Solution{Stats: s.stats}, err
 	}
-	return Solution{Mapping: s.best.Clone(), Value: s.bestVal, Stats: s.stats}, nil
+	return Solution{Mapping: s.best.Clone(), Value: s.bestVal, Stats: s.stats}, err
 }
 
 func (s *searcher) init(inst *pipeline.Instance, opt Options, spec Spec) {
@@ -246,6 +256,10 @@ func (s *searcher) init(inst *pipeline.Instance, opt Options, spec Spec) {
 	s.bestVal = math.Inf(1)
 	s.found = false
 	s.left = opt.limit()
+	s.budget = opt.Budget
+	if s.budget <= 0 {
+		s.budget = math.MaxInt64
+	}
 	s.stats = SearchStats{Classes: s.stats.Classes}
 }
 
@@ -442,6 +456,12 @@ func (s *searcher) place(a, from int, objDone, appMax, lat, pendIn, pendComp flo
 			s.used[u] = true
 			s.free--
 			for mode := lo; mode < modes; mode++ {
+				if s.stats.Tried == s.budget {
+					s.used[u] = false
+					s.free++
+					return ErrSearchSpace
+				}
+				s.stats.Tried++
 				comp := work / pr.Speeds[mode]
 				en := s.energy
 				if s.needEnergy {

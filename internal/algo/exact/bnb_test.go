@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/fmath"
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
 )
@@ -144,37 +146,13 @@ func randomInstance(rng *rand.Rand) pipeline.Instance {
 func TestMinimizeMatchesNoPruneRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
-		inst := randomInstance(rng)
-		rule := mapping.Interval
-		if rng.Intn(2) == 0 {
-			rule = mapping.OneToOne
-		}
-		model := pipeline.Overlap
-		if rng.Intn(2) == 0 {
-			model = pipeline.NoOverlap
-		}
-		spec := Spec{Objective: Objective(rng.Intn(3)), Model: model}
-		if rng.Intn(2) == 0 {
-			spec.PeriodBounds = uniform(len(inst.Apps), 2+6*rng.Float64())
-		}
-		if rng.Intn(2) == 0 {
-			spec.LatencyBounds = uniform(len(inst.Apps), 5+20*rng.Float64())
-		}
-		if rng.Intn(3) == 0 {
-			spec.EnergyBudget = 5 + 40*rng.Float64()
-		}
-		modes := AllModes
-		if spec.Objective != ObjEnergy && spec.EnergyBudget == 0 && rng.Intn(2) == 0 {
-			modes = FastestOnly
-		}
-		opt := Options{Rule: rule, Modes: modes}
-
+		inst, opt, spec := randomProblem(rng)
 		pruned, perr := Minimize(&inst, opt, spec)
 		opt.NoPrune = true
 		ref, rerr := Minimize(&inst, opt, spec)
 
 		label := fmt.Sprintf("trial %d (rule %v model %v obj %d bounds %v/%v budget %g)",
-			trial, rule, model, spec.Objective, spec.PeriodBounds != nil, spec.LatencyBounds != nil, spec.EnergyBudget)
+			trial, opt.Rule, spec.Model, spec.Objective, spec.PeriodBounds != nil, spec.LatencyBounds != nil, spec.EnergyBudget)
 		if (perr == nil) != (rerr == nil) {
 			t.Fatalf("%s: pruned err %v, NoPrune err %v", label, perr, rerr)
 		}
@@ -194,6 +172,36 @@ func TestMinimizeMatchesNoPruneRandomized(t *testing.T) {
 				label, pruned.Stats.Leaves, ref.Stats.Leaves)
 		}
 	}
+}
+
+// randomProblem draws a randomInstance and a problem on it: rule, model,
+// objective, optional period, latency and energy bounds, and a mode
+// policy (FastestOnly only where energy plays no part).
+func randomProblem(rng *rand.Rand) (pipeline.Instance, Options, Spec) {
+	inst := randomInstance(rng)
+	rule := mapping.Interval
+	if rng.Intn(2) == 0 {
+		rule = mapping.OneToOne
+	}
+	model := pipeline.Overlap
+	if rng.Intn(2) == 0 {
+		model = pipeline.NoOverlap
+	}
+	spec := Spec{Objective: Objective(rng.Intn(3)), Model: model}
+	if rng.Intn(2) == 0 {
+		spec.PeriodBounds = uniform(len(inst.Apps), 2+6*rng.Float64())
+	}
+	if rng.Intn(2) == 0 {
+		spec.LatencyBounds = uniform(len(inst.Apps), 5+20*rng.Float64())
+	}
+	if rng.Intn(3) == 0 {
+		spec.EnergyBudget = 5 + 40*rng.Float64()
+	}
+	modes := AllModes
+	if spec.Objective != ObjEnergy && spec.EnergyBudget == 0 && rng.Intn(2) == 0 {
+		modes = FastestOnly
+	}
+	return inst, Options{Rule: rule, Modes: modes}, spec
 }
 
 func uniform(n int, v float64) []float64 {
@@ -258,5 +266,87 @@ func TestMinimizeSearchSpaceLimit(t *testing.T) {
 	if err != ErrSearchSpace {
 		//lint:allow errclass test pins the exact sentinel identity
 		t.Fatalf("Minimize with limit 5 over a 12-leaf space returned %v, want ErrSearchSpace", err)
+	}
+}
+
+// TestBudget pins the work budget on randomized problems. Budget 0 is the
+// unbounded search, and so is a budget of exactly the placements it
+// tries; one placement less runs out. A search that runs out returns
+// ErrSearchSpace with its incumbent, if it has one: a valid mapping within
+// every bound whose objective is the reported value, never below the
+// optimum and never worse than the incumbent of a smaller budget. The
+// same budget gives the same outcome on every run.
+func TestBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	exhausted, incumbents := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		inst, opt, spec := randomProblem(rng)
+		full, ferr := Minimize(&inst, opt, spec)
+		if ferr != nil && ferr != ErrInfeasible {
+			//lint:allow errclass test pins the exact sentinel identity
+			t.Fatalf("trial %d: unbounded search returned %v", trial, ferr)
+		}
+		tried := full.Stats.Tried
+		opt.Budget = tried
+		if got, err := Minimize(&inst, opt, spec); err != ferr || !reflect.DeepEqual(got, full) {
+			//lint:allow errclass test pins the exact sentinel identity
+			t.Fatalf("trial %d: budget %d (what the search tries) gave %+v, %v; want %+v, %v", trial, tried, got, err, full, ferr)
+		}
+		prev := math.Inf(1)
+		for _, b := range []int64{1, tried / 4, tried / 2, tried - 1} {
+			if b < 1 || b >= tried {
+				continue
+			}
+			opt.Budget = b
+			got, err := Minimize(&inst, opt, spec)
+			if err != ErrSearchSpace || got.Stats.Tried != b {
+				//lint:allow errclass test pins the exact sentinel identity
+				t.Fatalf("trial %d: budget %d of %d returned %v after %d placements, want ErrSearchSpace after %d", trial, b, tried, err, got.Stats.Tried, b)
+			}
+			exhausted++
+			if again, err2 := Minimize(&inst, opt, spec); err2 != err || !reflect.DeepEqual(again, got) {
+				t.Fatalf("trial %d: budget %d gave %+v, then %+v", trial, b, got, again)
+			}
+			if len(got.Mapping.Apps) == 0 {
+				if !math.IsInf(prev, 1) {
+					t.Fatalf("trial %d: budget %d lost the incumbent a smaller budget found", trial, b)
+				}
+				continue
+			}
+			incumbents++
+			checkIncumbent(t, &inst, opt, spec, got)
+			if ferr != nil || got.Value < full.Value || got.Value > prev {
+				t.Fatalf("trial %d: budget %d incumbent %v, optimum %v (%v), smaller budget's incumbent %v", trial, b, got.Value, full.Value, ferr, prev)
+			}
+			prev = got.Value
+		}
+	}
+	if exhausted == 0 || incumbents == 0 {
+		t.Fatalf("%d budgets ran out, %d with an incumbent: the draws exercise nothing", exhausted, incumbents)
+	}
+}
+
+// checkIncumbent asserts sol's mapping is valid under opt's rule, meets
+// every bound of spec, and evaluates to sol.Value bit for bit.
+func checkIncumbent(t *testing.T, inst *pipeline.Instance, opt Options, spec Spec, sol Solution) {
+	t.Helper()
+	m := &sol.Mapping
+	if err := m.Validate(inst, opt.Rule); err != nil {
+		t.Fatalf("incumbent invalid: %v", err)
+	}
+	mt := mapping.Evaluate(inst, m, spec.Model)
+	for a := range inst.Apps {
+		if spec.PeriodBounds != nil && !fmath.LE(mt.AppPeriods[a], spec.PeriodBounds[a]) ||
+			spec.LatencyBounds != nil && !fmath.LE(mt.AppLatencies[a], spec.LatencyBounds[a]) {
+			t.Fatalf("incumbent violates app %d's bounds: %+v", a, mt)
+		}
+	}
+	if spec.EnergyBudget > 0 && !fmath.LE(mt.Energy, spec.EnergyBudget) {
+		t.Fatalf("incumbent energy %v over budget %v", mt.Energy, spec.EnergyBudget)
+	}
+	want := map[Objective]float64{ObjPeriod: mt.Period, ObjLatency: mt.Latency, ObjEnergy: mt.Energy}[spec.Objective]
+	//lint:allow floatcmp the search's incremental value must equal a fresh evaluation bit for bit
+	if sol.Value != want {
+		t.Fatalf("incumbent value %v, its mapping evaluates to %v", sol.Value, want)
 	}
 }

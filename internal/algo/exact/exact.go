@@ -22,8 +22,8 @@ import (
 	"repro/internal/pipeline"
 )
 
-// ErrSearchSpace is returned when enumeration exceeds the configured node
-// budget: the instance is too large for the exact solver.
+// ErrSearchSpace is returned when a search exceeds its leaf limit or its
+// work budget: the instance is too large for the exact solver.
 var ErrSearchSpace = errors.New("exact: search space exceeds the configured limit")
 
 // ErrInfeasible is returned when no mapping satisfies the given bounds.
@@ -51,6 +51,13 @@ type Options struct {
 	// Limit bounds the number of complete mappings visited; 0 means the
 	// default of 20 million.
 	Limit int64
+	// Budget bounds the work of Minimize: the number of (interval,
+	// processor, mode) placements it tries, counted before each is vetted
+	// against the bounds and the incumbent (SearchStats.Tried). It is a
+	// count, never a clock, so a search spends the same budget the same
+	// way on every run. 0 means unbounded; Enumerate and CountMappings
+	// ignore it.
+	Budget int64
 	// NoPrune makes Minimize visit the entire mapping space like Enumerate
 	// does — no bound pruning, no symmetry breaking. This is the reference
 	// path the differential harness compares the branch-and-bound search
