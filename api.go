@@ -111,6 +111,10 @@ var DefaultEnergy = pipeline.DefaultEnergy
 var (
 	// ErrInfeasible reports that no mapping satisfies the bounds.
 	ErrInfeasible = core.ErrInfeasible
+	// ErrUnresolved reports that an NP-hard problem past the exact limit
+	// spent its search budget without finding a mapping: none is known
+	// and none is proven not to exist.
+	ErrUnresolved = core.ErrUnresolved
 	// ErrUnsupported reports a criteria combination the paper rules out.
 	ErrUnsupported = core.ErrUnsupported
 )

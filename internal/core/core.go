@@ -6,12 +6,16 @@
 //   - the paper's polynomial algorithm when Tables 1-2 list the cell as
 //     polynomial for the instance's platform class (Theorems 1, 3, 8, 12,
 //     14-16, 18-19, 21, 23-24),
-//   - the exhaustive exact solver when the cell is NP-hard but the search
-//     space is small enough, and
-//   - the heuristics of the conclusion's future-work programme otherwise,
+//   - the exact branch-and-bound search when the cell is NP-hard: run to
+//     the end when the mapping count fits Request.ExactLimit, and under a
+//     fixed work budget otherwise, where most searches still end and so
+//     are just as exact, and
+//   - the heuristics of the conclusion's future-work programme when that
+//     budget runs out,
 //
 // and reports which path was taken and whether the result is provably
-// optimal.
+// optimal. Only a completed search answers ErrInfeasible; a budget spent
+// without any mapping found answers ErrUnresolved.
 package core
 
 import (
@@ -100,8 +104,11 @@ type Request struct {
 	LatencyBounds []float64
 	// EnergyBudget, if positive, constrains the total energy.
 	EnergyBudget float64
-	// ExactLimit caps the exhaustive fallback's search space (number of
-	// mappings); 0 means 2,000,000. When exceeded, the heuristic is used.
+	// ExactLimit is the largest mapping count the exact search runs to the
+	// end on; 0 means 2,000,000. Past it, the search gets a work budget of
+	// min(ExactLimit, 10,000) placements, and the heuristic answers only
+	// when that runs out. ExactLimit 1 thus forces the heuristic on any
+	// space of more than one mapping.
 	ExactLimit int64
 	// Seed drives the heuristic fallback (deterministic per seed).
 	Seed int64
@@ -130,9 +137,9 @@ type Result struct {
 	// theorem algorithms and exhaustive search) as opposed to heuristic.
 	Optimal bool
 	// Degraded reports that the exact path was abandoned (search space over
-	// ExactLimit) and the heuristic produced the mapping, so Value is only
-	// an upper bound on the optimum. Degraded holds iff Method is
-	// MethodHeuristic.
+	// ExactLimit and the search's work budget spent), so Value is only an
+	// upper bound on the optimum: the better of the annealer's mapping and
+	// the search's incumbent. Degraded holds iff Method is MethodHeuristic.
 	Degraded bool
 	// LowerBound is a provable lower bound on the constrained optimum,
 	// populated only on degraded results so callers can report the bound
@@ -153,6 +160,14 @@ func (r Result) Clone() Result {
 
 // ErrInfeasible is returned when no mapping satisfies the bounds.
 var ErrInfeasible = errors.New("core: no mapping satisfies the bounds")
+
+// ErrUnresolved is returned when an NP-hard problem beyond the exact
+// limit spent its search budget without finding a mapping: neither the
+// budgeted branch and bound nor the annealer found one, so no mapping is
+// known, and none is proven not to exist. The answer is deterministic per
+// request (seed included); a larger ExactLimit, one that the mapping count
+// fits, runs the search to the end and settles it.
+var ErrUnresolved = errors.New("core: search budget spent without finding a mapping (infeasibility not proven)")
 
 // ErrUnsupported is returned for criteria combinations the paper rules out
 // (energy without a period constraint).
@@ -255,9 +270,7 @@ func solvePeriod(inst *pipeline.Instance, req Request, cls pipeline.Class) (Resu
 			m, v, err := interval.MinPeriodFullyHom(inst, req.Model)
 			return wrap(inst, req, m, v, MethodDynProgAlloc, true, err)
 		}
-		return fallback(inst, req, func() (exact.Solution, error) {
-			return exact.MinPeriod(inst, req.Rule, req.Model)
-		})
+		return fallback(inst, req, exact.FastestOnly, exact.Spec{Objective: exact.ObjPeriod, Model: req.Model})
 	case hasLat && !hasEnergy:
 		// Bi-criteria period/latency (Table 2): polynomial on fully
 		// homogeneous platforms only.
@@ -268,9 +281,8 @@ func solvePeriod(inst *pipeline.Instance, req Request, cls pipeline.Class) (Resu
 			m, v, err := interval.MinPeriodGivenLatencyFullyHom(inst, req.Model, req.LatencyBounds)
 			return wrap(inst, req, m, v, MethodDynProgAlloc, true, err)
 		}
-		return fallback(inst, req, func() (exact.Solution, error) {
-			return exact.MinPeriodGivenLatency(inst, req.Rule, req.Model, req.LatencyBounds)
-		})
+		return fallback(inst, req, exact.FastestOnly, exact.Spec{Objective: exact.ObjPeriod, Model: req.Model,
+			LatencyBounds: req.LatencyBounds})
 	default:
 		// Tri-criteria period under latency bounds and energy budget.
 		lat := req.LatencyBounds
@@ -281,9 +293,8 @@ func solvePeriod(inst *pipeline.Instance, req Request, cls pipeline.Class) (Resu
 			m, v, err := interval.MinPeriodGivenLatencyEnergyUniModal(inst, req.Model, lat, req.EnergyBudget)
 			return wrap(inst, req, m, v, MethodUniModalBudget, true, err)
 		}
-		return fallback(inst, req, func() (exact.Solution, error) {
-			return exact.MinPeriodGivenLatencyEnergy(inst, req.Rule, req.Model, lat, req.EnergyBudget)
-		})
+		return fallback(inst, req, exact.AllModes, exact.Spec{Objective: exact.ObjPeriod, Model: req.Model,
+			LatencyBounds: lat, EnergyBudget: req.EnergyBudget})
 	}
 }
 
@@ -301,9 +312,7 @@ func solveLatency(inst *pipeline.Instance, req Request, cls pipeline.Class) (Res
 			m, v, err := interval.MinLatencyCommHom(inst)
 			return wrap(inst, req, m, v, MethodGreedyBinarySearch, true, err)
 		}
-		return fallback(inst, req, func() (exact.Solution, error) {
-			return exact.MinLatency(inst, req.Rule)
-		})
+		return fallback(inst, req, exact.FastestOnly, exact.Spec{Objective: exact.ObjLatency, Model: pipeline.Overlap})
 	case hasPer && !hasEnergy:
 		if cls == pipeline.FullyHomogeneous {
 			if req.Rule == mapping.OneToOne {
@@ -312,9 +321,8 @@ func solveLatency(inst *pipeline.Instance, req Request, cls pipeline.Class) (Res
 			m, v, err := interval.MinLatencyGivenPeriodFullyHom(inst, req.Model, req.PeriodBounds)
 			return wrap(inst, req, m, v, MethodDynProgAlloc, true, err)
 		}
-		return fallback(inst, req, func() (exact.Solution, error) {
-			return exact.MinLatencyGivenPeriod(inst, req.Rule, req.Model, req.PeriodBounds)
-		})
+		return fallback(inst, req, exact.FastestOnly, exact.Spec{Objective: exact.ObjLatency, Model: req.Model,
+			PeriodBounds: req.PeriodBounds})
 	default:
 		per := req.PeriodBounds
 		if per == nil {
@@ -324,13 +332,8 @@ func solveLatency(inst *pipeline.Instance, req Request, cls pipeline.Class) (Res
 			m, v, err := interval.MinLatencyGivenPeriodEnergyUniModal(inst, req.Model, per, req.EnergyBudget)
 			return wrap(inst, req, m, v, MethodUniModalBudget, true, err)
 		}
-		// Exact fallback: minimize latency under period bounds + budget.
-		return fallback(inst, req, func() (exact.Solution, error) {
-			return exact.Minimize(inst,
-				exact.Options{Rule: req.Rule, Modes: exact.AllModes, Limit: req.exactLimit()},
-				exact.Spec{Objective: exact.ObjLatency, Model: req.Model,
-					PeriodBounds: per, EnergyBudget: req.EnergyBudget})
-		})
+		return fallback(inst, req, exact.AllModes, exact.Spec{Objective: exact.ObjLatency, Model: req.Model,
+			PeriodBounds: per, EnergyBudget: req.EnergyBudget})
 	}
 }
 
@@ -346,9 +349,8 @@ func solveEnergy(inst *pipeline.Instance, req Request, cls pipeline.Class) (Resu
 			m, v, err := interval.MinEnergyGivenPeriodFullyHom(inst, req.Model, req.PeriodBounds)
 			return wrap(inst, req, m, v, MethodEnergyDP, true, err)
 		}
-		return fallback(inst, req, func() (exact.Solution, error) {
-			return exact.MinEnergyGivenPeriod(inst, req.Rule, req.Model, req.PeriodBounds)
-		})
+		return fallback(inst, req, exact.AllModes, exact.Spec{Objective: exact.ObjEnergy, Model: req.Model,
+			PeriodBounds: req.PeriodBounds})
 	}
 	// Tri-criteria energy under period and latency bounds: polynomial only
 	// for uni-modal fully homogeneous platforms (Theorems 23-24); NP-hard
@@ -357,9 +359,8 @@ func solveEnergy(inst *pipeline.Instance, req Request, cls pipeline.Class) (Resu
 		m, v, err := interval.MinEnergyGivenPeriodLatencyUniModal(inst, req.Model, req.PeriodBounds, req.LatencyBounds)
 		return wrap(inst, req, m, v, MethodUniModalBudget, true, err)
 	}
-	return fallback(inst, req, func() (exact.Solution, error) {
-		return exact.MinEnergyGivenPeriodLatency(inst, req.Rule, req.Model, req.PeriodBounds, req.LatencyBounds)
-	})
+	return fallback(inst, req, exact.AllModes, exact.Spec{Objective: exact.ObjEnergy, Model: req.Model,
+		PeriodBounds: req.PeriodBounds, LatencyBounds: req.LatencyBounds})
 }
 
 // trivialOneToOne handles bounded problems on fully homogeneous platforms
@@ -389,22 +390,39 @@ func trivialOneToOne(inst *pipeline.Instance, req Request) (Result, error) {
 	return Result{Mapping: m, Value: v, Metrics: mt, Method: MethodTrivial, Optimal: true}, nil
 }
 
-// fallback tries the exhaustive solver within the search-space limit and
-// falls back to the heuristic beyond it.
-func fallback(inst *pipeline.Instance, req Request, solve func() (exact.Solution, error)) (Result, error) {
-	if withinExactLimit(inst, req) {
-		sol, err := solve()
-		if errors.Is(err, exact.ErrInfeasible) {
-			return Result{}, ErrInfeasible
-		}
-		if err == nil {
-			return wrap(inst, req, sol.Mapping, sol.Value, MethodExact, true, nil)
-		}
-		if !errors.Is(err, exact.ErrSearchSpace) {
-			return Result{}, err
-		}
+// exactWork is the branch-and-bound budget, in placements tried
+// (exact.Options.Budget), on a problem whose mapping count exceeds the
+// exact limit. It is a constant, chosen from the cold-solve benchmark
+// (3k, 10k, 30k and 100k were tried): about two thirds of such problems at
+// the benchmark's sizes end within it, in 39 µs at the median, and a
+// search that runs out adds 0.65 ms at the median and 1.3 ms at most
+// before the annealer starts (2-vCPU x86 host).
+const exactWork = 10_000
+
+// fallback answers an NP-hard cell. Within the exact limit it runs the
+// branch-and-bound search to the end. Beyond it, the search gets a work
+// budget of min(ExactLimit, exactWork) placements: a search that ends
+// within it is just as exact, and one that runs out hands over to the
+// annealer. The answer is then the better of the annealer's mapping and
+// the search's incumbent, tagged Degraded.
+func fallback(inst *pipeline.Instance, req Request, modes exact.ModePolicy, spec exact.Spec) (Result, error) {
+	opt := exact.Options{Rule: req.Rule, Modes: modes}
+	if !withinExactLimit(inst, req) {
+		opt.Budget = min(req.exactLimit(), exactWork)
+	}
+	sol, err := exact.Minimize(inst, opt, spec)
+	switch {
+	case err == nil:
+		return wrap(inst, req, sol.Mapping, sol.Value, MethodExact, true, nil)
+	case errors.Is(err, exact.ErrInfeasible):
+		return Result{}, ErrInfeasible
+	case !errors.Is(err, exact.ErrSearchSpace):
+		return Result{}, err
 	}
 	res, err := heuristicSolve(inst, req)
+	if len(sol.Mapping.Apps) > 0 && (errors.Is(err, ErrUnresolved) || (err == nil && fmath.LT(sol.Value, res.Value))) {
+		res, err = wrap(inst, req, sol.Mapping, sol.Value, MethodHeuristic, false, nil)
+	}
 	if err != nil {
 		return res, err
 	}
@@ -498,7 +516,7 @@ func heuristicSolve(inst *pipeline.Instance, req Request) (Result, error) {
 		return Result{}, err
 	}
 	if math.IsInf(v, 1) {
-		return Result{}, ErrInfeasible
+		return Result{}, ErrUnresolved
 	}
 	return wrap(inst, req, m, v, MethodHeuristic, false, nil)
 }

@@ -36,6 +36,8 @@ type BeyondSummary struct {
 	// Infeasible counts ErrInfeasible answers, each checked against a
 	// branch-and-bound search with no leaf limit.
 	Infeasible int
+	// Unresolved counts core.ErrUnresolved answers, which claim nothing.
+	Unresolved int
 	// Degraded counts degraded answers; DegradedChecked those whose
 	// branch-and-bound optimum was found within the leaf limit and
 	// compared with the answer.
@@ -79,6 +81,9 @@ func Beyond(space gen.Space, seed int64, n int, opt Options) (BeyondSummary, err
 		if o.infeasible {
 			sum.Infeasible++
 		}
+		if o.unresolved {
+			sum.Unresolved++
+		}
 		if o.degraded {
 			sum.Degraded++
 		}
@@ -100,8 +105,8 @@ func Beyond(space gen.Space, seed int64, n int, opt Options) (BeyondSummary, err
 // whether the branch-and-bound search adjudicated a degraded one, and the
 // disagreement if any.
 type beyondOutcome struct {
-	skipped, infeasible, degraded, checked bool
-	err                                    error
+	skipped, infeasible, unresolved, degraded, checked bool
+	err                                                error
 }
 
 // checkBeyond solves one scenario and checks its answer against the
@@ -120,6 +125,9 @@ func checkBeyond(sc *gen.Scenario) (o beyondOutcome) {
 		case !errors.Is(berr, exact.ErrInfeasible):
 			o.err = fmt.Errorf("branch and bound failed: %w", berr)
 		}
+		return o
+	case errors.Is(serr, core.ErrUnresolved):
+		o.unresolved = true
 		return o
 	case serr != nil:
 		o.err = fmt.Errorf("solver failed: %w", serr)

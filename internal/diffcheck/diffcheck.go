@@ -142,6 +142,9 @@ type Outcome struct {
 	// scenario's compiled plan, each asserted bit-identical to a fresh
 	// one-shot solve.
 	PlanQueries int
+	// Unresolved reports that the solver spent its search budget without
+	// finding a mapping (core.ErrUnresolved).
+	Unresolved bool
 	// PruneChecked reports that the pruned-vs-NoPrune equivalence property
 	// ran (it is skipped when either side overruns the oracle limit).
 	PruneChecked bool
@@ -159,7 +162,7 @@ func Check(sc *gen.Scenario, opt Options) (Outcome, error) {
 	out := Outcome{Scenario: *sc, OracleValue: math.NaN(), HeurValue: math.NaN()}
 
 	res, serr := core.Solve(&sc.Inst, sc.Req)
-	if serr != nil && !errors.Is(serr, core.ErrInfeasible) {
+	if serr != nil && !errors.Is(serr, core.ErrInfeasible) && !errors.Is(serr, core.ErrUnresolved) {
 		return out, fmt.Errorf("%s (seed %d, index %d): solver failed: %w", sc.Name, sc.Seed, sc.Index, serr)
 	}
 
@@ -178,6 +181,13 @@ func Check(sc *gen.Scenario, opt Options) (Outcome, error) {
 	out.PruneChecked, prerr = pruneEquivalence(sc, opt.oracleLimit())
 	if prerr != nil {
 		return out, fmt.Errorf("%s (seed %d, index %d): pruning equivalence: %w", sc.Name, sc.Seed, sc.Index, prerr)
+	}
+
+	// An unresolved answer claims nothing, so there is nothing to check
+	// against the oracle; it is counted, never tolerated silently.
+	if errors.Is(serr, core.ErrUnresolved) {
+		out.Unresolved = true
+		return out, nil
 	}
 
 	oracle, oerr := bruteForce(&sc.Inst, sc.Req, opt.oracleLimit())
@@ -234,9 +244,9 @@ func Check(sc *gen.Scenario, opt Options) (Outcome, error) {
 		hreq.HeurIters, hreq.HeurRestarts = opt.heurIters(), opt.heurRestarts()
 		hres, herr := core.Solve(&sc.Inst, hreq)
 		switch {
-		case errors.Is(herr, core.ErrInfeasible):
+		case errors.Is(herr, core.ErrUnresolved):
 			out.HeurMissed = true // incomplete search is allowed to miss
-		case herr != nil:
+		case herr != nil: // an "infeasible" here is false: the oracle found a mapping
 			return out, fmt.Errorf("%s (seed %d, index %d): forced heuristic failed: %w", sc.Name, sc.Seed, sc.Index, herr)
 		default:
 			out.HeurValue = hres.Value
@@ -499,6 +509,9 @@ type Summary struct {
 	// OracleSkips counts scenarios whose brute-force space exceeded the
 	// limit (their consistency replay still ran).
 	OracleSkips int
+	// Unresolved counts core.ErrUnresolved answers: the solver found no
+	// mapping within its search budget and claimed nothing.
+	Unresolved int
 	// Combos counts scenarios per (class, rule, model, criterion) label.
 	Combos map[string]int
 	// Methods counts solver dispatch methods across feasible scenarios.
@@ -566,6 +579,8 @@ func Run(space gen.Space, seed int64, n int, opt Options) (Summary, error) {
 			sum.OracleSkips++
 		}
 		switch {
+		case out.Unresolved:
+			sum.Unresolved++
 		case out.Feasible:
 			// Even with a skipped oracle, the consistency replay
 			// adjudicated the returned mapping.

@@ -124,6 +124,8 @@ func BenchDiff(w io.Writer, path string, factor float64) error {
 // timeVariant measures one variant batch with the warmup/best-of protocol
 // above and returns ns per op (one op = solving every scenario in the
 // group, tolerating infeasible draws exactly as BenchmarkCorpus does).
+// Like BenchmarkCorpus it fails on core.ErrUnresolved: every corpus
+// problem fits the exact limit, so an unresolved answer is a regression.
 func timeVariant(group []*gen.Scenario) (float64, error) {
 	op := func() error {
 		for _, sc := range group {

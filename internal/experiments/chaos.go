@@ -23,8 +23,9 @@ import (
 )
 
 // chaosEvents is the fault chain length per scenario; chaosExactCap caps
-// the branch-and-bound node budget so a share of the re-solves lands on
-// the degraded heuristic path (the experiment measures that rate).
+// the exact limit, and with it the branch-and-bound work budget past that
+// limit, so a share of the re-solves lands on the degraded heuristic path
+// (the experiment measures that rate).
 const (
 	chaosEvents   = 3
 	chaosExactCap = 500
@@ -64,6 +65,7 @@ func Chaos(w io.Writer, seed int64, n int) error {
 		degraded   int
 		inapplic   int
 		infeasible int
+		unresolved int
 		failed     []string
 	)
 	for i := range corpus {
@@ -81,6 +83,8 @@ func Chaos(w io.Writer, seed int64, n int) error {
 				}
 			case strings.Contains(o.Err, chaos.ErrInapplicable.Error()):
 				inapplic++
+			case strings.Contains(o.Err, core.ErrUnresolved.Error()):
+				unresolved++
 			default:
 				infeasible++
 			}
@@ -100,7 +104,7 @@ func Chaos(w io.Writer, seed int64, n int) error {
 	}
 
 	p50, p99 := percentile(latencies, 0.50), percentile(latencies, 0.99)
-	total := resolved + inapplic + infeasible
+	total := resolved + inapplic + infeasible + unresolved
 	degradedRate := 0.0
 	if resolved > 0 {
 		degradedRate = float64(degraded) / float64(resolved)
@@ -115,6 +119,7 @@ func Chaos(w io.Writer, seed int64, n int) error {
 	tb.Addf("degraded-solve rate", degradedRate, "-")
 	tb.Addf("inapplicable events (classified, skipped)", inapplic, "-")
 	tb.Addf("post-fault infeasible (classified)", infeasible, "-")
+	tb.Addf("post-fault unresolved (classified)", unresolved, "-")
 	tb.Addf("scenario failures (uncontained)", len(failed), okMark(len(failed) == 0))
 	tb.Addf("same seed -> bit-identical chain", okMark(deterministic), okMark(deterministic))
 	tb.Addf(fmt.Sprintf("shed burst: %d ok / %d shed (429)", okCount, shedCount), shedRate, okMark(okCount >= 1 && shedCount >= 1))
@@ -134,11 +139,13 @@ func Chaos(w io.Writer, seed int64, n int) error {
 }
 
 // chaosChain injects a seeded chain of chaosEvents faults into one
-// scenario, re-solving after each applicable fault. Inapplicable events
-// and post-fault infeasibility are classified outcomes, not errors; an
-// error return means something the resilience layer must never allow
-// (a panic is converted upstream, a simulator disagreement surfaces
-// here). Successful steps append their wall-clock latency (ms) to *lat.
+// scenario, re-solving after each applicable fault. Inapplicable events,
+// post-fault infeasibility and a post-fault instance the budgeted search
+// found no mapping for (core.ErrUnresolved) are classified outcomes that
+// end the chain, not errors; an error return means something the
+// resilience layer must never allow (a panic is converted upstream, a
+// simulator disagreement surfaces here). Successful steps append their
+// wall-clock latency (ms) to *lat.
 func chaosChain(sc *gen.Scenario, lat *[]float64) ([]chaosOutcome, error) {
 	cur := sc.Inst
 	q := plan.QueryOf(sc.Req)
@@ -165,7 +172,7 @@ func chaosChain(sc *gen.Scenario, lat *[]float64) ([]chaosOutcome, error) {
 			// it), which the next event's premise depended on.
 			o.Err = err.Error()
 			outcomes = append(outcomes, o)
-			if chaos.IsInapplicable(err) || errors.Is(err, core.ErrInfeasible) {
+			if chaos.IsInapplicable(err) || errors.Is(err, core.ErrInfeasible) || errors.Is(err, core.ErrUnresolved) {
 				break
 			}
 			return outcomes, err

@@ -84,6 +84,8 @@ func (c *cellCheck) run(ctx context.Context, rng *rand.Rand) (cellResult, error)
 		if errors.Is(err, core.ErrInfeasible) {
 			continue // bound draw was infeasible; not a failure
 		}
+		// Any other error fails the cell, core.ErrUnresolved included: an
+		// answer that proves nothing cannot reproduce a paper cell.
 		if err != nil {
 			return cellResult{}, fmt.Errorf("experiments: %s [%s]: %w", c.problem, c.platform, err)
 		}

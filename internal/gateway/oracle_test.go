@@ -28,8 +28,10 @@ type oracleCase struct {
 // invalidDocuments is the wire oracle's table: /v1/batch and /v1/solve
 // documents a client can get wrong, each at a different layer of the
 // decode (syntax, structure, field types, request parsing, instance
-// validation), and batches whose bad job sits behind jobs that route to
-// other replicas.
+// validation), batches whose bad job sits behind jobs that route to
+// other replicas, and a request the solver cannot settle: an infeasible
+// NP-hard problem whose exactLimit of 1 leaves the search no budget, so
+// it answers "unresolved", not "infeasible".
 func invalidDocuments(t *testing.T) []oracleCase {
 	fig1 := servetest.Fig1JSON(t)
 	badWork := `{"apps": [{"in": 1, "stages": [{"work": -1, "out": 1}]}], "platform": {"processors": [{"speeds": [1]}]}}`
@@ -54,6 +56,7 @@ func invalidDocuments(t *testing.T) []oracleCase {
 	// spreadThen is a batch of 11 valid jobs over fig1 whose last job is
 	// bad.
 	spreadThen := func(bad string) string { return batchOf(fig1, append(spread(11), bad)...) }
+	const unresolved = `{"objective": "energy", "periodBound": 0.01, "exactLimit": 1}`
 	solveOf := func(inst, req string) string {
 		return `{"instance": ` + inst + `, "request": ` + req + `}`
 	}
@@ -108,6 +111,7 @@ func invalidDocuments(t *testing.T) []oracleCase {
 		{"bad-objective", solveOf(fig1, `{"objective": "vibes"}`)},
 		{"invalid-instance-work", solveOf(badWork, `{}`)},
 		{"invalid-instance-links", solveOf(badLinks, `{}`)},
+		{"unresolved", solveOf(fig1, unresolved)},
 	}
 	var cases []oracleCase
 	for _, c := range batch {

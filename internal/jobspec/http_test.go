@@ -143,6 +143,7 @@ func TestErrorClasses(t *testing.T) {
 		status int
 	}{
 		{core.ErrInfeasible, CodeInfeasible, http.StatusUnprocessableEntity},
+		{core.ErrUnresolved, CodeUnresolved, http.StatusUnprocessableEntity},
 		{core.ErrUnsupported, CodeInvalid, http.StatusUnprocessableEntity},
 		{context.DeadlineExceeded, CodeTimeout, http.StatusGatewayTimeout},
 		{context.Canceled, CodeTimeout, http.StatusServiceUnavailable},

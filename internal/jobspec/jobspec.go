@@ -46,6 +46,11 @@ const (
 	// CodeInfeasible: the problem is well-formed but no mapping satisfies
 	// the bounds.
 	CodeInfeasible = "infeasible"
+	// CodeUnresolved: an NP-hard problem past the exact limit spent its
+	// search budget without finding a mapping; none is known and none is
+	// proven not to exist. Deterministic per request: a larger exactLimit,
+	// one the mapping count fits, settles it.
+	CodeUnresolved = "unresolved"
 	// CodeTimeout: a deadline or budget expired before a trustworthy
 	// answer existed; retry with a larger budget.
 	CodeTimeout = "timeout"
@@ -65,15 +70,19 @@ const (
 
 // errorClasses gives each engine error class its wire code and HTTP
 // status, matched in order with errors.Is. Client-shaped failures
-// (infeasible bounds, unsupported criteria) are 422, an expired request
-// budget is 504 and a cancelled one 503; an error of no class is
-// internal, 500.
+// (infeasible bounds, a search budget spent without a mapping, unsupported
+// criteria) are 422, an expired request budget is 504 and a cancelled one
+// 503; an error of no class is internal, 500. An unresolved answer is
+// 422, not a 5xx: it is deterministic per request, so the plan's result
+// memo keeps it like any solver answer, and a retry of the same request
+// gets the same answer.
 var errorClasses = []struct {
 	err    error
 	code   string
 	status int
 }{
 	{core.ErrInfeasible, CodeInfeasible, http.StatusUnprocessableEntity},
+	{core.ErrUnresolved, CodeUnresolved, http.StatusUnprocessableEntity},
 	{core.ErrUnsupported, CodeInvalid, http.StatusUnprocessableEntity},
 	{context.DeadlineExceeded, CodeTimeout, http.StatusGatewayTimeout},
 	{context.Canceled, CodeTimeout, http.StatusServiceUnavailable},

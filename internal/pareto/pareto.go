@@ -86,8 +86,10 @@ func planFor(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommMode
 // processors than stages) is skipped, matching the sequential
 // implementation: an empty frontier, not an error, reports that nothing is
 // achievable. Every other query error — an unsupported criteria
-// combination, a cancelled context — is propagated: swallowing it would
-// disguise a broken query as "nothing achievable".
+// combination, a cancelled context, or core.ErrUnresolved (the search
+// found no mapping but proved none absent) — is propagated: swallowing it
+// would disguise a broken query or an open question as "nothing
+// achievable".
 func sweepFrontier(ctx context.Context, pl *plan.Plan, cands []float64, opts batch.Options) ([]Point, error) {
 	results := make([]struct {
 		res core.Result

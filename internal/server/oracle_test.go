@@ -41,8 +41,8 @@ var wallMs = regexp.MustCompile(`"wallMs":[-+.eE0-9]+`)
 // the gateway's wire oracle, then valid documents whose answers depend on
 // how a replica resolves instances — duplicate jobs, one file-level
 // instance under several rules and models, whitespace variants of one
-// instance, a batch repeating a solve — and documents with bytes after
-// the JSON value.
+// instance, a batch repeating a solve, a batch with an unresolved job —
+// and documents with bytes after the JSON value.
 func replicaDocuments(t *testing.T) []replicaCase {
 	var cases []replicaCase
 	for _, c := range readOracle[gatewayCase](t, filepath.Join("..", "gateway", "testdata", "wire_oracle.json")) {
@@ -93,6 +93,8 @@ func replicaDocuments(t *testing.T) []replicaCase {
 		{"solve/hom-latency", "/v1/solve", job(hom, `{"objective": "latency", "periodBound": 3}`)},
 		{"solve/hom-one-to-one-no-overlap", "/v1/solve", job(hom, `{"rule": "one-to-one", "model": "no-overlap"}`)},
 		{"solve/infeasible", "/v1/solve", job(fig1, `{"objective": "energy", "periodBound": 0.01}`)},
+		{"batch/unresolved-at-job-1", "/v1/batch", batchOf(fig1, job("", period),
+			job("", `{"objective": "energy", "periodBound": 0.01, "exactLimit": 1}`))},
 		{"batch/repeats-solve", "/v1/batch", batchOf(fig1, job("", energyPB2))},
 		{"batch/duplicate-jobs", "/v1/batch", batchOf(fig1, job("", period), job("", energyPB2), job("", period),
 			job("", `{}`), job("", energyPB2), job("", `{"objective": "energy"}`))},
