@@ -24,9 +24,11 @@ func LargeSpace() gen.Space {
 	return sp
 }
 
-// beyondLeaves is the leaf limit of Beyond's optimality check on degraded
-// answers. On LargeSpace at seed 11 every such search ends far below it.
-const beyondLeaves = 2_000_000
+// beyondWork is the work budget (exact.Options.Budget, placements tried)
+// of Beyond's optimality check on degraded answers: a thousand times the
+// solver's own. On LargeSpace at seed 11 it settles 60 of the 61 degraded
+// answers, in about 2 s; the last one needs 32 million placements.
+const beyondWork = 10_000_000
 
 // BeyondSummary aggregates a Beyond run.
 type BeyondSummary struct {
@@ -39,8 +41,8 @@ type BeyondSummary struct {
 	// Unresolved counts core.ErrUnresolved answers, which claim nothing.
 	Unresolved int
 	// Degraded counts degraded answers; DegradedChecked those whose
-	// branch-and-bound optimum was found within the leaf limit and
-	// compared with the answer.
+	// branch-and-bound optimum was found within beyondWork and compared
+	// with the answer.
 	Degraded, DegradedChecked int
 	// Failures counts the disagreements, reported or not.
 	Failures int
@@ -50,7 +52,7 @@ type BeyondSummary struct {
 // space and solves each through core.Solve. Every ErrInfeasible answer
 // must be a proof: a branch-and-bound search with no leaf limit must find
 // no mapping either. Every degraded value must be no better than the
-// branch-and-bound optimum wherever that search ends within its limit.
+// branch-and-bound optimum wherever that search ends within beyondWork.
 // It returns the summary and a joined error of the reported
 // disagreements. Deterministic per (seed, n).
 func Beyond(space gen.Space, seed int64, n int, opt Options) (BeyondSummary, error) {
@@ -136,7 +138,7 @@ func checkBeyond(sc *gen.Scenario) (o beyondOutcome) {
 		return o
 	}
 	o.degraded = true
-	opt.Limit = beyondLeaves
+	opt.Budget = beyondWork
 	sol, berr := exact.Minimize(&sc.Inst, opt, spec)
 	o.checked = berr == nil || errors.Is(berr, exact.ErrInfeasible)
 	switch {
