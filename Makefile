@@ -56,9 +56,9 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # microbench runs each microbenchmark once — the solver's (BenchmarkAnneal,
-# BenchmarkHeuristicSolve, BenchmarkAssign), the plan tier's
-# (BenchmarkPlanBoundClass), the canonical keys' (BenchmarkKey,
-# BenchmarkPlanKey, BenchmarkCacheHit), the wire schema's
+# BenchmarkHeuristicSolve, BenchmarkSolveBeyondExactLimit, BenchmarkAssign),
+# the plan tier's (BenchmarkPlanBoundClass), the canonical keys'
+# (BenchmarkKey, BenchmarkPlanKey, BenchmarkCacheHit), the wire schema's
 # (BenchmarkBatchJobs, BenchmarkEncodeOutput), the server's
 # (BenchmarkServerSolveHit), the gateway's (BenchmarkRingRoute,
 # BenchmarkGatewaySolveRoute, and BenchmarkGatewayBatchSplit on per-job

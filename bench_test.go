@@ -403,7 +403,10 @@ func BenchmarkParetoFront(b *testing.B) {
 }
 
 // BenchmarkCoreSolveDispatch measures the full dispatcher on the streaming
-// preset (exact fallback capped, heuristic path).
+// preset with an exact limit of 10,000 mappings. The space is larger, but
+// the work-budgeted branch-and-bound search ends after 260 placements, so
+// this is the exact path past the limit, not the heuristic (the heuristic
+// path's benchmark is internal/core's BenchmarkHeuristicSolve).
 func BenchmarkCoreSolveDispatch(b *testing.B) {
 	inst := StreamingCenter(10)
 	b.ReportAllocs()

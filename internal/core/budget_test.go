@@ -101,3 +101,38 @@ func exactProblem(req core.Request) (exact.Options, exact.Spec) {
 	return exact.Options{Rule: req.Rule, Modes: modes}, exact.Spec{Objective: obj, Model: req.Model,
 		PeriodBounds: req.PeriodBounds, LatencyBounds: req.LatencyBounds, EnergyBudget: req.EnergyBudget}
 }
+
+// BenchmarkSolveBeyondExactLimit times Solve on the first 64 NP-hard jobs
+// past the exact limit among seed 11's draws at the service benchmark's
+// generator sizes: the path where the budgeted branch-and-bound search
+// runs first and the annealer takes over when it runs out. One op
+// answers every job once.
+func BenchmarkSolveBeyondExactLimit(b *testing.B) {
+	space := gen.DefaultSpace()
+	space.MaxStagesPerApp, space.MaxTotalStages, space.MaxProcs = 8, 10, 10
+	var jobs []gen.Scenario
+	for i := 0; len(jobs) < 64; i++ {
+		sc := space.Sample(11, i)
+		if sc.Degenerate == gen.DegenProcStarved {
+			continue
+		}
+		if _, err := exact.CountMappings(&sc.Inst, exact.Options{Rule: sc.Req.Rule, Modes: exact.AllModes, Limit: 2_000_000}); err == nil {
+			continue
+		}
+		if res, err := core.Solve(&sc.Inst, sc.Req); err == nil && res.Method != core.MethodExact && res.Method != core.MethodHeuristic {
+			continue
+		}
+		jobs = append(jobs, sc)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range jobs {
+			_, err := core.Solve(&jobs[k].Inst, jobs[k].Req)
+			if err != nil && !errors.Is(err, core.ErrInfeasible) && !errors.Is(err, core.ErrUnresolved) {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(jobs)), "us/job")
+}
