@@ -16,9 +16,11 @@
 // is solved by the corresponding exact polynomial algorithm (binary search
 // plus greedy assignment, chain dynamic programs with the Algorithm 2
 // processor allocation, minimum weight bipartite matching); every NP-hard
-// variant falls back to exhaustive search when the instance is small and to
-// a simulated-annealing heuristic otherwise, with the provenance reported
-// in the Result.
+// variant runs a branch-and-bound search, to the end when the instance is
+// small and under a fixed work budget otherwise, and falls back to a
+// simulated-annealing heuristic only when that budget runs out, with the
+// provenance reported in the Result. Only a finished search answers
+// ErrInfeasible; a heuristic that finds no mapping answers ErrUnresolved.
 //
 // Compile is the many-queries-per-instance entry point (see
 // internal/plan): it validates, classifies and preprocesses one
