@@ -419,6 +419,8 @@ func fallback(inst *pipeline.Instance, req Request, modes exact.ModePolicy, spec
 	case !errors.Is(err, exact.ErrSearchSpace):
 		return Result{}, err
 	}
+	// A mapping the search found is never lost: it answers when the
+	// annealer found none or a worse one.
 	res, err := heuristicSolve(inst, req)
 	if len(sol.Mapping.Apps) > 0 && (errors.Is(err, ErrUnresolved) || (err == nil && fmath.LT(sol.Value, res.Value))) {
 		res, err = wrap(inst, req, sol.Mapping, sol.Value, MethodHeuristic, false, nil)
