@@ -61,6 +61,32 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
+// TestPublicAPIOwnCriterionBounds pins that a bound on the objective's
+// own criterion constrains the answer: on Figure 1, period bounds below
+// the least period leave nothing to answer, and so does an energy budget
+// below the least energy under period 2 (46), which a budget of 46 meets.
+func TestPublicAPIOwnCriterionBounds(t *testing.T) {
+	inst := MotivatingExample()
+	if res, err := Solve(&inst, Request{Rule: Interval, Model: Overlap, Objective: Period,
+		PeriodBounds: []float64{0.001, 0.001}}); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("period under period bounds 0.001: %v (value %g), want ErrInfeasible", err, res.Value)
+	}
+	energy := func(budget float64) (Result, error) {
+		return Solve(&inst, Request{Rule: Interval, Model: Overlap, Objective: Energy,
+			PeriodBounds: UniformBounds(&inst, 2), EnergyBudget: budget})
+	}
+	if res, err := energy(10); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("energy under budget 10: %v (value %g), want ErrInfeasible", err, res.Value)
+	}
+	res, err := energy(46)
+	if err != nil {
+		t.Fatalf("energy under budget 46: %v", err)
+	}
+	if !fmath.EQ(res.Value, 46) {
+		t.Errorf("energy under budget 46 = %g, want 46", res.Value)
+	}
+}
+
 // TestPublicAPISolveBatch checks the acceptance criterion of the batch
 // engine: SolveBatch returns bit-identical Results to sequential Solve for
 // the same jobs, in input order, and reports its dedup work in the stats.

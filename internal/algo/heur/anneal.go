@@ -97,12 +97,16 @@ func (ws *workspace) settle(accept bool) {
 // keepBest records the incumbent as the best mapping seen.
 func (ws *workspace) keepBest() { ws.best.CopyFrom(&ws.cur) }
 
-// anneal improves m by simulated annealing over the interval mapping
-// neighbourhood, returning the best score reached. Infeasible neighbours
-// (score +Inf) are always rejected; the best mapping ever seen is
-// restored at the end. On return m holds one of the workspace's buffers,
+// startTemp and endTemp bound anneal's geometric cooling schedule,
+// relative to the initial objective value.
+const startTemp, endTemp = 0.2, 1e-4
+
+// anneal improves m by simulated annealing over the neighbourhood of
+// rule's mappings for iters steps, returning the best score reached.
+// Infeasible neighbours (score +Inf) are always rejected; the best
+// mapping ever seen is restored at the end. On return m holds one of the workspace's buffers,
 // not its own.
-func anneal(rng *rand.Rand, ev *evaluator, m *mapping.Mapping, opt Options) float64 {
+func anneal(rng *rand.Rand, ev *evaluator, m *mapping.Mapping, rule mapping.Rule, iters int) float64 {
 	ws := newWorkspace(ev, m)
 	cur := ev.score(&ws.curS)
 	bestV := cur
@@ -110,12 +114,12 @@ func anneal(rng *rand.Rand, ev *evaluator, m *mapping.Mapping, opt Options) floa
 	if math.IsInf(scale, 1) || scale == 0 {
 		scale = 1
 	}
-	t0 := opt.StartTemp * scale
-	t1 := opt.EndTemp * scale
-	cool := math.Pow(t1/t0, 1/math.Max(1, float64(opt.Iters-1)))
+	t0 := startTemp * scale
+	t1 := endTemp * scale
+	cool := math.Pow(t1/t0, 1/math.Max(1, float64(iters-1)))
 	temp := t0
-	for i := 0; i < opt.Iters; i++ {
-		v, ok := ws.propose(rng, opt.Rule)
+	for i := 0; i < iters; i++ {
+		v, ok := ws.propose(rng, rule)
 		if !ok {
 			temp *= cool
 			continue

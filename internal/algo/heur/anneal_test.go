@@ -138,11 +138,10 @@ func TestAnnealAllocsDoNotGrowWithIters(t *testing.T) {
 			ev, start := annealStart(t, c, rule)
 			rng := rand.New(rand.NewSource(1))
 			allocs := func(iters int) float64 {
-				opt := Options{Iters: iters, Rule: rule}.withDefaults()
 				return testing.AllocsPerRun(5, func() {
 					rng.Seed(1)
 					m := start
-					anneal(rng, ev, &m, opt)
+					anneal(rng, ev, &m, rule, iters)
 				})
 			}
 			short, long := allocs(400), allocs(4000)
@@ -199,13 +198,12 @@ func BenchmarkAnneal(b *testing.B) {
 			ev, start := annealStart(b, c, rule)
 			for _, iters := range []int{400, 4000} {
 				b.Run(fmt.Sprintf("%s/%v/iters=%d", c.name, rule, iters), func(b *testing.B) {
-					opt := Options{Iters: iters, Rule: rule}.withDefaults()
 					rng := rand.New(rand.NewSource(1))
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						rng.Seed(int64(i))
 						m := start
-						anneal(rng, ev, &m, opt)
+						anneal(rng, ev, &m, rule, iters)
 					}
 				})
 			}

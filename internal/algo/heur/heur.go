@@ -42,12 +42,6 @@ type Options struct {
 	Iters int
 	// Restarts is the number of independent searches (default 3).
 	Restarts int
-	// StartTemp and EndTemp bound the geometric cooling schedule,
-	// relative to the initial objective value (defaults 0.2 and 1e-4).
-	StartTemp, EndTemp float64
-	// Rule restricts the neighbourhood: under mapping.OneToOne, only
-	// moves preserving unit intervals are used.
-	Rule mapping.Rule
 }
 
 func (o Options) withDefaults() Options {
@@ -57,12 +51,6 @@ func (o Options) withDefaults() Options {
 	if o.Restarts <= 0 {
 		o.Restarts = 3
 	}
-	if o.StartTemp <= 0 {
-		o.StartTemp = 0.2
-	}
-	if o.EndTemp <= 0 {
-		o.EndTemp = 1e-4
-	}
 	return o
 }
 
@@ -70,7 +58,6 @@ func (o Options) withDefaults() Options {
 // annealing, speed-down polish) on goal. The returned value is the best
 // score reached, possibly +Inf when no mapping met the goal's bounds.
 func Minimize(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, goal Goal, opt Options) (mapping.Mapping, float64, error) {
-	opt.Rule = rule
 	return search(rng, newEvaluator(inst, goal), rule, opt)
 }
 
@@ -91,7 +78,6 @@ func MinLatency(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, opt 
 // speed-down pass that repeatedly takes the single mode reduction (or
 // interval merge) with the best energy saving that keeps all bounds.
 func MinEnergyGivenPeriodLatency(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, periodBounds, latencyBounds []float64, opt Options) (mapping.Mapping, float64, error) {
-	opt.Rule = rule
 	ev := newEvaluator(inst, Goal{Objective: Energy, Model: model, PeriodBounds: periodBounds, LatencyBounds: latencyBounds})
 	best, bestV, err := search(rng, ev, rule, opt)
 	if err != nil {
@@ -117,7 +103,7 @@ func search(rng *rand.Rand, ev *evaluator, rule mapping.Rule, opt Options) (mapp
 			return mapping.Mapping{}, 0, err
 		}
 		speedUpIfHelpful(ev, &m)
-		anneal(rng, ev, &m, opt)
+		anneal(rng, ev, &m, rule, opt.Iters)
 		v := speedDown(ev, &m)
 		if !haveBest || v < bestV {
 			best, bestV, haveBest = m.Clone(), v, true

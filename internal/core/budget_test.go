@@ -28,7 +28,7 @@ func TestBudgetBeyondExactLimit(t *testing.T) {
 		if sc.Degenerate == gen.DegenProcStarved {
 			continue
 		}
-		opt, spec := exactProblem(sc.Req)
+		opt, spec := core.ExactProblem(sc.Req)
 		if _, err := exact.CountMappings(&sc.Inst, exact.Options{Rule: sc.Req.Rule, Modes: exact.AllModes, Limit: 2_000_000}); err == nil {
 			continue // within the exact limit
 		}
@@ -88,18 +88,6 @@ func TestUnresolvedIsNotInfeasible(t *testing.T) {
 	if !errors.Is(err, core.ErrUnresolved) || errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("no budget: %v, want ErrUnresolved only", err)
 	}
-}
-
-// exactProblem states req as the branch-and-bound problem core solves:
-// every mode when energy is a criterion, the fastest otherwise.
-func exactProblem(req core.Request) (exact.Options, exact.Spec) {
-	modes := exact.FastestOnly
-	if req.Objective == core.Energy || req.EnergyBudget > 0 {
-		modes = exact.AllModes
-	}
-	obj := map[core.Criterion]exact.Objective{core.Period: exact.ObjPeriod, core.Latency: exact.ObjLatency, core.Energy: exact.ObjEnergy}[req.Objective]
-	return exact.Options{Rule: req.Rule, Modes: modes}, exact.Spec{Objective: obj, Model: req.Model,
-		PeriodBounds: req.PeriodBounds, LatencyBounds: req.LatencyBounds, EnergyBudget: req.EnergyBudget}
 }
 
 // BenchmarkSolveBeyondExactLimit times Solve on the first 64 NP-hard jobs

@@ -14,7 +14,12 @@
 //     budget runs out,
 //
 // and reports which path was taken and whether the result is provably
-// optimal. Only a completed search answers ErrInfeasible; a budget spent
+// optimal. Every bound a request carries constrains the answer, whatever
+// the objective: a polynomial cell answers only when its optimum also
+// meets the bounds on the objective's own criterion, and the search runs
+// otherwise. ExactProblem is the one statement of a request as a
+// branch-and-bound problem. Only a completed search, or a polynomial
+// optimum over an energy budget, answers ErrInfeasible; a budget spent
 // without any mapping found answers ErrUnresolved.
 package core
 
@@ -97,12 +102,14 @@ type Request struct {
 	// Objective is the criterion to minimize.
 	Objective Criterion
 	// PeriodBounds, if non-nil, constrains each application's unweighted
-	// period T_a <= PeriodBounds[a].
+	// period T_a <= PeriodBounds[a], whatever the objective: with the
+	// period objective too.
 	PeriodBounds []float64
 	// LatencyBounds, if non-nil, constrains each application's unweighted
-	// latency L_a <= LatencyBounds[a].
+	// latency L_a <= LatencyBounds[a], whatever the objective.
 	LatencyBounds []float64
-	// EnergyBudget, if positive, constrains the total energy.
+	// EnergyBudget, if positive, constrains the total energy, whatever the
+	// objective.
 	EnergyBudget float64
 	// ExactLimit is the largest mapping count the exact search runs to the
 	// end on; 0 means 2,000,000. Past it, the search gets a work budget of
@@ -192,17 +199,27 @@ func SolvePrepared(inst *pipeline.Instance, cls pipeline.Class, req Request) (Re
 		return Result{}, err
 	}
 	switch req.Objective {
-	case Period:
-		return solvePeriod(inst, req, cls)
-	case Latency:
-		return solveLatency(inst, req, cls)
+	case Period, Latency:
 	case Energy:
 		if req.PeriodBounds == nil {
 			return Result{}, fmt.Errorf("%w: energy minimization requires period bounds (Section 3.5)", ErrUnsupported)
 		}
-		return solveEnergy(inst, req, cls)
+	default:
+		return Result{}, fmt.Errorf("core: unknown objective %v", req.Objective)
 	}
-	return Result{}, fmt.Errorf("core: unknown objective %v", req.Objective)
+	res, poly, err := polynomial(inst, cls, req)
+	switch {
+	case !poly:
+	case err != nil || meetsOwnBound(req, &res.Metrics):
+		// The cell's optimum meets every bound, so it is the constrained
+		// optimum too.
+		return res, err
+	case req.Objective == Energy:
+		// The cell's optimum is the least energy under the other bounds,
+		// so no mapping meets a smaller budget.
+		return Result{}, ErrInfeasible
+	}
+	return fallback(inst, req)
 }
 
 func checkBounds(inst *pipeline.Instance, req Request) error {
@@ -256,111 +273,108 @@ func StretchWeights(inst *pipeline.Instance, req Request) (pipeline.Instance, er
 	return alone, nil
 }
 
-func solvePeriod(inst *pipeline.Instance, req Request, cls pipeline.Class) (Result, error) {
-	hasLat := req.LatencyBounds != nil
-	hasEnergy := req.EnergyBudget > 0
-	switch {
-	case !hasLat && !hasEnergy:
-		// Mono-criterion period (Table 1).
-		if req.Rule == mapping.OneToOne && cls != pipeline.FullyHeterogeneous {
-			m, v, err := onetoone.MinPeriodCommHom(inst, req.Model)
-			return wrap(inst, req, m, v, MethodGreedyBinarySearch, true, err)
-		}
-		if req.Rule == mapping.Interval && cls == pipeline.FullyHomogeneous {
-			m, v, err := interval.MinPeriodFullyHom(inst, req.Model)
-			return wrap(inst, req, m, v, MethodDynProgAlloc, true, err)
-		}
-		return fallback(inst, req, exact.FastestOnly, exact.Spec{Objective: exact.ObjPeriod, Model: req.Model})
-	case hasLat && !hasEnergy:
-		// Bi-criteria period/latency (Table 2): polynomial on fully
-		// homogeneous platforms only.
-		if cls == pipeline.FullyHomogeneous {
-			if req.Rule == mapping.OneToOne {
-				return trivialOneToOne(inst, req)
+// polynomial answers req with the polynomial algorithm of its Table 1-2
+// cell on a platform of class cls; poly is false when the cell is
+// NP-hard. A bound on the objective's own criterion takes no part in
+// choosing the cell: the cell is the one of the other criteria.
+func polynomial(inst *pipeline.Instance, cls pipeline.Class, req Request) (res Result, poly bool, err error) {
+	var (
+		m      mapping.Mapping
+		v      float64
+		method Method // stays empty on an NP-hard cell
+	)
+	hasPer, hasLat, hasEnergy := req.PeriodBounds != nil, req.LatencyBounds != nil, req.EnergyBudget > 0
+	oneToOne := req.Rule == mapping.OneToOne
+	fullyHom := cls == pipeline.FullyHomogeneous
+	commHom := cls != pipeline.FullyHeterogeneous
+	// Tri-criteria cells are polynomial only for interval mappings on
+	// uni-modal fully homogeneous platforms (Theorems 23-24); with
+	// multi-modal processors they are NP-hard even there (Theorems 26-27).
+	uniModal := fullyHom && !oneToOne && inst.Platform.UniModal()
+	switch req.Objective {
+	case Period:
+		switch {
+		case hasEnergy:
+			if uniModal {
+				m, v, err = interval.MinPeriodGivenLatencyEnergyUniModal(inst, req.Model, orInf(req.LatencyBounds, len(inst.Apps)), req.EnergyBudget)
+				method = MethodUniModalBudget
 			}
-			m, v, err := interval.MinPeriodGivenLatencyFullyHom(inst, req.Model, req.LatencyBounds)
-			return wrap(inst, req, m, v, MethodDynProgAlloc, true, err)
+		case hasLat && fullyHom && oneToOne:
+			res, err = trivialOneToOne(inst, req)
+			return res, true, err
+		case hasLat && fullyHom:
+			m, v, err = interval.MinPeriodGivenLatencyFullyHom(inst, req.Model, req.LatencyBounds)
+			method = MethodDynProgAlloc
+		case hasLat: // NP-hard
+		case oneToOne && commHom:
+			m, v, err = onetoone.MinPeriodCommHom(inst, req.Model)
+			method = MethodGreedyBinarySearch
+		case !oneToOne && fullyHom:
+			m, v, err = interval.MinPeriodFullyHom(inst, req.Model)
+			method = MethodDynProgAlloc
 		}
-		return fallback(inst, req, exact.FastestOnly, exact.Spec{Objective: exact.ObjPeriod, Model: req.Model,
-			LatencyBounds: req.LatencyBounds})
-	default:
-		// Tri-criteria period under latency bounds and energy budget.
-		lat := req.LatencyBounds
-		if lat == nil {
-			lat = infBounds(len(inst.Apps))
+	case Latency:
+		switch {
+		case hasEnergy:
+			if uniModal {
+				m, v, err = interval.MinLatencyGivenPeriodEnergyUniModal(inst, req.Model, orInf(req.PeriodBounds, len(inst.Apps)), req.EnergyBudget)
+				method = MethodUniModalBudget
+			}
+		case hasPer && fullyHom && oneToOne:
+			res, err = trivialOneToOne(inst, req)
+			return res, true, err
+		case hasPer && fullyHom:
+			m, v, err = interval.MinLatencyGivenPeriodFullyHom(inst, req.Model, req.PeriodBounds)
+			method = MethodDynProgAlloc
+		case hasPer: // NP-hard
+		case oneToOne && fullyHom:
+			m, v, err = onetoone.MinLatencyFullyHom(inst)
+			method = MethodTrivial
+		case !oneToOne && commHom:
+			m, v, err = interval.MinLatencyCommHom(inst)
+			method = MethodGreedyBinarySearch
 		}
-		if cls == pipeline.FullyHomogeneous && inst.Platform.UniModal() && req.Rule == mapping.Interval {
-			m, v, err := interval.MinPeriodGivenLatencyEnergyUniModal(inst, req.Model, lat, req.EnergyBudget)
-			return wrap(inst, req, m, v, MethodUniModalBudget, true, err)
+	case Energy:
+		switch {
+		case hasLat:
+			if uniModal {
+				m, v, err = interval.MinEnergyGivenPeriodLatencyUniModal(inst, req.Model, req.PeriodBounds, req.LatencyBounds)
+				method = MethodUniModalBudget
+			}
+		case oneToOne && commHom:
+			m, v, err = matching.MinEnergyGivenPeriodCommHom(inst, req.Model, req.PeriodBounds)
+			method = MethodMatching
+		case !oneToOne && fullyHom:
+			m, v, err = interval.MinEnergyGivenPeriodFullyHom(inst, req.Model, req.PeriodBounds)
+			method = MethodEnergyDP
 		}
-		return fallback(inst, req, exact.AllModes, exact.Spec{Objective: exact.ObjPeriod, Model: req.Model,
-			LatencyBounds: lat, EnergyBudget: req.EnergyBudget})
 	}
+	if method == "" {
+		return Result{}, false, nil
+	}
+	res, err = wrap(inst, req, m, v, method, true, err)
+	return res, true, err
 }
 
-func solveLatency(inst *pipeline.Instance, req Request, cls pipeline.Class) (Result, error) {
-	hasPer := req.PeriodBounds != nil
-	hasEnergy := req.EnergyBudget > 0
-	switch {
-	case !hasPer && !hasEnergy:
-		// Mono-criterion latency (Table 1).
-		if req.Rule == mapping.OneToOne && cls == pipeline.FullyHomogeneous {
-			m, v, err := onetoone.MinLatencyFullyHom(inst)
-			return wrap(inst, req, m, v, MethodTrivial, true, err)
-		}
-		if req.Rule == mapping.Interval && cls != pipeline.FullyHeterogeneous {
-			m, v, err := interval.MinLatencyCommHom(inst)
-			return wrap(inst, req, m, v, MethodGreedyBinarySearch, true, err)
-		}
-		return fallback(inst, req, exact.FastestOnly, exact.Spec{Objective: exact.ObjLatency, Model: pipeline.Overlap})
-	case hasPer && !hasEnergy:
-		if cls == pipeline.FullyHomogeneous {
-			if req.Rule == mapping.OneToOne {
-				return trivialOneToOne(inst, req)
-			}
-			m, v, err := interval.MinLatencyGivenPeriodFullyHom(inst, req.Model, req.PeriodBounds)
-			return wrap(inst, req, m, v, MethodDynProgAlloc, true, err)
-		}
-		return fallback(inst, req, exact.FastestOnly, exact.Spec{Objective: exact.ObjLatency, Model: req.Model,
-			PeriodBounds: req.PeriodBounds})
+// meetsOwnBound reports whether mt meets the request's bounds on its
+// objective's own criterion: the period bounds when it minimizes the
+// period, the latency bounds for latency, the energy budget for energy.
+func meetsOwnBound(req Request, mt *mapping.Metrics) bool {
+	var bounds, got []float64
+	switch req.Objective {
+	case Period:
+		bounds, got = req.PeriodBounds, mt.AppPeriods
+	case Latency:
+		bounds, got = req.LatencyBounds, mt.AppLatencies
 	default:
-		per := req.PeriodBounds
-		if per == nil {
-			per = infBounds(len(inst.Apps))
-		}
-		if cls == pipeline.FullyHomogeneous && inst.Platform.UniModal() && req.Rule == mapping.Interval {
-			m, v, err := interval.MinLatencyGivenPeriodEnergyUniModal(inst, req.Model, per, req.EnergyBudget)
-			return wrap(inst, req, m, v, MethodUniModalBudget, true, err)
-		}
-		return fallback(inst, req, exact.AllModes, exact.Spec{Objective: exact.ObjLatency, Model: req.Model,
-			PeriodBounds: per, EnergyBudget: req.EnergyBudget})
+		return req.EnergyBudget <= 0 || fmath.LE(mt.Energy, req.EnergyBudget)
 	}
-}
-
-func solveEnergy(inst *pipeline.Instance, req Request, cls pipeline.Class) (Result, error) {
-	hasLat := req.LatencyBounds != nil
-	if !hasLat {
-		// Bi-criteria period/energy (Table 2).
-		if req.Rule == mapping.OneToOne && cls != pipeline.FullyHeterogeneous {
-			m, v, err := matching.MinEnergyGivenPeriodCommHom(inst, req.Model, req.PeriodBounds)
-			return wrap(inst, req, m, v, MethodMatching, true, err)
+	for a := range bounds {
+		if !fmath.LE(got[a], bounds[a]) {
+			return false
 		}
-		if req.Rule == mapping.Interval && cls == pipeline.FullyHomogeneous {
-			m, v, err := interval.MinEnergyGivenPeriodFullyHom(inst, req.Model, req.PeriodBounds)
-			return wrap(inst, req, m, v, MethodEnergyDP, true, err)
-		}
-		return fallback(inst, req, exact.AllModes, exact.Spec{Objective: exact.ObjEnergy, Model: req.Model,
-			PeriodBounds: req.PeriodBounds})
 	}
-	// Tri-criteria energy under period and latency bounds: polynomial only
-	// for uni-modal fully homogeneous platforms (Theorems 23-24); NP-hard
-	// with multi-modal processors even there (Theorems 26-27).
-	if cls == pipeline.FullyHomogeneous && inst.Platform.UniModal() && req.Rule == mapping.Interval {
-		m, v, err := interval.MinEnergyGivenPeriodLatencyUniModal(inst, req.Model, req.PeriodBounds, req.LatencyBounds)
-		return wrap(inst, req, m, v, MethodUniModalBudget, true, err)
-	}
-	return fallback(inst, req, exact.AllModes, exact.Spec{Objective: exact.ObjEnergy, Model: req.Model,
-		PeriodBounds: req.PeriodBounds, LatencyBounds: req.LatencyBounds})
+	return true
 }
 
 // trivialOneToOne handles bounded problems on fully homogeneous platforms
@@ -399,14 +413,40 @@ func trivialOneToOne(inst *pipeline.Instance, req Request) (Result, error) {
 // before the annealer starts (2-vCPU x86 host).
 const exactWork = 10_000
 
-// fallback answers an NP-hard cell. Within the exact limit it runs the
-// branch-and-bound search to the end. Beyond it, the search gets a work
-// budget of min(ExactLimit, exactWork) placements: a search that ends
-// within it is just as exact, and one that runs out hands over to the
-// annealer. The answer is then the better of the annealer's mapping and
-// the search's incumbent, tagged Degraded.
-func fallback(inst *pipeline.Instance, req Request, modes exact.ModePolicy, spec exact.Spec) (Result, error) {
-	opt := exact.Options{Rule: req.Rule, Modes: modes}
+// ExactProblem states req as a branch-and-bound problem: its rule, every
+// mode when energy is the objective or has a budget and only the fastest
+// otherwise (running faster never worsens a period or a latency), its
+// objective and communication model, and every bound and the budget it
+// carries. It is the one statement of a request's exact search: the
+// dispatcher's NP-hard cells run it, and the oracles check against it.
+// req.Objective must be Period, Latency or Energy.
+func ExactProblem(req Request) (exact.Options, exact.Spec) {
+	modes := exact.FastestOnly
+	if req.Objective == Energy || req.EnergyBudget > 0 {
+		modes = exact.AllModes
+	}
+	return exact.Options{Rule: req.Rule, Modes: modes}, exact.Spec{
+		Objective:     exactObjective[req.Objective],
+		Model:         req.Model,
+		PeriodBounds:  req.PeriodBounds,
+		LatencyBounds: req.LatencyBounds,
+		EnergyBudget:  req.EnergyBudget,
+	}
+}
+
+// exactObjective maps each criterion to the branch-and-bound search's.
+var exactObjective = [...]exact.Objective{Period: exact.ObjPeriod, Latency: exact.ObjLatency, Energy: exact.ObjEnergy}
+
+// fallback answers a request the polynomial algorithms do not: an
+// NP-hard cell, or a polynomial cell whose optimum breaks a bound on its
+// own criterion. Within the exact limit it runs the branch-and-bound
+// search to the end. Beyond it, the search gets a work budget of
+// min(ExactLimit, exactWork) placements: a search that ends within it is
+// just as exact, and one that runs out hands over to the annealer. The
+// answer is then the better of the annealer's mapping and the search's
+// incumbent, tagged Degraded.
+func fallback(inst *pipeline.Instance, req Request) (Result, error) {
+	opt, spec := ExactProblem(req)
 	if !withinExactLimit(inst, req) {
 		opt.Budget = min(req.exactLimit(), exactWork)
 	}
@@ -552,7 +592,11 @@ func wrap(inst *pipeline.Instance, req Request, m mapping.Mapping, v float64, me
 	}, nil
 }
 
-func infBounds(n int) []float64 {
+// orInf returns bounds, or n unconstraining +Inf bounds when it is nil.
+func orInf(bounds []float64, n int) []float64 {
+	if bounds != nil {
+		return bounds
+	}
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Inf(1)

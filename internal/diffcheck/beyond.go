@@ -55,12 +55,12 @@ type BeyondSummary struct {
 // branch-and-bound optimum wherever that search ends within beyondWork.
 // It returns the summary and a joined error of the reported
 // disagreements. Deterministic per (seed, n).
-func Beyond(space gen.Space, seed int64, n int, opt Options) (BeyondSummary, error) {
+func Beyond(space gen.Space, seed int64, n int) (BeyondSummary, error) {
 	if err := space.Validate(); err != nil {
 		return BeyondSummary{}, err
 	}
 	outs := make([]beyondOutcome, n)
-	batch.Each(context.Background(), n, opt.Workers, func(i int) {
+	batch.Each(context.Background(), n, 0, func(i int) {
 		sc := space.Sample(seed, i)
 		if sc.Degenerate == gen.DegenProcStarved {
 			outs[i].skipped = true
@@ -115,7 +115,7 @@ type beyondOutcome struct {
 // branch-and-bound search.
 func checkBeyond(sc *gen.Scenario) (o beyondOutcome) {
 	res, serr := core.Solve(&sc.Inst, sc.Req)
-	opt, spec := exactProblem(sc.Req)
+	opt, spec := core.ExactProblem(sc.Req)
 	switch {
 	case errors.Is(serr, core.ErrInfeasible):
 		o.infeasible = true

@@ -64,59 +64,22 @@ import (
 	"repro/internal/sim"
 )
 
-// Options tunes the oracle.
-type Options struct {
-	// OracleLimit caps the brute-force enumeration per scenario; above it
+// The oracle's settings.
+const (
+	// oracleLimit caps the brute-force enumeration per scenario; above it
 	// the value cross-check is skipped (the consistency replay still
-	// runs). 0 means 800,000 mappings.
-	OracleLimit int64
-	// Tol is the simulator verification tolerance; 0 means 1e-9.
-	Tol float64
-	// HeurEvery forces the heuristic path and checks its lower bound on
-	// every k-th scenario; 0 means every 4th, negative disables.
-	HeurEvery int
-	// HeurIters and HeurRestarts tune the forced heuristic run (defaults
-	// 300 and 1: enough to find a feasible point on oracle-sized
-	// instances while keeping a large corpus fast).
-	HeurIters, HeurRestarts int
-	// Workers bounds Run's parallelism; <= 0 means GOMAXPROCS.
-	Workers int
-}
-
-func (o Options) oracleLimit() int64 {
-	if o.OracleLimit <= 0 {
-		return 800_000
-	}
-	return o.OracleLimit
-}
-
-func (o Options) tol() float64 {
-	if o.Tol <= 0 {
-		return 1e-9
-	}
-	return o.Tol
-}
-
-func (o Options) heurEvery() int {
-	if o.HeurEvery == 0 {
-		return 4
-	}
-	return o.HeurEvery
-}
-
-func (o Options) heurIters() int {
-	if o.HeurIters <= 0 {
-		return 300
-	}
-	return o.HeurIters
-}
-
-func (o Options) heurRestarts() int {
-	if o.HeurRestarts <= 0 {
-		return 1
-	}
-	return o.HeurRestarts
-}
+	// runs).
+	oracleLimit = 800_000
+	// simTol is the simulator verification tolerance.
+	simTol = 1e-9
+	// heurEvery forces the heuristic path and checks its lower bound on
+	// every heurEvery-th scenario.
+	heurEvery = 4
+	// heurIters and heurRestarts tune the forced heuristic run: enough to
+	// find a feasible point on oracle-sized instances while keeping a
+	// large corpus fast.
+	heurIters, heurRestarts = 300, 1
+)
 
 // Outcome reports one scenario's differential check.
 type Outcome struct {
@@ -158,7 +121,7 @@ type Outcome struct {
 // Check runs the full differential oracle on one scenario. A non-nil error
 // is a genuine disagreement (or an unexpected solver failure), never an
 // artifact of an infeasible or oversized draw.
-func Check(sc *gen.Scenario, opt Options) (Outcome, error) {
+func Check(sc *gen.Scenario) (Outcome, error) {
 	out := Outcome{Scenario: *sc, OracleValue: math.NaN(), HeurValue: math.NaN()}
 
 	res, serr := core.Solve(&sc.Inst, sc.Req)
@@ -178,7 +141,7 @@ func Check(sc *gen.Scenario, opt Options) (Outcome, error) {
 	// Pruning equivalence likewise runs regardless of feasibility: an
 	// infeasibility verdict must be reproduced by the pruned search too.
 	var prerr error
-	out.PruneChecked, prerr = pruneEquivalence(sc, opt.oracleLimit())
+	out.PruneChecked, prerr = pruneEquivalence(sc)
 	if prerr != nil {
 		return out, fmt.Errorf("%s (seed %d, index %d): pruning equivalence: %w", sc.Name, sc.Seed, sc.Index, prerr)
 	}
@@ -190,7 +153,7 @@ func Check(sc *gen.Scenario, opt Options) (Outcome, error) {
 		return out, nil
 	}
 
-	oracle, oerr := bruteForce(&sc.Inst, sc.Req, opt.oracleLimit())
+	oracle, oerr := bruteForce(&sc.Inst, sc.Req, oracleLimit)
 	switch {
 	case errors.Is(oerr, exact.ErrSearchSpace):
 		out.OracleSkipped = true
@@ -231,17 +194,17 @@ func Check(sc *gen.Scenario, opt Options) (Outcome, error) {
 				sc.Name, sc.Seed, sc.Index, res.Value, oracle)
 		}
 	}
-	if err := replay(sc, &res, opt); err != nil {
+	if err := replay(sc, &res); err != nil {
 		return out, fmt.Errorf("%s (seed %d, index %d): %w", sc.Name, sc.Seed, sc.Index, err)
 	}
 
 	// Heuristic soundness: force the heuristic path on the same problem
 	// and bound it below by the exact optimum.
-	if k := opt.heurEvery(); k > 0 && sc.Index%k == 0 && !out.OracleSkipped {
+	if sc.Index%heurEvery == 0 && !out.OracleSkipped {
 		out.HeurChecked = true
 		hreq := sc.Req
 		hreq.ExactLimit = 1 // any real search space exceeds 1: forces the heuristic
-		hreq.HeurIters, hreq.HeurRestarts = opt.heurIters(), opt.heurRestarts()
+		hreq.HeurIters, hreq.HeurRestarts = heurIters, heurRestarts
 		hres, herr := core.Solve(&sc.Inst, hreq)
 		switch {
 		case errors.Is(herr, core.ErrUnresolved):
@@ -254,7 +217,7 @@ func Check(sc *gen.Scenario, opt Options) (Outcome, error) {
 				return out, fmt.Errorf("%s (seed %d, index %d): forced heuristic value %g beats the proven optimum %g",
 					sc.Name, sc.Seed, sc.Index, hres.Value, oracle)
 			}
-			if err := replay(sc, &hres, opt); err != nil {
+			if err := replay(sc, &hres); err != nil {
 				return out, fmt.Errorf("%s (seed %d, index %d): forced heuristic %w", sc.Name, sc.Seed, sc.Index, err)
 			}
 			// Property 6 on the budget-capped solve: ExactLimit 1 abandons
@@ -299,7 +262,7 @@ func checkDegraded(res *core.Result, oracle float64, haveOracle bool) error {
 // reported value must be the requested objective of those metrics, every
 // bound in the request must hold, and the discrete-event simulator must
 // measure exactly the analytic period and latency.
-func replay(sc *gen.Scenario, res *core.Result, opt Options) error {
+func replay(sc *gen.Scenario, res *core.Result) error {
 	inst, req := &sc.Inst, sc.Req
 	if err := res.Mapping.Validate(inst, req.Rule); err != nil {
 		return fmt.Errorf("returned mapping invalid: %w", err)
@@ -331,7 +294,7 @@ func replay(sc *gen.Scenario, res *core.Result, opt Options) error {
 	if req.EnergyBudget > 0 && !fmath.LE(mt.Energy, req.EnergyBudget) {
 		return fmt.Errorf("energy %g violates budget %g", mt.Energy, req.EnergyBudget)
 	}
-	if err := sim.Verify(inst, &res.Mapping, req.Model, opt.tol()); err != nil {
+	if err := sim.Verify(inst, &res.Mapping, req.Model, simTol); err != nil {
 		return fmt.Errorf("simulator disagrees with the analytic model: %w", err)
 	}
 	return nil
@@ -402,9 +365,9 @@ func planEquivalence(sc *gen.Scenario) (int, error) {
 // metrics), so only values and verdicts are compared. Returns false
 // (skipped) when either side overruns the limit: the NoPrune walk visits
 // the whole space, so it hits the cap long before the pruned search does.
-func pruneEquivalence(sc *gen.Scenario, limit int64) (bool, error) {
-	opt, spec := exactProblem(sc.Req)
-	opt.Limit = limit
+func pruneEquivalence(sc *gen.Scenario) (bool, error) {
+	opt, spec := core.ExactProblem(sc.Req)
+	opt.Limit = oracleLimit
 	pruned, perr := exact.Minimize(&sc.Inst, opt, spec)
 	opt.NoPrune = true
 	ref, rerr := exact.Minimize(&sc.Inst, opt, spec)
@@ -424,30 +387,6 @@ func pruneEquivalence(sc *gen.Scenario, limit int64) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// exactProblem states req as a branch-and-bound problem: its rule, every
-// mode when energy is a criterion and only the fastest otherwise, and its
-// objective and bounds.
-func exactProblem(req core.Request) (exact.Options, exact.Spec) {
-	modes := exact.FastestOnly
-	if req.Objective == core.Energy || req.EnergyBudget > 0 {
-		modes = exact.AllModes
-	}
-	obj := exact.ObjPeriod
-	switch req.Objective {
-	case core.Latency:
-		obj = exact.ObjLatency
-	case core.Energy:
-		obj = exact.ObjEnergy
-	}
-	return exact.Options{Rule: req.Rule, Modes: modes}, exact.Spec{
-		Objective:     obj,
-		Model:         req.Model,
-		PeriodBounds:  req.PeriodBounds,
-		LatencyBounds: req.LatencyBounds,
-		EnergyBudget:  req.EnergyBudget,
-	}
 }
 
 // bruteForce enumerates every valid mapping under the request's rule and
@@ -552,15 +491,15 @@ const maxReported = 8
 // Run samples n scenarios from the space and differentially checks each on
 // a bounded worker pool. It returns the aggregate summary plus a joined
 // error of the reported disagreements. Deterministic per (seed, n).
-func Run(space gen.Space, seed int64, n int, opt Options) (Summary, error) {
+func Run(space gen.Space, seed int64, n int) (Summary, error) {
 	if err := space.Validate(); err != nil {
 		return Summary{}, err
 	}
 	outcomes := make([]Outcome, n)
 	errs := make([]error, n)
-	batch.Each(context.Background(), n, opt.Workers, func(i int) {
+	batch.Each(context.Background(), n, 0, func(i int) {
 		sc := space.Sample(seed, i)
-		outcomes[i], errs[i] = Check(&sc, opt)
+		outcomes[i], errs[i] = Check(&sc)
 	}, nil)
 
 	sum := Summary{Combos: make(map[string]int), Methods: make(map[core.Method]int)}

@@ -1,6 +1,7 @@
 package diffcheck
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -21,7 +22,7 @@ func TestDifferential(t *testing.T) {
 	if testing.Short() {
 		n = 6 * space.CombinationCount()
 	}
-	sum, err := Run(space, 1, n, Options{})
+	sum, err := Run(space, 1, n)
 	if err != nil {
 		t.Fatalf("differential corpus failed:\n%v", err)
 	}
@@ -74,6 +75,95 @@ func TestDifferential(t *testing.T) {
 		sum.Checked, sum.Feasible, sum.Infeasible, sum.OracleSkips, sum.HeurMisses, sum.HeurChecked, sum.PlanQueries, sum.Methods)
 }
 
+// TestOwnCriterionBounds adds a bound on the objective's own criterion to
+// seed-1 corpus scenarios (the corpus never draws one): the answered
+// metric scaled by 1.1 (above), 1 (at) and 0.9 (below) for every
+// application, and, on scenarios with several applications, 0.9 for one
+// application at a time with the others unbounded. Every variant must pass
+// the whole differential check, and the search must answer some variants
+// of polynomial cells.
+func TestOwnCriterionBounds(t *testing.T) {
+	space := gen.DefaultSpace()
+	n := 10 * space.CombinationCount()
+	if testing.Short() {
+		n = 4 * space.CombinationCount()
+	}
+	variants, searched := 0, 0
+	for i := 0; i < n; i++ {
+		base := space.Sample(1, i)
+		res, err := core.Solve(&base.Inst, base.Req)
+		if err != nil {
+			continue
+		}
+		for _, req := range ownBoundVariants(base.Req, &res.Metrics) {
+			sc := base
+			sc.Req = req
+			out, err := Check(&sc)
+			if err != nil {
+				t.Errorf("own-criterion bound variant: %v", err)
+				continue
+			}
+			variants++
+			if isPolynomial(res.Method) && out.Feasible && !isPolynomial(out.Method) {
+				searched++
+			}
+		}
+	}
+	if searched == 0 {
+		t.Errorf("%d variants: no polynomial-cell variant was answered by the search", variants)
+	}
+	t.Logf("%d variants, %d polynomial-cell variants answered by the search", variants, searched)
+}
+
+// ownBoundVariants returns req with a bound on its objective's own
+// criterion at, above and below mt's values (see TestOwnCriterionBounds).
+func ownBoundVariants(req core.Request, mt *mapping.Metrics) []core.Request {
+	var out []core.Request
+	if req.Objective == core.Energy {
+		for _, f := range []float64{1.1, 1, 0.9} {
+			r := req
+			r.EnergyBudget = f * mt.Energy
+			out = append(out, r)
+		}
+		return out
+	}
+	got := mt.AppPeriods
+	if req.Objective == core.Latency {
+		got = mt.AppLatencies
+	}
+	scaled := func(f float64, only int) []float64 {
+		b := make([]float64, len(got))
+		for a := range b {
+			b[a] = math.Inf(1)
+			if only < 0 || a == only {
+				b[a] = f * got[a]
+			}
+		}
+		return b
+	}
+	var bounds [][]float64
+	for _, f := range []float64{1.1, 1, 0.9} {
+		bounds = append(bounds, scaled(f, -1))
+	}
+	for a := 0; len(got) > 1 && a < len(got); a++ {
+		bounds = append(bounds, scaled(0.9, a))
+	}
+	for _, b := range bounds {
+		r := req
+		if req.Objective == core.Period {
+			r.PeriodBounds = b
+		} else {
+			r.LatencyBounds = b
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+func isPolynomial(m core.Method) bool {
+	return m != core.MethodExact && m != core.MethodHeuristic
+}
+
 // TestReplayFlagsPlantedBugs asserts the consistency oracle actually
 // detects corrupted results: a wrong reported value, wrong metrics, and an
 // out-of-bounds mapping must each fail the replay.
@@ -92,19 +182,19 @@ func TestReplayFlagsPlantedBugs(t *testing.T) {
 	if !found {
 		t.Fatal("no feasible scenario in the first 200 draws")
 	}
-	if err := replay(&sc, &res, Options{}); err != nil {
+	if err := replay(&sc, &res); err != nil {
 		t.Fatalf("genuine result must replay cleanly: %v", err)
 	}
 
 	wrongValue := res
 	wrongValue.Value = res.Value*2 + 1
-	if err := replay(&sc, &wrongValue, Options{}); err == nil {
+	if err := replay(&sc, &wrongValue); err == nil {
 		t.Error("replay accepted a corrupted objective value")
 	}
 
 	wrongMetrics := res
 	wrongMetrics.Metrics.Energy = res.Metrics.Energy + 1
-	if err := replay(&sc, &wrongMetrics, Options{}); err == nil {
+	if err := replay(&sc, &wrongMetrics); err == nil {
 		t.Error("replay accepted corrupted metrics")
 	}
 
@@ -115,7 +205,7 @@ func TestReplayFlagsPlantedBugs(t *testing.T) {
 		// duplicating the first interval's processor onto itself with an
 		// impossible stage range.
 		wrongMapping.Mapping.Apps[0].Intervals[0].To = -1
-		if err := replay(&sc, &wrongMapping, Options{}); err == nil {
+		if err := replay(&sc, &wrongMapping); err == nil {
 			t.Error("replay accepted an invalid mapping")
 		}
 	}
@@ -149,8 +239,8 @@ func TestBruteForceMotivatingExample(t *testing.T) {
 // TestRunDeterministic asserts two identical runs aggregate identically.
 func TestRunDeterministic(t *testing.T) {
 	space := gen.DefaultSpace()
-	a, errA := Run(space, 9, 40, Options{})
-	b, errB := Run(space, 9, 40, Options{})
+	a, errA := Run(space, 9, 40)
+	b, errB := Run(space, 9, 40)
 	if (errA == nil) != (errB == nil) {
 		t.Fatalf("error mismatch: %v vs %v", errA, errB)
 	}
@@ -170,7 +260,7 @@ func TestBeyondExactLimit(t *testing.T) {
 	if testing.Short() {
 		n = 600
 	}
-	sum, err := Beyond(LargeSpace(), 11, n, Options{})
+	sum, err := Beyond(LargeSpace(), 11, n)
 	if err != nil {
 		t.Fatalf("oracle past the exact limit: %d failures:\n%v", sum.Failures, err)
 	}

@@ -23,7 +23,7 @@ func Diff(w io.Writer, seed int64, n int) error {
 	if n <= 0 {
 		n = 6 * space.CombinationCount()
 	}
-	sum, err := diffcheck.Run(space, seed, n, diffcheck.Options{})
+	sum, err := diffcheck.Run(space, seed, n)
 
 	tb := report.New(fmt.Sprintf("DIFF - differential verification, %d seeded scenarios (seed %d)", sum.Checked, seed),
 		"check", "count", "match")

@@ -35,9 +35,17 @@ type cellCheck struct {
 	gen func(rng *rand.Rand) pipeline.Instance
 	// req builds the request (bounds may depend on the instance).
 	req func(inst *pipeline.Instance, rng *rand.Rand) core.Request
-	// oracle computes the optimum, or nil to skip value comparison
-	// (pure dispatch checks).
-	oracle func(inst *pipeline.Instance, req core.Request) (float64, error)
+	// dispatchOnly skips the comparison with the optimum (pure dispatch
+	// checks).
+	dispatchOnly bool
+}
+
+// optimum is the oracle of every cell: the branch-and-bound search of the
+// request's exact statement, run to the end.
+func optimum(inst *pipeline.Instance, req core.Request) (float64, error) {
+	opt, spec := core.ExactProblem(req)
+	sol, err := exact.Minimize(inst, opt, spec)
+	return sol.Value, err
 }
 
 // run executes the cell check and returns a table row plus an error if the
@@ -65,12 +73,12 @@ func (c *cellCheck) run(ctx context.Context, rng *rand.Rand) (cellResult, error)
 		err error
 	}
 	oracles := make([]oracleOut, trialsPerCell)
-	if c.oracle != nil {
+	if !c.dispatchOnly {
 		// Every solved trial gets its oracle, cancelled or not, so none
 		// is compared against a missing optimum.
 		batch.Each(context.WithoutCancel(ctx), trialsPerCell, 0, func(t int) {
 			if solved[t].Err == nil {
-				v, err := c.oracle(&insts[t], reqs[t])
+				v, err := optimum(&insts[t], reqs[t])
 				oracles[t] = oracleOut{val: v, err: err}
 			}
 		}, nil)
@@ -99,7 +107,7 @@ func (c *cellCheck) run(ctx context.Context, rng *rand.Rand) (cellResult, error)
 		if !okMethod {
 			return cellResult{}, fmt.Errorf("experiments: %s [%s]: dispatched to %q", c.problem, c.platform, res.Method)
 		}
-		if c.oracle == nil {
+		if c.dispatchOnly {
 			matches++
 			trials++
 			continue
@@ -119,7 +127,7 @@ func (c *cellCheck) run(ctx context.Context, rng *rand.Rand) (cellResult, error)
 		}
 	}
 	optimal := fmt.Sprintf("%d/%d optimal", matches, trials)
-	if c.oracle == nil {
+	if c.dispatchOnly {
 		optimal = fmt.Sprintf("%d dispatch checks", trials)
 	}
 	row := cellResult{
@@ -228,34 +236,26 @@ func Table1(w io.Writer, seed int64) error {
 // per-cell batch solves.
 func Table1Ctx(ctx context.Context, w io.Writer, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
-	polyPeriodOracle := func(inst *pipeline.Instance, req core.Request) (float64, error) {
-		sol, err := exact.MinPeriod(inst, req.Rule, req.Model)
-		return sol.Value, err
-	}
-	polyLatencyOracle := func(inst *pipeline.Instance, req core.Request) (float64, error) {
-		sol, err := exact.MinLatency(inst, req.Rule)
-		return sol.Value, err
-	}
 	cells := []cellCheck{
 		{
 			problem: "period, one-to-one", platform: "com-hom (incl. het procs)", paperClaim: "polynomial (Thm 1)",
 			wantMethods: []core.Method{core.MethodGreedyBinarySearch},
-			gen:         genCommHomOneToOne(2), req: monoReq(mapping.OneToOne, core.Period), oracle: polyPeriodOracle,
+			gen:         genCommHomOneToOne(2), req: monoReq(mapping.OneToOne, core.Period),
 		},
 		{
 			problem: "period, one-to-one", platform: "com-het", paperClaim: "NP-complete (Thm 2)",
 			wantMethods: []core.Method{core.MethodExact, core.MethodHeuristic},
-			gen:         genFullyHetOneToOne(1), req: monoReq(mapping.OneToOne, core.Period), oracle: polyPeriodOracle,
+			gen:         genFullyHetOneToOne(1), req: monoReq(mapping.OneToOne, core.Period),
 		},
 		{
 			problem: "period, interval", platform: "proc-hom", paperClaim: "polynomial (Thm 3)",
 			wantMethods: []core.Method{core.MethodDynProgAlloc},
-			gen:         genFullyHom(1), req: monoReq(mapping.Interval, core.Period), oracle: polyPeriodOracle,
+			gen:         genFullyHom(1), req: monoReq(mapping.Interval, core.Period),
 		},
 		{
 			problem: "period, interval", platform: "special-app / proc-het", paperClaim: "NP-complete (Thm 5)",
 			wantMethods: []core.Method{core.MethodExact, core.MethodHeuristic},
-			gen:         forceProcHet(genCommHom(1)), req: monoReq(mapping.Interval, core.Period), oracle: polyPeriodOracle,
+			gen:         forceProcHet(genCommHom(1)), req: monoReq(mapping.Interval, core.Period),
 		},
 		{
 			problem: "latency, one-to-one", platform: "proc-hom", paperClaim: "polynomial (Thm 8)",
@@ -268,22 +268,22 @@ func Table1Ctx(ctx context.Context, w io.Writer, seed int64) error {
 				inst.Platform = workload.Platform(rng, cfg)
 				return inst
 			},
-			req: monoReq(mapping.OneToOne, core.Latency), oracle: polyLatencyOracle,
+			req: monoReq(mapping.OneToOne, core.Latency),
 		},
 		{
 			problem: "latency, one-to-one", platform: "special-app / proc-het", paperClaim: "NP-complete (Thm 9)",
 			wantMethods: []core.Method{core.MethodExact, core.MethodHeuristic},
-			gen:         forceProcHet(genCommHomOneToOne(1)), req: monoReq(mapping.OneToOne, core.Latency), oracle: polyLatencyOracle,
+			gen:         forceProcHet(genCommHomOneToOne(1)), req: monoReq(mapping.OneToOne, core.Latency),
 		},
 		{
 			problem: "latency, interval", platform: "com-hom (incl. het procs)", paperClaim: "polynomial (Thm 12)",
 			wantMethods: []core.Method{core.MethodGreedyBinarySearch},
-			gen:         genCommHom(2), req: monoReq(mapping.Interval, core.Latency), oracle: polyLatencyOracle,
+			gen:         genCommHom(2), req: monoReq(mapping.Interval, core.Latency),
 		},
 		{
 			problem: "latency, interval", platform: "com-het", paperClaim: "NP-complete (Thm 13)",
 			wantMethods: []core.Method{core.MethodExact, core.MethodHeuristic},
-			gen:         genFullyHet(1), req: monoReq(mapping.Interval, core.Latency), oracle: polyLatencyOracle,
+			gen:         genFullyHet(1), req: monoReq(mapping.Interval, core.Latency),
 		},
 	}
 	return renderCells(ctx, w, "TABLE 1 - mono-criterion complexity map", cells, rng)
@@ -325,10 +325,6 @@ func Table2Ctx(ctx context.Context, w io.Writer, seed int64) error {
 				return core.Request{Rule: mapping.Interval, Objective: core.Latency,
 					PeriodBounds: periodBounds(inst, rng, 1.3)}
 			},
-			oracle: func(inst *pipeline.Instance, req core.Request) (float64, error) {
-				sol, err := exact.MinLatencyGivenPeriod(inst, req.Rule, req.Model, req.PeriodBounds)
-				return sol.Value, err
-			},
 		},
 		{
 			problem: "period/latency, interval", platform: "proc-het", paperClaim: "NP-complete (Thm 17)",
@@ -337,10 +333,6 @@ func Table2Ctx(ctx context.Context, w io.Writer, seed int64) error {
 			req: func(inst *pipeline.Instance, rng *rand.Rand) core.Request {
 				return core.Request{Rule: mapping.Interval, Objective: core.Latency,
 					PeriodBounds: periodBounds(inst, rng, 1.5), HeurIters: 1200, HeurRestarts: 2}
-			},
-			oracle: func(inst *pipeline.Instance, req core.Request) (float64, error) {
-				sol, err := exact.MinLatencyGivenPeriod(inst, req.Rule, req.Model, req.PeriodBounds)
-				return sol.Value, err
 			},
 		},
 		{
@@ -355,10 +347,6 @@ func Table2Ctx(ctx context.Context, w io.Writer, seed int64) error {
 				return core.Request{Rule: mapping.OneToOne, Objective: core.Energy,
 					PeriodBounds: core.UniformBounds(inst, sol.Value*(1.2+rng.Float64()))}
 			},
-			oracle: func(inst *pipeline.Instance, req core.Request) (float64, error) {
-				sol, err := exact.MinEnergyGivenPeriod(inst, req.Rule, req.Model, req.PeriodBounds)
-				return sol.Value, err
-			},
 		},
 		{
 			problem: "period/energy, interval", platform: "proc-hom (multi-modal)", paperClaim: "polynomial DP (Thm 18+21)",
@@ -367,10 +355,6 @@ func Table2Ctx(ctx context.Context, w io.Writer, seed int64) error {
 			req: func(inst *pipeline.Instance, rng *rand.Rand) core.Request {
 				return core.Request{Rule: mapping.Interval, Objective: core.Energy,
 					PeriodBounds: periodBounds(inst, rng, 1.3+rng.Float64())}
-			},
-			oracle: func(inst *pipeline.Instance, req core.Request) (float64, error) {
-				sol, err := exact.MinEnergyGivenPeriod(inst, req.Rule, req.Model, req.PeriodBounds)
-				return sol.Value, err
 			},
 		},
 		{
@@ -381,7 +365,7 @@ func Table2Ctx(ctx context.Context, w io.Writer, seed int64) error {
 				return core.Request{Rule: mapping.Interval, Objective: core.Energy,
 					PeriodBounds: periodBounds(inst, rng, 1.5), HeurIters: 1200, HeurRestarts: 2}
 			},
-			oracle: nil, // heuristic cells: dispatch check only
+			dispatchOnly: true, // heuristic cells: dispatch check only
 		},
 		{
 			problem: "tri-criteria, interval", platform: "proc-hom uni-modal", paperClaim: "polynomial (Thm 23-24)",
@@ -391,10 +375,6 @@ func Table2Ctx(ctx context.Context, w io.Writer, seed int64) error {
 				return core.Request{Rule: mapping.Interval, Objective: core.Energy,
 					PeriodBounds:  periodBounds(inst, rng, 1.4),
 					LatencyBounds: latencyBounds(inst, rng, 1.6)}
-			},
-			oracle: func(inst *pipeline.Instance, req core.Request) (float64, error) {
-				sol, err := exact.MinEnergyGivenPeriodLatency(inst, req.Rule, req.Model, req.PeriodBounds, req.LatencyBounds)
-				return sol.Value, err
 			},
 		},
 		{
@@ -406,10 +386,6 @@ func Table2Ctx(ctx context.Context, w io.Writer, seed int64) error {
 					PeriodBounds:  periodBounds(inst, rng, 1.4),
 					LatencyBounds: latencyBounds(inst, rng, 1.8),
 					HeurIters:     1200, HeurRestarts: 2}
-			},
-			oracle: func(inst *pipeline.Instance, req core.Request) (float64, error) {
-				sol, err := exact.MinEnergyGivenPeriodLatency(inst, req.Rule, req.Model, req.PeriodBounds, req.LatencyBounds)
-				return sol.Value, err
 			},
 		},
 	}

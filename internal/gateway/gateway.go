@@ -282,8 +282,9 @@ func errorSlot(code string, err error) json.RawMessage {
 // groups are posted concurrently as sub-batches spliced from those
 // bytes; the sub-responses' raw result slots are scattered back into
 // input order and the sub-batch stats are merged. A group whose replica
-// fails (transport error or shed past the retry budget) marks the
-// replica down and reroutes to the ring successors; jobs with no healthy
+// cannot be reached marks the replica down and reroutes to the ring
+// successors; a group the replica still sheds past the retry budget
+// answers shed in its slots and keeps the replica; jobs with no healthy
 // replica left answer structured shed errors in their slots rather than
 // failing the whole batch. A document the gateway cannot cut, and one
 // with a slot the gateway filled itself (a replica rejected its
@@ -360,12 +361,11 @@ func (g *Gateway) dispatch(ctx context.Context, fo *fanout, indices []int, depth
 			return
 		}
 		resp, respBody, err := g.post(ctx, rep, "/v1/batch", fo.doc.splice(group))
-		if err != nil {
-			// The replica is gone or persistently shedding: take it
-			// out of the ring and let the group's keys find their
-			// successors. Recursion is bounded — every level marks a
-			// replica down, and route() answers ok=false once none
-			// are left.
+		if resp == nil {
+			// The replica is gone: take it out of the ring and let
+			// the group's keys find their successors. Recursion is
+			// bounded — every level marks a replica down, and route()
+			// answers ok=false once none are left.
 			if ctx.Err() != nil {
 				g.failSlots(fo, group, jobspec.CodeTimeout, ctx.Err())
 				return
@@ -381,9 +381,11 @@ func (g *Gateway) dispatch(ctx context.Context, fo *fanout, indices []int, depth
 		}
 		if resp.StatusCode != http.StatusOK {
 			// The replica is up and answered for the sub-batch
-			// itself: its budget expired (504), it found the jobs
-			// invalid (400), or it failed on them. The slots carry
-			// its answer; a 400 also has the whole document checked.
+			// itself: it shed it past the retries (429, 503), its
+			// budget expired (504), it found the jobs invalid (400),
+			// or it failed on them. The slots carry its answer, and
+			// the replica stays in the ring, as forward keeps it; a
+			// 400 also has the whole document checked.
 			g.upstreamError(fo, group, rep, resp.StatusCode, respBody)
 			return
 		}

@@ -516,6 +516,46 @@ func TestGatewayRetriesShedUpstream(t *testing.T) {
 	}
 }
 
+// TestGatewayPersistentShedKeepsReplica fronts the gateway with one
+// replica that sheds every request with 503. A sub-batch still shed past
+// the retries is the replica's answer, as forward relays it for a single
+// solve: the slots answer shed, the replica stays in the ring and nothing
+// reroutes.
+func TestGatewayPersistentShedKeepsReplica(t *testing.T) {
+	var posts atomic.Int64
+	shedding := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		w.WriteHeader(http.StatusServiceUnavailable) // no Retry-After: the retry waits the short backoff
+		fmt.Fprint(w, `{"error": "overloaded", "code": "shed"}`)
+	}))
+	t.Cleanup(shedding.Close)
+
+	g := newGateway(t, []string{shedding.URL}, Config{Retries: 1})
+	rec := postGateway(g, "/v1/batch", batchBody(t, 4))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200 with per-job errors: %s", rec.Code, rec.Body.String())
+	}
+	var out rawOutput
+	decode(t, rec, &out)
+	for i, slot := range out.Results {
+		var res jobspec.Result
+		if err := json.Unmarshal(slot, &res); err != nil || res.Code != jobspec.CodeShed {
+			t.Errorf("slot %d: %s, want code shed", i, slot)
+		}
+	}
+	if !g.Healthy(0) {
+		t.Error("replica marked down by its own shed")
+	}
+	if n := posts.Load(); n != 2 {
+		t.Errorf("replica saw %d posts, want 2 (one attempt and one retry)", n)
+	}
+	var st gatewayStatsJSON
+	decode(t, getGateway(g, "/stats"), &st)
+	if st.Rerouted != 0 {
+		t.Errorf("rerouted = %d, want 0", st.Rerouted)
+	}
+}
+
 // TestGatewaySubBatchTimeoutKeepsReplicas sends a batch to replicas
 // whose request budget is too small for it: each answers 504 to its
 // sub-batch. That is the batch's failure, not the replica's: the slots
