@@ -104,8 +104,8 @@ const startTemp, endTemp = 0.2, 1e-4
 // anneal improves m by simulated annealing over the neighbourhood of
 // rule's mappings for iters steps, returning the best score reached.
 // Infeasible neighbours (score +Inf) are always rejected; the best
-// mapping ever seen is restored at the end. On return m holds one of the workspace's buffers,
-// not its own.
+// mapping ever seen is restored at the end. On return m holds one of the
+// workspace's buffers, not its own.
 func anneal(rng *rand.Rand, ev *evaluator, m *mapping.Mapping, rule mapping.Rule, iters int) float64 {
 	ws := newWorkspace(ev, m)
 	cur := ev.score(&ws.curS)
