@@ -115,7 +115,7 @@ func BenchmarkAblationHeuristicBudget(b *testing.B) {
 			var period float64
 			for i := 0; i < b.N; i++ {
 				r := rand.New(rand.NewSource(1))
-				_, t, err := heur.MinPeriod(r, &inst, mapping.Interval, pipeline.Overlap,
+				_, t, err := heur.Minimize(r, &inst, mapping.Interval, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap},
 					heur.Options{Iters: iters, Restarts: 2})
 				if err != nil {
 					b.Fatal(err)

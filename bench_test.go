@@ -37,19 +37,19 @@ func BenchmarkFig1MotivatingExample(b *testing.B) {
 	inst := pipeline.MotivatingExample()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p, err := exact.MinPeriod(&inst, mapping.Interval, pipeline.Overlap)
+		p, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
 		if err != nil || !eq(p.Value, 1) {
 			b.Fatalf("period %v %v", p.Value, err)
 		}
-		l, err := exact.MinLatency(&inst, mapping.Interval)
+		l, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
 		if err != nil || !eq(l.Value, 2.75) {
 			b.Fatalf("latency %v %v", l.Value, err)
 		}
-		e, err := exact.MinEnergy(&inst, mapping.Interval)
+		e, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy})
 		if err != nil || !eq(e.Value, 10) {
 			b.Fatalf("energy %v %v", e.Value, err)
 		}
-		t, err := exact.MinEnergyGivenPeriod(&inst, mapping.Interval, pipeline.Overlap, []float64{2, 2})
+		t, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: []float64{2, 2}})
 		if err != nil || !eq(t.Value, 46) {
 			b.Fatalf("trade-off %v %v", t.Value, err)
 		}
@@ -95,7 +95,7 @@ func BenchmarkTable1PeriodOneToOneHet(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := exact.MinPeriod(&inst, mapping.OneToOne, pipeline.Overlap); err != nil {
+				if _, err := exact.Minimize(&inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -130,10 +130,11 @@ func BenchmarkTable1PeriodInterval(b *testing.B) {
 func BenchmarkTable1PeriodIntervalSpecial(b *testing.B) {
 	tp := npc.ThreePartition{B: 10, Items: []int{3, 3, 4, 2, 4, 4}}
 	inst := npc.EncodePeriodInterval(tp)
+	goal := pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}
 	b.Run("exact/m=2", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sol, err := exact.MinPeriod(&inst, mapping.Interval, pipeline.Overlap)
+			sol, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, goal)
 			if err != nil || !eq(sol.Value, 1) {
 				b.Fatalf("period %v %v", sol.Value, err)
 			}
@@ -143,8 +144,7 @@ func BenchmarkTable1PeriodIntervalSpecial(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			rng := rand.New(rand.NewSource(1))
-			if _, _, err := heur.MinPeriod(rng, &inst, mapping.Interval, pipeline.Overlap,
-				heur.Options{Iters: 1500, Restarts: 2}); err != nil {
+			if _, _, err := heur.Minimize(rng, &inst, mapping.Interval, goal, heur.Options{Iters: 1500, Restarts: 2}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -174,7 +174,7 @@ func BenchmarkTable1LatencyOneToOne(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sol, err := exact.MinLatency(&inst, mapping.OneToOne)
+			sol, err := exact.Minimize(&inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
 			if err != nil || !eq(sol.Value, 10) {
 				b.Fatalf("latency %v %v", sol.Value, err)
 			}
@@ -313,11 +313,12 @@ func BenchmarkTable2TriCriteriaUniModal(b *testing.B) {
 func BenchmarkTable2TriCriteriaMultiModal(b *testing.B) {
 	tp := npc.TwoPartition{Items: []int{1, 2, 3}}
 	g := npc.EncodeTriCriteriaOneToOne(tp, 8, 0.01)
+	goal := pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap,
+		PeriodBounds: []float64{g.PeriodBound}, LatencyBounds: []float64{g.LatencyBound}}
 	b.Run("exact/gadget-n=3", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := exact.MinEnergyGivenPeriodLatency(&g.Instance, g.Rule, pipeline.Overlap,
-				[]float64{g.PeriodBound}, []float64{g.LatencyBound}); err != nil {
+			if _, err := exact.Minimize(&g.Instance, exact.Options{Rule: g.Rule, Modes: exact.AllModes}, goal); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -326,10 +327,9 @@ func BenchmarkTable2TriCriteriaMultiModal(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			rng := rand.New(rand.NewSource(1))
-			_, _, err := heur.MinEnergyGivenPeriodLatency(rng, &g.Instance, g.Rule, pipeline.Overlap,
-				[]float64{g.PeriodBound}, []float64{g.LatencyBound}, heur.Options{Iters: 1200, Restarts: 2})
-			if err != nil {
-				b.Fatal(err)
+			_, v, err := heur.Minimize(rng, &g.Instance, g.Rule, goal, heur.Options{Iters: 1200, Restarts: 2})
+			if err != nil || math.IsInf(v, 1) {
+				b.Fatalf("energy %v %v", v, err)
 			}
 		}
 	})

@@ -78,7 +78,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if req.Model, err = pipeline.ParseCommModel(*modelFlag); err != nil {
 		return err
 	}
-	if req.Objective, err = core.ParseCriterion(*objFlag); err != nil {
+	if req.Objective, err = pipeline.ParseCriterion(*objFlag); err != nil {
 		return err
 	}
 	if *periodBound > 0 {

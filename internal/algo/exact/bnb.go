@@ -9,35 +9,6 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Objective identifies the criterion Minimize optimizes.
-type Objective int
-
-const (
-	// ObjPeriod minimizes the weighted global period max_a W_a*T_a.
-	ObjPeriod Objective = iota
-	// ObjLatency minimizes the weighted global latency max_a W_a*L_a.
-	ObjLatency
-	// ObjEnergy minimizes the total power of enrolled processors.
-	ObjEnergy
-)
-
-// Spec describes one optimization problem for Minimize: the objective, the
-// communication model and the optional feasibility constraints. Nil bound
-// slices mean unconstrained; EnergyBudget constrains when positive,
-// mirroring core.Request.
-type Spec struct {
-	Objective Objective
-	Model     pipeline.CommModel
-	// PeriodBounds constrains each application's unweighted period
-	// T_a <= PeriodBounds[a]; nil means unconstrained.
-	PeriodBounds []float64
-	// LatencyBounds constrains each application's unweighted latency
-	// L_a <= LatencyBounds[a]; nil means unconstrained.
-	LatencyBounds []float64
-	// EnergyBudget, if positive, constrains the total energy.
-	EnergyBudget float64
-}
-
 // SearchStats instruments one Minimize run. The counters let tests pin the
 // effect of pruning and symmetry breaking and let callers report search
 // effort.
@@ -71,7 +42,7 @@ type SearchStats struct {
 type searcher struct {
 	inst *pipeline.Instance
 	opt  Options
-	spec Spec
+	goal pipeline.Goal
 
 	prune               bool // !opt.NoPrune
 	hasPB, hasLB, hasEB bool
@@ -112,7 +83,7 @@ type searcher struct {
 
 var searchPool = sync.Pool{New: func() any { return new(searcher) }}
 
-// Minimize runs the branch-and-bound search for spec over the mapping space
+// Minimize runs the branch-and-bound search for goal over the mapping space
 // selected by opt and returns the optimal solution. Partial period, latency
 // and energy values are accumulated incrementally along the search path
 // (each node costs O(1) on top of its parent, in the exact floating-point
@@ -133,16 +104,16 @@ var searchPool = sync.Pool{New: func() any { return new(searcher) }}
 // Past either, Minimize returns ErrSearchSpace together with the best
 // mapping found so far, if any (Solution.Mapping is then non-empty and
 // Value its objective, an upper bound on the optimum).
-func Minimize(inst *pipeline.Instance, opt Options, spec Spec) (Solution, error) {
+func Minimize(inst *pipeline.Instance, opt Options, goal pipeline.Goal) (Solution, error) {
 	s := searchPool.Get().(*searcher)
-	sol, err := s.run(inst, opt, spec)
+	sol, err := s.run(inst, opt, goal)
 	s.inst = nil // do not retain the instance while pooled
 	searchPool.Put(s)
 	return sol, err
 }
 
-func (s *searcher) run(inst *pipeline.Instance, opt Options, spec Spec) (Solution, error) {
-	s.init(inst, opt, spec)
+func (s *searcher) run(inst *pipeline.Instance, opt Options, goal pipeline.Goal) (Solution, error) {
+	s.init(inst, opt, goal)
 	err := s.app(0, 0)
 	if !s.found {
 		if err == nil {
@@ -153,12 +124,12 @@ func (s *searcher) run(inst *pipeline.Instance, opt Options, spec Spec) (Solutio
 	return Solution{Mapping: s.best.Clone(), Value: s.bestVal, Stats: s.stats}, err
 }
 
-func (s *searcher) init(inst *pipeline.Instance, opt Options, spec Spec) {
-	s.inst, s.opt, s.spec = inst, opt, spec
+func (s *searcher) init(inst *pipeline.Instance, opt Options, goal pipeline.Goal) {
+	s.inst, s.opt, s.goal = inst, opt, goal
 	s.prune = !opt.NoPrune
-	s.hasPB = spec.PeriodBounds != nil
-	s.hasLB = spec.LatencyBounds != nil
-	s.hasEB = spec.EnergyBudget > 0
+	s.hasPB = goal.PeriodBounds != nil
+	s.hasLB = goal.LatencyBounds != nil
+	s.hasEB = goal.EnergyBudget > 0
 
 	p := inst.Platform.NumProcessors()
 	apps := len(inst.Apps)
@@ -184,7 +155,7 @@ func (s *searcher) init(inst *pipeline.Instance, opt Options, spec Spec) {
 	// it from the hot path while keeping bit-identical sums. When neither
 	// the objective nor a budget involves energy the table is skipped
 	// entirely — the search never reads it then.
-	s.needEnergy = spec.Objective == ObjEnergy || s.hasEB
+	s.needEnergy = goal.Objective == pipeline.Energy || s.hasEB
 	total := 0
 	if s.needEnergy {
 		s.powOff = resizeInts(s.powOff, p)
@@ -349,11 +320,11 @@ func (s *searcher) leaf(objDone float64) error {
 	if s.violations > 0 {
 		return nil
 	}
-	if s.hasEB && !fmath.LE(s.energy, s.spec.EnergyBudget) {
+	if s.hasEB && !fmath.LE(s.energy, s.goal.EnergyBudget) {
 		return nil
 	}
 	v := objDone
-	if s.spec.Objective == ObjEnergy {
+	if s.goal.Objective == pipeline.Energy {
 		v = s.energy
 	}
 	if !s.found || v < s.bestVal {
@@ -433,15 +404,15 @@ func (s *searcher) place(a, from int, objDone, appMax, lat, pendIn, pendComp flo
 				appMax2, lat2 = appMax, in
 			} else {
 				in = commTime(vol, pl.Link(prevProc, u))
-				closed := mapping.IntervalCost(s.spec.Model, pendIn, pendComp, in)
+				closed := mapping.IntervalCost(s.goal.Model, pendIn, pendComp, in)
 				appMax2 = math.Max(appMax, closed)
 				lat2 = lat + (pendComp + in)
 				if s.prune {
-					if s.hasPB && !fmath.LE(closed, s.spec.PeriodBounds[a]) {
+					if s.hasPB && !fmath.LE(closed, s.goal.PeriodBounds[a]) {
 						s.stats.PrunedBound++
 						continue
 					}
-					if s.hasLB && !fmath.LE(lat2, s.spec.LatencyBounds[a]) {
+					if s.hasLB && !fmath.LE(lat2, s.goal.LatencyBounds[a]) {
 						s.stats.PrunedBound++
 						continue
 					}
@@ -501,16 +472,16 @@ func (s *searcher) admissible(a, to int, objDone, appMax2, lat2, in, comp, en fl
 	// The open interval's cost is already at least its in/comp part (its
 	// outgoing time can only raise it: max is monotone, and under
 	// no-overlap fl(fl(in+comp)+out) >= fl(in+comp)).
-	part := mapping.IntervalCost(s.spec.Model, in, comp, 0)
-	if s.hasPB && !fmath.LE(part, s.spec.PeriodBounds[a]) {
+	part := mapping.IntervalCost(s.goal.Model, in, comp, 0)
+	if s.hasPB && !fmath.LE(part, s.goal.PeriodBounds[a]) {
 		s.stats.PrunedBound++
 		return false
 	}
-	if s.hasLB && !fmath.LE(lat2+comp, s.spec.LatencyBounds[a]) {
+	if s.hasLB && !fmath.LE(lat2+comp, s.goal.LatencyBounds[a]) {
 		s.stats.PrunedBound++
 		return false
 	}
-	if s.hasEB && !fmath.LE(en, s.spec.EnergyBudget) {
+	if s.hasEB && !fmath.LE(en, s.goal.EnergyBudget) {
 		s.stats.PrunedBound++
 		return false
 	}
@@ -518,10 +489,10 @@ func (s *searcher) admissible(a, to int, objDone, appMax2, lat2, in, comp, en fl
 		return true
 	}
 	var lb float64
-	switch s.spec.Objective {
-	case ObjPeriod:
+	switch s.goal.Objective {
+	case pipeline.Period:
 		lb = math.Max(objDone, s.weights[a]*math.Max(appMax2, part))
-	case ObjLatency:
+	case pipeline.Latency:
 		lb = math.Max(objDone, s.weights[a]*(lat2+comp))
 	default:
 		// Every future interval draws at least the platform's cheapest
@@ -557,23 +528,23 @@ func (s *searcher) complete(a int, objDone, appMax, lat, pendComp float64) error
 		prev := ivs[len(ivs)-2]
 		pendIn = commTime(app.InputSize(last.From), s.inst.Platform.Link(prev.Proc, last.Proc))
 	}
-	ta := math.Max(appMax, mapping.IntervalCost(s.spec.Model, pendIn, pendComp, out))
+	ta := math.Max(appMax, mapping.IntervalCost(s.goal.Model, pendIn, pendComp, out))
 	la := lat + (pendComp + out)
 
-	violated := (s.hasPB && !fmath.LE(ta, s.spec.PeriodBounds[a])) ||
-		(s.hasLB && !fmath.LE(la, s.spec.LatencyBounds[a]))
+	violated := (s.hasPB && !fmath.LE(ta, s.goal.PeriodBounds[a])) ||
+		(s.hasLB && !fmath.LE(la, s.goal.LatencyBounds[a]))
 	if violated && s.prune {
 		s.stats.PrunedBound++
 		return nil
 	}
 	next := objDone
-	switch s.spec.Objective {
-	case ObjPeriod:
+	switch s.goal.Objective {
+	case pipeline.Period:
 		next = math.Max(objDone, s.weights[a]*ta)
-	case ObjLatency:
+	case pipeline.Latency:
 		next = math.Max(objDone, s.weights[a]*la)
 	}
-	if s.prune && s.found && s.spec.Objective != ObjEnergy {
+	if s.prune && s.found && s.goal.Objective != pipeline.Energy {
 		//lint:allow floatcmp incumbent cut must be exact: the incumbent only improves on strictly smaller values
 		if next >= s.bestVal {
 			s.stats.PrunedWorse++

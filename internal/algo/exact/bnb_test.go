@@ -33,9 +33,9 @@ func twoStageApp(plat pipeline.Platform) pipeline.Instance {
 func TestSymmetryBreakingHomogeneous(t *testing.T) {
 	inst := twoStageApp(pipeline.NewHomogeneousPlatform(4, []float64{1}, 1, 1))
 	opt := Options{Rule: mapping.OneToOne, Modes: FastestOnly}
-	spec := Spec{Objective: ObjPeriod, Model: pipeline.Overlap}
+	goal := pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}
 
-	pruned, err := Minimize(&inst, opt, spec)
+	pruned, err := Minimize(&inst, opt, goal)
 	if err != nil {
 		t.Fatalf("Minimize: %v", err)
 	}
@@ -51,7 +51,7 @@ func TestSymmetryBreakingHomogeneous(t *testing.T) {
 	}
 
 	opt.NoPrune = true
-	ref, err := Minimize(&inst, opt, spec)
+	ref, err := Minimize(&inst, opt, goal)
 	if err != nil {
 		t.Fatalf("Minimize (NoPrune): %v", err)
 	}
@@ -74,9 +74,9 @@ func TestSymmetryBreakingHeterogeneous(t *testing.T) {
 	plat := pipeline.NewCommHomogeneousPlatform([][]float64{{1}, {2}, {3}, {4}}, 1, 1)
 	inst := twoStageApp(plat)
 	opt := Options{Rule: mapping.OneToOne, Modes: FastestOnly}
-	spec := Spec{Objective: ObjPeriod, Model: pipeline.Overlap}
+	goal := pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}
 
-	pruned, err := Minimize(&inst, opt, spec)
+	pruned, err := Minimize(&inst, opt, goal)
 	if err != nil {
 		t.Fatalf("Minimize: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestSymmetryBreakingHeterogeneous(t *testing.T) {
 	}
 
 	opt.NoPrune = true
-	ref, err := Minimize(&inst, opt, spec)
+	ref, err := Minimize(&inst, opt, goal)
 	if err != nil {
 		t.Fatalf("Minimize (NoPrune): %v", err)
 	}
@@ -146,13 +146,13 @@ func randomInstance(rng *rand.Rand) pipeline.Instance {
 func TestMinimizeMatchesNoPruneRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
-		inst, opt, spec := randomProblem(rng)
-		pruned, perr := Minimize(&inst, opt, spec)
+		inst, opt, goal := randomProblem(rng)
+		pruned, perr := Minimize(&inst, opt, goal)
 		opt.NoPrune = true
-		ref, rerr := Minimize(&inst, opt, spec)
+		ref, rerr := Minimize(&inst, opt, goal)
 
 		label := fmt.Sprintf("trial %d (rule %v model %v obj %d bounds %v/%v budget %g)",
-			trial, opt.Rule, spec.Model, spec.Objective, spec.PeriodBounds != nil, spec.LatencyBounds != nil, spec.EnergyBudget)
+			trial, opt.Rule, goal.Model, goal.Objective, goal.PeriodBounds != nil, goal.LatencyBounds != nil, goal.EnergyBudget)
 		if (perr == nil) != (rerr == nil) {
 			t.Fatalf("%s: pruned err %v, NoPrune err %v", label, perr, rerr)
 		}
@@ -177,7 +177,7 @@ func TestMinimizeMatchesNoPruneRandomized(t *testing.T) {
 // randomProblem draws a randomInstance and a problem on it: rule, model,
 // objective, optional period, latency and energy bounds, and a mode
 // policy (FastestOnly only where energy plays no part).
-func randomProblem(rng *rand.Rand) (pipeline.Instance, Options, Spec) {
+func randomProblem(rng *rand.Rand) (pipeline.Instance, Options, pipeline.Goal) {
 	inst := randomInstance(rng)
 	rule := mapping.Interval
 	if rng.Intn(2) == 0 {
@@ -187,21 +187,21 @@ func randomProblem(rng *rand.Rand) (pipeline.Instance, Options, Spec) {
 	if rng.Intn(2) == 0 {
 		model = pipeline.NoOverlap
 	}
-	spec := Spec{Objective: Objective(rng.Intn(3)), Model: model}
+	goal := pipeline.Goal{Objective: pipeline.Criterion(rng.Intn(3)), Model: model}
 	if rng.Intn(2) == 0 {
-		spec.PeriodBounds = uniform(len(inst.Apps), 2+6*rng.Float64())
+		goal.PeriodBounds = uniform(len(inst.Apps), 2+6*rng.Float64())
 	}
 	if rng.Intn(2) == 0 {
-		spec.LatencyBounds = uniform(len(inst.Apps), 5+20*rng.Float64())
+		goal.LatencyBounds = uniform(len(inst.Apps), 5+20*rng.Float64())
 	}
 	if rng.Intn(3) == 0 {
-		spec.EnergyBudget = 5 + 40*rng.Float64()
+		goal.EnergyBudget = 5 + 40*rng.Float64()
 	}
 	modes := AllModes
-	if spec.Objective != ObjEnergy && spec.EnergyBudget == 0 && rng.Intn(2) == 0 {
+	if goal.Objective != pipeline.Energy && goal.EnergyBudget == 0 && rng.Intn(2) == 0 {
 		modes = FastestOnly
 	}
-	return inst, Options{Rule: rule, Modes: modes}, spec
+	return inst, Options{Rule: rule, Modes: modes}, goal
 }
 
 func uniform(n int, v float64) []float64 {
@@ -262,7 +262,7 @@ func TestCountMappingsSaturates(t *testing.T) {
 func TestMinimizeSearchSpaceLimit(t *testing.T) {
 	inst := twoStageApp(pipeline.NewHomogeneousPlatform(4, []float64{1}, 1, 1))
 	opt := Options{Rule: mapping.OneToOne, Modes: FastestOnly, Limit: 5, NoPrune: true}
-	_, err := Minimize(&inst, opt, Spec{Objective: ObjPeriod, Model: pipeline.Overlap})
+	_, err := Minimize(&inst, opt, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
 	if err != ErrSearchSpace {
 		//lint:allow errclass test pins the exact sentinel identity
 		t.Fatalf("Minimize with limit 5 over a 12-leaf space returned %v, want ErrSearchSpace", err)
@@ -280,15 +280,15 @@ func TestBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	exhausted, incumbents := 0, 0
 	for trial := 0; trial < 300; trial++ {
-		inst, opt, spec := randomProblem(rng)
-		full, ferr := Minimize(&inst, opt, spec)
+		inst, opt, goal := randomProblem(rng)
+		full, ferr := Minimize(&inst, opt, goal)
 		if ferr != nil && ferr != ErrInfeasible {
 			//lint:allow errclass test pins the exact sentinel identity
 			t.Fatalf("trial %d: unbounded search returned %v", trial, ferr)
 		}
 		tried := full.Stats.Tried
 		opt.Budget = tried
-		if got, err := Minimize(&inst, opt, spec); err != ferr || !reflect.DeepEqual(got, full) {
+		if got, err := Minimize(&inst, opt, goal); err != ferr || !reflect.DeepEqual(got, full) {
 			//lint:allow errclass test pins the exact sentinel identity
 			t.Fatalf("trial %d: budget %d (what the search tries) gave %+v, %v; want %+v, %v", trial, tried, got, err, full, ferr)
 		}
@@ -298,13 +298,13 @@ func TestBudget(t *testing.T) {
 				continue
 			}
 			opt.Budget = b
-			got, err := Minimize(&inst, opt, spec)
+			got, err := Minimize(&inst, opt, goal)
 			if err != ErrSearchSpace || got.Stats.Tried != b {
 				//lint:allow errclass test pins the exact sentinel identity
 				t.Fatalf("trial %d: budget %d of %d returned %v after %d placements, want ErrSearchSpace after %d", trial, b, tried, err, got.Stats.Tried, b)
 			}
 			exhausted++
-			if again, err2 := Minimize(&inst, opt, spec); err2 != err || !reflect.DeepEqual(again, got) {
+			if again, err2 := Minimize(&inst, opt, goal); err2 != err || !reflect.DeepEqual(again, got) {
 				t.Fatalf("trial %d: budget %d gave %+v, then %+v", trial, b, got, again)
 			}
 			if len(got.Mapping.Apps) == 0 {
@@ -314,7 +314,7 @@ func TestBudget(t *testing.T) {
 				continue
 			}
 			incumbents++
-			checkIncumbent(t, &inst, opt, spec, got)
+			checkIncumbent(t, &inst, opt, goal, got)
 			if ferr != nil || got.Value < full.Value || got.Value > prev {
 				t.Fatalf("trial %d: budget %d incumbent %v, optimum %v (%v), smaller budget's incumbent %v", trial, b, got.Value, full.Value, ferr, prev)
 			}
@@ -327,24 +327,24 @@ func TestBudget(t *testing.T) {
 }
 
 // checkIncumbent asserts sol's mapping is valid under opt's rule, meets
-// every bound of spec, and evaluates to sol.Value bit for bit.
-func checkIncumbent(t *testing.T, inst *pipeline.Instance, opt Options, spec Spec, sol Solution) {
+// every bound of goal, and evaluates to sol.Value bit for bit.
+func checkIncumbent(t *testing.T, inst *pipeline.Instance, opt Options, goal pipeline.Goal, sol Solution) {
 	t.Helper()
 	m := &sol.Mapping
 	if err := m.Validate(inst, opt.Rule); err != nil {
 		t.Fatalf("incumbent invalid: %v", err)
 	}
-	mt := mapping.Evaluate(inst, m, spec.Model)
+	mt := mapping.Evaluate(inst, m, goal.Model)
 	for a := range inst.Apps {
-		if spec.PeriodBounds != nil && !fmath.LE(mt.AppPeriods[a], spec.PeriodBounds[a]) ||
-			spec.LatencyBounds != nil && !fmath.LE(mt.AppLatencies[a], spec.LatencyBounds[a]) {
+		if goal.PeriodBounds != nil && !fmath.LE(mt.AppPeriods[a], goal.PeriodBounds[a]) ||
+			goal.LatencyBounds != nil && !fmath.LE(mt.AppLatencies[a], goal.LatencyBounds[a]) {
 			t.Fatalf("incumbent violates app %d's bounds: %+v", a, mt)
 		}
 	}
-	if spec.EnergyBudget > 0 && !fmath.LE(mt.Energy, spec.EnergyBudget) {
-		t.Fatalf("incumbent energy %v over budget %v", mt.Energy, spec.EnergyBudget)
+	if goal.EnergyBudget > 0 && !fmath.LE(mt.Energy, goal.EnergyBudget) {
+		t.Fatalf("incumbent energy %v over budget %v", mt.Energy, goal.EnergyBudget)
 	}
-	want := map[Objective]float64{ObjPeriod: mt.Period, ObjLatency: mt.Latency, ObjEnergy: mt.Energy}[spec.Objective]
+	want := map[pipeline.Criterion]float64{pipeline.Period: mt.Period, pipeline.Latency: mt.Latency, pipeline.Energy: mt.Energy}[goal.Objective]
 	//lint:allow floatcmp the search's incremental value must equal a fresh evaluation bit for bit
 	if sol.Value != want {
 		t.Fatalf("incumbent value %v, its mapping evaluates to %v", sol.Value, want)

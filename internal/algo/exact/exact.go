@@ -9,7 +9,8 @@
 // differential oracle are defined against it), while Minimize is a
 // branch-and-bound search that reaches the same optima bit for bit through
 // incremental evaluation, bound pruning and symmetry breaking (see bnb.go).
-// The Min* entry points run on Minimize; Options.NoPrune turns the cuts off
+// Minimize takes its problem as a pipeline.Goal, the statement the
+// dispatcher and the heuristic share; Options.NoPrune turns the cuts off
 // so the two engines can be compared directly.
 package exact
 
@@ -171,63 +172,6 @@ type Solution struct {
 	Mapping mapping.Mapping
 	Value   float64
 	Stats   SearchStats
-}
-
-// MinPeriod returns the mapping minimizing the weighted global period.
-func MinPeriod(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) (Solution, error) {
-	return Minimize(inst, Options{Rule: rule, Modes: FastestOnly},
-		Spec{Objective: ObjPeriod, Model: model})
-}
-
-// MinLatency returns the mapping minimizing the weighted global latency.
-func MinLatency(inst *pipeline.Instance, rule mapping.Rule) (Solution, error) {
-	return Minimize(inst, Options{Rule: rule, Modes: FastestOnly},
-		Spec{Objective: ObjLatency, Model: pipeline.Overlap})
-}
-
-// MinLatencyGivenPeriod minimizes the weighted global latency subject to
-// per-application period bounds (unweighted T_a <= periodBounds[a]).
-func MinLatencyGivenPeriod(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, periodBounds []float64) (Solution, error) {
-	return Minimize(inst, Options{Rule: rule, Modes: FastestOnly},
-		Spec{Objective: ObjLatency, Model: model, PeriodBounds: periodBounds})
-}
-
-// MinPeriodGivenLatency minimizes the weighted global period subject to
-// per-application latency bounds.
-func MinPeriodGivenLatency(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, latencyBounds []float64) (Solution, error) {
-	return Minimize(inst, Options{Rule: rule, Modes: FastestOnly},
-		Spec{Objective: ObjPeriod, Model: model, LatencyBounds: latencyBounds})
-}
-
-// MinEnergyGivenPeriod minimizes the total energy subject to per-application
-// period bounds. All modes are enumerated.
-func MinEnergyGivenPeriod(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, periodBounds []float64) (Solution, error) {
-	return Minimize(inst, Options{Rule: rule, Modes: AllModes},
-		Spec{Objective: ObjEnergy, Model: model, PeriodBounds: periodBounds})
-}
-
-// MinEnergy minimizes the total energy with no performance constraint at
-// all (every application still has to be mapped). This is the "minimum
-// energy to run both applications" computation of Section 2.
-func MinEnergy(inst *pipeline.Instance, rule mapping.Rule) (Solution, error) {
-	return Minimize(inst, Options{Rule: rule, Modes: AllModes},
-		Spec{Objective: ObjEnergy, Model: pipeline.Overlap})
-}
-
-// MinEnergyGivenPeriodLatency is the exact tri-criteria solver: minimize
-// total energy subject to per-application period and latency bounds
-// (Theorems 26-27's NP-hard problem).
-func MinEnergyGivenPeriodLatency(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, periodBounds, latencyBounds []float64) (Solution, error) {
-	return Minimize(inst, Options{Rule: rule, Modes: AllModes},
-		Spec{Objective: ObjEnergy, Model: model, PeriodBounds: periodBounds, LatencyBounds: latencyBounds})
-}
-
-// MinPeriodGivenLatencyEnergy minimizes the weighted global period subject
-// to per-application latency bounds and a global energy budget (which must
-// be positive to constrain).
-func MinPeriodGivenLatencyEnergy(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, latencyBounds []float64, energyBudget float64) (Solution, error) {
-	return Minimize(inst, Options{Rule: rule, Modes: AllModes},
-		Spec{Objective: ObjPeriod, Model: model, LatencyBounds: latencyBounds, EnergyBudget: energyBudget})
 }
 
 // Point is one (period, latency, energy) value vector with a witness

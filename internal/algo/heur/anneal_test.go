@@ -58,7 +58,7 @@ func TestMovesKeepValidityAndBuffersApart(t *testing.T) {
 		inst := workload.MustInstance(rng, cfg)
 		for _, rule := range []mapping.Rule{mapping.OneToOne, mapping.Interval} {
 			start := randomMapping(t, rng, &inst, rule)
-			ws := newWorkspace(newEvaluator(&inst, Goal{}), &start)
+			ws := newWorkspace(newEvaluator(&inst, pipeline.Goal{}), &start)
 			applied := 0
 			for i := 0; i < 400; i++ {
 				cur, best := ws.cur.Clone(), ws.best.Clone()
@@ -118,10 +118,10 @@ func annealStart(tb testing.TB, c annealCase, rule mapping.Rule) (*evaluator, ma
 	if err != nil {
 		tb.Fatal(err)
 	}
-	goal := Goal{Objective: Period, Model: pipeline.Overlap}
+	goal := pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}
 	if c.energy {
 		mt := mapping.Evaluate(&inst, &start, pipeline.Overlap)
-		goal = Goal{Objective: Energy, Model: pipeline.Overlap, PeriodBounds: make([]float64, len(inst.Apps))}
+		goal = pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: make([]float64, len(inst.Apps))}
 		for a := range inst.Apps {
 			goal.PeriodBounds[a] = 1.3 * mt.AppPeriods[a]
 		}
@@ -157,7 +157,7 @@ func TestAnnealAllocsDoNotGrowWithIters(t *testing.T) {
 // so nothing the searches share (the move tables) is written.
 func TestMinimizeConcurrentMatchesSerial(t *testing.T) {
 	inst := workload.StreamingCenter(16)
-	goal := Goal{Objective: Period, Model: pipeline.Overlap}
+	goal := pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}
 	for _, rule := range []mapping.Rule{mapping.OneToOne, mapping.Interval} {
 		run := func() (string, float64, error) {
 			m, v, err := Minimize(rand.New(rand.NewSource(7)), &inst, rule, goal, Options{Iters: 1500, Restarts: 2})

@@ -8,33 +8,6 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Criterion is the value a Goal minimizes.
-type Criterion int
-
-const (
-	// Period is the weighted global period max_a W_a*T_a (Equation 6).
-	Period Criterion = iota
-	// Latency is the weighted global latency max_a W_a*L_a (Equation 6).
-	Latency
-	// Energy is the total power of the enrolled processors (Section 3.5).
-	Energy
-)
-
-// Goal is what a search minimizes: one criterion under optional
-// per-application bounds and an energy budget. A mapping that breaks a
-// bound (compared with fmath.LE) scores +Inf.
-type Goal struct {
-	// Objective is the criterion minimized.
-	Objective Criterion
-	// Model is the communication model of the periods.
-	Model pipeline.CommModel
-	// PeriodBounds and LatencyBounds, when non-nil, bound each
-	// application's unweighted T_a and L_a.
-	PeriodBounds, LatencyBounds []float64
-	// EnergyBudget, when positive, bounds the total energy.
-	EnergyBudget float64
-}
-
 // scores caches the per-application values of one mapping.
 type scores struct {
 	period, latency []float64 // T_a and L_a
@@ -63,7 +36,8 @@ func (s *scores) copyApps(src *scores, a1, a2 int) {
 	copy(s.energy[a1:], src.energy[a1:])
 }
 
-// evaluator scores mappings against one Goal. A move changes one or two
+// evaluator scores mappings against one goal: its objective, or +Inf
+// when a bound or the budget is broken. A move changes one or two
 // applications, so rescore recomputes only those applications' T_a and
 // L_a, and the energy sum from the first of them on; every other value is
 // read from the cache.
@@ -77,13 +51,13 @@ func (s *scores) copyApps(src *scores, a1, a2 int) {
 // so a plain > comparison picks the same bits as math.Max.
 type evaluator struct {
 	inst  *pipeline.Instance
-	goal  Goal
+	goal  pipeline.Goal
 	power mapping.PowerTable
 	// base and trial are the greedy passes' scratch.
 	base, trial scores
 }
 
-func newEvaluator(inst *pipeline.Instance, goal Goal) *evaluator {
+func newEvaluator(inst *pipeline.Instance, goal pipeline.Goal) *evaluator {
 	return &evaluator{
 		inst:  inst,
 		goal:  goal,
@@ -186,9 +160,9 @@ func (ev *evaluator) score(s *scores) float64 {
 		return math.Inf(1)
 	}
 	switch g.Objective {
-	case Period:
+	case pipeline.Period:
 		return ev.weightedMax(s.period)
-	case Latency:
+	case pipeline.Latency:
 		return ev.weightedMax(s.latency)
 	default:
 		return energy

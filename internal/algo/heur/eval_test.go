@@ -14,7 +14,7 @@ import (
 // referenceObjective is the penalized objective the searches scored every
 // mapping with before the evaluator: every bound and the objective
 // recomputed from the whole mapping.
-func referenceObjective(inst *pipeline.Instance, g Goal) func(m *mapping.Mapping) float64 {
+func referenceObjective(inst *pipeline.Instance, g pipeline.Goal) func(m *mapping.Mapping) float64 {
 	power := mapping.NewPowerTable(inst)
 	return func(m *mapping.Mapping) float64 {
 		for a := range m.Apps {
@@ -29,9 +29,9 @@ func referenceObjective(inst *pipeline.Instance, g Goal) func(m *mapping.Mapping
 			return math.Inf(1)
 		}
 		switch g.Objective {
-		case Period:
+		case pipeline.Period:
 			return mapping.Period(inst, m, g.Model)
-		case Latency:
+		case pipeline.Latency:
 			return mapping.Latency(inst, m)
 		default:
 			return power.Energy(m)
@@ -66,7 +66,7 @@ func evalInstance(rng *rand.Rand) pipeline.Instance {
 // goalShapes returns every goal shape of the model: each objective with
 // and without period bounds, latency bounds and an energy budget. Bounds
 // are a random slack around m's values, so some mappings break them.
-func goalShapes(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, model pipeline.CommModel) []Goal {
+func goalShapes(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, model pipeline.CommModel) []pipeline.Goal {
 	mt := mapping.Evaluate(inst, m, model)
 	per := make([]float64, len(inst.Apps))
 	lat := make([]float64, len(inst.Apps))
@@ -75,10 +75,10 @@ func goalShapes(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, mod
 		lat[a] = mt.AppLatencies[a] * (0.7 + rng.Float64())
 	}
 	budget := mt.Energy * (0.7 + rng.Float64())
-	var goals []Goal
-	for _, obj := range []Criterion{Period, Latency, Energy} {
+	var goals []pipeline.Goal
+	for _, obj := range []pipeline.Criterion{pipeline.Period, pipeline.Latency, pipeline.Energy} {
 		for shape := 0; shape < 8; shape++ {
-			g := Goal{Objective: obj, Model: model}
+			g := pipeline.Goal{Objective: obj, Model: model}
 			if shape&1 != 0 {
 				g.PeriodBounds = per
 			}
@@ -97,7 +97,7 @@ func goalShapes(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, mod
 // checkScores fails unless s holds m's T_a, L_a and energy prefix sums bit
 // for bit as mapping.Evaluate and PowerTable.Energy compute them, and
 // every goal scores m exactly as its reference objective does.
-func checkScores(t *testing.T, where string, inst *pipeline.Instance, model pipeline.CommModel, s *scores, m *mapping.Mapping, goals []Goal, evs []*evaluator, refs []func(*mapping.Mapping) float64) {
+func checkScores(t *testing.T, where string, inst *pipeline.Instance, model pipeline.CommModel, s *scores, m *mapping.Mapping, goals []pipeline.Goal, evs []*evaluator, refs []func(*mapping.Mapping) float64) {
 	t.Helper()
 	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	mt := mapping.Evaluate(inst, m, model)

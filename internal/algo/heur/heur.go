@@ -6,16 +6,18 @@
 // them: greedy constructive mappings, a mode "speed-down" pass, and a
 // simulated-annealing local search over the interval-mapping neighbourhood.
 //
-// Every search minimizes a Goal: one criterion, penalized to +Inf outside
-// optional per-application period and latency bounds and an energy
-// budget. One evaluator scores the mappings a search visits. It caches
-// each application's T_a and L_a and the running PowerTable energy sum at
-// each application's start; a move reports the one or two applications it
-// changed, and only those are recomputed, in one pass over their
-// intervals that feeds both the bound checks and the objective. The
-// scores are bit-identical to mapping.Evaluate and PowerTable.Energy: the
-// weighted maximum is exact in any order, and the energy sum resumes at
-// the first changed application in the original addition order.
+// Minimize is the one entry point. It takes a pipeline.Goal, the problem
+// statement the dispatcher and the exact search share: one criterion,
+// penalized to +Inf outside optional per-application period and latency
+// bounds and an energy budget. One evaluator scores the mappings a search
+// visits. It caches each application's T_a and L_a and the running
+// PowerTable energy sum at each application's start; a move reports the
+// one or two applications it changed, and only those are recomputed, in
+// one pass over their intervals that feeds both the bound checks and the
+// objective. The scores are bit-identical to mapping.Evaluate and
+// PowerTable.Energy: the weighted maximum is exact in any order, and the
+// energy sum resumes at the first changed application in the original
+// addition order.
 //
 // All heuristics are deterministic given the caller's *rand.Rand seed, and
 // the test suite measures their optimality gap against the exact solvers.
@@ -57,37 +59,8 @@ func (o Options) withDefaults() Options {
 // Minimize runs the full heuristic pipeline (greedy construction, simulated
 // annealing, speed-down polish) on goal. The returned value is the best
 // score reached, possibly +Inf when no mapping met the goal's bounds.
-func Minimize(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, goal Goal, opt Options) (mapping.Mapping, float64, error) {
+func Minimize(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, goal pipeline.Goal, opt Options) (mapping.Mapping, float64, error) {
 	return search(rng, newEvaluator(inst, goal), rule, opt)
-}
-
-// MinPeriod heuristically minimizes the weighted global period on an
-// arbitrary platform under either mapping rule.
-func MinPeriod(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, opt Options) (mapping.Mapping, float64, error) {
-	return Minimize(rng, inst, rule, Goal{Objective: Period, Model: model}, opt)
-}
-
-// MinLatency heuristically minimizes the weighted global latency.
-func MinLatency(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, opt Options) (mapping.Mapping, float64, error) {
-	return Minimize(rng, inst, rule, Goal{Objective: Latency}, opt)
-}
-
-// MinEnergyGivenPeriodLatency heuristically solves the NP-hard tri-criteria
-// problem (Theorems 26-27): minimize energy subject to per-application
-// period and latency bounds. It combines the local search with a greedy
-// speed-down pass that repeatedly takes the single mode reduction (or
-// interval merge) with the best energy saving that keeps all bounds.
-func MinEnergyGivenPeriodLatency(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, periodBounds, latencyBounds []float64, opt Options) (mapping.Mapping, float64, error) {
-	ev := newEvaluator(inst, Goal{Objective: Energy, Model: model, PeriodBounds: periodBounds, LatencyBounds: latencyBounds})
-	best, bestV, err := search(rng, ev, rule, opt)
-	if err != nil {
-		return mapping.Mapping{}, 0, err
-	}
-	if math.IsInf(bestV, 1) {
-		return mapping.Mapping{}, 0, fmt.Errorf("heur: no feasible mapping found within the search budget")
-	}
-	// Final deterministic polish.
-	return best, speedDown(ev, &best), nil
 }
 
 // search runs restarts of (greedy init + speed-up + annealing +

@@ -35,7 +35,8 @@ func TestHeurPeriodGapOnHetPlatforms(t *testing.T) {
 			if rule == mapping.OneToOne && inst.TotalStages() > inst.Platform.NumProcessors() {
 				continue
 			}
-			m, got, err := MinPeriod(rng, &inst, rule, model, Options{Iters: 1500, Restarts: 2})
+			goal := pipeline.Goal{Objective: pipeline.Period, Model: model}
+			m, got, err := Minimize(rng, &inst, rule, goal, Options{Iters: 1500, Restarts: 2})
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -45,7 +46,7 @@ func TestHeurPeriodGapOnHetPlatforms(t *testing.T) {
 			if !fmath.EQ(mapping.Period(&inst, &m, model), got) {
 				t.Fatalf("trial %d: value/mapping mismatch", trial)
 			}
-			want, err := exact.MinPeriod(&inst, rule, model)
+			want, err := exact.Minimize(&inst, exact.Options{Rule: rule, Modes: exact.FastestOnly}, goal)
 			if err != nil {
 				t.Fatalf("trial %d oracle: %v", trial, err)
 			}
@@ -73,14 +74,15 @@ func TestHeurLatencyGap(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 20; trial++ {
 		inst := smallHet(rng, 1+rng.Intn(2), 4, 1)
-		m, got, err := MinLatency(rng, &inst, mapping.Interval, Options{Iters: 1500, Restarts: 2})
+		goal := pipeline.Goal{Objective: pipeline.Latency}
+		m, got, err := Minimize(rng, &inst, mapping.Interval, goal, Options{Iters: 1500, Restarts: 2})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if err := m.Validate(&inst, mapping.Interval); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want, err := exact.MinLatency(&inst, mapping.Interval)
+		want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, goal)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -103,19 +105,20 @@ func TestHeurTriCriteria(t *testing.T) {
 		inst := smallHet(rng, 1, 3, 2)
 		model := pipeline.Overlap
 		// Derive workable bounds from the period-optimal mapping.
-		opt, err := exact.MinPeriod(&inst, mapping.Interval, model)
+		opt, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: model})
 		if err != nil {
 			t.Fatal(err)
 		}
 		perBounds := []float64{opt.Value * 1.5}
 		latBounds := []float64{mapping.Latency(&inst, &opt.Mapping) * 2}
-		want, werr := exact.MinEnergyGivenPeriodLatency(&inst, mapping.Interval, model, perBounds, latBounds)
-		m, got, err := MinEnergyGivenPeriodLatency(rng, &inst, mapping.Interval, model, perBounds, latBounds, Options{Iters: 2500, Restarts: 3})
+		goal := pipeline.Goal{Objective: pipeline.Energy, Model: model, PeriodBounds: perBounds, LatencyBounds: latBounds}
+		want, werr := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, goal)
+		m, got, err := Minimize(rng, &inst, mapping.Interval, goal, Options{Iters: 2500, Restarts: 3})
 		if werr != nil {
 			continue // bound infeasible: heuristic may legitimately fail too
 		}
-		if err != nil {
-			t.Errorf("trial %d: heuristic failed on feasible instance: %v", trial, err)
+		if err != nil || math.IsInf(got, 1) {
+			t.Errorf("trial %d: heuristic failed on feasible instance: %v, %g", trial, err, got)
 			continue
 		}
 		solved++
@@ -147,7 +150,7 @@ func TestHeurDeterministicWithSeed(t *testing.T) {
 	inst := workload.StreamingCenter(6)
 	run := func() float64 {
 		rng := rand.New(rand.NewSource(99))
-		_, v, err := MinPeriod(rng, &inst, mapping.Interval, pipeline.Overlap, Options{Iters: 800, Restarts: 2})
+		_, v, err := Minimize(rng, &inst, mapping.Interval, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}, Options{Iters: 800, Restarts: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +172,7 @@ func TestHeurOnLargePlatform(t *testing.T) {
 		Class: pipeline.FullyHeterogeneous, MaxWork: 20, MaxData: 8, MaxSpeed: 10, MaxBandwidth: 5,
 	}
 	inst := workload.MustInstance(rng, cfg)
-	m, got, err := MinPeriod(rng, &inst, mapping.Interval, pipeline.Overlap, Options{Iters: 3000, Restarts: 2})
+	m, got, err := Minimize(rng, &inst, mapping.Interval, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}, Options{Iters: 3000, Restarts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +197,7 @@ func TestHeurOnLargePlatform(t *testing.T) {
 func TestHeurErrors(t *testing.T) {
 	inst := pipeline.MotivatingExample() // 7 stages, 3 procs
 	rng := rand.New(rand.NewSource(1))
-	if _, _, err := MinPeriod(rng, &inst, mapping.OneToOne, pipeline.Overlap, Options{}); err == nil {
+	if _, _, err := Minimize(rng, &inst, mapping.OneToOne, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}, Options{}); err == nil {
 		t.Error("one-to-one on undersized platform accepted")
 	}
 	tiny := pipeline.Instance{
@@ -205,7 +208,7 @@ func TestHeurErrors(t *testing.T) {
 		Platform: pipeline.NewHomogeneousPlatform(1, []float64{1}, 1, 2),
 		Energy:   pipeline.DefaultEnergy,
 	}
-	if _, _, err := MinPeriod(rng, &tiny, mapping.Interval, pipeline.Overlap, Options{}); err == nil {
+	if _, _, err := Minimize(rng, &tiny, mapping.Interval, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}, Options{}); err == nil {
 		t.Error("more applications than processors accepted")
 	}
 }
@@ -219,8 +222,8 @@ func TestSpeedDownReachesSlowModes(t *testing.T) {
 		Energy:   pipeline.DefaultEnergy,
 	}
 	rng := rand.New(rand.NewSource(5))
-	m, e, err := MinEnergyGivenPeriodLatency(rng, &inst, mapping.Interval, pipeline.Overlap,
-		[]float64{100}, []float64{100}, Options{Iters: 1500, Restarts: 2})
+	goal := pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: []float64{100}, LatencyBounds: []float64{100}}
+	m, e, err := Minimize(rng, &inst, mapping.Interval, goal, Options{Iters: 1500, Restarts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +252,7 @@ func TestAnnealingImprovesOnGreedy(t *testing.T) {
 			t.Fatal(err)
 		}
 		greedyV := obj(&greedyOnly)
-		_, fullV, err := MinPeriod(rand.New(rand.NewSource(1)), &inst, mapping.Interval, pipeline.Overlap,
-			Options{Iters: 2000, Restarts: 2})
+		_, fullV, err := Minimize(rand.New(rand.NewSource(1)), &inst, mapping.Interval, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}, Options{Iters: 2000, Restarts: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func TestMinPeriodFullyHomMatchesOracle(t *testing.T) {
 			if !fmath.EQ(mapping.Period(&inst, &m, model), got) {
 				t.Fatalf("trial %d: reported value %g does not match mapping period %g", trial, got, mapping.Period(&inst, &m, model))
 			}
-			want, err := exact.MinPeriod(&inst, mapping.Interval, model)
+			want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: model})
 			if err != nil {
 				t.Fatalf("trial %d oracle: %v", trial, err)
 			}
@@ -79,7 +79,7 @@ func TestMinLatencyGivenPeriodMatchesOracle(t *testing.T) {
 				}
 			}
 			m, got, err := MinLatencyGivenPeriodFullyHom(&inst, model, bounds)
-			want, werr := exact.MinLatencyGivenPeriod(&inst, mapping.Interval, model, bounds)
+			want, werr := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency, Model: model, PeriodBounds: bounds})
 			if (err != nil) != (werr != nil) {
 				t.Fatalf("trial %d (%v): feasibility mismatch: dp=%v oracle=%v", trial, model, err, werr)
 			}
@@ -118,7 +118,7 @@ func TestMinPeriodGivenLatencyMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			want, err := exact.MinPeriodGivenLatency(&inst, mapping.Interval, model, bounds)
+			want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: model, LatencyBounds: bounds})
 			if err != nil {
 				t.Fatalf("trial %d oracle: %v", trial, err)
 			}
@@ -150,7 +150,7 @@ func TestMinEnergyGivenPeriodMatchesOracle(t *testing.T) {
 				bounds[a] = curve[len(curve)-1] + rng.Float64()*(curve[0]-curve[len(curve)-1]+1)
 			}
 			_, got, err := MinEnergyGivenPeriodFullyHom(&inst, model, bounds)
-			want, werr := exact.MinEnergyGivenPeriod(&inst, mapping.Interval, model, bounds)
+			want, werr := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: model, PeriodBounds: bounds})
 			if (err != nil) != (werr != nil) {
 				t.Fatalf("trial %d (%v): feasibility mismatch: dp=%v oracle=%v", trial, model, err, werr)
 			}
@@ -184,7 +184,7 @@ func TestTriCriteriaUniModalMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want, werr := exact.MinPeriodGivenLatencyEnergy(&inst, mapping.Interval, model, loose, budget)
+		want, werr := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Period, Model: model, LatencyBounds: loose, EnergyBudget: budget})
 		if werr != nil {
 			t.Fatalf("trial %d oracle: %v", trial, werr)
 		}
@@ -215,7 +215,7 @@ func TestMinEnergyGivenPeriodLatencyUniModal(t *testing.T) {
 			latBounds[a] = l * (1 + rng.Float64()*0.5)
 		}
 		_, got, err := MinEnergyGivenPeriodLatencyUniModal(&inst, model, perBounds, latBounds)
-		want, werr := exact.MinEnergyGivenPeriodLatency(&inst, mapping.Interval, model, perBounds, latBounds)
+		want, werr := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: model, PeriodBounds: perBounds, LatencyBounds: latBounds})
 		if (err != nil) != (werr != nil) {
 			t.Fatalf("trial %d: feasibility mismatch: alg=%v oracle=%v", trial, err, werr)
 		}
@@ -249,7 +249,7 @@ func TestMinLatencyCommHomMatchesOracle(t *testing.T) {
 		if !fmath.EQ(mapping.Latency(&inst, &m), got) {
 			t.Fatalf("trial %d: value/mapping mismatch", trial)
 		}
-		want, err := exact.MinLatency(&inst, mapping.Interval)
+		want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
 		if err != nil {
 			t.Fatalf("trial %d oracle: %v", trial, err)
 		}

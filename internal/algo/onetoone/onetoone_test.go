@@ -51,7 +51,7 @@ func TestMinPeriodCommHomMatchesOracle(t *testing.T) {
 			if !fmath.EQ(mapping.Period(&inst, &m, model), got) {
 				t.Fatalf("trial %d: reported %g but mapping period is %g", trial, got, mapping.Period(&inst, &m, model))
 			}
-			want, err := exact.MinPeriod(&inst, mapping.OneToOne, model)
+			want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: model})
 			if err != nil {
 				t.Fatalf("trial %d oracle: %v", trial, err)
 			}
@@ -104,7 +104,7 @@ func TestMinLatencyFullyHom(t *testing.T) {
 	if !fmath.EQ(got, 8) {
 		t.Errorf("latency = %g, want 8", got)
 	}
-	want, err := exact.MinLatency(&inst, mapping.OneToOne)
+	want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestMinPeriodLatencyFullyHom(t *testing.T) {
 	if !fmath.EQ(tp, mapping.Period(&inst, &m, pipeline.Overlap)) || !fmath.EQ(lat, mapping.Latency(&inst, &m)) {
 		t.Error("reported metrics disagree with mapping")
 	}
-	wantT, err := exact.MinPeriod(&inst, mapping.OneToOne, pipeline.Overlap)
+	wantT, err := exact.Minimize(&inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
 	if err != nil {
 		t.Fatal(err)
 	}

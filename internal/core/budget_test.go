@@ -28,7 +28,7 @@ func TestBudgetBeyondExactLimit(t *testing.T) {
 		if sc.Degenerate == gen.DegenProcStarved {
 			continue
 		}
-		opt, spec := core.ExactProblem(sc.Req)
+		opt, goal := core.ExactProblem(sc.Req)
 		if _, err := exact.CountMappings(&sc.Inst, exact.Options{Rule: sc.Req.Rule, Modes: exact.AllModes, Limit: 2_000_000}); err == nil {
 			continue // within the exact limit
 		}
@@ -37,12 +37,12 @@ func TestBudgetBeyondExactLimit(t *testing.T) {
 			continue // a polynomial cell
 		}
 		opt.Budget = core.ExactWork
-		sol, berr := exact.Minimize(&sc.Inst, opt, spec)
+		sol, berr := exact.Minimize(&sc.Inst, opt, goal)
 		switch {
 		case berr == nil:
 			solved++
 			opt.Budget = 0
-			full, ferr := exact.Minimize(&sc.Inst, opt, spec)
+			full, ferr := exact.Minimize(&sc.Inst, opt, goal)
 			//lint:allow floatcmp the budgeted answer must be the unbounded optimum bit for bit
 			if err != nil || ferr != nil || res.Method != core.MethodExact || !res.Optimal || res.Degraded || res.Value != full.Value {
 				t.Fatalf("%s (index %d): answered %q optimal %v value %v (%v); unbounded search %v (%v)",

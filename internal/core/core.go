@@ -39,45 +39,16 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Criterion identifies the objective being minimized.
-type Criterion int
+// Criterion identifies the objective being minimized; it is
+// pipeline.Criterion, the criterion every solver shares.
+type Criterion = pipeline.Criterion
 
+// The three criteria of pipeline.Criterion.
 const (
-	// Period minimizes the weighted global period max_a W_a*T_a.
-	Period Criterion = iota
-	// Latency minimizes the weighted global latency max_a W_a*L_a.
-	Latency
-	// Energy minimizes the total power of enrolled processors. Per the
-	// paper (Section 3.5), energy is only meaningful combined with a
-	// period constraint.
-	Energy
+	Period  = pipeline.Period
+	Latency = pipeline.Latency
+	Energy  = pipeline.Energy
 )
-
-// String implements fmt.Stringer.
-func (c Criterion) String() string {
-	switch c {
-	case Period:
-		return "period"
-	case Latency:
-		return "latency"
-	case Energy:
-		return "energy"
-	}
-	return fmt.Sprintf("Criterion(%d)", int(c))
-}
-
-// ParseCriterion is the inverse of String, shared by the cmd/ tools.
-func ParseCriterion(s string) (Criterion, error) {
-	switch s {
-	case "period":
-		return Period, nil
-	case "latency":
-		return Latency, nil
-	case "energy":
-		return Energy, nil
-	}
-	return 0, fmt.Errorf("unknown objective %q (want period | latency | energy)", s)
-}
 
 // Method records how a solution was obtained.
 type Method string
@@ -195,7 +166,7 @@ func Solve(inst *pipeline.Instance, req Request) (Result, error) {
 // have returned nil; given that, SolvePrepared(inst, cls, req) is
 // bit-identical to Solve(inst, req).
 func SolvePrepared(inst *pipeline.Instance, cls pipeline.Class, req Request) (Result, error) {
-	if err := checkBounds(inst, req); err != nil {
+	if err := CheckBounds(inst, req); err != nil {
 		return Result{}, err
 	}
 	switch req.Objective {
@@ -222,7 +193,10 @@ func SolvePrepared(inst *pipeline.Instance, cls pipeline.Class, req Request) (Re
 	return fallback(inst, req)
 }
 
-func checkBounds(inst *pipeline.Instance, req Request) error {
+// CheckBounds rejects a bound array that does not hold one bound per
+// application of inst. SolvePrepared runs it; a front end runs it to
+// refuse such a request as malformed before it reaches a solver.
+func CheckBounds(inst *pipeline.Instance, req Request) error {
 	if req.PeriodBounds != nil && len(req.PeriodBounds) != len(inst.Apps) {
 		return fmt.Errorf("core: %d period bounds for %d applications", len(req.PeriodBounds), len(inst.Apps))
 	}
@@ -415,27 +389,28 @@ const exactWork = 10_000
 
 // ExactProblem states req as a branch-and-bound problem: its rule, every
 // mode when energy is the objective or has a budget and only the fastest
-// otherwise (running faster never worsens a period or a latency), its
-// objective and communication model, and every bound and the budget it
-// carries. It is the one statement of a request's exact search: the
+// otherwise (running faster never worsens a period or a latency), and its
+// goal. It is the one statement of a request's exact search: the
 // dispatcher's NP-hard cells run it, and the oracles check against it.
 // req.Objective must be Period, Latency or Energy.
-func ExactProblem(req Request) (exact.Options, exact.Spec) {
+func ExactProblem(req Request) (exact.Options, pipeline.Goal) {
 	modes := exact.FastestOnly
 	if req.Objective == Energy || req.EnergyBudget > 0 {
 		modes = exact.AllModes
 	}
-	return exact.Options{Rule: req.Rule, Modes: modes}, exact.Spec{
-		Objective:     exactObjective[req.Objective],
-		Model:         req.Model,
-		PeriodBounds:  req.PeriodBounds,
-		LatencyBounds: req.LatencyBounds,
-		EnergyBudget:  req.EnergyBudget,
-	}
+	return exact.Options{Rule: req.Rule, Modes: modes}, req.goal()
 }
 
-// exactObjective maps each criterion to the branch-and-bound search's.
-var exactObjective = [...]exact.Objective{Period: exact.ObjPeriod, Latency: exact.ObjLatency, Energy: exact.ObjEnergy}
+// goal is the problem req states, as every solver takes it.
+func (r Request) goal() pipeline.Goal {
+	return pipeline.Goal{
+		Objective:     r.Objective,
+		Model:         r.Model,
+		PeriodBounds:  r.PeriodBounds,
+		LatencyBounds: r.LatencyBounds,
+		EnergyBudget:  r.EnergyBudget,
+	}
+}
 
 // fallback answers a request the polynomial algorithms do not: an
 // NP-hard cell, or a polynomial cell whose optimum breaks a bound on its
@@ -446,11 +421,11 @@ var exactObjective = [...]exact.Objective{Period: exact.ObjPeriod, Latency: exac
 // answer is then the better of the annealer's mapping and the search's
 // incumbent, tagged Degraded.
 func fallback(inst *pipeline.Instance, req Request) (Result, error) {
-	opt, spec := ExactProblem(req)
+	opt, goal := ExactProblem(req)
 	if !withinExactLimit(inst, req) {
 		opt.Budget = min(req.exactLimit(), exactWork)
 	}
-	sol, err := exact.Minimize(inst, opt, spec)
+	sol, err := exact.Minimize(inst, opt, goal)
 	switch {
 	case err == nil:
 		return wrap(inst, req, sol.Mapping, sol.Value, MethodExact, true, nil)
@@ -546,14 +521,7 @@ func withinExactLimit(inst *pipeline.Instance, req Request) bool {
 func heuristicSolve(inst *pipeline.Instance, req Request) (Result, error) {
 	rng := rand.New(rand.NewSource(req.Seed + 1))
 	opt := heur.Options{Iters: req.HeurIters, Restarts: req.HeurRestarts}
-	goal := heur.Goal{
-		Objective:     heurCriterion[req.Objective],
-		Model:         req.Model,
-		PeriodBounds:  req.PeriodBounds,
-		LatencyBounds: req.LatencyBounds,
-		EnergyBudget:  req.EnergyBudget,
-	}
-	m, v, err := heur.Minimize(rng, inst, req.Rule, goal, opt)
+	m, v, err := heur.Minimize(rng, inst, req.Rule, req.goal(), opt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -562,9 +530,6 @@ func heuristicSolve(inst *pipeline.Instance, req Request) (Result, error) {
 	}
 	return wrap(inst, req, m, v, MethodHeuristic, false, nil)
 }
-
-// heurCriterion maps each criterion to the heuristic's.
-var heurCriterion = [...]heur.Criterion{Period: heur.Period, Latency: heur.Latency, Energy: heur.Energy}
 
 func wrap(inst *pipeline.Instance, req Request, m mapping.Mapping, v float64, method Method, optimal bool, err error) (Result, error) {
 	if err != nil {

@@ -123,8 +123,7 @@ func TestSolveTriCriteriaUniModal(t *testing.T) {
 	if res.Method != MethodUniModalBudget {
 		t.Errorf("uni-modal tri-criteria dispatched to %v", res.Method)
 	}
-	want, err := exact.MinEnergyGivenPeriodLatency(&inst, mapping.Interval, pipeline.Overlap,
-		UniformBounds(&inst, 3), UniformBounds(&inst, 10))
+	want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: UniformBounds(&inst, 3), LatencyBounds: UniformBounds(&inst, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestSolveExactFallbackOnSmallHet(t *testing.T) {
 	if res.Method != MethodExact || !res.Optimal {
 		t.Errorf("small het instance dispatched to %v", res.Method)
 	}
-	want, err := exact.MinPeriod(&inst, mapping.Interval, pipeline.Overlap)
+	want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,12 +270,6 @@ func TestSolveLatencyWithPeriodAndEnergy(t *testing.T) {
 	}
 	if !fmath.LE(res.Metrics.Period, 2) || !fmath.LE(res.Metrics.Energy, 46) {
 		t.Errorf("constraints violated: %+v", res.Metrics)
-	}
-}
-
-func TestCriterionStrings(t *testing.T) {
-	if Period.String() != "period" || Latency.String() != "latency" || Energy.String() != "energy" {
-		t.Error("unexpected criterion strings")
 	}
 }
 

@@ -115,12 +115,12 @@ type beyondOutcome struct {
 // branch-and-bound search.
 func checkBeyond(sc *gen.Scenario) (o beyondOutcome) {
 	res, serr := core.Solve(&sc.Inst, sc.Req)
-	opt, spec := core.ExactProblem(sc.Req)
+	opt, goal := core.ExactProblem(sc.Req)
 	switch {
 	case errors.Is(serr, core.ErrInfeasible):
 		o.infeasible = true
 		opt.Limit = math.MaxInt64
-		sol, berr := exact.Minimize(&sc.Inst, opt, spec)
+		sol, berr := exact.Minimize(&sc.Inst, opt, goal)
 		switch {
 		case berr == nil:
 			o.err = fmt.Errorf("solver claims infeasible but branch and bound found a mapping of value %g", sol.Value)
@@ -139,7 +139,7 @@ func checkBeyond(sc *gen.Scenario) (o beyondOutcome) {
 	}
 	o.degraded = true
 	opt.Budget = beyondWork
-	sol, berr := exact.Minimize(&sc.Inst, opt, spec)
+	sol, berr := exact.Minimize(&sc.Inst, opt, goal)
 	o.checked = berr == nil || errors.Is(berr, exact.ErrInfeasible)
 	switch {
 	case errors.Is(berr, exact.ErrSearchSpace):

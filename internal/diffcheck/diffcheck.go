@@ -366,11 +366,11 @@ func planEquivalence(sc *gen.Scenario) (int, error) {
 // (skipped) when either side overruns the limit: the NoPrune walk visits
 // the whole space, so it hits the cap long before the pruned search does.
 func pruneEquivalence(sc *gen.Scenario) (bool, error) {
-	opt, spec := core.ExactProblem(sc.Req)
+	opt, goal := core.ExactProblem(sc.Req)
 	opt.Limit = oracleLimit
-	pruned, perr := exact.Minimize(&sc.Inst, opt, spec)
+	pruned, perr := exact.Minimize(&sc.Inst, opt, goal)
 	opt.NoPrune = true
-	ref, rerr := exact.Minimize(&sc.Inst, opt, spec)
+	ref, rerr := exact.Minimize(&sc.Inst, opt, goal)
 	if errors.Is(perr, exact.ErrSearchSpace) || errors.Is(rerr, exact.ErrSearchSpace) {
 		return false, nil
 	}

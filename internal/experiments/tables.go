@@ -43,8 +43,8 @@ type cellCheck struct {
 // optimum is the oracle of every cell: the branch-and-bound search of the
 // request's exact statement, run to the end.
 func optimum(inst *pipeline.Instance, req core.Request) (float64, error) {
-	opt, spec := core.ExactProblem(req)
-	sol, err := exact.Minimize(inst, opt, spec)
+	opt, goal := core.ExactProblem(req)
+	sol, err := exact.Minimize(inst, opt, goal)
 	return sol.Value, err
 }
 
@@ -299,22 +299,15 @@ func Table2(w io.Writer, seed int64) error {
 // per-cell batch solves.
 func Table2Ctx(ctx context.Context, w io.Writer, seed int64) error {
 	rng := rand.New(rand.NewSource(seed + 1))
-	// Bound helpers: draw period/latency bounds between the sequential and
-	// fully parallel extremes so problems are usually feasible but
+	// bounds draws per-application bounds on obj at slack times its
+	// optimum over interval mappings, so problems are usually feasible but
 	// non-trivial.
-	periodBounds := func(inst *pipeline.Instance, rng *rand.Rand, slack float64) []float64 {
-		sol, err := exact.MinPeriod(inst, mapping.Interval, pipeline.Overlap)
+	bounds := func(inst *pipeline.Instance, obj core.Criterion, slack float64) []float64 {
+		v, err := optimum(inst, core.Request{Rule: mapping.Interval, Objective: obj})
 		if err != nil {
 			return core.UniformBounds(inst, 1)
 		}
-		return core.UniformBounds(inst, sol.Value*slack)
-	}
-	latencyBounds := func(inst *pipeline.Instance, rng *rand.Rand, slack float64) []float64 {
-		sol, err := exact.MinLatency(inst, mapping.Interval)
-		if err != nil {
-			return core.UniformBounds(inst, 1)
-		}
-		return core.UniformBounds(inst, sol.Value*slack)
+		return core.UniformBounds(inst, v*slack)
 	}
 	cells := []cellCheck{
 		{
@@ -323,7 +316,7 @@ func Table2Ctx(ctx context.Context, w io.Writer, seed int64) error {
 			gen:         genFullyHom(1),
 			req: func(inst *pipeline.Instance, rng *rand.Rand) core.Request {
 				return core.Request{Rule: mapping.Interval, Objective: core.Latency,
-					PeriodBounds: periodBounds(inst, rng, 1.3)}
+					PeriodBounds: bounds(inst, core.Period, 1.3)}
 			},
 		},
 		{
@@ -332,7 +325,7 @@ func Table2Ctx(ctx context.Context, w io.Writer, seed int64) error {
 			gen:         forceProcHet(genCommHom(1)),
 			req: func(inst *pipeline.Instance, rng *rand.Rand) core.Request {
 				return core.Request{Rule: mapping.Interval, Objective: core.Latency,
-					PeriodBounds: periodBounds(inst, rng, 1.5), HeurIters: 1200, HeurRestarts: 2}
+					PeriodBounds: bounds(inst, core.Period, 1.5), HeurIters: 1200, HeurRestarts: 2}
 			},
 		},
 		{
@@ -340,12 +333,12 @@ func Table2Ctx(ctx context.Context, w io.Writer, seed int64) error {
 			wantMethods: []core.Method{core.MethodMatching},
 			gen:         genCommHomOneToOne(3),
 			req: func(inst *pipeline.Instance, rng *rand.Rand) core.Request {
-				sol, err := exact.MinPeriod(inst, mapping.OneToOne, pipeline.Overlap)
+				v, err := optimum(inst, core.Request{Rule: mapping.OneToOne, Objective: core.Period})
 				if err != nil {
 					return core.Request{Rule: mapping.OneToOne, Objective: core.Energy, PeriodBounds: core.UniformBounds(inst, 1)}
 				}
 				return core.Request{Rule: mapping.OneToOne, Objective: core.Energy,
-					PeriodBounds: core.UniformBounds(inst, sol.Value*(1.2+rng.Float64()))}
+					PeriodBounds: core.UniformBounds(inst, v*(1.2+rng.Float64()))}
 			},
 		},
 		{
@@ -354,7 +347,7 @@ func Table2Ctx(ctx context.Context, w io.Writer, seed int64) error {
 			gen:         genFullyHom(3),
 			req: func(inst *pipeline.Instance, rng *rand.Rand) core.Request {
 				return core.Request{Rule: mapping.Interval, Objective: core.Energy,
-					PeriodBounds: periodBounds(inst, rng, 1.3+rng.Float64())}
+					PeriodBounds: bounds(inst, core.Period, 1.3+rng.Float64())}
 			},
 		},
 		{
@@ -363,7 +356,7 @@ func Table2Ctx(ctx context.Context, w io.Writer, seed int64) error {
 			gen:         forceProcHet(genCommHom(2)),
 			req: func(inst *pipeline.Instance, rng *rand.Rand) core.Request {
 				return core.Request{Rule: mapping.Interval, Objective: core.Energy,
-					PeriodBounds: periodBounds(inst, rng, 1.5), HeurIters: 1200, HeurRestarts: 2}
+					PeriodBounds: bounds(inst, core.Period, 1.5), HeurIters: 1200, HeurRestarts: 2}
 			},
 			dispatchOnly: true, // heuristic cells: dispatch check only
 		},
@@ -373,8 +366,8 @@ func Table2Ctx(ctx context.Context, w io.Writer, seed int64) error {
 			gen:         genFullyHom(1),
 			req: func(inst *pipeline.Instance, rng *rand.Rand) core.Request {
 				return core.Request{Rule: mapping.Interval, Objective: core.Energy,
-					PeriodBounds:  periodBounds(inst, rng, 1.4),
-					LatencyBounds: latencyBounds(inst, rng, 1.6)}
+					PeriodBounds:  bounds(inst, core.Period, 1.4),
+					LatencyBounds: bounds(inst, core.Latency, 1.6)}
 			},
 		},
 		{
@@ -383,8 +376,8 @@ func Table2Ctx(ctx context.Context, w io.Writer, seed int64) error {
 			gen:         genFullyHom(3),
 			req: func(inst *pipeline.Instance, rng *rand.Rand) core.Request {
 				return core.Request{Rule: mapping.Interval, Objective: core.Energy,
-					PeriodBounds:  periodBounds(inst, rng, 1.4),
-					LatencyBounds: latencyBounds(inst, rng, 1.8),
+					PeriodBounds:  bounds(inst, core.Period, 1.4),
+					LatencyBounds: bounds(inst, core.Latency, 1.8),
 					HeurIters:     1200, HeurRestarts: 2}
 			},
 		},
@@ -429,20 +422,20 @@ func NPC(w io.Writer) error {
 	}
 	for _, tp := range threes {
 		inst := npc.EncodePeriodInterval(tp)
-		sol, err := exact.MinPeriod(&inst, mapping.Interval, pipeline.Overlap)
+		period, err := optimum(&inst, core.Request{Rule: mapping.Interval, Objective: core.Period})
 		if err != nil {
 			return err
 		}
 		_, solvable := tp.SolveGroups()
-		keep("3-partition -> period/interval (Thm 5)", fmt.Sprintf("B=%d %v", tp.B, tp.Items), solvable, fmath.LE(sol.Value, 1))
+		keep("3-partition -> period/interval (Thm 5)", fmt.Sprintf("B=%d %v", tp.B, tp.Items), solvable, fmath.LE(period, 1))
 
 		latInst := npc.EncodeLatencyOneToOne(tp)
-		latSol, err := exact.MinLatency(&latInst, mapping.OneToOne)
+		latency, err := optimum(&latInst, core.Request{Rule: mapping.OneToOne, Objective: core.Latency})
 		if err != nil {
 			return err
 		}
 		_, tripleOK := tp.SolveTriples()
-		keep("3-partition -> latency/one-to-one (Thm 9)", fmt.Sprintf("B=%d %v", tp.B, tp.Items), tripleOK, fmath.LE(latSol.Value, float64(tp.B)))
+		keep("3-partition -> latency/one-to-one (Thm 9)", fmt.Sprintf("B=%d %v", tp.B, tp.Items), tripleOK, fmath.LE(latency, float64(tp.B)))
 	}
 
 	twos := []struct {
@@ -456,9 +449,9 @@ func NPC(w io.Writer) error {
 		tp := npc.TwoPartition{Items: c.items}
 		g := npc.EncodeTriCriteriaOneToOne(tp, c.k, c.x)
 		_, solvable := tp.Solve()
-		sol, err := exact.MinEnergyGivenPeriodLatency(&g.Instance, g.Rule, pipeline.Overlap,
-			[]float64{g.PeriodBound}, []float64{g.LatencyBound})
-		feasible := err == nil && fmath.LE(sol.Value, g.EnergyBound)
+		energy, err := optimum(&g.Instance, core.Request{Rule: g.Rule, Objective: core.Energy,
+			PeriodBounds: []float64{g.PeriodBound}, LatencyBounds: []float64{g.LatencyBound}})
+		feasible := err == nil && fmath.LE(energy, g.EnergyBound)
 		if err != nil && !errors.Is(err, exact.ErrInfeasible) {
 			return err
 		}

@@ -399,12 +399,12 @@ func sum(counts []int64) (n int64) {
 }
 
 // TestGatewayForwardsJobBytes pins that a job reaches its replica as the
-// client wrote it: an explicitly empty bound list (which the solver
-// rejects, unlike an absent one) must not be re-encoded away, so the
-// gateway answers exactly what one replica answers — also for documents
-// spelled unusually: escaped and case-folded keys, a repeated instance
-// key, and a repeated "jobs" key whose arrays a replica merges slot by
-// slot.
+// client wrote it: an explicitly empty bound list (which a replica
+// rejects with a 400, unlike an absent one) must not be re-encoded away,
+// so the gateway answers exactly what one replica answers, status and
+// error body or result slots — also for documents spelled unusually:
+// escaped and case-folded keys, a repeated instance key, and a repeated
+// "jobs" key whose arrays a replica merges slot by slot.
 func TestGatewayForwardsJobBytes(t *testing.T) {
 	fig1 := servetest.Fig1JSON(t)
 	bodies := []string{
@@ -422,7 +422,23 @@ func TestGatewayForwardsJobBytes(t *testing.T) {
 	urls, _ := startReplicas(t, 3, server.Config{})
 	g := newGateway(t, urls, Config{})
 	for n, body := range bodies {
-		sameSlots(t, fmt.Sprintf("document %d", n), postBatch(t, g, body), directBatch(t, body))
+		name := fmt.Sprintf("document %d", n)
+		rec := postGateway(g, "/v1/batch", body)
+		direct := httptest.NewRecorder()
+		server.New(server.Config{}).ServeHTTP(direct, httptest.NewRequest("POST", "/v1/batch", strings.NewReader(body)))
+		switch {
+		case rec.Code != direct.Code:
+			t.Errorf("%s: the gateway answered %d %s, a replica %d %s", name, rec.Code, rec.Body, direct.Code, direct.Body)
+		case rec.Code != http.StatusOK:
+			if rec.Body.String() != direct.Body.String() {
+				t.Errorf("%s: the gateway answered %s, a replica %s", name, rec.Body, direct.Body)
+			}
+		default:
+			var got, want rawOutput
+			decode(t, rec, &got)
+			decode(t, direct, &want)
+			sameSlots(t, name, got, want)
+		}
 	}
 }
 

@@ -28,8 +28,9 @@ type oracleCase struct {
 // invalidDocuments is the wire oracle's table: /v1/batch and /v1/solve
 // documents a client can get wrong, each at a different layer of the
 // decode (syntax, structure, field types, request parsing, instance
-// validation), batches whose bad job sits behind jobs that route to
-// other replicas, and a request the solver cannot settle: an infeasible
+// validation, bound arrays of the wrong length), batches whose bad job
+// sits behind jobs that route to other replicas, and a request the solver
+// cannot settle: an infeasible
 // NP-hard problem whose exactLimit of 1 leaves the search no budget, so
 // it answers "unresolved", not "infeasible".
 func invalidDocuments(t *testing.T) []oracleCase {
@@ -90,6 +91,8 @@ func invalidDocuments(t *testing.T) []oracleCase {
 		{"fanned-out-invalid-instance-at-job-11", spreadThen(`{"instance": ` + badWork + `, "request": {}}`)},
 		{"fanned-out-two-bad-jobs", batchOf(fig1, append(append(spread(5), `{"request": {"model": "psychic"}}`),
 			append(spread(5), `{"request": {"rule": "diagonal"}}`)...)...)},
+		{"short-period-bounds-at-job-1", batchOf(fig1, `{"request": {}}`, `{"request": {"objective": "latency", "periodBounds": [1]}}`)},
+		{"long-latency-bounds-at-job-1", batchOf(fig1, `{"request": {}}`, `{"request": {"latencyBounds": [9, 9, 9]}}`)},
 	}
 	solve := []struct{ name, body string }{
 		{"syntax-error", `{"instance": {]}`},
@@ -112,6 +115,8 @@ func invalidDocuments(t *testing.T) []oracleCase {
 		{"invalid-instance-work", solveOf(badWork, `{}`)},
 		{"invalid-instance-links", solveOf(badLinks, `{}`)},
 		{"unresolved", solveOf(fig1, unresolved)},
+		{"short-period-bounds", solveOf(fig1, `{"objective": "latency", "periodBounds": [1]}`)},
+		{"empty-latency-bounds", solveOf(fig1, `{"latencyBounds": []}`)},
 	}
 	var cases []oracleCase
 	for _, c := range batch {

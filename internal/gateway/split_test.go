@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/batch"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/jobspec"
 	"repro/internal/pipeline"
@@ -85,26 +86,36 @@ func (d docWriter) request(t testing.TB, sc *gen.Scenario) string {
 
 // corpusDocument builds a /v1/batch document of jobs drawn from the
 // generator corpus: with or without a file-level instance, some jobs
-// overriding it with their own, fields reordered and padded.
+// overriding it with their own, fields reordered and padded. A job whose
+// request bounds another application count than the file-level instance
+// has carries its own instance, so every document is valid.
 func corpusDocument(t testing.TB, rng *rand.Rand, corpus []gen.Scenario) string {
 	d := docWriter{rng: rng}
 	members := map[string]string{}
-	shared := rng.Intn(3) > 0
-	if shared {
-		members["instance"] = d.instance(t, &corpus[rng.Intn(len(corpus))].Inst)
+	var shared *pipeline.Instance
+	if rng.Intn(3) > 0 {
+		shared = &corpus[rng.Intn(len(corpus))].Inst
+		members["instance"] = d.instance(t, shared)
 	}
 	n := 1 + rng.Intn(12)
 	jobs := make([]string, n)
 	for i := range jobs {
 		sc := &corpus[rng.Intn(len(corpus))]
 		job := map[string]string{"request": d.request(t, sc)}
-		if !shared || rng.Intn(3) == 0 {
+		if shared == nil || rng.Intn(3) == 0 || !boundsFit(&sc.Req, shared) {
 			job["instance"] = d.instance(t, &sc.Inst)
 		}
 		jobs[i] = d.object(job)
 	}
 	members["jobs"] = "[" + d.pad() + strings.Join(jobs, ","+d.pad()) + d.pad() + "]"
 	return d.pad() + d.object(members) + d.pad()
+}
+
+// boundsFit reports whether req's bound arrays hold one bound per
+// application of inst.
+func boundsFit(req *core.Request, inst *pipeline.Instance) bool {
+	fits := func(b []float64) bool { return b == nil || len(b) == len(inst.Apps) }
+	return fits(req.PeriodBounds) && fits(req.LatencyBounds)
 }
 
 // decodedKeys decodes a batch document as a replica does and returns

@@ -349,7 +349,8 @@ func (r *resolver) defaultFor(p planOf) (resolved, error) {
 
 // BuildRequest translates the JSON request into a core.Request, expanding
 // the global weighted thresholds into per-application bounds. Defaults:
-// interval rule, overlap model, period objective.
+// interval rule, overlap model, period objective. A bound array must hold
+// one bound per application of inst.
 func BuildRequest(inst *pipeline.Instance, rj Request) (core.Request, error) {
 	req := core.Request{
 		EnergyBudget: rj.EnergyBudget,
@@ -365,7 +366,7 @@ func BuildRequest(inst *pipeline.Instance, rj Request) (core.Request, error) {
 	if req.Model, err = ParseModelDefault(rj.Model); err != nil {
 		return core.Request{}, err
 	}
-	if req.Objective, err = core.ParseCriterion(orDefault(rj.Objective, "period")); err != nil {
+	if req.Objective, err = pipeline.ParseCriterion(orDefault(rj.Objective, "period")); err != nil {
 		return core.Request{}, err
 	}
 	req.PeriodBounds = rj.PeriodBounds
@@ -375,6 +376,9 @@ func BuildRequest(inst *pipeline.Instance, rj Request) (core.Request, error) {
 	req.LatencyBounds = rj.LatencyBounds
 	if req.LatencyBounds == nil && rj.LatencyBound > 0 {
 		req.LatencyBounds = core.UniformBounds(inst, rj.LatencyBound)
+	}
+	if err := core.CheckBounds(inst, req); err != nil {
+		return core.Request{}, err
 	}
 	return req, nil
 }

@@ -50,12 +50,13 @@ func ParseRule(s string) (Rule, error) {
 // PlacedInterval assigns the stages From..To (inclusive, 0-based) of one
 // application to a processor running in a fixed mode.
 type PlacedInterval struct {
-	From, To int
+	From int `json:"from"`
+	To   int `json:"to"`
 	// Proc is the processor index in the platform.
-	Proc int
+	Proc int `json:"proc"`
 	// Mode indexes into the processor's Speeds slice; the chosen speed is
 	// fixed for the whole execution (Section 3.2).
-	Mode int
+	Mode int `json:"mode"`
 }
 
 // Len returns the number of stages in the interval.
@@ -63,14 +64,14 @@ func (iv PlacedInterval) Len() int { return iv.To - iv.From + 1 }
 
 // AppMapping is the ordered interval decomposition of one application.
 type AppMapping struct {
-	Intervals []PlacedInterval
+	Intervals []PlacedInterval `json:"intervals"`
 }
 
 // Mapping maps every application of an instance. Processors may not be
 // shared across intervals, whether of the same or of different applications
 // (Section 3.3).
 type Mapping struct {
-	Apps []AppMapping
+	Apps []AppMapping `json:"apps"`
 }
 
 // Clone returns a deep copy.

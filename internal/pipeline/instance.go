@@ -79,6 +79,68 @@ func ParseCommModel(s string) (CommModel, error) {
 	return 0, fmt.Errorf("unknown model %q (want overlap | no-overlap)", s)
 }
 
+// Criterion identifies the objective a Goal minimizes.
+type Criterion int
+
+const (
+	// Period minimizes the weighted global period max_a W_a*T_a.
+	Period Criterion = iota
+	// Latency minimizes the weighted global latency max_a W_a*L_a.
+	Latency
+	// Energy minimizes the total power of enrolled processors. Per the
+	// paper (Section 3.5), energy is only meaningful combined with a
+	// period constraint.
+	Energy
+)
+
+// String implements fmt.Stringer.
+func (c Criterion) String() string {
+	switch c {
+	case Period:
+		return "period"
+	case Latency:
+		return "latency"
+	case Energy:
+		return "energy"
+	}
+	return fmt.Sprintf("Criterion(%d)", int(c))
+}
+
+// ParseCriterion is the inverse of String, shared by the cmd/ tools.
+func ParseCriterion(s string) (Criterion, error) {
+	switch s {
+	case "period":
+		return Period, nil
+	case "latency":
+		return Latency, nil
+	case "energy":
+		return Energy, nil
+	}
+	return 0, fmt.Errorf("unknown objective %q (want period | latency | energy)", s)
+}
+
+// Goal is one problem of the paper's family (Sections 3.4-3.5): minimize
+// one criterion under optional per-application period and latency bounds
+// and an energy budget. Every solver states its problem with it: the
+// dispatcher's request, the exact search and the heuristic. A nil bound
+// slice leaves its criterion unconstrained; a non-nil one holds one bound
+// per application. The budget constrains only when positive. A mapping
+// meets the goal when every bound holds under fmath.LE.
+type Goal struct {
+	// Objective is the criterion minimized.
+	Objective Criterion
+	// Model is the communication model of the periods.
+	Model CommModel
+	// PeriodBounds, if non-nil, constrains each application's unweighted
+	// period T_a <= PeriodBounds[a].
+	PeriodBounds []float64
+	// LatencyBounds, if non-nil, constrains each application's unweighted
+	// latency L_a <= LatencyBounds[a].
+	LatencyBounds []float64
+	// EnergyBudget, if positive, constrains the total energy.
+	EnergyBudget float64
+}
+
 // Instance bundles the concurrent applications, the target platform and the
 // energy model: one complete problem input.
 type Instance struct {

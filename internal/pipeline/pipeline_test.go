@@ -381,3 +381,18 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Error("Clone shares memory with original")
 	}
 }
+
+func TestCriterionStrings(t *testing.T) {
+	if Period.String() != "period" || Latency.String() != "latency" || Energy.String() != "energy" {
+		t.Error("unexpected criterion strings")
+	}
+	for _, c := range []Criterion{Period, Latency, Energy} {
+		got, err := ParseCriterion(c.String())
+		if err != nil || got != c {
+			t.Errorf("ParseCriterion(%q) = %v, %v; want %v", c.String(), got, err, c)
+		}
+	}
+	if _, err := ParseCriterion("throughput"); err == nil || !strings.Contains(err.Error(), `unknown objective "throughput"`) {
+		t.Errorf("ParseCriterion(throughput) error = %v, want unknown objective", err)
+	}
+}

@@ -234,7 +234,7 @@ func TestPanicConfined(t *testing.T) {
 	}
 	// An out-of-range objective reaches the dispatcher's default branch as
 	// a plain error, not a panic, so force one via bounds of wrong arity —
-	// checkBounds errors — no panic either. Instead corrupt the plan's
+	// core.CheckBounds errors — no panic either. Instead corrupt the plan's
 	// private instance the way no API caller can, proving the recover path
 	// still publishes: a nil processor speeds slice makes the solver
 	// panic on index.

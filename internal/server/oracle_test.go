@@ -109,6 +109,9 @@ func replicaDocuments(t *testing.T) []replicaCase {
 		{"batch/bad-job-instance-before-bad-request", "/v1/batch", batchOf(fig1, job(badWork, `{"rule": "diagonal"}`))},
 		{"batch/bad-request-before-bad-later-instance", "/v1/batch", batchOf(fig1, job("", `{"model": "psychic"}`), job(badWork, period))},
 		{"batch/bad-request-own-instance", "/v1/batch", batchOf("", job(hom, `{"objective": "vibes"}`))},
+		{"solve/hom-long-period-bounds", "/v1/solve", job(hom, `{"objective": "latency", "periodBounds": [3, 3, 3]}`)},
+		{"batch/short-latency-bounds-own-instance", "/v1/batch", batchOf(fig1, job("", period),
+			job(hom, `{"objective": "period", "latencyBounds": [9]}`))},
 		{"solve/trailing-whitespace", "/v1/solve", job(fig1, period) + " \n\t\r\n"},
 		{"solve/trailing-garbage", "/v1/solve", job(fig1, period) + " x"},
 		{"solve/trailing-document", "/v1/solve", job(fig1, period) + ` {"request": {}}`},
