@@ -192,10 +192,15 @@ func (p Point) Dominates(q Point) bool {
 // ParetoFront enumerates every mapping and returns the non-dominated
 // (period, latency, energy) points, sorted by period. This is the full
 // trade-off surface discussed in the introduction (laptop and server
-// problems).
+// problems). It counts the mappings first and returns ErrSearchSpace,
+// without enumerating, when there are more than the default limit.
 func ParetoFront(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) ([]Point, error) {
+	opt := Options{Rule: rule, Modes: AllModes}
+	if _, err := CountMappings(inst, opt); err != nil {
+		return nil, err
+	}
 	var front []Point
-	err := Enumerate(inst, Options{Rule: rule, Modes: AllModes}, func(m *mapping.Mapping) {
+	err := Enumerate(inst, opt, func(m *mapping.Mapping) {
 		// Three scalar evaluations, not mapping.Evaluate: the full metrics
 		// carry per-app slices that would allocate at every leaf.
 		cand := Point{

@@ -19,13 +19,6 @@ var ErrInfeasible = errors.New("interval: no mapping satisfies the bounds")
 // (class, processor count, modality) do not hold.
 var ErrWrongPlatform = errors.New("interval: platform does not satisfy the algorithm's preconditions")
 
-// Allocate is Algorithm 2; see package alloc for the implementation and
-// the optimality argument. It is re-exported here because the interval
-// theorems are its primary users.
-func Allocate(curves [][]float64, p int) ([]int, float64) {
-	return alloc.Allocate(curves, p)
-}
-
 // homSetup extracts the common speed set and uniform bandwidth of a fully
 // homogeneous platform, failing when the preconditions do not hold.
 func homSetup(inst *pipeline.Instance) (speeds []float64, b float64, err error) {
@@ -144,7 +137,7 @@ func allocByCurve(inst *pipeline.Instance, curveOf func(dp *SingleDP, a, mx int)
 			return mapping.Mapping{}, 0, fmt.Errorf("%w: application %d", ErrInfeasible, a)
 		}
 	}
-	counts, value := Allocate(curves, inst.Platform.NumProcessors())
+	counts, value := alloc.Allocate(curves, inst.Platform.NumProcessors())
 	// Algorithm 2 starts at one processor per application, which may be
 	// infeasible under the bounds even though larger counts are feasible;
 	// grow any infeasible application greedily (the curve is +Inf there,
@@ -185,7 +178,7 @@ func MinEnergyGivenPeriodFullyHom(inst *pipeline.Instance, model pipeline.CommMo
 		dp := NewSingleDP(&inst.Apps[a], speeds, b, model)
 		curves[a], parts[a] = dp.EnergyCurve(mx, periodBounds[a], inst.Energy)
 	}
-	counts, total, ok := combineAdditive(curves, inst.Platform.NumProcessors())
+	counts, total, ok := alloc.CombineAdditive(curves, inst.Platform.NumProcessors())
 	if !ok {
 		return mapping.Mapping{}, 0, ErrInfeasible
 	}
@@ -198,11 +191,6 @@ func MinEnergyGivenPeriodFullyHom(inst *pipeline.Instance, model pipeline.CommMo
 		return mapping.Mapping{}, 0, err
 	}
 	return m, total, nil
-}
-
-// combineAdditive delegates to the shared Theorem 21 dynamic program.
-func combineAdditive(curves [][]float64, p int) (counts []int, total float64, ok bool) {
-	return alloc.CombineAdditive(curves, p)
 }
 
 // MinPeriodGivenLatencyEnergyUniModal implements the first tri-criteria

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/algo/alloc"
 	"repro/internal/algo/exact"
 	"repro/internal/fmath"
 	"repro/internal/mapping"
@@ -265,7 +266,7 @@ func TestAllocateGreedy(t *testing.T) {
 		{10, 5, 2, 1},
 		{4, 4, 4, 4},
 	}
-	counts, val := Allocate(curves, 4)
+	counts, val := alloc.Allocate(curves, 4)
 	if counts[0] != 3 || counts[1] != 1 {
 		t.Errorf("counts = %v, want [3 1]", counts)
 	}
@@ -274,7 +275,7 @@ func TestAllocateGreedy(t *testing.T) {
 	}
 	// Early stop: app1 is the bottleneck and cannot improve, so extra
 	// processors are not wasted on it.
-	counts, val = Allocate(curves, 8)
+	counts, val = alloc.Allocate(curves, 8)
 	if val != 4 {
 		t.Errorf("value with 8 processors = %g, want 4", val)
 	}

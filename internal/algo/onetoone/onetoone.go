@@ -155,18 +155,6 @@ func MinLatencyFullyHom(inst *pipeline.Instance) (mapping.Mapping, float64, erro
 	return m, mapping.Latency(inst, &m), nil
 }
 
-// MinPeriodLatencyFullyHom implements Theorem 14: on fully homogeneous
-// platforms all one-to-one mappings are equivalent, so the same mapping
-// simultaneously minimizes period and latency; the bi-criteria problem is
-// solved by checking the bounds on that mapping.
-func MinPeriodLatencyFullyHom(inst *pipeline.Instance, model pipeline.CommModel) (mapping.Mapping, float64, float64, error) {
-	m, err := anyFullyHom(inst)
-	if err != nil {
-		return mapping.Mapping{}, 0, 0, err
-	}
-	return m, mapping.Period(inst, &m, model), mapping.Latency(inst, &m), nil
-}
-
 func anyFullyHom(inst *pipeline.Instance) (mapping.Mapping, error) {
 	if cls := inst.Platform.Classify(); cls != pipeline.FullyHomogeneous {
 		return mapping.Mapping{}, fmt.Errorf("%w: want fully homogeneous, have %v", ErrWrongPlatform, cls)

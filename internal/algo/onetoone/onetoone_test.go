@@ -143,30 +143,6 @@ func TestAllOneToOneEquivalentFullyHom(t *testing.T) {
 	}
 }
 
-func TestMinPeriodLatencyFullyHom(t *testing.T) {
-	inst := pipeline.Instance{
-		Apps: []pipeline.Application{
-			{In: 1, Stages: []pipeline.Stage{{Work: 2, Out: 3}, {Work: 4, Out: 1}}, Weight: 1},
-		},
-		Platform: pipeline.NewHomogeneousPlatform(2, []float64{2}, 1, 1),
-		Energy:   pipeline.DefaultEnergy,
-	}
-	m, tp, lat, err := MinPeriodLatencyFullyHom(&inst, pipeline.Overlap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fmath.EQ(tp, mapping.Period(&inst, &m, pipeline.Overlap)) || !fmath.EQ(lat, mapping.Latency(&inst, &m)) {
-		t.Error("reported metrics disagree with mapping")
-	}
-	wantT, err := exact.Minimize(&inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fmath.EQ(tp, wantT.Value) {
-		t.Errorf("period %g, oracle %g", tp, wantT.Value)
-	}
-}
-
 func TestPreconditionErrors(t *testing.T) {
 	inst := pipeline.MotivatingExample() // 7 stages, 3 processors
 	if _, _, err := MinPeriodCommHom(&inst, pipeline.Overlap); !errors.Is(err, ErrWrongPlatform) {

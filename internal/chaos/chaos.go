@@ -131,9 +131,6 @@ type Applied struct {
 	ProcMap []int
 }
 
-// OldProc translates a post-event processor index to the pre-event one.
-func (a *Applied) OldProc(u int) int { return a.ProcMap[u] }
-
 // Apply executes one fault event against inst and returns the mutated
 // instance, re-validated. inst itself is never modified. Events that the
 // instance cannot absorb return ErrInapplicable; a mutation that produces

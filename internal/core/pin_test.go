@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"hash"
 	"math"
@@ -129,7 +130,7 @@ func hashHeuristicAnswer(t *testing.T, h hash.Hash, res *Result) {
 	} else {
 		h.Write([]byte{0})
 	}
-	js, err := mapping.MarshalJSON(&res.Mapping)
+	js, err := json.Marshal(&res.Mapping)
 	if err != nil {
 		t.Fatal(err)
 	}

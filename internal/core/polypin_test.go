@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -169,7 +170,7 @@ func TestPolynomialAnswersPinned(t *testing.T) {
 			h.Write([]byte(res.Method))
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(res.Value))
 			h.Write(buf[:])
-			js, err := mapping.MarshalJSON(&res.Mapping)
+			js, err := json.Marshal(&res.Mapping)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 
 	"repro/internal/algo/exact"
 	"repro/internal/batch"
@@ -471,17 +470,6 @@ type Summary struct {
 	// the Degraded tag and lower-bound checks on forced budget-capped
 	// solves.
 	DegradedChecked int
-}
-
-// ComboNames returns the observed combination labels, sorted.
-func (s *Summary) ComboNames() []string {
-	names := make([]string, 0, len(s.Combos))
-	//lint:allow determinism keys are sorted immediately after collection
-	for k := range s.Combos {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // maxReported caps how many disagreements Run reports, so a systematic bug

@@ -30,7 +30,7 @@ func TestDifferential(t *testing.T) {
 		t.Fatalf("checked %d of %d scenarios", sum.Checked, n)
 	}
 	if want := space.CombinationCount(); len(sum.Combos) != want {
-		t.Errorf("covered %d combinations, want %d: %v", len(sum.Combos), want, sum.ComboNames())
+		t.Errorf("covered %d combinations, want %d: %v", len(sum.Combos), want, sum.Combos)
 	}
 	if sum.Feasible == 0 || sum.Infeasible == 0 {
 		t.Errorf("corpus must exercise both feasible and infeasible draws (feasible %d, infeasible %d)",

@@ -38,9 +38,6 @@ func LT(a, b float64) bool { return a < b && !EQ(a, b) }
 // GT reports whether a > b strictly, i.e. not within tolerance of equality.
 func GT(a, b float64) bool { return a > b && !EQ(a, b) }
 
-// Max3 returns the maximum of three values.
-func Max3(a, b, c float64) float64 { return math.Max(a, math.Max(b, c)) }
-
 // SortedUnique sorts xs ascending in place and removes values that are equal
 // within tolerance, returning the deduplicated prefix. It is used to build
 // candidate sets for the binary searches of Theorems 1, 12 and 15.

@@ -69,12 +69,6 @@ func TestComparisonProperties(t *testing.T) {
 	}
 }
 
-func TestMax3(t *testing.T) {
-	if Max3(1, 2, 3) != 3 || Max3(3, 2, 1) != 3 || Max3(1, 3, 2) != 3 {
-		t.Error("Max3 broken")
-	}
-}
-
 func TestSortedUnique(t *testing.T) {
 	got := SortedUnique([]float64{3, 1, 2, 1, 3, 3})
 	want := []float64{1, 2, 3}

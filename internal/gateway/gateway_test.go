@@ -699,7 +699,7 @@ func TestGatewayProbeRecovery(t *testing.T) {
 	}
 }
 
-// TestGatewaySolvePassthrough routes single solves by canonical key and
+// TestGatewaySolvePassthrough routes single solves by instance bytes and
 // relays the replica's response verbatim, including error documents.
 func TestGatewaySolvePassthrough(t *testing.T) {
 	urls, _ := startReplicas(t, 3, server.Config{})
@@ -823,6 +823,29 @@ func TestGatewayOversizedBodyAllEndpoints(t *testing.T) {
 		if rec := postGateway(capped, path, servetest.OversizedBody); rec.Code != direct.Code || rec.Body.String() != direct.Body.String() {
 			t.Errorf("%s: %d %s, a replica answers %d %s", path, rec.Code, rec.Body.String(), direct.Code, direct.Body.String())
 		}
+	}
+}
+
+// TestGatewaySimulateDatasetsCap: a /v1/simulate body asking for 2^62
+// datasets gets a replica's 400 invalid through the gateway, and leaves
+// the replica in the ring.
+func TestGatewaySimulateDatasetsCap(t *testing.T) {
+	urls, _ := startReplicas(t, 1, server.Config{})
+	g := newGateway(t, urls, Config{})
+	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "mapping": ` + servetest.Fig1Mapping + `, "datasets": 4611686018427387904}`
+	direct := httptest.NewRecorder()
+	server.New(server.Config{}).ServeHTTP(direct, httptest.NewRequest("POST", "/v1/simulate", strings.NewReader(body)))
+	rec := postGateway(g, "/v1/simulate", body)
+	if rec.Code != http.StatusBadRequest || rec.Code != direct.Code || rec.Body.String() != direct.Body.String() {
+		t.Fatalf("gateway %d %s, a replica %d %s, want both 400", rec.Code, rec.Body.String(), direct.Code, direct.Body.String())
+	}
+	var e struct{ Code string }
+	decode(t, rec, &e)
+	if e.Code != jobspec.CodeInvalid {
+		t.Errorf("code %q, want invalid", e.Code)
+	}
+	if !g.Healthy(0) {
+		t.Error("the replica was marked down by a refused simulation")
 	}
 }
 

@@ -32,7 +32,9 @@ type oracleCase struct {
 // sits behind jobs that route to other replicas, and a request the solver
 // cannot settle: an infeasible
 // NP-hard problem whose exactLimit of 1 leaves the search no budget, so
-// it answers "unresolved", not "infeasible".
+// it answers "unresolved", not "infeasible". After them come a /v1/pareto
+// frontier with too many mappings to enumerate and a /v1/simulate body
+// asking for more datasets than the cap.
 func invalidDocuments(t *testing.T) []oracleCase {
 	fig1 := servetest.Fig1JSON(t)
 	badWork := `{"apps": [{"in": 1, "stages": [{"work": -1, "out": 1}]}], "platform": {"processors": [{"speeds": [1]}]}}`
@@ -125,6 +127,11 @@ func invalidDocuments(t *testing.T) []oracleCase {
 	for _, c := range solve {
 		cases = append(cases, oracleCase{Name: "solve/" + c.name, Path: "/v1/solve", Body: c.body})
 	}
+	cases = append(cases,
+		oracleCase{Name: "pareto/huge-frontier", Path: "/v1/pareto",
+			Body: `{"instance": ` + servetest.HugeFrontierJSON(t) + `, "rule": "interval"}`},
+		oracleCase{Name: "simulate/datasets-over-cap", Path: "/v1/simulate",
+			Body: `{"instance": ` + fig1 + `, "mapping": ` + servetest.Fig1Mapping + `, "datasets": 4611686018427387904}`})
 	return cases
 }
 

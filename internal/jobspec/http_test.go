@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algo/exact"
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -145,6 +146,7 @@ func TestErrorClasses(t *testing.T) {
 		{core.ErrInfeasible, CodeInfeasible, http.StatusUnprocessableEntity},
 		{core.ErrUnresolved, CodeUnresolved, http.StatusUnprocessableEntity},
 		{core.ErrUnsupported, CodeInvalid, http.StatusUnprocessableEntity},
+		{exact.ErrSearchSpace, CodeInvalid, http.StatusUnprocessableEntity},
 		{context.DeadlineExceeded, CodeTimeout, http.StatusGatewayTimeout},
 		{context.Canceled, CodeTimeout, http.StatusServiceUnavailable},
 		{errors.New("boom"), CodeInternal, http.StatusInternalServerError},

@@ -30,6 +30,7 @@ import (
 	"math"
 	"net/http"
 
+	"repro/internal/algo/exact"
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/mapping"
@@ -62,7 +63,8 @@ const (
 	// (admission queue full or circuit breaker open); honor Retry-After.
 	CodeShed = "shed"
 	// CodeInvalid: the request itself is malformed, oversized, or asks
-	// for an unsupported criteria combination.
+	// for an unsupported criteria combination or a frontier too large to
+	// enumerate.
 	CodeInvalid = "invalid"
 	// CodeInternal: an unexpected solver failure (a bug, not the client).
 	CodeInternal = "internal"
@@ -71,8 +73,9 @@ const (
 // errorClasses gives each engine error class its wire code and HTTP
 // status, matched in order with errors.Is. Client-shaped failures
 // (infeasible bounds, a search budget spent without a mapping, unsupported
-// criteria) are 422, an expired request budget is 504 and a cancelled one
-// 503; an error of no class is internal, 500. An unresolved answer is
+// criteria, a Pareto frontier with too many mappings to enumerate) are
+// 422, an expired request budget is 504 and a cancelled one 503; an error
+// of no class is internal, 500. An unresolved answer is
 // 422, not a 5xx: it is deterministic per request, so the plan's result
 // memo keeps it like any solver answer, and a retry of the same request
 // gets the same answer.
@@ -84,6 +87,7 @@ var errorClasses = []struct {
 	{core.ErrInfeasible, CodeInfeasible, http.StatusUnprocessableEntity},
 	{core.ErrUnresolved, CodeUnresolved, http.StatusUnprocessableEntity},
 	{core.ErrUnsupported, CodeInvalid, http.StatusUnprocessableEntity},
+	{exact.ErrSearchSpace, CodeInvalid, http.StatusUnprocessableEntity},
 	{context.DeadlineExceeded, CodeTimeout, http.StatusGatewayTimeout},
 	{context.Canceled, CodeTimeout, http.StatusServiceUnavailable},
 }
@@ -591,7 +595,7 @@ func EncodeResult(jr batch.JobResult) (Result, error) {
 	if jr.Err != nil {
 		return Result{Error: jr.Err.Error(), Code: ErrorCode(jr.Err)}, nil
 	}
-	mj, err := mapping.MarshalJSON(&jr.Result.Mapping)
+	mj, err := json.Marshal(&jr.Result.Mapping)
 	if err != nil {
 		return Result{}, err
 	}

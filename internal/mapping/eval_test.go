@@ -190,7 +190,9 @@ func TestValidOneToOne(t *testing.T) {
 		Platform: pipeline.NewHomogeneousPlatform(4, []float64{1}, 1, 1),
 		Energy:   pipeline.DefaultEnergy,
 	}
-	m := Mapping{Apps: []AppMapping{OneToOneChain([]int{2, 0, 3}, FastestMode(&inst))}}
+	m := Mapping{Apps: []AppMapping{{Intervals: []PlacedInterval{
+		{From: 0, To: 0, Proc: 2}, {From: 1, To: 1, Proc: 0}, {From: 2, To: 2, Proc: 3},
+	}}}}
 	if err := m.Validate(&inst, OneToOne); err != nil {
 		t.Fatalf("valid one-to-one rejected: %v", err)
 	}
@@ -203,10 +205,6 @@ func TestValidOneToOne(t *testing.T) {
 	used := m.UsedProcessors()
 	if len(used) != 3 || used[0] != 0 || used[1] != 2 || used[2] != 3 {
 		t.Errorf("UsedProcessors = %v", used)
-	}
-	iv, j := m.ProcOf(0, 1)
-	if iv.Proc != 0 || j != 1 {
-		t.Errorf("ProcOf(0,1) = %+v,%d", iv, j)
 	}
 }
 

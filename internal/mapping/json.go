@@ -18,12 +18,6 @@ func EncodeJSON(w io.Writer, m *Mapping) error {
 	return enc.Encode(m)
 }
 
-// MarshalJSON returns the compact encoding of m, for embedding in a
-// response document.
-func MarshalJSON(m *Mapping) ([]byte, error) {
-	return json.Marshal(m)
-}
-
 // DecodeJSON parses a mapping from r. Structural validity against an
 // instance is checked separately via Validate.
 func DecodeJSON(r io.Reader) (Mapping, error) {

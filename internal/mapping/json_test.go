@@ -42,7 +42,7 @@ func oldDocOf(m *mapping.Mapping) oldMappingJSON {
 	return doc
 }
 
-// TestMappingJSONRoundTrip: on random valid mappings, MarshalJSON and
+// TestMappingJSONRoundTrip: on random valid mappings, json.Marshal and
 // EncodeJSON write the bytes the mirror types wrote, and DecodeJSON reads
 // them back to the mapping.
 func TestMappingJSONRoundTrip(t *testing.T) {
@@ -55,7 +55,7 @@ func TestMappingJSONRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		compact, err := mapping.MarshalJSON(&m)
+		compact, err := json.Marshal(&m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestMappingJSONRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(compact, want) {
-			t.Fatalf("trial %d: MarshalJSON wrote %s, the mirror types %s", trial, compact, want)
+			t.Fatalf("trial %d: json.Marshal wrote %s, the mirror types %s", trial, compact, want)
 		}
 
 		var indented, wantIndented bytes.Buffer

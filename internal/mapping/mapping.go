@@ -117,17 +117,6 @@ func (m *Mapping) NumIntervals() int {
 	return n
 }
 
-// ProcOf returns the placed interval covering stage k of application a and
-// its index within the application's interval list.
-func (m *Mapping) ProcOf(a, k int) (PlacedInterval, int) {
-	for j, iv := range m.Apps[a].Intervals {
-		if iv.From <= k && k <= iv.To {
-			return iv, j
-		}
-	}
-	panic(fmt.Sprintf("mapping: stage %d of application %d not covered", k, a))
-}
-
 // String renders a compact human-readable description.
 func (m *Mapping) String() string {
 	var sb strings.Builder
@@ -194,21 +183,4 @@ func (m *Mapping) Validate(inst *pipeline.Instance, rule Rule) error {
 // WholeApp maps application a entirely onto one processor/mode.
 func WholeApp(inst *pipeline.Instance, a, proc, mode int) AppMapping {
 	return AppMapping{Intervals: []PlacedInterval{{From: 0, To: inst.Apps[a].NumStages() - 1, Proc: proc, Mode: mode}}}
-}
-
-// OneToOneChain maps the stages of application a to the given processors in
-// order, one stage per processor, all at the given mode selector.
-func OneToOneChain(procs []int, modeOf func(proc int) int) AppMapping {
-	am := AppMapping{}
-	for k, u := range procs {
-		am.Intervals = append(am.Intervals, PlacedInterval{From: k, To: k, Proc: u, Mode: modeOf(u)})
-	}
-	return am
-}
-
-// FastestMode returns a mode selector choosing each processor's highest
-// speed, the right choice whenever energy is not among the criteria
-// (Section 2).
-func FastestMode(inst *pipeline.Instance) func(proc int) int {
-	return func(proc int) int { return inst.Platform.Processors[proc].NumModes() - 1 }
 }

@@ -1,21 +1,22 @@
 // Package pareto builds period/energy trade-off frontiers — the
 // laptop-problem ("best schedule within an energy budget") and
 // server-problem ("least energy for a performance target") curves discussed
-// in the paper's introduction. On the platform classes where the paper's
-// bi-criteria algorithms are polynomial, the frontier itself is computed in
-// polynomial time by sweeping the exact candidate set of achievable
-// periods; elsewhere the exhaustive exact.ParetoFront applies.
+// in the paper's introduction. PeriodEnergyCtx is the one entry point: on
+// the platform classes where the paper's bi-criteria algorithms are
+// polynomial, it computes the frontier in polynomial time by sweeping the
+// exact candidate set of achievable periods; elsewhere the exhaustive
+// exact.ParetoFront applies.
 //
-// The candidate sweeps are incremental queries against one compiled plan
-// (internal/plan): the instance is validated, classified and preprocessed
-// once, the exact candidate set comes from the plan's precomputed state, and
-// every candidate is then an independent min-energy query — embarrassingly
-// parallel, so both builders fan the queries across a bounded goroutine pool
-// and collect the frontier from the in-order results, which keeps the output
-// deterministic while using every core. With a shared batch.Cache (via
-// Options.Cache) the plan itself is fetched from the cache's plan tier, so
-// successive sweeps over one instance — or a sweep after a batch that
-// already touched it — compile nothing at all.
+// Every frontier starts from one compiled plan (internal/plan): the
+// instance is validated, classified and preprocessed once. A candidate
+// sweep takes the exact candidate set from the plan's precomputed state,
+// and every candidate is then an independent min-energy query —
+// embarrassingly parallel, so the sweep fans the queries across a bounded
+// goroutine pool and collects the frontier from the in-order results, which
+// keeps the output deterministic while using every core. With a shared
+// batch.Cache (via Options.Cache) the plan itself is fetched from the
+// cache's plan tier, so successive sweeps over one instance — or a sweep
+// after a batch that already touched it — compile nothing at all.
 package pareto
 
 import (
@@ -118,75 +119,40 @@ func sweepFrontier(ctx context.Context, pl *plan.Plan, cands []float64, opts bat
 	return Filter(points), nil
 }
 
-// PeriodEnergyFullyHom computes the full period/energy frontier of interval
-// mappings on a fully homogeneous multi-modal platform, by solving the
-// Theorem 18+21 dynamic program at every candidate period (in parallel
-// across the batch worker pool). Each frontier point's mapping is a witness
-// achieving (period <= Point.Period, Point.Energy) with minimal energy.
-func PeriodEnergyFullyHom(inst *pipeline.Instance, model pipeline.CommModel) ([]Point, error) {
-	return PeriodEnergyFullyHomCtx(context.Background(), inst, model, batch.Options{})
-}
-
-// PeriodEnergyFullyHomCtx is PeriodEnergyFullyHom with cancellation and
-// batch options (worker bound, shared cache): a server can abort a sweep on
-// request timeout and, through the cache's plan tier, reuse the compiled
-// plan — and its memoized candidate solves — across requests.
-func PeriodEnergyFullyHomCtx(ctx context.Context, inst *pipeline.Instance, model pipeline.CommModel, opts batch.Options) ([]Point, error) {
-	pl, err := planFor(inst, mapping.Interval, model, opts)
-	if err != nil {
-		return nil, err
-	}
-	return sweepFrontier(ctx, pl, pl.ParetoCandidates(), opts)
-}
-
-// PeriodEnergyOneToOneCommHom computes the one-to-one period/energy
-// frontier on a communication homogeneous platform by running the Theorem
-// 19 matching at every candidate period (W_a times any stage cycle time at
-// any processor mode), in parallel across the batch worker pool.
-func PeriodEnergyOneToOneCommHom(inst *pipeline.Instance, model pipeline.CommModel) ([]Point, error) {
-	return PeriodEnergyOneToOneCommHomCtx(context.Background(), inst, model, batch.Options{})
-}
-
-// PeriodEnergyOneToOneCommHomCtx is PeriodEnergyOneToOneCommHom with
-// cancellation and batch options (worker bound, shared cache).
-func PeriodEnergyOneToOneCommHomCtx(ctx context.Context, inst *pipeline.Instance, model pipeline.CommModel, opts batch.Options) ([]Point, error) {
-	pl, err := planFor(inst, mapping.OneToOne, model, opts)
-	if err != nil {
-		return nil, err
-	}
-	return sweepFrontier(ctx, pl, pl.ParetoCandidates(), opts)
-}
-
 // PeriodEnergyCtx computes the period/energy trade-off frontier under the
-// given rule, dispatching per platform class: on the classes where the
-// paper's bi-criteria algorithms are polynomial (fully homogeneous interval
-// mappings, communication homogeneous one-to-one mappings) the frontier is
-// built by the polynomial candidate sweeps above; otherwise it falls back
-// to exhaustive enumeration, subject to the same search-space limits as
-// core.Solve. The context cancels the candidate sweeps between jobs; the
-// exhaustive fallback only honours it up front (the enumeration itself is
-// not preemptible).
+// given rule; it is the package's one entry point. It resolves the plan
+// first (validating the instance), then dispatches on the plan's rule and
+// platform class. Where the paper's bi-criteria algorithms are polynomial
+// (fully homogeneous interval mappings: Theorems 18 and 21; communication
+// homogeneous one-to-one mappings: Theorem 19) the frontier is built by a
+// candidate sweep, and each frontier point's mapping is a witness achieving
+// (period <= Point.Period, Point.Energy) with minimal energy. Elsewhere it
+// falls back to exhaustive enumeration, which refuses an instance with more
+// mappings than its limit (exact.ErrSearchSpace) before it starts. The
+// context cancels the candidate sweeps between jobs; the exhaustive fallback
+// only honours it up front (the enumeration itself is not preemptible).
 func PeriodEnergyCtx(ctx context.Context, inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, opts batch.Options) ([]Point, error) {
-	cls := inst.Platform.Classify()
-	switch {
-	case rule == mapping.Interval && cls == pipeline.FullyHomogeneous:
-		return PeriodEnergyFullyHomCtx(ctx, inst, model, opts)
-	case rule == mapping.OneToOne && cls != pipeline.FullyHeterogeneous:
-		return PeriodEnergyOneToOneCommHomCtx(ctx, inst, model, opts)
-	default:
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		full, err := exact.ParetoFront(inst, rule, model)
-		if err != nil {
-			return nil, err
-		}
-		pts := make([]Point, 0, len(full))
-		for _, pt := range full {
-			pts = append(pts, Point{Period: pt.Period, Energy: pt.Energy, Mapping: pt.Mapping})
-		}
-		return Filter(pts), nil
+	pl, err := planFor(inst, rule, model, opts)
+	if err != nil {
+		return nil, err
 	}
+	switch cls := pl.Class(); {
+	case pl.Rule() == mapping.Interval && cls == pipeline.FullyHomogeneous,
+		pl.Rule() == mapping.OneToOne && cls != pipeline.FullyHeterogeneous:
+		return sweepFrontier(ctx, pl, pl.ParetoCandidates(), opts)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	full, err := exact.ParetoFront(pl.Instance(), pl.Rule(), pl.Model())
+	if err != nil {
+		return nil, err
+	}
+	pts := make([]Point, 0, len(full))
+	for _, pt := range full {
+		pts = append(pts, Point{Period: pt.Period, Energy: pt.Energy, Mapping: pt.Mapping})
+	}
+	return Filter(pts), nil
 }
 
 // MinEnergyUnderPeriod answers the server problem from a frontier: the

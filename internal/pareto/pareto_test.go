@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/algo/exact"
 	"repro/internal/batch"
@@ -52,7 +53,7 @@ func TestPeriodEnergyFullyHomMatchesExhaustive(t *testing.T) {
 			MaxWork: 6, MaxData: 3, MaxSpeed: 5,
 		})
 		model := []pipeline.CommModel{pipeline.Overlap, pipeline.NoOverlap}[trial%2]
-		front, err := PeriodEnergyFullyHom(&inst, model)
+		front, err := PeriodEnergyCtx(context.Background(), &inst, mapping.Interval, model, batch.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -108,7 +109,7 @@ func TestPeriodEnergyOneToOneMatchesExhaustive(t *testing.T) {
 		inst := workload.MustInstance(rng, cfg)
 		cfg.Procs = inst.TotalStages() + 1
 		inst.Platform = workload.Platform(rng, cfg)
-		front, err := PeriodEnergyOneToOneCommHom(&inst, pipeline.Overlap)
+		front, err := PeriodEnergyCtx(context.Background(), &inst, mapping.OneToOne, pipeline.Overlap, batch.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -138,7 +139,7 @@ func TestPeriodEnergyOneToOneMatchesExhaustive(t *testing.T) {
 // empty and no error is raised.
 func TestOneToOneImpossiblePlatformYieldsEmptyFrontier(t *testing.T) {
 	inst := pipeline.MotivatingExample() // 7 stages, 3 processors
-	front, err := PeriodEnergyOneToOneCommHom(&inst, pipeline.Overlap)
+	front, err := PeriodEnergyCtx(context.Background(), &inst, mapping.OneToOne, pipeline.Overlap, batch.Options{})
 	if err != nil {
 		t.Fatalf("impossible platform returned error %v, want empty frontier", err)
 	}
@@ -159,7 +160,7 @@ func TestSweepPropagatesNonInfeasibleErrors(t *testing.T) {
 		Platform: pipeline.NewHomogeneousPlatform(3, []float64{1, 2}, 1, 2),
 		Energy:   pipeline.DefaultEnergy,
 	}
-	front, err := PeriodEnergyFullyHom(&bad, pipeline.Overlap)
+	front, err := PeriodEnergyCtx(context.Background(), &bad, mapping.Interval, pipeline.Overlap, batch.Options{})
 	if err == nil {
 		t.Fatalf("invalid instance produced frontier %v, want error", points(front))
 	}
@@ -168,20 +169,77 @@ func TestSweepPropagatesNonInfeasibleErrors(t *testing.T) {
 	}
 }
 
-// TestSweepCancellation: a cancelled context aborts the sweep with the
-// context's error instead of returning a truncated frontier.
+// TestSweepCancellation: a cancelled context aborts either candidate
+// sweep, and the exhaustive fallback, with the context's error instead of
+// returning a truncated frontier.
 func TestSweepCancellation(t *testing.T) {
-	inst := workload.MustInstance(rand.New(rand.NewSource(74)), workload.Config{
-		Apps: 2, MinStages: 2, MaxStages: 3, Procs: 4, Modes: 2,
+	hom := workload.MustInstance(rand.New(rand.NewSource(74)), workload.Config{
+		Apps: 2, MinStages: 2, MaxStages: 3, Procs: 6, Modes: 2,
 		Class: pipeline.FullyHomogeneous, MaxWork: 6, MaxData: 3, MaxSpeed: 5,
 	})
+	fig1 := pipeline.MotivatingExample() // communication homogeneous: interval rule is exhaustive
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := PeriodEnergyFullyHomCtx(ctx, &inst, pipeline.Overlap, batch.Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled sweep returned %v, want context.Canceled", err)
+	for _, c := range []struct {
+		name string
+		inst *pipeline.Instance
+		rule mapping.Rule
+	}{
+		{"interval sweep", &hom, mapping.Interval},
+		{"one-to-one sweep", &hom, mapping.OneToOne},
+		{"exhaustive", &fig1, mapping.Interval},
+	} {
+		if _, err := PeriodEnergyCtx(ctx, c.inst, c.rule, pipeline.Overlap, batch.Options{}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled frontier returned %v, want context.Canceled", c.name, err)
+		}
 	}
-	if _, err := PeriodEnergyCtx(ctx, &inst, mapping.Interval, pipeline.Overlap, batch.Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled dispatch returned %v, want context.Canceled", err)
+}
+
+// TestExhaustiveValidatesInstance: outside the polynomial classes the
+// instance is validated before it is enumerated, so an inconsistent one is
+// an error, never a panic. Figure 1 with a second mode on processor 0 is
+// fully heterogeneous; dropping one application's input bandwidths makes
+// the bandwidth matrices disagree.
+func TestExhaustiveValidatesInstance(t *testing.T) {
+	inst := pipeline.MotivatingExample()
+	inst.Platform.Processors[0].Speeds = []float64{1, 2}
+	inst.Platform.InBandwidth = inst.Platform.InBandwidth[:1]
+	want := inst.Validate()
+	if want == nil {
+		t.Fatal("the broken instance validates")
+	}
+	var err error
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("PeriodEnergyCtx panicked: %v", r)
+			}
+		}()
+		_, err = PeriodEnergyCtx(context.Background(), &inst, mapping.Interval, pipeline.Overlap, batch.Options{})
+	}()
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("PeriodEnergyCtx error %v, want the validation error %v", err, want)
+	}
+}
+
+// TestExhaustiveRefusesOversizedSpace: an instance with more interval
+// mappings than the enumeration limit is refused with
+// exact.ErrSearchSpace before anything is enumerated.
+func TestExhaustiveRefusesOversizedSpace(t *testing.T) {
+	inst := workload.MustInstance(rand.New(rand.NewSource(1)), workload.Config{
+		Apps: 1, MinStages: 7, MaxStages: 7, Procs: 7, Modes: 3,
+		Class: pipeline.FullyHeterogeneous, MaxWork: 9, MaxData: 4, MaxSpeed: 8,
+	})
+	n, err := exact.CountMappings(&inst, exact.Options{Rule: mapping.Interval, Limit: math.MaxInt64})
+	if err != nil || n <= 20_000_000 {
+		t.Fatalf("instance has %d mappings (%v), want more than the default limit", n, err)
+	}
+	start := time.Now()
+	if _, err := PeriodEnergyCtx(context.Background(), &inst, mapping.Interval, pipeline.Overlap, batch.Options{}); !errors.Is(err, exact.ErrSearchSpace) {
+		t.Fatalf("oversized frontier returned %v, want exact.ErrSearchSpace", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("refusal took %v: the space was enumerated", d)
 	}
 }
 
@@ -252,7 +310,7 @@ func TestFrontierIsMonotone(t *testing.T) {
 		Apps: 2, MinStages: 2, MaxStages: 4, Procs: 6, Modes: 3,
 		Class: pipeline.FullyHomogeneous, MaxWork: 9, MaxData: 4, MaxSpeed: 8,
 	})
-	front, err := PeriodEnergyFullyHom(&inst, pipeline.Overlap)
+	front, err := PeriodEnergyCtx(context.Background(), &inst, mapping.Interval, pipeline.Overlap, batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

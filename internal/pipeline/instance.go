@@ -149,9 +149,6 @@ type Instance struct {
 	Energy   EnergyModel
 }
 
-// NumApps returns A.
-func (in *Instance) NumApps() int { return len(in.Apps) }
-
 // TotalStages returns N = sum of n_a.
 func (in *Instance) TotalStages() int {
 	n := 0

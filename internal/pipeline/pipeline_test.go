@@ -248,9 +248,6 @@ func TestInstanceValidate(t *testing.T) {
 	if got := inst.TotalStages(); got != 7 {
 		t.Errorf("TotalStages = %d, want 7", got)
 	}
-	if got := inst.NumApps(); got != 2 {
-		t.Errorf("NumApps = %d, want 2", got)
-	}
 	// Platform sized for the wrong number of apps must fail.
 	bad := inst.Clone()
 	bad.Apps = bad.Apps[:1]

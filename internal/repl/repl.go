@@ -79,23 +79,6 @@ func Lift(m *mapping.Mapping) Mapping {
 	return rm
 }
 
-// Flatten converts a replicated mapping with single replicas back to a
-// plain mapping; it fails if any interval is actually replicated.
-func (rm *Mapping) Flatten() (mapping.Mapping, error) {
-	m := mapping.Mapping{Apps: make([]mapping.AppMapping, len(rm.Apps))}
-	for a := range rm.Apps {
-		for _, iv := range rm.Apps[a].Intervals {
-			if len(iv.Replicas) != 1 {
-				return mapping.Mapping{}, fmt.Errorf("repl: interval [%d,%d] has %d replicas", iv.From, iv.To, len(iv.Replicas))
-			}
-			m.Apps[a].Intervals = append(m.Apps[a].Intervals, mapping.PlacedInterval{
-				From: iv.From, To: iv.To, Proc: iv.Replicas[0].Proc, Mode: iv.Replicas[0].Mode,
-			})
-		}
-	}
-	return m, nil
-}
-
 // Clone returns a deep copy.
 func (rm *Mapping) Clone() Mapping {
 	c := Mapping{Apps: make([]AppMapping, len(rm.Apps))}

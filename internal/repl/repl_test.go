@@ -79,24 +79,6 @@ func TestLiftMatchesPlainEvaluation(t *testing.T) {
 		if !fmath.EQ(repl.Energy(&inst, &rm), mapping.Energy(&inst, &m)) {
 			t.Fatalf("trial %d: lifted energy differs", trial)
 		}
-		back, err := rm.Flatten()
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if back.String() != m.String() {
-			t.Fatalf("trial %d: flatten round trip changed mapping", trial)
-		}
-	}
-}
-
-func TestFlattenRejectsReplicated(t *testing.T) {
-	inst := twoStageInstance(3)
-	rm, _, err := repl.MinPeriodFullyHom(&inst, pipeline.Overlap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rm.Flatten(); err == nil {
-		t.Error("replicated mapping flattened without error")
 	}
 }
 

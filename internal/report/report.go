@@ -1,10 +1,8 @@
 // Package report renders the experiment harness output: aligned text tables
-// (mirroring the paper's Tables 1-2 and the derived measurement tables) and
-// CSV for downstream plotting.
+// mirroring the paper's Tables 1-2 and the derived measurement tables.
 package report
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
@@ -96,21 +94,6 @@ func (t *Table) Render(w io.Writer) {
 	for _, r := range t.Rows {
 		writeRow(r)
 	}
-}
-
-// CSV writes the table (headers then rows) as CSV.
-func (t *Table) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Headers); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := cw.Write(r); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Fmt renders a float compactly: integers without decimals, infinities as

@@ -38,20 +38,6 @@ func TestAddf(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	tb := New("t", "x", "y")
-	tb.Add("1", "2")
-	tb.Add("3", "4,4") // needs quoting
-	var buf bytes.Buffer
-	if err := tb.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "x,y\n1,2\n3,\"4,4\"\n"
-	if buf.String() != want {
-		t.Errorf("CSV = %q, want %q", buf.String(), want)
-	}
-}
-
 func TestFmt(t *testing.T) {
 	cases := []struct {
 		x    float64

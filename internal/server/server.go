@@ -28,8 +28,8 @@
 // the same cache key. Every error path answers a structured JSON document
 // {"error": "...", "code": "..."} — never an empty body (see
 // TestPropertyErrorResponses); codes are the stable machine-readable
-// vocabulary of internal/jobspec (infeasible, timeout, degraded, shed,
-// invalid, internal).
+// vocabulary of internal/jobspec (infeasible, unresolved, timeout,
+// degraded, shed, invalid, internal).
 //
 // In front of that path, /v1/solve has a front tier: a memo (internal/memo)
 // keyed by the exact request body, whose value is the finished response —
@@ -487,7 +487,7 @@ func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 	for i := range front {
 		pt := paretoPointJSON{Period: jobspec.Float(front[i].Period), Energy: jobspec.Float(front[i].Energy)}
 		if body.IncludeMappings {
-			mj, err := mapping.MarshalJSON(&front[i].Mapping)
+			mj, err := json.Marshal(&front[i].Mapping)
 			if err != nil {
 				jobspec.WriteError(w, http.StatusInternalServerError, err)
 				return
@@ -528,9 +528,16 @@ type simulateResponse struct {
 	Results []simAppJSON `json:"results"`
 }
 
+// maxDatasets caps a /v1/simulate request's datasets: the simulator holds
+// one float64 per data set and application, so an unchecked count is an
+// allocation the client chooses. The default for Figure 1 is under 200.
+const maxDatasets = 100_000
+
 // handleSimulate replays a mapping through the discrete-event simulator
 // and reports measured next to analytic period and latency per
-// application (the same numbers pipesim prints as a table).
+// application (the same numbers pipesim prints as a table). A datasets
+// value of 0 or less asks for the simulator's default; one above
+// maxDatasets is refused as invalid.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var body simulateRequest
 	if err := jobspec.DecodeBody(r.Body, &body); err != nil {
@@ -539,6 +546,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	if body.Instance == nil || body.Mapping == nil {
 		jobspec.WriteError(w, http.StatusBadRequest, errors.New("simulate request needs instance and mapping"))
+		return
+	}
+	if body.Datasets > maxDatasets {
+		jobspec.WriteError(w, http.StatusBadRequest, fmt.Errorf("simulate request asks for %d datasets, at most %d", body.Datasets, maxDatasets))
 		return
 	}
 	inst, err := pipeline.DecodeJSON(bytes.NewReader(body.Instance))

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jobspec"
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
 	"repro/internal/servetest"
@@ -342,6 +343,59 @@ func TestSimulateEndpoint(t *testing.T) {
 		if diff := r.MeasuredLatency - r.AnalyticLatency; diff > 1e-9 || diff < -1e-9 {
 			t.Errorf("%s: measured latency %g != analytic %g", r.App, r.MeasuredLatency, r.AnalyticLatency)
 		}
+	}
+}
+
+// TestSimulateDatasetsCap: a datasets count above maxDatasets is refused
+// as 400 invalid before the simulator allocates for it; 0 and negative
+// counts keep asking for the default.
+func TestSimulateDatasetsCap(t *testing.T) {
+	s := New(Config{})
+	body := func(datasets string) string {
+		return `{"instance": ` + servetest.Fig1JSON(t) + `, "mapping": ` + servetest.Fig1Mapping + `, "datasets": ` + datasets + `}`
+	}
+	for _, c := range []struct {
+		datasets string
+		status   int
+	}{
+		{"4611686018427387904", http.StatusBadRequest},
+		{fmt.Sprint(maxDatasets + 1), http.StatusBadRequest},
+		{fmt.Sprint(maxDatasets), http.StatusOK},
+		{"0", http.StatusOK},
+		{"-1", http.StatusOK},
+	} {
+		rec := post(s, "/v1/simulate", body(c.datasets))
+		if rec.Code != c.status {
+			t.Fatalf("datasets %s: status %d, want %d: %s", c.datasets, rec.Code, c.status, rec.Body.String())
+		}
+		if c.status != http.StatusOK {
+			var e struct{ Code string }
+			decode(t, rec, &e)
+			if e.Code != jobspec.CodeInvalid {
+				t.Errorf("datasets %s: code %q, want invalid", c.datasets, e.Code)
+			}
+		}
+	}
+}
+
+// TestParetoHugeFrontierIsInvalid: a frontier outside the polynomial
+// classes whose mappings are too many to enumerate is refused as 422
+// invalid after counting them, without enumerating any.
+func TestParetoHugeFrontierIsInvalid(t *testing.T) {
+	s := New(Config{})
+	start := time.Now()
+	rec := post(s, "/v1/pareto", `{"instance": `+servetest.HugeFrontierJSON(t)+`, "rule": "interval"}`)
+	elapsed := time.Since(start)
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", rec.Code, rec.Body.String())
+	}
+	var e struct{ Code string }
+	decode(t, rec, &e)
+	if e.Code != jobspec.CodeInvalid {
+		t.Errorf("code %q, want invalid", e.Code)
+	}
+	if elapsed > 5*time.Second {
+		t.Errorf("refusal took %v: the space was enumerated", elapsed)
 	}
 }
 

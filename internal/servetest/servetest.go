@@ -15,12 +15,39 @@ import (
 	"testing"
 
 	"repro/internal/pipeline"
+	"repro/internal/workload"
 )
 
 // Fig1JSON is the Section 2 instance as a JSON document.
 func Fig1JSON(t testing.TB) string {
 	t.Helper()
 	inst := pipeline.MotivatingExample()
+	var buf bytes.Buffer
+	if err := pipeline.EncodeJSON(&buf, &inst); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// Fig1Mapping is a valid interval mapping of the Section 2 instance as a
+// JSON document: each application whole on its own processor.
+const Fig1Mapping = `{"apps": [{"intervals": [{"from": 0, "to": 2, "proc": 0, "mode": 0}]},
+	{"intervals": [{"from": 0, "to": 3, "proc": 1, "mode": 0}]}]}`
+
+// HugeFrontierJSON is a generated instance whose interval mappings are
+// too many to enumerate: one application of 7 stages on 7 fully
+// heterogeneous processors of 3 modes each, 43,700,979 interval mappings
+// against the exhaustive Pareto front's limit of 20 million.
+func HugeFrontierJSON(t testing.TB) string {
+	t.Helper()
+	inst, err := workload.Instance(rand.New(rand.NewSource(1)), workload.Config{
+		Apps: 1, MinStages: 7, MaxStages: 7, Procs: 7, Modes: 3,
+		Class: pipeline.FullyHeterogeneous, MaxWork: 9, MaxData: 4, MaxSpeed: 8, MaxBandwidth: 4,
+		Energy: pipeline.DefaultEnergy,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := pipeline.EncodeJSON(&buf, &inst); err != nil {
 		t.Fatal(err)
