@@ -7,6 +7,7 @@ package repro
 // regenerates every number recorded in EXPERIMENTS.md.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -380,7 +381,7 @@ func BenchmarkParetoFront(b *testing.B) {
 		inst := pipeline.MotivatingExample()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := exact.ParetoFront(&inst, mapping.Interval, pipeline.Overlap); err != nil {
+			if _, err := exact.ParetoFront(context.Background(), &inst, mapping.Interval, pipeline.Overlap); err != nil {
 				b.Fatal(err)
 			}
 		}

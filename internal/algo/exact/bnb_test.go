@@ -223,7 +223,7 @@ func TestCountMappingsDPMatchesEnumeration(t *testing.T) {
 			for _, modes := range []ModePolicy{AllModes, FastestOnly} {
 				opt := Options{Rule: rule, Modes: modes}
 				var brute int64
-				if err := Enumerate(&inst, opt, func(m *mapping.Mapping) { brute++ }); err != nil {
+				if err := Enumerate(&inst, opt, func(*mapping.Mapping) error { brute++; return nil }); err != nil {
 					t.Fatalf("trial %d: Enumerate: %v", trial, err)
 				}
 				got, ok := countDP(&inst, opt)

@@ -26,7 +26,7 @@ func CountMappings(inst *pipeline.Instance, opt Options) (int64, error) {
 		return n, nil
 	}
 	var n int64
-	err := Enumerate(inst, opt, func(m *mapping.Mapping) { n++ })
+	err := Enumerate(inst, opt, func(*mapping.Mapping) error { n++; return nil })
 	if err != nil {
 		return 0, fmt.Errorf("counting mappings: %w", err)
 	}

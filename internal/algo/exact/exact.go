@@ -15,6 +15,7 @@
 package exact
 
 import (
+	"context"
 	"errors"
 	"sync"
 
@@ -49,8 +50,8 @@ type Options struct {
 	Rule mapping.Rule
 	// Modes selects the mode enumeration policy.
 	Modes ModePolicy
-	// Limit bounds the number of complete mappings visited; 0 means the
-	// default of 20 million.
+	// Limit bounds the number of complete mappings visited; 0 means
+	// DefaultLimit.
 	Limit int64
 	// Budget bounds the work of Minimize: the number of (interval,
 	// processor, mode) placements it tries, counted before each is vetted
@@ -67,17 +68,22 @@ type Options struct {
 	NoPrune bool
 }
 
+// DefaultLimit is the number of complete mappings a search visits when
+// Options.Limit is 0.
+const DefaultLimit = 20_000_000
+
 func (o Options) limit() int64 {
 	if o.Limit <= 0 {
-		return 20_000_000
+		return DefaultLimit
 	}
 	return o.Limit
 }
 
 // Enumerate visits every valid mapping of inst under the options. The
 // *mapping.Mapping passed to visit is reused across calls; visit must clone
-// it if it escapes. Returns ErrSearchSpace when the limit is hit.
-func Enumerate(inst *pipeline.Instance, opt Options, visit func(m *mapping.Mapping)) error {
+// it if it escapes. A non-nil error from visit stops the walk and is
+// returned as is. Returns ErrSearchSpace when the limit is hit.
+func Enumerate(inst *pipeline.Instance, opt Options, visit func(m *mapping.Mapping) error) error {
 	e := enumPool.Get().(*enumerator)
 	p := inst.Platform.NumProcessors()
 	e.inst, e.opt, e.visit = inst, opt, visit
@@ -105,7 +111,7 @@ type enumerator struct {
 	used  []bool
 	free  int // count of false entries in used, maintained incrementally
 	m     mapping.Mapping
-	visit func(m *mapping.Mapping)
+	visit func(m *mapping.Mapping) error
 	left  int64
 }
 
@@ -117,8 +123,7 @@ func (e *enumerator) app(a int) error {
 		if e.left < 0 {
 			return ErrSearchSpace
 		}
-		e.visit(&e.m)
-		return nil
+		return e.visit(&e.m)
 	}
 	return e.intervals(a, 0)
 }
@@ -193,14 +198,23 @@ func (p Point) Dominates(q Point) bool {
 // (period, latency, energy) points, sorted by period. This is the full
 // trade-off surface discussed in the introduction (laptop and server
 // problems). It counts the mappings first and returns ErrSearchSpace,
-// without enumerating, when there are more than the default limit.
-func ParetoFront(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) ([]Point, error) {
+// without enumerating, when there are more than DefaultLimit. It polls
+// ctx at the first mapping and every 1024 after it (a count, not a
+// clock) and returns the context's error once it is done.
+func ParetoFront(ctx context.Context, inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) ([]Point, error) {
 	opt := Options{Rule: rule, Modes: AllModes}
 	if _, err := CountMappings(inst, opt); err != nil {
 		return nil, err
 	}
 	var front []Point
-	err := Enumerate(inst, opt, func(m *mapping.Mapping) {
+	leaves := 0
+	err := Enumerate(inst, opt, func(m *mapping.Mapping) error {
+		if leaves%1024 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		leaves++
 		// Three scalar evaluations, not mapping.Evaluate: the full metrics
 		// carry per-app slices that would allocate at every leaf.
 		cand := Point{
@@ -210,7 +224,7 @@ func ParetoFront(inst *pipeline.Instance, rule mapping.Rule, model pipeline.Comm
 		}
 		for _, q := range front {
 			if q.Dominates(cand) || (fmath.EQ(q.Period, cand.Period) && fmath.EQ(q.Latency, cand.Latency) && fmath.EQ(q.Energy, cand.Energy)) {
-				return
+				return nil
 			}
 		}
 		cand.Mapping = m.Clone()
@@ -221,6 +235,7 @@ func ParetoFront(inst *pipeline.Instance, rule mapping.Rule, model pipeline.Comm
 			}
 		}
 		front = append(keep, cand)
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -82,11 +83,9 @@ func TestEnumerateVisitsOnlyValidMappings(t *testing.T) {
 				continue
 			}
 			count := 0
-			err := Enumerate(&inst, Options{Rule: rule, Modes: AllModes}, func(m *mapping.Mapping) {
+			err := Enumerate(&inst, Options{Rule: rule, Modes: AllModes}, func(m *mapping.Mapping) error {
 				count++
-				if err := m.Validate(&inst, rule); err != nil {
-					t.Fatalf("trial %d: invalid mapping enumerated: %v", trial, err)
-				}
+				return m.Validate(&inst, rule)
 			})
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
@@ -150,7 +149,7 @@ func TestInfeasibleBounds(t *testing.T) {
 
 func TestParetoFrontProperties(t *testing.T) {
 	inst := pipeline.MotivatingExample()
-	front, err := ParetoFront(&inst, mapping.Interval, pipeline.Overlap)
+	front, err := ParetoFront(context.Background(), &inst, mapping.Interval, pipeline.Overlap)
 	if err != nil {
 		t.Fatal(err)
 	}

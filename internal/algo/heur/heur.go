@@ -5,6 +5,10 @@
 // for the tri-criteria problem as future work; this package implements
 // them: greedy constructive mappings, a mode "speed-down" pass, and a
 // simulated-annealing local search over the interval-mapping neighbourhood.
+// A caller that already holds a mapping (the dispatcher passes the
+// incumbent of a branch-and-bound search that ran out of budget) hands it
+// over as Options.Start, and the first restart anneals from it instead of
+// the greedy construction.
 //
 // Minimize is the one entry point. It takes a pipeline.Goal, the problem
 // statement the dispatcher and the exact search share: one criterion,
@@ -44,6 +48,12 @@ type Options struct {
 	Iters int
 	// Restarts is the number of independent searches (default 3).
 	Restarts int
+	// Start, when it holds a mapping, replaces restart 0's greedy
+	// construction: that restart anneals from a copy of it, which must
+	// be valid under the search's rule. Later restarts are the usual
+	// randomized rounds. The greedy round draws nothing from the rng, so
+	// the annealer's draws start at the same point either way.
+	Start mapping.Mapping
 }
 
 func (o Options) withDefaults() Options {
@@ -56,22 +66,30 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Minimize runs the full heuristic pipeline (greedy construction, simulated
-// annealing, speed-down polish) on goal. The returned value is the best
-// score reached, possibly +Inf when no mapping met the goal's bounds.
+// Minimize runs the full heuristic pipeline (greedy construction or
+// opt.Start, simulated annealing, speed-down polish) on goal. The returned
+// value is the best score reached, possibly +Inf when no mapping met the
+// goal's bounds.
 func Minimize(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, goal pipeline.Goal, opt Options) (mapping.Mapping, float64, error) {
 	return search(rng, newEvaluator(inst, goal), rule, opt)
 }
 
-// search runs restarts of (greedy init + speed-up + annealing +
-// speed-down).
+// search runs restarts of (greedy init, or opt.Start on restart 0;
+// speed-up; annealing; speed-down).
 func search(rng *rand.Rand, ev *evaluator, rule mapping.Rule, opt Options) (mapping.Mapping, float64, error) {
 	opt = opt.withDefaults()
 	var best mapping.Mapping
 	bestV := math.Inf(1)
 	haveBest := false
 	for r := 0; r < opt.Restarts; r++ {
-		m, err := initial(rng, ev.inst, rule, r)
+		var m mapping.Mapping
+		var err error
+		if r == 0 && len(opt.Start.Apps) > 0 {
+			m = opt.Start.Clone()
+			err = m.Validate(ev.inst, rule)
+		} else {
+			m, err = initial(rng, ev.inst, rule, r)
+		}
 		if err != nil {
 			return mapping.Mapping{}, 0, err
 		}

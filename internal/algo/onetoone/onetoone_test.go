@@ -129,8 +129,9 @@ func TestAllOneToOneEquivalentFullyHom(t *testing.T) {
 		}
 		inst := workload.MustInstance(rng, cfg)
 		var lats []float64
-		err := exact.Enumerate(&inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, func(m *mapping.Mapping) {
+		err := exact.Enumerate(&inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, func(m *mapping.Mapping) error {
 			lats = append(lats, mapping.Latency(&inst, m))
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,14 @@
 package core_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/algo/exact"
@@ -90,12 +97,12 @@ func TestUnresolvedIsNotInfeasible(t *testing.T) {
 	}
 }
 
-// BenchmarkSolveBeyondExactLimit times Solve on the first 64 NP-hard jobs
-// past the exact limit among seed 11's draws at the service benchmark's
-// generator sizes: the path where the budgeted branch-and-bound search
-// runs first and the annealer takes over when it runs out. One op
-// answers every job once.
-func BenchmarkSolveBeyondExactLimit(b *testing.B) {
+// beyondJobs returns the first 64 NP-hard jobs past the exact limit among
+// seed 11's draws at the service benchmark's generator sizes: the path
+// where the budgeted branch-and-bound search runs first and the annealer
+// takes over, from the search's incumbent, when it runs out.
+func beyondJobs(tb testing.TB) []gen.Scenario {
+	tb.Helper()
 	space := gen.DefaultSpace()
 	space.MaxStagesPerApp, space.MaxTotalStages, space.MaxProcs = 8, 10, 10
 	var jobs []gen.Scenario
@@ -112,6 +119,89 @@ func BenchmarkSolveBeyondExactLimit(b *testing.B) {
 		}
 		jobs = append(jobs, sc)
 	}
+	return jobs
+}
+
+// beyondPinDigest is the SHA-256 of beyondJobs' answers, recorded when the
+// annealer started from the budgeted search's incumbent with one restart.
+const beyondPinDigest = "29eac11997c37779d45af7eb47d87c5a025d225a9765a41dc3be4e2f8d5ec760"
+
+// TestBeyondAnswersPinned hashes the answers to beyondJobs (method, value,
+// lower bound, the degraded flag and the mapping; an error's text for the
+// jobs that answer one) and compares them with a digest recorded from an
+// earlier build, so a change to the degraded path's answers, not only to
+// its speed, fails here. amd64 only, like the forced-heuristic pins: the
+// annealer's acceptance test calls math.Exp.
+func TestBeyondAnswersPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digest recorded on amd64; %s rounds math.Exp/Pow differently", runtime.GOARCH)
+	}
+	h := sha256.New()
+	degraded := 0
+	for _, sc := range beyondJobs(t) {
+		res, err := core.Solve(&sc.Inst, sc.Req)
+		if err != nil {
+			if !errors.Is(err, core.ErrInfeasible) && !errors.Is(err, core.ErrUnresolved) {
+				t.Fatalf("%s: %v", sc.Name, err)
+			}
+			h.Write([]byte(err.Error()))
+			continue
+		}
+		if res.Degraded {
+			degraded++
+		}
+		var buf [8]byte
+		for _, f := range []float64{res.Value, res.LowerBound} {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
+			h.Write(buf[:])
+		}
+		js, err := json.Marshal(&res.Mapping)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %v %s", res.Method, res.Degraded, js)
+	}
+	if degraded == 0 {
+		t.Fatal("no job took the degraded path")
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != beyondPinDigest {
+		t.Errorf("digest of the answers (%d degraded) = %s, want %s", degraded, got, beyondPinDigest)
+	}
+}
+
+// TestDegradedNeverAboveIncumbent checks the better-of-two rule past the
+// exact limit, with the default restarts and with explicit ones (restart 0
+// from the incumbent, the rest cold): a degraded answer's value is never
+// above the incumbent of the budgeted search that ran out, and a search
+// that left one never answers ErrUnresolved.
+func TestDegradedNeverAboveIncumbent(t *testing.T) {
+	checked := 0
+	for _, sc := range beyondJobs(t) {
+		opt, goal := core.ExactProblem(sc.Req)
+		opt.Budget = core.ExactWork
+		sol, berr := exact.Minimize(&sc.Inst, opt, goal)
+		if !errors.Is(berr, exact.ErrSearchSpace) || len(sol.Mapping.Apps) == 0 {
+			continue
+		}
+		for _, restarts := range []int{0, 3} {
+			req := sc.Req
+			req.HeurIters, req.HeurRestarts = 400, restarts
+			res, err := core.Solve(&sc.Inst, req)
+			if err != nil || !res.Degraded || !fmath.LE(res.Value, sol.Value) {
+				t.Fatalf("%s, %d restarts: answered %v degraded %v (%v), incumbent %v", sc.Name, restarts, res.Value, res.Degraded, err, sol.Value)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no job left an incumbent")
+	}
+}
+
+// BenchmarkSolveBeyondExactLimit times Solve on beyondJobs. One op
+// answers every job once.
+func BenchmarkSolveBeyondExactLimit(b *testing.B) {
+	jobs := beyondJobs(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -11,7 +11,9 @@
 //     fixed work budget otherwise, where most searches still end and so
 //     are just as exact, and
 //   - the heuristics of the conclusion's future-work programme when that
-//     budget runs out,
+//     budget runs out: by default one simulated-annealing run from the
+//     best mapping the search found, or three cold ones when it found
+//     none,
 //
 // and reports which path was taken and whether the result is provably
 // optimal. Every bound a request carries constrains the answer, whatever
@@ -90,8 +92,11 @@ type Request struct {
 	ExactLimit int64
 	// Seed drives the heuristic fallback (deterministic per seed).
 	Seed int64
-	// HeurIters and HeurRestarts tune the heuristic fallback (defaults
-	// 4000 and 3).
+	// HeurIters and HeurRestarts tune the heuristic fallback: annealing
+	// steps per restart (default 4000) and restarts. When the budgeted
+	// search leaves a mapping, restart 0 anneals from it and the rest are
+	// cold, and the default is 1 restart; otherwise every restart is cold
+	// and the default is 3.
 	HeurIters, HeurRestarts int
 }
 
@@ -117,7 +122,8 @@ type Result struct {
 	// Degraded reports that the exact path was abandoned (search space over
 	// ExactLimit and the search's work budget spent), so Value is only an
 	// upper bound on the optimum: the better of the annealer's mapping and
-	// the search's incumbent. Degraded holds iff Method is MethodHeuristic.
+	// the search's incumbent, which is also where the annealer starts.
+	// Degraded holds iff Method is MethodHeuristic.
 	Degraded bool
 	// LowerBound is a provable lower bound on the constrained optimum,
 	// populated only on degraded results so callers can report the bound
@@ -417,9 +423,9 @@ func (r Request) goal() pipeline.Goal {
 // own criterion. Within the exact limit it runs the branch-and-bound
 // search to the end. Beyond it, the search gets a work budget of
 // min(ExactLimit, exactWork) placements: a search that ends within it is
-// just as exact, and one that runs out hands over to the annealer. The
-// answer is then the better of the annealer's mapping and the search's
-// incumbent, tagged Degraded.
+// just as exact, and one that runs out hands its incumbent, if any, to
+// the annealer as the starting mapping. The answer is then the better of
+// the annealer's mapping and the search's incumbent, tagged Degraded.
 func fallback(inst *pipeline.Instance, req Request) (Result, error) {
 	opt, goal := ExactProblem(req)
 	if !withinExactLimit(inst, req) {
@@ -434,9 +440,9 @@ func fallback(inst *pipeline.Instance, req Request) (Result, error) {
 	case !errors.Is(err, exact.ErrSearchSpace):
 		return Result{}, err
 	}
-	// A mapping the search found is never lost: it answers when the
-	// annealer found none or a worse one.
-	res, err := heuristicSolve(inst, req)
+	// A mapping the search found is never lost: the annealer starts from
+	// it, and it answers when the annealer found none or a worse one.
+	res, err := heuristicSolve(inst, req, sol.Mapping)
 	if len(sol.Mapping.Apps) > 0 && (errors.Is(err, ErrUnresolved) || (err == nil && fmath.LT(sol.Value, res.Value))) {
 		res, err = wrap(inst, req, sol.Mapping, sol.Value, MethodHeuristic, false, nil)
 	}
@@ -517,10 +523,16 @@ func withinExactLimit(inst *pipeline.Instance, req Request) bool {
 }
 
 // heuristicSolve runs the heuristic search on the request's goal: its
-// objective, penalized to +Inf outside its bounds and budget.
-func heuristicSolve(inst *pipeline.Instance, req Request) (Result, error) {
+// objective, penalized to +Inf outside its bounds and budget. A non-empty
+// start (the budgeted search's incumbent) is restart 0's starting
+// mapping, and then one restart is the default: cold restarts rarely beat
+// an anneal from a mapping the search already found.
+func heuristicSolve(inst *pipeline.Instance, req Request, start mapping.Mapping) (Result, error) {
 	rng := rand.New(rand.NewSource(req.Seed + 1))
-	opt := heur.Options{Iters: req.HeurIters, Restarts: req.HeurRestarts}
+	opt := heur.Options{Iters: req.HeurIters, Restarts: req.HeurRestarts, Start: start}
+	if len(start.Apps) > 0 && opt.Restarts <= 0 {
+		opt.Restarts = 1
+	}
 	m, v, err := heur.Minimize(rng, inst, req.Rule, req.goal(), opt)
 	if err != nil {
 		return Result{}, err

@@ -40,10 +40,16 @@ type BeyondSummary struct {
 	Infeasible int
 	// Unresolved counts core.ErrUnresolved answers, which claim nothing.
 	Unresolved int
-	// Degraded counts degraded answers; DegradedChecked those whose
-	// branch-and-bound optimum was found within beyondWork and compared
-	// with the answer.
-	Degraded, DegradedChecked int
+	// Degraded counts degraded answers; Settled those whose
+	// branch-and-bound search ended within beyondWork, so the answer was
+	// compared with the optimum; Optimal those among them equal to it
+	// (fmath.EQ).
+	Degraded, Settled, Optimal int
+	// RatioP50, RatioP90 and RatioMax are the nearest-rank median, 90th
+	// percentile and maximum of value/optimum over the settled degraded
+	// answers: how far the degraded path lands from the optimum. They are
+	// 0 when nothing settled.
+	RatioP50, RatioP90, RatioMax float64
 	// Failures counts the disagreements, reported or not.
 	Failures int
 }
@@ -74,6 +80,7 @@ func Beyond(space gen.Space, seed int64, n int) (BeyondSummary, error) {
 
 	var sum BeyondSummary
 	var reported []error
+	var ratios []float64
 	for i := range outs {
 		o := &outs[i]
 		if o.skipped {
@@ -89,8 +96,14 @@ func Beyond(space gen.Space, seed int64, n int) (BeyondSummary, error) {
 		if o.degraded {
 			sum.Degraded++
 		}
-		if o.checked {
-			sum.DegradedChecked++
+		if o.settled {
+			sum.Settled++
+		}
+		if o.ratio > 0 {
+			ratios = append(ratios, o.ratio)
+		}
+		if o.optimal {
+			sum.Optimal++
 		}
 		if o.err == nil {
 			continue
@@ -100,15 +113,18 @@ func Beyond(space gen.Space, seed int64, n int) (BeyondSummary, error) {
 			reported = append(reported, o.err)
 		}
 	}
+	sum.RatioP50, sum.RatioP90, sum.RatioMax = fmath.Percentile(ratios, 0.5), fmath.Percentile(ratios, 0.9), fmath.Percentile(ratios, 1)
 	return sum, errors.Join(reported...)
 }
 
 // beyondOutcome is one scenario's check: which answer the solver gave,
-// whether the branch-and-bound search adjudicated a degraded one, and the
-// disagreement if any.
+// whether the branch-and-bound search adjudicated a degraded one and, when
+// it found the optimum, the answer's value/optimum ratio (0 otherwise) and
+// whether the answer is optimal, and the disagreement if any.
 type beyondOutcome struct {
-	skipped, infeasible, unresolved, degraded, checked bool
-	err                                                error
+	skipped, infeasible, unresolved, degraded, settled, optimal bool
+	ratio                                                       float64
+	err                                                         error
 }
 
 // checkBeyond solves one scenario and checks its answer against the
@@ -140,7 +156,7 @@ func checkBeyond(sc *gen.Scenario) (o beyondOutcome) {
 	o.degraded = true
 	opt.Budget = beyondWork
 	sol, berr := exact.Minimize(&sc.Inst, opt, goal)
-	o.checked = berr == nil || errors.Is(berr, exact.ErrInfeasible)
+	o.settled = berr == nil || errors.Is(berr, exact.ErrInfeasible)
 	switch {
 	case errors.Is(berr, exact.ErrSearchSpace):
 	case errors.Is(berr, exact.ErrInfeasible):
@@ -149,6 +165,8 @@ func checkBeyond(sc *gen.Scenario) (o beyondOutcome) {
 		o.err = fmt.Errorf("branch and bound failed: %w", berr)
 	case !fmath.GE(res.Value, sol.Value):
 		o.err = fmt.Errorf("degraded value %g beats the branch-and-bound optimum %g", res.Value, sol.Value)
+	default:
+		o.ratio, o.optimal = res.Value/sol.Value, fmath.EQ(res.Value, sol.Value)
 	}
 	return o
 }

@@ -402,17 +402,17 @@ func bruteForce(inst *pipeline.Instance, req core.Request, limit int64) (float64
 	}
 	best := math.Inf(1)
 	found := false
-	err := exact.Enumerate(inst, exact.Options{Rule: req.Rule, Modes: modes, Limit: limit}, func(m *mapping.Mapping) {
+	err := exact.Enumerate(inst, exact.Options{Rule: req.Rule, Modes: modes, Limit: limit}, func(m *mapping.Mapping) error {
 		for a := range m.Apps {
 			if req.PeriodBounds != nil && !fmath.LE(mapping.AppPeriod(inst, m, a, req.Model), req.PeriodBounds[a]) {
-				return
+				return nil
 			}
 			if req.LatencyBounds != nil && !fmath.LE(mapping.AppLatency(inst, m, a), req.LatencyBounds[a]) {
-				return
+				return nil
 			}
 		}
 		if req.EnergyBudget > 0 && !fmath.LE(mapping.Energy(inst, m), req.EnergyBudget) {
-			return
+			return nil
 		}
 		var v float64
 		switch req.Objective {
@@ -426,6 +426,7 @@ func bruteForce(inst *pipeline.Instance, req core.Request, limit int64) (float64
 		if !found || v < best {
 			best, found = v, true
 		}
+		return nil
 	})
 	if err != nil {
 		return 0, err

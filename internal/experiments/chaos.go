@@ -8,13 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/batch"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/fmath"
 	"repro/internal/gen"
 	"repro/internal/pipeline"
 	"repro/internal/plan"
@@ -105,7 +105,7 @@ func Chaos(w io.Writer, seed int64, n int) error {
 		return fmt.Errorf("experiments: chaos shed burst: %w", err)
 	}
 
-	p50, p99 := percentile(latencies, 0.50), percentile(latencies, 0.99)
+	p50, p99 := fmath.Percentile(latencies, 0.50), fmath.Percentile(latencies, 0.99)
 	total := resolved + inapplic + infeasible + unresolved
 	degradedRate := 0.0
 	if resolved > 0 {
@@ -238,16 +238,4 @@ func chaosShedBurst() (rate float64, okCount, shedCount int, err error) {
 		}
 	}
 	return float64(shedCount) / float64(burst), okCount, shedCount, nil
-}
-
-// percentile returns the pth (0..1) percentile of xs by nearest-rank, or
-// 0 for an empty sample.
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	i := int(p*float64(len(s)-1) + 0.5)
-	return s[i]
 }

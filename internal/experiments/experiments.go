@@ -16,6 +16,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -162,7 +163,7 @@ func relDev(got, want float64) float64 {
 // (experiment PARETO).
 func Pareto(w io.Writer) error {
 	inst := pipeline.MotivatingExample()
-	front, err := exact.ParetoFront(&inst, mapping.Interval, pipeline.Overlap)
+	front, err := exact.ParetoFront(context.Background(), &inst, mapping.Interval, pipeline.Overlap)
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,10 @@
 // noise, never modelling error.
 package fmath
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // Eps is the relative tolerance used by the comparison helpers.
 const Eps = 1e-9
@@ -54,6 +57,18 @@ func SortedUnique(xs []float64) []float64 {
 		}
 	}
 	return out
+}
+
+// Percentile returns the pth (0..1) percentile of xs by nearest rank, or
+// 0 for an empty sample. xs is not modified.
+func Percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	i := int(p*float64(len(s)-1) + 0.5)
+	return s[i]
 }
 
 func quickSort(xs []float64, lo, hi int) {

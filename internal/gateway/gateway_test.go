@@ -849,6 +849,36 @@ func TestGatewaySimulateDatasetsCap(t *testing.T) {
 	}
 }
 
+// TestGatewayEffortCaps: a /v1/solve or /v1/batch request over an effort
+// cap is answered through the gateway as a replica answers it, 400
+// invalid, and the replica stays in the ring.
+func TestGatewayEffortCaps(t *testing.T) {
+	urls, _ := startReplicas(t, 1, server.Config{})
+	g := newGateway(t, urls, Config{})
+	for _, field := range []string{`"heurIters": 1000001`, `"heurRestarts": 17`, `"exactLimit": 20000001`} {
+		req := `{"objective": "period", ` + field + `}`
+		for _, c := range []struct{ path, body string }{
+			{"/v1/solve", `{"instance": ` + servetest.Fig1JSON(t) + `, "request": ` + req + `}`},
+			{"/v1/batch", `{"instance": ` + servetest.Fig1JSON(t) + `, "jobs": [{"request": {}}, {"request": ` + req + `}]}`},
+		} {
+			direct := httptest.NewRecorder()
+			server.New(server.Config{}).ServeHTTP(direct, httptest.NewRequest("POST", c.path, strings.NewReader(c.body)))
+			rec := postGateway(g, c.path, c.body)
+			if rec.Code != http.StatusBadRequest || rec.Code != direct.Code || rec.Body.String() != direct.Body.String() {
+				t.Fatalf("%s %s: gateway %d %s, a replica %d %s, want both 400", c.path, field, rec.Code, rec.Body.String(), direct.Code, direct.Body.String())
+			}
+			var e struct{ Code string }
+			decode(t, rec, &e)
+			if e.Code != jobspec.CodeInvalid {
+				t.Errorf("%s %s: code %q, want invalid", c.path, field, e.Code)
+			}
+		}
+	}
+	if !g.Healthy(0) {
+		t.Error("the replica was marked down by a refused request")
+	}
+}
+
 // TestGatewayUnmatchedPathsShareOneCounter keeps the gateway's per-route
 // counter map bounded: arbitrary probed paths must not each earn a map
 // entry, and are counted together instead of dropped.

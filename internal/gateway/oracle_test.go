@@ -95,6 +95,7 @@ func invalidDocuments(t *testing.T) []oracleCase {
 			append(spread(5), `{"request": {"rule": "diagonal"}}`)...)...)},
 		{"short-period-bounds-at-job-1", batchOf(fig1, `{"request": {}}`, `{"request": {"objective": "latency", "periodBounds": [1]}}`)},
 		{"long-latency-bounds-at-job-1", batchOf(fig1, `{"request": {}}`, `{"request": {"latencyBounds": [9, 9, 9]}}`)},
+		{"heur-iters-over-cap-at-job-1", batchOf(fig1, `{"request": {}}`, `{"request": {"heurIters": 1000001}}`)},
 	}
 	solve := []struct{ name, body string }{
 		{"syntax-error", `{"instance": {]}`},
@@ -119,6 +120,9 @@ func invalidDocuments(t *testing.T) []oracleCase {
 		{"unresolved", solveOf(fig1, unresolved)},
 		{"short-period-bounds", solveOf(fig1, `{"objective": "latency", "periodBounds": [1]}`)},
 		{"empty-latency-bounds", solveOf(fig1, `{"latencyBounds": []}`)},
+		{"heur-iters-over-cap", solveOf(fig1, `{"exactLimit": 1, "heurIters": 2000000000}`)},
+		{"heur-restarts-over-cap", solveOf(fig1, `{"heurRestarts": 17}`)},
+		{"exact-limit-over-cap", solveOf(fig1, `{"exactLimit": 20000001}`)},
 	}
 	var cases []oracleCase
 	for _, c := range batch {
@@ -129,7 +133,7 @@ func invalidDocuments(t *testing.T) []oracleCase {
 	}
 	cases = append(cases,
 		oracleCase{Name: "pareto/huge-frontier", Path: "/v1/pareto",
-			Body: `{"instance": ` + servetest.HugeFrontierJSON(t) + `, "rule": "interval"}`},
+			Body: `{"instance": ` + servetest.FrontierJSON(t, 7, 7, 3) + `, "rule": "interval"}`},
 		oracleCase{Name: "simulate/datasets-over-cap", Path: "/v1/simulate",
 			Body: `{"instance": ` + fig1 + `, "mapping": ` + servetest.Fig1Mapping + `, "datasets": 4611686018427387904}`})
 	return cases

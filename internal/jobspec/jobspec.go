@@ -351,11 +351,30 @@ func (r *resolver) defaultFor(p planOf) (resolved, error) {
 	return res, nil
 }
 
+// The effort a wire request may ask of the solver. The library takes any
+// value; a request over the network is refused past these caps, so one
+// document cannot hold a worker for minutes. The exact limit's cap is the
+// search's own leaf limit.
+const (
+	maxHeurIters    = 1_000_000
+	maxHeurRestarts = 16
+	maxExactLimit   = exact.DefaultLimit
+)
+
 // BuildRequest translates the JSON request into a core.Request, expanding
 // the global weighted thresholds into per-application bounds. Defaults:
 // interval rule, overlap model, period objective. A bound array must hold
-// one bound per application of inst.
+// one bound per application of inst, and heurIters, heurRestarts and
+// exactLimit must not exceed their caps.
 func BuildRequest(inst *pipeline.Instance, rj Request) (core.Request, error) {
+	switch {
+	case rj.HeurIters > maxHeurIters:
+		return core.Request{}, fmt.Errorf("heurIters %d is above the cap of %d", rj.HeurIters, maxHeurIters)
+	case rj.HeurRestarts > maxHeurRestarts:
+		return core.Request{}, fmt.Errorf("heurRestarts %d is above the cap of %d", rj.HeurRestarts, maxHeurRestarts)
+	case rj.ExactLimit > maxExactLimit:
+		return core.Request{}, fmt.Errorf("exactLimit %d is above the cap of %d", rj.ExactLimit, maxExactLimit)
+	}
 	req := core.Request{
 		EnergyBudget: rj.EnergyBudget,
 		Seed:         rj.Seed,

@@ -142,6 +142,28 @@ func TestBuildRequestDefaultsAndBounds(t *testing.T) {
 	}
 }
 
+// TestBuildRequestEffortCaps: heurIters, heurRestarts and exactLimit are
+// accepted up to their caps and refused one past them; zero and negative
+// values still ask for the solver's defaults.
+func TestBuildRequestEffortCaps(t *testing.T) {
+	inst := pipeline.MotivatingExample()
+	for _, c := range []struct {
+		rj Request
+		ok bool
+	}{
+		{Request{HeurIters: maxHeurIters, HeurRestarts: maxHeurRestarts, ExactLimit: maxExactLimit}, true},
+		{Request{HeurIters: -1, HeurRestarts: -1, ExactLimit: -1}, true},
+		{Request{HeurIters: maxHeurIters + 1}, false},
+		{Request{HeurIters: 2_000_000_000}, false},
+		{Request{HeurRestarts: maxHeurRestarts + 1}, false},
+		{Request{ExactLimit: maxExactLimit + 1}, false},
+	} {
+		if _, err := BuildRequest(&inst, c.rj); (err == nil) != c.ok {
+			t.Errorf("%+v: error %v, want accepted %v", c.rj, err, c.ok)
+		}
+	}
+}
+
 // TestRequestOfRoundTrip pins RequestOf as BuildRequest's inverse over
 // the seeded scenario corpus: shipping a generated request through the
 // wire form must reproduce the exact engine request, canonical key

@@ -129,8 +129,8 @@ func sweepFrontier(ctx context.Context, pl *plan.Plan, cands []float64, opts bat
 // (period <= Point.Period, Point.Energy) with minimal energy. Elsewhere it
 // falls back to exhaustive enumeration, which refuses an instance with more
 // mappings than its limit (exact.ErrSearchSpace) before it starts. The
-// context cancels the candidate sweeps between jobs; the exhaustive fallback
-// only honours it up front (the enumeration itself is not preemptible).
+// context cancels the candidate sweeps between jobs and the enumeration
+// every 1024 mappings.
 func PeriodEnergyCtx(ctx context.Context, inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel, opts batch.Options) ([]Point, error) {
 	pl, err := planFor(inst, rule, model, opts)
 	if err != nil {
@@ -141,10 +141,7 @@ func PeriodEnergyCtx(ctx context.Context, inst *pipeline.Instance, rule mapping.
 		pl.Rule() == mapping.OneToOne && cls != pipeline.FullyHeterogeneous:
 		return sweepFrontier(ctx, pl, pl.ParetoCandidates(), opts)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	full, err := exact.ParetoFront(pl.Instance(), pl.Rule(), pl.Model())
+	full, err := exact.ParetoFront(ctx, pl.Instance(), pl.Rule(), pl.Model())
 	if err != nil {
 		return nil, err
 	}

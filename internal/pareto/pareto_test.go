@@ -57,7 +57,7 @@ func TestPeriodEnergyFullyHomMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		full, err := exact.ParetoFront(&inst, mapping.Interval, model)
+		full, err := exact.ParetoFront(context.Background(), &inst, mapping.Interval, model)
 		if err != nil {
 			t.Fatalf("trial %d oracle: %v", trial, err)
 		}
@@ -113,7 +113,7 @@ func TestPeriodEnergyOneToOneMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		full, err := exact.ParetoFront(&inst, mapping.OneToOne, pipeline.Overlap)
+		full, err := exact.ParetoFront(context.Background(), &inst, mapping.OneToOne, pipeline.Overlap)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

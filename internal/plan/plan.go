@@ -146,9 +146,9 @@ type Plan struct {
 }
 
 // degradedHeurIters is the reduced annealing budget of a degraded solve
-// (the normal default is 4000 iterations times 3 restarts): after a
-// wall-clock budget has already expired, the fallback must be quick, not
-// thorough.
+// (a full solve anneals 4000 iterations per restart, one restart from the
+// search's incumbent or three cold ones without it): after a wall-clock
+// budget has already expired, the fallback must be quick, not thorough.
 const degradedHeurIters = 800
 
 // keyPool recycles query-key scratch buffers across Solve calls (the

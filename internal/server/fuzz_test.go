@@ -27,18 +27,22 @@ var wireCodes = map[string]bool{
 // request fields: objective, rule and model (valid, empty or unknown),
 // period and latency bound arrays of any length from absent to longer
 // than the application count, their scale, an energy budget, an exact
-// limit and a small annealing effort. A decodable request never answers
-// 500: that status is for solver bugs. Every other non-200 answer is an
-// {"error","code"} document, and every code is in jobspec's vocabulary.
+// limit and an annealing effort: small, or past the wire's caps (1,000,000
+// steps, 16 restarts), where it must be refused before any solver runs. A
+// decodable request never answers 500: that status is for solver bugs.
+// Every other non-200 answer is an {"error","code"} document, and every
+// code is in jobspec's vocabulary.
 func FuzzSolveStatus(f *testing.F) {
 	// Seeds: a period bound array shorter than the application count, a
 	// solvable energy request, an unresolved one, a period objective
-	// under latency bounds and a budget, and unknown names.
-	f.Add(uint8(2), uint8(0), uint8(0), uint8(2), uint8(0), 1.0, 0.0, int64(0), uint8(0), uint8(0))
-	f.Add(uint8(3), uint8(1), uint8(1), uint8(3), uint8(0), 2.0, 0.0, int64(0), uint8(0), uint8(0))
-	f.Add(uint8(3), uint8(1), uint8(1), uint8(3), uint8(0), 0.01, 0.0, int64(1), uint8(8), uint8(1))
-	f.Add(uint8(1), uint8(1), uint8(2), uint8(0), uint8(3), 4.0, 46.0, int64(0), uint8(16), uint8(2))
-	f.Add(uint8(4), uint8(3), uint8(3), uint8(1), uint8(1), -1.0, -1.0, int64(-1), uint8(0), uint8(0))
+	// under latency bounds and a budget, unknown names, and a forced
+	// anneal of 2,000,000,000 steps.
+	f.Add(uint8(2), uint8(0), uint8(0), uint8(2), uint8(0), 1.0, 0.0, int64(0), int64(0), int64(0))
+	f.Add(uint8(3), uint8(1), uint8(1), uint8(3), uint8(0), 2.0, 0.0, int64(0), int64(0), int64(0))
+	f.Add(uint8(3), uint8(1), uint8(1), uint8(3), uint8(0), 0.01, 0.0, int64(1), int64(8), int64(1))
+	f.Add(uint8(1), uint8(1), uint8(2), uint8(0), uint8(3), 4.0, 46.0, int64(0), int64(16), int64(2))
+	f.Add(uint8(4), uint8(3), uint8(3), uint8(1), uint8(1), -1.0, -1.0, int64(-1), int64(0), int64(0))
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), 1.0, 0.0, int64(1), int64(2_000_000_000), int64(0))
 
 	fig1 := json.RawMessage(servetest.Fig1JSON(f))
 	objectives := []string{"", "period", "latency", "energy", "vibes"}
@@ -62,8 +66,16 @@ func FuzzSolveStatus(f *testing.F) {
 		}
 		return x
 	}
+	// effort keeps an effort within the cap small, so each run stays
+	// quick, and passes one past the cap through unchanged.
+	effort := func(x, cap, small int64) int64 {
+		if x > cap {
+			return x
+		}
+		return x % small
+	}
 	s := New(Config{})
-	f.Fuzz(func(t *testing.T, obj, rule, model, perLen, latLen uint8, scale, budget float64, exactLimit int64, iters, restarts uint8) {
+	f.Fuzz(func(t *testing.T, obj, rule, model, perLen, latLen uint8, scale, budget float64, exactLimit, iters, restarts int64) {
 		scale = finite(scale)
 		req := map[string]any{
 			"objective":    objectives[int(obj)%len(objectives)],
@@ -71,8 +83,8 @@ func FuzzSolveStatus(f *testing.F) {
 			"model":        models[int(model)%len(models)],
 			"energyBudget": finite(budget),
 			"exactLimit":   exactLimit,
-			"heurIters":    int(iters % 64),
-			"heurRestarts": int(restarts % 3),
+			"heurIters":    effort(iters, 1_000_000, 64),
+			"heurRestarts": effort(restarts, 16, 3),
 		}
 		if b := bounds(perLen, scale); b != nil {
 			req["periodBounds"] = b

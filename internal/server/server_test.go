@@ -378,13 +378,59 @@ func TestSimulateDatasetsCap(t *testing.T) {
 	}
 }
 
+// TestEffortCaps: a /v1/solve or /v1/batch request asking for more
+// annealing steps, restarts or exact-search room than the wire allows is
+// refused as 400 invalid before any solver runs.
+func TestEffortCaps(t *testing.T) {
+	s := New(Config{})
+	for _, field := range []string{`"heurIters": 1000001`, `"heurRestarts": 17`, `"exactLimit": 20000001`} {
+		req := `{"objective": "period", ` + field + `}`
+		for _, c := range []struct{ path, body string }{
+			{"/v1/solve", `{"instance": ` + servetest.Fig1JSON(t) + `, "request": ` + req + `}`},
+			{"/v1/batch", `{"instance": ` + servetest.Fig1JSON(t) + `, "jobs": [{"request": {}}, {"request": ` + req + `}]}`},
+		} {
+			rec := post(s, c.path, c.body)
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s %s: status %d, want 400: %s", c.path, field, rec.Code, rec.Body.String())
+			}
+			var e struct{ Code string }
+			decode(t, rec, &e)
+			if e.Code != jobspec.CodeInvalid {
+				t.Errorf("%s %s: code %q, want invalid", c.path, field, e.Code)
+			}
+		}
+	}
+}
+
+// TestParetoTimeout: the exhaustive frontier honours the request's
+// budget. An instance just under the enumeration limit (18,777,636
+// mappings, seconds of enumeration) answers 504 soon after its 100 ms
+// timeout instead of after the whole walk.
+func TestParetoTimeout(t *testing.T) {
+	s := New(Config{Timeout: 100 * time.Millisecond})
+	start := time.Now()
+	rec := post(s, "/v1/pareto", `{"instance": `+servetest.FrontierJSON(t, 5, 9, 4)+`, "rule": "interval"}`)
+	elapsed := time.Since(start)
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d after %v, want 504: %.200s", rec.Code, elapsed, rec.Body.String())
+	}
+	var e struct{ Code string }
+	decode(t, rec, &e)
+	if e.Code != jobspec.CodeTimeout {
+		t.Errorf("code %q, want timeout", e.Code)
+	}
+	if elapsed > 200*time.Millisecond {
+		t.Errorf("answered after %v, want within 200ms", elapsed)
+	}
+}
+
 // TestParetoHugeFrontierIsInvalid: a frontier outside the polynomial
 // classes whose mappings are too many to enumerate is refused as 422
 // invalid after counting them, without enumerating any.
 func TestParetoHugeFrontierIsInvalid(t *testing.T) {
 	s := New(Config{})
 	start := time.Now()
-	rec := post(s, "/v1/pareto", `{"instance": `+servetest.HugeFrontierJSON(t)+`, "rule": "interval"}`)
+	rec := post(s, "/v1/pareto", `{"instance": `+servetest.FrontierJSON(t, 7, 7, 3)+`, "rule": "interval"}`)
 	elapsed := time.Since(start)
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d, want 422: %s", rec.Code, rec.Body.String())

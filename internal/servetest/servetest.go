@@ -34,14 +34,16 @@ func Fig1JSON(t testing.TB) string {
 const Fig1Mapping = `{"apps": [{"intervals": [{"from": 0, "to": 2, "proc": 0, "mode": 0}]},
 	{"intervals": [{"from": 0, "to": 3, "proc": 1, "mode": 0}]}]}`
 
-// HugeFrontierJSON is a generated instance whose interval mappings are
-// too many to enumerate: one application of 7 stages on 7 fully
-// heterogeneous processors of 3 modes each, 43,700,979 interval mappings
-// against the exhaustive Pareto front's limit of 20 million.
-func HugeFrontierJSON(t testing.TB) string {
+// FrontierJSON is a generated instance of one application of the given
+// stage count on fully heterogeneous processors of the given mode count,
+// for the exhaustive Pareto front. FrontierJSON(t, 7, 7, 3) has
+// 43,700,979 interval mappings, past the front's limit of 20 million;
+// FrontierJSON(t, 5, 9, 4) has 18,777,636, just under it, so the front
+// enumerates them all.
+func FrontierJSON(t testing.TB, stages, procs, modes int) string {
 	t.Helper()
 	inst, err := workload.Instance(rand.New(rand.NewSource(1)), workload.Config{
-		Apps: 1, MinStages: 7, MaxStages: 7, Procs: 7, Modes: 3,
+		Apps: 1, MinStages: stages, MaxStages: stages, Procs: procs, Modes: modes,
 		Class: pipeline.FullyHeterogeneous, MaxWork: 9, MaxData: 4, MaxSpeed: 8, MaxBandwidth: 4,
 		Energy: pipeline.DefaultEnergy,
 	})
