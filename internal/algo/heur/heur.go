@@ -86,11 +86,7 @@ func search(rng *rand.Rand, ev *evaluator, rule mapping.Rule, opt Options) (mapp
 		var err error
 		if r == 0 && len(opt.Start.Apps) > 0 {
 			m = opt.Start.Clone()
-			err = m.Validate(ev.inst, rule)
-		} else {
-			m, err = initial(rng, ev.inst, rule, r)
-		}
-		if err != nil {
+		} else if m, err = initial(rng, ev.inst, rule, r); err != nil {
 			return mapping.Mapping{}, 0, err
 		}
 		speedUpIfHelpful(ev, &m)

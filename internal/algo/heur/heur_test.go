@@ -3,6 +3,7 @@ package heur
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/algo/exact"
@@ -265,5 +266,32 @@ func TestAnnealingImprovesOnGreedy(t *testing.T) {
 	}
 	if strictly == 0 {
 		t.Error("annealing never improved on the greedy construction across 15 instances")
+	}
+}
+
+// TestStartIsKeptAndNeverWorsened: a search started from a mapping never
+// answers worse than that mapping scores, even with a single annealing
+// step, and leaves the caller's mapping untouched. Started from the
+// optimum it answers the optimum.
+func TestStartIsKeptAndNeverWorsened(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 20; trial++ {
+		inst := smallHet(rng, 1+rng.Intn(2), 4, 2)
+		goal := pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap}
+		want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, goal)
+		if err != nil {
+			t.Fatalf("trial %d oracle: %v", trial, err)
+		}
+		start := want.Mapping.Clone()
+		m, got, err := Minimize(rng, &inst, mapping.Interval, goal, Options{Iters: 1, Restarts: 1, Start: start})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !fmath.EQ(got, want.Value) || !fmath.EQ(mapping.Energy(&inst, &m), got) {
+			t.Fatalf("trial %d: started from the optimum %g, answered %g", trial, want.Value, got)
+		}
+		if !reflect.DeepEqual(start, want.Mapping) {
+			t.Fatalf("trial %d: the start mapping was modified", trial)
+		}
 	}
 }
