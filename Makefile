@@ -47,10 +47,12 @@ vuln:
 # drivers, the HTTP server, the gateway fan-out, the public SolveBatch
 # API) — plus the solver core, the annealing heuristic (its move tables
 # are package-level and shared by concurrent searches, so they must stay
-# read-only), the scenario generator, and the chaos injector, whose
-# package tests exercise them from concurrent batch workers.
+# read-only), the branch-and-bound search (its pooled searchers carry the
+# caller's context and must drop it before reuse), the scenario
+# generator, and the chaos injector, whose package tests exercise them
+# from concurrent batch workers.
 race:
-	$(GO) test -race ./internal/core/ ./internal/algo/heur/ ./internal/gen/ ./internal/memo/ ./internal/jobspec/ ./internal/plan/ ./internal/batch/ ./internal/pareto/ ./internal/experiments/ ./internal/server/ ./internal/gateway/ ./internal/diffcheck/ ./internal/chaos/ .
+	$(GO) test -race ./internal/core/ ./internal/algo/heur/ ./internal/algo/exact/ ./internal/gen/ ./internal/memo/ ./internal/jobspec/ ./internal/plan/ ./internal/batch/ ./internal/pareto/ ./internal/experiments/ ./internal/server/ ./internal/gateway/ ./internal/diffcheck/ ./internal/chaos/ .
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -7,6 +7,7 @@ package repro
 // binary search versus a linear scan.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -115,7 +116,7 @@ func BenchmarkAblationHeuristicBudget(b *testing.B) {
 			var period float64
 			for i := 0; i < b.N; i++ {
 				r := rand.New(rand.NewSource(1))
-				_, t, err := heur.Minimize(r, &inst, mapping.Interval, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap},
+				_, t, err := heur.Minimize(context.Background(), r, &inst, mapping.Interval, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap},
 					heur.Options{Iters: iters, Restarts: 2})
 				if err != nil {
 					b.Fatal(err)

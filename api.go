@@ -117,6 +117,9 @@ var (
 	ErrUnresolved = core.ErrUnresolved
 	// ErrUnsupported reports a criteria combination the paper rules out.
 	ErrUnsupported = core.ErrUnsupported
+	// ErrSolveBudget is the cause of a context ended by a solve budget
+	// (see Plan.SolveCtx), and the error of a solve it stops unmapped.
+	ErrSolveBudget = core.ErrSolveBudget
 )
 
 // Solve minimizes the requested criterion under the request's bounds,
@@ -167,10 +170,10 @@ func SolveBatch(jobs []Job, opts BatchOptions) ([]BatchResult, BatchStats) {
 }
 
 // SolveBatchCtx is SolveBatch with cancellation: once ctx is done, jobs
-// that have not started return ctx.Err() in their slot, workers stop
-// picking up new jobs, and the call returns promptly (a job already inside
-// the solver runs to completion). Results computed before the cancellation
-// are kept, so partial progress is not thrown away.
+// that have not started return ctx.Err() in their slot, a job whose
+// search is in flight stops and returns the same, and the call returns
+// promptly. Results computed before the cancellation are kept, so partial
+// progress is not thrown away.
 func SolveBatchCtx(ctx context.Context, jobs []Job, opts BatchOptions) ([]BatchResult, BatchStats) {
 	return batch.SolveCtx(ctx, jobs, opts)
 }
@@ -467,9 +470,10 @@ func Resolve(pl *Plan, q PlanQuery, ev FaultEvent) (*ResolveResult, error) {
 	return chaos.Resolve(pl, q, ev)
 }
 
-// ResolveCtx is Resolve under a wall-clock budget: an expired deadline
-// degrades the solves to the heuristic path (tagged Degraded/Preempted in
-// the results) instead of stalling the caller.
+// ResolveCtx is Resolve under the caller's context: both solves stop when
+// it ends. A context ended by a solve budget (cause ErrSolveBudget)
+// answers each stopped search's best mapping, tagged Degraded and
+// Preempted; any other end answers the context's error.
 func ResolveCtx(ctx context.Context, pl *Plan, q PlanQuery, ev FaultEvent) (*ResolveResult, error) {
 	return chaos.ResolveCtx(ctx, pl, q, ev)
 }

@@ -38,19 +38,19 @@ func BenchmarkFig1MotivatingExample(b *testing.B) {
 	inst := pipeline.MotivatingExample()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
+		p, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
 		if err != nil || !eq(p.Value, 1) {
 			b.Fatalf("period %v %v", p.Value, err)
 		}
-		l, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
+		l, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
 		if err != nil || !eq(l.Value, 2.75) {
 			b.Fatalf("latency %v %v", l.Value, err)
 		}
-		e, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy})
+		e, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy})
 		if err != nil || !eq(e.Value, 10) {
 			b.Fatalf("energy %v %v", e.Value, err)
 		}
-		t, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: []float64{2, 2}})
+		t, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: []float64{2, 2}})
 		if err != nil || !eq(t.Value, 46) {
 			b.Fatalf("trade-off %v %v", t.Value, err)
 		}
@@ -96,7 +96,7 @@ func BenchmarkTable1PeriodOneToOneHet(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := exact.Minimize(&inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}); err != nil {
+				if _, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -135,7 +135,7 @@ func BenchmarkTable1PeriodIntervalSpecial(b *testing.B) {
 	b.Run("exact/m=2", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sol, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, goal)
+			sol, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, goal)
 			if err != nil || !eq(sol.Value, 1) {
 				b.Fatalf("period %v %v", sol.Value, err)
 			}
@@ -145,7 +145,7 @@ func BenchmarkTable1PeriodIntervalSpecial(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			rng := rand.New(rand.NewSource(1))
-			if _, _, err := heur.Minimize(rng, &inst, mapping.Interval, goal, heur.Options{Iters: 1500, Restarts: 2}); err != nil {
+			if _, _, err := heur.Minimize(context.Background(), rng, &inst, mapping.Interval, goal, heur.Options{Iters: 1500, Restarts: 2}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -175,7 +175,7 @@ func BenchmarkTable1LatencyOneToOne(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sol, err := exact.Minimize(&inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
+			sol, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
 			if err != nil || !eq(sol.Value, 10) {
 				b.Fatalf("latency %v %v", sol.Value, err)
 			}
@@ -319,7 +319,7 @@ func BenchmarkTable2TriCriteriaMultiModal(b *testing.B) {
 	b.Run("exact/gadget-n=3", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := exact.Minimize(&g.Instance, exact.Options{Rule: g.Rule, Modes: exact.AllModes}, goal); err != nil {
+			if _, err := exact.Minimize(context.Background(), &g.Instance, exact.Options{Rule: g.Rule, Modes: exact.AllModes}, goal); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -328,7 +328,7 @@ func BenchmarkTable2TriCriteriaMultiModal(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			rng := rand.New(rand.NewSource(1))
-			_, v, err := heur.Minimize(rng, &g.Instance, g.Rule, goal, heur.Options{Iters: 1200, Restarts: 2})
+			_, v, err := heur.Minimize(context.Background(), rng, &g.Instance, g.Rule, goal, heur.Options{Iters: 1200, Restarts: 2})
 			if err != nil || math.IsInf(v, 1) {
 				b.Fatalf("energy %v %v", v, err)
 			}

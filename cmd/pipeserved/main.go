@@ -21,8 +21,8 @@
 //	            whole process, so repeated and overlapping requests are
 //	            answered from memory
 //	-timeout    per-request wall-clock budget (0 = none, default 30s);
-//	            an expired budget cancels the request's remaining solver
-//	            jobs and reports 504
+//	            an expired budget stops the request's solver jobs,
+//	            searches in flight included, and reports 504
 //	-max-body   request body cap in bytes (0 = 8 MiB default, negative =
 //	            unlimited); an oversized body is rejected with a
 //	            structured 413 JSON error
@@ -33,9 +33,10 @@
 //	                    admission control)
 //	-max-queue          solver requests allowed to wait for admission;
 //	                    beyond it requests are shed with 429 + Retry-After
-//	-solve-budget       per-job degraded-mode budget (0 = none): a job
-//	                    whose exact solve outlives it answers from the
-//	                    heuristic path, tagged "degraded", instead of 504
+//	-solve-budget       per-job search budget (0 = none): a job whose
+//	                    search outlives it stops and answers the best
+//	                    mapping found, tagged "degraded" and "preempted",
+//	                    instead of 504
 //	-breaker-threshold  consecutive 504s on one endpoint that trip its
 //	                    circuit breaker (0 = breakers off)
 //	-breaker-cooldown   how long a tripped breaker sheds before probing
@@ -88,7 +89,7 @@ func run(args []string) error {
 	drain := fs.Duration("drain", 10*time.Second, "shutdown drain budget for in-flight requests")
 	maxInFlight := fs.Int("max-in-flight", 0, "concurrent solver requests admitted (0 = unlimited)")
 	maxQueue := fs.Int("max-queue", 0, "solver requests allowed to queue for admission before shedding")
-	solveBudget := fs.Duration("solve-budget", 0, "per-job degraded-mode budget (0 = none)")
+	solveBudget := fs.Duration("solve-budget", 0, "per-job search budget (0 = none); a search it stops answers its best mapping, tagged preempted")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive 504s tripping an endpoint's circuit breaker (0 = off)")
 	breakerCooldown := fs.Duration("breaker-cooldown", server.DefaultBreakerCooldown, "cooldown of a tripped circuit breaker")
 	if err := fs.Parse(args); err != nil {

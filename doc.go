@@ -73,10 +73,11 @@
 // ApplyFault/InjectFaults mutate and re-validate instances, and Resolve
 // re-solves a compiled plan's problem after a fault, returning
 // simulator-verified before/after results with a MigrationDiff. Solves
-// under a budget (BatchOptions.SolveBudget, Plan.SolveCtx, ResolveCtx)
-// degrade gracefully: when the exact path exceeds its budget the result
-// falls back to the heuristic, tagged Degraded with a provable LowerBound
-// — never silently.
+// stop when their context ends (SolveBatchCtx, Plan.SolveCtx,
+// ResolveCtx), and one ended by a solve budget (BatchOptions.SolveBudget,
+// or a context whose cause is ErrSolveBudget) degrades gracefully: it
+// answers the best mapping its search found, tagged Degraded and
+// Preempted with a provable LowerBound — never silently.
 //
 // # Quick start
 //

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math"
 	"sync"
 
@@ -40,6 +41,7 @@ type SearchStats struct {
 // place on reuse, so a pooled searcher allocates nothing on the hot path
 // after warm-up.
 type searcher struct {
+	ctx  context.Context
 	inst *pipeline.Instance
 	opt  Options
 	goal pipeline.Goal
@@ -103,16 +105,19 @@ var searchPool = sync.Pool{New: func() any { return new(searcher) }}
 // time follows: most of the work is in interior nodes, not at leaves.
 // Past either, Minimize returns ErrSearchSpace together with the best
 // mapping found so far, if any (Solution.Mapping is then non-empty and
-// Value its objective, an upper bound on the optimum).
-func Minimize(inst *pipeline.Instance, opt Options, goal pipeline.Goal) (Solution, error) {
+// Value its objective, an upper bound on the optimum). It polls ctx at
+// the first placement and every 1024 after it, and once ctx is done stops
+// the same way, with the context's error.
+func Minimize(ctx context.Context, inst *pipeline.Instance, opt Options, goal pipeline.Goal) (Solution, error) {
 	s := searchPool.Get().(*searcher)
-	sol, err := s.run(inst, opt, goal)
-	s.inst = nil // do not retain the instance while pooled
+	sol, err := s.run(ctx, inst, opt, goal)
+	s.ctx, s.inst = nil, nil // do not retain the caller's state while pooled
 	searchPool.Put(s)
 	return sol, err
 }
 
-func (s *searcher) run(inst *pipeline.Instance, opt Options, goal pipeline.Goal) (Solution, error) {
+func (s *searcher) run(ctx context.Context, inst *pipeline.Instance, opt Options, goal pipeline.Goal) (Solution, error) {
+	s.ctx = ctx
 	s.init(inst, opt, goal)
 	err := s.app(0, 0)
 	if !s.found {
@@ -427,10 +432,17 @@ func (s *searcher) place(a, from int, objDone, appMax, lat, pendIn, pendComp flo
 			s.used[u] = true
 			s.free--
 			for mode := lo; mode < modes; mode++ {
-				if s.stats.Tried == s.budget {
+				var err error
+				switch {
+				case s.stats.Tried == s.budget:
+					err = ErrSearchSpace
+				case s.stats.Tried%1024 == 0: // a count, never a clock
+					err = s.ctx.Err()
+				}
+				if err != nil {
 					s.used[u] = false
 					s.free++
-					return ErrSearchSpace
+					return err
 				}
 				s.stats.Tried++
 				comp := work / pr.Speeds[mode]
@@ -448,7 +460,7 @@ func (s *searcher) place(a, from int, objDone, appMax, lat, pendIn, pendComp flo
 				s.energy = en
 				s.depth++
 				s.stats.Nodes++
-				err := s.place(a, to+1, objDone, appMax2, lat2, in, comp)
+				err = s.place(a, to+1, objDone, appMax2, lat2, in, comp)
 				s.depth--
 				s.energy = saved
 				s.m.Apps[a].Intervals = s.m.Apps[a].Intervals[:len(s.m.Apps[a].Intervals)-1]

@@ -1,6 +1,8 @@
 package exact
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/fmath"
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
+	"repro/internal/workload"
 )
 
 // twoStageApp builds a single two-stage application instance on the given
@@ -35,7 +38,7 @@ func TestSymmetryBreakingHomogeneous(t *testing.T) {
 	opt := Options{Rule: mapping.OneToOne, Modes: FastestOnly}
 	goal := pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}
 
-	pruned, err := Minimize(&inst, opt, goal)
+	pruned, err := Minimize(context.Background(), &inst, opt, goal)
 	if err != nil {
 		t.Fatalf("Minimize: %v", err)
 	}
@@ -51,7 +54,7 @@ func TestSymmetryBreakingHomogeneous(t *testing.T) {
 	}
 
 	opt.NoPrune = true
-	ref, err := Minimize(&inst, opt, goal)
+	ref, err := Minimize(context.Background(), &inst, opt, goal)
 	if err != nil {
 		t.Fatalf("Minimize (NoPrune): %v", err)
 	}
@@ -76,7 +79,7 @@ func TestSymmetryBreakingHeterogeneous(t *testing.T) {
 	opt := Options{Rule: mapping.OneToOne, Modes: FastestOnly}
 	goal := pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}
 
-	pruned, err := Minimize(&inst, opt, goal)
+	pruned, err := Minimize(context.Background(), &inst, opt, goal)
 	if err != nil {
 		t.Fatalf("Minimize: %v", err)
 	}
@@ -88,7 +91,7 @@ func TestSymmetryBreakingHeterogeneous(t *testing.T) {
 	}
 
 	opt.NoPrune = true
-	ref, err := Minimize(&inst, opt, goal)
+	ref, err := Minimize(context.Background(), &inst, opt, goal)
 	if err != nil {
 		t.Fatalf("Minimize (NoPrune): %v", err)
 	}
@@ -147,9 +150,9 @@ func TestMinimizeMatchesNoPruneRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		inst, opt, goal := randomProblem(rng)
-		pruned, perr := Minimize(&inst, opt, goal)
+		pruned, perr := Minimize(context.Background(), &inst, opt, goal)
 		opt.NoPrune = true
-		ref, rerr := Minimize(&inst, opt, goal)
+		ref, rerr := Minimize(context.Background(), &inst, opt, goal)
 
 		label := fmt.Sprintf("trial %d (rule %v model %v obj %d bounds %v/%v budget %g)",
 			trial, opt.Rule, goal.Model, goal.Objective, goal.PeriodBounds != nil, goal.LatencyBounds != nil, goal.EnergyBudget)
@@ -262,7 +265,7 @@ func TestCountMappingsSaturates(t *testing.T) {
 func TestMinimizeSearchSpaceLimit(t *testing.T) {
 	inst := twoStageApp(pipeline.NewHomogeneousPlatform(4, []float64{1}, 1, 1))
 	opt := Options{Rule: mapping.OneToOne, Modes: FastestOnly, Limit: 5, NoPrune: true}
-	_, err := Minimize(&inst, opt, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
+	_, err := Minimize(context.Background(), &inst, opt, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
 	if err != ErrSearchSpace {
 		//lint:allow errclass test pins the exact sentinel identity
 		t.Fatalf("Minimize with limit 5 over a 12-leaf space returned %v, want ErrSearchSpace", err)
@@ -281,14 +284,14 @@ func TestBudget(t *testing.T) {
 	exhausted, incumbents := 0, 0
 	for trial := 0; trial < 300; trial++ {
 		inst, opt, goal := randomProblem(rng)
-		full, ferr := Minimize(&inst, opt, goal)
+		full, ferr := Minimize(context.Background(), &inst, opt, goal)
 		if ferr != nil && ferr != ErrInfeasible {
 			//lint:allow errclass test pins the exact sentinel identity
 			t.Fatalf("trial %d: unbounded search returned %v", trial, ferr)
 		}
 		tried := full.Stats.Tried
 		opt.Budget = tried
-		if got, err := Minimize(&inst, opt, goal); err != ferr || !reflect.DeepEqual(got, full) {
+		if got, err := Minimize(context.Background(), &inst, opt, goal); err != ferr || !reflect.DeepEqual(got, full) {
 			//lint:allow errclass test pins the exact sentinel identity
 			t.Fatalf("trial %d: budget %d (what the search tries) gave %+v, %v; want %+v, %v", trial, tried, got, err, full, ferr)
 		}
@@ -298,13 +301,13 @@ func TestBudget(t *testing.T) {
 				continue
 			}
 			opt.Budget = b
-			got, err := Minimize(&inst, opt, goal)
+			got, err := Minimize(context.Background(), &inst, opt, goal)
 			if err != ErrSearchSpace || got.Stats.Tried != b {
 				//lint:allow errclass test pins the exact sentinel identity
 				t.Fatalf("trial %d: budget %d of %d returned %v after %d placements, want ErrSearchSpace after %d", trial, b, tried, err, got.Stats.Tried, b)
 			}
 			exhausted++
-			if again, err2 := Minimize(&inst, opt, goal); err2 != err || !reflect.DeepEqual(again, got) {
+			if again, err2 := Minimize(context.Background(), &inst, opt, goal); err2 != err || !reflect.DeepEqual(again, got) {
 				t.Fatalf("trial %d: budget %d gave %+v, then %+v", trial, b, got, again)
 			}
 			if len(got.Mapping.Apps) == 0 {
@@ -323,6 +326,105 @@ func TestBudget(t *testing.T) {
 	}
 	if exhausted == 0 || incumbents == 0 {
 		t.Fatalf("%d budgets ran out, %d with an incumbent: the draws exercise nothing", exhausted, incumbents)
+	}
+}
+
+// pollCtx is a context whose Err reports it cancelled from its stop-th
+// call on, so a test can end a search at a chosen poll.
+type pollCtx struct {
+	context.Context
+	stop, calls int
+}
+
+func (c *pollCtx) Err() error {
+	if c.calls++; c.calls >= c.stop {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestContextStop pins how a search stops when its context ends. The
+// search polls before its first placement and every 1024 after it: a
+// context already done stops it before any placement, and one that ends
+// at the third poll stops it after 2048 placements, with the same
+// incumbent as a work budget of 2048 and the context's error in place of
+// ErrSearchSpace. A search that ends before that poll is unaffected.
+// Half the draws are randomProblem's; the other half are grown to up to
+// 8 heterogeneous processors of 3 modes, where searches run longer.
+func TestContextStop(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	stopped, ended := 0, 0
+	for trial := 0; trial < 100; trial++ {
+		inst, opt, goal := randomProblem(rng)
+		if trial%2 == 1 {
+			var err error
+			inst, err = workload.Instance(rng, workload.Config{
+				Apps: 1 + rng.Intn(2), MinStages: 2, MaxStages: 5, Procs: 5 + rng.Intn(4), Modes: 3,
+				Class: pipeline.FullyHeterogeneous, MaxWork: 9, MaxData: 4, MaxSpeed: 8, MaxBandwidth: 4,
+				Energy: pipeline.DefaultEnergy,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			goal.PeriodBounds, goal.LatencyBounds, goal.EnergyBudget = nil, nil, 0
+			opt.Modes = AllModes
+		}
+		done, cancel := context.WithCancel(context.Background())
+		cancel()
+		if got, err := Minimize(done, &inst, opt, goal); !errors.Is(err, context.Canceled) || got.Stats.Tried != 0 || len(got.Mapping.Apps) != 0 {
+			t.Fatalf("trial %d: a done context gave %+v, %v; want context.Canceled before any placement", trial, got, err)
+		}
+		got, err := Minimize(&pollCtx{Context: context.Background(), stop: 3}, &inst, opt, goal)
+		if !errors.Is(err, context.Canceled) {
+			ended++
+			full, ferr := Minimize(context.Background(), &inst, opt, goal)
+			if !errors.Is(err, ferr) || !reflect.DeepEqual(got, full) || full.Stats.Tried > 2048 {
+				t.Fatalf("trial %d: under a context ending at the third poll: %+v, %v; unbounded: %+v, %v", trial, got, err, full, ferr)
+			}
+			continue
+		}
+		stopped++
+		opt.Budget = 2048
+		want, werr := Minimize(context.Background(), &inst, opt, goal)
+		if !errors.Is(werr, ErrSearchSpace) || got.Stats.Tried != 2048 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: stop at the third poll gave %+v; budget 2048 gave %+v, %v", trial, got, want, werr)
+		}
+	}
+	if stopped == 0 || ended == 0 {
+		t.Fatalf("%d searches stopped, %d ended first: the draws exercise one side only", stopped, ended)
+	}
+}
+
+// TestConcurrentContextStops runs searches on pooled searchers from
+// several goroutines, half of them under a context already done (run
+// under -race by the Makefile race target): a stopped search must leave
+// nothing behind that changes the next search's answer.
+func TestConcurrentContextStops(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	inst, opt, goal := randomProblem(rng)
+	want, werr := Minimize(context.Background(), &inst, opt, goal)
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		go func() {
+			for i := 0; i < 50; i++ {
+				if _, err := Minimize(done, &inst, opt, goal); !errors.Is(err, context.Canceled) {
+					errs <- fmt.Errorf("stopped search returned %v", err)
+					return
+				}
+				if got, err := Minimize(context.Background(), &inst, opt, goal); !errors.Is(err, werr) || !reflect.DeepEqual(got, want) {
+					errs <- fmt.Errorf("search after a stop gave %+v, %v; want %+v, %v", got, err, want, werr)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < 4; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 func TestMotivatingExampleHeadlineNumbers(t *testing.T) {
 	inst := pipeline.MotivatingExample()
 
-	sol, err := Minimize(&inst, Options{Rule: mapping.Interval, Modes: FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
+	sol, err := Minimize(context.Background(), &inst, Options{Rule: mapping.Interval, Modes: FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
 	if err != nil {
 		t.Fatalf("MinPeriod: %v", err)
 	}
@@ -27,7 +27,7 @@ func TestMotivatingExampleHeadlineNumbers(t *testing.T) {
 		t.Errorf("optimal period = %g, want 1 (Equation 1)", sol.Value)
 	}
 
-	sol, err = Minimize(&inst, Options{Rule: mapping.Interval, Modes: FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
+	sol, err = Minimize(context.Background(), &inst, Options{Rule: mapping.Interval, Modes: FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
 	if err != nil {
 		t.Fatalf("MinLatency: %v", err)
 	}
@@ -35,7 +35,7 @@ func TestMotivatingExampleHeadlineNumbers(t *testing.T) {
 		t.Errorf("optimal latency = %g, want 2.75 (Equation 2)", sol.Value)
 	}
 
-	sol, err = Minimize(&inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Energy})
+	sol, err = Minimize(context.Background(), &inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Energy})
 	if err != nil {
 		t.Fatalf("MinEnergy: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestMotivatingExampleHeadlineNumbers(t *testing.T) {
 		t.Errorf("minimum energy = %g, want 10", sol.Value)
 	}
 
-	sol, err = Minimize(&inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: []float64{2, 2}})
+	sol, err = Minimize(context.Background(), &inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: []float64{2, 2}})
 	if err != nil {
 		t.Fatalf("MinEnergyGivenPeriod: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestMinEnergyUnconstrainedPeriod(t *testing.T) {
 	// The energy-minimal mapping of the example runs App2 on P3's lowest
 	// mode, giving period 14.
 	inst := pipeline.MotivatingExample()
-	sol, err := Minimize(&inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Energy})
+	sol, err := Minimize(context.Background(), &inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Energy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSearchSpaceLimit(t *testing.T) {
 
 func TestInfeasibleBounds(t *testing.T) {
 	inst := pipeline.MotivatingExample()
-	_, err := Minimize(&inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: []float64{0.01, 0.01}})
+	_, err := Minimize(context.Background(), &inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: []float64{0.01, 0.01}})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Errorf("expected ErrInfeasible, got %v", err)
 	}
@@ -212,7 +212,7 @@ func TestDominates(t *testing.T) {
 
 func TestTriCriteriaBoundsRespected(t *testing.T) {
 	inst := pipeline.MotivatingExample()
-	sol, err := Minimize(&inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: []float64{2, 2}, LatencyBounds: []float64{6, 8}})
+	sol, err := Minimize(context.Background(), &inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: []float64{2, 2}, LatencyBounds: []float64{6, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestTriCriteriaBoundsRespected(t *testing.T) {
 		t.Errorf("app 1 latency %g violates bound 8", l1)
 	}
 	// Tightening the latency bound cannot decrease the optimal energy.
-	sol2, err := Minimize(&inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: []float64{2, 2}, LatencyBounds: []float64{4, 6}})
+	sol2, err := Minimize(context.Background(), &inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: []float64{2, 2}, LatencyBounds: []float64{4, 6}})
 	if err == nil && fmath.LT(sol2.Value, sol.Value) {
 		t.Errorf("tighter bounds gave lower energy: %g < %g", sol2.Value, sol.Value)
 	}
@@ -238,7 +238,7 @@ func TestMinPeriodGivenLatencyEnergy(t *testing.T) {
 	inst := pipeline.MotivatingExample()
 	// With unlimited energy and loose latency this must equal the
 	// unconstrained optimum 1.
-	sol, err := Minimize(&inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap, LatencyBounds: []float64{100, 100}, EnergyBudget: 1e9})
+	sol, err := Minimize(context.Background(), &inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap, LatencyBounds: []float64{100, 100}, EnergyBudget: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestMinPeriodGivenLatencyEnergy(t *testing.T) {
 	}
 	// With an energy budget of 46 the best period is 2 (the Section 2
 	// trade-off is optimal).
-	sol, err = Minimize(&inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap, LatencyBounds: []float64{100, 100}, EnergyBudget: 46})
+	sol, err = Minimize(context.Background(), &inst, Options{Rule: mapping.Interval, Modes: AllModes}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap, LatencyBounds: []float64{100, 100}, EnergyBudget: 46})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package heur
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -102,11 +103,12 @@ func (ws *workspace) keepBest() { ws.best.CopyFrom(&ws.cur) }
 const startTemp, endTemp = 0.2, 1e-4
 
 // anneal improves m by simulated annealing over the neighbourhood of
-// rule's mappings for iters steps, returning the best score reached.
-// Infeasible neighbours (score +Inf) are always rejected; the best
-// mapping ever seen is restored at the end. On return m holds one of the
-// workspace's buffers, not its own.
-func anneal(rng *rand.Rand, ev *evaluator, m *mapping.Mapping, rule mapping.Rule, iters int) float64 {
+// rule's mappings for iters steps. Infeasible neighbours (score +Inf) are
+// always rejected; the best mapping ever seen is restored at the end. On
+// return m holds one of the workspace's buffers, not its own. It polls
+// ctx at step 0 and every 1024 after it (a count, never a clock) and once
+// ctx is done ends there with its error.
+func anneal(ctx context.Context, rng *rand.Rand, ev *evaluator, m *mapping.Mapping, rule mapping.Rule, iters int) error {
 	ws := newWorkspace(ev, m)
 	cur := ev.score(&ws.curS)
 	bestV := cur
@@ -118,7 +120,13 @@ func anneal(rng *rand.Rand, ev *evaluator, m *mapping.Mapping, rule mapping.Rule
 	t1 := endTemp * scale
 	cool := math.Pow(t1/t0, 1/math.Max(1, float64(iters-1)))
 	temp := t0
+	var err error
 	for i := 0; i < iters; i++ {
+		if i%1024 == 0 {
+			if err = ctx.Err(); err != nil {
+				break
+			}
+		}
 		v, ok := ws.propose(rng, rule)
 		if !ok {
 			temp *= cool
@@ -151,7 +159,7 @@ func anneal(rng *rand.Rand, ev *evaluator, m *mapping.Mapping, rule mapping.Rule
 	} else {
 		*m = ws.cur
 	}
-	return bestV
+	return err
 }
 
 // move is one neighbourhood move: it changes m in place and returns the

@@ -1,6 +1,7 @@
 package heur
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -141,7 +142,7 @@ func TestAnnealAllocsDoNotGrowWithIters(t *testing.T) {
 				return testing.AllocsPerRun(5, func() {
 					rng.Seed(1)
 					m := start
-					anneal(rng, ev, &m, rule, iters)
+					anneal(context.Background(), rng, ev, &m, rule, iters)
 				})
 			}
 			short, long := allocs(400), allocs(4000)
@@ -160,7 +161,7 @@ func TestMinimizeConcurrentMatchesSerial(t *testing.T) {
 	goal := pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}
 	for _, rule := range []mapping.Rule{mapping.OneToOne, mapping.Interval} {
 		run := func() (string, float64, error) {
-			m, v, err := Minimize(rand.New(rand.NewSource(7)), &inst, rule, goal, Options{Iters: 1500, Restarts: 2})
+			m, v, err := Minimize(context.Background(), rand.New(rand.NewSource(7)), &inst, rule, goal, Options{Iters: 1500, Restarts: 2})
 			return m.String(), v, err
 		}
 		want, wantV, err := run()
@@ -203,7 +204,7 @@ func BenchmarkAnneal(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						rng.Seed(int64(i))
 						m := start
-						anneal(rng, ev, &m, rule, iters)
+						anneal(context.Background(), rng, ev, &m, rule, iters)
 					}
 				})
 			}

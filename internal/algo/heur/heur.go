@@ -28,6 +28,7 @@
 package heur
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -69,14 +70,15 @@ func (o Options) withDefaults() Options {
 // Minimize runs the full heuristic pipeline (greedy construction or
 // opt.Start, simulated annealing, speed-down polish) on goal. The returned
 // value is the best score reached, possibly +Inf when no mapping met the
-// goal's bounds.
-func Minimize(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, goal pipeline.Goal, opt Options) (mapping.Mapping, float64, error) {
-	return search(rng, newEvaluator(inst, goal), rule, opt)
+// goal's bounds. Once ctx is done (see anneal) it returns the best
+// mapping reached so far with the context's error.
+func Minimize(ctx context.Context, rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, goal pipeline.Goal, opt Options) (mapping.Mapping, float64, error) {
+	return search(ctx, rng, newEvaluator(inst, goal), rule, opt)
 }
 
 // search runs restarts of (greedy init, or opt.Start on restart 0;
 // speed-up; annealing; speed-down).
-func search(rng *rand.Rand, ev *evaluator, rule mapping.Rule, opt Options) (mapping.Mapping, float64, error) {
+func search(ctx context.Context, rng *rand.Rand, ev *evaluator, rule mapping.Rule, opt Options) (mapping.Mapping, float64, error) {
 	opt = opt.withDefaults()
 	var best mapping.Mapping
 	bestV := math.Inf(1)
@@ -90,10 +92,13 @@ func search(rng *rand.Rand, ev *evaluator, rule mapping.Rule, opt Options) (mapp
 			return mapping.Mapping{}, 0, err
 		}
 		speedUpIfHelpful(ev, &m)
-		anneal(rng, ev, &m, rule, opt.Iters)
+		err = anneal(ctx, rng, ev, &m, rule, opt.Iters)
 		v := speedDown(ev, &m)
 		if !haveBest || v < bestV {
 			best, bestV, haveBest = m.Clone(), v, true
+		}
+		if err != nil {
+			return best, bestV, err
 		}
 	}
 	if !haveBest {

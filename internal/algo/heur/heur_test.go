@@ -1,6 +1,8 @@
 package heur
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -37,7 +39,7 @@ func TestHeurPeriodGapOnHetPlatforms(t *testing.T) {
 				continue
 			}
 			goal := pipeline.Goal{Objective: pipeline.Period, Model: model}
-			m, got, err := Minimize(rng, &inst, rule, goal, Options{Iters: 1500, Restarts: 2})
+			m, got, err := Minimize(context.Background(), rng, &inst, rule, goal, Options{Iters: 1500, Restarts: 2})
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -47,7 +49,7 @@ func TestHeurPeriodGapOnHetPlatforms(t *testing.T) {
 			if !fmath.EQ(mapping.Period(&inst, &m, model), got) {
 				t.Fatalf("trial %d: value/mapping mismatch", trial)
 			}
-			want, err := exact.Minimize(&inst, exact.Options{Rule: rule, Modes: exact.FastestOnly}, goal)
+			want, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: rule, Modes: exact.FastestOnly}, goal)
 			if err != nil {
 				t.Fatalf("trial %d oracle: %v", trial, err)
 			}
@@ -76,14 +78,14 @@ func TestHeurLatencyGap(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		inst := smallHet(rng, 1+rng.Intn(2), 4, 1)
 		goal := pipeline.Goal{Objective: pipeline.Latency}
-		m, got, err := Minimize(rng, &inst, mapping.Interval, goal, Options{Iters: 1500, Restarts: 2})
+		m, got, err := Minimize(context.Background(), rng, &inst, mapping.Interval, goal, Options{Iters: 1500, Restarts: 2})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if err := m.Validate(&inst, mapping.Interval); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, goal)
+		want, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, goal)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -106,15 +108,15 @@ func TestHeurTriCriteria(t *testing.T) {
 		inst := smallHet(rng, 1, 3, 2)
 		model := pipeline.Overlap
 		// Derive workable bounds from the period-optimal mapping.
-		opt, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: model})
+		opt, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: model})
 		if err != nil {
 			t.Fatal(err)
 		}
 		perBounds := []float64{opt.Value * 1.5}
 		latBounds := []float64{mapping.Latency(&inst, &opt.Mapping) * 2}
 		goal := pipeline.Goal{Objective: pipeline.Energy, Model: model, PeriodBounds: perBounds, LatencyBounds: latBounds}
-		want, werr := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, goal)
-		m, got, err := Minimize(rng, &inst, mapping.Interval, goal, Options{Iters: 2500, Restarts: 3})
+		want, werr := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, goal)
+		m, got, err := Minimize(context.Background(), rng, &inst, mapping.Interval, goal, Options{Iters: 2500, Restarts: 3})
 		if werr != nil {
 			continue // bound infeasible: heuristic may legitimately fail too
 		}
@@ -151,7 +153,7 @@ func TestHeurDeterministicWithSeed(t *testing.T) {
 	inst := workload.StreamingCenter(6)
 	run := func() float64 {
 		rng := rand.New(rand.NewSource(99))
-		_, v, err := Minimize(rng, &inst, mapping.Interval, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}, Options{Iters: 800, Restarts: 2})
+		_, v, err := Minimize(context.Background(), rng, &inst, mapping.Interval, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}, Options{Iters: 800, Restarts: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +175,7 @@ func TestHeurOnLargePlatform(t *testing.T) {
 		Class: pipeline.FullyHeterogeneous, MaxWork: 20, MaxData: 8, MaxSpeed: 10, MaxBandwidth: 5,
 	}
 	inst := workload.MustInstance(rng, cfg)
-	m, got, err := Minimize(rng, &inst, mapping.Interval, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}, Options{Iters: 3000, Restarts: 2})
+	m, got, err := Minimize(context.Background(), rng, &inst, mapping.Interval, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}, Options{Iters: 3000, Restarts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,7 @@ func TestHeurOnLargePlatform(t *testing.T) {
 func TestHeurErrors(t *testing.T) {
 	inst := pipeline.MotivatingExample() // 7 stages, 3 procs
 	rng := rand.New(rand.NewSource(1))
-	if _, _, err := Minimize(rng, &inst, mapping.OneToOne, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}, Options{}); err == nil {
+	if _, _, err := Minimize(context.Background(), rng, &inst, mapping.OneToOne, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}, Options{}); err == nil {
 		t.Error("one-to-one on undersized platform accepted")
 	}
 	tiny := pipeline.Instance{
@@ -209,7 +211,7 @@ func TestHeurErrors(t *testing.T) {
 		Platform: pipeline.NewHomogeneousPlatform(1, []float64{1}, 1, 2),
 		Energy:   pipeline.DefaultEnergy,
 	}
-	if _, _, err := Minimize(rng, &tiny, mapping.Interval, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}, Options{}); err == nil {
+	if _, _, err := Minimize(context.Background(), rng, &tiny, mapping.Interval, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}, Options{}); err == nil {
 		t.Error("more applications than processors accepted")
 	}
 }
@@ -224,7 +226,7 @@ func TestSpeedDownReachesSlowModes(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	goal := pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: []float64{100}, LatencyBounds: []float64{100}}
-	m, e, err := Minimize(rng, &inst, mapping.Interval, goal, Options{Iters: 1500, Restarts: 2})
+	m, e, err := Minimize(context.Background(), rng, &inst, mapping.Interval, goal, Options{Iters: 1500, Restarts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +255,7 @@ func TestAnnealingImprovesOnGreedy(t *testing.T) {
 			t.Fatal(err)
 		}
 		greedyV := obj(&greedyOnly)
-		_, fullV, err := Minimize(rand.New(rand.NewSource(1)), &inst, mapping.Interval, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}, Options{Iters: 2000, Restarts: 2})
+		_, fullV, err := Minimize(context.Background(), rand.New(rand.NewSource(1)), &inst, mapping.Interval, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}, Options{Iters: 2000, Restarts: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,12 +280,12 @@ func TestStartIsKeptAndNeverWorsened(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		inst := smallHet(rng, 1+rng.Intn(2), 4, 2)
 		goal := pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap}
-		want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, goal)
+		want, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, goal)
 		if err != nil {
 			t.Fatalf("trial %d oracle: %v", trial, err)
 		}
 		start := want.Mapping.Clone()
-		m, got, err := Minimize(rng, &inst, mapping.Interval, goal, Options{Iters: 1, Restarts: 1, Start: start})
+		m, got, err := Minimize(context.Background(), rng, &inst, mapping.Interval, goal, Options{Iters: 1, Restarts: 1, Start: start})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -292,6 +294,59 @@ func TestStartIsKeptAndNeverWorsened(t *testing.T) {
 		}
 		if !reflect.DeepEqual(start, want.Mapping) {
 			t.Fatalf("trial %d: the start mapping was modified", trial)
+		}
+	}
+}
+
+// stopCtx is a context whose Err reports it cancelled from its stop-th
+// call on, so a test can end a search at a chosen poll.
+type stopCtx struct {
+	context.Context
+	stop, calls int
+}
+
+func (c *stopCtx) Err() error {
+	if c.calls++; c.calls >= c.stop {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestContextStop: a search whose context ends answers a valid mapping,
+// its score and the context's error, from its first restart: a context
+// done before the search starts stops the anneal at its first step, and
+// one that ends at the third poll stops it after 2048 steps.
+func TestContextStop(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	goal := pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap}
+	opt := Options{Iters: 100_000, Restarts: 3}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for trial := 0; trial < 10; trial++ {
+		inst := workload.MustInstance(rng, workload.Config{
+			Apps: 2, MinStages: 3, MaxStages: 5, Procs: 8, Modes: 2,
+			Class: pipeline.FullyHeterogeneous, MaxWork: 10, MaxData: 5, MaxSpeed: 8, MaxBandwidth: 4,
+		})
+		start, startV, err := Minimize(done, rand.New(rand.NewSource(1)), &inst, mapping.Interval, goal, opt)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("trial %d: a done context gave %v, want context.Canceled", trial, err)
+		}
+		ctx := &stopCtx{Context: context.Background(), stop: 3}
+		m, v, err := Minimize(ctx, rand.New(rand.NewSource(1)), &inst, mapping.Interval, goal, opt)
+		if !errors.Is(err, context.Canceled) || ctx.calls != 3 {
+			t.Fatalf("trial %d: stop at the third poll gave %v after %d polls", trial, err, ctx.calls)
+		}
+		for _, c := range []struct {
+			m mapping.Mapping
+			v float64
+		}{{start, startV}, {m, v}} {
+			if err := c.m.Validate(&inst, mapping.Interval); err != nil {
+				t.Fatalf("trial %d: stopped search answered an invalid mapping: %v", trial, err)
+			}
+			// The evaluator's score is bit-identical to mapping.Period.
+			if p := mapping.Period(&inst, &c.m, pipeline.Overlap); math.Float64bits(p) != math.Float64bits(c.v) {
+				t.Fatalf("trial %d: stopped search answered score %g for a mapping of period %g", trial, c.v, p)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -50,7 +51,7 @@ func TestMinPeriodFullyHomMatchesOracle(t *testing.T) {
 			if !fmath.EQ(mapping.Period(&inst, &m, model), got) {
 				t.Fatalf("trial %d: reported value %g does not match mapping period %g", trial, got, mapping.Period(&inst, &m, model))
 			}
-			want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: model})
+			want, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: model})
 			if err != nil {
 				t.Fatalf("trial %d oracle: %v", trial, err)
 			}
@@ -80,7 +81,7 @@ func TestMinLatencyGivenPeriodMatchesOracle(t *testing.T) {
 				}
 			}
 			m, got, err := MinLatencyGivenPeriodFullyHom(&inst, model, bounds)
-			want, werr := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency, Model: model, PeriodBounds: bounds})
+			want, werr := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency, Model: model, PeriodBounds: bounds})
 			if (err != nil) != (werr != nil) {
 				t.Fatalf("trial %d (%v): feasibility mismatch: dp=%v oracle=%v", trial, model, err, werr)
 			}
@@ -119,7 +120,7 @@ func TestMinPeriodGivenLatencyMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: model, LatencyBounds: bounds})
+			want, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: model, LatencyBounds: bounds})
 			if err != nil {
 				t.Fatalf("trial %d oracle: %v", trial, err)
 			}
@@ -151,7 +152,7 @@ func TestMinEnergyGivenPeriodMatchesOracle(t *testing.T) {
 				bounds[a] = curve[len(curve)-1] + rng.Float64()*(curve[0]-curve[len(curve)-1]+1)
 			}
 			_, got, err := MinEnergyGivenPeriodFullyHom(&inst, model, bounds)
-			want, werr := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: model, PeriodBounds: bounds})
+			want, werr := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: model, PeriodBounds: bounds})
 			if (err != nil) != (werr != nil) {
 				t.Fatalf("trial %d (%v): feasibility mismatch: dp=%v oracle=%v", trial, model, err, werr)
 			}
@@ -185,7 +186,7 @@ func TestTriCriteriaUniModalMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want, werr := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Period, Model: model, LatencyBounds: loose, EnergyBudget: budget})
+		want, werr := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Period, Model: model, LatencyBounds: loose, EnergyBudget: budget})
 		if werr != nil {
 			t.Fatalf("trial %d oracle: %v", trial, werr)
 		}
@@ -216,7 +217,7 @@ func TestMinEnergyGivenPeriodLatencyUniModal(t *testing.T) {
 			latBounds[a] = l * (1 + rng.Float64()*0.5)
 		}
 		_, got, err := MinEnergyGivenPeriodLatencyUniModal(&inst, model, perBounds, latBounds)
-		want, werr := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: model, PeriodBounds: perBounds, LatencyBounds: latBounds})
+		want, werr := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: model, PeriodBounds: perBounds, LatencyBounds: latBounds})
 		if (err != nil) != (werr != nil) {
 			t.Fatalf("trial %d: feasibility mismatch: alg=%v oracle=%v", trial, err, werr)
 		}
@@ -250,7 +251,7 @@ func TestMinLatencyCommHomMatchesOracle(t *testing.T) {
 		if !fmath.EQ(mapping.Latency(&inst, &m), got) {
 			t.Fatalf("trial %d: value/mapping mismatch", trial)
 		}
-		want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
+		want, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
 		if err != nil {
 			t.Fatalf("trial %d oracle: %v", trial, err)
 		}

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -139,7 +140,7 @@ func TestMinEnergyGivenPeriodCommHomMatchesOracle(t *testing.T) {
 			bounds[a] = heaviest/2 + rng.Float64()*heaviest
 		}
 		m, got, err := MinEnergyGivenPeriodCommHom(&inst, model, bounds)
-		want, werr := exact.Minimize(&inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: model, PeriodBounds: bounds})
+		want, werr := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: model, PeriodBounds: bounds})
 		if (err != nil) != (werr != nil) {
 			t.Fatalf("trial %d: feasibility mismatch: matching=%v oracle=%v", trial, err, werr)
 		}

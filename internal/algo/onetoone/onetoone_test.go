@@ -1,6 +1,7 @@
 package onetoone
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -51,7 +52,7 @@ func TestMinPeriodCommHomMatchesOracle(t *testing.T) {
 			if !fmath.EQ(mapping.Period(&inst, &m, model), got) {
 				t.Fatalf("trial %d: reported %g but mapping period is %g", trial, got, mapping.Period(&inst, &m, model))
 			}
-			want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: model})
+			want, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: model})
 			if err != nil {
 				t.Fatalf("trial %d oracle: %v", trial, err)
 			}
@@ -104,7 +105,7 @@ func TestMinLatencyFullyHom(t *testing.T) {
 	if !fmath.EQ(got, 8) {
 		t.Errorf("latency = %g, want 8", got)
 	}
-	want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
+	want, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,10 @@
 // per request, bit-identical to solving each job sequentially.
 //
 // SolveCtx is the context-aware form for long-running processes: when the
-// context is cancelled mid-batch, jobs not yet solved return ctx.Err() in
-// their slot (Each's skip), and the call returns promptly (jobs already
-// inside the solver run to completion — the solver itself is not
-// preemptible). A panic inside the solver is confined to the
+// context is cancelled mid-batch, jobs not yet started return ctx.Err() in
+// their slot (Each's skip), a search in flight stops at its next poll and
+// returns the same, and the call returns promptly. A panic inside the
+// solver is confined to the
 // offending job's slot as an error rather than crashing the process, so a
 // server can keep a shared cache alive across poisoned requests.
 package batch
@@ -64,10 +64,12 @@ type Options struct {
 	// identical jobs within the batch).
 	Cache *Cache
 	// SolveBudget, if positive, is a per-job wall-clock budget: a job
-	// whose solve outlives it degrades to the plan layer's reduced-effort
-	// fallback (plan.SolveCtx — heuristic on NP-hard cells, tagged
-	// Preempted) instead of blowing the whole batch's deadline. Preempted
-	// results are never retained by the cache. Zero means no budget.
+	// whose search outlives it stops and answers the best mapping found
+	// so far, tagged Degraded and Preempted, or the timeout error
+	// core.ErrSolveBudget when there is none, instead of blowing the
+	// whole batch's deadline. Polynomial cells always answer in full.
+	// Preempted results are never retained by the cache. Zero means no
+	// budget.
 	SolveBudget time.Duration
 }
 
@@ -167,9 +169,10 @@ func SolveCtx(ctx context.Context, jobs []Job, opts Options) ([]JobResult, Stats
 // worker). hit reports a memoized answer: the query's, or the plan tier's
 // memoized compilation error.
 //
-// A positive budget arms a per-job deadline: the plan answers from the
-// degraded path when the deadline fires first (the full solve keeps
-// running in the background and heals the memo; see plan.SolveCtx).
+// The query runs under ctx, so a solve stops when ctx ends. A positive
+// budget bounds it further with a per-job deadline whose cause is
+// core.ErrSolveBudget: a job that outlives it answers the stopped
+// search's best mapping, tagged Preempted (see plan.SolveCtx).
 func solvePlanned(ctx context.Context, cache *Cache, jobs []Job, group []int, budget time.Duration, planCompiles, planReuses *int64) (core.Result, error, bool) {
 	job := &jobs[group[0]]
 	pl, planHit := job.Plan, true
@@ -188,15 +191,12 @@ func solvePlanned(ctx context.Context, cache *Cache, jobs []Job, group []int, bu
 	if err != nil {
 		return core.Result{}, err, planHit
 	}
-	// Without a budget a started solve runs to completion: the solver is
-	// not preemptible, so the query drops ctx's cancellation.
-	qctx := context.WithoutCancel(ctx)
 	if budget > 0 {
 		var cancel context.CancelFunc
-		qctx, cancel = context.WithTimeout(ctx, budget)
+		ctx, cancel = context.WithTimeoutCause(ctx, budget, core.ErrSolveBudget)
 		defer cancel()
 	}
-	return pl.Answer(qctx, plan.QueryOf(job.Req))
+	return pl.Answer(ctx, plan.QueryOf(job.Req))
 }
 
 // groupKey identifies the jobs one computation answers: a job carrying

@@ -74,10 +74,11 @@ func Resolve(pl *plan.Plan, q plan.Query, ev Event) (*ResolveResult, error) {
 	return ResolveCtx(context.Background(), pl, q, ev)
 }
 
-// ResolveCtx is Resolve under a wall-clock budget: both the pre-fault
-// solve and the re-solve run through plan.SolveCtx, so an expired deadline
-// degrades them to the heuristic path (tagged Degraded/Preempted) instead
-// of stalling the caller.
+// ResolveCtx is Resolve under the caller's context: both the pre-fault
+// solve and the re-solve run through plan.SolveCtx, so they stop when ctx
+// ends. A context ended by a solve budget (cause core.ErrSolveBudget)
+// answers each stopped search's best mapping, tagged Degraded and
+// Preempted; any other end answers the context's error.
 func ResolveCtx(ctx context.Context, pl *plan.Plan, q plan.Query, ev Event) (*ResolveResult, error) {
 	before, err := pl.SolveCtx(ctx, q)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -8,8 +9,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/algo/exact"
 	"repro/internal/core"
@@ -44,12 +47,12 @@ func TestBudgetBeyondExactLimit(t *testing.T) {
 			continue // a polynomial cell
 		}
 		opt.Budget = core.ExactWork
-		sol, berr := exact.Minimize(&sc.Inst, opt, goal)
+		sol, berr := exact.Minimize(context.Background(), &sc.Inst, opt, goal)
 		switch {
 		case berr == nil:
 			solved++
 			opt.Budget = 0
-			full, ferr := exact.Minimize(&sc.Inst, opt, goal)
+			full, ferr := exact.Minimize(context.Background(), &sc.Inst, opt, goal)
 			//lint:allow floatcmp the budgeted answer must be the unbounded optimum bit for bit
 			if err != nil || ferr != nil || res.Method != core.MethodExact || !res.Optimal || res.Degraded || res.Value != full.Value {
 				t.Fatalf("%s (index %d): answered %q optimal %v value %v (%v); unbounded search %v (%v)",
@@ -179,7 +182,7 @@ func TestDegradedNeverAboveIncumbent(t *testing.T) {
 	for _, sc := range beyondJobs(t) {
 		opt, goal := core.ExactProblem(sc.Req)
 		opt.Budget = core.ExactWork
-		sol, berr := exact.Minimize(&sc.Inst, opt, goal)
+		sol, berr := exact.Minimize(context.Background(), &sc.Inst, opt, goal)
 		if !errors.Is(berr, exact.ErrSearchSpace) || len(sol.Mapping.Apps) == 0 {
 			continue
 		}
@@ -213,4 +216,53 @@ func BenchmarkSolveBeyondExactLimit(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(jobs)), "us/job")
+}
+
+// TestSolveBudgetStops pins what a stopped solve answers. Under a context
+// the solve budget has already ended, an NP-hard cell answers the
+// annealer's start, Preempted and Degraded with a lower bound, never
+// below the optimum; a problem whose start breaks its bounds answers
+// ErrSolveBudget, a timeout, where the full search proves ErrInfeasible.
+// A context ended otherwise answers its own error. A polynomial cell is
+// never stopped and answers in full.
+func TestSolveBudgetStops(t *testing.T) {
+	inst := pipeline.MotivatingExample()
+	cls := inst.Platform.Classify()
+	spent, cancel := context.WithDeadlineCause(context.Background(), time.Unix(0, 0), core.ErrSolveBudget)
+	defer cancel()
+	gone, cancelGone := context.WithCancel(context.Background())
+	cancelGone()
+
+	hard := core.Request{Rule: mapping.Interval, Objective: core.Period} // NP-hard on Figure 1
+	full, err := core.Solve(&inst, hard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.SolvePrepared(spent, &inst, cls, hard)
+	if err != nil || !res.Preempted || !res.Degraded || res.LowerBound <= 0 || res.LowerBound > res.Value || res.Value < full.Value {
+		t.Fatalf("spent budget: %+v, %v; want Preempted and Degraded with 0 < lower bound <= value, never below the optimum %g", res, err, full.Value)
+	}
+	if _, err := core.SolvePrepared(gone, &inst, cls, hard); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: %v, want context.Canceled", err)
+	}
+
+	tight := hard
+	tight.PeriodBounds = core.UniformBounds(&inst, 0.5)
+	if _, err := core.Solve(&inst, tight); !errors.Is(err, core.ErrInfeasible) {
+		t.Fatalf("unbudgeted tight bounds: %v, want ErrInfeasible", err)
+	}
+	if _, err := core.SolvePrepared(spent, &inst, cls, tight); !errors.Is(err, core.ErrSolveBudget) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("spent budget without a mapping: %v, want ErrSolveBudget, a deadline error", err)
+	}
+
+	poly := core.Request{Rule: mapping.Interval, Objective: core.Latency} // Theorem 12
+	want, err := core.Solve(&inst, poly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ctx := range []context.Context{spent, gone} {
+		if got, err := core.SolvePrepared(ctx, &inst, cls, poly); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("polynomial cell under an ended context: %+v, %v; want %+v", got, err, want)
+		}
+	}
 }

@@ -26,6 +26,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -129,9 +130,9 @@ type Result struct {
 	// populated only on degraded results so callers can report the bound
 	// gap Value - LowerBound.
 	LowerBound float64
-	// Preempted reports that a wall-clock budget expired mid-solve and the
-	// result came from the reduced-effort degraded path (plan.SolveCtx).
-	// Preempted results depend on scheduler timing and are never memoized.
+	// Preempted reports that a solve budget (ErrSolveBudget) stopped the
+	// search and Degraded's mapping is the best it held then. It depends
+	// on timing, so it is never memoized.
 	Preempted bool
 }
 
@@ -153,6 +154,11 @@ var ErrInfeasible = errors.New("core: no mapping satisfies the bounds")
 // fits, runs the search to the end and settles it.
 var ErrUnresolved = errors.New("core: search budget spent without finding a mapping (infeasibility not proven)")
 
+// ErrSolveBudget is the cause of a context ended by a solve budget
+// (context.WithTimeoutCause; see SolvePrepared), and the timeout a solve
+// it stops answers when it has no mapping.
+var ErrSolveBudget = fmt.Errorf("core: solve budget spent: %w", context.DeadlineExceeded)
+
 // ErrUnsupported is returned for criteria combinations the paper rules out
 // (energy without a period constraint).
 var ErrUnsupported = errors.New("core: unsupported criteria combination")
@@ -162,16 +168,19 @@ func Solve(inst *pipeline.Instance, req Request) (Result, error) {
 	if err := inst.Validate(); err != nil {
 		return Result{}, err
 	}
-	return SolvePrepared(inst, inst.Platform.Classify(), req)
+	return SolvePrepared(context.Background(), inst, inst.Platform.Classify(), req)
 }
 
 // SolvePrepared is Solve for callers that have already validated the
 // instance and classified its platform — the compiled-plan layer
 // (internal/plan) performs both once at compile time and then issues many
 // queries. cls must be inst.Platform.Classify() and inst.Validate() must
-// have returned nil; given that, SolvePrepared(inst, cls, req) is
-// bit-identical to Solve(inst, req).
-func SolvePrepared(inst *pipeline.Instance, cls pipeline.Class, req Request) (Result, error) {
+// have returned nil; given that, SolvePrepared(ctx, inst, cls, req) is
+// bit-identical to Solve(inst, req) unless ctx ends during the search of
+// an NP-hard cell (polynomial cells never stop). Ended by a solve budget
+// (cause ErrSolveBudget), the search answers its best mapping, tagged
+// Degraded and Preempted; ended otherwise, the context's error.
+func SolvePrepared(ctx context.Context, inst *pipeline.Instance, cls pipeline.Class, req Request) (Result, error) {
 	if err := CheckBounds(inst, req); err != nil {
 		return Result{}, err
 	}
@@ -196,7 +205,7 @@ func SolvePrepared(inst *pipeline.Instance, cls pipeline.Class, req Request) (Re
 		// so no mapping meets a smaller budget.
 		return Result{}, ErrInfeasible
 	}
-	return fallback(inst, req)
+	return fallback(ctx, inst, req)
 }
 
 // CheckBounds rejects a bound array that does not hold one bound per
@@ -425,33 +434,55 @@ func (r Request) goal() pipeline.Goal {
 // min(ExactLimit, exactWork) placements: a search that ends within it is
 // just as exact, and one that runs out hands its incumbent, if any, to
 // the annealer as the starting mapping. The answer is then the better of
-// the annealer's mapping and the search's incumbent, tagged Degraded.
-func fallback(inst *pipeline.Instance, req Request) (Result, error) {
+// the annealer's mapping and the search's incumbent, tagged Degraded. A
+// search the solve budget stops takes the same path, tagged Preempted.
+func fallback(ctx context.Context, inst *pipeline.Instance, req Request) (Result, error) {
 	opt, goal := ExactProblem(req)
 	if !withinExactLimit(inst, req) {
 		opt.Budget = min(req.exactLimit(), exactWork)
 	}
-	sol, err := exact.Minimize(inst, opt, goal)
+	sol, err := exact.Minimize(ctx, inst, opt, goal)
 	switch {
 	case err == nil:
 		return wrap(inst, req, sol.Mapping, sol.Value, MethodExact, true, nil)
 	case errors.Is(err, exact.ErrInfeasible):
 		return Result{}, ErrInfeasible
-	case !errors.Is(err, exact.ErrSearchSpace):
+	case !errors.Is(err, exact.ErrSearchSpace) && !budgetSpent(ctx, err):
 		return Result{}, err
 	}
-	// A mapping the search found is never lost: the annealer starts from
-	// it, and it answers when the annealer found none or a worse one.
-	res, err := heuristicSolve(inst, req, sol.Mapping)
-	if len(sol.Mapping.Apps) > 0 && (errors.Is(err, ErrUnresolved) || (err == nil && fmath.LT(sol.Value, res.Value))) {
-		res, err = wrap(inst, req, sol.Mapping, sol.Value, MethodHeuristic, false, nil)
+	// A mapping the search found is never lost: restart 0 of the annealer
+	// starts from it, and then one restart is the default (cold restarts
+	// rarely beat it), and it answers when the annealer found none or a
+	// worse one. A budget that stopped the search stops the annealer at
+	// its first step.
+	hopt := heur.Options{Iters: req.HeurIters, Restarts: req.HeurRestarts, Start: sol.Mapping}
+	if len(sol.Mapping.Apps) > 0 && hopt.Restarts <= 0 {
+		hopt.Restarts = 1
 	}
-	if err != nil {
-		return res, err
+	m, v, err := heur.Minimize(ctx, rand.New(rand.NewSource(req.Seed+1)), inst, req.Rule, goal, hopt)
+	preempted := budgetSpent(ctx, err)
+	if err != nil && !preempted {
+		return Result{}, err
 	}
-	res.Degraded = true
+	if len(sol.Mapping.Apps) > 0 && (math.IsInf(v, 1) || fmath.LT(sol.Value, v)) {
+		m, v = sol.Mapping, sol.Value
+	}
+	switch {
+	case !math.IsInf(v, 1):
+	case preempted:
+		return Result{}, ErrSolveBudget
+	default:
+		return Result{}, ErrUnresolved
+	}
+	res, err := wrap(inst, req, m, v, MethodHeuristic, false, nil)
+	res.Degraded, res.Preempted = true, preempted
 	res.LowerBound = lowerBound(inst, req)
-	return res, nil
+	return res, err
+}
+
+// budgetSpent reports whether err is that of ctx ended by the solve budget.
+func budgetSpent(ctx context.Context, err error) bool {
+	return err != nil && errors.Is(err, ctx.Err()) && errors.Is(context.Cause(ctx), ErrSolveBudget)
 }
 
 // lowerBound computes a cheap provable lower bound on the constrained
@@ -520,27 +551,6 @@ func lowerBound(inst *pipeline.Instance, req Request) float64 {
 func withinExactLimit(inst *pipeline.Instance, req Request) bool {
 	_, err := exact.CountMappings(inst, exact.Options{Rule: req.Rule, Modes: exact.AllModes, Limit: req.exactLimit()})
 	return err == nil
-}
-
-// heuristicSolve runs the heuristic search on the request's goal: its
-// objective, penalized to +Inf outside its bounds and budget. A non-empty
-// start (the budgeted search's incumbent) is restart 0's starting
-// mapping, and then one restart is the default: cold restarts rarely beat
-// an anneal from a mapping the search already found.
-func heuristicSolve(inst *pipeline.Instance, req Request, start mapping.Mapping) (Result, error) {
-	rng := rand.New(rand.NewSource(req.Seed + 1))
-	opt := heur.Options{Iters: req.HeurIters, Restarts: req.HeurRestarts, Start: start}
-	if len(start.Apps) > 0 && opt.Restarts <= 0 {
-		opt.Restarts = 1
-	}
-	m, v, err := heur.Minimize(rng, inst, req.Rule, req.goal(), opt)
-	if err != nil {
-		return Result{}, err
-	}
-	if math.IsInf(v, 1) {
-		return Result{}, ErrUnresolved
-	}
-	return wrap(inst, req, m, v, MethodHeuristic, false, nil)
 }
 
 func wrap(inst *pipeline.Instance, req Request, m mapping.Mapping, v float64, method Method, optimal bool, err error) (Result, error) {

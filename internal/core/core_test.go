@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -123,7 +124,7 @@ func TestSolveTriCriteriaUniModal(t *testing.T) {
 	if res.Method != MethodUniModalBudget {
 		t.Errorf("uni-modal tri-criteria dispatched to %v", res.Method)
 	}
-	want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: UniformBounds(&inst, 3), LatencyBounds: UniformBounds(&inst, 10)})
+	want, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: UniformBounds(&inst, 3), LatencyBounds: UniformBounds(&inst, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestSolveExactFallbackOnSmallHet(t *testing.T) {
 	if res.Method != MethodExact || !res.Optimal {
 		t.Errorf("small het instance dispatched to %v", res.Method)
 	}
-	want, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
+	want, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
 	if err != nil {
 		t.Fatal(err)
 	}

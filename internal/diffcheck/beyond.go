@@ -136,7 +136,7 @@ func checkBeyond(sc *gen.Scenario) (o beyondOutcome) {
 	case errors.Is(serr, core.ErrInfeasible):
 		o.infeasible = true
 		opt.Limit = math.MaxInt64
-		sol, berr := exact.Minimize(&sc.Inst, opt, goal)
+		sol, berr := exact.Minimize(context.Background(), &sc.Inst, opt, goal)
 		switch {
 		case berr == nil:
 			o.err = fmt.Errorf("solver claims infeasible but branch and bound found a mapping of value %g", sol.Value)
@@ -155,7 +155,7 @@ func checkBeyond(sc *gen.Scenario) (o beyondOutcome) {
 	}
 	o.degraded = true
 	opt.Budget = beyondWork
-	sol, berr := exact.Minimize(&sc.Inst, opt, goal)
+	sol, berr := exact.Minimize(context.Background(), &sc.Inst, opt, goal)
 	o.settled = berr == nil || errors.Is(berr, exact.ErrInfeasible)
 	switch {
 	case errors.Is(berr, exact.ErrSearchSpace):

@@ -367,9 +367,9 @@ func planEquivalence(sc *gen.Scenario) (int, error) {
 func pruneEquivalence(sc *gen.Scenario) (bool, error) {
 	opt, goal := core.ExactProblem(sc.Req)
 	opt.Limit = oracleLimit
-	pruned, perr := exact.Minimize(&sc.Inst, opt, goal)
+	pruned, perr := exact.Minimize(context.Background(), &sc.Inst, opt, goal)
 	opt.NoPrune = true
-	ref, rerr := exact.Minimize(&sc.Inst, opt, goal)
+	ref, rerr := exact.Minimize(context.Background(), &sc.Inst, opt, goal)
 	if errors.Is(perr, exact.ErrSearchSpace) || errors.Is(rerr, exact.ErrSearchSpace) {
 		return false, nil
 	}

@@ -44,7 +44,7 @@ type cellCheck struct {
 // request's exact statement, run to the end.
 func optimum(inst *pipeline.Instance, req core.Request) (float64, error) {
 	opt, goal := core.ExactProblem(req)
-	sol, err := exact.Minimize(inst, opt, goal)
+	sol, err := exact.Minimize(context.Background(), inst, opt, goal)
 	return sol.Value, err
 }
 

@@ -606,6 +606,78 @@ func TestGatewaySubBatchTimeoutKeepsReplicas(t *testing.T) {
 	}
 }
 
+// TestGatewaySlowSolveTimeoutKeepsReplicas sends a request within every
+// wire cap whose search takes seconds through replicas with a 100 ms
+// request timeout, as a single solve and as a one-job batch. The replica
+// stops the search at its timeout and answers 504; the gateway relays it
+// as timeout within 200 ms, the replica stays in the ring, and the job is
+// posted once: nothing reroutes, so no second replica runs it again.
+func TestGatewaySlowSolveTimeoutKeepsReplicas(t *testing.T) {
+	var posts atomic.Int64
+	urls := make([]string, 3)
+	for i := range urls {
+		s := server.New(server.Config{Timeout: 100 * time.Millisecond})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost {
+				posts.Add(1)
+			}
+			s.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	g := newGateway(t, urls, Config{})
+	inst := servetest.Fig1JSON(t)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/solve", `{"instance": ` + inst + `, "request": ` + servetest.SlowSolveRequest + `}`},
+		{"/v1/batch", `{"instance": ` + inst + `, "jobs": [{"request": ` + servetest.SlowSolveRequest + `}]}`},
+	} {
+		posts.Store(0)
+		start := time.Now()
+		rec := postGateway(g, c.path, c.body)
+		elapsed := time.Since(start)
+		var code string
+		if c.path == "/v1/solve" {
+			if rec.Code != http.StatusGatewayTimeout {
+				t.Fatalf("%s: status %d after %v, want 504: %.200s", c.path, rec.Code, elapsed, rec.Body.String())
+			}
+			var e struct{ Code string }
+			decode(t, rec, &e)
+			code = e.Code
+		} else {
+			var out rawOutput
+			decode(t, rec, &out)
+			if rec.Code != http.StatusOK || len(out.Results) != 1 {
+				t.Fatalf("%s: status %d after %v, want 200 with one slot: %.200s", c.path, rec.Code, elapsed, rec.Body.String())
+			}
+			var res jobspec.Result
+			if err := json.Unmarshal(out.Results[0], &res); err != nil {
+				t.Fatal(err)
+			}
+			code = res.Code
+		}
+		if code != jobspec.CodeTimeout {
+			t.Errorf("%s: code %q, want timeout", c.path, code)
+		}
+		if elapsed > 200*time.Millisecond {
+			t.Errorf("%s: answered after %v, want within 200ms", c.path, elapsed)
+		}
+		if n := posts.Load(); n != 1 {
+			t.Errorf("%s: replicas saw %d posts, want 1", c.path, n)
+		}
+	}
+	for i := range urls {
+		if !g.Healthy(i) {
+			t.Errorf("replica %d marked down by its own 504", i)
+		}
+	}
+	var st gatewayStatsJSON
+	decode(t, getGateway(g, "/stats"), &st)
+	if st.Rerouted != 0 {
+		t.Errorf("rerouted = %d, want 0", st.Rerouted)
+	}
+}
+
 // TestGatewayAllReplicasDown pins the endgame: with no healthy replica,
 // batch slots answer structured shed errors (the batch itself is not an
 // HTTP failure) while an invalid batch still answers its 400, /readyz

@@ -1,6 +1,7 @@
 package npc
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -127,7 +128,7 @@ func TestTheorem5Equivalence(t *testing.T) {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		inst := EncodePeriodInterval(tp)
-		sol, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
+		sol, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -156,7 +157,7 @@ func TestTheorem5Equivalence(t *testing.T) {
 func TestTheorem6WeightedEquivalence(t *testing.T) {
 	tp := ThreePartition{B: 10, Items: []int{3, 3, 4, 2, 4, 4}}
 	inst := EncodePeriodIntervalWeighted(tp, []float64{2, 0.5})
-	sol, err := exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
+	sol, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestTheorem6WeightedEquivalence(t *testing.T) {
 	}
 	bad := ThreePartition{B: 10, Items: []int{3, 3, 3, 3, 3, 5}}
 	inst = EncodePeriodIntervalWeighted(bad, []float64{2, 0.5})
-	sol, err = exact.Minimize(&inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
+	sol, err = exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.Interval, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Period, Model: pipeline.Overlap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestTheorem9Equivalence(t *testing.T) {
 	}
 	for i, tp := range cases {
 		inst := EncodeLatencyOneToOne(tp)
-		sol, err := exact.Minimize(&inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
+		sol, err := exact.Minimize(context.Background(), &inst, exact.Options{Rule: mapping.OneToOne, Modes: exact.FastestOnly}, pipeline.Goal{Objective: pipeline.Latency})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -200,7 +201,7 @@ func TestTheorem9Equivalence(t *testing.T) {
 // problem of the gadget has a solution.
 func gadgetFeasible(t *testing.T, g *TriCriteriaGadget) (bool, exact.Solution) {
 	t.Helper()
-	sol, err := exact.Minimize(&g.Instance, exact.Options{Rule: g.Rule, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: []float64{g.PeriodBound}, LatencyBounds: []float64{g.LatencyBound}})
+	sol, err := exact.Minimize(context.Background(), &g.Instance, exact.Options{Rule: g.Rule, Modes: exact.AllModes}, pipeline.Goal{Objective: pipeline.Energy, Model: pipeline.Overlap, PeriodBounds: []float64{g.PeriodBound}, LatencyBounds: []float64{g.LatencyBound}})
 	if errors.Is(err, exact.ErrInfeasible) {
 		return false, exact.Solution{}
 	}

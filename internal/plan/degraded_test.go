@@ -32,48 +32,60 @@ func TestSolveCtxBackgroundIsSolve(t *testing.T) {
 	}
 }
 
-// TestSolveCtxExpiredDeadlineDegrades pins the graceful-degradation
-// contract: an already-expired deadline answers from the reduced-effort
-// path, tagged Preempted, without touching the memo, and counts as one
-// query.
+// spentBudget returns a context already ended by the solve budget.
+func spentBudget(t *testing.T) context.Context {
+	ctx, cancel := context.WithDeadlineCause(context.Background(), time.Now().Add(-time.Second), core.ErrSolveBudget)
+	t.Cleanup(cancel)
+	return ctx
+}
+
+// TestSolveCtxExpiredDeadlineDegrades pins the solve budget's contract
+// when it has run out before the solve starts. The search of an NP-hard
+// cell stops at its first poll and the answer is the annealer's starting
+// mapping, tagged Preempted and Degraded, and never memoized: a
+// budget-free solve of the same query then solves afresh and gets
+// core.Solve's answer. A polynomial cell is never stopped: it answers in
+// full, and that answer is memoized.
 func TestSolveCtxExpiredDeadlineDegrades(t *testing.T) {
 	mi := pipeline.MotivatingExample()
 	p, err := Compile(&mi, mapping.Interval, pipeline.Overlap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	q := Query{Objective: core.Period, Seed: 3}
-	res, err := p.SolveCtx(ctx, q)
+	q := Query{Objective: core.Period, Seed: 3} // NP-hard on Figure 1
+	res, err := p.SolveCtx(spentBudget(t), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Preempted {
-		t.Fatalf("expired-deadline result not tagged Preempted: %+v", res)
+	if !res.Preempted || !res.Degraded || res.LowerBound <= 0 || res.LowerBound > res.Value {
+		t.Fatalf("spent budget: %+v, want Preempted and Degraded with 0 < lower bound <= value", res)
 	}
-	st := p.QueryStats()
-	if st.Degraded != 1 || st.Queries != 1 {
-		t.Fatalf("Degraded, Queries = %d, %d, want 1, 1", st.Degraded, st.Queries)
+	if st := p.QueryStats(); st.Queries != 1 || st.Entries != 0 {
+		t.Fatalf("stats %+v, want 1 query and no memoized entry", st)
 	}
-	if st.Entries != 0 {
-		t.Fatalf("degraded result was memoized: %d entries", st.Entries)
+	clean, err := p.Solve(q)
+	want, werr := core.Solve(&mi, p.Request(q))
+	if err != nil || werr != nil || !reflect.DeepEqual(clean, want) {
+		t.Fatalf("budget-free solve after a preempted one: %+v, %v; core.Solve %+v, %v", clean, err, want, werr)
+	}
+	if st := p.QueryStats(); st.Hits != 0 {
+		t.Fatalf("the budget-free solve hit a kept preempted answer: %+v", st)
 	}
 
-	// A budget-free solve of the same query must get the clean answer.
-	clean, err := p.Solve(q)
-	if err != nil {
-		t.Fatal(err)
+	poly := Query{Objective: core.Latency} // Theorem 12 on Figure 1
+	res, err = p.SolveCtx(spentBudget(t), poly)
+	want, werr = core.Solve(&mi, p.Request(poly))
+	if err != nil || werr != nil || !reflect.DeepEqual(res, want) || res.Preempted {
+		t.Fatalf("polynomial cell under a spent budget: %+v, %v; core.Solve %+v, %v", res, err, want, werr)
 	}
-	if clean.Preempted {
-		t.Fatal("budget-free solve returned a preempted result")
+	if st := p.QueryStats(); st.Entries != 2 {
+		t.Fatalf("polynomial answer not memoized: %+v", st)
 	}
 }
 
 // TestAnswerExpiredDeadlineReturnsPublished: once a query's clean answer
-// is published, an already-expired deadline answers from it — a memo hit,
-// bit-identical to Solve, not preempted — and the degraded path is not
-// taken.
+// is published, an already-spent budget answers from it — a memo hit,
+// bit-identical to Solve, not preempted.
 func TestAnswerExpiredDeadlineReturnsPublished(t *testing.T) {
 	mi := pipeline.MotivatingExample()
 	p, err := Compile(&mi, mapping.Interval, pipeline.Overlap)
@@ -85,22 +97,21 @@ func TestAnswerExpiredDeadlineReturnsPublished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	res, err, hit := p.Answer(ctx, q)
+	res, err, hit := p.Answer(spentBudget(t), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hit || res.Preempted || !reflect.DeepEqual(res, clean) {
-		t.Fatalf("expired deadline over a published answer: hit %v, %+v, want a hit on %+v", hit, res, clean)
+		t.Fatalf("spent budget over a published answer: hit %v, %+v, want a hit on %+v", hit, res, clean)
 	}
-	if st := p.QueryStats(); st.Degraded != 0 || st.Queries != 2 || st.Hits != 1 {
-		t.Fatalf("stats %+v, want 2 queries, 1 hit, 0 degraded", st)
+	if st := p.QueryStats(); st.Queries != 2 || st.Hits != 1 {
+		t.Fatalf("stats %+v, want 2 queries, 1 hit", st)
 	}
 }
 
-// TestSolveCtxCancelledReturnsCtxErr pins that cancellation (the caller is
-// gone) is not degraded-solved: no answer is wanted.
+// TestSolveCtxCancelledReturnsCtxErr pins that a context ended by
+// anything but the solve budget (the caller is gone) answers its error,
+// not a mapping, and leaves nothing in the memo.
 func TestSolveCtxCancelledReturnsCtxErr(t *testing.T) {
 	mi := pipeline.MotivatingExample()
 	p, err := Compile(&mi, mapping.Interval, pipeline.Overlap)
@@ -112,45 +123,104 @@ func TestSolveCtxCancelledReturnsCtxErr(t *testing.T) {
 	if _, err := p.SolveCtx(ctx, Query{Objective: core.Period}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if st := p.QueryStats(); st.Degraded != 0 {
-		t.Fatalf("cancellation took the degraded path: %+v", st)
+	if st := p.QueryStats(); st.Entries != 0 {
+		t.Fatalf("a cancelled solve was memoized: %+v", st)
 	}
 }
 
-// TestSolveCtxMidFlightDeadline arms a deadline a slow solve cannot meet:
-// the call must come back degraded promptly while the full solve finishes
-// in the background and heals the memo for later budget-free queries.
+// slowQuery forces the heuristic on Figure 1 with an annealing budget
+// that takes about 0.2 s on a 2-vCPU x86 host.
+var slowQuery = Query{Objective: core.Period, ExactLimit: 1, HeurIters: 1_000_000, HeurRestarts: 2, Seed: 9}
+
+// TestSolveCtxMidFlightDeadline arms a budget the slow query cannot meet:
+// the annealer stops at its next poll and the call comes back promptly
+// with the best mapping reached, Preempted and Degraded. Nothing is
+// memoized, so a budget-free solve of the query runs in full itself.
 func TestSolveCtxMidFlightDeadline(t *testing.T) {
 	mi := pipeline.MotivatingExample()
 	p, err := Compile(&mi, mapping.Interval, pipeline.Overlap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ExactLimit 1 forces the heuristic; a large annealing budget makes
-	// the full solve far outlast the 10ms deadline on any hardware.
-	q := Query{Objective: core.Period, ExactLimit: 1, HeurIters: 2_000_000, HeurRestarts: 2, Seed: 9}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	ctx, cancel := context.WithTimeoutCause(context.Background(), 10*time.Millisecond, core.ErrSolveBudget)
 	defer cancel()
-	res, err := p.SolveCtx(ctx, q)
+	start := time.Now()
+	res, err := p.SolveCtx(ctx, slowQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("a 10ms budget answered after %v", took)
+	}
 	if !res.Preempted || !res.Degraded {
-		t.Fatalf("mid-flight deadline result not Preempted+Degraded: %+v", res)
+		t.Fatalf("mid-flight budget result not Preempted+Degraded: %+v", res)
 	}
 	if res.LowerBound <= 0 || res.LowerBound > res.Value {
 		t.Fatalf("degraded lower bound %g not in (0, value %g]", res.LowerBound, res.Value)
 	}
-	// The background full solve publishes to the memo; a budget-free
-	// arrival waits on it and gets the clean result.
-	clean, err := p.Solve(q)
+	if st := p.QueryStats(); st.Entries != 0 {
+		t.Fatalf("a preempted answer was memoized: %+v", st)
+	}
+	clean, err, hit := p.Answer(context.Background(), slowQuery)
+	if err != nil || hit || clean.Preempted {
+		t.Fatalf("budget-free solve after a preempted one: %+v, %v, hit %v; want a fresh full solve", clean, err, hit)
+	}
+}
+
+// TestSharedEntryOwnerCancelled runs two identical queries at once and
+// cancels the one that installed the memo entry mid-solve: the installer
+// gets its context's error, the waiter solves the query afresh under its
+// own context and gets core.Solve's answer, and the memo ends up holding
+// that one answer.
+func TestSharedEntryOwnerCancelled(t *testing.T) {
+	mi := pipeline.MotivatingExample()
+	p, err := Compile(&mi, mapping.Interval, pipeline.Overlap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean.Preempted {
-		t.Fatal("memoized result is preempted")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	owner := make(chan error, 1)
+	go func() {
+		_, err := p.SolveCtx(ctx, slowQuery)
+		owner <- err
+	}()
+	waitUntil(t, func() bool { return p.memo.Len() == 1 })
+	waiter := make(chan error, 1)
+	var got core.Result
+	go func() {
+		var err error
+		got, err = p.Solve(slowQuery)
+		waiter <- err
+	}()
+	waitUntil(t, func() bool { return p.memo.Stats().Hits == 1 })
+	cancel()
+	if err := <-owner; !errors.Is(err, context.Canceled) {
+		t.Fatalf("installer: %v, want context.Canceled", err)
 	}
-	if st := p.QueryStats(); st.Hits != 1 {
-		t.Fatalf("budget-free solve did not hit the background entry: %+v", st)
+	if err := <-waiter; err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Solve(&mi, p.Request(slowQuery))
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("waiter answered %+v; core.Solve %+v, %v", got, want, err)
+	}
+	if n := p.memo.Len(); n != 1 {
+		t.Fatalf("memo holds %d entries, want the one answer", n)
+	}
+	if again, err, hit := p.Answer(context.Background(), slowQuery); err != nil || !hit || !reflect.DeepEqual(again, want) {
+		t.Fatalf("repeat: hit %v, %+v, %v; want a hit on core.Solve's answer", hit, again, err)
+	}
+}
+
+// waitUntil polls cond until it holds or a generous deadline passes.
+func waitUntil(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never held")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }

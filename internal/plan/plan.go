@@ -142,14 +142,8 @@ type Plan struct {
 	memo *memo.Memo[core.Packed]
 	id   uint64
 
-	queries, hits, degraded atomic.Int64
+	queries, hits atomic.Int64
 }
-
-// degradedHeurIters is the reduced annealing budget of a degraded solve
-// (a full solve anneals 4000 iterations per restart, one restart from the
-// search's incumbent or three cold ones without it): after a wall-clock
-// budget has already expired, the fallback must be quick, not thorough.
-const degradedHeurIters = 800
 
 // keyPool recycles query-key scratch buffers across Solve calls (the
 // per-query arena of the package docs).
@@ -230,14 +224,7 @@ func (p *Plan) Solve(q Query) (core.Result, error) {
 	return res, err
 }
 
-// SolveCtx is Solve under a wall-clock budget: when ctx carries no deadline
-// or cancellation it is exactly Solve, and when the budget expires before
-// the full solve publishes, the call returns a reduced-effort degraded
-// result (tagged Preempted, never memoized) instead of blocking. The full
-// solve keeps running on a background goroutine and publishes its clean
-// result to the memo, so later arrivals of the same query key self-heal to
-// the budget-free answer. A cancelled (as opposed to expired) context
-// returns ctx.Err(): the caller has gone away and no answer is wanted.
+// SolveCtx is Solve under the caller's context (see Answer).
 func (p *Plan) SolveCtx(ctx context.Context, q Query) (core.Result, error) {
 	res, err, _ := p.Answer(ctx, q)
 	return res, err
@@ -245,68 +232,48 @@ func (p *Plan) SolveCtx(ctx context.Context, q Query) (core.Result, error) {
 
 // Answer is SolveCtx that also reports whether the memo answered: hit is
 // true when the query key was already memoized or in flight, false when
-// this call ran (or started) the solve or took the degraded path. A call
-// whose deadline has already expired returns the plan's published answer
-// when there is one, and otherwise degrades without installing an entry.
+// this call ran the solve.
+//
+// The call that installs a query's entry solves it on its own goroutine
+// under ctx, so the solve stops when ctx ends: a solve budget (cause
+// core.ErrSolveBudget) answers a Preempted mapping, any other end ctx's
+// error (see core.SolvePrepared). Such an outcome is dropped from the memo
+// before it is published: the callers already waiting take a Preempted
+// answer as it is, and after a context error ask again under their own
+// contexts. A waiter whose own context ends returns its error.
 func (p *Plan) Answer(ctx context.Context, q Query) (res core.Result, err error, hit bool) {
-	if err := ctx.Err(); err != nil {
-		if !errors.Is(err, context.DeadlineExceeded) {
-			return core.Result{}, err, false
-		}
-		p.queries.Add(1)
-		if e, ok := p.lookup(q, false); ok {
-			p.hits.Add(1)
-			res, err = cloneStored(e.Wait())
-			return res, err, true
-		}
-		res, err = p.degradedSolve(q)
-		return res, err, false
-	}
 	p.queries.Add(1)
-	e, hit := p.lookup(q, true)
-	if hit {
-		p.hits.Add(1)
-	}
-	res, err = p.await(ctx, e, q, hit)
-	return res, err, hit
-}
-
-// await answers q from its memo entry e, running the solve first when this
-// call installed e (hit false).
-func (p *Plan) await(ctx context.Context, e *memo.Entry[core.Packed], q Query, hit bool) (core.Result, error) {
-	if ctx.Done() == nil {
+	for {
+		e, hit := p.lookup(q)
 		if !hit {
-			p.run(e, q)
+			res, err = p.run(ctx, e, q)
+			return res, err, false
 		}
-		return cloneStored(e.Wait())
-	}
-	if !hit {
-		// The solver reads the query's bound slices for the whole solve;
-		// clone them so the caller regaining control at deadline expiry
-		// cannot corrupt the memoized result by reusing its buffers.
-		go p.run(e, cloneQuery(q))
-	}
-	select {
-	case <-e.Ready():
-		return cloneStored(e.Wait())
-	case <-ctx.Done():
 		select {
-		case <-e.Ready(): // published as the deadline fired: the answer wins
-			return cloneStored(e.Wait())
-		default:
+		case <-e.Ready():
+		case <-ctx.Done():
+			select {
+			case <-e.Ready(): // published as ctx ended: the answer wins
+			default:
+				return core.Result{}, ctx.Err(), true
+			}
 		}
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return p.degradedSolve(q)
+		res, err = cloneStored(e.Wait())
+		switch {
+		case !isCtxErr(err):
+			p.hits.Add(1)
+			return res, err, true
+		case ctx.Err() != nil:
+			return core.Result{}, ctx.Err(), true
 		}
-		return core.Result{}, ctx.Err()
+		// Its caller's context stopped the solve: ask again under this one.
 	}
 }
 
-// lookup finds or, with install, installs the single-flight memo entry for
-// q. hit reports whether the entry was already present (the caller must
-// then wait on it); on a miss the caller owns running the solve via run.
-// Without install, only a published entry is found.
-func (p *Plan) lookup(q Query, install bool) (e *memo.Entry[core.Packed], hit bool) {
+// lookup finds or installs the single-flight memo entry for q. hit
+// reports whether the entry was already present (the caller must then
+// wait on it); on a miss the caller owns running the solve via run.
+func (p *Plan) lookup(q Query) (e *memo.Entry[core.Packed], hit bool) {
 	kp := keyPool.Get().(*[]byte)
 	buf := binary.LittleEndian.AppendUint64((*kp)[:0], p.id)
 	if p.boundClassed(q) {
@@ -314,68 +281,37 @@ func (p *Plan) lookup(q Query, install bool) (e *memo.Entry[core.Packed], hit bo
 	} else {
 		buf = appendQueryKey(buf, q)
 	}
-	if install {
-		e, hit = p.memo.Get(buf)
-	} else {
-		e, hit = p.memo.Published(buf)
-	}
+	e, hit = p.memo.Get(buf)
 	*kp = buf
 	keyPool.Put(kp)
 	return e, hit
 }
 
-// run executes the solve for a freshly installed entry and publishes the
-// result. A panic in the solver is published as the entry's error, so it
+// run solves q under ctx for a freshly installed entry and publishes the
+// result, dropping the entry from the memo first when ctx stopped the
+// solve. A panic in the solver is published as the entry's error, so it
 // stays confined to this plan's query.
-func (p *Plan) run(e *memo.Entry[core.Packed], q Query) {
+func (p *Plan) run(ctx context.Context, e *memo.Entry[core.Packed], q Query) (core.Result, error) {
 	e.Fill(func() (packed core.Packed, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				packed, err = core.Packed{}, fmt.Errorf("plan: solve panicked: %v\n%s", r, debug.Stack())
 			}
 		}()
-		res, err := core.SolvePrepared(&p.inst, p.cls, p.Request(q))
+		res, err := core.SolvePrepared(ctx, &p.inst, p.cls, p.Request(q))
+		if res.Preempted || isCtxErr(err) {
+			p.memo.Forget(e)
+		}
 		return res.Pack(), err
 	})
+	return cloneStored(e.Wait())
 }
 
-// degradedSolve is the reduced-effort fallback taken when a wall-clock
-// budget expires: it forces the heuristic path on NP-hard cells (ExactLimit
-// 1; polynomial cells still run their fast theorem algorithm unchanged)
-// with a small annealing budget, and tags the result Preempted. Preempted
-// results are never memoized — whether a deadline fired depends on
-// scheduler timing, so caching one would poison budget-free callers of the
-// same query key. A failure of the fallback itself is reported as
-// context.DeadlineExceeded: the budget expired and the quick path could not
-// produce a trustworthy verdict (the heuristic's "infeasible" is not a
-// proof), so clients should retry with a larger budget.
-func (p *Plan) degradedSolve(q Query) (core.Result, error) {
-	p.degraded.Add(1)
-	dq := q
-	dq.ExactLimit = 1
-	// The annealing budget is forced down even when the query tuned its
-	// own: a query whose HeurIters made the full solve slow must not make
-	// the "quick" fallback just as slow.
-	dq.HeurIters = degradedHeurIters
-	dq.HeurRestarts = 1
-	res, err := core.SolvePrepared(&p.inst, p.cls, p.Request(dq))
-	if err != nil {
-		return core.Result{}, fmt.Errorf("plan: solve budget expired: %w (degraded fallback: %v)", context.DeadlineExceeded, err)
-	}
-	res.Preempted = true
-	return res, nil
-}
-
-// cloneQuery deep-copies the query's bound slices (the only reference
-// fields) for handoff to a background solve.
-func cloneQuery(q Query) Query {
-	if q.PeriodBounds != nil {
-		q.PeriodBounds = append([]float64(nil), q.PeriodBounds...)
-	}
-	if q.LatencyBounds != nil {
-		q.LatencyBounds = append([]float64(nil), q.LatencyBounds...)
-	}
-	return q
+// isCtxErr reports whether err is a context's error: the solve that
+// returned it was stopped, so the answer belongs to its caller alone and
+// is never kept.
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // cloneStored hands out an independent copy of a memoized answer: the
@@ -395,9 +331,6 @@ type Stats struct {
 	// into a shared memo (CompileShared) both describe the whole memo.
 	Entries   int
 	Evictions int64
-	// Degraded counts SolveCtx calls whose budget expired before the full
-	// solve finished, answered by the reduced-effort degraded path.
-	Degraded int64
 }
 
 // HitRate returns Hits / Queries, or 0 before any query.
@@ -416,7 +349,6 @@ func (p *Plan) QueryStats() Stats {
 		Hits:      p.hits.Load(),
 		Entries:   ms.Entries,
 		Evictions: ms.Evictions,
-		Degraded:  p.degraded.Load(),
 	}
 }
 

@@ -130,43 +130,50 @@ func TestSolveRepeatIdentity(t *testing.T) {
 	}
 }
 
-// TestSolveBudgetPreemptedNeverReplayed arms a solve budget no exact solve
-// meets: a preempted answer must never be kept, and once a budget-free
-// solve of the job the server resolves (its plan from the server's plan
-// tier) heals the result memo, a repeat returns the clean answer (even
-// when its own budget expired before the plan looked), which the front
-// tier then keeps.
-//
-// The budget is 1 ns, so it has expired when the solve starts: the first
-// answer is preempted by construction. (With 1 us it raced fig1's 5 us
-// solve against the timer, and the solve sometimes won.)
+// TestSolveBudgetPreemptedNeverReplayed arms a 20 ms solve budget that
+// stops the slow request's search: the preempted answer must be kept
+// neither by the front tier nor by the plan's result memo, so the next
+// request without a budget runs the full solve and writes exactly what
+// core.Solve encodes, which the front tier then keeps.
 func TestSolveBudgetPreemptedNeverReplayed(t *testing.T) {
-	s := New(Config{SolveBudget: time.Nanosecond})
-	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"objective": "period"}}`
+	s := New(Config{SolveBudget: 20 * time.Millisecond})
+	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": ` + servetest.SlowSolveRequest + `}`
 	var res struct {
 		Preempted bool `json:"preempted"`
 	}
 	rec := post(s, "/v1/solve", body)
 	decode(t, rec, &res)
 	if rec.Code != http.StatusOK || !res.Preempted {
-		t.Fatalf("1ns budget: status %d, preempted %v, want a preempted 200", rec.Code, res.Preempted)
+		t.Fatalf("20ms budget: status %d, preempted %v, want a preempted 200", rec.Code, res.Preempted)
 	}
-	if n := s.front.Len(); n != 0 {
-		t.Fatalf("front tier kept %d preempted answers", n)
+	if n, m := s.front.Len(), s.Cache().Len(); n != 0 || m != 0 {
+		t.Fatalf("front tier kept %d and the result memo %d preempted answers", n, m)
 	}
-	healed, _ := batch.Solve([]batch.Job{solveJob(t, body, s.Cache())}, batch.Options{Cache: s.Cache()})
-	if healed[0].Err != nil || healed[0].Result.Preempted {
-		t.Fatalf("budget-free heal: %+v", healed[0])
-	}
+	s.cfg.SolveBudget = 0
 	rec = post(s, "/v1/solve", body)
 	want := canonicalAnswer(t, body)
 	if rec.Code != http.StatusOK || rec.Body.String() != string(want) {
-		t.Fatalf("healed answer %d %q, want %q", rec.Code, rec.Body.String(), want)
+		t.Fatalf("budget-free answer %d %q, want %q", rec.Code, rec.Body.String(), want)
 	}
 	hits := s.front.Stats().Hits
 	if again := post(s, "/v1/solve", body); again.Body.String() != string(want) || s.front.Stats().Hits != hits+1 {
 		t.Errorf("repeat of the clean answer: %q (front hits %d -> %d), want a front hit on %q",
 			again.Body.String(), hits, s.front.Stats().Hits, want)
+	}
+}
+
+// TestSolveBudgetPolynomialAnswersInFull: a polynomial cell is never
+// stopped, even by a budget spent before it starts. The answer is
+// core.Solve's, not preempted, and both tiers keep it.
+func TestSolveBudgetPolynomialAnswersInFull(t *testing.T) {
+	s := New(Config{SolveBudget: time.Nanosecond})
+	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"objective": "latency"}}`
+	want := canonicalAnswer(t, body)
+	if rec := post(s, "/v1/solve", body); rec.Code != http.StatusOK || rec.Body.String() != string(want) {
+		t.Fatalf("1ns budget on a polynomial cell: %d %q, want %q", rec.Code, rec.Body.String(), want)
+	}
+	if n, m := s.front.Len(), s.Cache().Len(); n != 1 || m != 1 {
+		t.Fatalf("front tier holds %d and the result memo %d answers, want 1 and 1", n, m)
 	}
 }
 

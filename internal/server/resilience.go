@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/jobspec"
 	"repro/internal/plan"
 )
@@ -215,10 +216,10 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		Stage: body.Event.Stage, Factor: body.Event.Factor}
 	ctx := r.Context()
 	if b := s.cfg.SolveBudget; b > 0 {
-		// The budget covers the whole re-solve pair; either solve that
-		// outlives its share degrades rather than 504s.
+		// The budget covers the whole re-solve pair; a search it stops
+		// answers its best mapping, tagged preempted, rather than 504.
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, 2*b)
+		ctx, cancel = context.WithTimeoutCause(ctx, 2*b, core.ErrSolveBudget)
 		defer cancel()
 	}
 	res, err := chaos.ResolveCtx(ctx, job.Plan, plan.QueryOf(job.Req), ev)

@@ -431,14 +431,19 @@ func TestErrorCodes(t *testing.T) {
 }
 
 // TestSolveBudgetDegradedResponse arms the server-wide solve budget with
-// a deadline no exact solve can meet: the response must be a 200 tagged
-// degraded with a lower bound, not a 504.
+// 20 ms, far less than the slow request's search: the search stops at
+// the budget and the response is a 200 tagged preempted and degraded
+// with a lower bound, soon after the budget, not a 504.
 func TestSolveBudgetDegradedResponse(t *testing.T) {
-	s := New(Config{SolveBudget: time.Nanosecond})
-	rec := post(s, "/v1/solve", `{"instance": `+servetest.Fig1JSON(t)+`,
-		"request": {"objective": "period"}}`)
+	s := New(Config{SolveBudget: 20 * time.Millisecond})
+	start := time.Now()
+	rec := post(s, "/v1/solve", `{"instance": `+servetest.Fig1JSON(t)+`, "request": `+servetest.SlowSolveRequest+`}`)
+	elapsed := time.Since(start)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("budgeted solve: status %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+	if elapsed > 120*time.Millisecond {
+		t.Errorf("a 20ms budget answered after %v, want within 120ms", elapsed)
 	}
 	var resp struct {
 		Value      float64 `json:"value"`
@@ -449,19 +454,14 @@ func TestSolveBudgetDegradedResponse(t *testing.T) {
 		BoundGap   float64 `json:"boundGap"`
 	}
 	decode(t, rec, &resp)
-	if !resp.Preempted {
-		t.Fatalf("1ns budget did not preempt: %+v", resp)
+	if !resp.Preempted || !resp.Degraded || resp.Code != "degraded" {
+		t.Fatalf("20ms budget: %+v, want preempted and degraded with code \"degraded\"", resp)
 	}
-	if resp.Degraded {
-		if resp.Code != "degraded" {
-			t.Fatalf("degraded result code = %q, want \"degraded\"", resp.Code)
-		}
-		if resp.LowerBound <= 0 || resp.LowerBound > resp.Value {
-			t.Fatalf("lower bound %g not in (0, %g]", resp.LowerBound, resp.Value)
-		}
-		if got := resp.Value - resp.LowerBound; abs(got-resp.BoundGap) > 1e-12 {
-			t.Fatalf("boundGap %g != value-lowerBound %g", resp.BoundGap, got)
-		}
+	if resp.LowerBound <= 0 || resp.LowerBound > resp.Value {
+		t.Fatalf("lower bound %g not in (0, %g]", resp.LowerBound, resp.Value)
+	}
+	if got := resp.Value - resp.LowerBound; abs(got-resp.BoundGap) > 1e-12 {
+		t.Fatalf("boundGap %g != value-lowerBound %g", resp.BoundGap, got)
 	}
 }
 

@@ -19,7 +19,8 @@
 //
 // The server is built for a process that stays up: every request runs
 // under a per-request timeout enforced through context cancellation (the
-// batch engine stops picking up jobs once the context is done), request
+// batch engine stops picking up jobs once the context is done, and a
+// search in flight stops at its next poll), request
 // bodies are capped (jobspec.LimitBody, configurable, structured 413 on
 // overflow), the memo cache is bounded (LRU, configurable entry cap) so
 // it can be shared across all requests for the life of the process, and
@@ -66,9 +67,9 @@
 // request is shed with a structured 429 and a Retry-After header), a
 // per-endpoint circuit breaker trips after consecutive deadline overruns
 // (504s) and answers 503 + Retry-After until a cooldown passes, and a
-// positive Config.SolveBudget arms the batch engine's degraded mode so a
-// slow exact solve answers from the reduced-effort path (tagged
-// "degraded") instead of timing out.
+// positive Config.SolveBudget bounds each job's search so a slow one
+// answers the best mapping it found (tagged "degraded" and "preempted")
+// instead of timing out.
 package server
 
 import (
@@ -106,7 +107,8 @@ type Config struct {
 	CacheCap int
 	// Timeout is the per-request wall-clock budget; 0 disables it. When it
 	// expires the request's context is cancelled: queued solver jobs
-	// return the context error and the response reports 504.
+	// return the context error, a search in flight stops, and the
+	// response reports 504.
 	Timeout time.Duration
 	// MaxBody caps the request body size in bytes; 0 means
 	// jobspec.DefaultMaxBody (8 MiB), negative disables the cap. An
@@ -126,9 +128,10 @@ type Config struct {
 	// queue: shed as soon as the gate is full.
 	MaxQueue int
 	// SolveBudget, if positive, is the per-job wall-clock budget handed
-	// to the batch engine: a job whose exact solve outlives it answers
-	// from the degraded heuristic path (tagged "degraded") instead of
-	// riding the request into a 504.
+	// to the batch engine (batch.Options.SolveBudget): a job whose search
+	// outlives it stops and answers the best mapping found, tagged
+	// "degraded" and "preempted" and never cached, instead of riding the
+	// request into a 504.
 	SolveBudget time.Duration
 	// BreakerThreshold is the number of consecutive deadline overruns
 	// (504 responses) on one solver endpoint that trips its circuit

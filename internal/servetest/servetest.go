@@ -29,6 +29,10 @@ func Fig1JSON(t testing.TB) string {
 	return buf.String()
 }
 
+// SlowSolveRequest is within every wire cap and takes about 1.8 s of
+// annealing on Figure 1 (2-vCPU x86 host).
+const SlowSolveRequest = `{"objective": "energy", "periodBound": 2, "exactLimit": 1, "heurIters": 1000000, "heurRestarts": 16}`
+
 // Fig1Mapping is a valid interval mapping of the Section 2 instance as a
 // JSON document: each application whole on its own processor.
 const Fig1Mapping = `{"apps": [{"intervals": [{"from": 0, "to": 2, "proc": 0, "mode": 0}]},
