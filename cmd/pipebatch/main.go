@@ -50,8 +50,9 @@
 //
 // With -server, pipebatch does exactly that instead of solving locally:
 // it POSTs the job file to <server>/v1/batch and prints the response.
-// A shed response (429 or 503, the service's admission control or an
-// open circuit breaker) is retried up to -retries times before giving up,
+// A shed response (429 from a replica's admission gate, 503 from its
+// open circuit breaker or from a gateway with no healthy replica) is
+// retried up to -retries times before giving up,
 // on the gateway's schedule: the wait is the server's Retry-After header
 // (both RFC 7231 forms, delta-seconds and HTTP-date) when it sent one,
 // and a jittered exponential backoff otherwise; any other non-200 is a

@@ -38,7 +38,8 @@
 //	                    mapping found, tagged "degraded" and "preempted",
 //	                    instead of 504
 //	-breaker-threshold  consecutive 504s on one endpoint that trip its
-//	                    circuit breaker (0 = breakers off)
+//	                    circuit breaker (0 = breakers off); an open
+//	                    breaker sheds every request on its endpoint
 //	-breaker-cooldown   how long a tripped breaker sheds before probing
 //
 // A quick session against the Section 2 instance:

@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/batch"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/jobspec"
 	"repro/internal/pipeline"
@@ -675,6 +677,44 @@ func TestGatewaySlowSolveTimeoutKeepsReplicas(t *testing.T) {
 	decode(t, getGateway(g, "/stats"), &st)
 	if st.Rerouted != 0 {
 		t.Errorf("rerouted = %d, want 0", st.Rerouted)
+	}
+}
+
+// TestGatewaySolveBudgetSlot sends a two-job batch through replicas whose
+// solve budget no search can use: the polynomial latency job answers
+// core.Solve's answer, and the period job, whose search finds no mapping
+// in time, answers timeout in its own slot of a 200.
+func TestGatewaySolveBudgetSlot(t *testing.T) {
+	urls, _ := startReplicas(t, 3, server.Config{SolveBudget: time.Nanosecond})
+	g := newGateway(t, urls, Config{})
+	inst := servetest.Fig1JSON(t)
+	out := postBatch(t, g, `{"instance": `+inst+`, "jobs": [`+servetest.BudgetSlotJobs+`]}`)
+	if len(out.Results) != 2 || out.Stats.Errors != 1 {
+		t.Fatalf("%d slots, %d errors; want 2 slots and 1 error", len(out.Results), out.Stats.Errors)
+	}
+	f := jobspec.File{Instance: json.RawMessage(inst), Jobs: []jobspec.Job{{Request: jobspec.Request{Objective: "latency"}}}}
+	jobs, err := f.BatchJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Solve(jobs[0].Inst, jobs[0].Req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := jobspec.EncodeResult(batch.JobResult{Result: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := jobspec.MarshalJSON(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := compactJSON(t, out.Results[0]); !bytes.Equal(got, bytes.TrimSpace(want)) {
+		t.Errorf("latency slot %s, core.Solve encodes %s", got, want)
+	}
+	var slot jobspec.Result
+	if err := json.Unmarshal(out.Results[1], &slot); err != nil || slot.Code != jobspec.CodeTimeout {
+		t.Errorf("period slot %s, want code timeout", out.Results[1])
 	}
 }
 

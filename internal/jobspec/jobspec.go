@@ -59,8 +59,10 @@ const (
 	// the exact path was abandoned — the value is an upper bound (see the
 	// lowerBound/boundGap fields).
 	CodeDegraded = "degraded"
-	// CodeShed: the service refused the request to protect itself
-	// (admission queue full or circuit breaker open); honor Retry-After.
+	// CodeShed: the service refused the request to protect itself: 429
+	// when a replica's admission queue is full, 503 when its circuit
+	// breaker is open or a gateway has no healthy replica; honor
+	// Retry-After.
 	CodeShed = "shed"
 	// CodeInvalid: the request itself is malformed, oversized, or asks
 	// for an unsupported criteria combination or a frontier too large to

@@ -3,7 +3,11 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -55,4 +59,71 @@ func TestRequestDeadlineStopsSolve(t *testing.T) {
 			t.Errorf("%s: the process used %v of CPU in the second after the 504, want under 50ms", c.path, burnt)
 		}
 	}
+}
+
+// TestSlowSolveStorm runs a storm against the admission gate alone: four
+// clients loop on a request whose search takes seconds, two on a
+// front-tier hit, for two seconds, against a 100 ms timeout, 2 requests
+// in flight and 4 queued. Every slow answer is a 504 timeout or a 429
+// shed with Retry-After, the hit is answered while the storm runs, and
+// no search outlives its answer: the process burns next to no CPU in the
+// second after the last one.
+func TestSlowSolveStorm(t *testing.T) {
+	s := New(Config{Timeout: 100 * time.Millisecond, MaxInFlight: 2, MaxQueue: 4})
+	inst := servetest.Fig1JSON(t)
+	slow := `{"instance": ` + inst + `, "request": ` + servetest.SlowSolveRequest + `}`
+	hot := `{"instance": ` + inst + `, "request": {"objective": "latency"}}`
+	if rec := post(s, "/v1/solve", hot); rec.Code != http.StatusOK {
+		t.Fatalf("warming the hit: status %d: %s", rec.Code, rec.Body.String())
+	}
+
+	var hotOK, slowBad atomic.Int64
+	end := time.Now().Add(2 * time.Second)
+	var wg sync.WaitGroup
+	client := func(body string, check func(*httptest.ResponseRecorder)) {
+		defer wg.Done()
+		for time.Now().Before(end) {
+			rec := post(s, "/v1/solve", body)
+			check(rec)
+			if rec.Code == http.StatusTooManyRequests {
+				time.Sleep(time.Millisecond) // a shed answers at once: do not spin
+			}
+		}
+	}
+	checkSlow := func(rec *httptest.ResponseRecorder) {
+		var e errorBody
+		_ = json.Unmarshal(rec.Body.Bytes(), &e) // a body that is not JSON fails both checks below
+		timeout := rec.Code == http.StatusGatewayTimeout && e.Code == jobspec.CodeTimeout
+		shed := rec.Code == http.StatusTooManyRequests && e.Code == jobspec.CodeShed && rec.Header().Get("Retry-After") != ""
+		if !timeout && !shed && slowBad.Add(1) == 1 {
+			t.Errorf("slow answer: status %d, Retry-After %q: %.200s", rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+		}
+	}
+	checkHot := func(rec *httptest.ResponseRecorder) {
+		if rec.Code == http.StatusOK {
+			hotOK.Add(1)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go client(slow, checkSlow)
+	}
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go client(hot, checkHot)
+	}
+	wg.Wait()
+
+	before := cpuTime(t)
+	time.Sleep(time.Second)
+	if burnt := cpuTime(t) - before; burnt >= 50*time.Millisecond {
+		t.Errorf("the process used %v of CPU in the second after the storm, want under 50ms", burnt)
+	}
+	if n := slowBad.Load(); n > 0 {
+		t.Errorf("%d slow answers were neither a 504 timeout nor a 429 shed with Retry-After", n)
+	}
+	if hotOK.Load() == 0 {
+		t.Error("the hit never answered 200 during the storm")
+	}
+	t.Logf("the hit answered 200 %d times", hotOK.Load())
 }

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/jobspec"
 	"repro/internal/servetest"
 )
 
@@ -462,6 +464,36 @@ func TestSolveBudgetDegradedResponse(t *testing.T) {
 	}
 	if got := resp.Value - resp.LowerBound; abs(got-resp.BoundGap) > 1e-12 {
 		t.Fatalf("boundGap %g != value-lowerBound %g", resp.BoundGap, got)
+	}
+}
+
+// TestSolveBudgetSlotInBatch gives a two-job batch a solve budget no
+// search can use: the polynomial latency job answers in full, and the
+// period job, whose search finds no mapping before the budget ends,
+// answers timeout in its own slot. The budget is the job's, not the
+// request's, so the batch is a 200, not an aborted 504.
+func TestSolveBudgetSlotInBatch(t *testing.T) {
+	s := New(Config{SolveBudget: time.Nanosecond})
+	inst := servetest.Fig1JSON(t)
+	rec := post(s, "/v1/batch", `{"instance": `+inst+`, "jobs": [`+servetest.BudgetSlotJobs+`]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200 with a timeout slot: %s", rec.Code, rec.Body.String())
+	}
+	var out struct {
+		Results []json.RawMessage `json:"results"`
+		Stats   jobspec.Stats     `json:"stats"`
+	}
+	decode(t, rec, &out)
+	if len(out.Results) != 2 || out.Stats.Errors != 1 {
+		t.Fatalf("%d slots, %d errors; want 2 slots and 1 error: %s", len(out.Results), out.Stats.Errors, rec.Body.String())
+	}
+	want := canonicalAnswer(t, `{"instance": `+inst+`, "request": {"objective": "latency"}}`)
+	if slot := string(out.Results[0]) + "\n"; slot != string(want) {
+		t.Errorf("latency slot %q, core.Solve encodes %q", slot, want)
+	}
+	var res jobspec.Result
+	if err := json.Unmarshal(out.Results[1], &res); err != nil || res.Code != jobspec.CodeTimeout {
+		t.Errorf("period slot %s, want code timeout", out.Results[1])
 	}
 }
 

@@ -64,9 +64,10 @@
 // On top of the per-request defenses sits a resilience layer for overload
 // and churn (see resilience.go): solver endpoints pass admission control
 // (a bounded concurrency gate plus a bounded wait queue; beyond both the
-// request is shed with a structured 429 and a Retry-After header), a
-// per-endpoint circuit breaker trips after consecutive deadline overruns
-// (504s) and answers 503 + Retry-After until a cooldown passes, and a
+// request is shed with a structured 429 and a Retry-After header), an
+// optional per-endpoint circuit breaker trips after consecutive deadline
+// overruns (504s) and answers 503 + Retry-After to every request on that
+// route, front-tier hits included, until a cooldown passes, and a
 // positive Config.SolveBudget bounds each job's search so a slow one
 // answers the best mapping it found (tagged "degraded" and "preempted")
 // instead of timing out.
@@ -403,10 +404,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Abort only if the expired budget actually cancelled jobs: deciding
 	// from the result slots (rather than re-reading the context) keeps a
 	// batch whose last job finished just before the deadline a success.
+	// A job's own solve budget is not the request's: its ErrSolveBudget
+	// stays in its slot as a timeout.
 	cancelled := 0
 	var ctxErr error
 	for i := range results {
-		if err := results[i].Err; err != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
+		if err := results[i].Err; err != nil && !errors.Is(err, core.ErrSolveBudget) &&
+			(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
 			cancelled++
 			ctxErr = err
 		}

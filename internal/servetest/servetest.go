@@ -33,6 +33,11 @@ func Fig1JSON(t testing.TB) string {
 // annealing on Figure 1 (2-vCPU x86 host).
 const SlowSolveRequest = `{"objective": "energy", "periodBound": 2, "exactLimit": 1, "heurIters": 1000000, "heurRestarts": 16}`
 
+// BudgetSlotJobs are two /v1/batch jobs on Figure 1 for a solve budget
+// too small for any search: the latency job is polynomial and answers in
+// full, the period job's search finds no mapping and answers timeout.
+const BudgetSlotJobs = `{"request": {"objective": "latency"}}, {"request": {"objective": "period", "periodBound": 0.5}}`
+
 // Fig1Mapping is a valid interval mapping of the Section 2 instance as a
 // JSON document: each application whole on its own processor.
 const Fig1Mapping = `{"apps": [{"intervals": [{"from": 0, "to": 2, "proc": 0, "mode": 0}]},
