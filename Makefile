@@ -109,13 +109,14 @@ chaos:
 	$(GO) run ./cmd/pipebench -exp chaos -instances 36
 
 # fuzz-smoke runs each fuzz target briefly, as CI does: the jobspec
-# schema's, the gateway's cuts of /v1/solve bodies and /v1/batch
-# documents against the replicas' decoders, and a replica's answers to
-# /v1/solve, /v1/pareto and /v1/simulate requests built from fuzzed
-# fields (never a 500).
+# schema's, the appending answer encoders against encoding/json, the
+# gateway's cuts of /v1/solve bodies and /v1/batch documents against the
+# replicas' decoders, and a replica's answers to /v1/solve, /v1/pareto
+# and /v1/simulate requests built from fuzzed fields (never a 500).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzFileRoundTrip$$ -fuzztime=30s ./internal/jobspec/
 	$(GO) test -run=^$$ -fuzz=^FuzzFloatJSON$$ -fuzztime=30s ./internal/jobspec/
+	$(GO) test -run=^$$ -fuzz=^FuzzResultBytes$$ -fuzztime=30s ./internal/jobspec/
 	$(GO) test -run=^$$ -fuzz=^FuzzGatewaySplit$$ -fuzztime=30s ./internal/gateway/
 	$(GO) test -run=^$$ -fuzz=^FuzzSolveStatus$$ -fuzztime=30s ./internal/server/
 	$(GO) test -run=^$$ -fuzz=^FuzzParetoSimulateStatus$$ -fuzztime=30s ./internal/server/

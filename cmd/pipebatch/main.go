@@ -38,15 +38,19 @@
 //	  "results": [
 //	    {"value": 46, "method": "...", "optimal": true,
 //	     "period": 2, "latency": 5, "energy": 46, "mapping": {...}},
-//	    {"error": "core: no mapping satisfies the bounds"}
+//	    {"code": "infeasible", "error": "core: no mapping satisfies the bounds"}
 //	  ],
 //	  "stats": {"jobs": 2, "cacheHits": 0, "errors": 1,
+//	            "planCompiles": 1, "planReuses": 1,
 //	            "wallMs": 1.62, "methods": {"...": 1}}
 //	}
 //
 // The document schemas live in internal/jobspec and are shared with the
 // pipeserved HTTP service: a pipebatch job file can be POSTed verbatim to
-// its /v1/batch endpoint. Non-finite result values are rendered as null.
+// its /v1/batch endpoint, which answers this document compactly (a
+// pipegateway in front answers it too, its wallMs the longest sub-batch's
+// wall time). Absent members are zero or false; non-finite result values
+// are rendered as null.
 //
 // With -server, pipebatch does exactly that instead of solving locally:
 // it POSTs the job file to <server>/v1/batch and prints the response.

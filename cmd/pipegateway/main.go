@@ -10,6 +10,7 @@
 //
 //	POST /v1/batch     route each job by its instance, fan out one
 //	                   sub-batch per replica, reassemble in input order
+//	                   (a batch one replica owns is relayed as it came)
 //	POST /v1/solve     route by the instance, forward verbatim
 //	POST /v1/pareto    route by the instance, forward verbatim
 //	POST /v1/simulate  route by the instance, forward verbatim
@@ -32,6 +33,11 @@
 //	-probe-interval  period of the /readyz health sweep over the replicas
 //	-max-body        request body cap in bytes (0 = 8 MiB default,
 //	                 negative = unlimited; the same rule as pipeserved)
+//
+// A /v1/batch answer's result slots are the replicas' bytes, never
+// re-encoded, and its stats.wallMs is the replicas' clock: the wall time
+// of the longest sub-batch, not the time the gateway spent on the
+// request.
 //
 // Replicas that fail probes or requests are taken out of the ring and
 // their keys served by the ring successors; probes bring a recovered

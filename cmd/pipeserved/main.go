@@ -30,7 +30,8 @@
 // Resilience flags (see internal/server):
 //
 //	-max-in-flight      solver requests running concurrently (0 = no
-//	                    admission control)
+//	                    admission control); a /v1/solve front-tier hit
+//	                    takes no slot
 //	-max-queue          solver requests allowed to wait for admission;
 //	                    beyond it requests are shed with 429 + Retry-After
 //	-solve-budget       per-job search budget (0 = none): a job whose
@@ -38,8 +39,10 @@
 //	                    mapping found, tagged "degraded" and "preempted",
 //	                    instead of 504
 //	-breaker-threshold  consecutive 504s on one endpoint that trip its
-//	                    circuit breaker (0 = breakers off); an open
-//	                    breaker sheds every request on its endpoint
+//	                    circuit breaker (0 = breakers off; a request
+//	                    that expired waiting for admission is no
+//	                    overrun); an open breaker sheds every request
+//	                    on its endpoint
 //	-breaker-cooldown   how long a tripped breaker sheds before probing
 //
 // A quick session against the Section 2 instance:

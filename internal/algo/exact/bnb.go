@@ -410,7 +410,7 @@ func (s *searcher) place(a, from int, objDone, appMax, lat, pendIn, pendComp flo
 			} else {
 				in = commTime(vol, pl.Link(prevProc, u))
 				closed := mapping.IntervalCost(s.goal.Model, pendIn, pendComp, in)
-				appMax2 = math.Max(appMax, closed)
+				appMax2 = fmath.Max(appMax, closed)
 				lat2 = lat + (pendComp + in)
 				if s.prune {
 					if s.hasPB && !fmath.LE(closed, s.goal.PeriodBounds[a]) {
@@ -503,9 +503,9 @@ func (s *searcher) admissible(a, to int, objDone, appMax2, lat2, in, comp, en fl
 	var lb float64
 	switch s.goal.Objective {
 	case pipeline.Period:
-		lb = math.Max(objDone, s.weights[a]*math.Max(appMax2, part))
+		lb = fmath.Max(objDone, s.weights[a]*fmath.Max(appMax2, part))
 	case pipeline.Latency:
-		lb = math.Max(objDone, s.weights[a]*(lat2+comp))
+		lb = fmath.Max(objDone, s.weights[a]*(lat2+comp))
 	default:
 		// Every future interval draws at least the platform's cheapest
 		// enumerable power; adding it the same way the energy sum grows
@@ -540,7 +540,7 @@ func (s *searcher) complete(a int, objDone, appMax, lat, pendComp float64) error
 		prev := ivs[len(ivs)-2]
 		pendIn = commTime(app.InputSize(last.From), s.inst.Platform.Link(prev.Proc, last.Proc))
 	}
-	ta := math.Max(appMax, mapping.IntervalCost(s.goal.Model, pendIn, pendComp, out))
+	ta := fmath.Max(appMax, mapping.IntervalCost(s.goal.Model, pendIn, pendComp, out))
 	la := lat + (pendComp + out)
 
 	violated := (s.hasPB && !fmath.LE(ta, s.goal.PeriodBounds[a])) ||
@@ -552,9 +552,9 @@ func (s *searcher) complete(a int, objDone, appMax, lat, pendComp float64) error
 	next := objDone
 	switch s.goal.Objective {
 	case pipeline.Period:
-		next = math.Max(objDone, s.weights[a]*ta)
+		next = fmath.Max(objDone, s.weights[a]*ta)
 	case pipeline.Latency:
-		next = math.Max(objDone, s.weights[a]*la)
+		next = fmath.Max(objDone, s.weights[a]*la)
 	}
 	if s.prune && s.found && s.goal.Objective != pipeline.Energy {
 		//lint:allow floatcmp incumbent cut must be exact: the incumbent only improves on strictly smaller values

@@ -148,3 +148,17 @@ func TestInfinityComparisons(t *testing.T) {
 		t.Error("strict comparisons against infinity broken")
 	}
 }
+
+// TestMaxIsMathMax pins Max to math.Max bit for bit over every pair of
+// special and ordinary values: signed zeros, NaN, infinities, subnormals.
+func TestMaxIsMathMax(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1, -1, 2.75,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64}
+	for _, x := range vals {
+		for _, y := range vals {
+			if got, want := Max(x, y), math.Max(x, y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("Max(%g, %g) = %g (%#x), math.Max = %g (%#x)", x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}

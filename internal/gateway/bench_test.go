@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/jobspec"
 	"repro/internal/pipeline"
+	"repro/internal/server"
 	"repro/internal/workload"
 )
 
@@ -129,4 +132,47 @@ func BenchmarkGatewayBatchSplit(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkGatewayMerge times the gateway's own work on the answers to
+// an 8-job /v1/batch document with a per-job instance each, spread over
+// 3 replicas: gathering the result slots of the 3 sub-answers and
+// appending the merged answer.
+func BenchmarkGatewayMerge(b *testing.B) {
+	groups, answers := subAnswers(b, 3)
+	b.ReportAllocs()
+	for b.Loop() {
+		fo := &fanout{results: make([]json.RawMessage, 8), merged: jobspec.Stats{Methods: make(map[string]int)}}
+		for i, group := range groups {
+			if err := fo.gather(group, answers[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		fo.answer()
+	}
+}
+
+// subAnswers cuts benchJobs' 8-job document into n sub-batches, job i
+// in sub-batch i mod n, and returns the groups and a replica's answers
+// to them.
+func subAnswers(b *testing.B, n int) (groups [][]int, answers [][]byte) {
+	_, body := benchJobs(b)
+	doc, _, err := splitBatch(body, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	groups = make([][]int, n)
+	for i := range doc.Jobs {
+		groups[i%n] = append(groups[i%n], i)
+	}
+	srv := server.New(server.Config{})
+	for _, group := range groups {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(doc.splice(group))))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("sub-batch: status %d: %s", rec.Code, rec.Body)
+		}
+		answers = append(answers, rec.Body.Bytes())
+	}
+	return groups, answers
 }

@@ -8,12 +8,18 @@
 // parallel, and distinct instances spread over the ring.
 //
 // The gateway decodes no instance of a document it routes, and it never
-// decodes a result slot: a /v1/solve body is forwarded verbatim and the
-// replica's answer relayed as it came, a sub-batch is spliced from the
-// jobs' instance and request bytes as sent, and result slots pass
-// through as raw JSON, so a batch answered through N replicas is
-// bit-identical to the same batch answered by one (non-finite values
-// rendered as null survive; re-encoding would corrupt them). The gateway
+// decodes or re-encodes an answer a replica encoded: a /v1/solve body is
+// forwarded verbatim and the replica's answer relayed as it came; a
+// /v1/batch document whose jobs one replica owns is posted as sent and
+// its 200 answer relayed as it came; otherwise each sub-batch is spliced
+// from the jobs' instance and request bytes as sent, and the result
+// slots of the sub-answers are cut out by a structural scan (cutAnswer)
+// and appended in input order as the replicas wrote them, with the
+// merged stats, the one member the gateway decodes. Each answer is
+// encoded once, by the replica that solved it, so a batch answered
+// through N replicas is bit-identical to the same batch answered by one.
+// Its stats.wallMs is the replicas' clock: the longest sub-batch's wall
+// time, not the gateway's own. The gateway
 // keeps no copy of the wire rules: the replicas validate, and where the
 // gateway answers for itself — a body it cannot route, a batch whose
 // sub-batch a replica rejected or that no replica could take — it checks
@@ -262,14 +268,6 @@ func (g *Gateway) jitter(n int64) int64 {
 	return g.rng.Int63n(n)
 }
 
-// wireOutput is the /v1/batch response with the result slots kept as raw
-// JSON: the gateway reassembles them verbatim, never decoding a slot it
-// only forwards, so reassembly is bit-preserving.
-type wireOutput struct {
-	Results []json.RawMessage `json:"results"`
-	Stats   jobspec.Stats     `json:"stats"`
-}
-
 // errorSlot renders a structured per-job error result (same shape the
 // server puts in a failed slot) as a raw slot.
 func errorSlot(code string, err error) json.RawMessage {
@@ -280,15 +278,17 @@ func errorSlot(code string, err error) json.RawMessage {
 // handleBatch fans a batch out across the ring: the document is cut
 // into its jobs' bytes, every job is routed by its route key, and the
 // groups are posted concurrently as sub-batches spliced from those
-// bytes; the sub-responses' raw result slots are scattered back into
-// input order and the sub-batch stats are merged. A group whose replica
-// cannot be reached marks the replica down and reroutes to the ring
-// successors; a group the replica still sheds past the retry budget
-// answers shed in its slots and keeps the replica; jobs with no healthy
-// replica left answer structured shed errors in their slots rather than
-// failing the whole batch. A document the gateway cannot cut, and one
-// with a slot the gateway filled itself (a replica rejected its
-// sub-batch, or none could take it), is checked whole with
+// bytes. When one replica owns every job, it is sent the document as
+// the client sent it, and its 200 answer is relayed as it came.
+// Otherwise the sub-answers' raw result slots are spliced back into
+// input order (cutAnswer) and the sub-batch stats are merged. A group
+// whose replica cannot be reached marks the replica down and reroutes to
+// the ring successors; a group the replica still sheds past the retry
+// budget answers shed in its slots and keeps the replica; jobs with no
+// healthy replica left answer structured shed errors in their slots
+// rather than failing the whole batch. A document the gateway cannot
+// cut, and one with a slot the gateway filled itself (a replica rejected
+// its sub-batch, or none could take it), is checked whole with
 // jobspec.DecodeBatch; an invalid one is answered with its error.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, readErr := io.ReadAll(r.Body)
@@ -298,8 +298,8 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	startWall := time.Now()
 	fo := &fanout{
+		body:    body,
 		doc:     &doc,
 		keys:    doc.routeKeys(),
 		results: make([]json.RawMessage, len(doc.Jobs)),
@@ -311,27 +311,50 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	g.dispatch(r.Context(), fo, indices, 0)
 
+	if fo.relay != nil {
+		jobspec.WriteRaw(w, http.StatusOK, fo.relay)
+		return
+	}
 	if fo.unanswered {
 		if _, status, err := jobspec.DecodeBatch(jobspec.Replay(body, readErr), nil); err != nil {
 			jobspec.WriteError(w, status, err)
 			return
 		}
 	}
-	fo.merged.WallMs = float64(time.Since(startWall).Microseconds()) / 1000
-	jobspec.WriteJSON(w, http.StatusOK, wireOutput{Results: fo.results, Stats: fo.merged})
+	jobspec.WriteRaw(w, http.StatusOK, fo.answer())
 }
 
-// fanout is one /v1/batch request in flight: the cut document, the jobs'
-// route keys, and the result slots and merged stats the sub-batches fill
-// (the slots are disjoint per group; mu guards the rest).
+// fanout is one /v1/batch request in flight: the document as sent and
+// cut, the jobs' route keys, and the answer the sub-batches fill: the
+// relayed body of a replica that owned every job, or result slots
+// (disjoint per group) and merged stats (mu guards the rest).
 type fanout struct {
+	body    []byte
 	doc     *batchDoc
 	keys    []string
+	relay   []byte
 	results []json.RawMessage
 
 	mu         sync.Mutex
 	merged     jobspec.Stats
 	unanswered bool // the gateway filled some slots with its own error
+}
+
+// answer appends the batch answer from the raw slots and the merged
+// stats: the bytes jobspec.MarshalJSON writes for a document of the two,
+// since every slot is compact JSON as a replica writes it.
+func (fo *fanout) answer() []byte {
+	b := []byte(`{"results":[`)
+	for i, slot := range fo.results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, slot...)
+	}
+	st, _ := json.Marshal(fo.merged) // counters and a wall time read from JSON: they encode
+	b = append(b, `],"stats":`...)
+	b = append(b, st...)
+	return append(b, "}\n"...)
 }
 
 // dispatch routes the given job indices under the current health view,
@@ -360,7 +383,14 @@ func (g *Gateway) dispatch(ctx context.Context, fo *fanout, indices []int, depth
 		if len(group) == 0 {
 			return
 		}
-		resp, respBody, err := g.post(ctx, rep, "/v1/batch", fo.doc.splice(group))
+		// A replica that owns every job is sent the document as sent,
+		// which it reads as the splice of all its jobs.
+		whole := len(group) == len(fo.keys)
+		sub := fo.body
+		if !whole {
+			sub = fo.doc.splice(group)
+		}
+		resp, respBody, err := g.post(ctx, rep, "/v1/batch", sub)
 		if resp == nil {
 			// The replica is gone: take it out of the ring and let
 			// the group's keys find their successors. Recursion is
@@ -389,21 +419,34 @@ func (g *Gateway) dispatch(ctx context.Context, fo *fanout, indices []int, depth
 			g.upstreamError(fo, group, rep, resp.StatusCode, respBody)
 			return
 		}
-		var out wireOutput
-		if err := json.Unmarshal(respBody, &out); err != nil || len(out.Results) != len(group) {
-			if err == nil {
-				err = fmt.Errorf("sub-batch answered %d results for %d jobs", len(out.Results), len(group))
-			}
-			g.failSlots(fo, group, jobspec.CodeInternal, err)
+		if whole {
+			fo.relay = respBody
 			return
 		}
-		for i, idx := range group {
-			fo.results[idx] = out.Results[i]
+		if err := fo.gather(group, respBody); err != nil {
+			g.failSlots(fo, group, jobspec.CodeInternal, err)
 		}
-		fo.mu.Lock()
-		fo.merged.Merge(out.Stats)
-		fo.mu.Unlock()
 	}, nil)
+}
+
+// gather puts the result slots of a replica's answer to a group's
+// sub-batch in the group's slots, as the replica wrote them, and merges
+// the answer's stats.
+func (fo *fanout) gather(group []int, body []byte) error {
+	slots, stats, err := cutAnswer(body)
+	if err != nil {
+		return err
+	}
+	if len(slots) != len(group) {
+		return fmt.Errorf("sub-batch answered %d results for %d jobs", len(slots), len(group))
+	}
+	for i, idx := range group {
+		fo.results[idx] = slots[i]
+	}
+	fo.mu.Lock()
+	fo.merged.Merge(stats)
+	fo.mu.Unlock()
+	return nil
 }
 
 // upstreamError fills a group's slots from a replica's non-200 answer to

@@ -4,15 +4,19 @@
 // every job on one instance — a /v1/solve body, any job of a /v1/batch
 // document, a /v1/resolve, /v1/pareto or /v1/simulate body — routes to
 // the replica that holds that instance's compiled plan, and a batch of
-// jobs on one instance is one sub-batch. Sub-batches are spliced from
-// the parts as the client sent them. The cuts decode with encoding/json
-// into json.RawMessage fields and decode no instance. The batch cut
-// reads a document as jobspec.DecodeFile reads it — key case folding,
-// escapes, repeated keys, null jobs, trailing bytes. The instance cut is
-// lenient: it takes any JSON object with an instance, since the replica
-// it forwards the body to answers it. A document a cut refuses is
-// answered with the error of jobspec.DecodeSolve or jobspec.DecodeBatch,
-// the decoders the replicas answer with.
+// jobs on one instance is one sub-batch. A batch whose jobs one replica
+// owns is posted to it as the client sent it. Other sub-batches are
+// spliced from the parts as the client sent them, and their answers are
+// cut back into raw result slots by a structural scan in the style of
+// batch.CompactRuns (cutAnswer), which decodes only the stats member.
+// The request cuts decode with encoding/json into json.RawMessage fields
+// and decode no instance. The batch cut reads a document as
+// jobspec.DecodeFile reads it — key case folding, escapes, repeated
+// keys, null jobs, trailing bytes. The instance cut is lenient: it takes
+// any JSON object with an instance, since the replica it forwards the
+// body to answers it. A document a cut refuses is answered with the
+// error of jobspec.DecodeSolve or jobspec.DecodeBatch, the decoders the
+// replicas answer with.
 
 package gateway
 
@@ -203,4 +207,66 @@ func (d *batchDoc) routeKeys() []string {
 		keys[i] = shared
 	}
 	return keys
+}
+
+// cutAnswer cuts a replica's 200 answer to a sub-batch, laid out as
+// jobspec.AppendOutput writes it, into its raw result slots and its
+// stats. It reads the slots' structure only, as batch.CompactRuns reads
+// a document: strings, and the nesting of objects and arrays, so each
+// slot is passed on as the replica wrote it. Only the small stats member
+// is decoded.
+func cutAnswer(body []byte) (slots []json.RawMessage, stats jobspec.Stats, err error) {
+	rest, ok := bytes.CutPrefix(body, []byte(`{"results":[`))
+	for ok && len(rest) > 0 && rest[0] != ']' {
+		if len(slots) > 0 {
+			if rest, ok = bytes.CutPrefix(rest, []byte(",")); !ok {
+				break
+			}
+		}
+		n := objectLen(rest)
+		if n == 0 {
+			ok = false
+			break
+		}
+		slots, rest = append(slots, rest[:n]), rest[n:]
+	}
+	if ok {
+		rest, ok = bytes.CutPrefix(rest, []byte(`],"stats":`))
+	}
+	if ok {
+		rest, ok = bytes.CutSuffix(rest, []byte("}\n"))
+	}
+	if !ok {
+		return nil, jobspec.Stats{}, errors.New("sub-batch answer is not laid out as a replica writes it")
+	}
+	if err := json.Unmarshal(rest, &stats); err != nil {
+		return nil, jobspec.Stats{}, fmt.Errorf("sub-batch stats: %w", err)
+	}
+	return slots, stats, nil
+}
+
+// objectLen returns the length of the JSON object b starts with, or 0
+// when b does not start with one or ends inside it.
+func objectLen(b []byte) int {
+	if len(b) == 0 || b[0] != '{' {
+		return 0
+	}
+	depth := 0
+	for i := 0; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			for i++; i < len(b) && b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++ // skip the escaped byte
+				}
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		}
+	}
+	return 0
 }

@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/batch"
 	"repro/internal/core"
@@ -346,4 +348,96 @@ func FuzzGatewaySplit(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestGatherMatchesWireRoundTrip pins the merged answer of a batch
+// spread over 1, 2 and 3 replicas, with slots the replicas filled with
+// errors and slots the gateway filled itself: the slots gathered from
+// the replicas' answers (cutAnswer) and appended with the merged stats
+// are the bytes that decoding each answer into raw slots and stats and
+// encoding the merged document with jobspec.MarshalJSON give.
+func TestGatherMatchesWireRoundTrip(t *testing.T) {
+	var reqs []string
+	for i := 0; i < 9; i++ {
+		reqs = append(reqs, fmt.Sprintf(`{"request": {"objective": "energy", "periodBound": %g}}`, 0.5+float64(i)/4))
+	}
+	reqs = append(reqs, `{"request": {"objective": "latency"}}`, `{"request": {"rule": "one-to-one", "objective": "period"}}`)
+	f, err := jobspec.DecodeFile(strings.NewReader(`{"instance": ` + servetest.Fig1JSON(t) + `, "jobs": [` + strings.Join(reqs, ",") + `]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := f.BatchJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &Gateway{}
+	for replicas := 1; replicas <= 3; replicas++ {
+		// Every (replicas+1)-th job is one the gateway answers itself.
+		groups := make([][]int, replicas+1)
+		for i := range jobs {
+			groups[i%(replicas+1)] = append(groups[i%(replicas+1)], i)
+		}
+		fo := &fanout{results: make([]json.RawMessage, len(jobs)), merged: jobspec.Stats{Methods: make(map[string]int)}}
+		want := rawOutput{Results: make([]json.RawMessage, len(jobs)), Stats: jobspec.Stats{Methods: make(map[string]int)}}
+		for rep, group := range groups[:replicas] {
+			sub := make([]batch.Job, len(group))
+			for i, idx := range group {
+				sub[i] = jobs[idx]
+			}
+			results, stats := batch.Solve(sub, batch.Options{})
+			stats.Wall = time.Duration(rep+1) * 1234567 * time.Nanosecond
+			answer := jobspec.AppendOutput(nil, results, stats)
+			if err := fo.gather(group, answer); err != nil {
+				t.Fatalf("%d replicas: gathering %s: %v", replicas, answer, err)
+			}
+			var out rawOutput
+			if err := json.Unmarshal(answer, &out); err != nil {
+				t.Fatal(err)
+			}
+			for i, idx := range group {
+				want.Results[idx] = out.Results[i]
+			}
+			want.Stats.Merge(out.Stats)
+		}
+		shed := groups[replicas]
+		failure := errors.New("no healthy replica for <job> & \u2028 \xff")
+		g.failSlots(fo, shed, jobspec.CodeShed, failure)
+		for _, idx := range shed {
+			want.Results[idx] = errorSlot(jobspec.CodeShed, failure)
+		}
+		want.Stats.Jobs += len(shed)
+		want.Stats.Errors += len(shed)
+
+		wantBody, err := jobspec.MarshalJSON(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fo.answer(); !bytes.Equal(got, wantBody) {
+			t.Errorf("%d replicas: gathered answer\n%s\nwant\n%s", replicas, got, wantBody)
+		}
+		if want.Stats.Errors <= len(shed) {
+			t.Errorf("%d replicas: no replica answered an error slot: %+v", replicas, want.Stats)
+		}
+	}
+}
+
+// TestCutAnswerRefusesUnreadable pins that an answer the cut cannot read
+// is refused rather than spliced: not a replica's layout, a slot that is
+// no object or never ends, stats that do not decode.
+func TestCutAnswerRefusesUnreadable(t *testing.T) {
+	for _, body := range []string{
+		``, `null`, `{"results":[{}],"stats":{}}`, `{"results":[{}],"stats":{"jobs":1}`,
+		`{"stats":{"jobs":1},"results":[{}]}` + "\n", `{"results": [{}], "stats": {}}` + "\n",
+		`{"results":[{},]],"stats":{}}` + "\n", `{"results":[{}{}],"stats":{}}` + "\n",
+		`{"results":[1],"stats":{}}` + "\n", `{"results":[{"error":"x}],"stats":{}}` + "\n",
+		`{"results":[{}],"stats":{"jobs":"one"}}` + "\n", `{"results":[{}],"stats":}` + "\n",
+	} {
+		if slots, _, err := cutAnswer([]byte(body)); err == nil {
+			t.Errorf("cutAnswer(%q) = %q, want an error", body, slots)
+		}
+	}
+	slots, stats, err := cutAnswer([]byte(`{"results":[{"a":["]}"]},{"error":"\"]},{"}],"stats":{"jobs":2}}` + "\n"))
+	if err != nil || len(slots) != 2 || string(slots[1]) != `{"error":"\"]},{"}` || stats.Jobs != 2 {
+		t.Errorf("cutAnswer of brackets in strings: %q %+v %v", slots, stats, err)
+	}
 }

@@ -3,10 +3,16 @@ package jobspec
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/batch"
+	"repro/internal/core"
+	"repro/internal/mapping"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -128,4 +134,106 @@ func FuzzFloatJSON(f *testing.F) {
 			t.Fatalf("Result with value %g marshalled invalid JSON: %s", v, out)
 		}
 	})
+}
+
+// FuzzResultBytes holds the appending encoders to their reference
+// forms: AppendResult(nil, jr) must equal json.Marshal(EncodeResult(jr))
+// and AppendOutput must equal MarshalJSON(EncodeOutput(...)), byte for
+// byte, over fuzzed values, metrics and lower bounds, flags, method
+// names, error texts and small mappings. shape draws the mapping: no
+// bytes is a nil Apps, the first byte counts applications (mod 4), and
+// each application takes a count byte (mod 4, 3 meaning nil Intervals)
+// and one byte per interval field.
+func FuzzResultBytes(f *testing.F) {
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, 1e-7, 9.99e20, 1e21, 2.75, -46}
+	texts := []string{"", "core: no mapping satisfies the bounds", "a <b> & c", "line \u2028 para \u2029 end",
+		"bad \xff\xfe utf-8", "quote \" slash \\ tab \t nul \x00 del \x7f"}
+	methods := []string{"", "exact", "exact,heuristic", "dp-interval,exact,heuristic", "a<b>,&"}
+	shapes := [][]byte{nil, {0}, {1, 3}, {2, 1, 0, 1, 2, 0, 2, 2, 3, 1, 0, 0, 1}, {1, 0}}
+	for i, v := range floats {
+		f.Add(v, floats[(i+3)%len(floats)], v, -v, floats[(i+5)%len(floats)], i%2 == 0, i%3 == 0, i%4 == 0,
+			methods[i%len(methods)], texts[i%len(texts)], i%5 == 4, int64(i)*1234567, shapes[i%len(shapes)])
+	}
+	for i, text := range texts {
+		f.Add(1.0, 1.0, 2.0, 3.0, 0.5, false, false, false, methods[i%len(methods)], text, true, int64(i), shapes[i%len(shapes)])
+	}
+	f.Fuzz(func(t *testing.T, value, period, latency, energy, lower float64,
+		optimal, degraded, preempted bool, method, text string, failed bool, wallNs int64, shape []byte) {
+		jr := batch.JobResult{Result: core.Result{
+			Mapping:    fuzzMapping(shape),
+			Value:      value,
+			Metrics:    mapping.Metrics{Period: period, Latency: latency, Energy: energy},
+			Method:     core.Method(method),
+			Optimal:    optimal,
+			Degraded:   degraded,
+			LowerBound: lower,
+			Preempted:  preempted,
+		}}
+		if failed {
+			jr = batch.JobResult{Err: errors.New(text)}
+		}
+		slot, err := EncodeResult(jr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendResult(nil, jr); !bytes.Equal(got, want) {
+			t.Fatalf("AppendResult:\ngot  %s\nwant %s", got, want)
+		}
+
+		stats := batch.Stats{Jobs: 2, CacheHits: int(wallNs & 3), Errors: 1, PlanCompiles: int(wallNs & 1),
+			PlanReuses: int(wallNs >> 62 & 1), Wall: time.Duration(wallNs)}
+		if degraded {
+			stats.Degraded, stats.Preempted = 1, int(wallNs&1)
+		}
+		if method != "" {
+			stats.Methods = make(map[core.Method]int)
+			for i, m := range strings.SplitN(method, ",", 3) {
+				stats.Methods[core.Method(m)] += i + 1
+			}
+		}
+		results := []batch.JobResult{jr, {Err: fmt.Errorf("job: %s: %w", text, core.ErrInfeasible)}}
+		out, err := EncodeOutput(results, stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err = MarshalJSON(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendOutput(nil, results, stats); !bytes.Equal(got, want) {
+			t.Fatalf("AppendOutput:\ngot  %s\nwant %s", got, want)
+		}
+	})
+}
+
+// fuzzMapping draws a small mapping from shape (see FuzzResultBytes).
+func fuzzMapping(shape []byte) mapping.Mapping {
+	if len(shape) == 0 {
+		return mapping.Mapping{}
+	}
+	next := func() int {
+		if len(shape) == 0 {
+			return 0
+		}
+		b := shape[0]
+		shape = shape[1:]
+		return int(int8(b))
+	}
+	m := mapping.Mapping{Apps: make([]mapping.AppMapping, next()&3)}
+	for a := range m.Apps {
+		n := next() & 3
+		if n == 3 {
+			continue // nil Intervals
+		}
+		m.Apps[a].Intervals = make([]mapping.PlacedInterval, n)
+		for j := range m.Apps[a].Intervals {
+			m.Apps[a].Intervals[j] = mapping.PlacedInterval{From: next(), To: next(), Proc: next(), Mode: next()}
+		}
+	}
+	return m
 }

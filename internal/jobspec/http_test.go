@@ -211,9 +211,9 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) WriteHeader(int)             {}
 func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
 
-// BenchmarkEncodeOutput measures writing one 8-job /v1/batch response:
-// encoding the engine results to the wire document and writing it with
-// WriteJSON.
+// BenchmarkEncodeOutput measures writing one 8-job /v1/batch response
+// as a replica does: appending the engine results' bytes (AppendOutput)
+// and writing them with WriteRaw.
 func BenchmarkEncodeOutput(b *testing.B) {
 	jobs := make([]string, 8)
 	for i := range jobs {
@@ -226,13 +226,7 @@ func BenchmarkEncodeOutput(b *testing.B) {
 	}
 	results, stats := batch.Solve(bj, batch.Options{})
 	w := &discardWriter{h: make(http.Header)}
-	write := func() {
-		out, err := EncodeOutput(results, stats)
-		if err != nil {
-			b.Fatal(err)
-		}
-		WriteJSON(w, http.StatusOK, out)
-	}
+	write := func() { WriteRaw(w, http.StatusOK, AppendOutput(nil, results, stats)) }
 	write()
 	size := w.n
 	b.ReportAllocs()

@@ -18,6 +18,9 @@
 // encoding/json refuses to marshal them. The Float type renders any
 // non-finite value as JSON null instead, so degenerate answers reach
 // clients as null rather than killing the response with an encoding error.
+// Float, with Result and Output, is the reference form of an answer: the
+// serving path appends the same bytes directly (AppendResult,
+// AppendOutput; see append.go), and FuzzResultBytes holds the two equal.
 package jobspec
 
 import (

@@ -3,6 +3,7 @@ package mapping
 import (
 	"math"
 
+	"repro/internal/fmath"
 	"repro/internal/pipeline"
 )
 
@@ -11,7 +12,7 @@ import (
 // the no-overlap model (Equation 4).
 func IntervalCost(model pipeline.CommModel, in, comp, out float64) float64 {
 	if model == pipeline.Overlap {
-		return math.Max(in, math.Max(comp, out))
+		return fmath.Max(in, fmath.Max(comp, out))
 	}
 	return in + comp + out
 }

@@ -65,9 +65,9 @@ func TestRequestDeadlineStopsSolve(t *testing.T) {
 // clients loop on a request whose search takes seconds, two on a
 // front-tier hit, for two seconds, against a 100 ms timeout, 2 requests
 // in flight and 4 queued. Every slow answer is a 504 timeout or a 429
-// shed with Retry-After, the hit is answered while the storm runs, and
-// no search outlives its answer: the process burns next to no CPU in the
-// second after the last one.
+// shed with Retry-After, every hit answers 200 while the storm runs (it
+// takes no admission slot), and no search outlives its answer: the
+// process burns next to no CPU in the second after the last one.
 func TestSlowSolveStorm(t *testing.T) {
 	s := New(Config{Timeout: 100 * time.Millisecond, MaxInFlight: 2, MaxQueue: 4})
 	inst := servetest.Fig1JSON(t)
@@ -77,7 +77,7 @@ func TestSlowSolveStorm(t *testing.T) {
 		t.Fatalf("warming the hit: status %d: %s", rec.Code, rec.Body.String())
 	}
 
-	var hotOK, slowBad atomic.Int64
+	var hotOK, hotBad, slowBad atomic.Int64
 	end := time.Now().Add(2 * time.Second)
 	var wg sync.WaitGroup
 	client := func(body string, check func(*httptest.ResponseRecorder)) {
@@ -102,6 +102,8 @@ func TestSlowSolveStorm(t *testing.T) {
 	checkHot := func(rec *httptest.ResponseRecorder) {
 		if rec.Code == http.StatusOK {
 			hotOK.Add(1)
+		} else if hotBad.Add(1) == 1 {
+			t.Errorf("hit answer: status %d: %.200s", rec.Code, rec.Body.String())
 		}
 	}
 	for i := 0; i < 4; i++ {
@@ -121,6 +123,11 @@ func TestSlowSolveStorm(t *testing.T) {
 	}
 	if n := slowBad.Load(); n > 0 {
 		t.Errorf("%d slow answers were neither a 504 timeout nor a 429 shed with Retry-After", n)
+	}
+	// A front-tier hit takes no admission slot, so no slow solve holds
+	// it up.
+	if n := hotBad.Load(); n > 0 {
+		t.Errorf("the hit answered %d times with a status other than 200", n)
 	}
 	if hotOK.Load() == 0 {
 		t.Error("the hit never answered 200 during the storm")

@@ -97,13 +97,14 @@ func (b *breaker) allow(now time.Time) (ok, probe bool, wait time.Duration) {
 // nothing about the endpoint's health and leaves the streak untouched;
 // anything else is a success and closes the circuit.
 func (b *breaker) record(now time.Time, status int, probe bool) {
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		b.abstain(probe)
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if probe {
 		b.probing = false
-	}
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		return
 	}
 	if status != http.StatusGatewayTimeout {
 		b.consecutive = 0
@@ -113,6 +114,18 @@ func (b *breaker) record(now time.Time, status int, probe bool) {
 	b.consecutive++
 	if b.consecutive >= b.threshold {
 		b.openUntil = now.Add(b.cooldown)
+	}
+}
+
+// abstain reports a request that says nothing about the endpoint's
+// health, such as one whose deadline ended while it waited for an
+// admission slot: it releases the half-open probe slot when the request
+// held it and leaves the streak untouched.
+func (b *breaker) abstain(probe bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if probe {
+		b.probing = false
 	}
 }
 
@@ -131,10 +144,12 @@ func (b *breaker) state(now time.Time) string {
 }
 
 // statusRecorder captures the response status so ServeHTTP can feed the
-// circuit breaker after the handler returns.
+// circuit breaker after the handler returns. queueExpired marks a request
+// whose deadline ended in the admission queue (Server.gated).
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
+	status       int
+	queueExpired bool
 }
 
 func (sr *statusRecorder) WriteHeader(status int) {

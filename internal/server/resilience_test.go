@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -34,7 +36,9 @@ func TestShedUnderSaturation(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return s.queued.Load() == 1 })
 
-	rec := post(s, "/v1/solve", body)
+	// Another body: the same one would wait for the queued request's
+	// answer in the front tier, outside the gate.
+	rec := post(s, "/v1/solve", strings.Replace(body, "latency", "period", 1))
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("overflow request: status %d, want 429: %s", rec.Code, rec.Body.String())
 	}
@@ -75,7 +79,7 @@ func TestShedConcurrentLoad(t *testing.T) {
 	s := New(Config{MaxInFlight: 2, MaxQueue: 2})
 	s.sem <- struct{}{}
 	s.sem <- struct{}{} // gate fully held: all admitted requests queue
-	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"objective": "latency"}}`
+	inst := servetest.Fig1JSON(t)
 
 	const burst = 16
 	codes := make([]int, burst)
@@ -84,6 +88,9 @@ func TestShedConcurrentLoad(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			// Distinct bodies: a repeated one would wait for the first
+			// one's answer in the front tier, outside the gate.
+			body := fmt.Sprintf(`{"instance": %s, "request": {"objective": "latency", "seed": %d}}`, inst, i)
 			codes[i] = post(s, "/v1/solve", body).Code
 		}(i)
 	}
@@ -513,5 +520,63 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition never held")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestQueueExpiryIsNoOverrun pins what the breaker learns from a request
+// whose deadline ends while it waits for an admission slot: nothing. Such
+// requests answer 504 but never reach the endpoint, so several of them
+// leave a threshold-2 breaker closed, and a half-open probe that expires
+// in the queue gives the probe slot back without re-opening the circuit.
+// Real solver overruns still open it.
+func TestQueueExpiryIsNoOverrun(t *testing.T) {
+	s := New(Config{Timeout: 50 * time.Millisecond, MaxInFlight: 1, MaxQueue: 4,
+		BreakerThreshold: 2, BreakerCooldown: 200 * time.Millisecond})
+	inst := servetest.Fig1JSON(t)
+	hot := `{"instance": ` + inst + `, "jobs": [{"request": {"objective": "latency"}}]}`
+	slow := `{"instance": ` + inst + `, "jobs": [{"request": ` + servetest.SlowSolveRequest + `}]}`
+	state := func() string {
+		var st struct {
+			Breakers map[string]string `json:"breakers"`
+		}
+		decode(t, get(s, "/stats"), &st)
+		return st.Breakers["/v1/batch"]
+	}
+	expire := func(what string) {
+		t.Helper()
+		s.sem <- struct{}{} // hold the only slot: the request queues until its deadline
+		rec := post(s, "/v1/batch", hot)
+		<-s.sem
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status %d, want 504 from the queue: %s", what, rec.Code, rec.Body.String())
+		}
+	}
+
+	for i := 0; i < 3; i++ {
+		expire(fmt.Sprintf("queued request %d", i))
+	}
+	if got := state(); got != "closed" {
+		t.Fatalf("after 3 requests expired in the queue the breaker is %s, want closed", got)
+	}
+
+	for i := 0; i < 2; i++ {
+		if rec := post(s, "/v1/batch", slow); rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("overrun %d: status %d, want 504: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	if got := state(); got != "open" {
+		t.Fatalf("after 2 solver overruns the breaker is %s, want open", got)
+	}
+
+	time.Sleep(250 * time.Millisecond)
+	expire("half-open probe")
+	if got := state(); got != "half-open" {
+		t.Fatalf("after the probe expired in the queue the breaker is %s, want half-open", got)
+	}
+	if rec := post(s, "/v1/batch", hot); rec.Code != http.StatusOK {
+		t.Fatalf("next probe: status %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+	if got := state(); got != "closed" {
+		t.Fatalf("after a successful probe the breaker is %s, want closed", got)
 	}
 }

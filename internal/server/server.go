@@ -34,7 +34,7 @@
 //
 // In front of that path, /v1/solve has a front tier: a memo (internal/memo)
 // keyed by the exact request body, whose value is the finished response —
-// the bytes jobspec.WriteJSON wrote for it and the solver method. The
+// the bytes jobspec.AppendResult wrote for it and the solver method. The
 // mapping questions have deterministic answers, so a repeated body is
 // answered by writing the stored bytes, skipping the decode, validation,
 // canonical keys, both cache tiers and the encode; what it writes is
@@ -64,13 +64,17 @@
 // On top of the per-request defenses sits a resilience layer for overload
 // and churn (see resilience.go): solver endpoints pass admission control
 // (a bounded concurrency gate plus a bounded wait queue; beyond both the
-// request is shed with a structured 429 and a Retry-After header), an
-// optional per-endpoint circuit breaker trips after consecutive deadline
-// overruns (504s) and answers 503 + Retry-After to every request on that
-// route, front-tier hits included, until a cooldown passes, and a
-// positive Config.SolveBudget bounds each job's search so a slow one
-// answers the best mapping it found (tagged "degraded" and "preempted")
-// instead of timing out.
+// request is shed with a structured 429 and a Retry-After header), which
+// a /v1/solve front-tier hit, and a request waiting for its leader's
+// answer, skip: they run no solver. An optional per-endpoint circuit
+// breaker trips after consecutive deadline overruns (504s; a request
+// whose deadline ends in the admission queue is none) and answers 503 +
+// Retry-After to every request on that route, front-tier hits included,
+// until a cooldown passes, and a positive Config.SolveBudget bounds each
+// job's search so a slow one answers the best mapping it found (tagged
+// "degraded" and "preempted") instead of timing out. /v1/batch answers
+// are appended as bytes (jobspec.AppendOutput), never built as a
+// jobspec.Output.
 package server
 
 import (
@@ -121,7 +125,8 @@ type Config struct {
 
 	// MaxInFlight bounds the solver requests (POST /v1/*) running
 	// concurrently; <= 0 disables admission control. Probe and stats
-	// endpoints are never gated.
+	// endpoints are never gated, nor is a /v1/solve body the front tier
+	// answers.
 	MaxInFlight int
 	// MaxQueue bounds the solver requests allowed to wait for an
 	// admission slot once MaxInFlight are running; a request beyond both
@@ -135,8 +140,9 @@ type Config struct {
 	// request into a 504.
 	SolveBudget time.Duration
 	// BreakerThreshold is the number of consecutive deadline overruns
-	// (504 responses) on one solver endpoint that trips its circuit
-	// breaker; <= 0 disables the breakers.
+	// (504 responses, other than a request that expired waiting for
+	// admission) on one solver endpoint that trips its circuit breaker;
+	// <= 0 disables the breakers.
 	BreakerThreshold int
 	// BreakerCooldown is how long a tripped breaker answers 503 before
 	// admitting a probe request; 0 means DefaultBreakerCooldown.
@@ -246,7 +252,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	// Solver endpoints pass the resilience gauntlet: circuit breaker
 	// first (cheap, sheds while a route is known-overrun), then the
-	// admission gate. Probes and stats always go straight through.
+	// admission gate. Probes and stats always go straight through, and
+	// /v1/solve passes the gate in handleSolve, past its front tier.
 	if !strings.HasPrefix(route, "/v1/") {
 		s.mux.ServeHTTP(w, r)
 		return
@@ -261,11 +268,32 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		w = sr
-		defer func() { br.record(time.Now(), sr.status, probe) }()
+		defer func() {
+			if sr.queueExpired {
+				br.abstain(probe)
+				return
+			}
+			br.record(time.Now(), sr.status, probe)
+		}()
 	}
+	if route == "/v1/solve" {
+		s.mux.ServeHTTP(w, r)
+		return
+	}
+	s.gated(w, r, func() { s.mux.ServeHTTP(w, r) })
+}
+
+// gated runs serve once r holds a slot of the admission gate. A request
+// that finds the gate and its queue full is shed with a 429. One whose
+// deadline ends while it queues is answered with its context's error,
+// and it is marked on the breaker's recorder, if there is one, as a
+// request that never reached the endpoint.
+func (s *Server) gated(w http.ResponseWriter, r *http.Request, serve func()) {
 	release, ok, err := s.admit(r)
 	if err != nil {
-		// The request's own deadline fired while it queued for a slot.
+		if sr, isRec := w.(*statusRecorder); isRec {
+			sr.queueExpired = true
+		}
 		jobspec.WriteError(w, jobspec.ErrorStatus(err), fmt.Errorf("request expired waiting for admission: %w", err))
 		return
 	}
@@ -277,7 +305,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.mux.ServeHTTP(w, r)
+	serve()
 }
 
 // batchOptions are the engine options every request shares: the bounded
@@ -299,9 +327,9 @@ func (s *Server) countMethods(stats batch.Stats) {
 const frontMaxBody = 16 << 10
 
 // frontAnswer is a /v1/solve answer as the front tier keeps it: the
-// status, the body jobspec.WriteJSON writes (trailing newline included)
-// and the result's solver method, counted again on every hit. Status 0
-// marks an answer the tier does not keep.
+// status, the body solve writes (jobspec.AppendResult's bytes and a
+// newline) and the result's solver method, counted again on every hit.
+// Status 0 marks an answer the tier does not keep.
 type frontAnswer struct {
 	status int
 	body   []byte
@@ -310,19 +338,20 @@ type frontAnswer struct {
 
 // handleSolve answers one request. A body read whole and small enough goes
 // through the front tier: a repeated body is answered with the stored
-// bytes of its first answer, and a new one runs the full path (solve) as
-// the leader for its body. Everything else runs the full path directly,
-// on the bytes read and the error the read ended with.
+// bytes of its first answer, without waiting for an admission slot, and
+// a new one runs the full path (solve) as the leader for its body.
+// Everything else runs the full path directly, on the bytes read and the
+// error the read ended with. The full path holds an admission slot.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	body, readErr := io.ReadAll(r.Body)
 	if readErr != nil || len(body) > frontMaxBody {
-		s.solve(ctx, w, jobspec.Replay(body, readErr))
+		s.gated(w, r, func() { s.solve(ctx, w, jobspec.Replay(body, readErr)) })
 		return
 	}
 	e, hit := s.front.Get(body)
 	if !hit {
-		s.lead(ctx, w, e, body)
+		s.lead(w, r, e, body)
 		return
 	}
 	select {
@@ -337,14 +366,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	// The first request's answer is not kept, or this request's own
 	// deadline came first: answer as the full path would.
-	s.solve(ctx, w, bytes.NewReader(body))
+	s.gated(w, r, func() { s.solve(ctx, w, bytes.NewReader(body)) })
 }
 
 // lead runs the full path for a body the front tier has not seen, then
 // publishes the answer to the requests waiting on e and keeps it only if
-// solve says it may be kept. A panic publishes an answer not kept, so the
-// waiters run the full path themselves.
-func (s *Server) lead(ctx context.Context, w http.ResponseWriter, e *memo.Entry[frontAnswer], body []byte) {
+// solve says it may be kept. A panic, or a request the admission gate
+// turns away, publishes an answer not kept, so the waiters run the full
+// path themselves.
+func (s *Server) lead(w http.ResponseWriter, r *http.Request, e *memo.Entry[frontAnswer], body []byte) {
 	var a frontAnswer
 	defer func() {
 		e.Fill(func() (frontAnswer, error) { return a, nil })
@@ -352,7 +382,7 @@ func (s *Server) lead(ctx context.Context, w http.ResponseWriter, e *memo.Entry[
 			s.front.Forget(e)
 		}
 	}()
-	a = s.solve(ctx, w, bytes.NewReader(body))
+	s.gated(w, r, func() { a = s.solve(r.Context(), w, bytes.NewReader(body)) })
 }
 
 // solve runs one request through the engine (sharing the cache and worker
@@ -372,16 +402,7 @@ func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body io.Reade
 		jobspec.WriteError(w, jobspec.ErrorStatus(err), err)
 		return frontAnswer{}
 	}
-	doc, err := jobspec.EncodeResult(results[0])
-	if err != nil {
-		jobspec.WriteError(w, http.StatusInternalServerError, err)
-		return frontAnswer{}
-	}
-	out, err := jobspec.MarshalJSON(doc)
-	if err != nil {
-		jobspec.WriteError(w, http.StatusInternalServerError, err)
-		return frontAnswer{}
-	}
+	out := append(jobspec.AppendResult(nil, results[0]), '\n')
 	jobspec.WriteRaw(w, http.StatusOK, out)
 	if results[0].Result.Preempted {
 		return frontAnswer{}
@@ -420,12 +441,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			cancelled, stats.Jobs, ctxErr))
 		return
 	}
-	out, err := jobspec.EncodeOutput(results, stats)
-	if err != nil {
-		jobspec.WriteError(w, http.StatusInternalServerError, err)
-		return
-	}
-	jobspec.WriteJSON(w, http.StatusOK, out)
+	jobspec.WriteRaw(w, http.StatusOK, jobspec.AppendOutput(nil, results, stats))
 }
 
 // paretoRequest is the /v1/pareto document.
