@@ -63,7 +63,9 @@ bench:
 # (BenchmarkKey, BenchmarkPlanKey, BenchmarkCacheHit), the wire schema's
 # (BenchmarkBatchJobs, BenchmarkEncodeOutput), the server's
 # (BenchmarkServerSolveHit), the gateway's (BenchmarkRingRoute,
-# BenchmarkGatewaySolveRoute, and BenchmarkGatewayBatchSplit on per-job
+# BenchmarkGatewaySolveHit, BenchmarkGatewaySolveMiss,
+# BenchmarkGatewaySolveRoute, BenchmarkGatewayMerge, and
+# BenchmarkGatewayBatchSplit on per-job
 # instances and on one file-level instance, the plan-sweep shape) and the
 # simulator's, plain and replicated (the root BenchmarkSimulatorValidation)
 # — so they keep compiling and running. Time them with -benchtime 1s

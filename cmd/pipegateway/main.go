@@ -11,7 +11,9 @@
 //	POST /v1/batch     route each job by its instance, fan out one
 //	                   sub-batch per replica, reassemble in input order
 //	                   (a batch one replica owns is relayed as it came)
-//	POST /v1/solve     route by the instance, forward verbatim
+//	POST /v1/solve     answer a repeated body from the gateway's front
+//	                   tier; route any other by the instance, forward
+//	                   verbatim, keep the answer if the replica keeps it
 //	POST /v1/pareto    route by the instance, forward verbatim
 //	POST /v1/simulate  route by the instance, forward verbatim
 //	POST /v1/resolve   route by the instance (meets /v1/solve's plan)
@@ -38,6 +40,12 @@
 // re-encoded, and its stats.wallMs is the replicas' clock: the wall time
 // of the longest sub-batch, not the time the gateway spent on the
 // request.
+//
+// The /v1/solve front tier is the replicas' own (jobspec.Front): keyed by
+// the SHA-256 digest of the body, at most gateway.FrontCap (8192) answers,
+// only 200s a replica marks X-Pipe-Keep (not preempted), none over 16 KiB.
+// A kept answer is served without a replica, even while all are down, and
+// counts in the gateway's /stats front block, in no replica's counters.
 //
 // Replicas that fail probes or requests are taken out of the ring and
 // their keys served by the ring successors; probes bring a recovered

@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/jobspec"
 	"repro/internal/pipeline"
 	"repro/internal/server"
+	"repro/internal/servetest"
 	"repro/internal/workload"
 )
 
@@ -175,4 +179,94 @@ func subAnswers(b *testing.B, n int) (groups [][]int, answers [][]byte) {
 		answers = append(answers, rec.Body.Bytes())
 	}
 	return groups, answers
+}
+
+// discardWriter is a ResponseWriter that keeps only the status.
+type discardWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// BenchmarkGatewaySolveHit measures one /v1/solve front-tier hit at the
+// gateway through ServeHTTP, middleware included: the counterpart of the
+// replica's BenchmarkServerSolveHit, on the same body.
+func BenchmarkGatewaySolveHit(b *testing.B) {
+	replica := httptest.NewServer(server.New(server.Config{CacheCap: 64}))
+	defer replica.Close()
+	g, err := New(Config{Replicas: []string{replica.URL}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := []byte(`{"instance": ` + servetest.Fig1JSON(b) + `, "request": {"objective": "energy", "periodBound": 2}}`)
+	w := &discardWriter{h: make(http.Header)}
+	serve := func() {
+		g.ServeHTTP(w, httptest.NewRequest("POST", "/v1/solve", bytes.NewReader(body)))
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+	}
+	serve()
+	b.ReportAllocs()
+	for b.Loop() {
+		serve()
+	}
+	if g.front.Stats().Hits == 0 {
+		b.Fatal("no front-tier hit")
+	}
+}
+
+// stubReplica is an in-process upstream that answers every request with
+// one stored replica answer, so a benchmark times the gateway's own work
+// without a loopback hop.
+type stubReplica struct {
+	header http.Header
+	body   []byte
+}
+
+func (s *stubReplica) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+	}
+	return &http.Response{StatusCode: http.StatusOK, Header: s.header.Clone(),
+		Body: io.NopCloser(bytes.NewReader(s.body)), ContentLength: int64(len(s.body)), Request: r}, nil
+}
+
+// BenchmarkGatewaySolveMiss measures one /v1/solve that the gateway's
+// front tier has not seen, through ServeHTTP against an in-process
+// replica that answers with a replica's kept answer to the same
+// instance: the hit benchmark's other half. Every iteration sends a new
+// body (its period bound differs), so past FrontCap iterations every
+// miss also evicts, as under a working set larger than the tier.
+func BenchmarkGatewaySolveMiss(b *testing.B) {
+	prefix := []byte(`{"instance": ` + servetest.Fig1JSON(b) + `, "request": {"objective": "energy", "periodBound": 2.`)
+	rec := httptest.NewRecorder()
+	server.New(server.Config{}).ServeHTTP(rec, httptest.NewRequest("POST", "/v1/solve", bytes.NewReader(append(prefix, "5}}"...))))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("replica answer: status %d: %s", rec.Code, rec.Body)
+	}
+	stub := &stubReplica{header: rec.Header(), body: rec.Body.Bytes()}
+	g, err := New(Config{Replicas: []string{"http://replica.invalid"}, Client: &http.Client{Transport: stub}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := &discardWriter{h: make(http.Header)}
+	body := slices.Clone(prefix)
+	i := 0
+	b.ReportAllocs()
+	for b.Loop() {
+		i++
+		body = append(strconv.AppendInt(body[:len(prefix)], int64(i), 10), "}}"...)
+		g.ServeHTTP(w, httptest.NewRequest("POST", "/v1/solve", bytes.NewReader(body)))
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+	}
+	if st := g.front.Stats(); st.Hits != 0 || st.Misses == 0 {
+		b.Fatalf("front tier %+v, want misses only", st)
+	}
 }

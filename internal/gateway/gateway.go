@@ -7,6 +7,16 @@
 // answers; that replica's worker pool still runs a batch's jobs in
 // parallel, and distinct instances spread over the ring.
 //
+// The gateway keeps /v1/solve answers: the mapping questions have
+// deterministic answers, so it runs the replicas' own front tier
+// (jobspec.Front, keyed by the SHA-256 digest of the exact body, at most
+// FrontCap answers). A repeated body is answered with the bytes a replica
+// answered it with the first time and reaches no replica: it is answered
+// while every replica is down, and counts in no replica's /stats, only in
+// the gateway's front block. The tier keeps only the answers a replica's
+// tier keeps, 200s whose result was not preempted, which the replica
+// marks with jobspec.KeepHeader.
+//
 // The gateway decodes no instance of a document it routes, and it never
 // decodes or re-encodes an answer a replica encoded: a /v1/solve body is
 // forwarded verbatim and the replica's answer relayed as it came; a
@@ -86,6 +96,15 @@ const (
 	DefaultRetryBase = 100 * time.Millisecond
 )
 
+// FrontCap is the number of /v1/solve answers the gateway's front tier
+// keeps. With digest keys and answers of at most jobspec.FrontMaxBody, it
+// bounds the tier at FrontCap x (32 B + 16 KiB), 128 MiB, in one process
+// for the whole cluster; full of Figure 1's answers (266 B) it holds
+// 3.75 MiB, 480 B an entry. It is smaller than a replica's default
+// CacheCap on purpose: an answer the gateway evicts is still kept by its
+// replica's own tier, so the eviction costs one hop, not a solve.
+const FrontCap = 8192
+
 // Gateway fronts a cluster of pipeserved replicas. Create with New; it
 // implements http.Handler and is safe for concurrent use.
 type Gateway struct {
@@ -99,6 +118,7 @@ type Gateway struct {
 	start    time.Time
 
 	healthy []atomic.Bool
+	front   *jobspec.Front
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -163,6 +183,7 @@ func New(cfg Config) (*Gateway, error) {
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
 		healthy:  make([]atomic.Bool, len(replicas)),
+		front:    jobspec.NewFront(FrontCap),
 		rng:      rand.New(rand.NewSource(seed)),
 	}
 	g.retry = Retrier{Client: client, Retries: retries, Base: retryBase, Jitter: g.jitter,
@@ -493,19 +514,29 @@ func truncate(b []byte, n int) string {
 	return string(b[:n]) + "..."
 }
 
-// handleSolve routes a single solve by the route key of its instance —
-// the key every job on that instance gets inside a batch, so a /v1/solve
-// lands on the replica whose caches hold the instance's plan — forwards
-// the body verbatim and relays the replica's answer. A body without a
+// handleSolve answers a single solve through the gateway's front tier
+// (jobspec.Front, the replicas' own): a repeated body is answered with
+// the stored bytes of its first answer and reaches no replica. Any other
+// body is routed by the route key of its instance — the key every job on
+// that instance gets inside a batch, so a /v1/solve lands on the replica
+// whose caches hold the instance's plan — forwarded verbatim, and the
+// replica's answer relayed; the tier keeps it when the replica's tier
+// would, as the replica says with jobspec.KeepHeader. A body without a
 // route key is answered with jobspec.DecodeSolve's error (solveKey).
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	body, readErr := io.ReadAll(r.Body)
-	key, status, err := solveKey(body, readErr)
-	if err != nil {
-		jobspec.WriteError(w, status, err)
-		return
-	}
-	g.forward(w, r, key, body)
+	g.front.Serve(r.Context(), body, readErr, func(a jobspec.FrontAnswer) {
+		jobspec.WriteRaw(w, http.StatusOK, a.Body)
+	}, func() (jobspec.FrontAnswer, bool) {
+		key, status, err := solveKey(body, readErr)
+		if err != nil {
+			jobspec.WriteError(w, status, err)
+			return jobspec.FrontAnswer{}, false
+		}
+		resp, respBody := g.forward(w, r, key, body)
+		keep := resp != nil && resp.StatusCode == http.StatusOK && resp.Header.Get(jobspec.KeepHeader) == "1"
+		return jobspec.FrontAnswer{Body: respBody}, keep
+	})
 }
 
 // handleOpaque routes an endpoint whose answer the gateway does not
@@ -529,21 +560,22 @@ func (g *Gateway) handleOpaque(w http.ResponseWriter, r *http.Request) {
 
 // forward proxies one request to the replica owning key, rerouting to
 // ring successors while replicas fail, and relays the upstream response
-// (status, error documents included) verbatim.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) {
+// (status, error documents included) verbatim. It returns the response
+// and body it relayed, or a nil response when it answered for itself.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) (*http.Response, []byte) {
 	tried := 0
 	for {
 		rep, ok := g.route(key)
 		if !ok {
 			g.shed.Add(1)
 			jobspec.WriteShed(w, http.StatusServiceUnavailable, time.Second, fmt.Errorf("no healthy replica for %s", r.URL.Path))
-			return
+			return nil, nil
 		}
 		resp, respBody, err := g.post(r.Context(), rep, r.URL.Path, body)
 		if err != nil && resp == nil {
 			if r.Context().Err() != nil {
 				jobspec.WriteError(w, http.StatusGatewayTimeout, r.Context().Err())
-				return
+				return nil, nil
 			}
 			g.markDown(rep, err)
 			if tried++; tried <= len(g.replicas) {
@@ -551,7 +583,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, bo
 				continue
 			}
 			jobspec.WriteShed(w, http.StatusServiceUnavailable, time.Second, err)
-			return
+			return nil, nil
 		}
 		// Shed responses that survived the retry budget are relayed as-is:
 		// the client sees the upstream's Retry-After and error document.
@@ -563,7 +595,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		}
 		w.WriteHeader(resp.StatusCode)
 		w.Write(respBody)
-		return
+		return resp, respBody
 	}
 }
 
@@ -592,15 +624,29 @@ type replicaStatsJSON struct {
 	Stats     *jobspec.ServiceStats `json:"stats,omitempty"`
 }
 
-// gatewayStatsJSON is the gateway's /stats document: its own counters,
-// the per-replica health and stats, and cluster-wide merged totals over
-// the reachable replicas (jobspec.ServiceStats.Merge).
+// frontStatsJSON is the gateway's own /v1/solve front tier in its
+// /stats: kept answers (in flight included), the cap, and the lookups
+// answered from the tier (hits) or sent on to a replica (misses).
+type frontStatsJSON struct {
+	Entries   int   `json:"entries"`
+	Cap       int   `json:"cap"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
+}
+
+// gatewayStatsJSON is the gateway's /stats document: its own counters
+// and front tier, the per-replica health and stats, and cluster-wide
+// merged totals over the reachable replicas (jobspec.ServiceStats.Merge).
+// A /v1/solve the gateway's tier answers reaches no replica, so it counts
+// in front.hits and in no replica's counters.
 type gatewayStatsJSON struct {
 	UptimeMs float64            `json:"uptimeMs"`
 	Requests map[string]int64   `json:"requests"`
 	Rerouted int64              `json:"rerouted"`
 	Retried  int64              `json:"retried"`
 	Shed     int64              `json:"shed"`
+	Front    frontStatsJSON     `json:"front"`
 	Replicas []replicaStatsJSON `json:"replicas"`
 	Merged   struct {
 		Replicas int `json:"replicas"`
@@ -609,8 +655,8 @@ type gatewayStatsJSON struct {
 }
 
 // handleStats samples every replica's /stats concurrently and answers the
-// gateway's own counters, the per-replica breakdown, and the cluster-wide
-// sums.
+// gateway's own counters and front tier, the per-replica breakdown, and
+// the cluster-wide sums.
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := gatewayStatsJSON{
 		UptimeMs: float64(time.Since(g.start).Microseconds()) / 1000,
@@ -620,6 +666,8 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shed:     g.shed.Load(),
 		Replicas: make([]replicaStatsJSON, len(g.replicas)),
 	}
+	fs := g.front.Stats()
+	resp.Front = frontStatsJSON{Entries: fs.Entries, Cap: fs.Cap, Hits: fs.Hits, Misses: fs.Misses, Evictions: fs.Evictions}
 	// Every replica gets its block even when the request is gone.
 	batch.Each(context.WithoutCancel(r.Context()), len(g.replicas), len(g.replicas), func(i int) {
 		resp.Replicas[i] = replicaStatsJSON{URL: g.replicas[i], Healthy: g.healthy[i].Load()}

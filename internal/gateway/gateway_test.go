@@ -812,7 +812,10 @@ func TestGatewayProbeRecovery(t *testing.T) {
 }
 
 // TestGatewaySolvePassthrough routes single solves by instance bytes and
-// relays the replica's response verbatim, including error documents.
+// relays the replica's response verbatim, including error documents. A
+// repeated 200 is the gateway front tier's, and reaches no replica; a
+// repeated error answer reaches the replica again, the same one, whose
+// result memo answers it.
 func TestGatewaySolvePassthrough(t *testing.T) {
 	urls, _ := startReplicas(t, 3, server.Config{})
 	g := newGateway(t, urls, Config{})
@@ -842,10 +845,22 @@ func TestGatewaySolvePassthrough(t *testing.T) {
 		t.Errorf("code = %q, want infeasible", e.Code)
 	}
 
-	// Repeats of the same key land on the same replica: its cache answers.
-	postGateway(g, "/v1/solve", body)
+	again := postGateway(g, "/v1/solve", body)
+	if again.Code != rec.Code || again.Body.String() != rec.Body.String() ||
+		again.Header().Get("Content-Type") != rec.Header().Get("Content-Type") {
+		t.Errorf("repeat answered %d %q, first %d %q", again.Code, again.Body.String(), rec.Code, rec.Body.String())
+	}
+	postGateway(g, "/v1/solve",
+		`{"instance": `+servetest.Fig1JSON(t)+`, "request": {"objective": "energy", "periodBound": 0.01}}`)
 	var st gatewayStatsJSON
 	decode(t, getGateway(g, "/stats"), &st)
+	if st.Front.Hits != 1 || st.Front.Entries != 1 {
+		t.Errorf("gateway front tier hits/entries = %d/%d, want 1/1", st.Front.Hits, st.Front.Entries)
+	}
+	if n := st.Merged.Requests["/v1/solve"]; n != 3 {
+		t.Errorf("replicas saw %d /v1/solve requests, want 3 (the repeated 200 is the gateway's)", n)
+	}
+	// The repeated error answer lands on the same replica: its cache answers.
 	if st.Merged.CacheHits == 0 {
 		t.Error("repeated solve produced no cache hit anywhere; key routing is unstable")
 	}
@@ -1057,9 +1072,10 @@ func TestGatewayMergedStats(t *testing.T) {
 // generator scenarios (infeasible draws included) go through a 3-replica
 // cluster as one /v1/batch document and as 16 /v1/solve bodies, twice.
 // Over the second pass no job misses the result memo or the plan tier,
-// every job counts one cache hit, and the front counters name the tier
-// that answered each solve: the front tier for every 200, the result
-// memo for every error answer (the front tier keeps only 200s).
+// and the counters name the tier that answered each job: the gateway's
+// front tier for every 200 solve, which no replica sees, and the
+// replicas' result memo for every batch job and every error answer (a
+// front tier keeps only 200s, so the replicas' front tiers miss those).
 func TestGatewayWarmWorkingSetHits(t *testing.T) {
 	const jobs = 16
 	file := jobspec.File{Jobs: corpusJobs(t, jobs)}
@@ -1112,19 +1128,19 @@ func TestGatewayWarmWorkingSetHits(t *testing.T) {
 		}
 		return ok, failed
 	}
-	merged := func() jobspec.ServiceStats {
+	stats := func() gatewayStatsJSON {
 		var st gatewayStatsJSON
 		decode(t, getGateway(g, "/stats"), &st)
 		if st.Merged.Replicas != 3 {
 			t.Fatalf("/stats reached %d replicas, want 3", st.Merged.Replicas)
 		}
-		return st.Merged.ServiceStats
+		return st
 	}
 
 	pass()
-	before := merged()
+	before := stats()
 	ok, failed := pass()
-	after := merged()
+	after := stats()
 	if ok == 0 || failed == 0 {
 		t.Fatalf("second pass: %d 200 and %d error solves; the set must exercise both tiers", ok, failed)
 	}
@@ -1132,11 +1148,13 @@ func TestGatewayWarmWorkingSetHits(t *testing.T) {
 		name      string
 		got, want int64
 	}{
-		{"cacheMisses", after.CacheMisses - before.CacheMisses, 0},
-		{"planMisses", after.PlanMisses - before.PlanMisses, 0},
-		{"cacheHits", after.CacheHits - before.CacheHits, 2 * jobs},
-		{"frontHits", after.FrontHits - before.FrontHits, ok},
-		{"frontMisses", after.FrontMisses - before.FrontMisses, failed},
+		{"cacheMisses", after.Merged.CacheMisses - before.Merged.CacheMisses, 0},
+		{"planMisses", after.Merged.PlanMisses - before.Merged.PlanMisses, 0},
+		{"cacheHits", after.Merged.CacheHits - before.Merged.CacheHits, jobs + failed},
+		{"frontHits", after.Merged.FrontHits - before.Merged.FrontHits, 0},
+		{"frontMisses", after.Merged.FrontMisses - before.Merged.FrontMisses, failed},
+		{"gateway front.hits", after.Front.Hits - before.Front.Hits, ok},
+		{"gateway front.misses", after.Front.Misses - before.Front.Misses, failed},
 	} {
 		if d.got != d.want {
 			t.Errorf("warm pass moved %s by %d, want %d", d.name, d.got, d.want)

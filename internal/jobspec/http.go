@@ -2,7 +2,8 @@
 // pipegateway (internal/gateway): the response writers, the error
 // document, the body-cap rule, the decoders of /v1/solve and /v1/batch
 // documents, the per-route request counters, the probe writer and the
-// listen-and-drain loop. Both front ends answer with exactly these
+// listen-and-drain loop. The /v1/solve front tier both run is in
+// front.go. Both front ends answer with exactly these
 // documents, so a client (or the gateway relaying a replica's answer)
 // sees one wire format whichever process it talks to.
 

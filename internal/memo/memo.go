@@ -1,8 +1,8 @@
 // Package memo is the repository's one memoization primitive: a
 // single-flight, optionally bounded LRU map from canonical byte keys to
 // computed values. The batch engine's plan tier, every compiled plan's
-// query memo and the server's /v1/solve front tier (internal/batch,
-// internal/plan, internal/server) are built on it.
+// query memo and the /v1/solve front tier the server and the gateway
+// share (internal/batch, internal/plan, internal/jobspec) are built on it.
 //
 // Single flight: the first caller to ask for a key installs an in-flight
 // entry and computes the value; every concurrent or later caller for the

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -98,7 +99,8 @@ func solveBodies(t *testing.T) map[string]string {
 // the full path writes: for every body, the first answer (a front miss)
 // and the repeated one have the same status, Content-Type and body, a
 // success equals the encoding of core.Solve, and every repeated success
-// was answered by the front tier.
+// was answered by the front tier. Both answers of a success, and no
+// error answer, carry jobspec.KeepHeader.
 func TestSolveRepeatIdentity(t *testing.T) {
 	s := New(Config{CacheCap: 1024})
 	successes := 0
@@ -115,9 +117,16 @@ func TestSolveRepeatIdentity(t *testing.T) {
 		}
 		if first.Code != http.StatusOK {
 			servetest.CheckStructuredError(t, name, first)
+			if k := first.Header().Get(jobspec.KeepHeader); k != "" {
+				t.Errorf("%s: a %d answer carries %s %q", name, first.Code, jobspec.KeepHeader, k)
+			}
 			continue
 		}
 		successes++
+		if first.Header().Get(jobspec.KeepHeader) != "1" || again.Header().Get(jobspec.KeepHeader) != "1" {
+			t.Errorf("%s: a kept answer lacks %s (first %q, repeat %q)", name, jobspec.KeepHeader,
+				first.Header().Get(jobspec.KeepHeader), again.Header().Get(jobspec.KeepHeader))
+		}
 		if want := canonicalAnswer(t, body); first.Body.String() != string(want) {
 			t.Errorf("%s: answered %q, core.Solve encodes %q", name, first.Body.String(), want)
 		}
@@ -146,7 +155,10 @@ func TestSolveBudgetPreemptedNeverReplayed(t *testing.T) {
 	if rec.Code != http.StatusOK || !res.Preempted {
 		t.Fatalf("20ms budget: status %d, preempted %v, want a preempted 200", rec.Code, res.Preempted)
 	}
-	if n, m := s.front.Len(), s.Cache().Len(); n != 0 || m != 0 {
+	if k := rec.Header().Get(jobspec.KeepHeader); k != "" {
+		t.Errorf("the preempted answer carries %s %q", jobspec.KeepHeader, k)
+	}
+	if n, m := s.front.Stats().Entries, s.Cache().Len(); n != 0 || m != 0 {
 		t.Fatalf("front tier kept %d and the result memo %d preempted answers", n, m)
 	}
 	s.cfg.SolveBudget = 0
@@ -172,24 +184,32 @@ func TestSolveBudgetPolynomialAnswersInFull(t *testing.T) {
 	if rec := post(s, "/v1/solve", body); rec.Code != http.StatusOK || rec.Body.String() != string(want) {
 		t.Fatalf("1ns budget on a polynomial cell: %d %q, want %q", rec.Code, rec.Body.String(), want)
 	}
-	if n, m := s.front.Len(), s.Cache().Len(); n != 1 || m != 1 {
+	if n, m := s.front.Stats().Entries, s.Cache().Len(); n != 1 || m != 1 {
 		t.Fatalf("front tier holds %d and the result memo %d answers, want 1 and 1", n, m)
 	}
 }
 
-// TestSolveFollowersRunTheirOwnPath holds a body's front entry in flight,
-// as a first request would, while concurrent identical requests wait on
-// it, then publishes an answer the tier does not keep: each waiter must
-// answer from the full path itself, and the next request must miss.
+// TestSolveFollowersRunTheirOwnPath holds a body's first request in the
+// admission queue, as its front-tier leader, while concurrent identical
+// requests wait on it, then ends the leader's context so its answer is
+// one the tier does not keep: each waiter must answer from the full path
+// itself, and the next request must miss.
 func TestSolveFollowersRunTheirOwnPath(t *testing.T) {
-	s := New(Config{})
+	const followers = 4
+	s := New(Config{MaxInFlight: 1, MaxQueue: followers + 1})
 	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"objective": "energy", "periodBound": 2}}`
 	want := canonicalAnswer(t, body)
-	e, hit := s.front.Get([]byte(body))
-	if hit {
-		t.Fatal("fresh body hit the front tier")
-	}
-	const followers = 4
+
+	s.sem <- struct{}{} // hold the only slot: the leader queues
+	ctx, cancel := context.WithCancel(context.Background())
+	led := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/solve", strings.NewReader(body)).WithContext(ctx))
+		led <- rec.Code
+	}()
+	waitFor(t, func() bool { return s.queued.Load() == 1 && s.front.Stats().Misses == 1 })
+
 	answers := make(chan *bytes.Buffer, followers)
 	var wg sync.WaitGroup
 	for i := 0; i < followers; i++ {
@@ -204,8 +224,13 @@ func TestSolveFollowersRunTheirOwnPath(t *testing.T) {
 		}()
 	}
 	waitFor(t, func() bool { return s.front.Stats().Hits == followers })
-	e.Fill(func() (frontAnswer, error) { return frontAnswer{}, nil })
-	s.front.Forget(e)
+	cancel()
+	if code := <-led; code == http.StatusOK {
+		t.Fatal("the leader whose context ended in the queue answered 200")
+	}
+	// Every follower now runs the full path and queues for the slot.
+	waitFor(t, func() bool { return s.queued.Load() == followers })
+	<-s.sem
 	wg.Wait()
 	close(answers)
 	for got := range answers {
@@ -250,7 +275,7 @@ func TestSolveBodyOverCap(t *testing.T) {
 			}
 		}
 	}
-	if n := s.front.Len(); n != 0 {
+	if n := s.front.Stats().Entries; n != 0 {
 		t.Errorf("front tier kept %d bodies read past the cap", n)
 	}
 }

@@ -32,21 +32,25 @@
 // vocabulary of internal/jobspec (infeasible, unresolved, timeout,
 // degraded, shed, invalid, internal).
 //
-// In front of that path, /v1/solve has a front tier: a memo (internal/memo)
-// keyed by the exact request body, whose value is the finished response —
-// the bytes jobspec.AppendResult wrote for it and the solver method. The
-// mapping questions have deterministic answers, so a repeated body is
-// answered by writing the stored bytes, skipping the decode, validation,
-// canonical keys, both cache tiers and the encode; what it writes is
-// exactly what the full path would (TestSolveRepeatIdentity). The tier
-// keeps only 200 answers whose result was not preempted by the solve
-// budget, and only bodies read whole of at most frontMaxBody (16 KiB). It
+// In front of that path, /v1/solve has a front tier (jobspec.Front, the
+// one pipegateway also runs): a memo keyed by the SHA-256 digest of the
+// exact request body, whose value is the finished response — the bytes
+// jobspec.AppendResult wrote for it and the solver method. The mapping
+// questions have deterministic answers, so a repeated body is answered by
+// writing the stored bytes, skipping the decode, validation, canonical
+// keys, both cache tiers and the encode; what it writes is exactly what
+// the full path would (TestSolveRepeatIdentity). The tier keeps only 200
+// answers whose result was not preempted by the solve budget, marks them
+// with the jobspec.KeepHeader response header so a gateway keeps the same
+// ones, and looks up only bodies read whole of at most
+// jobspec.FrontMaxBody (16 KiB), keeping no answer larger than that. It
 // holds at most Config.CacheCap entries, so it is bounded at CacheCap x
-// (16 KiB + one response) bytes. Concurrent identical bodies wait for the
-// first one's answer; when that answer is not kept (an error, a timeout,
-// a preempted result), each of them runs the full path itself, so no
-// request ever receives another request's timeout. /v1/batch has no front
-// tier.
+// (32 B + one answer of at most 16 KiB). Concurrent identical bodies wait
+// for the first one's answer; when that answer is not kept (an error, a
+// timeout, a preempted result), each of them runs the full path itself,
+// so no request ever receives another request's timeout. Behind a
+// gateway, a replica's tier sees only the gateway tier's misses. /v1/batch
+// has no front tier.
 //
 // On the full path, /v1/solve and /v1/batch bodies are read by
 // jobspec.DecodeSolve and jobspec.DecodeBatch, which pipegateway also
@@ -95,7 +99,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/jobspec"
 	"repro/internal/mapping"
-	"repro/internal/memo"
 	"repro/internal/pareto"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
@@ -157,7 +160,7 @@ const DefaultBreakerCooldown = 5 * time.Second
 type Server struct {
 	cfg   Config
 	cache *batch.Cache
-	front *memo.Memo[frontAnswer]
+	front *jobspec.Front
 	log   *log.Logger
 	mux   *http.ServeMux
 	start time.Time
@@ -189,7 +192,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		cache: batch.NewCacheCap(cfg.CacheCap),
-		front: memo.New[frontAnswer](cfg.CacheCap),
+		front: jobspec.NewFront(cfg.CacheCap),
 		log:   logger,
 		mux:   http.NewServeMux(),
 		start: time.Now(),
@@ -321,93 +324,49 @@ func (s *Server) countMethods(stats batch.Stats) {
 	}
 }
 
-// frontMaxBody is the largest /v1/solve body the front tier keeps. It
-// bounds the tier's memory at CacheCap x (frontMaxBody + one response)
-// instead of CacheCap x MaxBody.
-const frontMaxBody = 16 << 10
-
-// frontAnswer is a /v1/solve answer as the front tier keeps it: the
-// status, the body solve writes (jobspec.AppendResult's bytes and a
-// newline) and the result's solver method, counted again on every hit.
-// Status 0 marks an answer the tier does not keep.
-type frontAnswer struct {
-	status int
-	body   []byte
-	method core.Method
-}
-
-// handleSolve answers one request. A body read whole and small enough goes
-// through the front tier: a repeated body is answered with the stored
-// bytes of its first answer, without waiting for an admission slot, and
-// a new one runs the full path (solve) as the leader for its body.
-// Everything else runs the full path directly, on the bytes read and the
-// error the read ended with. The full path holds an admission slot.
+// handleSolve answers one request through the front tier
+// (jobspec.Front): a repeated body is answered with the stored bytes of
+// its first answer, without waiting for an admission slot, and counts its
+// method again; everything else runs the full path (solve), which holds
+// an admission slot. Both set jobspec.KeepHeader on an answer the tier
+// keeps, so a gateway in front keeps the same answers.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	body, readErr := io.ReadAll(r.Body)
-	if readErr != nil || len(body) > frontMaxBody {
-		s.gated(w, r, func() { s.solve(ctx, w, jobspec.Replay(body, readErr)) })
-		return
-	}
-	e, hit := s.front.Get(body)
-	if !hit {
-		s.lead(w, r, e, body)
-		return
-	}
-	select {
-	case <-e.Ready():
-		//lint:allow memoalias the stored response body is only ever written out, never modified
-		if a, _ := e.Wait(); a.status != 0 && ctx.Err() == nil {
-			s.methods.Add(string(a.method), 1)
-			jobspec.WriteRaw(w, a.status, a.body)
-			return
-		}
-	case <-ctx.Done():
-	}
-	// The first request's answer is not kept, or this request's own
-	// deadline came first: answer as the full path would.
-	s.gated(w, r, func() { s.solve(ctx, w, bytes.NewReader(body)) })
-}
-
-// lead runs the full path for a body the front tier has not seen, then
-// publishes the answer to the requests waiting on e and keeps it only if
-// solve says it may be kept. A panic, or a request the admission gate
-// turns away, publishes an answer not kept, so the waiters run the full
-// path themselves.
-func (s *Server) lead(w http.ResponseWriter, r *http.Request, e *memo.Entry[frontAnswer], body []byte) {
-	var a frontAnswer
-	defer func() {
-		e.Fill(func() (frontAnswer, error) { return a, nil })
-		if a.status == 0 {
-			s.front.Forget(e)
-		}
-	}()
-	s.gated(w, r, func() { a = s.solve(r.Context(), w, bytes.NewReader(body)) })
+	s.front.Serve(ctx, body, readErr, func(a jobspec.FrontAnswer) {
+		s.methods.Add(string(a.Method), 1)
+		jobspec.MarkKept(w.Header())
+		jobspec.WriteRaw(w, http.StatusOK, a.Body)
+	}, func() (a jobspec.FrontAnswer, keep bool) {
+		s.gated(w, r, func() { a, keep = s.solve(ctx, w, jobspec.Replay(body, readErr)) })
+		return a, keep
+	})
 }
 
 // solve runs one request through the engine (sharing the cache and worker
 // pool with every other endpoint) and writes the jobspec result document.
 // Results are bit-identical to calling repro.Solve directly. It returns
-// the answer when the front tier may keep it — a 200 whose result was not
-// preempted by the solve budget — and the zero frontAnswer otherwise.
-func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body io.Reader) frontAnswer {
+// the answer, and keep when the front tier may keep it: a 200 whose
+// result was not preempted by the solve budget.
+func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body io.Reader) (jobspec.FrontAnswer, bool) {
 	jobs, status, err := jobspec.DecodeSolve(body, s.cache)
 	if err != nil {
 		jobspec.WriteError(w, status, err)
-		return frontAnswer{}
+		return jobspec.FrontAnswer{}, false
 	}
 	results, stats := batch.SolveCtx(ctx, jobs, s.batchOptions())
 	s.countMethods(stats)
 	if err := results[0].Err; err != nil {
 		jobspec.WriteError(w, jobspec.ErrorStatus(err), err)
-		return frontAnswer{}
+		return jobspec.FrontAnswer{}, false
 	}
 	out := append(jobspec.AppendResult(nil, results[0]), '\n')
-	jobspec.WriteRaw(w, http.StatusOK, out)
-	if results[0].Result.Preempted {
-		return frontAnswer{}
+	keep := !results[0].Result.Preempted
+	if keep {
+		jobspec.MarkKept(w.Header())
 	}
-	return frontAnswer{status: http.StatusOK, body: out, method: results[0].Result.Method}
+	jobspec.WriteRaw(w, http.StatusOK, out)
+	return jobspec.FrontAnswer{Body: out, Method: results[0].Result.Method}, keep
 }
 
 // handleBatch accepts a pipebatch job file and responds with the pipebatch
