@@ -113,8 +113,10 @@ chaos:
 # fuzz-smoke runs each fuzz target briefly, as CI does: the jobspec
 # schema's, the appending answer encoders against encoding/json, the
 # gateway's cuts of /v1/solve bodies and /v1/batch documents against the
-# replicas' decoders, and a replica's answers to /v1/solve, /v1/pareto
-# and /v1/simulate requests built from fuzzed fields (never a 500).
+# replicas' decoders, and a replica's answers to /v1/solve (with and
+# without a work ceiling), /v1/pareto and /v1/simulate requests built
+# from fuzzed fields (never a 500). CI runs this target, so the list of
+# targets lives here alone.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzFileRoundTrip$$ -fuzztime=30s ./internal/jobspec/
 	$(GO) test -run=^$$ -fuzz=^FuzzFloatJSON$$ -fuzztime=30s ./internal/jobspec/

@@ -117,9 +117,6 @@ var (
 	ErrUnresolved = core.ErrUnresolved
 	// ErrUnsupported reports a criteria combination the paper rules out.
 	ErrUnsupported = core.ErrUnsupported
-	// ErrSolveBudget is the cause of a context ended by a solve budget
-	// (see Plan.SolveCtx), and the error of a solve it stops unmapped.
-	ErrSolveBudget = core.ErrSolveBudget
 )
 
 // Solve minimizes the requested criterion under the request's bounds,
@@ -471,9 +468,9 @@ func Resolve(pl *Plan, q PlanQuery, ev FaultEvent) (*ResolveResult, error) {
 }
 
 // ResolveCtx is Resolve under the caller's context: both solves stop when
-// it ends. A context ended by a solve budget (cause ErrSolveBudget)
-// answers each stopped search's best mapping, tagged Degraded and
-// Preempted; any other end answers the context's error.
+// it ends, and the call answers the context's error. The query's own
+// effort fields (ExactLimit, HeurIters, HeurRestarts) bound the work of
+// each solve.
 func ResolveCtx(ctx context.Context, pl *Plan, q PlanQuery, ev FaultEvent) (*ResolveResult, error) {
 	return chaos.ResolveCtx(ctx, pl, q, ev)
 }

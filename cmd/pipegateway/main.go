@@ -43,7 +43,8 @@
 //
 // The /v1/solve front tier is the replicas' own (jobspec.Front): keyed by
 // the SHA-256 digest of the body, at most gateway.FrontCap (8192) answers,
-// only 200s a replica marks X-Pipe-Keep (not preempted), none over 16 KiB.
+// every 200 a replica answers, none over 16 KiB. The replicas must share
+// their -solve-work ceiling, since the tier keys answers by body alone.
 // A kept answer is served without a replica, even while all are down, and
 // counts in the gateway's /stats front block, in no replica's counters.
 //

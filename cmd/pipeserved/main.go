@@ -34,10 +34,10 @@
 //	                    takes no slot
 //	-max-queue          solver requests allowed to wait for admission;
 //	                    beyond it requests are shed with 429 + Retry-After
-//	-solve-budget       per-job search budget (0 = none): a job whose
-//	                    search outlives it stops and answers the best
-//	                    mapping found, tagged "degraded" and "preempted",
-//	                    instead of 504
+//	-solve-work         per-job ceiling on search effort, in steps (0 =
+//	                    none): exact limit and annealing steps, all
+//	                    restarts together; replicas behind one gateway
+//	                    must share it, as its front tier keys by body
 //	-breaker-threshold  consecutive 504s on one endpoint that trip its
 //	                    circuit breaker (0 = breakers off; a request
 //	                    that expired waiting for admission is no
@@ -93,7 +93,7 @@ func run(args []string) error {
 	drain := fs.Duration("drain", 10*time.Second, "shutdown drain budget for in-flight requests")
 	maxInFlight := fs.Int("max-in-flight", 0, "concurrent solver requests admitted (0 = unlimited)")
 	maxQueue := fs.Int("max-queue", 0, "solver requests allowed to queue for admission before shedding")
-	solveBudget := fs.Duration("solve-budget", 0, "per-job search budget (0 = none); a search it stops answers its best mapping, tagged preempted")
+	solveWork := fs.Int64("solve-work", 0, "per-job ceiling on search effort, in steps: exact limit and annealing steps (0 = none)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive 504s tripping an endpoint's circuit breaker (0 = off)")
 	breakerCooldown := fs.Duration("breaker-cooldown", server.DefaultBreakerCooldown, "cooldown of a tripped circuit breaker")
 	if err := fs.Parse(args); err != nil {
@@ -109,7 +109,7 @@ func run(args []string) error {
 		Logger:           logger,
 		MaxInFlight:      *maxInFlight,
 		MaxQueue:         *maxQueue,
-		SolveBudget:      *solveBudget,
+		SolveWork:        *solveWork,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
 	})

@@ -74,10 +74,11 @@
 // re-solves a compiled plan's problem after a fault, returning
 // simulator-verified before/after results with a MigrationDiff. Solves
 // stop when their context ends (SolveBatchCtx, Plan.SolveCtx,
-// ResolveCtx), and one ended by a solve budget (BatchOptions.SolveBudget,
-// or a context whose cause is ErrSolveBudget) degrades gracefully: it
-// answers the best mapping its search found, tagged Degraded and
-// Preempted with a provable LowerBound — never silently.
+// ResolveCtx) and answer its error. A solve's effort is counted in work,
+// never in time: the request's ExactLimit, HeurIters and HeurRestarts
+// bound the search, and a search past them degrades gracefully: it
+// answers the best mapping found, tagged Degraded with a provable
+// LowerBound — never silently — and the same one on every run.
 //
 // # Quick start
 //

@@ -63,14 +63,6 @@ type Options struct {
 	// Solve uses a private cache scoped to the call (still deduplicating
 	// identical jobs within the batch).
 	Cache *Cache
-	// SolveBudget, if positive, is a per-job wall-clock budget: a job
-	// whose search outlives it stops and answers the best mapping found
-	// so far, tagged Degraded and Preempted, or the timeout error
-	// core.ErrSolveBudget when there is none, instead of blowing the
-	// whole batch's deadline. Polynomial cells always answer in full.
-	// Preempted results are never retained by the cache. Zero means no
-	// budget.
-	SolveBudget time.Duration
 }
 
 // JobResult pairs one job's Result with its error; exactly one of the two
@@ -96,9 +88,8 @@ type Stats struct {
 	// batch sharing the Cache).
 	PlanCompiles, PlanReuses int
 	// Degraded counts successful jobs whose result came from the heuristic
-	// because the exact path was abandoned (Result.Degraded); Preempted is
-	// the subset forced by an expired SolveBudget (Result.Preempted).
-	Degraded, Preempted int
+	// because the exact path was abandoned (Result.Degraded).
+	Degraded int
 	// Methods counts successful jobs per dispatch method, so callers can
 	// see how a batch split across the paper's algorithms.
 	Methods map[core.Method]int
@@ -130,7 +121,7 @@ func SolveCtx(ctx context.Context, jobs []Job, opts Options) ([]JobResult, Stats
 	if cache == nil {
 		cache = NewCache()
 	}
-	solveDeduped(ctx, jobs, opts.Workers, cache, opts.SolveBudget, results, hits, &planCompiles, &planReuses)
+	solveDeduped(ctx, jobs, opts.Workers, cache, results, hits, &planCompiles, &planReuses)
 
 	stats := Stats{
 		Jobs:         len(jobs),
@@ -150,9 +141,6 @@ func SolveCtx(ctx context.Context, jobs []Job, opts Options) ([]JobResult, Stats
 			if results[i].Result.Degraded {
 				stats.Degraded++
 			}
-			if results[i].Result.Preempted {
-				stats.Preempted++
-			}
 		}
 	}
 	return results, stats
@@ -169,11 +157,8 @@ func SolveCtx(ctx context.Context, jobs []Job, opts Options) ([]JobResult, Stats
 // worker). hit reports a memoized answer: the query's, or the plan tier's
 // memoized compilation error.
 //
-// The query runs under ctx, so a solve stops when ctx ends. A positive
-// budget bounds it further with a per-job deadline whose cause is
-// core.ErrSolveBudget: a job that outlives it answers the stopped
-// search's best mapping, tagged Preempted (see plan.SolveCtx).
-func solvePlanned(ctx context.Context, cache *Cache, jobs []Job, group []int, budget time.Duration, planCompiles, planReuses *int64) (core.Result, error, bool) {
+// The query runs under ctx, so a solve stops when ctx ends.
+func solvePlanned(ctx context.Context, cache *Cache, jobs []Job, group []int, planCompiles, planReuses *int64) (core.Result, error, bool) {
 	job := &jobs[group[0]]
 	pl, planHit := job.Plan, true
 	var err error
@@ -190,11 +175,6 @@ func solvePlanned(ctx context.Context, cache *Cache, jobs []Job, group []int, bu
 	}
 	if err != nil {
 		return core.Result{}, err, planHit
-	}
-	if budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, budget, core.ErrSolveBudget)
-		defer cancel()
 	}
 	return pl.Answer(ctx, plan.QueryOf(job.Req))
 }
@@ -227,7 +207,7 @@ func groupOf(job *Job) groupKey {
 // fresh compilations versus plan-tier hits for Stats, one per group: a
 // group of jobs that carry their plan counts a compilation when one of
 // its jobs compiled the plan.
-func solveDeduped(ctx context.Context, jobs []Job, workers int, cache *Cache, budget time.Duration, results []JobResult, hits []bool, planCompiles, planReuses *int64) {
+func solveDeduped(ctx context.Context, jobs []Job, workers int, cache *Cache, results []JobResult, hits []bool, planCompiles, planReuses *int64) {
 	// A group starts as a full-capacity window of one element of self, so
 	// the common singleton group allocates nothing; a duplicate's append
 	// copies the group out.
@@ -245,7 +225,7 @@ func solveDeduped(ctx context.Context, jobs []Job, workers int, cache *Cache, bu
 		groups = append(groups, self[i:i+1:i+1])
 	}
 	Each(ctx, len(groups), workers, func(g int) {
-		res, err, hit := solvePlanned(ctx, cache, jobs, groups[g], budget, planCompiles, planReuses)
+		res, err, hit := solvePlanned(ctx, cache, jobs, groups[g], planCompiles, planReuses)
 		for n, i := range groups[g] {
 			jr := JobResult{Err: err}
 			if err == nil {

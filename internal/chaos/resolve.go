@@ -76,9 +76,8 @@ func Resolve(pl *plan.Plan, q plan.Query, ev Event) (*ResolveResult, error) {
 
 // ResolveCtx is Resolve under the caller's context: both the pre-fault
 // solve and the re-solve run through plan.SolveCtx, so they stop when ctx
-// ends. A context ended by a solve budget (cause core.ErrSolveBudget)
-// answers each stopped search's best mapping, tagged Degraded and
-// Preempted; any other end answers the context's error.
+// ends and answer its error. The query's effort fields bound the work of
+// each solve.
 func ResolveCtx(ctx context.Context, pl *plan.Plan, q plan.Query, ev Event) (*ResolveResult, error) {
 	before, err := pl.SolveCtx(ctx, q)
 	if err != nil {

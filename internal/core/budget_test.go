@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -12,7 +13,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/algo/exact"
 	"repro/internal/core"
@@ -218,51 +218,87 @@ func BenchmarkSolveBeyondExactLimit(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(jobs)), "us/job")
 }
 
-// TestSolveBudgetStops pins what a stopped solve answers. Under a context
-// the solve budget has already ended, an NP-hard cell answers the
-// annealer's start, Preempted and Degraded with a lower bound, never
-// below the optimum; a problem whose start breaks its bounds answers
-// ErrSolveBudget, a timeout, where the full search proves ErrInfeasible.
-// A context ended otherwise answers its own error. A polynomial cell is
-// never stopped and answers in full.
-func TestSolveBudgetStops(t *testing.T) {
-	inst := pipeline.MotivatingExample()
-	cls := inst.Platform.Classify()
-	spent, cancel := context.WithDeadlineCause(context.Background(), time.Unix(0, 0), core.ErrSolveBudget)
-	defer cancel()
-	gone, cancelGone := context.WithCancel(context.Background())
-	cancelGone()
-
-	hard := core.Request{Rule: mapping.Interval, Objective: core.Period} // NP-hard on Figure 1
-	full, err := core.Solve(&inst, hard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.SolvePrepared(spent, &inst, cls, hard)
-	if err != nil || !res.Preempted || !res.Degraded || res.LowerBound <= 0 || res.LowerBound > res.Value || res.Value < full.Value {
-		t.Fatalf("spent budget: %+v, %v; want Preempted and Degraded with 0 < lower bound <= value, never below the optimum %g", res, err, full.Value)
-	}
-	if _, err := core.SolvePrepared(gone, &inst, cls, hard); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled context: %v, want context.Canceled", err)
-	}
-
-	tight := hard
-	tight.PeriodBounds = core.UniformBounds(&inst, 0.5)
-	if _, err := core.Solve(&inst, tight); !errors.Is(err, core.ErrInfeasible) {
-		t.Fatalf("unbudgeted tight bounds: %v, want ErrInfeasible", err)
-	}
-	if _, err := core.SolvePrepared(spent, &inst, cls, tight); !errors.Is(err, core.ErrSolveBudget) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("spent budget without a mapping: %v, want ErrSolveBudget, a deadline error", err)
-	}
-
-	poly := core.Request{Rule: mapping.Interval, Objective: core.Latency} // Theorem 12
-	want, err := core.Solve(&inst, poly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ctx := range []context.Context{spent, gone} {
-		if got, err := core.SolvePrepared(ctx, &inst, cls, poly); err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("polynomial cell under an ended context: %+v, %v; want %+v", got, err, want)
+// TestClamp pins core.Request.Clamp on a table, then checks its rules
+// over a grid of ceilings and requests: a ceiling of 0 is the identity;
+// the effective exact limit and the annealing steps of every restart
+// together are at most the ceiling; no effort is ever raised, HeurIters is
+// never left 0 by a clamp (0 means 4000) and no other field moves; a
+// request within the ceiling is unchanged, and clamping is idempotent.
+func TestClamp(t *testing.T) {
+	for _, c := range []struct {
+		work     int64
+		req, out core.Request
+	}{
+		{0, core.Request{HeurIters: 1_000_000, HeurRestarts: 16}, core.Request{HeurIters: 1_000_000, HeurRestarts: 16}},
+		{10_000, core.Request{}, core.Request{ExactLimit: 10_000, HeurIters: 3333}},
+		{12_000, core.Request{}, core.Request{ExactLimit: 12_000}},
+		{2, core.Request{}, core.Request{ExactLimit: 2, HeurIters: 1, HeurRestarts: 2}},
+		{1, core.Request{HeurRestarts: 16}, core.Request{ExactLimit: 1, HeurIters: 1, HeurRestarts: 1}},
+		{50, core.Request{ExactLimit: 5, HeurIters: 10, HeurRestarts: 2}, core.Request{ExactLimit: 5, HeurIters: 10, HeurRestarts: 2}},
+		{50, core.Request{HeurIters: 1_000_000, HeurRestarts: 4}, core.Request{ExactLimit: 50, HeurIters: 12, HeurRestarts: 4}},
+		{1 << 40, core.Request{}, core.Request{}},
+	} {
+		if got := c.req.Clamp(c.work); !reflect.DeepEqual(got, c.out) {
+			t.Errorf("%+v.Clamp(%d) = %+v, want %+v", c.req, c.work, got, c.out)
 		}
+	}
+
+	limit := func(r core.Request) int64 { return cmp.Or(r.ExactLimit, 2_000_000) }
+	iters := func(r core.Request) int64 { return int64(cmp.Or(r.HeurIters, 4000)) }
+	restarts := func(r core.Request) int64 { return int64(cmp.Or(r.HeurRestarts, 3)) }
+	base := core.Request{Rule: mapping.Interval, Objective: core.Energy, PeriodBounds: []float64{2, 3}, EnergyBudget: 9, Seed: 4}
+	for _, work := range []int64{0, 1, 2, 3, 5, 100, 3999, 4000, 12_000, 2_000_000, math.MaxInt64} {
+		for _, effort := range [][3]int64{{0, 0, 0}, {1, 1, 1}, {7, 0, 16}, {50_000, 1_000_000, 0}, {20_000_000, 1_000_000, 16}, {3, 5, 2}} {
+			req := base
+			req.ExactLimit, req.HeurIters, req.HeurRestarts = effort[0], int(effort[1]), int(effort[2])
+			got := req.Clamp(work)
+			if work == 0 {
+				if !reflect.DeepEqual(got, req) {
+					t.Errorf("ceiling 0 changed %+v to %+v", req, got)
+				}
+				continue
+			}
+			steps := iters(got) * restarts(got)
+			switch {
+			case limit(got) > work || steps > work:
+				t.Errorf("%+v.Clamp(%d): exact limit %d, %d annealing steps", req, work, limit(got), steps)
+			case limit(got) > limit(req) || iters(got) > iters(req) || restarts(got) > restarts(req):
+				t.Errorf("%+v.Clamp(%d) = %+v raised an effort", req, work, got)
+			case got.HeurIters == 0 && req.HeurIters != 0:
+				t.Errorf("%+v.Clamp(%d) left HeurIters 0", req, work)
+			case !reflect.DeepEqual(got.PeriodBounds, req.PeriodBounds) || got.EnergyBudget != req.EnergyBudget ||
+				got.Seed != req.Seed || got.Rule != req.Rule || got.Objective != req.Objective:
+				t.Errorf("%+v.Clamp(%d) = %+v moved a field other than the effort", req, work, got)
+			case limit(req) <= work && iters(req)*restarts(req) <= work && !reflect.DeepEqual(got, req):
+				t.Errorf("%+v is within the ceiling %d, clamped to %+v", req, work, got)
+			case !reflect.DeepEqual(got.Clamp(work), got):
+				t.Errorf("clamping %+v again at %d gave %+v", got, work, got.Clamp(work))
+			}
+		}
+	}
+}
+
+// TestClampPolynomialUnchanged checks that a ceiling never reaches a
+// polynomial cell: over the generator's draws, a job a theorem algorithm
+// answers gets core.Solve's result, bit for bit, under every ceiling.
+func TestClampPolynomialUnchanged(t *testing.T) {
+	space := gen.DefaultSpace()
+	checked := 0
+	for i := 0; i < 300; i++ {
+		sc := space.Sample(5, i)
+		want, err := core.Solve(&sc.Inst, sc.Req)
+		if err != nil || want.Method == core.MethodExact || want.Method == core.MethodHeuristic {
+			continue
+		}
+		checked++
+		for _, work := range []int64{1, 3, 1000} {
+			got, err := core.Solve(&sc.Inst, sc.Req.Clamp(work))
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s (index %d) under ceiling %d: %+v, %v; core.Solve %+v", sc.Name, i, work, got, err, want)
+			}
+		}
+	}
+	if checked < 50 {
+		t.Fatalf("only %d draws answered by a polynomial cell", checked)
 	}
 }

@@ -108,6 +108,39 @@ func (r Request) exactLimit() int64 {
 	return r.ExactLimit
 }
 
+// Clamp returns r with its effort lowered to a ceiling of work search
+// steps; work <= 0 means no ceiling and returns r unchanged. The exact
+// limit becomes at most work, so a search past it tries at most work
+// placements, and the annealing steps of every restart together (3
+// restarts when HeurRestarts is unset) at most work: restarts first, then
+// HeurIters, which never drops below one step. The answer to the clamped
+// request is a pure function of the request and the ceiling, as any
+// other answer is of its request.
+func (r Request) Clamp(work int64) Request {
+	if work <= 0 {
+		return r
+	}
+	if r.exactLimit() > work {
+		r.ExactLimit = work
+	}
+	restarts := int64(r.HeurRestarts)
+	if restarts <= 0 {
+		restarts = 3
+	}
+	if restarts > work {
+		restarts = work
+		r.HeurRestarts = int(work)
+	}
+	iters := int64(r.HeurIters)
+	if iters <= 0 {
+		iters = 4000
+	}
+	if iters > work/restarts {
+		r.HeurIters = int(work / restarts)
+	}
+	return r
+}
+
 // Result is a solved mapping with provenance.
 type Result struct {
 	Mapping mapping.Mapping
@@ -130,10 +163,6 @@ type Result struct {
 	// populated only on degraded results so callers can report the bound
 	// gap Value - LowerBound.
 	LowerBound float64
-	// Preempted reports that a solve budget (ErrSolveBudget) stopped the
-	// search and Degraded's mapping is the best it held then. It depends
-	// on timing, so it is never memoized.
-	Preempted bool
 }
 
 // Clone returns an independent deep copy of r, reflect.DeepEqual to r
@@ -154,11 +183,6 @@ var ErrInfeasible = errors.New("core: no mapping satisfies the bounds")
 // fits, runs the search to the end and settles it.
 var ErrUnresolved = errors.New("core: search budget spent without finding a mapping (infeasibility not proven)")
 
-// ErrSolveBudget is the cause of a context ended by a solve budget
-// (context.WithTimeoutCause; see SolvePrepared), and the timeout a solve
-// it stops answers when it has no mapping.
-var ErrSolveBudget = fmt.Errorf("core: solve budget spent: %w", context.DeadlineExceeded)
-
 // ErrUnsupported is returned for criteria combinations the paper rules out
 // (energy without a period constraint).
 var ErrUnsupported = errors.New("core: unsupported criteria combination")
@@ -177,9 +201,8 @@ func Solve(inst *pipeline.Instance, req Request) (Result, error) {
 // queries. cls must be inst.Platform.Classify() and inst.Validate() must
 // have returned nil; given that, SolvePrepared(ctx, inst, cls, req) is
 // bit-identical to Solve(inst, req) unless ctx ends during the search of
-// an NP-hard cell (polynomial cells never stop). Ended by a solve budget
-// (cause ErrSolveBudget), the search answers its best mapping, tagged
-// Degraded and Preempted; ended otherwise, the context's error.
+// an NP-hard cell (polynomial cells never stop), which then answers the
+// context's error.
 func SolvePrepared(ctx context.Context, inst *pipeline.Instance, cls pipeline.Class, req Request) (Result, error) {
 	if err := CheckBounds(inst, req); err != nil {
 		return Result{}, err
@@ -434,8 +457,7 @@ func (r Request) goal() pipeline.Goal {
 // min(ExactLimit, exactWork) placements: a search that ends within it is
 // just as exact, and one that runs out hands its incumbent, if any, to
 // the annealer as the starting mapping. The answer is then the better of
-// the annealer's mapping and the search's incumbent, tagged Degraded. A
-// search the solve budget stops takes the same path, tagged Preempted.
+// the annealer's mapping and the search's incumbent, tagged Degraded.
 func fallback(ctx context.Context, inst *pipeline.Instance, req Request) (Result, error) {
 	opt, goal := ExactProblem(req)
 	if !withinExactLimit(inst, req) {
@@ -447,42 +469,31 @@ func fallback(ctx context.Context, inst *pipeline.Instance, req Request) (Result
 		return wrap(inst, req, sol.Mapping, sol.Value, MethodExact, true, nil)
 	case errors.Is(err, exact.ErrInfeasible):
 		return Result{}, ErrInfeasible
-	case !errors.Is(err, exact.ErrSearchSpace) && !budgetSpent(ctx, err):
+	case !errors.Is(err, exact.ErrSearchSpace):
 		return Result{}, err
 	}
 	// A mapping the search found is never lost: restart 0 of the annealer
 	// starts from it, and then one restart is the default (cold restarts
 	// rarely beat it), and it answers when the annealer found none or a
-	// worse one. A budget that stopped the search stops the annealer at
-	// its first step.
+	// worse one.
 	hopt := heur.Options{Iters: req.HeurIters, Restarts: req.HeurRestarts, Start: sol.Mapping}
 	if len(sol.Mapping.Apps) > 0 && hopt.Restarts <= 0 {
 		hopt.Restarts = 1
 	}
 	m, v, err := heur.Minimize(ctx, rand.New(rand.NewSource(req.Seed+1)), inst, req.Rule, goal, hopt)
-	preempted := budgetSpent(ctx, err)
-	if err != nil && !preempted {
+	if err != nil {
 		return Result{}, err
 	}
 	if len(sol.Mapping.Apps) > 0 && (math.IsInf(v, 1) || fmath.LT(sol.Value, v)) {
 		m, v = sol.Mapping, sol.Value
 	}
-	switch {
-	case !math.IsInf(v, 1):
-	case preempted:
-		return Result{}, ErrSolveBudget
-	default:
+	if math.IsInf(v, 1) {
 		return Result{}, ErrUnresolved
 	}
 	res, err := wrap(inst, req, m, v, MethodHeuristic, false, nil)
-	res.Degraded, res.Preempted = true, preempted
+	res.Degraded = true
 	res.LowerBound = lowerBound(inst, req)
 	return res, err
-}
-
-// budgetSpent reports whether err is that of ctx ended by the solve budget.
-func budgetSpent(ctx context.Context, err error) bool {
-	return err != nil && errors.Is(err, ctx.Err()) && errors.Is(context.Cause(ctx), ErrSolveBudget)
 }
 
 // lowerBound computes a cheap provable lower bound on the constrained

@@ -24,7 +24,6 @@ type Packed struct {
 const (
 	packOptimal = 1 << iota
 	packDegraded
-	packPreempted
 	packApps         // Mapping.Apps is non-nil
 	packAppPeriods   // Metrics.AppPeriods is non-nil
 	packAppLatencies // Metrics.AppLatencies is non-nil
@@ -40,7 +39,6 @@ func (r Result) Pack() Packed {
 	}
 	set(r.Optimal, packOptimal)
 	set(r.Degraded, packDegraded)
-	set(r.Preempted, packPreempted)
 	set(r.Mapping.Apps != nil, packApps)
 	set(r.Metrics.AppPeriods != nil, packAppPeriods)
 	set(r.Metrics.AppLatencies != nil, packAppLatencies)
@@ -107,10 +105,9 @@ func (p Packed) Unpack() Result {
 	d := packReader{b: p.data}
 	flags := d.byte()
 	r := Result{
-		Method:    p.method,
-		Optimal:   flags&packOptimal != 0,
-		Degraded:  flags&packDegraded != 0,
-		Preempted: flags&packPreempted != 0,
+		Method:   p.method,
+		Optimal:  flags&packOptimal != 0,
+		Degraded: flags&packDegraded != 0,
 	}
 	r.Value, r.Metrics.Period, r.Metrics.Latency, r.Metrics.Energy, r.LowerBound =
 		d.float(), d.float(), d.float(), d.float(), d.float()

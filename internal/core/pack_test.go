@@ -21,10 +21,10 @@ func TestPackRoundTrip(t *testing.T) {
 		{Mapping: mapping.Mapping{Apps: []mapping.AppMapping{{Intervals: []mapping.PlacedInterval{{From: 128, To: 300, Proc: 7}}}}}},
 		{Mapping: mapping.Mapping{Apps: []mapping.AppMapping{{}, {Intervals: []mapping.PlacedInterval{{To: 1 << 20}, {Mode: -1 << 31}}}}}},
 		{
-			Value:     math.Copysign(0, -1),
-			Method:    Method("a method no constant names"),
-			Optimal:   true,
-			Preempted: true,
+			Value:    math.Copysign(0, -1),
+			Method:   Method("a method no constant names"),
+			Optimal:  true,
+			Degraded: true,
 			Mapping: mapping.Mapping{Apps: []mapping.AppMapping{
 				{Intervals: []mapping.PlacedInterval{{From: 0, To: 1, Proc: 2, Mode: 1}, {From: 2, To: 300, Proc: 0}}},
 				{},
@@ -54,7 +54,7 @@ func TestPackRoundTrip(t *testing.T) {
 // TestPackCoversResult fails when Result gains a field, which Pack and
 // Unpack must then learn to carry.
 func TestPackCoversResult(t *testing.T) {
-	want := []string{"Mapping", "Value", "Metrics", "Method", "Optimal", "Degraded", "LowerBound", "Preempted"}
+	want := []string{"Mapping", "Value", "Metrics", "Method", "Optimal", "Degraded", "LowerBound"}
 	var got []string
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Result{})) {
 		got = append(got, f.Name)

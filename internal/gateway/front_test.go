@@ -8,9 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"repro/internal/jobspec"
 	"repro/internal/server"
 	"repro/internal/servetest"
 )
@@ -63,9 +61,6 @@ func TestGatewayFrontHitIdentity(t *testing.T) {
 					rec.Code, rec.Header().Get("Content-Type"), rec.Body.String(),
 					want.Code, want.Header().Get("Content-Type"), want.Body.String())
 			}
-			if k := rec.Header().Get(jobspec.KeepHeader); k != "" {
-				t.Errorf("body %d, send %d: the gateway relayed %s %q", i, send, jobspec.KeepHeader, k)
-			}
 		}
 		seen, hit := solves.Load()-before, g.front.Stats().Hits-hits
 		switch {
@@ -100,26 +95,30 @@ func corpusSolves(t *testing.T, n int) []string {
 	return bodies
 }
 
-// TestGatewayFrontKeepsNoPreemptedAnswer: a replica's 200 whose search
-// its solve budget preempted is not kept by the gateway (nor by the
-// replica), so a repeat reaches a replica again and is solved again.
-func TestGatewayFrontKeepsNoPreemptedAnswer(t *testing.T) {
-	urls, _, solves := countedReplicas(t, 3, server.Config{SolveBudget: 20 * time.Millisecond})
+// TestGatewayFrontKeepsCeilingAnswer: a replica's degraded 200 under a
+// work ceiling is a function of the body, so the gateway keeps it like
+// any other 200: the repeat is answered with the bytes a replica with the
+// same ceiling answers directly, and reaches no replica.
+func TestGatewayFrontKeepsCeilingAnswer(t *testing.T) {
+	const work = 16
+	urls, _, solves := countedReplicas(t, 3, server.Config{SolveWork: work})
 	g := newGateway(t, urls, Config{})
 	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": ` + servetest.SlowSolveRequest + `}`
+	want := httptest.NewRecorder()
+	server.New(server.Config{SolveWork: work}).ServeHTTP(want, httptest.NewRequest("POST", "/v1/solve", strings.NewReader(body)))
 	for send := 1; send <= 2; send++ {
 		rec := postGateway(g, "/v1/solve", body)
-		var res struct{ Preempted bool }
+		var res struct{ Degraded bool }
 		decode(t, rec, &res)
-		if rec.Code != http.StatusOK || !res.Preempted {
-			t.Fatalf("send %d: status %d, preempted %v, want a preempted 200", send, rec.Code, res.Preempted)
+		if rec.Code != http.StatusOK || !res.Degraded || rec.Body.String() != want.Body.String() {
+			t.Fatalf("send %d: %d %q, want the degraded 200 %q", send, rec.Code, rec.Body.String(), want.Body.String())
 		}
 	}
-	if n := solves.Load(); n != 2 {
-		t.Errorf("replicas saw %d posts of a preempted body, want 2", n)
+	if n := solves.Load(); n != 1 {
+		t.Errorf("replicas saw %d posts of a ceilinged body, want 1", n)
 	}
-	if n := g.front.Stats().Entries; n != 0 {
-		t.Errorf("gateway front tier kept %d preempted answers", n)
+	if n := g.front.Stats().Entries; n != 1 {
+		t.Errorf("gateway front tier kept %d answers, want the ceilinged one", n)
 	}
 }
 

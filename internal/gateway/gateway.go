@@ -13,9 +13,9 @@
 // FrontCap answers). A repeated body is answered with the bytes a replica
 // answered it with the first time and reaches no replica: it is answered
 // while every replica is down, and counts in no replica's /stats, only in
-// the gateway's front block. The tier keeps only the answers a replica's
-// tier keeps, 200s whose result was not preempted, which the replica
-// marks with jobspec.KeepHeader.
+// the gateway's front block. The tier keeps every 200 a replica answers,
+// as the replica's own tier does: every answer is a function of the body,
+// since the replicas of one cluster share their work ceiling.
 //
 // The gateway decodes no instance of a document it routes, and it never
 // decodes or re-encodes an answer a replica encoded: a /v1/solve body is
@@ -520,22 +520,24 @@ func truncate(b []byte, n int) string {
 // body is routed by the route key of its instance — the key every job on
 // that instance gets inside a batch, so a /v1/solve lands on the replica
 // whose caches hold the instance's plan — forwarded verbatim, and the
-// replica's answer relayed; the tier keeps it when the replica's tier
-// would, as the replica says with jobspec.KeepHeader. A body without a
-// route key is answered with jobspec.DecodeSolve's error (solveKey).
+// replica's answer relayed; the tier keeps it when it is a 200. A body
+// without a route key is answered with jobspec.DecodeSolve's error
+// (solveKey).
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	body, readErr := io.ReadAll(r.Body)
 	g.front.Serve(r.Context(), body, readErr, func(a jobspec.FrontAnswer) {
 		jobspec.WriteRaw(w, http.StatusOK, a.Body)
-	}, func() (jobspec.FrontAnswer, bool) {
+	}, func() jobspec.FrontAnswer {
 		key, status, err := solveKey(body, readErr)
 		if err != nil {
 			jobspec.WriteError(w, status, err)
-			return jobspec.FrontAnswer{}, false
+			return jobspec.FrontAnswer{}
 		}
 		resp, respBody := g.forward(w, r, key, body)
-		keep := resp != nil && resp.StatusCode == http.StatusOK && resp.Header.Get(jobspec.KeepHeader) == "1"
-		return jobspec.FrontAnswer{Body: respBody}, keep
+		if resp == nil || resp.StatusCode != http.StatusOK {
+			return jobspec.FrontAnswer{}
+		}
+		return jobspec.FrontAnswer{Body: respBody}
 	})
 }
 

@@ -681,11 +681,11 @@ func TestGatewaySlowSolveTimeoutKeepsReplicas(t *testing.T) {
 }
 
 // TestGatewaySolveBudgetSlot sends a two-job batch through replicas whose
-// solve budget no search can use: the polynomial latency job answers
-// core.Solve's answer, and the period job, whose search finds no mapping
-// in time, answers timeout in its own slot of a 200.
+// work ceiling of one step no search can use: the polynomial latency job
+// answers core.Solve's answer, and the period job, whose search finds no
+// mapping within the ceiling, answers unresolved in its own slot of a 200.
 func TestGatewaySolveBudgetSlot(t *testing.T) {
-	urls, _ := startReplicas(t, 3, server.Config{SolveBudget: time.Nanosecond})
+	urls, _ := startReplicas(t, 3, server.Config{SolveWork: 1})
 	g := newGateway(t, urls, Config{})
 	inst := servetest.Fig1JSON(t)
 	out := postBatch(t, g, `{"instance": `+inst+`, "jobs": [`+servetest.BudgetSlotJobs+`]}`)
@@ -713,8 +713,8 @@ func TestGatewaySolveBudgetSlot(t *testing.T) {
 		t.Errorf("latency slot %s, core.Solve encodes %s", got, want)
 	}
 	var slot jobspec.Result
-	if err := json.Unmarshal(out.Results[1], &slot); err != nil || slot.Code != jobspec.CodeTimeout {
-		t.Errorf("period slot %s, want code timeout", out.Results[1])
+	if err := json.Unmarshal(out.Results[1], &slot); err != nil || slot.Code != jobspec.CodeUnresolved {
+		t.Errorf("period slot %s, want code unresolved", out.Results[1])
 	}
 }
 

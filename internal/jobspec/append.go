@@ -42,11 +42,6 @@ func AppendResult(dst []byte, jr batch.JobResult) []byte {
 	dst = appendMapping(dst, &r.Mapping)
 	if r.Degraded {
 		dst = appendMember(dst, `"degraded":true`)
-	}
-	if r.Preempted {
-		dst = appendMember(dst, `"preempted":true`)
-	}
-	if r.Degraded {
 		dst = appendFloatMember(dst, `"lowerBound":`, r.LowerBound)
 		dst = appendFloatMember(dst, `"boundGap":`, r.Value-r.LowerBound)
 		dst = appendMember(dst, `"code":"`+CodeDegraded+`"`)

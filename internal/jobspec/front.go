@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"net/http"
 
 	"repro/internal/core"
 	"repro/internal/memo"
@@ -18,21 +17,6 @@ import (
 // the largest answer it keeps. With keys of sha256.Size bytes, a tier of
 // n entries holds at most n x (32 B + FrontMaxBody) of keys and answers.
 const FrontMaxBody = 16 << 10
-
-// KeepHeader is the response header a replica sets, to "1", on a
-// /v1/solve answer its own front tier may keep: a 200 whose result was
-// not preempted (no tier keeps one larger than FrontMaxBody). A gateway
-// keeps an answer only when it carries the header, so the two tiers keep
-// the same answers and the gateway never reads the answer's bytes to
-// decide.
-const KeepHeader = "X-Pipe-Keep"
-
-// keepValue is KeepHeader's value, shared by every answer that carries
-// it, so that marking one allocates nothing. net/http only reads it.
-var keepValue = []string{"1"}
-
-// MarkKept sets KeepHeader on h.
-func MarkKept(h http.Header) { h[KeepHeader] = keepValue }
 
 // FrontAnswer is a /v1/solve answer as a front tier keeps it: the body
 // written with status 200, and the solver method that answered it (empty
@@ -69,11 +53,12 @@ func (f *Front) Stats() memo.Stats { return f.m.Stats() }
 // looked up: a kept answer is handed to hit, which writes it; a body the
 // tier has not seen runs full as the leader for its digest. Every other
 // request runs full directly. full answers the request on the body and
-// the read's error, as the caller holds them, and returns the answer with
-// keep set when the tier may keep it; an answer larger than FrontMaxBody
-// is not kept, and a panic in full keeps nothing and wakes the waiters.
+// the read's error, as the caller holds them, and returns the answer the
+// tier may keep, or a FrontAnswer with a nil Body for one it must not; an
+// answer larger than FrontMaxBody is not kept, and a panic in full keeps
+// nothing and wakes the waiters.
 func (f *Front) Serve(ctx context.Context, body []byte, readErr error,
-	hit func(FrontAnswer), full func() (a FrontAnswer, keep bool)) {
+	hit func(FrontAnswer), full func() FrontAnswer) {
 	if readErr != nil || len(body) > FrontMaxBody {
 		full()
 		return
@@ -99,14 +84,13 @@ func (f *Front) Serve(ctx context.Context, body []byte, readErr error,
 }
 
 // lead runs full for a body the tier has not seen, publishes the answer
-// to the requests waiting on e, and keeps it only if full says it may.
-// An answer not kept is forgotten, so the next request for the body
-// misses and runs the full path.
-func (f *Front) lead(e *memo.Entry[FrontAnswer], full func() (FrontAnswer, bool)) {
+// to the requests waiting on e, and keeps it unless its Body is nil or
+// too large. An answer not kept is forgotten, so the next request for the
+// body misses and runs the full path.
+func (f *Front) lead(e *memo.Entry[FrontAnswer], full func() FrontAnswer) {
 	var a FrontAnswer
-	keep := false
 	defer func() {
-		if !keep || len(a.Body) > FrontMaxBody {
+		if len(a.Body) > FrontMaxBody {
 			a = FrontAnswer{}
 		} else {
 			// Keep the answer's bytes only, not the spare capacity of
@@ -118,5 +102,5 @@ func (f *Front) lead(e *memo.Entry[FrontAnswer], full func() (FrontAnswer, bool)
 			f.m.Forget(e)
 		}
 	}()
-	a, keep = full()
+	a = full()
 }

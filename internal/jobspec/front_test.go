@@ -25,12 +25,15 @@ func (c *frontCalls) hit(a FrontAnswer) {
 	c.mu.Unlock()
 }
 
-// answer returns a full path that answers body with its own bytes and
-// keep.
-func (c *frontCalls) answer(body []byte, keep bool) func() (FrontAnswer, bool) {
-	return func() (FrontAnswer, bool) {
+// answer returns a full path that answers body with its own bytes, or
+// with an answer the tier does not keep (no Body) unless keep.
+func (c *frontCalls) answer(body []byte, keep bool) func() FrontAnswer {
+	return func() FrontAnswer {
 		c.full.Add(1)
-		return FrontAnswer{Body: append([]byte("answer to "), body...)}, keep
+		if !keep {
+			return FrontAnswer{}
+		}
+		return FrontAnswer{Body: append([]byte("answer to "), body...)}
 	}
 }
 
@@ -54,10 +57,10 @@ func TestFrontKeepsAnswers(t *testing.T) {
 	var c frontCalls
 	body := []byte(`{"a":1}`)
 	var buf []byte
-	f.Serve(context.Background(), body, nil, c.hit, func() (FrontAnswer, bool) {
+	f.Serve(context.Background(), body, nil, c.hit, func() FrontAnswer {
 		c.full.Add(1)
 		buf = append(make([]byte, 0, 64), "kept"...)
-		return FrontAnswer{Body: buf}, true
+		return FrontAnswer{Body: buf}
 	})
 	buf[0] = 'X' // the caller's buffer is its own again
 	for range 3 {
@@ -94,9 +97,9 @@ func TestFrontLimits(t *testing.T) {
 	for range 2 {
 		f.Serve(context.Background(), big, nil, c.hit, c.answer(big, true))
 		f.Serve(context.Background(), []byte("{"), errors.New("read failed"), c.hit, c.answer([]byte("{"), true))
-		f.Serve(context.Background(), []byte("{}"), nil, c.hit, func() (FrontAnswer, bool) {
+		f.Serve(context.Background(), []byte("{}"), nil, c.hit, func() FrontAnswer {
 			c.full.Add(1)
-			return FrontAnswer{Body: make([]byte, FrontMaxBody+1)}, true
+			return FrontAnswer{Body: make([]byte, FrontMaxBody+1)}
 		})
 	}
 	if c.full.Load() != 6 || len(c.hits) != 0 || f.Stats().Entries != 0 {
@@ -119,9 +122,9 @@ func TestFrontFollowersRunTheirOwnPath(t *testing.T) {
 	led := make(chan struct{})
 	go func() {
 		defer close(led)
-		f.Serve(context.Background(), body, nil, c.hit, func() (FrontAnswer, bool) {
+		f.Serve(context.Background(), body, nil, c.hit, func() FrontAnswer {
 			<-release
-			return FrontAnswer{Body: []byte("preempted")}, false
+			return FrontAnswer{}
 		})
 	}()
 	waitUntil(t, func() bool { return f.Stats().Misses == 1 })
@@ -162,7 +165,7 @@ func TestFrontWaiterContextEnds(t *testing.T) {
 	led := make(chan any)
 	go func() {
 		defer func() { led <- recover() }()
-		f.Serve(context.Background(), body, nil, c.hit, func() (FrontAnswer, bool) {
+		f.Serve(context.Background(), body, nil, c.hit, func() FrontAnswer {
 			<-release
 			panic("solver bug")
 		})

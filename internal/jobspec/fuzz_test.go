@@ -152,14 +152,14 @@ func FuzzResultBytes(f *testing.F) {
 	methods := []string{"", "exact", "exact,heuristic", "dp-interval,exact,heuristic", "a<b>,&"}
 	shapes := [][]byte{nil, {0}, {1, 3}, {2, 1, 0, 1, 2, 0, 2, 2, 3, 1, 0, 0, 1}, {1, 0}}
 	for i, v := range floats {
-		f.Add(v, floats[(i+3)%len(floats)], v, -v, floats[(i+5)%len(floats)], i%2 == 0, i%3 == 0, i%4 == 0,
+		f.Add(v, floats[(i+3)%len(floats)], v, -v, floats[(i+5)%len(floats)], i%2 == 0, i%3 == 0,
 			methods[i%len(methods)], texts[i%len(texts)], i%5 == 4, int64(i)*1234567, shapes[i%len(shapes)])
 	}
 	for i, text := range texts {
-		f.Add(1.0, 1.0, 2.0, 3.0, 0.5, false, false, false, methods[i%len(methods)], text, true, int64(i), shapes[i%len(shapes)])
+		f.Add(1.0, 1.0, 2.0, 3.0, 0.5, false, false, methods[i%len(methods)], text, true, int64(i), shapes[i%len(shapes)])
 	}
 	f.Fuzz(func(t *testing.T, value, period, latency, energy, lower float64,
-		optimal, degraded, preempted bool, method, text string, failed bool, wallNs int64, shape []byte) {
+		optimal, degraded bool, method, text string, failed bool, wallNs int64, shape []byte) {
 		jr := batch.JobResult{Result: core.Result{
 			Mapping:    fuzzMapping(shape),
 			Value:      value,
@@ -168,7 +168,6 @@ func FuzzResultBytes(f *testing.F) {
 			Optimal:    optimal,
 			Degraded:   degraded,
 			LowerBound: lower,
-			Preempted:  preempted,
 		}}
 		if failed {
 			jr = batch.JobResult{Err: errors.New(text)}
@@ -188,7 +187,7 @@ func FuzzResultBytes(f *testing.F) {
 		stats := batch.Stats{Jobs: 2, CacheHits: int(wallNs & 3), Errors: 1, PlanCompiles: int(wallNs & 1),
 			PlanReuses: int(wallNs >> 62 & 1), Wall: time.Duration(wallNs)}
 		if degraded {
-			stats.Degraded, stats.Preempted = 1, int(wallNs&1)
+			stats.Degraded = 1
 		}
 		if method != "" {
 			stats.Methods = make(map[core.Method]int)

@@ -463,10 +463,8 @@ type Result struct {
 	Mapping *json.RawMessage `json:"mapping,omitempty"`
 	// Degraded marks a heuristic answer where the exact path was
 	// abandoned; LowerBound/BoundGap then report a provable lower bound on
-	// the optimum and the gap Value - LowerBound. Preempted marks the
-	// subset forced by an expired wall-clock budget.
+	// the optimum and the gap Value - LowerBound.
 	Degraded   bool  `json:"degraded,omitempty"`
-	Preempted  bool  `json:"preempted,omitempty"`
 	LowerBound Float `json:"lowerBound,omitempty"`
 	BoundGap   Float `json:"boundGap,omitempty"`
 	// Code is the stable machine-readable classification (Code* consts):
@@ -485,12 +483,10 @@ type Stats struct {
 	PlanCompiles int `json:"planCompiles"`
 	PlanReuses   int `json:"planReuses"`
 	// Degraded counts successful jobs answered by the heuristic with the
-	// exact path abandoned; Preempted the subset forced by an expired
-	// per-job budget.
-	Degraded  int            `json:"degraded,omitempty"`
-	Preempted int            `json:"preempted,omitempty"`
-	WallMs    float64        `json:"wallMs"`
-	Methods   map[string]int `json:"methods"`
+	// exact path abandoned.
+	Degraded int            `json:"degraded,omitempty"`
+	WallMs   float64        `json:"wallMs"`
+	Methods  map[string]int `json:"methods"`
 }
 
 // Merge folds the statistics of a batch answered alongside s (a
@@ -503,7 +499,6 @@ func (s *Stats) Merge(o Stats) {
 	s.PlanCompiles += o.PlanCompiles
 	s.PlanReuses += o.PlanReuses
 	s.Degraded += o.Degraded
-	s.Preempted += o.Preempted
 	s.WallMs = max(s.WallMs, o.WallMs)
 	addCounts(&s.Methods, o.Methods)
 }
@@ -639,7 +634,6 @@ func EncodeResult(jr batch.JobResult) (Result, error) {
 		out.LowerBound = Float(jr.Result.LowerBound)
 		out.BoundGap = Float(jr.Result.Value - jr.Result.LowerBound)
 	}
-	out.Preempted = jr.Result.Preempted
 	return out, nil
 }
 
@@ -652,7 +646,6 @@ func EncodeStats(s batch.Stats) Stats {
 		PlanCompiles: s.PlanCompiles,
 		PlanReuses:   s.PlanReuses,
 		Degraded:     s.Degraded,
-		Preempted:    s.Preempted,
 		WallMs:       float64(s.Wall.Microseconds()) / 1000,
 		Methods:      make(map[string]int, len(s.Methods)),
 	}

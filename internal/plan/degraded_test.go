@@ -32,33 +32,28 @@ func TestSolveCtxBackgroundIsSolve(t *testing.T) {
 	}
 }
 
-// spentBudget returns a context already ended by the solve budget.
-func spentBudget(t *testing.T) context.Context {
-	ctx, cancel := context.WithDeadlineCause(context.Background(), time.Now().Add(-time.Second), core.ErrSolveBudget)
+// expired returns a context whose deadline has already passed.
+func expired(t *testing.T) context.Context {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	t.Cleanup(cancel)
 	return ctx
 }
 
-// TestSolveCtxExpiredDeadlineDegrades pins the solve budget's contract
-// when it has run out before the solve starts. The search of an NP-hard
-// cell stops at its first poll and the answer is the annealer's starting
-// mapping, tagged Preempted and Degraded, and never memoized: a
-// budget-free solve of the same query then solves afresh and gets
+// TestSolveCtxExpiredDeadline pins what a deadline that has passed before
+// the solve starts does. The search of an NP-hard cell stops at its first
+// poll and answers the deadline's error, and nothing is memoized: a solve
+// of the same query under a live context then solves afresh and gets
 // core.Solve's answer. A polynomial cell is never stopped: it answers in
 // full, and that answer is memoized.
-func TestSolveCtxExpiredDeadlineDegrades(t *testing.T) {
+func TestSolveCtxExpiredDeadline(t *testing.T) {
 	mi := pipeline.MotivatingExample()
 	p, err := Compile(&mi, mapping.Interval, pipeline.Overlap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := Query{Objective: core.Period, Seed: 3} // NP-hard on Figure 1
-	res, err := p.SolveCtx(spentBudget(t), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Preempted || !res.Degraded || res.LowerBound <= 0 || res.LowerBound > res.Value {
-		t.Fatalf("spent budget: %+v, want Preempted and Degraded with 0 < lower bound <= value", res)
+	if _, err := p.SolveCtx(expired(t), q); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired deadline: %v, want context.DeadlineExceeded", err)
 	}
 	if st := p.QueryStats(); st.Queries != 1 || st.Entries != 0 {
 		t.Fatalf("stats %+v, want 1 query and no memoized entry", st)
@@ -66,26 +61,26 @@ func TestSolveCtxExpiredDeadlineDegrades(t *testing.T) {
 	clean, err := p.Solve(q)
 	want, werr := core.Solve(&mi, p.Request(q))
 	if err != nil || werr != nil || !reflect.DeepEqual(clean, want) {
-		t.Fatalf("budget-free solve after a preempted one: %+v, %v; core.Solve %+v, %v", clean, err, want, werr)
+		t.Fatalf("solve after an expired one: %+v, %v; core.Solve %+v, %v", clean, err, want, werr)
 	}
 	if st := p.QueryStats(); st.Hits != 0 {
-		t.Fatalf("the budget-free solve hit a kept preempted answer: %+v", st)
+		t.Fatalf("the solve after an expired one hit a kept entry: %+v", st)
 	}
 
 	poly := Query{Objective: core.Latency} // Theorem 12 on Figure 1
-	res, err = p.SolveCtx(spentBudget(t), poly)
+	res, err := p.SolveCtx(expired(t), poly)
 	want, werr = core.Solve(&mi, p.Request(poly))
-	if err != nil || werr != nil || !reflect.DeepEqual(res, want) || res.Preempted {
-		t.Fatalf("polynomial cell under a spent budget: %+v, %v; core.Solve %+v, %v", res, err, want, werr)
+	if err != nil || werr != nil || !reflect.DeepEqual(res, want) {
+		t.Fatalf("polynomial cell under an expired deadline: %+v, %v; core.Solve %+v, %v", res, err, want, werr)
 	}
 	if st := p.QueryStats(); st.Entries != 2 {
 		t.Fatalf("polynomial answer not memoized: %+v", st)
 	}
 }
 
-// TestAnswerExpiredDeadlineReturnsPublished: once a query's clean answer
-// is published, an already-spent budget answers from it — a memo hit,
-// bit-identical to Solve, not preempted.
+// TestAnswerExpiredDeadlineReturnsPublished: once a query's answer is
+// published, a call whose deadline has already passed answers from it —
+// a memo hit, bit-identical to Solve.
 func TestAnswerExpiredDeadlineReturnsPublished(t *testing.T) {
 	mi := pipeline.MotivatingExample()
 	p, err := Compile(&mi, mapping.Interval, pipeline.Overlap)
@@ -97,21 +92,21 @@ func TestAnswerExpiredDeadlineReturnsPublished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err, hit := p.Answer(spentBudget(t), q)
+	res, err, hit := p.Answer(expired(t), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit || res.Preempted || !reflect.DeepEqual(res, clean) {
-		t.Fatalf("spent budget over a published answer: hit %v, %+v, want a hit on %+v", hit, res, clean)
+	if !hit || !reflect.DeepEqual(res, clean) {
+		t.Fatalf("expired deadline over a published answer: hit %v, %+v, want a hit on %+v", hit, res, clean)
 	}
 	if st := p.QueryStats(); st.Queries != 2 || st.Hits != 1 {
 		t.Fatalf("stats %+v, want 2 queries, 1 hit", st)
 	}
 }
 
-// TestSolveCtxCancelledReturnsCtxErr pins that a context ended by
-// anything but the solve budget (the caller is gone) answers its error,
-// not a mapping, and leaves nothing in the memo.
+// TestSolveCtxCancelledReturnsCtxErr pins that a cancelled context (the
+// caller is gone) answers its error, not a mapping, and leaves nothing in
+// the memo.
 func TestSolveCtxCancelledReturnsCtxErr(t *testing.T) {
 	mi := pipeline.MotivatingExample()
 	p, err := Compile(&mi, mapping.Interval, pipeline.Overlap)
@@ -132,38 +127,32 @@ func TestSolveCtxCancelledReturnsCtxErr(t *testing.T) {
 // that takes about 0.2 s on a 2-vCPU x86 host.
 var slowQuery = Query{Objective: core.Period, ExactLimit: 1, HeurIters: 1_000_000, HeurRestarts: 2, Seed: 9}
 
-// TestSolveCtxMidFlightDeadline arms a budget the slow query cannot meet:
-// the annealer stops at its next poll and the call comes back promptly
-// with the best mapping reached, Preempted and Degraded. Nothing is
-// memoized, so a budget-free solve of the query runs in full itself.
+// TestSolveCtxMidFlightDeadline arms a deadline the slow query cannot
+// meet: the annealer stops at its next poll and the call comes back
+// promptly with the deadline's error. Nothing is memoized, so a solve of
+// the query under a live context runs in full itself.
 func TestSolveCtxMidFlightDeadline(t *testing.T) {
 	mi := pipeline.MotivatingExample()
 	p, err := Compile(&mi, mapping.Interval, pipeline.Overlap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeoutCause(context.Background(), 10*time.Millisecond, core.ErrSolveBudget)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := p.SolveCtx(ctx, slowQuery)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := p.SolveCtx(ctx, slowQuery); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("mid-flight deadline: %v, want context.DeadlineExceeded", err)
 	}
 	if took := time.Since(start); took > time.Second {
-		t.Errorf("a 10ms budget answered after %v", took)
-	}
-	if !res.Preempted || !res.Degraded {
-		t.Fatalf("mid-flight budget result not Preempted+Degraded: %+v", res)
-	}
-	if res.LowerBound <= 0 || res.LowerBound > res.Value {
-		t.Fatalf("degraded lower bound %g not in (0, value %g]", res.LowerBound, res.Value)
+		t.Errorf("a 10ms deadline answered after %v", took)
 	}
 	if st := p.QueryStats(); st.Entries != 0 {
-		t.Fatalf("a preempted answer was memoized: %+v", st)
+		t.Fatalf("a stopped solve was memoized: %+v", st)
 	}
 	clean, err, hit := p.Answer(context.Background(), slowQuery)
-	if err != nil || hit || clean.Preempted {
-		t.Fatalf("budget-free solve after a preempted one: %+v, %v, hit %v; want a fresh full solve", clean, err, hit)
+	want, werr := core.Solve(&mi, p.Request(slowQuery))
+	if err != nil || werr != nil || hit || !reflect.DeepEqual(clean, want) {
+		t.Fatalf("solve after a stopped one: %+v, %v, hit %v; want a fresh full solve answering %+v", clean, err, hit, want)
 	}
 }
 

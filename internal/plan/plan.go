@@ -235,12 +235,10 @@ func (p *Plan) SolveCtx(ctx context.Context, q Query) (core.Result, error) {
 // this call ran the solve.
 //
 // The call that installs a query's entry solves it on its own goroutine
-// under ctx, so the solve stops when ctx ends: a solve budget (cause
-// core.ErrSolveBudget) answers a Preempted mapping, any other end ctx's
-// error (see core.SolvePrepared). Such an outcome is dropped from the memo
-// before it is published: the callers already waiting take a Preempted
-// answer as it is, and after a context error ask again under their own
-// contexts. A waiter whose own context ends returns its error.
+// under ctx, so the solve stops when ctx ends and answers ctx's error
+// (see core.SolvePrepared). Such an outcome is dropped from the memo
+// before it is published: the callers already waiting ask again under
+// their own contexts. A waiter whose own context ends returns its error.
 func (p *Plan) Answer(ctx context.Context, q Query) (res core.Result, err error, hit bool) {
 	p.queries.Add(1)
 	for {
@@ -299,7 +297,7 @@ func (p *Plan) run(ctx context.Context, e *memo.Entry[core.Packed], q Query) (co
 			}
 		}()
 		res, err := core.SolvePrepared(ctx, &p.inst, p.cls, p.Request(q))
-		if res.Preempted || isCtxErr(err) {
+		if isCtxErr(err) {
 			p.memo.Forget(e)
 		}
 		return res.Pack(), err

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/core"
@@ -42,8 +41,15 @@ func solveJob(t *testing.T, body string, c *batch.Cache) batch.Job {
 // succeeds: jobspec.EncodeResult of core.Solve on the decoded job.
 func canonicalAnswer(t *testing.T, body string) []byte {
 	t.Helper()
+	return clampedAnswer(t, body, 0)
+}
+
+// clampedAnswer is canonicalAnswer under a work ceiling: the body a server
+// with Config.SolveWork = work writes, core.Solve of the clamped request.
+func clampedAnswer(t *testing.T, body string, work int64) []byte {
+	t.Helper()
 	job := solveJob(t, body, nil)
-	res, err := core.Solve(job.Inst, job.Req)
+	res, err := core.Solve(job.Inst, job.Req.Clamp(work))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +105,7 @@ func solveBodies(t *testing.T) map[string]string {
 // the full path writes: for every body, the first answer (a front miss)
 // and the repeated one have the same status, Content-Type and body, a
 // success equals the encoding of core.Solve, and every repeated success
-// was answered by the front tier. Both answers of a success, and no
-// error answer, carry jobspec.KeepHeader.
+// was answered by the front tier.
 func TestSolveRepeatIdentity(t *testing.T) {
 	s := New(Config{CacheCap: 1024})
 	successes := 0
@@ -117,16 +122,9 @@ func TestSolveRepeatIdentity(t *testing.T) {
 		}
 		if first.Code != http.StatusOK {
 			servetest.CheckStructuredError(t, name, first)
-			if k := first.Header().Get(jobspec.KeepHeader); k != "" {
-				t.Errorf("%s: a %d answer carries %s %q", name, first.Code, jobspec.KeepHeader, k)
-			}
 			continue
 		}
 		successes++
-		if first.Header().Get(jobspec.KeepHeader) != "1" || again.Header().Get(jobspec.KeepHeader) != "1" {
-			t.Errorf("%s: a kept answer lacks %s (first %q, repeat %q)", name, jobspec.KeepHeader,
-				first.Header().Get(jobspec.KeepHeader), again.Header().Get(jobspec.KeepHeader))
-		}
 		if want := canonicalAnswer(t, body); first.Body.String() != string(want) {
 			t.Errorf("%s: answered %q, core.Solve encodes %q", name, first.Body.String(), want)
 		}
@@ -139,50 +137,52 @@ func TestSolveRepeatIdentity(t *testing.T) {
 	}
 }
 
-// TestSolveBudgetPreemptedNeverReplayed arms a 20 ms solve budget that
-// stops the slow request's search: the preempted answer must be kept
-// neither by the front tier nor by the plan's result memo, so the next
-// request without a budget runs the full solve and writes exactly what
-// core.Solve encodes, which the front tier then keeps.
+// TestSolveBudgetPreemptedNeverReplayed: an answer under a work ceiling is
+// a function of the body and the ceiling. Two servers started with the
+// same ceiling answer the slow request with byte-identical degraded 200s,
+// core.Solve's answer to the clamped request; the repeat on the first is
+// a front-tier hit. A server without a ceiling never answers from a
+// ceilinged answer: it writes exactly what core.Solve encodes for the
+// request as sent.
 func TestSolveBudgetPreemptedNeverReplayed(t *testing.T) {
-	s := New(Config{SolveBudget: 20 * time.Millisecond})
+	const work = 16
 	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": ` + servetest.SlowSolveRequest + `}`
+	want := clampedAnswer(t, body, work)
 	var res struct {
-		Preempted bool `json:"preempted"`
+		Degraded bool `json:"degraded"`
 	}
-	rec := post(s, "/v1/solve", body)
-	decode(t, rec, &res)
-	if rec.Code != http.StatusOK || !res.Preempted {
-		t.Fatalf("20ms budget: status %d, preempted %v, want a preempted 200", rec.Code, res.Preempted)
+	if err := json.Unmarshal(want, &res); err != nil || !res.Degraded {
+		t.Fatalf("the clamped request answers %q (%v), want a degraded answer", want, err)
 	}
-	if k := rec.Header().Get(jobspec.KeepHeader); k != "" {
-		t.Errorf("the preempted answer carries %s %q", jobspec.KeepHeader, k)
+	first, second := New(Config{SolveWork: work}), New(Config{SolveWork: work})
+	for i, s := range []*Server{first, first, second} {
+		hits := s.front.Stats().Hits
+		rec := post(s, "/v1/solve", body)
+		if rec.Code != http.StatusOK || rec.Body.String() != string(want) {
+			t.Fatalf("send %d under ceiling %d: %d %q, want %q", i+1, work, rec.Code, rec.Body.String(), want)
+		}
+		if hit := s.front.Stats().Hits == hits+1; hit != (i == 1) {
+			t.Errorf("send %d: front-tier hit %v, want %v", i+1, hit, i == 1)
+		}
 	}
-	if n, m := s.front.Stats().Entries, s.Cache().Len(); n != 0 || m != 0 {
-		t.Fatalf("front tier kept %d and the result memo %d preempted answers", n, m)
+	full := canonicalAnswer(t, body)
+	if rec := post(New(Config{}), "/v1/solve", body); rec.Code != http.StatusOK || rec.Body.String() != string(full) {
+		t.Fatalf("server without a ceiling: %d %q, want %q", rec.Code, rec.Body.String(), full)
 	}
-	s.cfg.SolveBudget = 0
-	rec = post(s, "/v1/solve", body)
-	want := canonicalAnswer(t, body)
-	if rec.Code != http.StatusOK || rec.Body.String() != string(want) {
-		t.Fatalf("budget-free answer %d %q, want %q", rec.Code, rec.Body.String(), want)
-	}
-	hits := s.front.Stats().Hits
-	if again := post(s, "/v1/solve", body); again.Body.String() != string(want) || s.front.Stats().Hits != hits+1 {
-		t.Errorf("repeat of the clean answer: %q (front hits %d -> %d), want a front hit on %q",
-			again.Body.String(), hits, s.front.Stats().Hits, want)
+	if string(full) == string(want) {
+		t.Errorf("the ceiling changed nothing: both answers are %q", want)
 	}
 }
 
 // TestSolveBudgetPolynomialAnswersInFull: a polynomial cell is never
-// stopped, even by a budget spent before it starts. The answer is
-// core.Solve's, not preempted, and both tiers keep it.
+// limited, even by a ceiling of one step. The answer is core.Solve's, and
+// both tiers keep it.
 func TestSolveBudgetPolynomialAnswersInFull(t *testing.T) {
-	s := New(Config{SolveBudget: time.Nanosecond})
+	s := New(Config{SolveWork: 1})
 	body := `{"instance": ` + servetest.Fig1JSON(t) + `, "request": {"objective": "latency"}}`
 	want := canonicalAnswer(t, body)
 	if rec := post(s, "/v1/solve", body); rec.Code != http.StatusOK || rec.Body.String() != string(want) {
-		t.Fatalf("1ns budget on a polynomial cell: %d %q, want %q", rec.Code, rec.Body.String(), want)
+		t.Fatalf("ceiling 1 on a polynomial cell: %d %q, want %q", rec.Code, rec.Body.String(), want)
 	}
 	if n, m := s.front.Stats().Entries, s.Cache().Len(); n != 1 || m != 1 {
 		t.Fatalf("front tier holds %d and the result memo %d answers, want 1 and 1", n, m)

@@ -28,8 +28,10 @@ var wireCodes = map[string]bool{
 // period and latency bound arrays of any length from absent to longer
 // than the application count, their scale, an energy budget, an exact
 // limit and an annealing effort: small, or past the wire's caps (1,000,000
-// steps, 16 restarts), where it must be refused before any solver runs. A
-// decodable request never answers 500: that status is for solver bugs.
+// steps, 16 restarts), where it must be refused before any solver runs.
+// Each body goes to a server without a work ceiling and to one with a
+// ceiling of 64 steps. A decodable request never answers 500: that status
+// is for solver bugs.
 // Every other non-200 answer is an {"error","code"} document, and every
 // code is in jobspec's vocabulary.
 func FuzzSolveStatus(f *testing.F) {
@@ -74,7 +76,7 @@ func FuzzSolveStatus(f *testing.F) {
 		}
 		return x % small
 	}
-	s := New(Config{})
+	servers := []*Server{New(Config{}), New(Config{SolveWork: 64})}
 	f.Fuzz(func(t *testing.T, obj, rule, model, perLen, latLen uint8, scale, budget float64, exactLimit, iters, restarts int64) {
 		scale = finite(scale)
 		req := map[string]any{
@@ -96,7 +98,9 @@ func FuzzSolveStatus(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkStatus(t, body, post(s, "/v1/solve", string(body)))
+		for _, s := range servers {
+			checkStatus(t, body, post(s, "/v1/solve", string(body)))
+		}
 	})
 }
 

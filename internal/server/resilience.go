@@ -6,7 +6,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -15,7 +14,6 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/jobspec"
 	"repro/internal/plan"
 )
@@ -226,18 +224,11 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		jobspec.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
+	s.clamp(jobs)
 	job := jobs[0]
 	ev := chaos.Event{Kind: kind, Proc: body.Event.Proc, App: body.Event.App,
 		Stage: body.Event.Stage, Factor: body.Event.Factor}
-	ctx := r.Context()
-	if b := s.cfg.SolveBudget; b > 0 {
-		// The budget covers the whole re-solve pair; a search it stops
-		// answers its best mapping, tagged preempted, rather than 504.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, 2*b, core.ErrSolveBudget)
-		defer cancel()
-	}
-	res, err := chaos.ResolveCtx(ctx, job.Plan, plan.QueryOf(job.Req), ev)
+	res, err := chaos.ResolveCtx(r.Context(), job.Plan, plan.QueryOf(job.Req), ev)
 	if err != nil {
 		status := jobspec.ErrorStatus(err)
 		if chaos.IsInapplicable(err) {

@@ -439,12 +439,12 @@ func TestErrorCodes(t *testing.T) {
 	}
 }
 
-// TestSolveBudgetDegradedResponse arms the server-wide solve budget with
-// 20 ms, far less than the slow request's search: the search stops at
-// the budget and the response is a 200 tagged preempted and degraded
-// with a lower bound, soon after the budget, not a 504.
+// TestSolveBudgetDegradedResponse arms the server-wide work ceiling with
+// 1000 steps, far less than the slow request's 16 million: the annealer
+// runs at most 1000 steps and the response is a 200 tagged degraded with
+// a lower bound, within 120 ms, not a 504.
 func TestSolveBudgetDegradedResponse(t *testing.T) {
-	s := New(Config{SolveBudget: 20 * time.Millisecond})
+	s := New(Config{SolveWork: 1000})
 	start := time.Now()
 	rec := post(s, "/v1/solve", `{"instance": `+servetest.Fig1JSON(t)+`, "request": `+servetest.SlowSolveRequest+`}`)
 	elapsed := time.Since(start)
@@ -452,19 +452,18 @@ func TestSolveBudgetDegradedResponse(t *testing.T) {
 		t.Fatalf("budgeted solve: status %d, want 200: %s", rec.Code, rec.Body.String())
 	}
 	if elapsed > 120*time.Millisecond {
-		t.Errorf("a 20ms budget answered after %v, want within 120ms", elapsed)
+		t.Errorf("a ceiling of 1000 steps answered after %v, want within 120ms", elapsed)
 	}
 	var resp struct {
 		Value      float64 `json:"value"`
-		Preempted  bool    `json:"preempted"`
 		Degraded   bool    `json:"degraded"`
 		Code       string  `json:"code"`
 		LowerBound float64 `json:"lowerBound"`
 		BoundGap   float64 `json:"boundGap"`
 	}
 	decode(t, rec, &resp)
-	if !resp.Preempted || !resp.Degraded || resp.Code != "degraded" {
-		t.Fatalf("20ms budget: %+v, want preempted and degraded with code \"degraded\"", resp)
+	if !resp.Degraded || resp.Code != "degraded" {
+		t.Fatalf("ceiling of 1000 steps: %+v, want degraded with code \"degraded\"", resp)
 	}
 	if resp.LowerBound <= 0 || resp.LowerBound > resp.Value {
 		t.Fatalf("lower bound %g not in (0, %g]", resp.LowerBound, resp.Value)
@@ -474,17 +473,17 @@ func TestSolveBudgetDegradedResponse(t *testing.T) {
 	}
 }
 
-// TestSolveBudgetSlotInBatch gives a two-job batch a solve budget no
-// search can use: the polynomial latency job answers in full, and the
-// period job, whose search finds no mapping before the budget ends,
-// answers timeout in its own slot. The budget is the job's, not the
-// request's, so the batch is a 200, not an aborted 504.
+// TestSolveBudgetSlotInBatch gives a two-job batch a work ceiling of one
+// step, which no search can use: the polynomial latency job answers in
+// full, and the period job, whose search finds no mapping within the
+// ceiling, answers unresolved in its own slot. The ceiling bounds the
+// job, not the request, so the batch is a 200, not an aborted 504.
 func TestSolveBudgetSlotInBatch(t *testing.T) {
-	s := New(Config{SolveBudget: time.Nanosecond})
+	s := New(Config{SolveWork: 1})
 	inst := servetest.Fig1JSON(t)
 	rec := post(s, "/v1/batch", `{"instance": `+inst+`, "jobs": [`+servetest.BudgetSlotJobs+`]}`)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d, want 200 with a timeout slot: %s", rec.Code, rec.Body.String())
+		t.Fatalf("status %d, want 200 with an unresolved slot: %s", rec.Code, rec.Body.String())
 	}
 	var out struct {
 		Results []json.RawMessage `json:"results"`
@@ -499,8 +498,8 @@ func TestSolveBudgetSlotInBatch(t *testing.T) {
 		t.Errorf("latency slot %q, core.Solve encodes %q", slot, want)
 	}
 	var res jobspec.Result
-	if err := json.Unmarshal(out.Results[1], &res); err != nil || res.Code != jobspec.CodeTimeout {
-		t.Errorf("period slot %s, want code timeout", out.Results[1])
+	if err := json.Unmarshal(out.Results[1], &res); err != nil || res.Code != jobspec.CodeUnresolved {
+		t.Errorf("period slot %s, want code unresolved", out.Results[1])
 	}
 }
 

@@ -39,15 +39,13 @@
 // questions have deterministic answers, so a repeated body is answered by
 // writing the stored bytes, skipping the decode, validation, canonical
 // keys, both cache tiers and the encode; what it writes is exactly what
-// the full path would (TestSolveRepeatIdentity). The tier keeps only 200
-// answers whose result was not preempted by the solve budget, marks them
-// with the jobspec.KeepHeader response header so a gateway keeps the same
-// ones, and looks up only bodies read whole of at most
-// jobspec.FrontMaxBody (16 KiB), keeping no answer larger than that. It
-// holds at most Config.CacheCap entries, so it is bounded at CacheCap x
-// (32 B + one answer of at most 16 KiB). Concurrent identical bodies wait
-// for the first one's answer; when that answer is not kept (an error, a
-// timeout, a preempted result), each of them runs the full path itself,
+// the full path would (TestSolveRepeatIdentity). The tier keeps every 200
+// answer, as a gateway in front does, and looks up only bodies read whole
+// of at most jobspec.FrontMaxBody (16 KiB), keeping no answer larger than
+// that. It holds at most Config.CacheCap entries, so it is bounded at
+// CacheCap x (32 B + one answer of at most 16 KiB). Concurrent identical
+// bodies wait for the first one's answer; when that answer is not kept
+// (an error, a timeout), each of them runs the full path itself,
 // so no request ever receives another request's timeout. Behind a
 // gateway, a replica's tier sees only the gateway tier's misses. /v1/batch
 // has no front tier.
@@ -74,9 +72,10 @@
 // breaker trips after consecutive deadline overruns (504s; a request
 // whose deadline ends in the admission queue is none) and answers 503 +
 // Retry-After to every request on that route, front-tier hits included,
-// until a cooldown passes, and a positive Config.SolveBudget bounds each
-// job's search so a slow one answers the best mapping it found (tagged
-// "degraded" and "preempted") instead of timing out. /v1/batch answers
+// until a cooldown passes. A positive Config.SolveWork caps each job's
+// search effort in steps (core.Request.Clamp), so an NP-hard job past it
+// answers a degraded mapping, the same one on every replica with the same
+// ceiling, instead of searching on. /v1/batch answers
 // are appended as bytes (jobspec.AppendOutput), never built as a
 // jobspec.Output.
 package server
@@ -96,7 +95,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/core"
 	"repro/internal/jobspec"
 	"repro/internal/mapping"
 	"repro/internal/pareto"
@@ -136,12 +134,13 @@ type Config struct {
 	// is shed with a structured 429 and a Retry-After header. 0 means no
 	// queue: shed as soon as the gate is full.
 	MaxQueue int
-	// SolveBudget, if positive, is the per-job wall-clock budget handed
-	// to the batch engine (batch.Options.SolveBudget): a job whose search
-	// outlives it stops and answers the best mapping found, tagged
-	// "degraded" and "preempted" and never cached, instead of riding the
-	// request into a 504.
-	SolveBudget time.Duration
+	// SolveWork, if positive, caps each job's search effort, in steps:
+	// every job of /v1/solve, /v1/batch and /v1/resolve is clamped to it
+	// (core.Request.Clamp) before any key is computed. An answer stays a
+	// function of the request, so it is memoized like any other; replicas
+	// behind one gateway must share the ceiling, since the gateway's front
+	// tier keys answers by the body alone.
+	SolveWork int64
 	// BreakerThreshold is the number of consecutive deadline overruns
 	// (504 responses, other than a request that expired waiting for
 	// admission) on one solver endpoint that trips its circuit breaker;
@@ -314,7 +313,14 @@ func (s *Server) gated(w http.ResponseWriter, r *http.Request, serve func()) {
 // batchOptions are the engine options every request shares: the bounded
 // worker pool and the server-lifetime cache.
 func (s *Server) batchOptions() batch.Options {
-	return batch.Options{Workers: s.cfg.Workers, Cache: s.cache, SolveBudget: s.cfg.SolveBudget}
+	return batch.Options{Workers: s.cfg.Workers, Cache: s.cache}
+}
+
+// clamp lowers the effort of every decoded job to the SolveWork ceiling.
+func (s *Server) clamp(jobs []batch.Job) {
+	for i := range jobs {
+		jobs[i].Req = jobs[i].Req.Clamp(s.cfg.SolveWork)
+	}
 }
 
 // countMethods folds a batch's per-method counts into the server totals.
@@ -328,45 +334,40 @@ func (s *Server) countMethods(stats batch.Stats) {
 // (jobspec.Front): a repeated body is answered with the stored bytes of
 // its first answer, without waiting for an admission slot, and counts its
 // method again; everything else runs the full path (solve), which holds
-// an admission slot. Both set jobspec.KeepHeader on an answer the tier
-// keeps, so a gateway in front keeps the same answers.
+// an admission slot.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	body, readErr := io.ReadAll(r.Body)
 	s.front.Serve(ctx, body, readErr, func(a jobspec.FrontAnswer) {
 		s.methods.Add(string(a.Method), 1)
-		jobspec.MarkKept(w.Header())
 		jobspec.WriteRaw(w, http.StatusOK, a.Body)
-	}, func() (a jobspec.FrontAnswer, keep bool) {
-		s.gated(w, r, func() { a, keep = s.solve(ctx, w, jobspec.Replay(body, readErr)) })
-		return a, keep
+	}, func() (a jobspec.FrontAnswer) {
+		s.gated(w, r, func() { a = s.solve(ctx, w, jobspec.Replay(body, readErr)) })
+		return a
 	})
 }
 
 // solve runs one request through the engine (sharing the cache and worker
 // pool with every other endpoint) and writes the jobspec result document.
-// Results are bit-identical to calling repro.Solve directly. It returns
-// the answer, and keep when the front tier may keep it: a 200 whose
-// result was not preempted by the solve budget.
-func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body io.Reader) (jobspec.FrontAnswer, bool) {
+// Results are bit-identical to calling repro.Solve on the clamped request.
+// It returns the answer the front tier keeps: a 200's, and no Body for
+// any other.
+func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body io.Reader) jobspec.FrontAnswer {
 	jobs, status, err := jobspec.DecodeSolve(body, s.cache)
 	if err != nil {
 		jobspec.WriteError(w, status, err)
-		return jobspec.FrontAnswer{}, false
+		return jobspec.FrontAnswer{}
 	}
+	s.clamp(jobs)
 	results, stats := batch.SolveCtx(ctx, jobs, s.batchOptions())
 	s.countMethods(stats)
 	if err := results[0].Err; err != nil {
 		jobspec.WriteError(w, jobspec.ErrorStatus(err), err)
-		return jobspec.FrontAnswer{}, false
+		return jobspec.FrontAnswer{}
 	}
 	out := append(jobspec.AppendResult(nil, results[0]), '\n')
-	keep := !results[0].Result.Preempted
-	if keep {
-		jobspec.MarkKept(w.Header())
-	}
 	jobspec.WriteRaw(w, http.StatusOK, out)
-	return jobspec.FrontAnswer{Body: out, Method: results[0].Result.Method}, keep
+	return jobspec.FrontAnswer{Body: out, Method: results[0].Result.Method}
 }
 
 // handleBatch accepts a pipebatch job file and responds with the pipebatch
@@ -379,18 +380,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		jobspec.WriteError(w, status, err)
 		return
 	}
+	s.clamp(jobs)
 	results, stats := batch.SolveCtx(r.Context(), jobs, s.batchOptions())
 	s.countMethods(stats)
 	// Abort only if the expired budget actually cancelled jobs: deciding
 	// from the result slots (rather than re-reading the context) keeps a
 	// batch whose last job finished just before the deadline a success.
-	// A job's own solve budget is not the request's: its ErrSolveBudget
-	// stays in its slot as a timeout.
 	cancelled := 0
 	var ctxErr error
 	for i := range results {
-		if err := results[i].Err; err != nil && !errors.Is(err, core.ErrSolveBudget) &&
-			(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
+		if err := results[i].Err; errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			cancelled++
 			ctxErr = err
 		}

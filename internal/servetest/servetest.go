@@ -33,9 +33,9 @@ func Fig1JSON(t testing.TB) string {
 // annealing on Figure 1 (2-vCPU x86 host).
 const SlowSolveRequest = `{"objective": "energy", "periodBound": 2, "exactLimit": 1, "heurIters": 1000000, "heurRestarts": 16}`
 
-// BudgetSlotJobs are two /v1/batch jobs on Figure 1 for a solve budget
+// BudgetSlotJobs are two /v1/batch jobs on Figure 1 for a work ceiling
 // too small for any search: the latency job is polynomial and answers in
-// full, the period job's search finds no mapping and answers timeout.
+// full, the period job's search finds no mapping and answers unresolved.
 const BudgetSlotJobs = `{"request": {"objective": "latency"}}, {"request": {"objective": "period", "periodBound": 0.5}}`
 
 // Fig1Mapping is a valid interval mapping of the Section 2 instance as a
